@@ -8,6 +8,16 @@
 //! exactly what the launch counter here reproduces — and leaves execute as
 //! HPX tasks on their owner locality's worker pool.
 //!
+//! The step's physics is spelled once and scheduled twice.  The pieces —
+//! the gravity dispatch (`solve_gravity`: one sharded solve, of which one
+//! locality is the local case), the prologue (`Simulation::begin_step`:
+//! u⁰ save and boundary-face masks), the per-leaf RK-stage kernel
+//! (`StepShared::run_stage`), the fixed-order outflow fold and the
+//! [`StepStats`] assembly (`Simulation::finish_step`) — are shared by two
+//! short schedulers: `Simulation::step_barrier` joins after every piece,
+//! `Simulation::step_pipelined` chains the same pieces as one future graph
+//! (DESIGN.md §4 records the measurements that keep both).
+//!
 //! The driver reports the paper's throughput metric: **processed cells per
 //! second** (Figures 4–10 all plot cells/s or sub-grids/s).
 
@@ -26,9 +36,6 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 use sve_simd::VectorMode;
-
-/// Shared handle to the per-leaf workspace table, cloned into stage tasks.
-type WorkspaceMap = Arc<HashMap<NodeId, Arc<parking_lot::Mutex<LeafWorkspace>>>>;
 
 /// All the paper's run-time switches in one place.
 #[derive(Debug, Clone, Copy)]
@@ -73,12 +80,13 @@ pub struct SimOptions {
     /// changes.
     pub cache_gravity_plan: bool,
     /// Simulated localities to shard the gravity octree over (clamped to
-    /// the cluster's locality count).  `1` — the reference configuration —
-    /// runs the plain shared-memory solve; `> 1` partitions the leaves
-    /// with [`octree::partition_morton`], runs each shard's kernels on its
-    /// own locality's runtime, and moves every cross-locality interaction
-    /// as a typed parcel (metered under `/octotiger/parcels/*`).  Physics
-    /// is bit-identical either way (see `tests/distributed_equivalence.rs`).
+    /// the cluster's locality count).  The leaves are partitioned with
+    /// [`octree::partition_morton`], each shard's kernels run on its own
+    /// locality's runtime, and every cross-locality interaction moves as a
+    /// typed parcel (metered under `/octotiger/parcels/*`); at `1` — the
+    /// reference configuration — the same solve has nothing to exchange.
+    /// Physics is bit-identical at every count (see
+    /// `tests/distributed_equivalence.rs`).
     /// Defaults from `OCTO_LOCALITIES` (CI's distribution axis).
     pub localities: usize,
     /// Mid-run adaptive regridding: every `Some(k)` steps the driver runs
@@ -232,6 +240,138 @@ impl RegridOutcome {
     /// Did the pass change the topology at all?
     pub fn changed(&self) -> bool {
         self.refined > 0 || self.derefined > 0
+    }
+}
+
+/// What one gravity solve hands the stage kernels: the per-leaf fields
+/// (shared by every stage task) and the interaction counts.
+type GravityResult = (
+    Arc<HashMap<NodeId, LeafField>>,
+    crate::gravity::solver::SolveStats,
+);
+
+/// The one gravity dispatch of both schedulers: acquire the interaction
+/// plan and the halo plan sharding it over `rts` (both cached, keyed on
+/// the same topology version), then run the sharded solve — one locality
+/// is simply the shard count at which nothing crosses a boundary.  Plan
+/// acquisition (cache hit: no traversal) and the dense kernels are timed
+/// separately, so the apex report shows what caching actually saves.
+fn solve_gravity(
+    solver: &GravitySolver,
+    grid: &DistGrid,
+    apex: &hpx_rt::Apex,
+    sources: &Arc<HashMap<NodeId, LeafSources>>,
+    rts: &[hpx_rt::Runtime],
+) -> GravityResult {
+    let plan = {
+        let _p = apex.timer("gravity:plan");
+        grid.with_tree(|t| solver.plan_for(t))
+    };
+    let _k = apex.timer("gravity:kernels");
+    let owner = grid.with_tree(|t| octree::partition_morton(t, rts.len()));
+    let dist = solver.dist_plan_for(&plan, &owner, rts.len());
+    let (fields, stats) = solver.solve_distributed(&plan, &dist, sources, rts);
+    (Arc::new(fields), stats)
+}
+
+/// What the schedulers count differently; everything else in
+/// [`StepStats`] is assembled identically by `Simulation::finish_step`.
+#[derive(Default)]
+struct StepTally {
+    /// Kernel launches beyond the stage and gravity kernels.
+    extra_launches: u64,
+    direct_ghost_links: u64,
+    ghost_links_total: u64,
+    ghost_links_resolved: u64,
+    overlapped_tasks: u64,
+}
+
+/// What every stage kernel of one step reads, shared by all stage tasks.
+struct StepShared {
+    grid: DistGrid,
+    opts: SimOptions,
+    /// The step's leaves, in the fixed order the outflow ledger folds in.
+    leaves: Vec<NodeId>,
+    workspaces: HashMap<NodeId, Arc<parking_lot::Mutex<LeafWorkspace>>>,
+    /// Each leaf's domain-boundary face mask.
+    boundary_masks: HashMap<NodeId, [bool; 6]>,
+    /// Per-leaf boundary outflow rates of each stage.  Folded in fixed
+    /// leaf order after the step's join ([`StepShared::fold_outflow`]): a
+    /// shared `+=` in task-completion order would make the mass ledger
+    /// scheduling-dependent (float addition does not associate), breaking
+    /// bit-reproducibility across runs and between vector widths.
+    outflow_rates: [parking_lot::Mutex<HashMap<NodeId, f64>>; 3],
+}
+
+impl StepShared {
+    /// The per-leaf RK-stage kernel: compute the hydro RHS of the leaf's
+    /// current state (with the gravity and rotating-frame sources), then
+    /// apply stage `stage`'s SSP-RK3 combination in place.  The scheduler
+    /// guarantees the leaf's ghost shells are filled and that no other
+    /// task touches the leaf's workspace meanwhile.
+    fn run_stage(
+        &self,
+        leaf: NodeId,
+        stage: usize,
+        dt: f64,
+        gravity: Option<&HashMap<NodeId, LeafField>>,
+    ) {
+        let opts = &self.opts;
+        let handle = self.grid.grid(leaf);
+        let (corner, size) = leaf.cube();
+        let nn = self.grid.n();
+        let h = size * BOX_SIZE / nn as f64;
+        let origin = corner.map(|c| (c + 0.5 * size / nn as f64 - 0.5) * BOX_SIZE);
+        let hopts = HydroOptions {
+            vector_mode: opts.vector_mode,
+            cfl: opts.cfl,
+        };
+        let mut guard = self.workspaces[&leaf]
+            .try_lock()
+            .expect("leaf workspace aliased by a concurrent task");
+        let ws = &mut *guard;
+        // Compute the RHS from the current state (reads), then apply the
+        // stage combination (writes).
+        ws.u_cur.copy_from(&handle.read());
+        let src = SourceInput {
+            gravity: gravity
+                .map(|m| &m[&leaf])
+                .map(|f| [&f.gx[..], &f.gy[..], &f.gz[..]]),
+            omega: opts.omega,
+            origin,
+            h,
+            boundary_faces: self.boundary_masks[&leaf],
+        };
+        let info = hydro::compute_rhs(&ws.u_cur, &mut ws.rhs, &src, &hopts, &mut ws.scratch);
+        self.outflow_rates[stage]
+            .lock()
+            .insert(leaf, info.boundary_mass_outflow_rate);
+        // Zero RHS in ghost zones so stage combines don't touch them with
+        // stale flux data (they are refreshed by the next exchange anyway,
+        // but keep them clean for diagnostics).
+        workspace::zero_ghost_runs(&mut ws.rhs, &ws.ghost_runs);
+        let mut g = handle.write();
+        let mode = opts.vector_mode;
+        match stage {
+            0 => hydro::rk3::stage_euler(&ws.u_cur, &ws.rhs, dt, &mut g, mode),
+            1 => hydro::rk3::stage_two(&ws.u0, &ws.u_cur, &ws.rhs, dt, &mut g, mode),
+            _ => hydro::rk3::stage_three(&ws.u0, &ws.u_cur, &ws.rhs, dt, &mut g, mode),
+        }
+    }
+
+    /// Mass that left through the domain boundary this step: the stages'
+    /// per-leaf rates, summed in leaf order and integrated with the
+    /// effective Shu-Osher weights of the three RHS evaluations in the
+    /// final update, uⁿ⁺¹ = uⁿ + Δt (L⁰/6 + L¹/6 + 2L²/3).
+    fn fold_outflow(&self, dt: f64) -> f64 {
+        let stage_weight = [1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0];
+        let mut step_outflow = 0.0;
+        for (rates, weight) in self.outflow_rates.iter().zip(stage_weight) {
+            let rates = rates.lock();
+            let stage_rate: f64 = self.leaves.iter().map(|l| rates[l]).sum();
+            step_outflow += weight * dt * stage_rate;
+        }
+        step_outflow
     }
 }
 
@@ -559,65 +699,22 @@ impl Simulation {
         }
     }
 
-    /// The classic stepper: a full ghost-exchange barrier before each RK
-    /// stage.
-    fn step_barrier(&mut self, cluster: &SimCluster) -> StepStats {
-        let t0 = Instant::now();
-        let _mode_timer = self.apex.timer(self.simd_timer_label());
+    /// The runtimes the gravity solve is sharded over: the first
+    /// [`SimOptions::localities`] of the cluster's (clamped to what the
+    /// cluster has, at least one).
+    fn gravity_runtimes(&self, cluster: &SimCluster) -> Vec<hpx_rt::Runtime> {
+        let nloc = self.opts.localities.min(cluster.num_localities()).max(1);
+        (0..nloc)
+            .map(|i| cluster.locality(i).runtime().clone())
+            .collect()
+    }
+
+    /// The step's shared prologue: save u⁰ into the recycled workspaces,
+    /// classify every leaf's domain-boundary faces, and bundle what the
+    /// stage kernels read.  No stage task is in flight yet (the previous
+    /// step fully joined), so the workspace `try_lock` never contends.
+    fn begin_step(&self) -> Arc<StepShared> {
         let leaves = self.grid.leaves();
-        let n = self.grid.n();
-        let n3 = (n * n * n) as u64;
-        let mut kernel_launches = 0u64;
-        let mut direct_ghost_links = 0u64;
-
-        // ---- Gravity (once per step; reused across RK stages). ---------
-        let gravity_fields: Option<Arc<HashMap<NodeId, LeafField>>> = if self.opts.gravity {
-            let _t = self.apex.timer("gravity:solve");
-            let sources = Arc::new(self.leaf_sources());
-            let solver = &self.gravity_solver;
-            let nloc = self.opts.localities.min(cluster.num_localities()).max(1);
-            let space = ExecSpace::hpx(cluster.locality(0).runtime().clone());
-            // Plan acquisition (cache hit: no traversal) and the dense
-            // kernels are timed separately, so the apex report shows what
-            // caching actually saves.
-            let plan = {
-                let _p = self.apex.timer("gravity:plan");
-                self.grid.with_tree(|t| solver.plan_for(t))
-            };
-            let (fields, stats) = {
-                let _k = self.apex.timer("gravity:kernels");
-                if nloc > 1 {
-                    // Shard the solve: the halo plan caches alongside the
-                    // interaction plan, keyed on the same topology version.
-                    let dist = {
-                        let owner = self.grid.with_tree(|t| octree::partition_morton(t, nloc));
-                        solver.dist_plan_for(&plan, &owner, nloc)
-                    };
-                    let rts: Vec<hpx_rt::Runtime> = (0..nloc)
-                        .map(|i| cluster.locality(i).runtime().clone())
-                        .collect();
-                    solver.solve_distributed(&plan, &dist, &sources, &rts)
-                } else {
-                    solver.solve_with_plan(&plan, &sources, &space)
-                }
-            };
-            kernel_launches += stats.multipole_kernel_launches as u64 + leaves.len() as u64;
-            self.last_gravity_stats = Some(stats);
-            Some(Arc::new(fields))
-        } else {
-            self.last_gravity_stats = None;
-            None
-        };
-        let gravity_plan_hit = self.opts.gravity && self.gravity_solver.last_plan_hit();
-
-        // ---- Global fixed time step. -----------------------------------
-        let dt = {
-            let _t = self.apex.timer("hydro:cfl_reduction");
-            self.compute_dt()
-        };
-
-        // ---- Save u⁰ into the recycled workspaces. ----------------------
-        // No tasks are in flight yet, so the try_lock never contends.
         for &l in &leaves {
             self.workspaces[&l]
                 .try_lock()
@@ -625,130 +722,49 @@ impl Simulation {
                 .u0
                 .copy_from(&self.grid.grid(l).read());
         }
-        let ws_map: WorkspaceMap = Arc::new(self.workspaces.clone());
-
-        // ---- Three SSP-RK3 stages. --------------------------------------
-        // Effective Shu-Osher weights of the three stage RHS evaluations in
-        // the final update: uⁿ⁺¹ = uⁿ + Δt (L⁰/6 + L¹/6 + 2L²/3); boundary
-        // outflow integrates with the same weights.
-        let stage_weight = [1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0];
-        // Precompute each leaf's domain-boundary face mask.
-        let boundary_masks: Arc<HashMap<NodeId, [bool; 6]>> = Arc::new(self.grid.with_tree(|t| {
-            leaves
-                .iter()
-                .map(|&l| {
-                    let dirs = [
-                        octree::Dir::new(-1, 0, 0),
-                        octree::Dir::new(1, 0, 0),
-                        octree::Dir::new(0, -1, 0),
-                        octree::Dir::new(0, 1, 0),
-                        octree::Dir::new(0, 0, -1),
-                        octree::Dir::new(0, 0, 1),
-                    ];
-                    let mask = dirs
-                        .map(|d| matches!(t.neighbor_of(l, d), octree::Neighbor::DomainBoundary));
-                    (l, mask)
-                })
-                .collect()
-        }));
-        let mut step_outflow = 0.0;
-        for stage in 0..3 {
-            {
-                let _t = self.apex.timer("comm:ghost_exchange");
-                direct_ghost_links += self.grid.exchange_ghosts(cluster, self.opts.ghost) as u64;
-            }
-            let _stage_timer = self.apex.timer("hydro:rk_stage");
-            let grid = self.grid.clone();
-            let opts = self.opts;
-            let gf = gravity_fields.clone();
-            let ws_map = ws_map.clone();
-            let masks = boundary_masks.clone();
-            // Per-leaf outflow rates, folded in fixed leaf order after the
-            // join: a shared `+=` in task-completion order would make the
-            // mass ledger scheduling-dependent (float addition does not
-            // associate), breaking bit-reproducibility across runs and
-            // between vector widths.
-            let stage_outflow: Arc<parking_lot::Mutex<HashMap<NodeId, f64>>> =
-                Arc::new(parking_lot::Mutex::new(HashMap::new()));
-            let stage_outflow_task = stage_outflow.clone();
-            self.for_each_leaf(cluster, move |leaf| {
-                let handle = grid.grid(leaf);
-                let (corner, size) = leaf.cube();
-                let nn = grid.n();
-                let h = size * BOX_SIZE / nn as f64;
-                let origin = [
-                    (corner[0] + 0.5 * size / nn as f64 - 0.5) * BOX_SIZE,
-                    (corner[1] + 0.5 * size / nn as f64 - 0.5) * BOX_SIZE,
-                    (corner[2] + 0.5 * size / nn as f64 - 0.5) * BOX_SIZE,
-                ];
-                let hopts = HydroOptions {
-                    vector_mode: opts.vector_mode,
-                    cfl: opts.cfl,
-                };
-                // Each stage exchange drains before any stage task runs, so
-                // exactly one task touches this leaf's workspace at a time.
-                let mut guard = ws_map[&leaf]
-                    .try_lock()
-                    .expect("leaf workspace aliased by a concurrent task");
-                let ws = &mut *guard;
-                // Compute the RHS from the current state (reads), then
-                // apply the stage combination (writes).
-                {
-                    let g = handle.read();
-                    ws.u_cur.copy_from(&g);
+        // One flag per face, in `Dir::faces` order: [-x, +x, -y, +y, -z, +z].
+        let boundary_masks = self.grid.with_tree(|t| {
+            let mask = |l| {
+                let mut mask = [false; 6];
+                for (at_boundary, d) in mask.iter_mut().zip(octree::Dir::faces()) {
+                    *at_boundary = matches!(t.neighbor_of(l, d), octree::Neighbor::DomainBoundary);
                 }
-                let leaf_gravity = gf.as_ref().map(|m| &m[&leaf]);
-                let gvecs = leaf_gravity.map(|f| [&f.gx[..], &f.gy[..], &f.gz[..]]);
-                let src = SourceInput {
-                    gravity: gvecs,
-                    omega: opts.omega,
-                    origin,
-                    h,
-                    boundary_faces: masks[&leaf],
-                };
-                let info =
-                    hydro::compute_rhs(&ws.u_cur, &mut ws.rhs, &src, &hopts, &mut ws.scratch);
-                stage_outflow_task
-                    .lock()
-                    .insert(leaf, info.boundary_mass_outflow_rate);
-                // Zero RHS in ghost zones so stage combines don't touch
-                // them with stale flux data (they are refreshed by the next
-                // exchange anyway, but keep them clean for diagnostics).
-                workspace::zero_ghost_runs(&mut ws.rhs, &ws.ghost_runs);
-                let mut g = handle.write();
-                match stage {
-                    0 => hydro::rk3::stage_euler(&ws.u_cur, &ws.rhs, dt, &mut g, opts.vector_mode),
-                    1 => hydro::rk3::stage_two(
-                        &ws.u0,
-                        &ws.u_cur,
-                        &ws.rhs,
-                        dt,
-                        &mut g,
-                        opts.vector_mode,
-                    ),
-                    _ => hydro::rk3::stage_three(
-                        &ws.u0,
-                        &ws.u_cur,
-                        &ws.rhs,
-                        dt,
-                        &mut g,
-                        opts.vector_mode,
-                    ),
-                }
-            });
-            let rates = stage_outflow.lock();
-            let stage_rate: f64 = leaves.iter().map(|l| rates[l]).sum();
-            step_outflow += stage_weight[stage] * dt * stage_rate;
-            kernel_launches += 2 * leaves.len() as u64; // RHS + combine
-        }
-        self.mass_outflow += step_outflow;
+                mask
+            };
+            leaves.iter().map(|&l| (l, mask(l))).collect()
+        });
+        Arc::new(StepShared {
+            grid: self.grid.clone(),
+            opts: self.opts,
+            leaves,
+            workspaces: self.workspaces.clone(),
+            boundary_masks,
+            outflow_rates: Default::default(),
+        })
+    }
 
+    /// The step's shared epilogue: fold the boundary outflow, advance the
+    /// clock and assemble the telemetry.
+    fn finish_step(
+        &mut self,
+        t0: Instant,
+        dt: f64,
+        shared: &StepShared,
+        gravity_stats: Option<crate::gravity::solver::SolveStats>,
+        tally: StepTally,
+    ) -> StepStats {
+        let leaves = shared.leaves.len() as u64;
+        let mass_outflow = shared.fold_outflow(dt);
+        self.mass_outflow += mass_outflow;
+        self.last_gravity_stats = gravity_stats;
         self.time += dt;
         self.step_count += 1;
         let elapsed = t0.elapsed().as_secs_f64();
-        let cells = 3 * n3 * leaves.len() as u64;
-        // Each of the three exchanges drains fully before its stage runs.
-        let links_total = 3 * self.grid.total_ghost_links() as u64;
+        let cells = 3 * (self.grid.n() as u64).pow(3) * leaves;
+        // Per stage and leaf an RHS and a combine launch; per solve the
+        // M2L launches and one evaluation per leaf.
+        let gravity_launches =
+            gravity_stats.map_or(0, |s| s.multipole_kernel_launches as u64 + leaves);
         let (scratch_hits, scratch_misses, scratch_bytes_in_use, scratch_high_water) =
             self.scratch_telemetry();
         StepStats {
@@ -758,18 +774,18 @@ impl Simulation {
             cells_processed: cells,
             elapsed_seconds: elapsed,
             cells_per_second: cells as f64 / elapsed.max(1e-12),
-            kernel_launches,
-            direct_ghost_links,
-            mass_outflow: step_outflow,
-            ghost_links_total: links_total,
-            ghost_links_resolved: links_total,
-            overlapped_tasks: 0,
+            kernel_launches: tally.extra_launches + 6 * leaves + gravity_launches,
+            direct_ghost_links: tally.direct_ghost_links,
+            mass_outflow,
+            ghost_links_total: tally.ghost_links_total,
+            ghost_links_resolved: tally.ghost_links_resolved,
+            overlapped_tasks: tally.overlapped_tasks,
             scratch_hits,
             scratch_misses,
             scratch_bytes_in_use,
             scratch_high_water,
-            gravity_stats: self.last_gravity_stats,
-            gravity_plan_hit,
+            gravity_stats,
+            gravity_plan_hit: self.opts.gravity && self.gravity_solver.last_plan_hit(),
             regrid_refined: 0,
             regrid_derefined: 0,
             gravity_plan_patched: false,
@@ -777,7 +793,50 @@ impl Simulation {
         }
     }
 
-    /// The futurized stepper: one dependency graph for the whole step.
+    /// The classic scheduler: the gravity solve, the Δt reduction and each
+    /// stage's ghost exchange all join before the next piece starts.
+    fn step_barrier(&mut self, cluster: &SimCluster) -> StepStats {
+        let t0 = Instant::now();
+        let _mode_timer = self.apex.timer(self.simd_timer_label());
+        let mut tally = StepTally::default();
+
+        // ---- Gravity (once per step; reused across RK stages). ---------
+        let gravity: Option<GravityResult> = self.opts.gravity.then(|| {
+            let _t = self.apex.timer("gravity:solve");
+            let sources = Arc::new(self.leaf_sources());
+            let rts = self.gravity_runtimes(cluster);
+            solve_gravity(&self.gravity_solver, &self.grid, &self.apex, &sources, &rts)
+        });
+
+        // ---- Global fixed time step. -----------------------------------
+        let dt = {
+            let _t = self.apex.timer("hydro:cfl_reduction");
+            self.compute_dt()
+        };
+
+        // ---- Three SSP-RK3 stages, a full exchange before each. --------
+        let shared = self.begin_step();
+        for stage in 0..3 {
+            {
+                let _t = self.apex.timer("comm:ghost_exchange");
+                tally.direct_ghost_links +=
+                    self.grid.exchange_ghosts(cluster, self.opts.ghost) as u64;
+            }
+            let _stage_timer = self.apex.timer("hydro:rk_stage");
+            let shared = shared.clone();
+            let fields = gravity.as_ref().map(|g| g.0.clone());
+            // Each exchange drains before any stage task runs, so exactly
+            // one task touches a leaf's workspace at a time.
+            self.for_each_leaf(cluster, move |leaf| {
+                shared.run_stage(leaf, stage, dt, fields.as_deref());
+            });
+        }
+        tally.ghost_links_total = 3 * self.grid.total_ghost_links() as u64;
+        tally.ghost_links_resolved = tally.ghost_links_total;
+        self.finish_step(t0, dt, &shared, gravity.map(|g| g.1), tally)
+    }
+
+    /// The futurized scheduler: one dependency graph for the whole step.
     ///
     /// Per RK stage, [`DistGrid::exchange_ghosts_pipelined`] turns every
     /// (leaf, direction) ghost link into a future chain gated on the leaves
@@ -790,80 +849,46 @@ impl Simulation {
     ///
     /// All three stage graphs are built eagerly up front; the only blocking
     /// point is the final join on the stage-2 update futures.  Physics is
-    /// bit-identical to [`Simulation::step_barrier`]: packs read exactly the
-    /// interiors the barrier path reads (stage-consistent via the gates),
-    /// unpack regions of the 26 directions are disjoint, and the Δt
-    /// reduction is associative-commutative (min/max), so no result depends
-    /// on completion order.
+    /// bit-identical to [`Simulation::step_barrier`]: both schedule the same
+    /// pieces, packs read exactly the interiors the barrier path reads
+    /// (stage-consistent via the gates), unpack regions of the 26
+    /// directions are disjoint, and the Δt reduction is
+    /// associative-commutative (min/max), so no result depends on
+    /// completion order.
     fn step_pipelined(&mut self, cluster: &SimCluster) -> StepStats {
         use std::sync::atomic::{AtomicU64, Ordering};
 
         let t0 = Instant::now();
         let _step_timer = self.apex.timer("step:pipelined");
         let _mode_timer = self.apex.timer(self.simd_timer_label());
-        let leaves = self.grid.leaves();
-        let n = self.grid.n();
-        let n3 = (n * n * n) as u64;
-        let mut kernel_launches = 0u64;
         let rt0 = cluster.locality(0).runtime().clone();
+        // The Δt reduction is a real kernel launch here.
+        let mut tally = StepTally {
+            extra_launches: 1,
+            ..StepTally::default()
+        };
 
         // ---- Gravity as a future (overlaps the stage-0 ghost fill). -----
         // Sources are gathered synchronously from uⁿ; nothing writes until
         // the stage-0 gates open, and those include this future's ticket.
-        type GravityResult = (
-            Arc<HashMap<NodeId, LeafField>>,
-            crate::gravity::solver::SolveStats,
-        );
-        let gravity_fut: Option<Future<GravityResult>> = if self.opts.gravity {
+        let gravity_fut: Option<Future<GravityResult>> = self.opts.gravity.then(|| {
             let sources = Arc::new(self.leaf_sources());
             // The clone shares the persistent solver's plan cache, so the
             // solve inside the future still hits the cached plan.
-            let solver = self.gravity_solver.clone();
-            let apex = self.apex.clone();
-            let nloc = self.opts.localities.min(cluster.num_localities()).max(1);
-            let rts: Vec<hpx_rt::Runtime> = (0..nloc)
-                .map(|i| cluster.locality(i).runtime().clone())
-                .collect();
-            let space = ExecSpace::hpx(rt0.clone());
-            let grid = self.grid.clone();
-            Some(rt0.async_call(move || {
+            let (solver, grid, apex) = (
+                self.gravity_solver.clone(),
+                self.grid.clone(),
+                self.apex.clone(),
+            );
+            let rts = self.gravity_runtimes(cluster);
+            rt0.async_call(move || {
                 let _t = apex.timer("gravity:solve");
-                let plan = {
-                    let _p = apex.timer("gravity:plan");
-                    grid.with_tree(|t| solver.plan_for(t))
-                };
-                let (fields, stats) = {
-                    let _k = apex.timer("gravity:kernels");
-                    if nloc > 1 {
-                        // The distributed solve treats a cross-locality
-                        // ghost link exactly like a local one: the whole
-                        // sharded pipeline still runs inside this future,
-                        // overlapping the stage-0 ghost fill.
-                        let dist = {
-                            let owner = grid.with_tree(|t| octree::partition_morton(t, nloc));
-                            solver.dist_plan_for(&plan, &owner, nloc)
-                        };
-                        solver.solve_distributed(&plan, &dist, &sources, &rts)
-                    } else {
-                        solver.solve_with_plan(&plan, &sources, &space)
-                    }
-                };
-                (Arc::new(fields), stats)
-            }))
-        } else {
-            None
-        };
+                solve_gravity(&solver, &grid, &apex, &sources, &rts)
+            })
+        });
 
-        // ---- Save u⁰ (synchronously: the previous step fully joined, so
-        // no task holds a workspace and the grids race only with reads). --
-        for &l in &leaves {
-            self.workspaces[&l]
-                .try_lock()
-                .expect("leaf workspace aliased outside a step")
-                .u0
-                .copy_from(&self.grid.grid(l).read());
-        }
-        let ws_map: WorkspaceMap = Arc::new(self.workspaces.clone());
+        let shared = self.begin_step();
+        let leaves = &shared.leaves;
 
         // ---- Global Δt as an asynchronous Kokkos reduction. -------------
         // min/max are associative and commutative, so the chunked reduction
@@ -874,6 +899,7 @@ impl Simulation {
                 cfl: self.opts.cfl,
             };
             let cfl = self.opts.cfl;
+            let n = self.grid.n();
             let handles: Vec<_> = leaves
                 .iter()
                 .map(|&l| {
@@ -895,39 +921,12 @@ impl Simulation {
             )
             .then(&rt0, move |(h_min, max_speed)| cfl * h_min / max_speed)
         };
-        kernel_launches += 1; // the Δt reduction is a real kernel here
         let dt_gate = dt_fut.ticket();
         let gravity_gate: Option<Future<()>> = gravity_fut.as_ref().map(|f| f.ticket());
 
-        let stage_weight = [1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0];
-        let boundary_masks: Arc<HashMap<NodeId, [bool; 6]>> = Arc::new(self.grid.with_tree(|t| {
-            leaves
-                .iter()
-                .map(|&l| {
-                    let dirs = [
-                        octree::Dir::new(-1, 0, 0),
-                        octree::Dir::new(1, 0, 0),
-                        octree::Dir::new(0, -1, 0),
-                        octree::Dir::new(0, 1, 0),
-                        octree::Dir::new(0, 0, -1),
-                        octree::Dir::new(0, 0, 1),
-                    ];
-                    let mask = dirs
-                        .map(|d| matches!(t.neighbor_of(l, d), octree::Neighbor::DomainBoundary));
-                    (l, mask)
-                })
-                .collect()
-        }));
-
         // ---- Build all three stage graphs eagerly. ----------------------
         let overlapped = Arc::new(AtomicU64::new(0));
-        // Per-leaf outflow rates per stage, folded in fixed leaf order at
-        // the end of the step: tasks complete in scheduler order, and a
-        // shared `+=` would make the ledger scheduling-dependent.
-        let stage_outflows: [Arc<parking_lot::Mutex<HashMap<NodeId, f64>>>; 3] = Default::default();
-        let mut stage_links: Vec<(Arc<std::sync::atomic::AtomicUsize>, usize)> = Vec::new();
-        let mut links_total = 0u64;
-        let mut direct_ghost_links = 0u64;
+        let mut stage_links: Vec<Arc<std::sync::atomic::AtomicUsize>> = Vec::new();
         let mut ready: HashMap<NodeId, Future<()>> = leaves
             .iter()
             .map(|&l| (l, hpx_rt::make_ready_future(())))
@@ -936,110 +935,39 @@ impl Simulation {
             let ex = self
                 .grid
                 .exchange_ghosts_pipelined(cluster, self.opts.ghost, &ready);
-            links_total += ex.total_links as u64;
-            direct_ghost_links += ex.direct_links as u64;
+            tally.ghost_links_total += ex.total_links as u64;
+            tally.direct_ghost_links += ex.direct_links as u64;
             let mut next: HashMap<NodeId, Future<()>> = HashMap::with_capacity(leaves.len());
-            for &leaf in &leaves {
+            for &leaf in leaves {
                 let mut parts: Vec<Future<()>> = vec![
                     ex.ghosts_filled[&leaf].clone(),
                     ex.outgoing_packed[&leaf].clone(),
                 ];
                 if stage == 0 {
                     parts.push(dt_gate.clone());
-                    if let Some(g) = &gravity_gate {
-                        parts.push(g.clone());
-                    }
+                    parts.extend(gravity_gate.clone());
                 }
                 let rt = cluster.locality(self.grid.owner(leaf).0).runtime().clone();
                 let gate = hpx_rt::when_all_of(&rt, &parts);
-                let grid = self.grid.clone();
-                let opts = self.opts;
-                let gf = gravity_fut.clone();
-                let ws_map = ws_map.clone();
-                let masks = boundary_masks.clone();
-                let stage_outflow = stage_outflows[stage].clone();
-                let dt_fut = dt_fut.clone();
-                let resolved = ex.links_resolved.clone();
-                let total = ex.total_links;
+                let (shared, gravity_fut, dt_fut) =
+                    (shared.clone(), gravity_fut.clone(), dt_fut.clone());
+                let (resolved, total) = (ex.links_resolved.clone(), ex.total_links);
                 let overlapped = overlapped.clone();
+                // The per-leaf future chain (`ready` → exchange gates →
+                // this update) serializes every task touching this leaf's
+                // workspace.
                 let update = gate.then(&rt, move |()| {
-                    // The gate transitively includes the Δt/gravity futures,
-                    // so these `get`s never block.
                     if resolved.load(Ordering::Relaxed) < total {
                         overlapped.fetch_add(1, Ordering::Relaxed);
                     }
-                    let dt = dt_fut.get();
-                    let handle = grid.grid(leaf);
-                    let (corner, size) = leaf.cube();
-                    let nn = grid.n();
-                    let h = size * BOX_SIZE / nn as f64;
-                    let origin = [
-                        (corner[0] + 0.5 * size / nn as f64 - 0.5) * BOX_SIZE,
-                        (corner[1] + 0.5 * size / nn as f64 - 0.5) * BOX_SIZE,
-                        (corner[2] + 0.5 * size / nn as f64 - 0.5) * BOX_SIZE,
-                    ];
-                    let hopts = HydroOptions {
-                        vector_mode: opts.vector_mode,
-                        cfl: opts.cfl,
-                    };
-                    // The per-leaf future chain (`ready` → exchange gates →
-                    // this update) serializes every task touching this
-                    // leaf's workspace; contention here is a graph bug.
-                    let mut guard = ws_map[&leaf]
-                        .try_lock()
-                        .expect("leaf workspace aliased by a concurrent task");
-                    let ws = &mut *guard;
-                    {
-                        let g = handle.read();
-                        ws.u_cur.copy_from(&g);
-                    }
-                    let gfields = gf.as_ref().map(|f| f.get().0);
-                    let leaf_gravity = gfields.as_ref().map(|m| &m[&leaf]);
-                    let gvecs = leaf_gravity.map(|f| [&f.gx[..], &f.gy[..], &f.gz[..]]);
-                    let src = SourceInput {
-                        gravity: gvecs,
-                        omega: opts.omega,
-                        origin,
-                        h,
-                        boundary_faces: masks[&leaf],
-                    };
-                    let info =
-                        hydro::compute_rhs(&ws.u_cur, &mut ws.rhs, &src, &hopts, &mut ws.scratch);
-                    stage_outflow
-                        .lock()
-                        .insert(leaf, info.boundary_mass_outflow_rate);
-                    workspace::zero_ghost_runs(&mut ws.rhs, &ws.ghost_runs);
-                    let mut g = handle.write();
-                    match stage {
-                        0 => hydro::rk3::stage_euler(
-                            &ws.u_cur,
-                            &ws.rhs,
-                            dt,
-                            &mut g,
-                            opts.vector_mode,
-                        ),
-                        1 => hydro::rk3::stage_two(
-                            &ws.u0,
-                            &ws.u_cur,
-                            &ws.rhs,
-                            dt,
-                            &mut g,
-                            opts.vector_mode,
-                        ),
-                        _ => hydro::rk3::stage_three(
-                            &ws.u0,
-                            &ws.u_cur,
-                            &ws.rhs,
-                            dt,
-                            &mut g,
-                            opts.vector_mode,
-                        ),
-                    }
+                    // The gate transitively includes the Δt/gravity futures,
+                    // so these `get`s never block.
+                    let fields = gravity_fut.as_ref().map(|f| f.get().0);
+                    shared.run_stage(leaf, stage, dt_fut.get(), fields.as_deref());
                 });
                 next.insert(leaf, update);
             }
-            stage_links.push((ex.links_resolved, ex.total_links));
-            kernel_launches += 2 * leaves.len() as u64; // RHS + combine
+            stage_links.push(ex.links_resolved);
             ready = next;
         }
 
@@ -1047,60 +975,17 @@ impl Simulation {
         for f in ready.values() {
             f.wait();
         }
-
-        let ghost_links_resolved: u64 = stage_links
+        tally.ghost_links_resolved = stage_links
             .iter()
-            .map(|(c, _)| c.load(Ordering::SeqCst) as u64)
+            .map(|c| c.load(Ordering::SeqCst) as u64)
             .sum();
         debug_assert_eq!(
-            ghost_links_resolved, links_total,
+            tally.ghost_links_resolved, tally.ghost_links_total,
             "pipelined step finished with undrained ghost links"
         );
-
-        let dt = dt_fut.get();
+        tally.overlapped_tasks = overlapped.load(Ordering::SeqCst);
         let gravity_stats = gravity_fut.as_ref().map(|f| f.get().1);
-        self.last_gravity_stats = gravity_stats;
-        if let Some(stats) = gravity_stats {
-            kernel_launches += stats.multipole_kernel_launches as u64 + leaves.len() as u64;
-        }
-        let mut step_outflow = 0.0;
-        for s in 0..3 {
-            let rates = stage_outflows[s].lock();
-            let stage_rate: f64 = leaves.iter().map(|l| rates[l]).sum();
-            step_outflow += stage_weight[s] * dt * stage_rate;
-        }
-        self.mass_outflow += step_outflow;
-
-        self.time += dt;
-        self.step_count += 1;
-        let elapsed = t0.elapsed().as_secs_f64();
-        let cells = 3 * n3 * leaves.len() as u64;
-        let (scratch_hits, scratch_misses, scratch_bytes_in_use, scratch_high_water) =
-            self.scratch_telemetry();
-        StepStats {
-            vector_mode: self.opts.vector_mode,
-            dt,
-            time: self.time,
-            cells_processed: cells,
-            elapsed_seconds: elapsed,
-            cells_per_second: cells as f64 / elapsed.max(1e-12),
-            kernel_launches,
-            direct_ghost_links,
-            mass_outflow: step_outflow,
-            ghost_links_total: links_total,
-            ghost_links_resolved,
-            overlapped_tasks: overlapped.load(Ordering::SeqCst),
-            scratch_hits,
-            scratch_misses,
-            scratch_bytes_in_use,
-            scratch_high_water,
-            gravity_stats,
-            gravity_plan_hit: self.opts.gravity && self.gravity_solver.last_plan_hit(),
-            regrid_refined: 0,
-            regrid_derefined: 0,
-            gravity_plan_patched: false,
-            tuner: None,
-        }
+        self.finish_step(t0, dt_fut.get(), &shared, gravity_stats, tally)
     }
 
     /// Run `steps` steps; returns the ledger before and after plus per-step

@@ -19,34 +19,37 @@
 //! * **P2P halo** (class `p2p`): near-field source leaves' point masses
 //!   read by leaves owned elsewhere.
 //!
-//! [`GravitySolver::solve_distributed`] then runs the phases in level
-//! lockstep: each locality computes its owned slots on its own runtime,
+//! [`GravitySolver::solve_sharded`] — the one gravity solve — then runs
+//! the phases in level lockstep: each locality launches the per-slot
+//! kernels of [`super::solver`] on its owned indices on its own runtime,
 //! and between phases the frozen exchange lists are serialized into
 //! recycled payload buffers and moved through a typed
 //! [`hpx_rt::ParcelTransport`] (one parcel per `(from, to)` pair per
-//! phase/level, metered into `/octotiger/parcels/*`).
+//! phase/level, metered into `/octotiger/parcels/*`).  **Local = one
+//! locality**: [`GravitySolver::solve_with_plan`] is this loop over the
+//! trivial one-locality plan, whose exchange lists are all empty, and
+//! [`GravitySolver::solve_distributed`] is this loop over one HPX space
+//! per runtime.
 //!
-//! **Bit-identity.**  Every per-slot kernel is the same code the
-//! single-locality [`GravitySolver::solve_with_plan`] runs, fed the same
-//! operands in the same plan-frozen order — transported values are exact
-//! `f64` copies, and consumers fold them in CSR order, never arrival
-//! order.  `tests/distributed_equivalence.rs` pins this: any locality
-//! count produces bit-identical fields (and therefore bit-identical
-//! 10-step ledgers) to the single-locality reference.
+//! **Bit-identity.**  Every locality count runs the same kernel code, fed
+//! the same operands in the same plan-frozen order — transported values
+//! are exact `f64` copies, and consumers fold them in CSR order, never
+//! arrival order.  `tests/distributed_equivalence.rs` pins this: any
+//! locality count produces bit-identical fields (and therefore
+//! bit-identical 10-step ledgers) to the single-locality reference, and a
+//! `solver.rs` test pins both to the bits the separate local kernels
+//! produced before they were deleted.
 
-use super::direct::{p2p_at_w, p2p_at_wide, PointMasses};
-use super::m2l_simd::{m2l_accumulate_w, m2l_accumulate_wide, MultipoleSoA};
+use super::direct::PointMasses;
 use super::multipole::{LocalExpansion, Multipole};
 use super::plan::{GravityPlan, PatchReport, SlotKind};
-use super::solver::{GravitySolver, LeafField, LeafSources, SolveStats};
+use super::solver::{GravitySolver, LeafField, LeafSources, LocBufs, SolveStats};
 use hpx_rt::{LocalityId, ParcelClass, ParcelTransport, Runtime};
 use kokkos_rs::pool::{Recycled, ScratchArena};
-use kokkos_rs::{parallel_for_mut, ChunkSpec, ExecSpace, RangePolicy};
+use kokkos_rs::ExecSpace;
 use octree::NodeId;
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
-use sve_simd::VectorMode;
 
 /// One batched cross-locality transfer: the plan-frozen list of slot (or
 /// leaf) indices whose payloads travel the `(from, to)` lane together in
@@ -278,37 +281,24 @@ pub struct DistLedger {
 }
 
 impl DistLedger {
-    fn add_m2l_target(&mut self, plan: &GravityPlan, slot_owner: &[usize], t: usize) {
-        let to = slot_owner[t];
-        for &src in plan.m2l_sources_of(t) {
-            let from = slot_owner[src];
-            if from != to {
-                lane_add(&mut self.m2l, from, to, src);
-            }
-        }
-    }
-
-    fn add_p2p_target(&mut self, plan: &GravityPlan, leaf_owner: &[usize], li: usize) {
-        let to = leaf_owner[li];
-        for &src in plan.p2p_sources_of(li) {
-            let from = leaf_owner[src];
-            if from != to {
-                lane_add(&mut self.p2p, from, to, src);
-            }
-        }
-    }
-
     /// Count every target's halo demand from scratch.
     pub fn build(plan: &GravityPlan, slot_owner: &[usize], leaf_owner: &[usize]) -> DistLedger {
         let mut led = DistLedger {
             topology_version: plan.topology_version,
             ..DistLedger::default()
         };
+        let add_target = |lanes: &mut Lanes, owner: &[usize], t: usize, sources: &[usize]| {
+            for &src in sources {
+                if owner[src] != owner[t] {
+                    lane_add(lanes, owner[src], owner[t], src);
+                }
+            }
+        };
         for &t in &plan.m2l_targets {
-            led.add_m2l_target(plan, slot_owner, t);
+            add_target(&mut led.m2l, slot_owner, t, plan.m2l_sources_of(t));
         }
         for li in 0..leaf_owner.len() {
-            led.add_p2p_target(plan, leaf_owner, li);
+            add_target(&mut led.p2p, leaf_owner, li, plan.p2p_sources_of(li));
         }
         led
     }
@@ -384,6 +374,107 @@ fn up_down_tables(
     )
 }
 
+/// One halo's index domain across a regrid — plan slots for the M2L halo,
+/// leaf indices for the P2P halo: the report's dirt and old→new map, the
+/// owner tables on both sides, and the targets' frozen source lists.
+struct HaloDomain<'a> {
+    /// Indices (old domain) the regrid removed.
+    retired: &'a [usize],
+    /// Indices (new domain) whose source lists the regrid changed.
+    dirty: &'a [usize],
+    /// Monotone old→new renumbering (`usize::MAX` = retired).
+    map: &'a [usize],
+    old_owner: &'a [usize],
+    new_owner: &'a [usize],
+    old_sources: &'a dyn Fn(usize) -> &'a [usize],
+    new_sources: &'a dyn Fn(usize) -> &'a [usize],
+}
+
+impl HaloDomain<'_> {
+    /// The signed lane-demand deltas of the regrid: `neg` keyed in the
+    /// old index domain (applied during the renumbering pass), `pos` in
+    /// the new (applied after).
+    fn lane_deltas(&self) -> (LaneRetractions, LaneRetractions) {
+        // ---- The dirty target sets, in both index domains. -------------
+        // Topological dirt from the report, then the partition's: an
+        // owner-moved survivor, and (by list symmetry) every target whose
+        // list names one — its old partners from its old list, its new
+        // partners from its new list.  A clean target keeps its pairs, so
+        // the two partner sweeps enumerate matching old/new index sets.
+        let mut dirty_old: BTreeSet<usize> = self.retired.iter().copied().collect();
+        let mut dirty_new: BTreeSet<usize> = self.dirty.iter().copied().collect();
+        for (o, &n) in self.map.iter().enumerate() {
+            if n != usize::MAX && dirty_new.contains(&n) {
+                dirty_old.insert(o);
+            }
+        }
+        for (o, &n) in self.map.iter().enumerate() {
+            if n == usize::MAX || self.old_owner[o] == self.new_owner[n] {
+                continue;
+            }
+            dirty_old.insert(o);
+            dirty_new.insert(n);
+            dirty_old.extend((self.old_sources)(o).iter().copied());
+            dirty_new.extend((self.new_sources)(n).iter().copied());
+        }
+
+        // ---- Diff the dirty targets' lists into signed lane deltas. ----
+        // The dirty closure is wide (every M2L partner of a refined cell
+        // is "dirty" because its list changed), but each dirty survivor's
+        // list typically changed by a handful of entries.  A two-pointer
+        // merge of the (monotonically renumbered) old list against the
+        // new list touches the hash maps only for *actual* changes —
+        // retracting and re-adding whole lists would cost a rebuild.
+        let count = |deltas: &mut LaneRetractions, from: usize, to: usize, src: usize| {
+            if from != to {
+                *deltas.entry((from, to, src)).or_insert(0) += 1;
+            }
+        };
+        let (mut neg, mut pos) = (LaneRetractions::new(), LaneRetractions::new());
+        let mut handled_new: BTreeSet<usize> = BTreeSet::new();
+        for &o in &dirty_old {
+            let n = self.map[o];
+            let to_old = self.old_owner[o];
+            let a = (self.old_sources)(o);
+            if n == usize::MAX {
+                for &src in a {
+                    count(&mut neg, self.old_owner[src], to_old, src);
+                }
+                continue;
+            }
+            handled_new.insert(n);
+            let to_new = self.new_owner[n];
+            diff_sorted_lists(
+                a,
+                (self.new_sources)(n),
+                self.map,
+                |src| count(&mut neg, self.old_owner[src], to_old, src),
+                |src| count(&mut pos, self.new_owner[src], to_new, src),
+                |src_old, src_new| {
+                    (self.old_owner[src_old], to_old) != (self.new_owner[src_new], to_new)
+                },
+            );
+        }
+        for &n in dirty_new.difference(&handled_new) {
+            let to = self.new_owner[n];
+            for &src in (self.new_sources)(n) {
+                count(&mut pos, self.new_owner[src], to, src);
+            }
+        }
+        (neg, pos)
+    }
+
+    /// `lanes` carried across the regrid: retract, renumber, re-add.
+    fn patched(&self, lanes: &Lanes) -> Lanes {
+        let (neg, pos) = self.lane_deltas();
+        let mut lanes = lanes_patched(lanes, &neg, self.map);
+        for ((from, to, src), n) in pos {
+            *lanes.entry((from, to)).or_default().entry(src).or_insert(0) += n;
+        }
+        lanes
+    }
+}
+
 impl DistPlan {
     /// Shard `plan` over `num_localities` according to `owner` (the leaf
     /// partition; the driver passes [`octree::partition_morton`]).
@@ -402,16 +493,44 @@ impl DistPlan {
         owner: &HashMap<NodeId, LocalityId>,
         num_localities: usize,
     ) -> (DistPlan, DistLedger) {
+        let leaf_owner = plan.leaves.iter().map(|l| owner[l].0).collect();
+        Self::from_leaf_owner(plan, leaf_owner, num_localities)
+    }
+
+    /// The one-locality plan the local solve runs over: locality 0 owns
+    /// every slot, so every exchange list is empty and no parcel moves.
+    pub(super) fn single_locality(plan: &GravityPlan) -> DistPlan {
+        Self::from_leaf_owner(plan, vec![0; plan.leaves.len()], 1).0
+    }
+
+    fn from_leaf_owner(
+        plan: &GravityPlan,
+        leaf_owner: Vec<usize>,
+        num_localities: usize,
+    ) -> (DistPlan, DistLedger) {
         assert!(num_localities > 0, "need at least one locality");
-        let leaf_owner: Vec<usize> = plan.leaves.iter().map(|l| owner[l].0).collect();
         let slot_owner = slot_owner_table(plan, &leaf_owner);
+        let ledger = DistLedger::build(plan, &slot_owner, &leaf_owner);
+        let dist = Self::assemble(plan, slot_owner, leaf_owner, num_localities, &ledger);
+        (dist, ledger)
+    }
+
+    /// The plan proper from its owner tables and halo demand: the cheap
+    /// per-locality index lists and up/down schedules (O(num slots)
+    /// sweeps, recomputed wholesale on build *and* patch) plus the halos
+    /// the ledger's count-positive lanes materialize to.
+    fn assemble(
+        plan: &GravityPlan,
+        slot_owner: Vec<usize>,
+        leaf_owner: Vec<usize>,
+        num_localities: usize,
+        ledger: &DistLedger,
+    ) -> DistPlan {
         debug_assert!(slot_owner.iter().all(|&o| o < num_localities));
         let (owned_by_level, owned_m2l_slots, owned_leaves) =
             locality_tables(plan, &slot_owner, &leaf_owner, num_localities);
         let (up, down) = up_down_tables(plan, &slot_owner);
-        let ledger = DistLedger::build(plan, &slot_owner, &leaf_owner);
-
-        let dist = DistPlan {
+        DistPlan {
             topology_version: plan.topology_version,
             theta: plan.theta,
             num_nodes: plan.num_nodes,
@@ -425,8 +544,7 @@ impl DistPlan {
             m2l_halo: materialize(&ledger.m2l),
             down,
             p2p_halo: materialize(&ledger.p2p),
-        };
-        (dist, ledger)
+        }
     }
 
     /// Patch `old` across the regrid described by `report` instead of
@@ -470,243 +588,46 @@ impl DistPlan {
         }
 
         let trace = std::env::var("OCTO_PATCH_TRACE").is_ok();
-        let t0 = std::time::Instant::now();
+        let t1 = std::time::Instant::now();
         let leaf_owner: Vec<usize> = new_plan.leaves.iter().map(|l| owner[l].0).collect();
         let slot_owner = slot_owner_table(new_plan, &leaf_owner);
-        debug_assert!(slot_owner.iter().all(|&o| o < num_localities));
-        let (owned_by_level, owned_m2l_slots, owned_leaves) =
-            locality_tables(new_plan, &slot_owner, &leaf_owner, num_localities);
-        let (up, down) = up_down_tables(new_plan, &slot_owner);
-        if trace {
-            eprintln!("dist-patch: tables {:?}", t0.elapsed());
-        }
-        let t1 = std::time::Instant::now();
 
-        // ---- The dirty target sets, in both index domains. -------------
-        // Topological dirt from the report, then the partition's: an
-        // owner-moved survivor, and (by list symmetry) every target whose
-        // list names one — its old partners from its old list, its new
-        // partners from its new list.  A clean target keeps its pairs, so
-        // the two partner sweeps enumerate matching old/new index sets.
-        let mut dirty_old: BTreeSet<usize> = report.retired_slots.iter().copied().collect();
-        let mut dirty_new: BTreeSet<usize> = report.dirty_slots.iter().copied().collect();
-        for os in 0..old_plan.num_nodes {
-            let ns = report.slot_map[os];
-            if ns != usize::MAX && dirty_new.contains(&ns) {
-                dirty_old.insert(os);
-            }
-        }
-        for os in 0..old_plan.num_nodes {
-            let ns = report.slot_map[os];
-            if ns == usize::MAX || old.slot_owner[os] == slot_owner[ns] {
-                continue;
-            }
-            dirty_old.insert(os);
-            dirty_new.insert(ns);
-            dirty_old.extend(old_plan.m2l_sources_of(os).iter().copied());
-            dirty_new.extend(new_plan.m2l_sources_of(ns).iter().copied());
-        }
-        let mut dirty_old_leaves: BTreeSet<usize> = report.retired_leaves.iter().copied().collect();
-        let mut dirty_new_leaves: BTreeSet<usize> = report.dirty_leaves.iter().copied().collect();
-        for ol in 0..old_plan.leaves.len() {
-            let nl = report.leaf_map[ol];
-            if nl != usize::MAX && dirty_new_leaves.contains(&nl) {
-                dirty_old_leaves.insert(ol);
-            }
-        }
-        for ol in 0..old_plan.leaves.len() {
-            let nl = report.leaf_map[ol];
-            if nl == usize::MAX || old.leaf_owner[ol] == leaf_owner[nl] {
-                continue;
-            }
-            dirty_old_leaves.insert(ol);
-            dirty_new_leaves.insert(nl);
-            dirty_old_leaves.extend(old_plan.p2p_sources_of(ol).iter().copied());
-            dirty_new_leaves.extend(new_plan.p2p_sources_of(nl).iter().copied());
-        }
-
-        if trace {
-            eprintln!(
-                "dist-patch: dirty sets {:?} (slots {}/{}, leaves {}/{})",
-                t1.elapsed(),
-                dirty_old.len(),
-                dirty_new.len(),
-                dirty_old_leaves.len(),
-                dirty_new_leaves.len()
-            );
-        }
-        let t2 = std::time::Instant::now();
-        // ---- Diff the dirty targets' lists into signed lane deltas. ----
-        // The dirty closure is wide (every M2L partner of a refined cell
-        // is "dirty" because its list changed), but each dirty survivor's
-        // list typically changed by a handful of entries.  A two-pointer
-        // merge of the (monotonically renumbered) old list against the
-        // new list touches the hash maps only for *actual* changes —
-        // retracting and re-adding whole lists would cost a rebuild.
-        // `neg` is keyed in the old index domain (applied during the
-        // renumbering pass), `pos` in the new (applied after).
-        let mut m2l_neg = LaneRetractions::new();
-        let mut m2l_pos = LaneRetractions::new();
-        let mut handled_new: BTreeSet<usize> = BTreeSet::new();
-        for &os in &dirty_old {
-            let ns = report.slot_map[os];
-            let to_old = old.slot_owner[os];
-            let a = old_plan.m2l_sources_of(os);
-            if ns == usize::MAX {
-                for &src in a {
-                    let from = old.slot_owner[src];
-                    if from != to_old {
-                        *m2l_neg.entry((from, to_old, src)).or_insert(0) += 1;
-                    }
-                }
-                continue;
-            }
-            handled_new.insert(ns);
-            let to_new = slot_owner[ns];
-            let b = new_plan.m2l_sources_of(ns);
-            diff_sorted_lists(
-                a,
-                b,
-                &report.slot_map,
-                |src| {
-                    let from = old.slot_owner[src];
-                    if from != to_old {
-                        *m2l_neg.entry((from, to_old, src)).or_insert(0) += 1;
-                    }
-                },
-                |src| {
-                    let from = slot_owner[src];
-                    if from != to_new {
-                        *m2l_pos.entry((from, to_new, src)).or_insert(0) += 1;
-                    }
-                },
-                |src_old, src_new| {
-                    (old.slot_owner[src_old], to_old) != (slot_owner[src_new], to_new)
-                },
-            );
-        }
-        for &ns in &dirty_new {
-            if handled_new.contains(&ns) {
-                continue;
-            }
-            let to = slot_owner[ns];
-            for &src in new_plan.m2l_sources_of(ns) {
-                let from = slot_owner[src];
-                if from != to {
-                    *m2l_pos.entry((from, to, src)).or_insert(0) += 1;
-                }
-            }
-        }
-        let mut p2p_neg = LaneRetractions::new();
-        let mut p2p_pos = LaneRetractions::new();
-        let mut handled_new_leaves: BTreeSet<usize> = BTreeSet::new();
-        for &ol in &dirty_old_leaves {
-            let nl = report.leaf_map[ol];
-            let to_old = old.leaf_owner[ol];
-            let a = old_plan.p2p_sources_of(ol);
-            if nl == usize::MAX {
-                for &src in a {
-                    let from = old.leaf_owner[src];
-                    if from != to_old {
-                        *p2p_neg.entry((from, to_old, src)).or_insert(0) += 1;
-                    }
-                }
-                continue;
-            }
-            handled_new_leaves.insert(nl);
-            let to_new = leaf_owner[nl];
-            let b = new_plan.p2p_sources_of(nl);
-            diff_sorted_lists(
-                a,
-                b,
-                &report.leaf_map,
-                |src| {
-                    let from = old.leaf_owner[src];
-                    if from != to_old {
-                        *p2p_neg.entry((from, to_old, src)).or_insert(0) += 1;
-                    }
-                },
-                |src| {
-                    let from = leaf_owner[src];
-                    if from != to_new {
-                        *p2p_pos.entry((from, to_new, src)).or_insert(0) += 1;
-                    }
-                },
-                |src_old, src_new| {
-                    (old.leaf_owner[src_old], to_old) != (leaf_owner[src_new], to_new)
-                },
-            );
-        }
-        for &nl in &dirty_new_leaves {
-            if handled_new_leaves.contains(&nl) {
-                continue;
-            }
-            let to = leaf_owner[nl];
-            for &src in new_plan.p2p_sources_of(nl) {
-                let from = leaf_owner[src];
-                if from != to {
-                    *p2p_pos.entry((from, to, src)).or_insert(0) += 1;
-                }
-            }
-        }
-        if trace {
-            eprintln!(
-                "dist-patch: lane deltas {:?} (m2l -{}/+{}, p2p -{}/+{})",
-                t2.elapsed(),
-                m2l_neg.len(),
-                m2l_pos.len(),
-                p2p_neg.len(),
-                p2p_pos.len()
-            );
-        }
-        let t3 = std::time::Instant::now();
-        let mut led = DistLedger {
-            topology_version: new_plan.topology_version,
-            m2l: lanes_patched(&ledger.m2l, &m2l_neg, &report.slot_map),
-            p2p: lanes_patched(&ledger.p2p, &p2p_neg, &report.leaf_map),
+        // ---- Patch both halos through their demand ledgers. -------------
+        let m2l = HaloDomain {
+            retired: &report.retired_slots,
+            dirty: &report.dirty_slots,
+            map: &report.slot_map,
+            old_owner: &old.slot_owner,
+            new_owner: &slot_owner,
+            old_sources: &|s| old_plan.m2l_sources_of(s),
+            new_sources: &|s| new_plan.m2l_sources_of(s),
         };
-        for (&(from, to, src), &n) in &m2l_pos {
-            *led.m2l
-                .entry((from, to))
-                .or_default()
-                .entry(src)
-                .or_insert(0) += n;
-        }
-        for (&(from, to, src), &n) in &p2p_pos {
-            *led.p2p
-                .entry((from, to))
-                .or_default()
-                .entry(src)
-                .or_insert(0) += n;
-        }
+        let p2p = HaloDomain {
+            retired: &report.retired_leaves,
+            dirty: &report.dirty_leaves,
+            map: &report.leaf_map,
+            old_owner: &old.leaf_owner,
+            new_owner: &leaf_owner,
+            old_sources: &|li| old_plan.p2p_sources_of(li),
+            new_sources: &|li| new_plan.p2p_sources_of(li),
+        };
+        let led = DistLedger {
+            topology_version: new_plan.topology_version,
+            m2l: m2l.patched(&ledger.m2l),
+            p2p: p2p.patched(&ledger.p2p),
+        };
         if trace {
             let entries: usize = led.m2l.values().map(|l| l.len()).sum::<usize>()
                 + led.p2p.values().map(|l| l.len()).sum::<usize>();
             eprintln!(
-                "dist-patch: lanes_patched {:?} ({} entries)",
-                t3.elapsed(),
-                entries
+                "dist-patch: ledgers patched {:?} ({entries} entries)",
+                t1.elapsed()
             );
         }
-        let t5 = std::time::Instant::now();
-
-        let dist = DistPlan {
-            topology_version: new_plan.topology_version,
-            theta: new_plan.theta,
-            num_nodes: new_plan.num_nodes,
-            num_localities,
-            slot_owner,
-            leaf_owner,
-            owned_by_level,
-            owned_m2l_slots,
-            owned_leaves,
-            up,
-            m2l_halo: materialize(&led.m2l),
-            down,
-            p2p_halo: materialize(&led.p2p),
-        };
+        let t2 = std::time::Instant::now();
+        let dist = Self::assemble(new_plan, slot_owner, leaf_owner, num_localities, &led);
         if trace {
-            eprintln!("dist-patch: materialize {:?}", t5.elapsed());
+            eprintln!("dist-patch: tables + materialize {:?}", t2.elapsed());
         }
         Some((dist, led))
     }
@@ -751,6 +672,11 @@ impl DistPlan {
     }
 }
 
+/// Words of the flat parcel encoding of a point set.
+fn points_flat_len(p: &PointMasses) -> usize {
+    1 + 4 * p.len()
+}
+
 /// Append the flat parcel encoding of a point set: count, then the four
 /// SoA component runs (exact bit copies).
 fn write_points_flat(p: &PointMasses, out: &mut Vec<f64>) {
@@ -761,83 +687,74 @@ fn write_points_flat(p: &PointMasses, out: &mut Vec<f64>) {
     out.extend_from_slice(&p.ms);
 }
 
-/// Decode one point set from the front of `buf`; returns it and the words
-/// consumed.
-fn read_points_flat(buf: &[f64]) -> (PointMasses, usize) {
+/// Decode one point set from the front of `buf` into `out`, reusing its
+/// storage.
+fn read_points_flat(buf: &[f64], out: &mut PointMasses) {
     let n = buf[0] as usize;
-    let grab = |k: usize| buf[1 + k * n..1 + (k + 1) * n].to_vec();
-    (
-        PointMasses {
-            xs: grab(0),
-            ys: grab(1),
-            zs: grab(2),
-            ms: grab(3),
-        },
-        1 + 4 * n,
-    )
-}
-
-/// One locality's working set: full-length slot buffers (never-received
-/// slots stay at their zero fill and are never read — only plan-listed
-/// sources are), the received P2P halo, and the owned output fields.
-struct LocBufs {
-    multipoles: Vec<Multipole>,
-    locals: Vec<LocalExpansion>,
-    acc: Vec<LocalExpansion>,
-    soa: MultipoleSoA,
-    halo_points: Vec<Option<PointMasses>>,
-    fields: Vec<LeafField>,
-}
-
-/// Shared handle to a locality's buffers: its phase tasks and the
-/// calling-thread exchanges alternate (phases are joined before any
-/// exchange runs), so the lock is never contended.
-type BufCell = Arc<Mutex<Option<LocBufs>>>;
-
-/// Run `f(loc, bufs)` on every locality's own runtime and join.
-fn run_phase(
-    rts: &[Runtime],
-    cells: &[BufCell],
-    f: impl Fn(usize, &mut LocBufs) + Send + Sync + 'static,
-) {
-    let f = Arc::new(f);
-    let futs: Vec<_> = cells
-        .iter()
+    for (k, run) in [&mut out.xs, &mut out.ys, &mut out.zs, &mut out.ms]
+        .into_iter()
         .enumerate()
-        .map(|(loc, cell)| {
-            let cell = cell.clone();
-            let f = f.clone();
-            rts[loc].async_call(move || {
-                let mut guard = cell.lock();
-                f(loc, guard.as_mut().expect("locality buffers present"));
-            })
-        })
-        .collect();
-    for fut in futs {
-        fut.wait();
+    {
+        run.clear();
+        run.extend_from_slice(&buf[1 + k * n..1 + (k + 1) * n]);
+    }
+}
+
+/// Run `f(loc, bufs[loc])` for every locality and join.  Locality 0's
+/// share runs on the calling thread — like any kernel launch, so the
+/// one-locality solve spawns nothing here — and every further locality's
+/// as a scoped task on its own runtime (inline on a space without one),
+/// opened outermost-last so the caller finishes its own share before it
+/// helps the others drain.
+fn run_phase<F>(spaces: &[ExecSpace], bufs: &mut [LocBufs], f: &F)
+where
+    F: Fn(usize, &mut LocBufs) + Sync,
+{
+    let Some((last, rest)) = bufs.split_last_mut() else {
+        return;
+    };
+    let loc = rest.len();
+    match &spaces[loc] {
+        ExecSpace::Hpx(hpx) if loc > 0 => hpx.runtime.scope(|s| {
+            s.spawn(move || f(loc, last));
+            run_phase(spaces, rest, f);
+        }),
+        _ => {
+            run_phase(spaces, rest, f);
+            f(loc, last);
+        }
     }
 }
 
 /// Move one phase's exchange list through the transport: serialize on the
-/// sender's side into a recycled payload, one parcel per `(from, to)`
-/// lane, then decode on the receiver's side in the same frozen order.
-/// Phases are level-lockstep, so every parcel is queued by receive time.
+/// sender's side into a recycled payload of exactly the lane's word count
+/// (so its arena bucket is stable from solve to solve), one parcel per
+/// `(from, to)` lane, then decode on the receiver's side in the same
+/// frozen order.  The class names the cargo: multipoles on the way up and
+/// for the M2L halo, local expansions on the way down, and the listed
+/// leaves' `points` for the P2P halo.  Phases are joined before any
+/// exchange runs, so every parcel is queued by receive time.
 fn exchange(
     transport: &ParcelTransport<Recycled<f64>>,
     arena: &ScratchArena,
-    cells: &[BufCell],
+    points: &[&PointMasses],
+    bufs: &mut [LocBufs],
     exchanges: &[Exchange],
     class: ParcelClass,
-    pack: impl Fn(&LocBufs, usize, &mut Vec<f64>),
-    unpack: impl Fn(&mut LocBufs, usize, &[f64]) -> usize,
 ) {
+    let words = |i: usize| match class {
+        ParcelClass::P2p => points_flat_len(points[i]),
+        ParcelClass::MultipoleDown => LocalExpansion::FLAT_LEN,
+        _ => Multipole::FLAT_LEN,
+    };
     for ex in exchanges {
-        let mut payload = arena.checkout_empty(ex.slots.len() * Multipole::FLAT_LEN);
-        {
-            let guard = cells[ex.from].lock();
-            let bufs = guard.as_ref().expect("sender buffers present");
-            for &s in &ex.slots {
-                pack(bufs, s, &mut payload);
+        let mut payload = arena.checkout_empty(ex.slots.iter().map(|&i| words(i)).sum());
+        let sender = &bufs[ex.from];
+        for &i in &ex.slots {
+            match class {
+                ParcelClass::P2p => write_points_flat(points[i], &mut payload),
+                ParcelClass::MultipoleDown => sender.locals[i].write_flat(&mut payload),
+                _ => sender.multipoles[i].write_flat(&mut payload),
             }
         }
         let bytes = payload.len() * std::mem::size_of::<f64>();
@@ -847,22 +764,26 @@ fn exchange(
         let parcel = transport
             .try_receive(ex.from, ex.to)
             .expect("lockstep exchange: parcel queued");
-        let mut guard = cells[ex.to].lock();
-        let bufs = guard.as_mut().expect("receiver buffers present");
+        let receiver = &mut bufs[ex.to];
         let mut off = 0usize;
-        for &s in &ex.slots {
-            off += unpack(bufs, s, &parcel.payload[off..]);
+        for &i in &ex.slots {
+            let buf = &parcel.payload[off..off + words(i)];
+            match class {
+                ParcelClass::P2p => read_points_flat(buf, &mut receiver.halo_points[i]),
+                ParcelClass::MultipoleDown => receiver.locals[i] = LocalExpansion::read_flat(buf),
+                _ => receiver.multipoles[i] = Multipole::read_flat(buf),
+            }
+            off += buf.len();
         }
         debug_assert_eq!(off, parcel.payload.len(), "parcel decode misaligned");
     }
 }
 
 impl GravitySolver {
-    /// Run the three solver phases sharded over `dist.num_localities`
-    /// simulated localities, each computing its owned slots on its own
-    /// runtime (`rts[loc]`), with cross-locality traffic batched through
-    /// a typed parcel transport.  Bit-identical to
-    /// [`GravitySolver::solve_with_plan`] on the same plan.
+    /// Run the solve sharded over `dist.num_localities` simulated
+    /// localities, each computing its owned slots on its own runtime
+    /// (`rts[loc]`), with cross-locality traffic batched through a typed
+    /// parcel transport.  Bit-identical for every locality count.
     pub fn solve_distributed(
         &self,
         plan: &Arc<GravityPlan>,
@@ -870,240 +791,101 @@ impl GravitySolver {
         sources: &Arc<HashMap<NodeId, LeafSources>>,
         rts: &[Runtime],
     ) -> (HashMap<NodeId, LeafField>, SolveStats) {
-        let nloc = dist.num_localities;
-        assert!(rts.len() >= nloc, "need one runtime per locality");
-        debug_assert!(plan.leaves.iter().all(|l| sources.contains_key(l)));
-        let rts: Arc<Vec<Runtime>> = Arc::new(rts[..nloc].to_vec());
-        let arena = self.scratch_arena().clone();
-        let transport: ParcelTransport<Recycled<f64>> = ParcelTransport::new(nloc);
-        let cells: Vec<BufCell> = (0..nloc)
-            .map(|_| {
-                Arc::new(Mutex::new(Some(LocBufs {
-                    multipoles: vec![Multipole::zero([0.0; 3]); plan.num_nodes],
-                    locals: vec![LocalExpansion::zero(); plan.num_nodes],
-                    acc: Vec::new(),
-                    soa: MultipoleSoA::default(),
-                    halo_points: vec![None; plan.leaves.len()],
-                    fields: Vec::new(),
-                })))
-            })
+        assert!(
+            rts.len() >= dist.num_localities,
+            "need one runtime per locality"
+        );
+        let spaces: Vec<ExecSpace> = rts[..dist.num_localities]
+            .iter()
+            .map(|rt| ExecSpace::hpx(rt.clone()))
             .collect();
+        self.solve_sharded(plan, dist, sources, &spaces)
+    }
+
+    /// The one gravity solve: the three solver phases in level lockstep
+    /// over `dist`'s localities.  Each phase launches the per-slot kernels
+    /// of [`super::solver`] on every locality's owned indices (on
+    /// `spaces[loc]`), then moves the frozen exchange lists as parcels.
+    /// The local solve is the one-locality case: nothing is exchanged.
+    pub(super) fn solve_sharded(
+        &self,
+        plan: &GravityPlan,
+        dist: &DistPlan,
+        sources: &HashMap<NodeId, LeafSources>,
+        spaces: &[ExecSpace],
+    ) -> (HashMap<NodeId, LeafField>, SolveStats) {
+        let nloc = dist.num_localities;
+        assert_eq!(spaces.len(), nloc, "need one execution space per locality");
+        debug_assert!(plan.leaves.iter().all(|l| sources.contains_key(l)));
+        let mut bufs = self.take_buffers(nloc);
+        for b in &mut bufs {
+            b.reset_tables(plan);
+        }
+        let points: Vec<&PointMasses> = plan.leaves.iter().map(|l| &sources[l].points).collect();
+        let transport: ParcelTransport<Recycled<f64>> = ParcelTransport::new(nloc);
+        let ship = |bufs: &mut [LocBufs], exchanges: &[Exchange], class| {
+            exchange(&transport, &self.scratch, &points, bufs, exchanges, class)
+        };
 
         // ---- Phase 1: bottom-up, level-lockstep. -----------------------
-        // Each locality computes its owned slots of the level (same P2M /
-        // M2M kernels, same operands), then child multipoles whose parent
-        // lives elsewhere cross as `multipole-up` parcels.
+        // Each locality computes its owned slots of the level, then child
+        // multipoles whose parent lives elsewhere cross as `multipole-up`
+        // parcels.
         let nlev = plan.level_ranges.len();
         for level in (0..nlev).rev() {
-            {
-                let (plan, dist, sources) = (plan.clone(), dist.clone(), sources.clone());
-                run_phase(&rts, &cells, move |loc, b| {
-                    for &s in &dist.owned_by_level[loc][level] {
-                        let mut mp = match plan.kinds[s] {
-                            SlotKind::Leaf(li) => {
-                                Multipole::from_soa(&sources[&plan.leaves[li]].points)
-                            }
-                            SlotKind::Interior(kids) => {
-                                // Fixed-size gather: no per-slot heap
-                                // allocation inside the kernel body (the
-                                // zero-alloc steady state hpx-check's
-                                // allocation lint guards).
-                                let children: [&Multipole; 8] =
-                                    std::array::from_fn(|c| &b.multipoles[kids[c]]);
-                                Multipole::combine(&children)
-                            }
-                        };
-                        if mp.m == 0.0 {
-                            mp = Multipole::zero(plan.centers[s]);
-                        }
-                        b.multipoles[s] = mp;
-                    }
-                });
-            }
+            run_phase(spaces, &mut bufs, &|loc, b: &mut LocBufs| {
+                let owned = &dist.owned_by_level[loc][level];
+                self.upward_level(plan, owned, sources, b, &spaces[loc]);
+            });
             if level > 0 {
-                exchange(
-                    &transport,
-                    &arena,
-                    &cells,
-                    &dist.up[level],
-                    ParcelClass::MultipoleUp,
-                    |b, s, out| b.multipoles[s].write_flat(out),
-                    |b, s, buf| {
-                        b.multipoles[s] = Multipole::read_flat(buf);
-                        Multipole::FLAT_LEN
-                    },
-                );
+                ship(&mut bufs, &dist.up[level], ParcelClass::MultipoleUp);
             }
         }
 
         // ---- Phase 2: M2L halo, then each locality's share of the
         // multipole kernel. ----------------------------------------------
-        exchange(
-            &transport,
-            &arena,
-            &cells,
-            &dist.m2l_halo,
-            ParcelClass::M2l,
-            |b, s, out| b.multipoles[s].write_flat(out),
-            |b, s, buf| {
-                b.multipoles[s] = Multipole::read_flat(buf);
-                Multipole::FLAT_LEN
-            },
-        );
-        {
-            let (plan, dist, rts) = (plan.clone(), dist.clone(), rts.clone());
-            let tasks = self.opts.tasks_per_multipole_kernel;
-            let use_oct = self.opts.use_octupole;
-            let mode = self.opts.vector_mode;
-            run_phase(&rts.clone(), &cells, move |loc, b| {
-                b.soa.fill(&b.multipoles);
-                b.locals.clear();
-                b.locals.resize(plan.num_nodes, LocalExpansion::zero());
-                let mine = &dist.owned_m2l_slots[loc];
-                b.acc.clear();
-                b.acc.resize(mine.len(), LocalExpansion::zero());
-                let space = ExecSpace::hpx(rts[loc].clone());
-                let policy = RangePolicy::new(0, mine.len()).with_chunk(ChunkSpec::Tasks(tasks));
-                let (soa, acc) = (&b.soa, &mut b.acc);
-                parallel_for_mut(&space, policy, acc, |i, out| {
-                    let target = mine[i];
-                    let center = plan.centers[target];
-                    let srcs = plan.m2l_sources_of(target);
-                    let mut sum = LocalExpansion::zero();
-                    match mode {
-                        VectorMode::Scalar => {
-                            m2l_accumulate_w::<1>(soa, srcs, center, use_oct, &mut sum)
-                        }
-                        VectorMode::Sve512 => {
-                            m2l_accumulate_wide(soa, srcs, center, use_oct, &mut sum)
-                        }
-                    }
-                    *out = sum;
-                });
-                for (i, &slot) in mine.iter().enumerate() {
-                    b.locals[slot] = b.acc[i].clone();
-                }
-            });
-        }
+        // The slot table is transposed into component-major lanes once
+        // per solve; every M2L chunk then gathers from dense arrays.
+        ship(&mut bufs, &dist.m2l_halo, ParcelClass::M2l);
+        run_phase(spaces, &mut bufs, &|loc, b: &mut LocBufs| {
+            b.soa.fill(&b.multipoles);
+            self.m2l_kernel(plan, &dist.owned_m2l_slots[loc], b, &spaces[loc]);
+        });
 
         // ---- Phase 3a: top-down, level-lockstep. -----------------------
         // Parent locals at level L are final once level L was written, so
-        // ship the cross-locality ones, then children gather+shift exactly
-        // like the single-locality downward pass.
-        for level in 0..nlev.saturating_sub(1) {
-            exchange(
-                &transport,
-                &arena,
-                &cells,
-                &dist.down[level + 1],
-                ParcelClass::MultipoleDown,
-                |b, s, out| b.locals[s].write_flat(out),
-                |b, s, buf| {
-                    b.locals[s] = LocalExpansion::read_flat(buf);
-                    LocalExpansion::FLAT_LEN
-                },
-            );
-            let (plan, dist) = (plan.clone(), dist.clone());
-            run_phase(&rts, &cells, move |loc, b| {
-                for &s in &dist.owned_by_level[loc][level + 1] {
-                    let p = plan.parent_slot[s];
-                    let pc = plan.centers[p];
-                    let cc = plan.centers[s];
-                    let d = [cc[0] - pc[0], cc[1] - pc[1], cc[2] - pc[2]];
-                    let shifted = b.locals[p].shifted(d);
-                    b.locals[s].add_assign(&shifted);
-                }
+        // ship the cross-locality ones, then the children gather + shift.
+        for level in 1..nlev {
+            ship(&mut bufs, &dist.down[level], ParcelClass::MultipoleDown);
+            run_phase(spaces, &mut bufs, &|loc, b: &mut LocBufs| {
+                let owned = &dist.owned_by_level[loc][level];
+                self.downward_level(plan, owned, b, &spaces[loc]);
             });
         }
 
         // ---- Phase 3b: P2P halo, then per-leaf evaluation. -------------
-        for ex in &dist.p2p_halo {
-            let mut payload = arena.checkout_empty(0);
-            for &li in &ex.slots {
-                write_points_flat(&sources[&plan.leaves[li]].points, &mut payload);
-            }
-            let bytes = payload.len() * std::mem::size_of::<f64>();
-            transport.send(ex.from, ex.to, ParcelClass::P2p, bytes, payload);
-        }
-        for ex in &dist.p2p_halo {
-            let parcel = transport
-                .try_receive(ex.from, ex.to)
-                .expect("lockstep exchange: parcel queued");
-            let mut guard = cells[ex.to].lock();
-            let bufs = guard.as_mut().expect("receiver buffers present");
-            let mut off = 0usize;
-            for &li in &ex.slots {
-                let (pts, used) = read_points_flat(&parcel.payload[off..]);
-                bufs.halo_points[li] = Some(pts);
-                off += used;
-            }
-            debug_assert_eq!(off, parcel.payload.len(), "parcel decode misaligned");
-        }
-        {
-            let (plan, dist, sources, rts) =
-                (plan.clone(), dist.clone(), sources.clone(), rts.clone());
-            let mode = self.opts.vector_mode;
-            let p2p_tasks = self.opts.tasks_per_p2p_kernel;
-            let arena = arena.clone();
-            run_phase(&rts.clone(), &cells, move |loc, b| {
-                let owned = &dist.owned_leaves[loc];
-                b.fields.clear();
-                b.fields.resize_with(owned.len(), LeafField::default);
-                let space = ExecSpace::hpx(rts[loc].clone());
-                let policy = RangePolicy::new(0, owned.len())
-                    .with_chunk(ChunkSpec::tasks_or_auto(p2p_tasks));
-                let (halo, locals, fields) = (&b.halo_points, &b.locals, &mut b.fields);
-                parallel_for_mut(&space, policy, fields, |i, out| {
-                    let li = owned[i];
-                    let pts = &sources[&plan.leaves[li]].points;
-                    let ncells = pts.len();
-                    let mut field = LeafField {
-                        phi: arena.checkout(ncells),
-                        gx: arena.checkout(ncells),
-                        gy: arena.checkout(ncells),
-                        gz: arena.checkout(ncells),
-                    };
-                    let slot = plan.leaf_slots[li];
-                    let center = plan.centers[slot];
-                    let local = &locals[slot];
-                    let p2p_srcs = plan.p2p_sources_of(li);
-                    for c in 0..ncells {
-                        let x = [pts.xs[c], pts.ys[c], pts.zs[c]];
-                        let off = [x[0] - center[0], x[1] - center[1], x[2] - center[2]];
-                        let (mut phi, mut g) = local.evaluate(off);
-                        for &src_leaf in p2p_srcs {
-                            let sp: &PointMasses = if dist.leaf_owner[src_leaf] == loc {
-                                &sources[&plan.leaves[src_leaf]].points
-                            } else {
-                                halo[src_leaf].as_ref().expect("p2p halo leaf received")
-                            };
-                            let (p, gg) = match mode {
-                                VectorMode::Scalar => p2p_at_w::<1>(sp, x[0], x[1], x[2]),
-                                VectorMode::Sve512 => p2p_at_wide(sp, x[0], x[1], x[2]),
-                            };
-                            phi += p;
-                            for a in 0..3 {
-                                g[a] += gg[a];
-                            }
-                        }
-                        field.phi[c] = phi;
-                        field.gx[c] = g[0];
-                        field.gy[c] = g[1];
-                        field.gz[c] = g[2];
-                    }
-                    *out = field;
-                });
-            });
-        }
+        ship(&mut bufs, &dist.p2p_halo, ParcelClass::P2p);
+        run_phase(spaces, &mut bufs, &|loc, b: &mut LocBufs| {
+            // Every leaf's point set as this locality sees it: its own
+            // sources, or the halo copy it received.
+            let near: Vec<&PointMasses> = (0..points.len())
+                .map(|li| match dist.leaf_owner[li] == loc {
+                    true => points[li],
+                    false => &b.halo_points[li],
+                })
+                .collect();
+            let (owned, fields) = (&dist.owned_leaves[loc], &mut b.fields);
+            self.evaluate_leaves(plan, owned, &near, &b.locals, fields, &spaces[loc]);
+        });
 
         // ---- Assemble the global field map from the owned shards. ------
         let mut fields = HashMap::with_capacity(plan.leaves.len());
-        for (loc, cell) in cells.iter().enumerate() {
-            let bufs = cell.lock().take().expect("locality buffers present");
-            for (&li, field) in dist.owned_leaves[loc].iter().zip(bufs.fields) {
+        for (owned, b) in dist.owned_leaves.iter().zip(&mut bufs) {
+            for (&li, field) in owned.iter().zip(b.fields.drain(..)) {
                 fields.insert(plan.leaves[li], field);
             }
         }
+        self.put_buffers(bufs);
         (fields, plan.stats)
     }
 }
@@ -1278,7 +1060,7 @@ mod tests {
         let dist = solver.dist_plan_for(&plan, &owner, 4);
         let before = hpx_rt::parcel_counters().snapshot();
         let rts: Vec<Runtime> = (0..4).map(|_| Runtime::new(2)).collect();
-        let _ = solver.solve_distributed(&plan, &dist, &sources, &rts);
+        drop(solver.solve_distributed(&plan, &dist, &sources, &rts));
         let delta = hpx_rt::parcel_counters().snapshot().since(&before);
         // Other tests in this process may send parcels concurrently, so
         // the delta is a lower bound here; the distributed-equivalence
@@ -1292,6 +1074,52 @@ mod tests {
         assert!(delta.total_bytes() > 0);
         for rt in rts {
             rt.shutdown();
+        }
+    }
+
+    #[test]
+    fn repeated_solve_recycles_every_payload_and_field() {
+        // The solver's private arena sees only this test's checkouts, and
+        // serial spaces make the parcel stream single-threaded, so the
+        // miss counts here are exact.
+        let tree = Tree::new_uniform(2);
+        let sources = make_sources(&tree, 3);
+        let solver = GravitySolver::default();
+        let plan = solver.plan_for(&tree);
+        let dist = solver.dist_plan_for(&plan, &partition_morton(&tree, 4), 4);
+        let spaces = vec![ExecSpace::Serial; 4];
+        // What the wire carries, from the frozen plan alone.
+        let slot_words: usize = (dist.up.iter().flatten())
+            .chain(&dist.m2l_halo)
+            .chain(dist.down.iter().flatten())
+            .map(|ex| ex.slots.len() * Multipole::FLAT_LEN)
+            .sum();
+        let point_words: usize = (dist.p2p_halo.iter())
+            .flat_map(|ex| &ex.slots)
+            .map(|&li| points_flat_len(&sources[&plan.leaves[li]].points))
+            .sum();
+        let solve_metered = || {
+            let parcels = hpx_rt::parcel_counters().snapshot();
+            let misses = solver.scratch.stats().misses;
+            drop(solver.solve_sharded(&plan, &dist, &sources, &spaces));
+            (
+                hpx_rt::parcel_counters().snapshot().since(&parcels),
+                solver.scratch.stats().misses - misses,
+            )
+        };
+        let (first, first_misses) = solve_metered();
+        let (second, second_misses) = solve_metered();
+        assert!(first_misses > 0, "the first solve fills the arena");
+        assert_eq!(
+            second_misses, 0,
+            "an unchanged tree re-solves out of the arena: exact-size payload \
+             checkouts land in stable buckets"
+        );
+        // Lower bounds against concurrent tests' parcels, as above.
+        for delta in [first, second] {
+            assert!(delta.total_count() as usize >= dist.parcels_per_solve());
+            assert!(delta.total_bytes() as usize >= 8 * (slot_words + point_words));
+            assert!(delta.p2p_bytes as usize >= 8 * point_words);
         }
     }
 
@@ -1415,12 +1243,17 @@ mod tests {
         let mut wire = Vec::new();
         write_points_flat(&p, &mut wire);
         write_points_flat(&p, &mut wire);
-        let (back, used) = read_points_flat(&wire);
-        assert_eq!(used, 1 + 4 * p.len());
+        let used = points_flat_len(&p);
+        assert_eq!(wire.len(), 2 * used);
+        // Decoding reuses the target's storage, whatever it held before.
+        let mut back = p.clone();
+        back.push([9.0, 9.0, 9.0], 9.0);
+        read_points_flat(&wire, &mut back);
         assert_eq!(back.xs, p.xs);
         assert_eq!(back.ms, p.ms);
-        let (back2, used2) = read_points_flat(&wire[used..]);
-        assert_eq!(used2, used);
+        let mut back2 = PointMasses::default();
+        read_points_flat(&wire[used..], &mut back2);
+        assert_eq!(back2.ys, p.ys);
         assert_eq!(back2.zs, p.zs);
     }
 }

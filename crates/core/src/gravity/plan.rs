@@ -8,11 +8,11 @@
 //! topology and the acceptance parameter θ:
 //!
 //! * a **slot table** of all tree nodes, deepest level first and SFC-sorted
-//!   within each level, so every level is one contiguous slot range — the
-//!   layout that lets the upward (M2M) and downward (L2L) passes hand each
-//!   per-level kernel disjoint `&mut` chunk slices via `split_at_mut`
-//!   (deeper levels sit strictly *before* the level being written, so the
-//!   read half and the write half of the slot buffer never alias);
+//!   within each level, so every level is one contiguous slot range and
+//!   deeper levels sit strictly *before* shallower ones — the layout that
+//!   lets each per-level upward (M2M) and downward (L2L) launch read only
+//!   other levels' finalized slots while its tasks write disjoint `&mut`
+//!   chunks of the level's own outputs;
 //! * the **M2L interaction lists** in CSR form (`m2l_offsets` +
 //!   `m2l_sources` over slot indices) plus the dense list of non-empty
 //!   targets the multipole kernel launches over;

@@ -1,15 +1,24 @@
-//! The FMM driver: the three solver phases run over a cached
-//! [`GravityPlan`], plus the task-splittable multipole kernel.
+//! The FMM solver: its options, plan caches and per-slot kernels.
 //!
 //! Phase structure follows paper Section VII-C: *"In each gravity solver
 //! iteration, we have one bottom-up tree traversal.  In the second step, we
 //! then calculate the same-level cell-to-cell interactions on each tree
 //! level.  Lastly, we do a third top-down step tree-traversal to compute
-//! the final results."*  The second step — the multipole (M2L) kernel — is
-//! launched through the Kokkos-style `ExecSpace` with a configurable
+//! the final results."*  Each phase's per-slot body is written exactly once
+//! here — [`GravitySolver::upward_level`] (P2M/M2M),
+//! [`GravitySolver::m2l_kernel`], [`GravitySolver::downward_level`] (L2L)
+//! and [`GravitySolver::evaluate_leaves`] (evaluation + P2P) — as a
+//! launch over one locality's *owned index list*, and there is exactly one
+//! solve that schedules them: the sharded phase loop in [`super::dist`].
+//! **The local solve is its one-locality case**: [`GravitySolver::solve`]
+//! and [`GravitySolver::solve_with_plan`] hand it the trivial one-locality
+//! [`DistPlan`] (every exchange list empty, so no parcel moves) and launch
+//! on the caller's `ExecSpace`.  The multipole (M2L) kernel is launched
+//! through the Kokkos-style `ExecSpace` with a configurable
 //! [`GravityOptions::tasks_per_multipole_kernel`]: 1 task (Octo-Tiger's
 //! default, hot cache) or 16 tasks (the paper's anti-starvation setting,
-//! Figure 9).
+//! Figure 9); the slot-table and P2P launches have the same kind of knob,
+//! honoured at every locality count.
 //!
 //! The *dual-tree traversal* that decides near/far is **not** redone per
 //! solve: it is frozen into a [`GravityPlan`] keyed on
@@ -18,14 +27,15 @@
 //! Octo-Tiger, which computes interaction lists once per regrid.  Plan
 //! reuse is observable through the global
 //! `/octotiger/gravity/plan-{hits,rebuilds}` counters and the per-solver
-//! [`GravitySolver::plan_counters`].  All three phases run as dense-index
-//! kernels over the plan's slot table with per-chunk disjoint `&mut`
-//! slices ([`kokkos_rs::parallel_for_mut`]) — no `HashMap` lookups and no
-//! `Mutex` traffic on the hot path.
+//! [`GravitySolver::plan_counters`].  All launches are dense-index kernels
+//! over the plan's slot table with per-chunk disjoint `&mut` output slices
+//! ([`kokkos_rs::parallel_for_mut`]) — no `HashMap` lookups and no `Mutex`
+//! traffic on the hot path — and the per-locality working sets recycle
+//! through the plan cache, so steady-state solves allocate nothing.
 
-use super::direct::{p2p_at_w, p2p_at_wide, PointMasses};
+use super::direct::{p2p_at, PointMasses};
 use super::dist::{DistLedger, DistPlan};
-use super::m2l_simd::{m2l_accumulate_w, m2l_accumulate_wide, MultipoleSoA};
+use super::m2l_simd::{m2l_accumulate, MultipoleSoA};
 use super::multipole::{LocalExpansion, Multipole};
 use super::plan::{GravityPlan, PatchReport, SlotKind};
 use hpx_rt::LocalityId;
@@ -114,27 +124,15 @@ pub struct SolveStats {
     pub multipole_kernel_launches: usize,
 }
 
-/// Recycled expansion buffers of the solve phases, kept on the plan cache
-/// so steady-state solves allocate nothing (CPPuddle-style, like the
-/// `ScratchArena` the `LeafField` outputs already recycle through).
-#[derive(Debug, Default)]
-struct SolveBuffers {
-    /// Per-slot multipole moments (the upward pass's output).
-    multipoles: Vec<Multipole>,
-    /// Per-slot local expansions (M2L targets + downward accumulation).
-    locals: Vec<LocalExpansion>,
-    /// Dense M2L accumulators, aligned with the plan's target list.
-    m2l_acc: Vec<LocalExpansion>,
-    /// Component-major multipole lanes for the SIMD M2L kernel's gathers.
-    soa: MultipoleSoA,
-}
-
 /// The solver's plan cache: shared (`Arc`) between a solver and its clones
 /// so the pipelined stepper's solver clone hits the same cache.
 #[derive(Debug, Default)]
 struct PlanCache {
     plan: Mutex<Option<Arc<GravityPlan>>>,
-    buffers: Mutex<Option<SolveBuffers>>,
+    /// Per-locality working sets, recycled from solve to solve.
+    buffers: Mutex<Option<Vec<LocBufs>>>,
+    /// The trivial one-locality halo plan the local solve runs over.
+    single: Mutex<Option<Arc<DistPlan>>>,
     hits: AtomicU64,
     rebuilds: AtomicU64,
     last_hit: AtomicBool,
@@ -161,14 +159,28 @@ struct PlanCache {
 #[derive(Debug, Clone, Default)]
 pub struct GravitySolver {
     pub opts: GravityOptions,
-    /// Arena the per-leaf output fields are checked out of.  Pass a
-    /// long-lived pool via [`GravitySolver::with_scratch`] to recycle them
-    /// across solves; a solver built with [`GravitySolver::new`] gets its
-    /// own (then recycling only spans that solver's lifetime).
-    scratch: ScratchArena,
+    /// Arena the per-leaf output fields (and the sharded solve's parcel
+    /// payloads) are checked out of.  Pass a long-lived pool via
+    /// [`GravitySolver::with_scratch`] to recycle them across solves; a
+    /// solver built with [`GravitySolver::new`] gets its own (then
+    /// recycling only spans that solver's lifetime).
+    pub(super) scratch: ScratchArena,
     /// Cached interaction plan + recycled solve buffers, shared with
     /// clones of this solver.
     cache: Arc<PlanCache>,
+}
+
+/// Debug-assert that a plan verifier found nothing, listing what it found.
+fn debug_assert_verified<V: std::fmt::Display>(what: &str, check: &str, violations: &[V]) {
+    debug_assert!(
+        violations.is_empty(),
+        "{what} failed {check}:\n{}",
+        violations
+            .iter()
+            .map(|v| format!("  {v}"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
 }
 
 impl GravitySolver {
@@ -243,15 +255,7 @@ impl GravitySolver {
         if let (Some(old), Some(delta)) = (old, delta) {
             if let Some((plan, report)) = GravityPlan::patch(&old, tree, &delta, self.opts.theta) {
                 let violations = super::verify::verify_gravity_plan(&plan);
-                debug_assert!(
-                    violations.is_empty(),
-                    "patched gravity plan failed static verification:\n{}",
-                    violations
-                        .iter()
-                        .map(|v| format!("  {v}"))
-                        .collect::<Vec<_>>()
-                        .join("\n")
-                );
+                debug_assert_verified("patched gravity plan", "static verification", &violations);
                 #[cfg(debug_assertions)]
                 debug_assert_eq!(
                     plan,
@@ -273,18 +277,11 @@ impl GravitySolver {
         // Every rebuild is statically verified in debug builds, so the
         // whole test suite exercises the plan verifier for free.
         #[cfg(debug_assertions)]
-        {
-            let violations = super::verify::verify_gravity_plan(&plan);
-            debug_assert!(
-                violations.is_empty(),
-                "rebuilt gravity plan failed static verification:\n{}",
-                violations
-                    .iter()
-                    .map(|v| format!("  {v}"))
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            );
-        }
+        debug_assert_verified(
+            "rebuilt gravity plan",
+            "static verification",
+            &super::verify::verify_gravity_plan(&plan),
+        );
         self.cache.rebuilds.fetch_add(1, Ordering::Relaxed);
         self.cache.last_hit.store(false, Ordering::Relaxed);
         hpx_rt::gravity_plan_counters().note_rebuild();
@@ -327,13 +324,17 @@ impl GravitySolver {
     /// `owner` must be a deterministic function of (tree topology,
     /// locality count) — the driver derives it from
     /// [`octree::partition_morton`] — since it is *not* part of the cache
-    /// key; only the quantities above are.
+    /// key; only the quantities above are.  One locality shards nothing:
+    /// that is the trivial plan of the local solve, whatever `owner` says.
     pub fn dist_plan_for(
         &self,
         plan: &GravityPlan,
         owner: &HashMap<NodeId, LocalityId>,
         num_localities: usize,
     ) -> Arc<DistPlan> {
+        if num_localities == 1 {
+            return self.single_locality_plan(plan);
+        }
         let mut guard = self.cache.dist.lock();
         if let Some(dist) = guard.as_ref() {
             if dist.is_valid_for(plan, num_localities) {
@@ -366,15 +367,7 @@ impl GravitySolver {
         })();
         if let Some((dist, ledger)) = patched {
             let violations = super::verify::verify_dist_plan(plan, &dist);
-            debug_assert!(
-                violations.is_empty(),
-                "patched halo plan failed protocol verification:\n{}",
-                violations
-                    .iter()
-                    .map(|v| format!("  {v}"))
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            );
+            debug_assert_verified("patched halo plan", "protocol verification", &violations);
             #[cfg(debug_assertions)]
             {
                 let (fresh, fresh_ledger) =
@@ -401,18 +394,11 @@ impl GravitySolver {
         // `tests/distributed_equivalence.rs` runs this on all its
         // N/tree/stepper combinations without any extra test code.
         #[cfg(debug_assertions)]
-        {
-            let violations = super::verify::verify_dist_plan(plan, &dist);
-            debug_assert!(
-                violations.is_empty(),
-                "rebuilt halo plan failed protocol verification:\n{}",
-                violations
-                    .iter()
-                    .map(|v| format!("  {v}"))
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            );
-        }
+        debug_assert_verified(
+            "rebuilt halo plan",
+            "protocol verification",
+            &super::verify::verify_dist_plan(plan, &dist),
+        );
         self.cache.dist_rebuilds.fetch_add(1, Ordering::Relaxed);
         if had_old {
             hpx_rt::regrid_counters().note_plan_rebuilt();
@@ -439,10 +425,18 @@ impl GravitySolver {
         )
     }
 
-    /// The arena the per-leaf output fields (and parcel payloads of the
-    /// distributed solve) are checked out of.
-    pub(crate) fn scratch_arena(&self) -> &ScratchArena {
-        &self.scratch
+    /// The trivial one-locality [`DistPlan`] of `plan` — locality 0 owns
+    /// every slot, every exchange list is empty — cached apart from the
+    /// halo plan, so a solver alternating local and sharded solves never
+    /// thrashes the halo plan's patch chain.
+    fn single_locality_plan(&self, plan: &GravityPlan) -> Arc<DistPlan> {
+        let mut guard = self.cache.single.lock();
+        match guard.as_ref() {
+            Some(dist) if dist.is_valid_for(plan, 1) => dist.clone(),
+            _ => guard
+                .insert(Arc::new(DistPlan::single_locality(plan)))
+                .clone(),
+        }
     }
 
     /// Solve for the gravitational field of `sources` on `tree`, running
@@ -458,158 +452,267 @@ impl GravitySolver {
         self.solve_with_plan(&plan, sources, space)
     }
 
-    /// Run the three solver phases over a prebuilt plan — pure kernels,
-    /// zero traversal work, no `NodeId` hashing on the hot path.
+    /// The local solve: the sharded solve on one locality (nothing crosses
+    /// a boundary, so no parcel moves), its kernels launched on `space`.
     pub fn solve_with_plan(
         &self,
         plan: &GravityPlan,
         sources: &HashMap<NodeId, LeafSources>,
         space: &ExecSpace,
     ) -> (HashMap<NodeId, LeafField>, SolveStats) {
-        debug_assert!(plan.leaves.iter().all(|l| sources.contains_key(l)));
-        // Check the expansion buffers out of the cache (or build fresh on
-        // first use / when a concurrent solve holds them).
-        let mut bufs = self.cache.buffers.lock().take().unwrap_or_default();
-
-        // ---- Phase 1: bottom-up (P2M + M2M), parallel per level. -------
-        self.upward_pass(plan, sources, &mut bufs.multipoles, space);
-
-        // ---- Phase 2: the multipole (M2L) kernel. ----------------------
-        // Transpose the slot table into component-major lanes once per
-        // solve; every M2L chunk then gathers straight from dense arrays.
-        bufs.soa.fill(&bufs.multipoles);
-        self.multipole_kernel(plan, &bufs.soa, &mut bufs.locals, &mut bufs.m2l_acc, space);
-
-        // ---- Phase 3: top-down (L2L) + evaluation + P2P. ---------------
-        downward_pass(
-            plan,
-            &mut bufs.locals,
-            space,
-            self.opts.tasks_per_slot_kernel,
-        );
-        let fields = self.evaluate(plan, sources, &bufs.locals, space);
-
-        let stats = plan.stats;
-        *self.cache.buffers.lock() = Some(bufs);
-        (fields, stats)
+        let dist = self.single_locality_plan(plan);
+        self.solve_sharded(plan, &dist, sources, std::slice::from_ref(space))
     }
 
-    /// Phase 1 over the plan's slot table: one `parallel_for_mut` launch
-    /// per level, deepest first.  `split_at_mut` at the level's begin slot
-    /// separates the already-finalized deeper levels (shared reads) from
-    /// the level being written (disjoint chunk writes), so no locks are
-    /// needed.  Leaves compute P2M straight from their SoA points
-    /// ([`Multipole::from_soa`] — no per-leaf AoS copy); interiors combine
-    /// their eight children.
-    fn upward_pass(
+    /// Check the per-locality working sets out of the plan cache (fresh on
+    /// first use, or when a concurrent solve holds them).
+    pub(super) fn take_buffers(&self, num_localities: usize) -> Vec<LocBufs> {
+        let mut bufs = self.cache.buffers.lock().take().unwrap_or_default();
+        bufs.resize_with(num_localities, LocBufs::default);
+        bufs
+    }
+
+    /// Return the working sets for the next solve to recycle.
+    pub(super) fn put_buffers(&self, bufs: Vec<LocBufs>) {
+        *self.cache.buffers.lock() = Some(bufs);
+    }
+
+    /// Freeze the M2L phase's inputs (upward pass + SoA transpose, run
+    /// once) so [`GravitySolver::m2l_bench_run`] can time the multipole
+    /// kernel alone — the Figure 9 sweep, without the other phases
+    /// diluting the granularity signal.
+    pub fn m2l_bench_inputs(
         &self,
         plan: &GravityPlan,
         sources: &HashMap<NodeId, LeafSources>,
-        mps: &mut Vec<Multipole>,
+    ) -> M2lBench {
+        let dist = self.single_locality_plan(plan);
+        let (serial, mut bufs) = (ExecSpace::Serial, LocBufs::default());
+        bufs.reset_tables(plan);
+        for owned in dist.owned_by_level[0].iter().rev() {
+            self.upward_level(plan, owned, sources, &mut bufs, &serial);
+        }
+        bufs.soa.fill(&bufs.multipoles);
+        M2lBench { bufs }
+    }
+
+    /// Run exactly one M2L kernel launch over frozen inputs, split per the
+    /// solver's current [`GravityOptions::tasks_per_multipole_kernel`].
+    /// Buffers persist inside `bench`, so repeated calls measure the
+    /// kernel, not allocation.
+    pub fn m2l_bench_run(&self, plan: &GravityPlan, bench: &mut M2lBench, space: &ExecSpace) {
+        self.m2l_kernel(plan, &plan.m2l_targets, &mut bench.bufs, space);
+    }
+}
+
+/// Frozen M2L-phase inputs and reusable output buffers for the
+/// closed-loop granularity bench (see [`GravitySolver::m2l_bench_inputs`]).
+#[derive(Debug, Default)]
+pub struct M2lBench {
+    bufs: LocBufs,
+}
+
+/// One locality's working set of a solve: full-length slot tables (slots
+/// neither computed nor received here keep their zero fill and are never
+/// read — only plan-listed sources are), the dense launch outputs, the
+/// received P2P halo and the owned output fields.  Recycled across solves
+/// through the plan cache (CPPuddle-style, like the `ScratchArena` the
+/// `LeafField` outputs recycle through), so steady-state solves allocate
+/// nothing.
+#[derive(Debug, Default)]
+pub(super) struct LocBufs {
+    /// Per-slot multipole moments (the upward pass's output).
+    pub(super) multipoles: Vec<Multipole>,
+    /// Per-slot local expansions (M2L targets + downward accumulation).
+    pub(super) locals: Vec<LocalExpansion>,
+    /// Dense outputs of one slot-table launch, aligned with its owned list.
+    mp_out: Vec<Multipole>,
+    local_out: Vec<LocalExpansion>,
+    /// Component-major multipole lanes for the SIMD M2L kernel's gathers.
+    pub(super) soa: MultipoleSoA,
+    /// Point masses of the near-field leaves owned elsewhere, by leaf
+    /// index (entries of leaves never received stay empty and unread).
+    pub(super) halo_points: Vec<PointMasses>,
+    /// Output fields of the owned leaves, aligned with the owned list.
+    pub(super) fields: Vec<LeafField>,
+}
+
+impl LocBufs {
+    /// Size the slot tables for `plan` and zero the multipoles; the locals
+    /// are zeroed by [`GravitySolver::m2l_kernel`], which opens their phase.
+    pub(super) fn reset_tables(&mut self, plan: &GravityPlan) {
+        self.multipoles.clear();
+        self.multipoles
+            .resize(plan.num_nodes, Multipole::zero([0.0; 3]));
+        self.halo_points
+            .resize_with(plan.leaves.len(), PointMasses::default);
+    }
+}
+
+/// One slot-table launch: `table[s] = body(s, table)` for every owned slot
+/// `s`.  Results land in the dense `out` buffer — every task owns a
+/// disjoint `&mut` chunk of it, carved per `policy` — and are swapped into
+/// the table after the join, so `body` reads the table as of launch start:
+/// the other levels' finalized slots and the slot's own previous value.
+fn launch_slots<T: Clone + Send + Sync>(
+    space: &ExecSpace,
+    policy: RangePolicy,
+    owned: &[usize],
+    table: &mut [T],
+    out: &mut Vec<T>,
+    fill: T,
+    body: impl Fn(usize, &[T]) -> T + Sync,
+) {
+    out.resize(owned.len(), fill);
+    let shared = &*table;
+    parallel_for_mut(space, policy, out, |i, o| *o = body(owned[i], shared));
+    for (&s, o) in owned.iter().zip(out.iter_mut()) {
+        std::mem::swap(&mut table[s], o);
+    }
+}
+
+/// Carving of the slot-table (upward/downward) launches.  Task boundaries
+/// stay on vector-lane multiples: the kernels walk their chunk in
+/// `SVE_LANES_F64`-wide blocks, so an interior boundary inside a lane
+/// block would let two tasks' stores touch the same block (`hpx-check
+/// races` validates this carving against the launch sequence).
+fn slot_policy(len: usize, opts: &GravityOptions) -> RangePolicy {
+    RangePolicy::new(0, len)
+        .with_chunk(ChunkSpec::tasks_or_auto(opts.tasks_per_slot_kernel))
+        .with_lanes(sve_simd::SVE_LANES_F64)
+}
+
+impl GravitySolver {
+    /// Phase 1, one tree level: P2M at the owned leaves (straight from
+    /// their SoA points, [`Multipole::from_soa`] — no per-leaf AoS copy),
+    /// M2M at the owned interiors, whose children sit at deeper, already
+    /// finalized (or received) slots.
+    pub(super) fn upward_level(
+        &self,
+        plan: &GravityPlan,
+        owned: &[usize],
+        sources: &HashMap<NodeId, LeafSources>,
+        bufs: &mut LocBufs,
         space: &ExecSpace,
     ) {
-        if mps.len() != plan.num_nodes {
-            mps.clear();
-            mps.resize(plan.num_nodes, Multipole::zero([0.0; 3]));
-        }
-        for level in (0..=plan.max_level()).rev() {
-            let (b, e) = plan.level_ranges[level as usize];
-            if b == e {
-                continue;
-            }
-            let (deeper, rest) = mps.split_at_mut(b);
-            let level_slice = &mut rest[..e - b];
-            // Task boundaries stay on vector-lane multiples: the slot-table
-            // kernels walk their chunk in `SVE_LANES_F64`-wide blocks, so an
-            // interior boundary inside a lane block would let two tasks'
-            // stores touch the same block (`hpx-check races` validates this
-            // carving against the plan's launch sequence).
-            let policy = RangePolicy::new(0, e - b)
-                .with_chunk(ChunkSpec::tasks_or_auto(self.opts.tasks_per_slot_kernel))
-                .with_lanes(sve_simd::SVE_LANES_F64);
-            parallel_for_mut(space, policy, level_slice, |i, out| {
-                let s = b + i;
-                let mut mp = match plan.kinds[s] {
+        launch_slots(
+            space,
+            slot_policy(owned.len(), &self.opts),
+            owned,
+            &mut bufs.multipoles,
+            &mut bufs.mp_out,
+            Multipole::zero([0.0; 3]),
+            |s, mps| {
+                let mp = match plan.kinds[s] {
                     SlotKind::Leaf(li) => Multipole::from_soa(&sources[&plan.leaves[li]].points),
                     SlotKind::Interior(kids) => {
                         // Fixed-size gather: no per-slot heap allocation
                         // inside the kernel body (the zero-alloc steady
                         // state hpx-check's allocation lint guards).
-                        let children: [&Multipole; 8] = std::array::from_fn(|c| &deeper[kids[c]]);
+                        let children: [&Multipole; 8] = std::array::from_fn(|c| &mps[kids[c]]);
                         Multipole::combine(&children)
                     }
                 };
                 if mp.m == 0.0 {
-                    mp = Multipole::zero(plan.centers[s]);
+                    Multipole::zero(plan.centers[s])
+                } else {
+                    mp
                 }
-                *out = mp;
-            });
-        }
+            },
+        );
     }
 
-    /// Phase 2: M2L for every target slot with a non-empty list, split
-    /// into `tasks_per_multipole_kernel` HPX tasks (Figure 9).  Each chunk
-    /// owns a disjoint `&mut` slice of the dense accumulator buffer — the
-    /// former per-target `Mutex<LocalExpansion>` slot vector is gone.
-    /// Per-target source order comes from the plan's CSR lists; the
-    /// width-generic kernel accumulates source `i` into stripe `i % 8` and
-    /// folds the stripes in one fixed order at every width, so the sum is
-    /// bit-identical for any task count *and* any vector width.
-    fn multipole_kernel(
+    /// Phase 2: M2L for the owned `targets`, split into
+    /// `tasks_per_multipole_kernel` HPX tasks (Figure 9), reading the
+    /// source multipoles from `bufs.soa` (the caller transposes the slot
+    /// table once per solve).  Per-target source order comes from the
+    /// plan's CSR lists; the width-generic kernel accumulates source `i`
+    /// into stripe `i % 8` and folds the stripes in one fixed order at
+    /// every width, so the sum is bit-identical for any task count *and*
+    /// any vector width.
+    pub(super) fn m2l_kernel(
         &self,
         plan: &GravityPlan,
-        soa: &MultipoleSoA,
-        locals: &mut Vec<LocalExpansion>,
-        acc: &mut Vec<LocalExpansion>,
+        targets: &[usize],
+        bufs: &mut LocBufs,
         space: &ExecSpace,
     ) {
-        locals.clear();
-        locals.resize(plan.num_nodes, LocalExpansion::zero());
-        if acc.len() != plan.m2l_targets.len() {
-            acc.clear();
-            acc.resize(plan.m2l_targets.len(), LocalExpansion::zero());
-        }
-        let use_oct = self.opts.use_octupole;
-        let mode = self.opts.vector_mode;
-        let policy = RangePolicy::new(0, plan.m2l_targets.len())
-            .with_chunk(ChunkSpec::Tasks(self.opts.tasks_per_multipole_kernel));
-        parallel_for_mut(space, policy, acc, |t, out| {
-            let target = plan.m2l_targets[t];
-            let center = plan.centers[target];
-            let srcs = plan.m2l_sources_of(target);
-            let mut sum = LocalExpansion::zero();
-            match mode {
-                VectorMode::Scalar => m2l_accumulate_w::<1>(soa, srcs, center, use_oct, &mut sum),
-                VectorMode::Sve512 => m2l_accumulate_wide(soa, srcs, center, use_oct, &mut sum),
-            }
-            *out = sum;
-        });
-        for (t, &slot) in plan.m2l_targets.iter().enumerate() {
-            locals[slot] = acc[t].clone();
-        }
+        bufs.locals.clear();
+        bufs.locals.resize(plan.num_nodes, LocalExpansion::zero());
+        let soa = &bufs.soa;
+        launch_slots(
+            space,
+            RangePolicy::new(0, targets.len())
+                .with_chunk(ChunkSpec::Tasks(self.opts.tasks_per_multipole_kernel)),
+            targets,
+            &mut bufs.locals,
+            &mut bufs.local_out,
+            LocalExpansion::zero(),
+            |target, _| {
+                let mut sum = LocalExpansion::zero();
+                let srcs = plan.m2l_sources_of(target);
+                let center = plan.centers[target];
+                m2l_accumulate(
+                    soa,
+                    srcs,
+                    center,
+                    self.opts.use_octupole,
+                    self.opts.vector_mode,
+                    &mut sum,
+                );
+                sum
+            },
+        );
     }
 
-    /// Phase 3b: evaluate local expansions at cell centers and add the P2P
-    /// near field — one disjoint output slot per leaf, no locks.
-    fn evaluate(
+    /// Phase 3a, one tree level: L2L in *gather* form — every owned slot
+    /// adds its parent's shifted expansion; the parent sits at a
+    /// shallower, already finalized (or received) slot.
+    pub(super) fn downward_level(
         &self,
         plan: &GravityPlan,
-        sources: &HashMap<NodeId, LeafSources>,
-        locals: &[LocalExpansion],
+        owned: &[usize],
+        bufs: &mut LocBufs,
         space: &ExecSpace,
-    ) -> HashMap<NodeId, LeafField> {
-        let nleaves = plan.leaves.len();
-        // Dense per-leaf point handles: the P2P inner loop indexes leaves,
-        // not NodeId hashes.
-        let pts_by_leaf: Vec<&PointMasses> =
-            plan.leaves.iter().map(|l| &sources[l].points).collect();
-        let mut fields: Vec<LeafField> = Vec::with_capacity(nleaves);
-        fields.resize_with(nleaves, LeafField::default);
-        let mode = self.opts.vector_mode;
-        let policy = RangePolicy::new(0, nleaves)
+    ) {
+        launch_slots(
+            space,
+            slot_policy(owned.len(), &self.opts),
+            owned,
+            &mut bufs.locals,
+            &mut bufs.local_out,
+            LocalExpansion::zero(),
+            |s, locals| {
+                let p = plan.parent_slot[s];
+                let (pc, cc) = (plan.centers[p], plan.centers[s]);
+                let mut local = locals[s].clone();
+                local.add_assign(&locals[p].shifted([cc[0] - pc[0], cc[1] - pc[1], cc[2] - pc[2]]));
+                local
+            },
+        );
+    }
+
+    /// Phase 3b: evaluate the local expansions at the owned leaves' cell
+    /// centers and add the P2P near field — one disjoint output slot per
+    /// leaf, no locks.  `near[li]` is leaf `li`'s point set as this
+    /// locality sees it (its own sources, or the received halo copy);
+    /// indexing leaves, not `NodeId` hashes, keeps the inner loop dense.
+    pub(super) fn evaluate_leaves(
+        &self,
+        plan: &GravityPlan,
+        owned: &[usize],
+        near: &[&PointMasses],
+        locals: &[LocalExpansion],
+        fields: &mut Vec<LeafField>,
+        space: &ExecSpace,
+    ) {
+        fields.clear();
+        fields.resize_with(owned.len(), LeafField::default);
+        let policy = RangePolicy::new(0, owned.len())
             .with_chunk(ChunkSpec::tasks_or_auto(self.opts.tasks_per_p2p_kernel));
-        parallel_for_mut(space, policy, &mut fields, |li, out| {
-            let pts = pts_by_leaf[li];
+        parallel_for_mut(space, policy, fields, |i, out| {
+            let li = owned[i];
+            let pts = near[li];
             let ncells = pts.len();
             let mut field = LeafField {
                 phi: self.scratch.checkout(ncells),
@@ -626,11 +729,7 @@ impl GravitySolver {
                 let off = [x[0] - center[0], x[1] - center[1], x[2] - center[2]];
                 let (mut phi, mut g) = local.evaluate(off);
                 for &src_leaf in p2p_srcs {
-                    let sp = pts_by_leaf[src_leaf];
-                    let (p, gg) = match mode {
-                        VectorMode::Scalar => p2p_at_w::<1>(sp, x[0], x[1], x[2]),
-                        VectorMode::Sve512 => p2p_at_wide(sp, x[0], x[1], x[2]),
-                    };
+                    let (p, gg) = p2p_at(near[src_leaf], x, self.opts.vector_mode);
                     phi += p;
                     for a in 0..3 {
                         g[a] += gg[a];
@@ -642,81 +741,6 @@ impl GravitySolver {
                 field.gz[c] = g[2];
             }
             *out = field;
-        });
-        plan.leaves.iter().copied().zip(fields).collect()
-    }
-
-    /// Freeze the M2L phase's inputs (upward pass + SoA transpose, run
-    /// once) so [`GravitySolver::m2l_bench_run`] can time the multipole
-    /// kernel alone — the Figure 9 sweep, without the other phases
-    /// diluting the granularity signal.
-    pub fn m2l_bench_inputs(
-        &self,
-        plan: &GravityPlan,
-        sources: &HashMap<NodeId, LeafSources>,
-    ) -> M2lBench {
-        let mut multipoles = Vec::new();
-        self.upward_pass(plan, sources, &mut multipoles, &ExecSpace::Serial);
-        let mut soa = MultipoleSoA::default();
-        soa.fill(&multipoles);
-        M2lBench {
-            soa,
-            locals: Vec::new(),
-            acc: Vec::new(),
-        }
-    }
-
-    /// Run exactly one M2L kernel launch over frozen inputs, split per the
-    /// solver's current [`GravityOptions::tasks_per_multipole_kernel`].
-    /// Buffers persist inside `bench`, so repeated calls measure the
-    /// kernel, not allocation.
-    pub fn m2l_bench_run(&self, plan: &GravityPlan, bench: &mut M2lBench, space: &ExecSpace) {
-        self.multipole_kernel(plan, &bench.soa, &mut bench.locals, &mut bench.acc, space);
-    }
-}
-
-/// Frozen M2L-phase inputs and reusable output buffers for the
-/// closed-loop granularity bench (see [`GravitySolver::m2l_bench_inputs`]).
-#[derive(Debug, Default)]
-pub struct M2lBench {
-    soa: MultipoleSoA,
-    locals: Vec<LocalExpansion>,
-    acc: Vec<LocalExpansion>,
-}
-
-/// Phase 3a: propagate local expansions down the tree (L2L), in *gather*
-/// form — every slot at level L+1 adds its parent's shifted expansion, so
-/// each per-level launch writes disjoint `&mut` chunks of the child range
-/// while reading the (finalized, shallower) parent range.  One addition
-/// per child, same arithmetic as the scatter form.
-fn downward_pass(
-    plan: &GravityPlan,
-    locals: &mut [LocalExpansion],
-    space: &ExecSpace,
-    tasks_per_slot_kernel: usize,
-) {
-    let max_level = plan.max_level();
-    for level in 0..max_level {
-        let (b, e) = plan.level_ranges[level as usize + 1];
-        if b == e {
-            continue;
-        }
-        // Slots ≥ e are the parent level and everything shallower — all
-        // finalized by earlier iterations; slots in [b, e) are written.
-        let (rest, shallower) = locals.split_at_mut(e);
-        let child_slice = &mut rest[b..];
-        // Lane-aligned carving, same invariant as the upward pass.
-        let policy = RangePolicy::new(0, e - b)
-            .with_chunk(ChunkSpec::tasks_or_auto(tasks_per_slot_kernel))
-            .with_lanes(sve_simd::SVE_LANES_F64);
-        parallel_for_mut(space, policy, child_slice, |i, out| {
-            let s = b + i;
-            let p = plan.parent_slot[s];
-            debug_assert!(p >= e, "parent must be in the shallower half");
-            let pc = plan.centers[p];
-            let cc = plan.centers[s];
-            let d = [cc[0] - pc[0], cc[1] - pc[1], cc[2] - pc[2]];
-            out.add_assign(&shallower[p - e].shifted(d));
         });
     }
 }
@@ -819,28 +843,104 @@ mod tests {
         assert!(err < 5e-3, "adaptive FMM error too large: {err}");
     }
 
-    #[test]
-    fn task_splitting_does_not_change_results() {
-        // Figure 9's knob is performance-only: 1 vs 16 tasks, same physics.
-        let rt = hpx_rt::Runtime::new(4);
-        let tree = Tree::new_uniform(2);
-        let sources = make_sources(&tree, 4);
-        let mut base = GravityOptions::default();
-        base.tasks_per_multipole_kernel = 1;
-        let (f1, _) = GravitySolver::new(base).solve(&tree, &sources, &ExecSpace::hpx(rt.clone()));
-        base.tasks_per_multipole_kernel = 16;
-        let (f16, _) = GravitySolver::new(base).solve(&tree, &sources, &ExecSpace::hpx(rt.clone()));
+    /// FNV-1a over every leaf's `phi/gx/gy/gz` bit patterns, in
+    /// `tree.leaves()` order.
+    fn field_hash(tree: &Tree, fields: &HashMap<NodeId, LeafField>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
         for leaf in tree.leaves() {
-            let a = &f1[&leaf];
-            let b = &f16[&leaf];
-            for c in 0..a.phi.len() {
-                // Per-target summation order is fixed by the plan's CSR
-                // lists, so splitting is exactly bitwise neutral.
-                assert_eq!(a.phi[c].to_bits(), b.phi[c].to_bits());
-                assert_eq!(a.gx[c].to_bits(), b.gx[c].to_bits());
+            let f = &fields[&leaf];
+            for arr in [&f.phi, &f.gx, &f.gy, &f.gz] {
+                for v in arr.iter() {
+                    h = (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    /// Solve sharded over `nloc` Morton-partitioned localities, two
+    /// workers each.
+    fn solve_on_localities(
+        solver: &GravitySolver,
+        tree: &Tree,
+        sources: &Arc<HashMap<NodeId, LeafSources>>,
+        nloc: usize,
+    ) -> HashMap<NodeId, LeafField> {
+        let plan = solver.plan_for(tree);
+        let dist = solver.dist_plan_for(&plan, &octree::partition_morton(tree, nloc), nloc);
+        let rts: Vec<hpx_rt::Runtime> = (0..nloc).map(|_| hpx_rt::Runtime::new(2)).collect();
+        let (fields, _) = solver.solve_distributed(&plan, &dist, sources, &rts);
+        for rt in rts {
+            rt.shutdown();
+        }
+        fields
+    }
+
+    #[test]
+    fn unified_solve_reproduces_the_pinned_local_solve_bits() {
+        // The hashes were recorded from `solve_with_plan` at the last
+        // commit that still had separate local kernels (32b98f3, debug and
+        // release alike); the one sharded solve must reproduce them at
+        // every locality count, on either space, at either width.
+        let mut refined = Tree::new_uniform(1);
+        refined.refine_balanced(NodeId::from_coords(1, [0, 0, 0]));
+        refined.refine_balanced(NodeId::from_coords(2, [0, 0, 0]));
+        let rt = hpx_rt::Runtime::new(2);
+        for (tree, pinned) in [
+            (Tree::new_uniform(2), 0x1937_0ed4_0693_9656u64),
+            (refined, 0xb809_17e2_d5b6_4589u64),
+        ] {
+            let sources = Arc::new(make_sources(&tree, 3));
+            for mode in [VectorMode::Scalar, VectorMode::Sve512] {
+                let mut opts = GravityOptions::default();
+                opts.vector_mode = mode;
+                let solver = GravitySolver::new(opts);
+                for space in [ExecSpace::Serial, ExecSpace::hpx(rt.clone())] {
+                    let (fields, _) = solver.solve(&tree, &sources, &space);
+                    assert_eq!(
+                        field_hash(&tree, &fields),
+                        pinned,
+                        "{mode:?} on {}",
+                        space.name()
+                    );
+                }
+                for nloc in [2, 4, 7] {
+                    let fields = solve_on_localities(&solver, &tree, &sources, nloc);
+                    assert_eq!(field_hash(&tree, &fields), pinned, "{mode:?}, nloc={nloc}");
+                }
             }
         }
         rt.shutdown();
+    }
+
+    #[test]
+    fn task_splitting_does_not_change_results() {
+        // Figure 9's knob — and the tuner's slot and P2P knobs — are
+        // performance-only at every locality count: per-target summation
+        // order is fixed by the plan's CSR lists and every launch writes
+        // disjoint per-index outputs, so splitting is bitwise neutral.
+        let tree = Tree::new_uniform(2);
+        let sources = Arc::new(make_sources(&tree, 3));
+        let reference = field_hash(
+            &tree,
+            &GravitySolver::default()
+                .solve(&tree, &sources, &ExecSpace::Serial)
+                .0,
+        );
+        for nloc in [1, 2, 4] {
+            for (multipole, p2p, slot) in [(16, 0, 0), (1, 3, 5), (16, 8, 16)] {
+                let mut opts = GravityOptions::default();
+                opts.tasks_per_multipole_kernel = multipole;
+                opts.tasks_per_p2p_kernel = p2p;
+                opts.tasks_per_slot_kernel = slot;
+                let fields = solve_on_localities(&GravitySolver::new(opts), &tree, &sources, nloc);
+                assert_eq!(
+                    field_hash(&tree, &fields),
+                    reference,
+                    "nloc={nloc}, tasks m2l/p2p/slot = {multipole}/{p2p}/{slot}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -2,14 +2,16 @@
 //! schedule explorer and the race detector.
 //!
 //! [`octotiger::gravity::DistPlan`] freezes which expansions cross which
-//! locality boundary in each solver phase; `solve_distributed` then runs
-//! level-lockstep phases with one parcel per frozen exchange.  Two failure
-//! classes are unique to that distribution layer, and each gets a model
-//! here:
+//! locality boundary in each solver phase; the one sharded solve then runs
+//! level-lockstep phases — on every locality the same chunked launch over
+//! its owned index list, at every locality count — with one parcel per
+//! frozen exchange.  Two failure classes are unique to that distribution
+//! layer, and each gets a model here:
 //!
 //! * **A lost parcel deadlocks the receiver** ([`exercise_dist_solve`]) —
-//!   the phase graph is wired with *real* `hpx-rt` futures (one per
-//!   per-locality phase task, one per parcel) so the schedule-exploring
+//!   the phase graph is wired with *real* `hpx-rt` futures (per locality
+//!   and phase the launch's chunk tasks and their join, one per parcel) so
+//!   the schedule-exploring
 //!   model checker can prove every interleaving drains.  The planted
 //!   [`DistScheduleBug::LostParcel`] drops one halo parcel's promise
 //!   (`mem::forget`, so abandonment-on-drop cannot save us): the receiving
@@ -24,7 +26,7 @@
 //!   with the regrid's repartition rewriting it — a write-read race naming
 //!   both sites.
 
-use kokkos_rs::{LaunchToken, RaceDetector, RaceReport, View, ViewAccess};
+use kokkos_rs::{LaunchToken, RaceDetector, RaceReport, RangePolicy, View, ViewAccess};
 use octotiger::gravity::DistPlan;
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -55,10 +57,15 @@ pub enum DistRaceBug {
     StaleHalo,
 }
 
-/// Build and drain the future graph of one distributed solve over `dist`:
-/// per-locality phase tasks in level lockstep, one future per frozen
-/// exchange (the parcel), receivers gated on their inbox exactly like
-/// `solve_distributed`'s lockstep `try_receive`.
+/// Tasks per modelled kernel launch (the solver's `tasks_per_*_kernel`).
+const LAUNCH_TASKS: usize = 4;
+
+/// Build and drain the future graph of one sharded solve over `dist`:
+/// per-locality phase launches in level lockstep — each the solver's one
+/// launch shape, the owned index list carved into lane-aligned chunk tasks
+/// joined by the scatter — one future per frozen exchange (the parcel),
+/// receivers gated on their inbox exactly like the solve's lockstep
+/// `try_receive`.
 ///
 /// Must run inside a deterministic runtime (via
 /// [`crate::model::ModelChecker`]): the final waits double as stall
@@ -100,6 +107,27 @@ pub fn exercise_dist_solve(rt: &hpx_rt::Runtime, dist: &DistPlan, bug: DistSched
             .collect()
     };
 
+    // One locality's phase launch after `after`: chunk tasks over its
+    // `owned` indices, then the join that scatters their outputs.
+    let launch = |after: &hpx_rt::Future<()>, owned: usize| -> hpx_rt::Future<()> {
+        let chunks: Vec<hpx_rt::Future<()>> = RangePolicy::new(0, owned)
+            .with_lanes(sve_simd::SVE_LANES_F64)
+            .split(LAUNCH_TASKS)
+            .iter()
+            .map(|_| after.clone().then(rt, |()| ()))
+            .collect();
+        match chunks.is_empty() {
+            true => after.clone(),
+            false => hpx_rt::when_all_of(rt, &chunks).then(rt, |()| ()),
+        }
+    };
+    let launch_all = |front: &[hpx_rt::Future<()>], owned: &dyn Fn(usize) -> usize| {
+        let launched = front.iter().enumerate();
+        launched
+            .map(|(loc, f)| launch(f, owned(loc)))
+            .collect::<Vec<_>>()
+    };
+
     let mut lost = bug == DistScheduleBug::LostParcel;
     let nlev = dist.up.len();
     let mut front: Vec<hpx_rt::Future<()>> =
@@ -108,8 +136,7 @@ pub fn exercise_dist_solve(rt: &hpx_rt::Runtime, dist: &DistPlan, bug: DistSched
     // Upward, deepest level first: compute, then ship cross-owner child
     // multipoles before the parent level runs.
     for level in (0..nlev).rev() {
-        let computes: Vec<hpx_rt::Future<()>> =
-            front.iter().map(|f| f.clone().then(rt, |()| ())).collect();
+        let computes = launch_all(&front, &|loc| dist.owned_by_level[loc][level].len());
         let mut inbox: Vec<Vec<hpx_rt::Future<()>>> = vec![Vec::new(); nloc];
         if level > 0 {
             for ex in &dist.up[level] {
@@ -133,22 +160,18 @@ pub fn exercise_dist_solve(rt: &hpx_rt::Runtime, dist: &DistPlan, bug: DistSched
         let lose = std::mem::take(&mut lost);
         inbox[ex.to].push(deliver(&front[ex.from], label, lose));
     }
-    front = advance(
-        front.iter().map(|f| f.clone().then(rt, |()| ())).collect(),
-        inbox,
-    );
+    front = advance(front, inbox);
+    front = launch_all(&front, &|loc| dist.owned_m2l_slots[loc].len());
 
     // Downward, root first: parent locals cross before each child level.
-    for level in 0..nlev.saturating_sub(1) {
+    for level in 1..nlev {
         let mut inbox: Vec<Vec<hpx_rt::Future<()>>> = vec![Vec::new(); nloc];
-        for ex in &dist.down[level + 1] {
+        for ex in &dist.down[level] {
             let label = format!("multipole-down {} -> {} (level {level})", ex.from, ex.to);
             inbox[ex.to].push(deliver(&front[ex.from], label, false));
         }
-        front = advance(
-            front.iter().map(|f| f.clone().then(rt, |()| ())).collect(),
-            inbox,
-        );
+        front = advance(front, inbox);
+        front = launch_all(&front, &|loc| dist.owned_by_level[loc][level].len());
     }
 
     // P2P halo, then per-leaf evaluation — the solve's sinks.
@@ -162,10 +185,8 @@ pub fn exercise_dist_solve(rt: &hpx_rt::Runtime, dist: &DistPlan, bug: DistSched
         );
         inbox[ex.to].push(deliver(&front[ex.from], label, false));
     }
-    front = advance(
-        front.iter().map(|f| f.clone().then(rt, |()| ())).collect(),
-        inbox,
-    );
+    front = advance(front, inbox);
+    front = launch_all(&front, &|loc| dist.owned_leaves[loc].len());
 
     // Drain every locality.  Under a lost parcel the deterministic
     // runtime's stall panic unwinds through here; re-panic with the links

@@ -1,27 +1,31 @@
-//! Race model of the plan-based FMM gravity solver.
+//! Race model of the FMM gravity solve — the one sharded solve, of which
+//! the local solve is the one-locality case.
 //!
-//! The solver's three phases run as chunked `parallel_for_mut` launches
-//! over the plan's slot table: each chunk owns a disjoint `&mut` slice of
-//! the output buffer while reading already-finalized slots from the other
-//! half of a `split_at_mut`.  That safety argument has two load-bearing
-//! ingredients the type system can only check *inside* one launch:
+//! Every phase of the solve is the same launch on every locality: a
+//! chunked `parallel_for_mut` over the locality's *owned index list*, each
+//! chunk task owning a disjoint `&mut` run of a dense output buffer while
+//! reading the locality's slot table, then — after the join — a serial
+//! scatter of the outputs into the table, then the phase's frozen
+//! exchanges.  That safety argument has two load-bearing ingredients the
+//! type system can only check *inside* one launch:
 //!
-//! 1. **chunk disjointness** — two chunks of one level-kernel must never
-//!    write the same slot;
-//! 2. **the per-level join barrier** — a level's kernel must not start
-//!    until the deeper level's chunks (whose slots it reads) have all
-//!    finished.
+//! 1. **chunk disjointness** — two chunks of one launch must never write
+//!    the same output element;
+//! 2. **the per-level join barrier** — a level's launch must not start
+//!    until the deeper level's outputs (whose slots it reads) have been
+//!    scattered and shipped.
 //!
-//! [`race_model_gravity_plan`] replays the solver's launch sequence over a
-//! *real* [`GravityPlan`] through the [`RaceDetector`] shadow state: one
-//! multipole view and one local-expansion view per slot, one accumulator
-//! view per M2L chunk, one field view per leaf — with exactly the
-//! happens-before edges the scoped `parallel_for_mut` joins provide.  The
-//! planted bugs remove one ingredient each and must surface as the
-//! corresponding race class.
+//! [`race_model_gravity_plan`] replays that launch sequence over a *real*
+//! [`GravityPlan`] sharded by a real [`DistPlan`] through the
+//! [`RaceDetector`] shadow state: per locality one multipole and one
+//! local-expansion view per slot, one view per dense output element and
+//! per leaf field — with exactly the happens-before edges the scoped joins
+//! and the lockstep exchanges provide.  The planted bugs remove one
+//! ingredient each and must surface as the corresponding race class.
 
 use kokkos_rs::{LaunchToken, RaceDetector, RaceReport, RangePolicy, View, ViewAccess};
 use octotiger::gravity::plan::{GravityPlan, SlotKind};
+use octotiger::gravity::{DistPlan, Exchange};
 use sve_simd::SVE_LANES_F64;
 
 pub use crate::pipeline::RaceModelSummary;
@@ -31,14 +35,14 @@ pub use crate::pipeline::RaceModelSummary;
 pub enum GravityRaceBug {
     /// Faithful edges and chunking: the sequence must be race-free.
     None,
-    /// The deepest level's first two upward chunks overlap by one slot —
-    /// the bug `split_at_mut` chunk carving exists to prevent (write-write
-    /// race between sibling chunks of one kernel).
+    /// The deepest level's first two upward chunks overlap by one output
+    /// element — the bug the disjoint `&mut` chunk carving exists to
+    /// prevent (write-write race between sibling chunks of one kernel).
     OverlapChunks,
     /// Upward level-kernels drop their dependency on the deeper level's
-    /// chunks — the join barrier `parallel_for_mut` provides by scoping —
+    /// launch — the join barrier `parallel_for_mut` provides by scoping —
     /// so an M2M combine reads child multipoles that are still being
-    /// written (write-read race).
+    /// scattered (write-read race).
     SkipLevelBarrier,
     /// Task boundaries are carved without the vector-lane alignment the
     /// solver's `RangePolicy::with_lanes` enforces: two adjacent chunks of
@@ -47,11 +51,12 @@ pub enum GravityRaceBug {
     SplitsVectorLane,
 }
 
-/// Carve `[b, e)` into at most `chunks` tasks the way the solver does —
-/// [`RangePolicy::split`] with lane-aligned boundaries — or, under the
+/// Carve an owned list of `len` indices into at most `chunks` tasks the way
+/// the solver's slot-table launches do — [`RangePolicy::split`] with
+/// lane-aligned boundaries — or, under the
 /// [`GravityRaceBug::SplitsVectorLane`] bug, without the alignment.
-fn carve(b: usize, e: usize, chunks: usize, bug: GravityRaceBug) -> Vec<(usize, usize)> {
-    let policy = RangePolicy::new(b, e);
+fn carve(len: usize, chunks: usize, bug: GravityRaceBug) -> Vec<(usize, usize)> {
+    let policy = RangePolicy::new(0, len);
     let policy = if bug == GravityRaceBug::SplitsVectorLane {
         policy
     } else {
@@ -60,180 +65,274 @@ fn carve(b: usize, e: usize, chunks: usize, bug: GravityRaceBug) -> Vec<(usize, 
     policy.split(chunks)
 }
 
-/// Expand a chunk's write range `[lo, hi)` to whole vector-lane blocks
-/// within the kernel's own range `[b, e)` — the footprint of a kernel that
-/// walks its chunk with `W`-wide vector stores on the padded slot table.
-fn lane_blocks(b: usize, e: usize, lo: usize, hi: usize) -> (usize, usize) {
+/// Expand a chunk's write range `[lo, hi)` to whole vector-lane blocks of
+/// its `len`-element output buffer — the footprint of a kernel that walks
+/// its chunk with `W`-wide vector stores.
+fn lane_blocks(len: usize, lo: usize, hi: usize) -> (usize, usize) {
     let w = SVE_LANES_F64;
-    let wlo = b + (lo - b) / w * w;
-    let whi = (b + (hi - b).div_ceil(w) * w).min(e);
-    (wlo, whi)
+    (lo / w * w, (hi.div_ceil(w) * w).min(len))
 }
 
-/// Replay the plan-based solver's launch sequence through a
-/// [`RaceDetector`]: per-level chunked upward (P2M/M2M), the chunked M2L
-/// kernel plus its serial scatter, the per-level chunked downward gather
-/// (L2L), and the per-leaf evaluation — with the happens-before edges the
-/// scoped joins provide (minus whatever `bug` drops).
+/// The shadow state of one replay: the detector, every locality's slot
+/// tables and dense output buffers, and the lockstep front — the launches
+/// every later launch happens after.
+struct Replay<'a> {
+    det: RaceDetector,
+    plan: &'a GravityPlan,
+    dist: &'a DistPlan,
+    chunks: usize,
+    bug: GravityRaceBug,
+    /// `mp[loc][slot]`, `local[loc][slot]`: the per-locality slot tables.
+    mp: Vec<Vec<View<f64>>>,
+    local: Vec<Vec<View<f64>>>,
+    /// `mp_out[loc][i]`, `local_out[loc][i]`: the dense launch outputs,
+    /// reused from launch to launch like the solver's recycled buffers.
+    mp_out: Vec<Vec<View<f64>>>,
+    local_out: Vec<Vec<View<f64>>>,
+    front: Vec<LaunchToken>,
+}
+
+/// Which slot-table launch [`Replay::launch_slots`] replays.
+#[derive(Clone, Copy, PartialEq)]
+enum Pass {
+    Upward,
+    M2l,
+    Downward,
+}
+
+impl Replay<'_> {
+    /// One phase on every locality: chunked launches over the owned lists
+    /// (lane-aligned for the slot-table passes, plain for M2L, as in the
+    /// solver), each followed by its serial scatter; the joined scatters
+    /// become the new front.
+    fn launch_slots(&mut self, pass: Pass, level: usize) -> Result<(), RaceReport> {
+        let (plan, dist) = (self.plan, self.dist);
+        let name = match pass {
+            Pass::Upward => "upward",
+            Pass::M2l => "m2l",
+            Pass::Downward => "downward",
+        };
+        let deepest = (0..plan.level_ranges.len())
+            .rev()
+            .find(|&l| plan.level_ranges[l].0 < plan.level_ranges[l].1);
+        let mut scatters = Vec::new();
+        for loc in 0..dist.num_localities {
+            let owned: &[usize] = match pass {
+                Pass::M2l => &dist.owned_m2l_slots[loc],
+                _ => &dist.owned_by_level[loc][level],
+            };
+            let (table, out) = match pass {
+                Pass::Upward => (&self.mp[loc], &self.mp_out[loc]),
+                _ => (&self.local[loc], &self.local_out[loc]),
+            };
+            let parts = match pass {
+                Pass::M2l => RangePolicy::new(0, owned.len()).split(self.chunks),
+                _ => carve(owned.len(), self.chunks, self.bug),
+            };
+            let deps = match (pass, self.bug) {
+                (Pass::Upward, GravityRaceBug::SkipLevelBarrier) => Vec::new(),
+                _ => self.front.clone(),
+            };
+            let mut tokens = Vec::new();
+            for (ci, &(lo, hi)) in parts.iter().enumerate() {
+                // Operand reads first, so a missing barrier is reported as
+                // the stale read it is.
+                let mut accesses: Vec<ViewAccess> = Vec::new();
+                for &s in &owned[lo..hi] {
+                    match (pass, plan.kinds[s]) {
+                        (Pass::Upward, SlotKind::Interior(kids)) => {
+                            accesses
+                                .extend(kids.iter().map(|&c| ViewAccess::read(&self.mp[loc][c])));
+                        }
+                        (Pass::Upward, SlotKind::Leaf(_)) => {}
+                        (Pass::M2l, _) => accesses.extend(
+                            plan.m2l_sources_of(s)
+                                .iter()
+                                .map(|&src| ViewAccess::read(&self.mp[loc][src])),
+                        ),
+                        (Pass::Downward, _) => {
+                            accesses.push(ViewAccess::read(&table[s]));
+                            accesses.push(ViewAccess::read(&table[plan.parent_slot[s]]));
+                        }
+                    }
+                }
+                // Planted overlap: the deepest level's first chunk also
+                // writes the first element of the second chunk's range.
+                let overlap = self.bug == GravityRaceBug::OverlapChunks
+                    && pass == Pass::Upward
+                    && Some(level) == deepest
+                    && (loc, ci) == (0, 0);
+                let hi_w = if overlap {
+                    (hi + 1).min(owned.len())
+                } else {
+                    hi
+                };
+                // The slot-table kernels' vector stores cover whole lane
+                // blocks of the output buffer, not just `[lo, hi_w)` — the
+                // footprint that makes unaligned carving a write-write race.
+                let (wlo, whi) = match pass {
+                    Pass::M2l => (lo, hi_w),
+                    _ => lane_blocks(owned.len(), lo, hi_w),
+                };
+                accesses.extend(out[wlo..whi].iter().map(ViewAccess::write));
+                let site = format!("{name}(l{level}, loc {loc}, chunk {ci})");
+                tokens.push(self.det.launch(&site, &deps, &accesses)?);
+            }
+            let mut accesses: Vec<ViewAccess> =
+                out[..owned.len()].iter().map(ViewAccess::read).collect();
+            accesses.extend(owned.iter().map(|&s| ViewAccess::write(&table[s])));
+            let site = format!("{name}(l{level}, loc {loc}, scatter)");
+            tokens.extend(&self.front);
+            scatters.push(self.det.launch(&site, &tokens, &accesses)?);
+        }
+        self.front = scatters;
+        Ok(())
+    }
+}
+
+/// One lockstep exchange: every lane's parcel reads the sender's table and
+/// writes the receiver's, after the phase's joins, and joins the front.
+fn ship(
+    det: &RaceDetector,
+    front: &mut Vec<LaunchToken>,
+    what: &str,
+    exchanges: &[Exchange],
+    table: &[Vec<View<f64>>],
+) -> Result<(), RaceReport> {
+    let mut parcels = Vec::new();
+    for ex in exchanges {
+        let (from, to) = (&table[ex.from], &table[ex.to]);
+        let mut accesses: Vec<ViewAccess> = ex
+            .slots
+            .iter()
+            .map(|&s| ViewAccess::read(&from[s]))
+            .collect();
+        accesses.extend(ex.slots.iter().map(|&s| ViewAccess::write(&to[s])));
+        let site = format!("{what}({} -> {})", ex.from, ex.to);
+        parcels.push(det.launch(&site, front, &accesses)?);
+    }
+    front.extend(parcels);
+    Ok(())
+}
+
+/// Replay the sharded solve's launch sequence through a [`RaceDetector`]:
+/// per level and locality the chunked upward launch (P2M/M2M) with its
+/// scatter and the `multipole-up` parcels, the M2L halo and the chunked
+/// M2L launch, the `multipole-down` parcels and the chunked downward
+/// gather (L2L), and the per-leaf evaluation — with the happens-before
+/// edges the scoped joins and lockstep exchanges provide (minus whatever
+/// `bug` drops).  `dist` must shard `plan`; one locality replays the local
+/// solve.
 pub fn race_model_gravity_plan(
     plan: &GravityPlan,
+    dist: &DistPlan,
     chunks: usize,
     bug: GravityRaceBug,
 ) -> Result<RaceModelSummary, RaceReport> {
-    let det = RaceDetector::new();
-    let mut views = 0usize;
-    let mut view = |label: String| {
-        views += 1;
-        View::<f64>::new_1d(label, 1)
+    assert!(dist.is_valid_for(plan, dist.num_localities));
+    let nloc = dist.num_localities;
+    let table = |what: &str, len: usize| -> Vec<Vec<View<f64>>> {
+        (0..nloc)
+            .map(|loc| {
+                (0..len)
+                    .map(|i| View::<f64>::new_1d(format!("{what}(loc {loc}, {i})"), 1))
+                    .collect()
+            })
+            .collect()
     };
+    let mut r = Replay {
+        det: RaceDetector::new(),
+        plan,
+        dist,
+        chunks,
+        bug,
+        mp: table("mp", plan.num_nodes),
+        local: table("local", plan.num_nodes),
+        mp_out: table("mp-out", plan.num_nodes),
+        local_out: table("local-out", plan.num_nodes),
+        front: Vec::new(),
+    };
+    let fields = table("fields", plan.leaves.len());
 
-    let mp: Vec<View<f64>> = (0..plan.num_nodes)
-        .map(|s| view(format!("mp({s})")))
-        .collect();
-    let local: Vec<View<f64>> = (0..plan.num_nodes)
-        .map(|s| view(format!("local({s})")))
-        .collect();
-
-    let max_level = plan.max_level() as usize;
-    let deepest = (0..=max_level)
-        .rev()
-        .find(|&l| plan.level_ranges[l].0 < plan.level_ranges[l].1)
-        .expect("plan has at least one populated level");
-
-    // ---- Upward pass: one chunked kernel per level, deepest first. -----
-    // `prev` carries the previous (deeper) level's chunk tokens — the join
-    // barrier the scoped `parallel_for_mut` provides between levels.
-    let mut prev: Vec<LaunchToken> = Vec::new();
-    for level in (0..=max_level).rev() {
-        let (b, e) = plan.level_ranges[level];
-        if b == e {
-            continue;
+    let nlev = plan.level_ranges.len();
+    for level in (0..nlev).rev() {
+        r.launch_slots(Pass::Upward, level)?;
+        if level > 0 {
+            ship(&r.det, &mut r.front, "multipole-up", &dist.up[level], &r.mp)?;
         }
-        let deps: Vec<LaunchToken> = if bug == GravityRaceBug::SkipLevelBarrier {
-            Vec::new()
-        } else {
-            prev.clone()
-        };
-        let mut tokens = Vec::new();
-        for (ci, &(lo, hi)) in carve(b, e, chunks, bug).iter().enumerate() {
-            // Planted overlap: the deepest level's first chunk also writes
-            // the first slot of the second chunk's range.
-            let hi_w = if bug == GravityRaceBug::OverlapChunks && level == deepest && ci == 0 {
-                (hi + 1).min(e)
-            } else {
-                hi
-            };
-            // The kernel's vector stores cover whole lane blocks of the
-            // padded slot table, not just `[lo, hi)` — the footprint that
-            // makes unaligned carving a write-write race.
-            let (wlo, whi) = lane_blocks(b, e, lo, hi_w);
-            let mut accesses: Vec<ViewAccess> =
-                (wlo..whi).map(|s| ViewAccess::write(&mp[s])).collect();
-            for s in lo..hi {
-                if let SlotKind::Interior(kids) = plan.kinds[s] {
-                    for c in kids {
-                        accesses.push(ViewAccess::read(&mp[c]));
-                    }
-                }
-            }
-            tokens.push(det.launch(&format!("upward(l{level}, chunk {ci})"), &deps, &accesses)?);
-        }
-        prev = tokens;
     }
-    let upward_done = prev;
-
-    // ---- M2L kernel: `chunks` tasks over the target list, each writing
-    // its own dense accumulator slice; then a serial scatter. ------------
-    let mut m2l_tokens = Vec::new();
-    let mut acc_views = Vec::new();
-    // M2L targets and leaf evaluation are not slot-table vector loops —
-    // the solver carves them without lane alignment (per-target gathers,
-    // per-leaf fields), so the model does too.
-    for (ci, &(lo, hi)) in RangePolicy::new(0, plan.m2l_targets.len())
-        .split(chunks)
-        .iter()
-        .enumerate()
-    {
-        let acc = view(format!("m2l-acc(chunk {ci})"));
-        let mut accesses = vec![ViewAccess::write(&acc)];
-        for &t in &plan.m2l_targets[lo..hi] {
-            for &s in plan.m2l_sources_of(t) {
-                accesses.push(ViewAccess::read(&mp[s]));
-            }
-        }
-        m2l_tokens.push(det.launch(&format!("m2l(chunk {ci})"), &upward_done, &accesses)?);
-        acc_views.push(acc);
+    ship(&r.det, &mut r.front, "m2l-halo", &dist.m2l_halo, &r.mp)?;
+    r.launch_slots(Pass::M2l, 0)?;
+    for level in 1..nlev {
+        ship(
+            &r.det,
+            &mut r.front,
+            "multipole-down",
+            &dist.down[level],
+            &r.local,
+        )?;
+        r.launch_slots(Pass::Downward, level)?;
     }
-    let mut scatter_accesses: Vec<ViewAccess> = acc_views.iter().map(ViewAccess::read).collect();
-    scatter_accesses.extend(
-        plan.m2l_targets
+
+    // ---- Evaluation: disjoint per-leaf field writes (the P2P halo only
+    // moves source points, which no launch writes). -----------------------
+    for loc in 0..nloc {
+        let owned = &dist.owned_leaves[loc];
+        for (ci, &(lo, hi)) in RangePolicy::new(0, owned.len())
+            .split(chunks)
             .iter()
-            .map(|&t| ViewAccess::write(&local[t])),
-    );
-    let scatter = det.launch("m2l-scatter", &m2l_tokens, &scatter_accesses)?;
-
-    // ---- Downward pass: chunked gather per level, top-down. ------------
-    let mut prev = vec![scatter];
-    for level in 0..max_level {
-        let (b, e) = plan.level_ranges[level + 1];
-        if b == e {
-            continue;
-        }
-        let mut tokens = Vec::new();
-        for (ci, &(lo, hi)) in carve(b, e, chunks, bug).iter().enumerate() {
-            // Same lane-block store footprint as the upward pass.
-            let (wlo, whi) = lane_blocks(b, e, lo, hi);
-            let mut accesses: Vec<ViewAccess> =
-                (wlo..whi).map(|s| ViewAccess::write(&local[s])).collect();
-            for s in lo..hi {
-                accesses.push(ViewAccess::read(&local[plan.parent_slot[s]]));
-            }
-            tokens.push(det.launch(
-                &format!("downward(l{level}, chunk {ci})"),
-                &prev,
+            .enumerate()
+        {
+            let mut accesses: Vec<ViewAccess> = owned[lo..hi]
+                .iter()
+                .map(|&li| ViewAccess::read(&r.local[loc][plan.leaf_slots[li]]))
+                .collect();
+            accesses.extend(
+                owned[lo..hi]
+                    .iter()
+                    .map(|&li| ViewAccess::write(&fields[loc][li])),
+            );
+            r.det.launch(
+                &format!("evaluate(loc {loc}, chunk {ci})"),
+                &r.front,
                 &accesses,
-            )?);
+            )?;
         }
-        prev = tokens;
-    }
-
-    // ---- Evaluation: disjoint per-leaf field writes. -------------------
-    for (ci, &(lo, hi)) in RangePolicy::new(0, plan.leaves.len())
-        .split(chunks)
-        .iter()
-        .enumerate()
-    {
-        let field = view(format!("fields(chunk {ci})"));
-        let mut accesses = vec![ViewAccess::write(&field)];
-        for li in lo..hi {
-            accesses.push(ViewAccess::read(&local[plan.leaf_slots[li]]));
-        }
-        det.launch(&format!("evaluate(chunk {ci})"), &prev, &accesses)?;
     }
 
     Ok(RaceModelSummary {
-        launches: det.launches(),
-        views,
+        launches: r.det.launches(),
+        views: nloc * (4 * plan.num_nodes + plan.leaves.len()),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use octree::{NodeId, Tree};
+    use octree::{partition_morton, NodeId, Tree};
 
-    fn plan(level: u8) -> GravityPlan {
-        GravityPlan::build(&Tree::new_uniform(level), 0.5)
+    /// The plan of `tree` and its halo plan over `nloc` localities.
+    fn sharded(tree: &Tree, nloc: usize) -> (GravityPlan, DistPlan) {
+        let plan = GravityPlan::build(tree, 0.5);
+        let dist = DistPlan::build(&plan, &partition_morton(tree, nloc), nloc);
+        (plan, dist)
+    }
+
+    fn uniform(nloc: usize) -> (GravityPlan, DistPlan) {
+        sharded(&Tree::new_uniform(2), nloc)
     }
 
     #[test]
-    fn faithful_launch_sequence_is_race_free() {
-        for chunks in [1, 4, 16] {
-            let summary =
-                race_model_gravity_plan(&plan(2), chunks, GravityRaceBug::None).expect("race-free");
-            assert!(summary.launches > 0);
-            // Two views per slot plus the per-chunk accumulators/fields.
-            assert!(summary.views >= 2 * plan(2).num_nodes);
+    fn faithful_launch_sequence_is_race_free_at_every_locality_count() {
+        for nloc in [1, 2, 4] {
+            let (plan, dist) = uniform(nloc);
+            for chunks in [1, 4, 16] {
+                let summary = race_model_gravity_plan(&plan, &dist, chunks, GravityRaceBug::None)
+                    .expect("race-free");
+                assert!(summary.launches > 0);
+                // Two tables and two output buffers per slot and locality.
+                assert!(summary.views >= 4 * nloc * plan.num_nodes);
+            }
         }
     }
 
@@ -241,68 +340,77 @@ mod tests {
     fn adaptive_tree_launch_sequence_is_race_free() {
         let mut tree = Tree::new_uniform(1);
         tree.refine_balanced(NodeId::from_coords(1, [0, 0, 0]));
-        let plan = GravityPlan::build(&tree, 0.5);
-        race_model_gravity_plan(&plan, 4, GravityRaceBug::None).expect("race-free");
+        for nloc in [1, 3] {
+            let (plan, dist) = sharded(&tree, nloc);
+            race_model_gravity_plan(&plan, &dist, 4, GravityRaceBug::None).expect("race-free");
+        }
     }
 
     #[test]
     fn overlapping_chunks_are_a_write_write_race() {
-        // plan(2): the deepest level has 64 slots, so 4 tasks carve into
-        // lane-aligned 16-slot chunks and the planted one-slot overlap
-        // between chunks 0 and 1 survives the alignment.
-        let report = race_model_gravity_plan(&plan(2), 4, GravityRaceBug::OverlapChunks)
+        // One locality owns all 64 deepest-level slots, so 4 tasks carve
+        // into lane-aligned 16-element chunks and the planted one-element
+        // overlap between chunks 0 and 1 survives the alignment.
+        let (plan, dist) = uniform(1);
+        let report = race_model_gravity_plan(&plan, &dist, 4, GravityRaceBug::OverlapChunks)
             .expect_err("must race");
         assert_eq!(report.conflict, "write-write");
         assert!(report.prior_site.starts_with("upward("), "{report}");
         assert!(report.site.starts_with("upward("), "{report}");
-        assert!(report.view_label.starts_with("mp("), "{report}");
+        assert!(report.view_label.starts_with("mp-out("), "{report}");
     }
 
     #[test]
     fn splitting_a_vector_lane_is_a_write_write_race() {
-        // 16 tasks over the deepest level's 64 slots carve into size-4
+        // 16 tasks over a locality's owned deepest-level slots carve into
         // chunks whose boundaries sit mid lane-block (lane = 8): adjacent
-        // chunks' full-width vector stores cover the same block.
-        let report = race_model_gravity_plan(&plan(2), 16, GravityRaceBug::SplitsVectorLane)
-            .expect_err("must race");
-        assert_eq!(report.conflict, "write-write");
-        assert!(report.prior_site.starts_with("upward("), "{report}");
-        assert!(report.site.starts_with("upward("), "{report}");
-        assert!(report.view_label.starts_with("mp("), "{report}");
+        // chunks' full-width vector stores cover the same block — on one
+        // locality (64 slots, size-4 chunks) and on four (16 slots each,
+        // size-1 chunks) alike.
+        for nloc in [1, 4] {
+            let (plan, dist) = uniform(nloc);
+            let report =
+                race_model_gravity_plan(&plan, &dist, 16, GravityRaceBug::SplitsVectorLane)
+                    .expect_err("must race");
+            assert_eq!(report.conflict, "write-write");
+            assert!(report.prior_site.starts_with("upward("), "{report}");
+            assert!(report.site.starts_with("upward("), "{report}");
+            assert!(report.view_label.starts_with("mp-out("), "{report}");
+        }
     }
 
     #[test]
     fn lane_aligned_carving_has_no_partial_blocks() {
         // The faithful carve at every chunk count the solver uses keeps
-        // each sub-range's interior boundaries on lane multiples, so the
+        // each owned list's interior boundaries on lane multiples, so the
         // block-expanded write sets stay pairwise disjoint.
-        for chunks in [2, 3, 4, 8, 16, 64] {
-            let p = plan(2);
-            for level in 0..=p.max_level() as usize {
-                let (b, e) = p.level_ranges[level];
-                if b == e {
-                    continue;
+        for nloc in [1, 4] {
+            let (_, dist) = uniform(nloc);
+            for chunks in [2, 3, 4, 8, 16, 64] {
+                for owned in dist.owned_by_level.iter().flatten() {
+                    let mut prev_end = 0;
+                    for &(lo, hi) in &carve(owned.len(), chunks, GravityRaceBug::None) {
+                        let (wlo, whi) = lane_blocks(owned.len(), lo, hi);
+                        assert!(wlo >= prev_end, "lane block overlaps previous chunk");
+                        prev_end = whi;
+                    }
+                    assert_eq!(prev_end, owned.len());
                 }
-                let parts = carve(b, e, chunks, GravityRaceBug::None);
-                let mut prev_end = b;
-                for &(lo, hi) in &parts {
-                    let (wlo, whi) = lane_blocks(b, e, lo, hi);
-                    assert!(wlo >= prev_end, "lane block overlaps previous chunk");
-                    prev_end = whi;
-                }
-                assert_eq!(prev_end, e);
             }
         }
     }
 
     #[test]
     fn skipping_the_level_barrier_is_a_read_write_race() {
-        let report = race_model_gravity_plan(&plan(2), 4, GravityRaceBug::SkipLevelBarrier)
-            .expect_err("must race");
-        // Prior access is the deeper level's write, current is the combine's
-        // child read.
-        assert_eq!(report.conflict, "write-read");
-        assert!(report.prior_site.starts_with("upward("), "{report}");
-        assert!(report.site.starts_with("upward("), "{report}");
+        for nloc in [1, 4] {
+            let (plan, dist) = uniform(nloc);
+            let report = race_model_gravity_plan(&plan, &dist, 4, GravityRaceBug::SkipLevelBarrier)
+                .expect_err("must race");
+            // Prior access is the deeper level's write, current is the
+            // combine's child read.
+            assert_eq!(report.conflict, "write-read");
+            assert!(report.prior_site.starts_with("upward("), "{report}");
+            assert!(report.site.starts_with("upward("), "{report}");
+        }
     }
 }

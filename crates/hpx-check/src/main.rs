@@ -199,40 +199,45 @@ fn run_races(opts: &Options) -> bool {
             false
         }
     };
-    // The plan-based FMM solver's chunked disjoint-slice launches, over
-    // the same scenario tree (16 tasks: the paper's Figure 9 setting).
-    let plan = octotiger::gravity::GravityPlan::build(&scenario_tree(opts.level.min(2)), 0.5);
-    let gravity_ok = match race_model_gravity_plan(&plan, 16, GravityRaceBug::None) {
-        Ok(summary) => {
-            println!(
-                "races: gravity plan clean — {} launches over {} views",
+    // The one sharded FMM solve's chunked owned-list launches, over the
+    // same scenario tree (16 tasks: the paper's Figure 9 setting), as the
+    // local solve (one locality) and sharded over four.
+    let gravity_tree = scenario_tree(opts.level.min(2));
+    let plan = octotiger::gravity::GravityPlan::build(&gravity_tree, 0.5);
+    let shard = |nloc: usize| {
+        let owner = octree::partition_morton(&gravity_tree, nloc);
+        octotiger::gravity::DistPlan::build(&plan, &owner, nloc)
+    };
+    let mut gravity_ok = true;
+    for dist in [shard(1), shard(4)] {
+        let nloc = dist.num_localities;
+        match race_model_gravity_plan(&plan, &dist, 16, GravityRaceBug::None) {
+            Ok(summary) => println!(
+                "races: gravity solve on {nloc} localities clean — {} launches over {} views",
                 summary.launches, summary.views
-            );
-            true
+            ),
+            Err(report) => {
+                eprintln!("races: gravity solve on {nloc} localities {report}");
+                gravity_ok = false;
+            }
         }
-        Err(report) => {
-            eprintln!("races: gravity plan {report}");
-            false
-        }
-    };
-    // Prove the lane-aligned carving is load-bearing: the same launch
-    // sequence with unaligned task boundaries must collide inside a
-    // vector-lane block of the slot table.
-    let lanes_ok = match race_model_gravity_plan(&plan, 16, GravityRaceBug::SplitsVectorLane) {
-        Ok(_) => {
-            eprintln!(
-                "races: lane-split carving did NOT race — the alignment check lost its witness"
-            );
-            false
-        }
-        Err(report) => {
-            println!(
-                "races: unaligned carving races as expected ({} on {})",
+        // Prove the lane-aligned carving is load-bearing at this locality
+        // count: the same launch sequence with unaligned task boundaries
+        // must collide inside a vector-lane block of an output buffer.
+        match race_model_gravity_plan(&plan, &dist, 16, GravityRaceBug::SplitsVectorLane) {
+            Ok(_) => {
+                eprintln!(
+                    "races: lane-split carving on {nloc} localities did NOT race — the \
+                     alignment check lost its witness"
+                );
+                gravity_ok = false;
+            }
+            Err(report) => println!(
+                "races: unaligned carving on {nloc} localities races as expected ({} on {})",
                 report.conflict, report.view_label
-            );
-            true
+            ),
         }
-    };
+    }
     // The online tuner's re-split protocol (PR-10): moving a kernel
     // family's task count at the step boundary must be race-free for any
     // ladder move, and the boundary must be load-bearing — a mid-launch
@@ -269,7 +274,7 @@ fn run_races(opts: &Options) -> bool {
             false
         }
     };
-    pipeline_ok & gravity_ok & lanes_ok & tuner_ok & resplit_ok & run_dist_models(opts)
+    pipeline_ok & gravity_ok & tuner_ok & resplit_ok & run_dist_models(opts)
 }
 
 /// The distributed-solve models: the multi-locality phase graph must drain

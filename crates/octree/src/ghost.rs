@@ -68,10 +68,10 @@ struct GhostRequest {
 /// link reads (several for a fine-from-coarse jump), or none at the domain
 /// boundary (outflow reads the leaf's own interior).
 ///
-/// This is the *single* classification both the runtime graph
-/// ([`DistGrid::exchange_ghosts_pipelined`]) and the `hpx-check` static
-/// future-DAG linter consume, so the analyzed graph cannot drift from the
-/// executed one.
+/// This is the *single* classification both runtime exchanges
+/// ([`DistGrid::exchange_ghosts`], [`DistGrid::exchange_ghosts_pipelined`])
+/// and the `hpx-check` static future-DAG linter consume, so neither
+/// executed exchange can drift from the analyzed graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LinkSpec {
     /// The destination leaf whose ghost shell the link fills.
@@ -412,11 +412,12 @@ impl DistGrid {
             }
         }
 
-        let leaves = self.leaves();
         let owner = self.inner.owner.read().clone();
         let mut direct_links = 0usize;
 
-        // Phase 1: gather payloads (reads only — interiors are stable).
+        // Phase 1: gather payloads (reads only — interiors are stable),
+        // over the same link classification the pipelined exchange wires
+        // and `hpx-check` lints, in the same `leaves × 26` order.
         // Each entry: (leaf, dir, payload or pending future).
         enum Pending {
             Data(Recycled<f64>),
@@ -424,56 +425,45 @@ impl DistGrid {
             Boundary,
         }
         let mut pending: Vec<(NodeId, Dir, Pending)> = Vec::new();
-        {
-            let tree = self.inner.tree.read();
-            for &leaf in &leaves {
-                let me = owner[&leaf];
-                for dir in Dir::all26() {
-                    let sources: Vec<NodeId> = match tree.neighbor_of(leaf, dir) {
-                        Neighbor::SameLevel(nb) => vec![nb],
-                        Neighbor::Coarser(c) => vec![c],
-                        Neighbor::Finer(kids) => kids,
-                        Neighbor::DomainBoundary => {
-                            pending.push((leaf, dir, Pending::Boundary));
-                            continue;
-                        }
-                    };
-                    let all_local = sources.iter().all(|s| owner[s] == me);
-                    if all_local && config.direct_local_access {
-                        if config.notify_with_channels {
-                            // Wait on the readiness future before touching
-                            // neighbour memory (paper Section VII-B).
-                            let f = ready_channels[me.0].1.receive();
-                            f.wait();
-                            ready_channels[me.0].0.send(()); // re-arm
-                        }
-                        cluster.locality(me.0).note_local_direct_access();
-                        direct_links += 1;
-                        let payload = compute_payload(&self.inner, leaf, dir)
-                            .expect("non-boundary link must produce data");
-                        pending.push((leaf, dir, Pending::Data(payload)));
-                    } else {
-                        // Parcel path: ask the owner of the *first* source
-                        // to assemble the payload (it can read all grids —
-                        // shared memory under the simulation — but pays the
-                        // parcel metering that the cluster models charge).
-                        let dest = owner[&sources[0]];
-                        let bytes = {
-                            let grids = self.inner.grids.read();
-                            let g = grids[&leaf].read();
-                            g.payload_bytes(dir.opposite())
-                        };
-                        hpx_rt::parcel_counters()
-                            .note_send(hpx_rt::ParcelClass::Ghost, bytes as u64);
-                        let fut = cluster.locality(me.0).apply_async(
-                            dest,
-                            "ghost_pack",
-                            Box::new(GhostRequest { leaf, dir }),
-                            bytes,
-                        );
-                        pending.push((leaf, dir, Pending::Remote(fut)));
-                    }
+        for LinkSpec { leaf, dir, sources } in self.link_specs() {
+            let me = owner[&leaf];
+            if sources.is_empty() {
+                pending.push((leaf, dir, Pending::Boundary));
+                continue;
+            }
+            let all_local = sources.iter().all(|s| owner[s] == me);
+            if all_local && config.direct_local_access {
+                if config.notify_with_channels {
+                    // Wait on the readiness future before touching
+                    // neighbour memory (paper Section VII-B).
+                    let f = ready_channels[me.0].1.receive();
+                    f.wait();
+                    ready_channels[me.0].0.send(()); // re-arm
                 }
+                cluster.locality(me.0).note_local_direct_access();
+                direct_links += 1;
+                let payload = compute_payload(&self.inner, leaf, dir)
+                    .expect("non-boundary link must produce data");
+                pending.push((leaf, dir, Pending::Data(payload)));
+            } else {
+                // Parcel path: ask the owner of the *first* source to
+                // assemble the payload (it can read all grids — shared
+                // memory under the simulation — but pays the parcel
+                // metering that the cluster models charge).
+                let dest = owner[&sources[0]];
+                let bytes = {
+                    let grids = self.inner.grids.read();
+                    let g = grids[&leaf].read();
+                    g.payload_bytes(dir.opposite())
+                };
+                hpx_rt::parcel_counters().note_send(hpx_rt::ParcelClass::Ghost, bytes as u64);
+                let fut = cluster.locality(me.0).apply_async(
+                    dest,
+                    "ghost_pack",
+                    Box::new(GhostRequest { leaf, dir }),
+                    bytes,
+                );
+                pending.push((leaf, dir, Pending::Remote(fut)));
             }
         }
 
@@ -508,8 +498,7 @@ impl DistGrid {
     }
 
     /// Classify every ghost link of the current tree (see
-    /// [`ghost_link_specs`]): the exact link set
-    /// [`DistGrid::exchange_ghosts_pipelined`] wires into futures.
+    /// [`ghost_link_specs`]): the exact link set both exchanges serve.
     pub fn link_specs(&self) -> Vec<LinkSpec> {
         ghost_link_specs(&self.inner.tree.read())
     }
