@@ -564,7 +564,7 @@ impl Simulation {
             let vol = h_phys * h_phys * h_phys;
             let handle = self.grid.grid(leaf);
             let g = handle.read();
-            let mut points = PointMasses::default();
+            let mut points = PointMasses::with_capacity(n * n * n);
             for i in 0..n {
                 for j in 0..n {
                     for k in 0..n {

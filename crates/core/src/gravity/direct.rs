@@ -17,7 +17,54 @@ pub struct PointMasses {
     pub ms: Vec<f64>,
 }
 
+/// A borrowed run of SoA point masses: a whole [`PointMasses`] or one
+/// contiguous range of it (a 4³-cell tile of a tile-major leaf copy).
+#[derive(Debug, Clone, Copy)]
+pub struct PointsRef<'a> {
+    pub xs: &'a [f64],
+    pub ys: &'a [f64],
+    pub zs: &'a [f64],
+    pub ms: &'a [f64],
+}
+
+impl PointsRef<'_> {
+    /// Number of points.
+    pub fn len(&self) -> usize {
+        self.ms.len()
+    }
+
+    /// `true` when empty.
+    pub fn is_empty(&self) -> bool {
+        self.ms.is_empty()
+    }
+}
+
 impl PointMasses {
+    /// Empty point set with room for `n` points in every component array.
+    pub fn with_capacity(n: usize) -> PointMasses {
+        PointMasses {
+            xs: Vec::with_capacity(n),
+            ys: Vec::with_capacity(n),
+            zs: Vec::with_capacity(n),
+            ms: Vec::with_capacity(n),
+        }
+    }
+
+    /// Borrow every point.
+    pub fn view(&self) -> PointsRef<'_> {
+        self.slice(0..self.len())
+    }
+
+    /// Borrow the points `range`.
+    pub fn slice(&self, range: std::ops::Range<usize>) -> PointsRef<'_> {
+        PointsRef {
+            xs: &self.xs[range.clone()],
+            ys: &self.ys[range.clone()],
+            zs: &self.zs[range.clone()],
+            ms: &self.ms[range],
+        }
+    }
+
     /// Number of points.
     pub fn len(&self) -> usize {
         self.ms.len()
@@ -73,6 +120,14 @@ pub fn fold_stripes(acc: &[f64; STRIPES]) -> f64 {
 /// zero), which never perturbs a stripe accumulator.
 #[inline(always)]
 pub fn p2p_at_w<const W: usize>(src: &PointMasses, x: f64, y: f64, z: f64) -> (f64, [f64; 3]) {
+    p2p_ref_w::<W>(src.view(), x, y, z)
+}
+
+/// [`p2p_at_w`] over a borrowed run of points — the kernel proper.  The
+/// stripe of a source is its index *within `src`*, so a tile of a
+/// tile-major leaf copy sums exactly like a point set holding only it.
+#[inline(always)]
+pub fn p2p_ref_w<const W: usize>(src: PointsRef<'_>, x: f64, y: f64, z: f64) -> (f64, [f64; 3]) {
     let tx = Simd::<f64, W>::splat(x);
     let ty = Simd::<f64, W>::splat(y);
     let tz = Simd::<f64, W>::splat(z);
@@ -88,10 +143,10 @@ pub fn p2p_at_w<const W: usize>(src: &PointMasses, x: f64, y: f64, z: f64) -> (f
         // named always-inline method, not a closure: a closure would stay
         // out-of-line inside the `#[target_feature]` wide entry points and
         // de-vectorize the whole chunk body.
-        let dx = Simd::<f64, W>::load_chunk(&src.xs, off, lanes, 0.0) - tx;
-        let dy = Simd::<f64, W>::load_chunk(&src.ys, off, lanes, 0.0) - ty;
-        let dz = Simd::<f64, W>::load_chunk(&src.zs, off, lanes, 0.0) - tz;
-        let m = Simd::<f64, W>::load_chunk(&src.ms, off, lanes, 0.0);
+        let dx = Simd::<f64, W>::load_chunk(src.xs, off, lanes, 0.0) - tx;
+        let dy = Simd::<f64, W>::load_chunk(src.ys, off, lanes, 0.0) - ty;
+        let dz = Simd::<f64, W>::load_chunk(src.zs, off, lanes, 0.0) - tz;
+        let m = Simd::<f64, W>::load_chunk(src.ms, off, lanes, 0.0);
         let r2 = dx * dx + dy * dy + dz * dz;
         // Mask out the self-interaction (r² == 0) and padded lanes (m == 0).
         let valid = r2.simd_gt(zero);
@@ -124,17 +179,27 @@ pub fn p2p_at_w<const W: usize>(src: &PointMasses, x: f64, y: f64, z: f64) -> (f
 }
 
 sve_simd::wide_dispatch! {
-    /// [`p2p_at_w::<8>`] entered under the host's widest vector ISA — the
+    /// [`p2p_ref_w::<8>`] entered under the host's widest vector ISA — the
     /// "SVE build" half of the Figure 7 pair (see [`sve_simd::isa`]).
-    pub fn p2p_at_wide(src: &PointMasses, x: f64, y: f64, z: f64) -> (f64, [f64; 3])
-        = p2p_at_w::<8>
+    pub fn p2p_ref_wide(src: PointsRef<'_>, x: f64, y: f64, z: f64) -> (f64, [f64; 3])
+        = p2p_ref_w::<8>
+}
+
+/// [`p2p_ref_wide`] over a whole point set.
+pub fn p2p_at_wide(src: &PointMasses, x: f64, y: f64, z: f64) -> (f64, [f64; 3]) {
+    p2p_ref_wide(src.view(), x, y, z)
 }
 
 /// Width-dispatched wrapper over [`p2p_at_w`].
 pub fn p2p_at(src: &PointMasses, at: [f64; 3], mode: VectorMode) -> (f64, [f64; 3]) {
+    p2p_at_ref(src.view(), at, mode)
+}
+
+/// Width-dispatched wrapper over [`p2p_ref_w`].
+pub fn p2p_at_ref(src: PointsRef<'_>, at: [f64; 3], mode: VectorMode) -> (f64, [f64; 3]) {
     match mode {
-        VectorMode::Scalar => p2p_at_w::<1>(src, at[0], at[1], at[2]),
-        VectorMode::Sve512 => p2p_at_wide(src, at[0], at[1], at[2]),
+        VectorMode::Scalar => p2p_ref_w::<1>(src, at[0], at[1], at[2]),
+        VectorMode::Sve512 => p2p_ref_wide(src, at[0], at[1], at[2]),
     }
 }
 

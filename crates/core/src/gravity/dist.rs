@@ -863,26 +863,17 @@ impl GravitySolver {
             });
         }
 
-        // ---- Phase 3b: P2P halo, then per-leaf evaluation. -------------
+        // ---- Phase 3b: P2P halo, then tiles and per-leaf evaluation. ----
         ship(&mut bufs, &dist.p2p_halo, ParcelClass::P2p);
         run_phase(spaces, &mut bufs, &|loc, b: &mut LocBufs| {
-            // Every leaf's point set as this locality sees it: its own
-            // sources, or the halo copy it received.
-            let near: Vec<&PointMasses> = (0..points.len())
-                .map(|li| match dist.leaf_owner[li] == loc {
-                    true => points[li],
-                    false => &b.halo_points[li],
-                })
-                .collect();
-            let (owned, fields) = (&dist.owned_leaves[loc], &mut b.fields);
-            self.evaluate_leaves(plan, owned, &near, &b.locals, fields, &spaces[loc]);
+            self.evaluate_leaves(plan, dist, loc, &points, b, &spaces[loc]);
         });
 
         // ---- Assemble the global field map from the owned shards. ------
         let mut fields = HashMap::with_capacity(plan.leaves.len());
         for (owned, b) in dist.owned_leaves.iter().zip(&mut bufs) {
-            for (&li, field) in owned.iter().zip(b.fields.drain(..)) {
-                fields.insert(plan.leaves[li], field);
+            for (&li, eval) in owned.iter().zip(&mut b.evals) {
+                fields.insert(plan.leaves[li], std::mem::take(&mut eval.field));
             }
         }
         self.put_buffers(bufs);

@@ -57,11 +57,16 @@ pub struct MultipoleSoA {
 impl MultipoleSoA {
     /// Refill from a slot-indexed multipole table, reusing the allocation.
     pub fn fill(&mut self, mps: &[Multipole]) {
-        self.n = mps.len();
+        self.fill_from(mps.len(), mps);
+    }
+
+    /// [`MultipoleSoA::fill`] from the `n` multipoles of a table held in
+    /// pieces, in slot order.
+    pub fn fill_from<'a>(&mut self, n: usize, mps: impl IntoIterator<Item = &'a Multipole>) {
+        self.n = n;
         self.data.clear();
-        self.data.resize(NCOMP * self.n, 0.0);
-        let n = self.n;
-        for (s, mp) in mps.iter().enumerate() {
+        self.data.resize(NCOMP * n, 0.0);
+        for (s, mp) in mps.into_iter().enumerate() {
             self.data[C_M * n + s] = mp.m;
             for a in 0..3 {
                 self.data[c_com(a) * n + s] = mp.com[a];

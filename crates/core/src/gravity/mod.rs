@@ -12,13 +12,15 @@
 //!    kernel, whose launch is splittable into `tasks_per_kernel` HPX tasks
 //!    (the Figure 9 knob);
 //! 3. **top-down** — L2L local-expansion propagation and per-cell
-//!    evaluation, plus direct P2P near-field sums.
+//!    evaluation, plus the near field: tile M2L and direct P2P sums
+//!    between touching 4³-cell tiles.
 //!
 //! The near/far decision uses a dual-tree traversal with a geometric
 //! multipole acceptance criterion, which handles the adaptive tree without
 //! interaction-list gaps by construction.  The traversal's outcome is
 //! frozen into a CSR-encoded [`plan::GravityPlan`] keyed on the tree's
-//! topology version, so solves on an unchanged tree skip it entirely.
+//! topology version, so solves on an unchanged tree skip it entirely; the
+//! evaluation continues it one level below the leaves ([`tiles`]).
 
 pub mod direct;
 pub mod dist;
@@ -26,6 +28,7 @@ pub mod m2l_simd;
 pub mod multipole;
 pub mod plan;
 pub mod solver;
+pub mod tiles;
 pub mod verify;
 
 pub use dist::{DistLedger, DistPlan, Exchange, Phase};
@@ -33,4 +36,5 @@ pub use m2l_simd::MultipoleSoA;
 pub use multipole::{LocalExpansion, Multipole};
 pub use plan::{GravityPlan, PatchReport};
 pub use solver::{GravityOptions, GravitySolver, LeafField, LeafSources, M2lBench};
+pub use tiles::{near_field_counts, NearFieldCounts};
 pub use verify::{verify_dist_plan, verify_gravity_plan, PlanViolation, ProtocolViolation};

@@ -71,11 +71,12 @@ impl Multipole {
         Multipole { m, com, quad, oct }
     }
 
-    /// P2M straight from a SoA point set — the leaf layout the rest of the
-    /// gravity module already uses — so the upward pass needs no per-leaf
-    /// AoS marshalling copy.  Performs the same accumulations in the same
-    /// order as [`Multipole::from_points`], so the two are bit-identical.
-    pub fn from_soa(points: &crate::gravity::direct::PointMasses) -> Multipole {
+    /// P2M straight from a SoA point run — the leaf layout the rest of the
+    /// gravity module already uses, whole or one tile of it — so the upward
+    /// pass needs no per-leaf AoS marshalling copy.  Performs the same
+    /// accumulations in the same order as [`Multipole::from_points`], so
+    /// the two are bit-identical.
+    pub fn from_soa(points: crate::gravity::direct::PointsRef<'_>) -> Multipole {
         let mut m = 0.0;
         let mut com = [0.0; 3];
         for c in 0..points.len() {
@@ -559,7 +560,7 @@ mod tests {
             soa.push(x, m);
             aos.push((x, m));
         }
-        let a = Multipole::from_soa(&soa);
+        let a = Multipole::from_soa(soa.view());
         let b = Multipole::from_points(&aos);
         assert_eq!(a.m.to_bits(), b.m.to_bits());
         for c in 0..3 {
@@ -574,7 +575,7 @@ mod tests {
             }
         }
         // The massless early-out matches too.
-        let empty = Multipole::from_soa(&PointMasses::default());
+        let empty = Multipole::from_soa(PointMasses::default().view());
         assert_eq!(empty, Multipole::from_points(&[]));
     }
 

@@ -33,6 +33,12 @@ use std::collections::{HashMap, HashSet};
 /// Physical center and half-diagonal of a node's cube.
 pub(crate) fn node_geometry(id: NodeId) -> ([f64; 3], f64) {
     let (corner, size) = id.cube();
+    cube_geometry(corner, size)
+}
+
+/// Physical center and half-diagonal of the unit-box cube `(corner, size)`
+/// — a node's, or one of a leaf's tiles' ([`super::tiles`]).
+pub(crate) fn cube_geometry(corner: [f64; 3], size: f64) -> ([f64; 3], f64) {
     let s_phys = size * BOX_SIZE;
     let center = [
         (corner[0] + 0.5 * size - 0.5) * BOX_SIZE,
@@ -40,6 +46,16 @@ pub(crate) fn node_geometry(id: NodeId) -> ([f64; 3], f64) {
         (corner[2] + 0.5 * size - 0.5) * BOX_SIZE,
     ];
     (center, 0.5 * s_phys * 3f64.sqrt())
+}
+
+/// The multipole acceptance test — the one place it is spelled: bodies
+/// `a` and `b` (bounding-sphere centers and radii) are well separated when
+/// `(r_a + r_b) / d < theta`.  [`GravityPlan::build`] and
+/// [`GravityPlan::patch`] apply it to node pairs, the solver's tile
+/// classifier ([`super::tiles`]) continues it one level below the leaves.
+pub(crate) fn well_separated(ca: [f64; 3], ra: f64, cb: [f64; 3], rb: f64, theta: f64) -> bool {
+    let d = ((ca[0] - cb[0]).powi(2) + (ca[1] - cb[1]).powi(2) + (ca[2] - cb[2]).powi(2)).sqrt();
+    d > 0.0 && (ra + rb) / d < theta
 }
 
 /// What a slot of the plan's node table is.
@@ -162,10 +178,7 @@ impl GravityPlan {
                 }
                 continue;
             }
-            let (ca, cb) = (centers[a], centers[b]);
-            let d = ((ca[0] - cb[0]).powi(2) + (ca[1] - cb[1]).powi(2) + (ca[2] - cb[2]).powi(2))
-                .sqrt();
-            if d > 0.0 && (radii[a] + radii[b]) / d < theta {
+            if well_separated(centers[a], radii[a], centers[b], radii[b], theta) {
                 m2l[a].push(b);
                 m2l[b].push(a);
                 continue;
@@ -674,14 +687,11 @@ impl GravityPlan {
                 }
                 continue;
             }
-            let (ca, cb) = (centers[a], centers[b]);
-            let d = ((ca[0] - cb[0]).powi(2) + (ca[1] - cb[1]).powi(2) + (ca[2] - cb[2]).powi(2))
-                .sqrt();
             let (ra, rb) = (
                 radius_by_level[nodes[a].level() as usize],
                 radius_by_level[nodes[b].level() as usize],
             );
-            if d > 0.0 && (ra + rb) / d < theta {
+            if well_separated(centers[a], ra, centers[b], rb, theta) {
                 if hot_pair {
                     add_m2l.entry(a).or_default().push(b);
                     add_m2l.entry(b).or_default().push(a);

@@ -7,9 +7,21 @@
 //! the final results."*  Each phase's per-slot body is written exactly once
 //! here — [`GravitySolver::upward_level`] (P2M/M2M),
 //! [`GravitySolver::m2l_kernel`], [`GravitySolver::downward_level`] (L2L)
-//! and [`GravitySolver::evaluate_leaves`] (evaluation + P2P) — as a
+//! and [`GravitySolver::evaluate_leaves`] (evaluation + near field) — as a
 //! launch over one locality's *owned index list*, and there is exactly one
 //! solve that schedules them: the sharded phase loop in [`super::dist`].
+//!
+//! **Leaves are tile lists.**  The plan's traversal stops at the leaves;
+//! the evaluation continues it one level down ([`super::tiles`]): a leaf
+//! of (4k)³ cells, k > 1, is k³ tiles of 4³ cells (the paper's N = 8
+//! sub-grid: 8 tiles), any other leaf is its own single tile.  The near
+//! field of a target tile is *tile M2L + touching-tile P2P*: every tile
+//! of every near leaf is put to the plan's own acceptance test on tile
+//! geometry, accepted tiles are summed by the M2L kernel from tile
+//! multipoles, and only the rejected — touching or almost touching —
+//! tiles are summed cell by cell.  Both sums run in ascending (leaf, tile)
+//! order, so the bit-identity argument below carries over unchanged, and
+//! a tree of single-tile leaves sums exactly what the plan lists.
 //! **The local solve is its one-locality case**: [`GravitySolver::solve`]
 //! and [`GravitySolver::solve_with_plan`] hand it the trivial one-locality
 //! [`DistPlan`] (every exchange list empty, so no parcel moves) and launch
@@ -17,8 +29,8 @@
 //! through the Kokkos-style `ExecSpace` with a configurable
 //! [`GravityOptions::tasks_per_multipole_kernel`]: 1 task (Octo-Tiger's
 //! default, hot cache) or 16 tasks (the paper's anti-starvation setting,
-//! Figure 9); the slot-table and P2P launches have the same kind of knob,
-//! honoured at every locality count.
+//! Figure 9); the slot-table and evaluation launches have the same kind of
+//! knob, honoured at every locality count.
 //!
 //! The *dual-tree traversal* that decides near/far is **not** redone per
 //! solve: it is frozen into a [`GravityPlan`] keyed on
@@ -33,11 +45,12 @@
 //! traffic on the hot path — and the per-locality working sets recycle
 //! through the plan cache, so steady-state solves allocate nothing.
 
-use super::direct::{p2p_at, PointMasses};
+use super::direct::{p2p_at_ref, PointMasses};
 use super::dist::{DistLedger, DistPlan};
 use super::m2l_simd::{m2l_accumulate, MultipoleSoA};
 use super::multipole::{LocalExpansion, Multipole};
 use super::plan::{GravityPlan, PatchReport, SlotKind};
+use super::tiles::TileSet;
 use hpx_rt::LocalityId;
 use kokkos_rs::pool::{Recycled, ScratchArena};
 use kokkos_rs::{parallel_for_mut, ChunkSpec, ExecSpace, RangePolicy};
@@ -62,9 +75,10 @@ pub struct GravityOptions {
     pub use_octupole: bool,
     /// HPX tasks per multipole-kernel launch (Figure 9: 1 = OFF, 16 = ON).
     pub tasks_per_multipole_kernel: usize,
-    /// HPX tasks per P2P/evaluation kernel launch; 0 = `ChunkSpec::Auto`
-    /// (one task per worker).  An online-tuner knob — any value is bitwise
-    /// neutral because each leaf's output slot is computed independently.
+    /// HPX tasks per evaluation (and tile) kernel launch; 0 =
+    /// `ChunkSpec::Auto` (one task per worker).  An online-tuner knob —
+    /// any value is bitwise neutral because each leaf's output slot is
+    /// computed independently.
     pub tasks_per_p2p_kernel: usize,
     /// HPX tasks per slot-table (upward/downward) kernel launch; 0 =
     /// `ChunkSpec::Auto`.  Task boundaries stay lane-aligned regardless
@@ -93,7 +107,9 @@ impl Default for GravityOptions {
 /// coordinates).
 #[derive(Debug, Clone, Default)]
 pub struct LeafSources {
-    /// SoA point masses of the leaf's cells.
+    /// SoA point masses of the leaf's cells.  (4k)³ points, k > 1, are
+    /// read as the leaf cube's cell lattice in i-major order and tiled
+    /// ([`super::tiles`]); any other count is an opaque point set.
     pub points: PointMasses,
 }
 
@@ -533,8 +549,21 @@ pub(super) struct LocBufs {
     /// Point masses of the near-field leaves owned elsewhere, by leaf
     /// index (entries of leaves never received stay empty and unread).
     pub(super) halo_points: Vec<PointMasses>,
-    /// Output fields of the owned leaves, aligned with the owned list.
-    pub(super) fields: Vec<LeafField>,
+    /// The visible leaves as tiles ([`GravitySolver::evaluate_leaves`]
+    /// rebuilds them every solve).
+    tiles: TileSet,
+    /// Evaluation slots of the owned leaves, aligned with the owned list.
+    pub(super) evals: Vec<LeafEval>,
+}
+
+/// One owned leaf's slot of the evaluation launch: the output field (moved
+/// out when the solve assembles its result) and the index list the
+/// accepted near tiles of one target tile at a time are gathered into
+/// (never grown for a single-tile leaf, which accepts nothing).
+#[derive(Debug, Default)]
+pub(super) struct LeafEval {
+    pub(super) field: LeafField,
+    m2l: Vec<usize>,
 }
 
 impl LocBufs {
@@ -604,7 +633,9 @@ impl GravitySolver {
             Multipole::zero([0.0; 3]),
             |s, mps| {
                 let mp = match plan.kinds[s] {
-                    SlotKind::Leaf(li) => Multipole::from_soa(&sources[&plan.leaves[li]].points),
+                    SlotKind::Leaf(li) => {
+                        Multipole::from_soa(sources[&plan.leaves[li]].points.view())
+                    }
                     SlotKind::Interior(kids) => {
                         // Fixed-size gather: no per-slot heap allocation
                         // inside the kernel body (the zero-alloc steady
@@ -692,28 +723,55 @@ impl GravitySolver {
         );
     }
 
-    /// Phase 3b: evaluate the local expansions at the owned leaves' cell
-    /// centers and add the P2P near field — one disjoint output slot per
-    /// leaf, no locks.  `near[li]` is leaf `li`'s point set as this
-    /// locality sees it (its own sources, or the received halo copy);
-    /// indexing leaves, not `NodeId` hashes, keeps the inner loop dense.
+    /// Phase 3b on locality `loc`: its owned leaves' fields — far field
+    /// from the local expansions, near field tile by tile — one disjoint
+    /// output slot per leaf, no locks.  `points[li]` is leaf `li`'s input
+    /// point set; the locality reads its own leaves there and every other
+    /// from the halo copy it received.
+    ///
+    /// First [`TileSet::rebuild`] turns the visible leaves into tiles (one
+    /// launch).  Then, per target tile: every tile of every near leaf is
+    /// classified by the plan's acceptance test on tile geometry, the
+    /// leaf's local expansion is L2L-shifted to the tile center, the
+    /// accepted tiles are added by the width-generic M2L kernel in
+    /// ascending (leaf, tile) order, the expansion is evaluated at the
+    /// tile's cells, and the rejected tiles are added by P2P, also
+    /// ascending.  A single-tile leaf skips the shift and has nothing
+    /// accepted: its field is the leaf expansion plus P2P over its near
+    /// leaves in plan order.
     pub(super) fn evaluate_leaves(
         &self,
         plan: &GravityPlan,
-        owned: &[usize],
-        near: &[&PointMasses],
-        locals: &[LocalExpansion],
-        fields: &mut Vec<LeafField>,
+        dist: &DistPlan,
+        loc: usize,
+        points: &[&PointMasses],
+        bufs: &mut LocBufs,
         space: &ExecSpace,
     ) {
-        fields.clear();
-        fields.resize_with(owned.len(), LeafField::default);
-        let policy = RangePolicy::new(0, owned.len())
-            .with_chunk(ChunkSpec::tasks_or_auto(self.opts.tasks_per_p2p_kernel));
-        parallel_for_mut(space, policy, fields, |i, out| {
+        let LocBufs {
+            halo_points,
+            tiles,
+            locals,
+            evals,
+            ..
+        } = bufs;
+        let owned = &dist.owned_leaves[loc][..];
+        let near: Vec<&PointMasses> = (0..points.len())
+            .map(|li| match dist.leaf_owner[li] == loc {
+                true => points[li],
+                false => &halo_points[li],
+            })
+            .collect();
+        let near = &near[..];
+        let tasks = self.opts.tasks_per_p2p_kernel;
+        tiles.rebuild(plan, owned, near, tasks, space);
+        let tiles = &*tiles;
+        // Not cleared: a slot's index list keeps its capacity.
+        evals.resize_with(owned.len(), LeafEval::default);
+        let policy = RangePolicy::new(0, owned.len()).with_chunk(ChunkSpec::tasks_or_auto(tasks));
+        parallel_for_mut(space, policy, evals, |i, out| {
             let li = owned[i];
-            let pts = near[li];
-            let ncells = pts.len();
+            let ncells = near[li].len();
             let mut field = LeafField {
                 phi: self.scratch.checkout(ncells),
                 gx: self.scratch.checkout(ncells),
@@ -721,26 +779,67 @@ impl GravitySolver {
                 gz: self.scratch.checkout(ncells),
             };
             let slot = plan.leaf_slots[li];
-            let center = plan.centers[slot];
-            let local = &locals[slot];
-            let p2p_srcs = plan.p2p_sources_of(li);
-            for c in 0..ncells {
-                let x = [pts.xs[c], pts.ys[c], pts.zs[c]];
-                let off = [x[0] - center[0], x[1] - center[1], x[2] - center[2]];
-                let (mut phi, mut g) = local.evaluate(off);
-                for &src_leaf in p2p_srcs {
-                    let (p, gg) = p2p_at(near[src_leaf], x, self.opts.vector_mode);
-                    phi += p;
-                    for a in 0..3 {
-                        g[a] += gg[a];
+            let leaf_center = plan.centers[slot];
+            for tile in tiles.tiles_of(li) {
+                out.m2l.clear();
+                tiles.for_each_near(plan, li, tile, |src, accepted| {
+                    if accepted {
+                        out.m2l.push(src);
                     }
+                });
+                let center = tiles.center(tile);
+                let mut local = match tiles.is_single(li) {
+                    true => locals[slot].clone(),
+                    false => locals[slot].shifted([
+                        center[0] - leaf_center[0],
+                        center[1] - leaf_center[1],
+                        center[2] - leaf_center[2],
+                    ]),
+                };
+                if !out.m2l.is_empty() {
+                    m2l_accumulate(
+                        tiles.soa(),
+                        &out.m2l,
+                        center,
+                        self.opts.use_octupole,
+                        self.opts.vector_mode,
+                        &mut local,
+                    );
                 }
-                field.phi[c] = phi;
-                field.gx[c] = g[0];
-                field.gy[c] = g[1];
-                field.gz[c] = g[2];
+                let (pts, cells) = (tiles.points(tile, near), tiles.cells(tile));
+                for q in 0..pts.len() {
+                    let off = [
+                        pts.xs[q] - center[0],
+                        pts.ys[q] - center[1],
+                        pts.zs[q] - center[2],
+                    ];
+                    let (phi, g) = local.evaluate(off);
+                    let c = cells.index(q);
+                    field.phi[c] = phi;
+                    field.gx[c] = g[0];
+                    field.gy[c] = g[1];
+                    field.gz[c] = g[2];
+                }
+                // Source tile outermost: its 64 points stay in L1 across
+                // the target tile's cells.  Each cell still adds its
+                // sources in ascending order.
+                tiles.for_each_near(plan, li, tile, |src, accepted| {
+                    if accepted {
+                        return;
+                    }
+                    let src_pts = tiles.points(src, near);
+                    for q in 0..pts.len() {
+                        let x = [pts.xs[q], pts.ys[q], pts.zs[q]];
+                        let (p, g) = p2p_at_ref(src_pts, x, self.opts.vector_mode);
+                        let c = cells.index(q);
+                        field.phi[c] += p;
+                        field.gx[c] += g[0];
+                        field.gy[c] += g[1];
+                        field.gz[c] += g[2];
+                    }
+                });
             }
-            *out = field;
+            out.field = field;
         });
     }
 }
@@ -885,12 +984,21 @@ mod tests {
         let mut refined = Tree::new_uniform(1);
         refined.refine_balanced(NodeId::from_coords(1, [0, 0, 0]));
         refined.refine_balanced(NodeId::from_coords(2, [0, 0, 0]));
+        // The n = 8 row runs the tiled near field (8 tiles a leaf, on the
+        // smallest tree that shards: a debug-build P2P interaction costs
+        // ~0.4 µs); its reference is the one-locality Serial solve instead
+        // of a pin.
         let rt = hpx_rt::Runtime::new(2);
-        for (tree, pinned) in [
-            (Tree::new_uniform(2), 0x1937_0ed4_0693_9656u64),
-            (refined, 0xb809_17e2_d5b6_4589u64),
+        for (tree, n, pinned) in [
+            (Tree::new_uniform(2), 3, Some(0x1937_0ed4_0693_9656u64)),
+            (refined, 3, Some(0xb809_17e2_d5b6_4589u64)),
+            (Tree::new_uniform(1), 8, None),
         ] {
-            let sources = Arc::new(make_sources(&tree, 3));
+            let sources = Arc::new(make_sources(&tree, n));
+            let pinned = pinned.unwrap_or_else(|| {
+                let serial = GravitySolver::default().solve(&tree, &sources, &ExecSpace::Serial);
+                field_hash(&tree, &serial.0)
+            });
             for mode in [VectorMode::Scalar, VectorMode::Sve512] {
                 let mut opts = GravityOptions::default();
                 opts.vector_mode = mode;
@@ -919,26 +1027,32 @@ mod tests {
         // performance-only at every locality count: per-target summation
         // order is fixed by the plan's CSR lists and every launch writes
         // disjoint per-index outputs, so splitting is bitwise neutral.
-        let tree = Tree::new_uniform(2);
-        let sources = Arc::new(make_sources(&tree, 3));
-        let reference = field_hash(
-            &tree,
-            &GravitySolver::default()
-                .solve(&tree, &sources, &ExecSpace::Serial)
-                .0,
-        );
-        for nloc in [1, 2, 4] {
-            for (multipole, p2p, slot) in [(16, 0, 0), (1, 3, 5), (16, 8, 16)] {
-                let mut opts = GravityOptions::default();
-                opts.tasks_per_multipole_kernel = multipole;
-                opts.tasks_per_p2p_kernel = p2p;
-                opts.tasks_per_slot_kernel = slot;
-                let fields = solve_on_localities(&GravitySolver::new(opts), &tree, &sources, nloc);
-                assert_eq!(
-                    field_hash(&tree, &fields),
-                    reference,
-                    "nloc={nloc}, tasks m2l/p2p/slot = {multipole}/{p2p}/{slot}"
-                );
+        // The n = 8 row splits the tile launch and the tiled evaluation.
+        for (tree, n, nlocs) in [
+            (Tree::new_uniform(2), 3, &[1, 2, 4][..]),
+            (Tree::new_uniform(1), 8, &[2][..]),
+        ] {
+            let sources = Arc::new(make_sources(&tree, n));
+            let reference = field_hash(
+                &tree,
+                &GravitySolver::default()
+                    .solve(&tree, &sources, &ExecSpace::Serial)
+                    .0,
+            );
+            for &nloc in nlocs {
+                for (multipole, p2p, slot) in [(16, 0, 0), (1, 3, 5), (16, 8, 16)] {
+                    let mut opts = GravityOptions::default();
+                    opts.tasks_per_multipole_kernel = multipole;
+                    opts.tasks_per_p2p_kernel = p2p;
+                    opts.tasks_per_slot_kernel = slot;
+                    let fields =
+                        solve_on_localities(&GravitySolver::new(opts), &tree, &sources, nloc);
+                    assert_eq!(
+                        field_hash(&tree, &fields),
+                        reference,
+                        "n={n}, nloc={nloc}, tasks m2l/p2p/slot = {multipole}/{p2p}/{slot}"
+                    );
+                }
             }
         }
     }
@@ -950,8 +1064,13 @@ mod tests {
         // agree to the last bit on uniform and adaptive trees.
         let mut adaptive = Tree::new_uniform(1);
         adaptive.refine_balanced(NodeId::from_coords(1, [0, 1, 0]));
-        for tree in [Tree::new_uniform(2), adaptive] {
-            let sources = make_sources(&tree, 3);
+        // The n = 8 row adds the tile M2L and the 64-source tile P2P.
+        for (tree, n) in [
+            (Tree::new_uniform(2), 3),
+            (adaptive, 3),
+            (Tree::new_uniform(1), 8),
+        ] {
+            let sources = make_sources(&tree, n);
             let mut opts = GravityOptions::default();
             opts.vector_mode = VectorMode::Scalar;
             let (f_scalar, s_scalar) =
@@ -968,6 +1087,99 @@ mod tests {
                     assert_eq!(fa.gy[c].to_bits(), fb.gy[c].to_bits());
                     assert_eq!(fa.gz[c].to_bits(), fb.gz[c].to_bits());
                 }
+            }
+        }
+    }
+
+    /// `tree` with every leaf refined once, holding the same cells as the
+    /// n = 8 `sources` at n = 4: child `(oi, oj, ok)` of a leaf takes the
+    /// leaf's cells `(4 oi + i, 4 oj + j, 4 ok + k)`.  Returns the fine
+    /// tree and sources, and for every coarse cell where it went.
+    #[allow(clippy::type_complexity)]
+    fn one_level_down(
+        tree: &Tree,
+        sources: &HashMap<NodeId, LeafSources>,
+    ) -> (
+        Tree,
+        HashMap<NodeId, LeafSources>,
+        HashMap<NodeId, Vec<(NodeId, usize)>>,
+    ) {
+        let mut fine = tree.clone();
+        let mut fine_sources = HashMap::new();
+        let mut went = HashMap::new();
+        for leaf in tree.leaves() {
+            fine.refine(leaf);
+            let (corner, size) = leaf.cube();
+            let p = &sources[&leaf].points;
+            let mut cells = vec![(leaf, 0); p.len()];
+            for o in octree::Octant::all() {
+                let child = leaf.child(o);
+                let (cc, _) = child.cube();
+                let oct: [usize; 3] =
+                    std::array::from_fn(|a| ((cc[a] - corner[a]) / (0.5 * size)).round() as usize);
+                let mut points = PointMasses::default();
+                for i in 0..4 {
+                    for j in 0..4 {
+                        for k in 0..4 {
+                            let c = ((4 * oct[0] + i) * 8 + 4 * oct[1] + j) * 8 + 4 * oct[2] + k;
+                            cells[c] = (child, points.len());
+                            points.push([p.xs[c], p.ys[c], p.zs[c]], p.ms[c]);
+                        }
+                    }
+                }
+                fine_sources.insert(child, LeafSources { points });
+            }
+            went.insert(leaf, cells);
+        }
+        assert!(fine.check_invariants().is_ok());
+        (fine, fine_sources, went)
+    }
+
+    #[test]
+    fn tiled_solve_matches_the_plain_solve_one_level_down() {
+        // The tile classifier continues the plan's traversal one level
+        // below the leaves, tile against tile.  Wherever the traversal of
+        // the one-level-finer tree also decides every pair the coarse plan
+        // left near at that granularity — it accepts nothing between a
+        // fine leaf and a coarser node — the two solves are the same sums
+        // up to association (and P2M-vs-M2M rounding in the moments).
+        // That holds on the level-1 tree at the default θ (no fine leaf is
+        // 2.6 coarse-leaf edges from a coarse leaf's center) and on its
+        // once-refined version for θ ≤ 1/3.  It does not on level 2 at
+        // θ = 0.5: there the finer tree takes a (child, leaf) pair at
+        // offset (2, 1, 1) by one M2L where the flat classifier takes
+        // eight, and the solves differ at truncation level (2e-4 in phi).
+        let mut refined = Tree::new_uniform(1);
+        refined.refine_balanced(NodeId::from_coords(1, [0, 0, 0]));
+        for (tree, theta) in [(Tree::new_uniform(1), 0.5), (refined, 0.3)] {
+            let sources = make_sources(&tree, 8);
+            let (fine, fine_sources, went) = one_level_down(&tree, &sources);
+            let mut opts = GravityOptions::default();
+            opts.theta = theta;
+            let solver = GravitySolver::new(opts);
+            let (tiled, _) = solver.solve(&tree, &sources, &ExecSpace::Serial);
+            let (plain, stats) = solver.solve(&fine, &fine_sources, &ExecSpace::Serial);
+            assert!(stats.m2l_interactions > 0, "the oracle has a far field");
+            let (mut diff, mut scale) = ([0.0f64; 2], [0.0f64; 2]);
+            for leaf in tree.leaves() {
+                let t = &tiled[&leaf];
+                for (c, &(child, fc)) in went[&leaf].iter().enumerate() {
+                    let f = &plain[&child];
+                    diff[0] = diff[0].max((t.phi[c] - f.phi[fc]).abs());
+                    scale[0] = scale[0].max(f.phi[fc].abs());
+                    for (tg, fg) in [(&t.gx, &f.gx), (&t.gy, &f.gy), (&t.gz, &f.gz)] {
+                        diff[1] = diff[1].max((tg[c] - fg[fc]).abs());
+                        scale[1] = scale[1].max(fg[fc].abs());
+                    }
+                }
+            }
+            assert!(diff[0] <= 1e-10 * scale[0], "phi: {diff:?} vs {scale:?}");
+            assert!(diff[1] <= 1e-10 * scale[1], "g: {diff:?} vs {scale:?}");
+            // Against direct summation at the default θ; the plain solve
+            // is within 1e-10 of this one, and θ = 0.3 only tightens it.
+            if theta == GravityOptions::default().theta {
+                let err = rel_g_error(&tree, &sources, &tiled);
+                assert!(err < 2e-3, "tiled FMM error too large: {err}");
             }
         }
     }

@@ -4,9 +4,63 @@
 //! actually reach steady state, where `scratch/misses` stops growing.
 
 use hpx_rt::SimCluster;
+use kokkos_rs::pool::ScratchArena;
+use kokkos_rs::ExecSpace;
+use octotiger::gravity::direct::PointMasses;
+use octotiger::gravity::{GravityOptions, GravitySolver, LeafSources};
 use octotiger::{
     ConservationLedger, Scenario, ScenarioKind, SimOptions, Simulation, StepStats, NF,
 };
+use octree::{NodeId, Tree};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::collections::HashMap;
+
+/// Counts the heap allocations of the *calling thread*, so a test can
+/// meter code it runs inline (`ExecSpace::Serial` launches) while the
+/// binary's other tests allocate on their own threads.
+struct CountingAlloc;
+
+thread_local! {
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note_alloc() {
+    // `try_with`: the allocator is still called while a thread tears its
+    // locals down.
+    let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter is a const-initialised `Cell` without
+// a destructor, so touching it never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_alloc();
+        // SAFETY: the caller's layout is passed through as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_alloc();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_alloc();
+        // SAFETY: `ptr` came from `System` with `layout`; `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 fn build(cluster: &SimCluster, pipeline: bool, recycle: bool) -> Simulation {
     let sc = Scenario::build(ScenarioKind::RotatingStar, cluster, 1, 0, 4);
@@ -117,4 +171,50 @@ fn pipelined_steady_state_misses_plateau() {
         "pools barely recycling: {hits_gained} hits vs {growth} misses after warm-up"
     );
     cluster.shutdown();
+}
+
+/// Unit point masses on every leaf's `n`³ cell lattice, i-major.
+fn lattice_sources(tree: &Tree, n: usize) -> HashMap<NodeId, LeafSources> {
+    let mut out = HashMap::new();
+    for leaf in tree.leaves() {
+        let (corner, size) = leaf.cube();
+        let h = size / n as f64;
+        let mut points = PointMasses::with_capacity(n * n * n);
+        for c in 0..n * n * n {
+            let at = [c / (n * n), c / n % n, c % n];
+            let x: [f64; 3] = std::array::from_fn(|a| {
+                (corner[a] + (at[a] as f64 + 0.5) * h - 0.5) * octotiger::units::BOX_SIZE
+            });
+            points.push(x, 1.0 + 0.1 * (c % 7) as f64);
+        }
+        out.insert(leaf, LeafSources { points });
+    }
+    out
+}
+
+#[test]
+fn tiled_gravity_solve_recycles_everything_after_warmup() {
+    // N = 8 turns every leaf into 8 tiles: a tile-major copy, tile
+    // multipoles and per-tile near-field lists on top of the N = 4 solve's
+    // buffers.  All of it must recycle: the second solve on the unchanged
+    // tree misses the scratch pool zero times, and allocates exactly what
+    // the single-tile solve of the same tree does — the per-solve result
+    // map and transport, nothing per launch, leaf or tile.  (`Serial`
+    // launches run inline, on the metered thread.)
+    let tree = Tree::new_uniform(1);
+    let steady_allocs = |n: usize| {
+        let arena = ScratchArena::new();
+        let solver = GravitySolver::with_scratch(GravityOptions::default(), arena.clone());
+        let sources = lattice_sources(&tree, n);
+        let warm = solver.solve(&tree, &sources, &ExecSpace::Serial);
+        drop(warm);
+        let misses = arena.stats().misses;
+        let before = THREAD_ALLOCS.with(Cell::get);
+        let second = solver.solve(&tree, &sources, &ExecSpace::Serial);
+        let allocs = THREAD_ALLOCS.with(Cell::get) - before;
+        assert_eq!(second.0.len(), tree.num_leaves());
+        assert_eq!(arena.stats().misses, misses, "N={n}: second solve missed");
+        allocs
+    };
+    assert_eq!(steady_allocs(8), steady_allocs(4));
 }

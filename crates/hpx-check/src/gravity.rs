@@ -15,13 +15,20 @@
 //!    until the deeper level's outputs (whose slots it reads) have been
 //!    scattered and shipped.
 //!
+//! The evaluation phase adds a third: the solver turns every leaf a
+//! locality sees into 4³-cell tiles in one launch of its own (per-leaf
+//! disjoint writes), after the P2P halo delivered the remote leaves'
+//! points and *joined* before the evaluation launch reads the tiles of
+//! every near leaf.
+//!
 //! [`race_model_gravity_plan`] replays that launch sequence over a *real*
 //! [`GravityPlan`] sharded by a real [`DistPlan`] through the
 //! [`RaceDetector`] shadow state: per locality one multipole and one
-//! local-expansion view per slot, one view per dense output element and
-//! per leaf field — with exactly the happens-before edges the scoped joins
-//! and the lockstep exchanges provide.  The planted bugs remove one
-//! ingredient each and must surface as the corresponding race class.
+//! local-expansion view per slot, one view per dense output element, per
+//! received halo leaf, per leaf's tiles and per leaf field — with exactly
+//! the happens-before edges the scoped joins and the lockstep exchanges
+//! provide.  The planted bugs remove one ingredient each and must surface
+//! as the corresponding race class.
 
 use kokkos_rs::{LaunchToken, RaceDetector, RaceReport, RangePolicy, View, ViewAccess};
 use octotiger::gravity::plan::{GravityPlan, SlotKind};
@@ -49,6 +56,10 @@ pub enum GravityRaceBug {
     /// one slot-table kernel then share a lane block, and their full-width
     /// vector stores collide (write-write race on the shared block).
     SplitsVectorLane,
+    /// The evaluation launch drops its dependency on the tile launch, so a
+    /// leaf's near field reads tile copies and tile multipoles that are
+    /// still being written (write-read race).
+    SkipTileJoin,
 }
 
 /// Carve an owned list of `len` indices into at most `chunks` tasks the way
@@ -219,7 +230,8 @@ fn ship(
 /// per level and locality the chunked upward launch (P2M/M2M) with its
 /// scatter and the `multipole-up` parcels, the M2L halo and the chunked
 /// M2L launch, the `multipole-down` parcels and the chunked downward
-/// gather (L2L), and the per-leaf evaluation — with the happens-before
+/// gather (L2L), the `p2p` halo parcels, the chunked tile launch and the
+/// per-leaf evaluation reading its tiles — with the happens-before
 /// edges the scoped joins and lockstep exchanges provide (minus whatever
 /// `bug` drops).  `dist` must shard `plan`; one locality replays the local
 /// solve.
@@ -274,8 +286,58 @@ pub fn race_model_gravity_plan(
         r.launch_slots(Pass::Downward, level)?;
     }
 
-    // ---- Evaluation: disjoint per-leaf field writes (the P2P halo only
-    // moves source points, which no launch writes). -----------------------
+    // ---- P2P halo: the owners' source points (which no launch writes)
+    // land in the receivers' halo slots, and join the front. --------------
+    let nleaves = plan.leaves.len();
+    let points = table("points", nleaves);
+    let halo = table("halo", nleaves);
+    let mut parcels = Vec::new();
+    for ex in &dist.p2p_halo {
+        let mut accesses: Vec<ViewAccess> = Vec::new();
+        for &li in &ex.slots {
+            accesses.push(ViewAccess::read(&points[ex.from][li]));
+            accesses.push(ViewAccess::write(&halo[ex.to][li]));
+        }
+        let site = format!("p2p-halo({} -> {})", ex.from, ex.to);
+        parcels.push(r.det.launch(&site, &r.front, &accesses)?);
+    }
+    r.front.extend(parcels);
+
+    // ---- Tile launch: one index per leaf, each visible leaf's points
+    // (its own, or the halo copy) into that leaf's own tile slot. ----------
+    let tiles = table("tiles", nleaves);
+    let seen = |loc: usize, li: usize| match dist.leaf_owner[li] == loc {
+        true => &points[loc][li],
+        false => &halo[loc][li],
+    };
+    let mut tiled = r.front.clone();
+    for loc in 0..nloc {
+        let mut visible = vec![false; nleaves];
+        for &li in &dist.owned_leaves[loc] {
+            for &src in plan.p2p_sources_of(li) {
+                visible[src] = true;
+            }
+        }
+        for (ci, &(lo, hi)) in RangePolicy::new(0, nleaves)
+            .split(chunks)
+            .iter()
+            .enumerate()
+        {
+            let mut accesses: Vec<ViewAccess> = Vec::new();
+            for li in (lo..hi).filter(|&li| visible[li]) {
+                accesses.push(ViewAccess::read(seen(loc, li)));
+                accesses.push(ViewAccess::write(&tiles[loc][li]));
+            }
+            let site = format!("tiles(loc {loc}, chunk {ci})");
+            tiled.push(r.det.launch(&site, &r.front, &accesses)?);
+        }
+    }
+    if bug != GravityRaceBug::SkipTileJoin {
+        r.front = tiled;
+    }
+
+    // ---- Evaluation: each owned leaf reads its local expansion and the
+    // tiles of every near leaf; disjoint per-leaf field writes. -----------
     for loc in 0..nloc {
         let owned = &dist.owned_leaves[loc];
         for (ci, &(lo, hi)) in RangePolicy::new(0, owned.len())
@@ -283,15 +345,16 @@ pub fn race_model_gravity_plan(
             .iter()
             .enumerate()
         {
-            let mut accesses: Vec<ViewAccess> = owned[lo..hi]
-                .iter()
-                .map(|&li| ViewAccess::read(&r.local[loc][plan.leaf_slots[li]]))
-                .collect();
-            accesses.extend(
-                owned[lo..hi]
-                    .iter()
-                    .map(|&li| ViewAccess::write(&fields[loc][li])),
-            );
+            let mut accesses: Vec<ViewAccess> = Vec::new();
+            for &li in &owned[lo..hi] {
+                accesses.push(ViewAccess::read(&r.local[loc][plan.leaf_slots[li]]));
+                accesses.extend(
+                    plan.p2p_sources_of(li)
+                        .iter()
+                        .map(|&src| ViewAccess::read(&tiles[loc][src])),
+                );
+                accesses.push(ViewAccess::write(&fields[loc][li]));
+            }
             r.det.launch(
                 &format!("evaluate(loc {loc}, chunk {ci})"),
                 &r.front,
@@ -302,7 +365,7 @@ pub fn race_model_gravity_plan(
 
     Ok(RaceModelSummary {
         launches: r.det.launches(),
-        views: nloc * (4 * plan.num_nodes + plan.leaves.len()),
+        views: nloc * (4 * plan.num_nodes + 4 * nleaves),
     })
 }
 
@@ -397,6 +460,21 @@ mod tests {
                     assert_eq!(prev_end, owned.len());
                 }
             }
+        }
+    }
+
+    #[test]
+    fn skipping_the_tile_join_is_a_read_write_race() {
+        for nloc in [1, 4] {
+            let (plan, dist) = uniform(nloc);
+            let report = race_model_gravity_plan(&plan, &dist, 4, GravityRaceBug::SkipTileJoin)
+                .expect_err("must race");
+            // Prior access is the tile launch's write, current is the
+            // evaluation's read of a near leaf's tiles.
+            assert_eq!(report.conflict, "write-read");
+            assert!(report.prior_site.starts_with("tiles("), "{report}");
+            assert!(report.site.starts_with("evaluate("), "{report}");
+            assert!(report.view_label.starts_with("tiles("), "{report}");
         }
     }
 
