@@ -19,7 +19,6 @@ fn exchange_paths(c: &mut Criterion) {
                 &cluster,
                 GhostConfig {
                     direct_local_access: true,
-                    notify_with_channels: false,
                 },
             ));
         })
@@ -30,18 +29,6 @@ fn exchange_paths(c: &mut Criterion) {
                 &cluster,
                 GhostConfig {
                     direct_local_access: false,
-                    notify_with_channels: false,
-                },
-            ));
-        })
-    });
-    group.bench_function("direct_with_channel_notify", |bench| {
-        bench.iter(|| {
-            black_box(grid.exchange_ghosts(
-                &cluster,
-                GhostConfig {
-                    direct_local_access: true,
-                    notify_with_channels: true,
                 },
             ));
         })
@@ -60,7 +47,6 @@ fn exchange_paths(c: &mut Criterion) {
                 &cluster,
                 GhostConfig {
                     direct_local_access: true,
-                    notify_with_channels: false,
                 },
                 &ready,
             );

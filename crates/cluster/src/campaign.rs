@@ -3,7 +3,7 @@
 
 use crate::calibrate::KernelCosts;
 use crate::des::{simulate_step, StepResult};
-use crate::machine::{Machine, MachineId};
+use crate::machine::Machine;
 use crate::power::PowerModel;
 use crate::workload::{RunOptions, Workload};
 use serde::{Deserialize, Serialize};
@@ -74,14 +74,10 @@ pub fn power_for(
     power.total_watts(machine, nodes, r.parallel_efficiency, opts.sve)
 }
 
-/// The Figure 4 machine line-up for the v1309 comparison.
-pub fn figure4_machines() -> Vec<MachineId> {
-    vec![MachineId::Summit, MachineId::PizDaint, MachineId::Fugaku]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::MachineId;
 
     #[test]
     fn pow2_ranges() {

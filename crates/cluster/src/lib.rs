@@ -45,6 +45,6 @@ pub use des::{simulate_step, StepResult};
 pub use fault::{FaultModel, FaultOutcome};
 pub use machine::{Machine, MachineId, ALL_MACHINES};
 pub use network::Interconnect;
-pub use paper::{table2_comparisons, table2_geometric_mean_ratio, TABLE2_PAPER};
+pub use paper::{table2_comparisons, TABLE2_PAPER};
 pub use power::PowerModel;
 pub use workload::{RunOptions, Workload};

@@ -61,39 +61,6 @@ pub fn table2_comparisons() -> Vec<Table2Comparison> {
         .collect()
 }
 
-/// Geometric-mean model/paper ratio over all Table II entries — the
-/// single-number calibration score reported in EXPERIMENTS.md.
-pub fn table2_geometric_mean_ratio() -> f64 {
-    let comps = table2_comparisons();
-    let log_sum: f64 = comps.iter().map(|c| c.ratio().ln()).sum();
-    (log_sum / comps.len() as f64).exp()
-}
-
-/// The paper's qualitative per-figure claims as short strings, used by the
-/// bench reports (one place to keep the wording honest).
-pub const PAPER_CLAIMS: [(&str, &str); 8] = [
-    ("fig3", "boost mode resulted in a marginal performance improvement"),
-    ("fig4", "Summit best; Piz Daint second; Fugaku close to Piz Daint"),
-    (
-        "fig5",
-        "not using the GPUs results in a drop of two orders of magnitude; Fugaku gets close to the CPU-only run",
-    ),
-    (
-        "fig6",
-        "level 5 scales to ~64 nodes, level 6 to ~512, level 7 through 1024",
-    ),
-    ("fig7", "speed-up between a factor of two and three from SVE"),
-    ("fig8", "benefit at 1-4 nodes, break-even at 8, slightly worse after"),
-    (
-        "fig9",
-        "one task per kernel sufficient at one node; 16 tasks noticeably faster at 128",
-    ),
-    (
-        "fig10",
-        "Ookami slightly better to 4 nodes, close at 8, much better beyond",
-    ),
-];
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,15 +89,6 @@ mod tests {
     }
 
     #[test]
-    fn geometric_mean_ratio_is_order_unity() {
-        let r = table2_geometric_mean_ratio();
-        assert!(
-            (0.5..2.5).contains(&r),
-            "power model systematically off: geo-mean ratio {r}"
-        );
-    }
-
-    #[test]
     fn per_node_watts_always_physical() {
         for c in table2_comparisons() {
             let per_node = c.model_watts / c.nodes as f64;
@@ -138,16 +96,6 @@ mod tests {
                 (40.0..150.0).contains(&per_node),
                 "unphysical node power {per_node} W"
             );
-        }
-    }
-
-    #[test]
-    fn claims_cover_all_figures() {
-        let ids: Vec<&str> = PAPER_CLAIMS.iter().map(|(id, _)| *id).collect();
-        for fig in [
-            "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
-        ] {
-            assert!(ids.contains(&fig), "missing claim for {fig}");
         }
     }
 }

@@ -63,19 +63,12 @@ impl ConservationLedger {
     }
 
     /// Relative drift of mass against a reference ledger.
-    pub fn mass_drift(&self, reference: &ConservationLedger) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn mass_drift(&self, reference: &ConservationLedger) -> f64 {
         if reference.mass == 0.0 {
             return 0.0;
         }
         ((self.mass - reference.mass) / reference.mass).abs()
-    }
-
-    /// Relative drift of gas energy.
-    pub fn energy_drift(&self, reference: &ConservationLedger) -> f64 {
-        if reference.gas_energy == 0.0 {
-            return 0.0;
-        }
-        ((self.gas_energy - reference.gas_energy) / reference.gas_energy).abs()
     }
 
     /// Relative drift of z angular momentum (normalized by a scale; the
@@ -179,7 +172,6 @@ mod tests {
             ..Default::default()
         };
         assert!((b.mass_drift(&a) - 0.01).abs() < 1e-12);
-        assert_eq!(b.energy_drift(&a), 0.0);
         assert!((b.angular_momentum_drift(&a, 0.5) - 0.2).abs() < 1e-12);
     }
 }

@@ -212,10 +212,10 @@ pub struct StepStats {
     /// or `cache_gravity_plan = false` — and when gravity is off).
     pub gravity_plan_hit: bool,
     /// Leaves refined by this step's cadence-driven regrid pass (0 when no
-    /// regrid ran; also exported as `/octotiger/regrid/refined`).
+    /// regrid ran; the run's total is `/octotiger/regrid/refined`).
     pub regrid_refined: u64,
-    /// Octets coarsened by this step's cadence-driven regrid pass (also
-    /// exported as `/octotiger/regrid/derefined`).
+    /// Octets coarsened by this step's cadence-driven regrid pass (the
+    /// run's total is `/octotiger/regrid/derefined`).
     pub regrid_derefined: u64,
     /// Whether this step's gravity plans were *patched* subtree-locally
     /// from the regrid delta instead of rebuilt from scratch (the
@@ -408,6 +408,9 @@ pub struct Simulation {
     /// Leaves grouped per hydro task in [`Simulation::for_each_leaf`]
     /// (tuner-controlled; 1 = the default one-task-per-leaf launch).
     hydro_leaves_per_task: usize,
+    /// Leaves refined / octets coarsened by every [`Simulation::regrid`]
+    /// pass of this run (`/octotiger/regrid/{refined,derefined}`).
+    regrid_totals: RegridOutcome,
 }
 
 impl Simulation {
@@ -434,6 +437,7 @@ impl Simulation {
             gravity_solver,
             tuner,
             hydro_leaves_per_task: 1,
+            regrid_totals: RegridOutcome::default(),
         }
     }
 
@@ -468,11 +472,63 @@ impl Simulation {
         tuner
     }
 
-    /// Per-run (plan-hit, plan-rebuild) counts of the persistent gravity
-    /// solver — the per-`Simulation` view of the global
-    /// `/octotiger/gravity/plan-{hits,rebuilds}` counters.
+    /// This run's (plan-hit, plan-rebuild) counts of the persistent gravity
+    /// solver (`/octotiger/gravity/plan-{hits,rebuilds}`).
     pub fn gravity_plan_counters(&self) -> (u64, u64) {
         self.gravity_solver.plan_counters()
+    }
+
+    /// Every named counter of this run, HPX-style, read from the object
+    /// that counts it: the `/octotiger/{scratch,gravity,regrid,tuner}/...`
+    /// names from this simulation's own pools, solver, regrid passes and
+    /// tuner (zeros without [`SimOptions::autotune`]), then the
+    /// process-wide `/octotiger/parcels/...` block and `cluster`'s
+    /// per-locality `/threads|/lcos|/parcels{locality#i}/...` names.
+    /// Narrow the listing with [`hpx_rt::counters::select`]
+    /// (`"/octotiger/gravity/*"`).
+    pub fn counters(&self, cluster: &SimCluster) -> Vec<(String, u64)> {
+        let (hits, misses, bytes_in_use, high_water) = self.scratch_telemetry();
+        let solver = &self.gravity_solver;
+        let (plan_hits, plan_rebuilds) = solver.plan_counters();
+        let (dist_hits, dist_rebuilds) = solver.dist_plan_counters();
+        let (patches, dist_patches) = solver.plan_patch_counters();
+        let tuner = self
+            .tuner
+            .as_ref()
+            .map(hpx_rt::Tuner::snapshot)
+            .unwrap_or_default();
+        let own = [
+            ("/octotiger/scratch/hits", hits),
+            ("/octotiger/scratch/misses", misses),
+            ("/octotiger/scratch/bytes-in-use", bytes_in_use),
+            ("/octotiger/scratch/high-water", high_water),
+            ("/octotiger/gravity/plan-hits", plan_hits),
+            ("/octotiger/gravity/plan-rebuilds", plan_rebuilds),
+            ("/octotiger/gravity/dist-plan-hits", dist_hits),
+            ("/octotiger/gravity/dist-plan-rebuilds", dist_rebuilds),
+            (
+                "/octotiger/regrid/refined",
+                self.regrid_totals.refined as u64,
+            ),
+            (
+                "/octotiger/regrid/derefined",
+                self.regrid_totals.derefined as u64,
+            ),
+            ("/octotiger/regrid/plan-patched", patches + dist_patches),
+            ("/octotiger/regrid/plan-rebuilt", solver.topology_rebuilds()),
+            ("/octotiger/tuner/probes", tuner.probes),
+            ("/octotiger/tuner/moves", tuner.moves),
+            ("/octotiger/tuner/frozen", tuner.frozen),
+            (
+                "/octotiger/tuner/regressions-rejected",
+                tuner.regressions_rejected,
+            ),
+        ];
+        own.into_iter()
+            .chain(hpx_rt::parcel_counters().snapshot().entries())
+            .map(|(name, value)| (name.to_owned(), value))
+            .chain(cluster.counters())
+            .collect()
     }
 
     /// Handle to the simulation's scratch arena (kernel + gravity buffers;
@@ -1113,8 +1169,8 @@ impl Simulation {
                 }
             }
         }
-        hpx_rt::regrid_counters().note_refined(outcome.refined as u64);
-        hpx_rt::regrid_counters().note_derefined(outcome.derefined as u64);
+        self.regrid_totals.refined += outcome.refined;
+        self.regrid_totals.derefined += outcome.derefined;
         // Drain the episode's delta once: the ghost-payload demand cache is
         // patched inside `take_regrid_delta`, the workspaces here, and the
         // solver's plan caches on its next plan miss.
@@ -1333,7 +1389,6 @@ mod tests {
         opts.omega = sc.omega;
         opts.regrid_cadence = Some(1);
         let mut sim = Simulation::new(sc.grid, opts);
-        let snap = hpx_rt::regrid_counters().snapshot();
         // Step 0 never regrids (there is nothing mid-run about it yet).
         let s0 = sim.step(&cluster);
         assert_eq!(s0.regrid_refined, 0);
@@ -1349,13 +1404,17 @@ mod tests {
             "post-regrid solve must patch the plan, not rebuild it"
         );
         assert!(s1.dt > 0.0);
-        let (patches, _) = sim.gravity_solver.plan_patch_counters();
-        assert!(patches >= 1);
-        // The global counters are shared with concurrently running tests,
-        // so only lower-bound them.
-        let d = hpx_rt::regrid_counters().snapshot().since(&snap);
-        assert!(d.refined >= s1.regrid_refined);
-        assert!(d.plan_patched >= 1);
+        // One locality: exactly the interaction plan was patched, once,
+        // and nothing was rebuilt beyond step 0's first build.
+        assert_eq!(sim.gravity_solver.plan_patch_counters(), (1, 0));
+        let regrid = hpx_rt::counters::select(&sim.counters(&cluster), "/octotiger/regrid/*");
+        let expect = [
+            ("/octotiger/regrid/refined", s1.regrid_refined),
+            ("/octotiger/regrid/derefined", 0),
+            ("/octotiger/regrid/plan-patched", 1),
+            ("/octotiger/regrid/plan-rebuilt", 0),
+        ];
+        assert_eq!(regrid, expect.map(|(n, v)| (n.to_owned(), v)));
         cluster.shutdown();
     }
 
@@ -1403,11 +1462,9 @@ mod tests {
         let mut sim_b = small_sim(&cluster_b, false);
         sim_a.opts.ghost = GhostConfig {
             direct_local_access: true,
-            notify_with_channels: false,
         };
         sim_b.opts.ghost = GhostConfig {
             direct_local_access: false,
-            notify_with_channels: false,
         };
         let sa = sim_a.step(&cluster_a);
         let sb = sim_b.step(&cluster_b);

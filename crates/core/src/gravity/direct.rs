@@ -220,17 +220,6 @@ pub fn direct_field(
     (phis, gs)
 }
 
-/// Total gravitational potential energy `½ Σ m φ` of a self-interacting
-/// system (used by the conservation ledger).
-pub fn potential_energy(points: &PointMasses, mode: VectorMode) -> f64 {
-    let mut e = 0.0;
-    for t in 0..points.len() {
-        let (phi, _) = p2p_at(points, [points.xs[t], points.ys[t], points.zs[t]], mode);
-        e += 0.5 * points.ms[t] * phi;
-    }
-    e
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,15 +277,6 @@ mod tests {
         for k in 0..3 {
             assert!((2.0 * g_ab[k] + 5.0 * g_ba[k]).abs() < 1e-13);
         }
-    }
-
-    #[test]
-    fn potential_energy_of_pair() {
-        let mut pts = PointMasses::default();
-        pts.push([0.0, 0.0, 0.0], 1.0);
-        pts.push([2.0, 0.0, 0.0], 4.0);
-        let e = potential_energy(&pts, VectorMode::Sve512);
-        assert!((e + G * 4.0 / 2.0).abs() < 1e-13);
     }
 
     #[test]

@@ -169,6 +169,9 @@ struct PlanCache {
     dist_ledger: Mutex<Option<DistLedger>>,
     patches: AtomicU64,
     dist_patches: AtomicU64,
+    /// Cached plans (interaction or halo) rebuilt wholesale because the
+    /// topology changed under them — the regrids patching did not absorb.
+    topology_rebuilds: AtomicU64,
 }
 
 /// The FMM solver.
@@ -259,7 +262,6 @@ impl GravitySolver {
             if plan.is_valid_for(tree, self.opts.theta) {
                 self.cache.hits.fetch_add(1, Ordering::Relaxed);
                 self.cache.last_hit.store(true, Ordering::Relaxed);
-                hpx_rt::gravity_plan_counters().note_hit();
                 return plan.clone();
             }
         }
@@ -283,7 +285,6 @@ impl GravitySolver {
                     *self.cache.last_patch.lock() = Some((old, Arc::new(report)));
                     self.cache.patches.fetch_add(1, Ordering::Relaxed);
                     self.cache.last_hit.store(false, Ordering::Relaxed);
-                    hpx_rt::regrid_counters().note_plan_patched();
                     *guard = Some(plan.clone());
                     return plan;
                 }
@@ -300,11 +301,10 @@ impl GravitySolver {
         );
         self.cache.rebuilds.fetch_add(1, Ordering::Relaxed);
         self.cache.last_hit.store(false, Ordering::Relaxed);
-        hpx_rt::gravity_plan_counters().note_rebuild();
         if had_old {
             // A topology change rebuilt the plan wholesale (no spanning
             // delta was deposited, or patching was refused).
-            hpx_rt::regrid_counters().note_plan_rebuilt();
+            self.cache.topology_rebuilds.fetch_add(1, Ordering::Relaxed);
         }
         *guard = Some(plan.clone());
         plan
@@ -324,8 +324,7 @@ impl GravitySolver {
         self.cache.last_hit.load(Ordering::Relaxed)
     }
 
-    /// Per-solver (plan-hit, plan-rebuild) counts — exact even when other
-    /// solvers in the process bump the global counters concurrently.
+    /// This solver's (plan-hit, plan-rebuild) counts.
     pub fn plan_counters(&self) -> (u64, u64) {
         (
             self.cache.hits.load(Ordering::Relaxed),
@@ -398,7 +397,6 @@ impl GravitySolver {
                 let dist = Arc::new(dist);
                 *self.cache.dist_ledger.lock() = Some(ledger);
                 self.cache.dist_patches.fetch_add(1, Ordering::Relaxed);
-                hpx_rt::regrid_counters().note_plan_patched();
                 *guard = Some(dist.clone());
                 return dist;
             }
@@ -417,7 +415,7 @@ impl GravitySolver {
         );
         self.cache.dist_rebuilds.fetch_add(1, Ordering::Relaxed);
         if had_old {
-            hpx_rt::regrid_counters().note_plan_rebuilt();
+            self.cache.topology_rebuilds.fetch_add(1, Ordering::Relaxed);
         }
         *self.cache.dist_ledger.lock() = Some(ledger);
         *guard = Some(dist.clone());
@@ -439,6 +437,12 @@ impl GravitySolver {
             self.cache.patches.load(Ordering::Relaxed),
             self.cache.dist_patches.load(Ordering::Relaxed),
         )
+    }
+
+    /// Cached plans (interaction and halo) this solver rebuilt wholesale
+    /// because a topology change invalidated them.
+    pub(crate) fn topology_rebuilds(&self) -> u64 {
+        self.cache.topology_rebuilds.load(Ordering::Relaxed)
     }
 
     /// The trivial one-locality [`DistPlan`] of `plan` — locality 0 owns

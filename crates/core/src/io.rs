@@ -7,7 +7,6 @@
 //! ghosted field blocks per leaf.  Round-tripping a simulation through a
 //! checkpoint is covered by integration tests.
 
-use crate::state::NF;
 use octree::{DistGrid, NodeId, Octant, Tree};
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -199,39 +198,10 @@ pub fn save(path: &Path, grid: &DistGrid, time: f64, step: u64) -> io::Result<()
     write_checkpoint(path, &Checkpoint::capture(grid, time, step))
 }
 
-/// Export a human-readable summary (leaf table) for quick inspection,
-/// analogous to Silo's `browser` tool output.
-pub fn write_summary(path: &Path, ckpt: &Checkpoint) -> io::Result<()> {
-    let mut w = BufWriter::new(File::create(path)?);
-    writeln!(w, "# silo-lite checkpoint summary")?;
-    writeln!(
-        w,
-        "# n={} ghost={} nfields={} time={} step={} leaves={}",
-        ckpt.n,
-        ckpt.ghost,
-        ckpt.nfields,
-        ckpt.time,
-        ckpt.step,
-        ckpt.leaves.len()
-    )?;
-    writeln!(w, "# leaf level rho_sum")?;
-    let ext3 = (ckpt.n + 2 * ckpt.ghost).pow(3);
-    for (id, data) in &ckpt.leaves {
-        let rho_sum: f64 = data[..ext3].iter().sum();
-        writeln!(w, "{id} {} {rho_sum:.6e}", id.level())?;
-    }
-    w.flush()
-}
-
-/// Checkpoint field count sanity helper used by tests.
-pub fn expected_block_len(n: usize, ghost: usize) -> usize {
-    NF * (n + 2 * ghost).pow(3)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::field;
+    use crate::state::{field, NF};
     use hpx_rt::SimCluster;
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -297,28 +267,5 @@ mod tests {
         let err = read_checkpoint(&path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn summary_is_written() {
-        let cluster = SimCluster::new(1, 1);
-        let grid = DistGrid::new(Tree::new_uniform(0), 4, 2, NF, &cluster);
-        let ckpt = Checkpoint::capture(&grid, 0.25, 3);
-        let path = tmp("summary.txt");
-        write_summary(&path, &ckpt).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("silo-lite"));
-        assert!(text.contains("time=0.25"));
-        std::fs::remove_file(&path).ok();
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn expected_block_len_matches_capture() {
-        let cluster = SimCluster::new(1, 1);
-        let grid = DistGrid::new(Tree::new_uniform(0), 4, 2, NF, &cluster);
-        let ckpt = Checkpoint::capture(&grid, 0.0, 0);
-        assert_eq!(ckpt.leaves[0].1.len(), expected_block_len(4, 2));
-        cluster.shutdown();
     }
 }

@@ -103,11 +103,6 @@ impl LaneEmden {
         }
     }
 
-    /// Dimensionless density `θⁿ` at ξ.
-    pub fn density_ratio(&self, xi: f64) -> f64 {
-        self.theta_at(xi).powf(self.n)
-    }
-
     /// Ratio of central to mean density, `ρ_c/ρ̄ = ξ₁³ / (3 · mass_constant)`.
     pub fn central_to_mean_density(&self) -> f64 {
         self.xi1.powi(3) / (3.0 * self.mass_constant)

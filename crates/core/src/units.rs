@@ -22,39 +22,9 @@ pub const P_FLOOR: f64 = 1.0e-12;
 /// octree's unit cube `[0,1]³` maps to `[-BOX_SIZE/2, BOX_SIZE/2]³`.
 pub const BOX_SIZE: f64 = 2.0;
 
-/// Map a unit-cube coordinate to the physical (centered) coordinate.
-#[inline]
-pub fn to_physical(u: f64) -> f64 {
-    (u - 0.5) * BOX_SIZE
-}
-
-/// Map a physical coordinate back to the unit cube.
-#[inline]
-pub fn to_unit(x: f64) -> f64 {
-    x / BOX_SIZE + 0.5
-}
-
-/// Solar mass in code units for report formatting (1 code mass unit ≙ 1
-/// M☉ by convention in our scenario generators).
-pub const MSUN: f64 = 1.0;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn coordinate_roundtrip() {
-        for u in [0.0, 0.25, 0.5, 0.93, 1.0] {
-            assert!((to_unit(to_physical(u)) - u).abs() < 1e-15);
-        }
-    }
-
-    #[test]
-    fn center_maps_to_origin() {
-        assert_eq!(to_physical(0.5), 0.0);
-        assert_eq!(to_physical(0.0), -BOX_SIZE / 2.0);
-        assert_eq!(to_physical(1.0), BOX_SIZE / 2.0);
-    }
 
     #[test]
     #[allow(clippy::assertions_on_constants)]

@@ -119,23 +119,109 @@ fn regrid_invalidates_the_plan_exactly_once() {
     cluster.shutdown();
 }
 
+/// The `/octotiger/...` names `sim` itself owns: everything but the parcel
+/// block, the one family that is process-wide by design.
+fn own_counters(sim: &Simulation, cluster: &SimCluster) -> Vec<(String, u64)> {
+    let mut all = hpx_rt::counters::select(&sim.counters(cluster), "/octotiger/*");
+    all.retain(|(name, _)| !name.starts_with("/octotiger/parcels/"));
+    all
+}
+
 #[test]
-fn global_plan_counters_track_the_run() {
-    // The global `/octotiger/gravity/plan-*` counters aggregate every
-    // solver in the process (other tests run in parallel), so only delta
-    // and monotonicity claims are exact here.
-    let before = hpx_rt::gravity_plan_counters().snapshot();
-    let cluster = SimCluster::new(2, 2);
-    let mut sim = build(&cluster, false, true);
-    for _ in 0..3 {
-        sim.step(&cluster);
+fn counters_are_scoped_to_their_simulation() {
+    // Two simulations in one process, stepped interleaved: `a` runs three
+    // plain steps, `b` four steps sharded over two localities with a
+    // cadence regrid before its third.  Each `counters()` view must show
+    // exactly its own events, whatever else runs in this process.
+    let cluster_a = SimCluster::new(2, 2);
+    let cluster_b = SimCluster::new(2, 2);
+    let mut a = build(&cluster_a, false, true);
+    a.opts.localities = 1;
+    let sc = Scenario::build(ScenarioKind::RotatingStar, &cluster_b, 2, 0, 4);
+    let mut opts = SimOptions::default();
+    opts.omega = sc.omega;
+    opts.localities = 2;
+    opts.regrid_cadence = Some(2);
+    let mut b = Simulation::new(sc.grid, opts);
+
+    let value = |view: &[(String, u64)], name: &str| -> u64 {
+        let hit: Vec<_> = view.iter().filter(|(n, _)| n == name).collect();
+        assert_eq!(hit.len(), 1, "{name} must be listed exactly once");
+        hit[0].1
+    };
+    let mut refined = 0;
+    let mut last = (a.step(&cluster_a), b.step(&cluster_b));
+    for _ in 1..3 {
+        last = (a.step(&cluster_a), b.step(&cluster_b));
+        refined += last.1.regrid_refined;
     }
-    let after = hpx_rt::gravity_plan_counters().snapshot();
-    let delta = after.since(&before);
-    assert!(delta.hits >= 2, "expected at least 2 global plan hits");
-    assert!(delta.rebuilds >= 1, "expected at least 1 global rebuild");
-    let shown = format!("{after}");
-    assert!(shown.contains("/octotiger/gravity/plan-hits"));
-    assert!(shown.contains("/octotiger/gravity/plan-rebuilds"));
-    cluster.shutdown();
+    // `a` is done; nothing `b` does from here on may move `a`'s view.
+    let a_view = own_counters(&a, &cluster_a);
+    let b_last = b.step(&cluster_b);
+    assert!(refined > 0, "the cadence regrid must have refined the star");
+    assert_eq!(own_counters(&a, &cluster_a), a_view);
+    let b_view = own_counters(&b, &cluster_b);
+
+    for (view, expect) in [
+        (
+            &a_view,
+            [
+                ("/octotiger/gravity/plan-hits", 2),
+                ("/octotiger/gravity/plan-rebuilds", 1),
+                ("/octotiger/gravity/dist-plan-hits", 0),
+                ("/octotiger/gravity/dist-plan-rebuilds", 0),
+                ("/octotiger/regrid/refined", 0),
+                ("/octotiger/regrid/derefined", 0),
+                ("/octotiger/regrid/plan-patched", 0),
+                ("/octotiger/regrid/plan-rebuilt", 0),
+                ("/octotiger/scratch/misses", last.0.scratch_misses),
+            ],
+        ),
+        (
+            // Build, hit, patch (interaction + halo plan), hit.
+            &b_view,
+            [
+                ("/octotiger/gravity/plan-hits", 2),
+                ("/octotiger/gravity/plan-rebuilds", 1),
+                ("/octotiger/gravity/dist-plan-hits", 2),
+                ("/octotiger/gravity/dist-plan-rebuilds", 1),
+                ("/octotiger/regrid/refined", refined),
+                ("/octotiger/regrid/derefined", 0),
+                ("/octotiger/regrid/plan-patched", 2),
+                ("/octotiger/regrid/plan-rebuilt", 0),
+                ("/octotiger/scratch/misses", b_last.scratch_misses),
+            ],
+        ),
+    ] {
+        for (name, want) in expect {
+            assert_eq!(value(view, name), want, "{name}");
+        }
+    }
+    assert_ne!(
+        value(&a_view, "/octotiger/scratch/misses"),
+        value(&b_view, "/octotiger/scratch/misses"),
+        "different trees warm different pools"
+    );
+
+    // The wildcard query returns the documented names, in table order.
+    let gravity = hpx_rt::counters::select(&b.counters(&cluster_b), "/octotiger/gravity/*");
+    let names: Vec<&str> = gravity.iter().map(|(n, _)| n.as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            "/octotiger/gravity/plan-hits",
+            "/octotiger/gravity/plan-rebuilds",
+            "/octotiger/gravity/dist-plan-hits",
+            "/octotiger/gravity/dist-plan-rebuilds",
+        ]
+    );
+    // Per-locality names are listed once per locality of the cluster.
+    let executed = hpx_rt::counters::select(
+        &b.counters(&cluster_b),
+        "/threads{locality#*}/count/cumulative",
+    );
+    assert_eq!(executed.len(), 2);
+    assert!(executed.iter().all(|(_, tasks)| *tasks > 0));
+    cluster_a.shutdown();
+    cluster_b.shutdown();
 }

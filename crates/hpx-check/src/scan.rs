@@ -41,11 +41,8 @@ use std::path::{Path, PathBuf};
 /// Functions whose final closure argument runs *inside* a kernel.
 const KERNEL_ENTRIES: &[&str] = &[
     "parallel_for",
-    "parallel_for_md3",
     "parallel_for_mut",
-    "parallel_for_team",
     "parallel_reduce",
-    "parallel_scan",
     "launch_for_async",
     "launch_reduce_async",
     "launch_for_after",

@@ -480,21 +480,6 @@ pub fn find_stale_patch_probe(level: u8, seed: u64) -> Option<StalePatchProbe> {
     None
 }
 
-/// Convenience for tests: the violations a single mutation produces on
-/// the standard uniform(2) scenario at `nloc` localities.
-pub fn violations_for_mutation(
-    kind: DistMutationKind,
-    nloc: usize,
-    seed: u64,
-) -> (String, Vec<ProtocolViolation>) {
-    let tree = Tree::new_uniform(2);
-    let plan = GravityPlan::build(&tree, 0.5);
-    let owner = partition_morton(&tree, nloc);
-    let dist = DistPlan::build(&plan, &owner, nloc);
-    let (mutated, desc) = mutate_dist(&plan, &dist, kind, seed).expect("exchanges exist");
-    (desc, verify_dist_plan(&plan, &mutated))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -129,15 +129,6 @@ impl Apex {
         }
     }
 
-    /// Close the observation window of every timer at once (an
-    /// end-of-step barrier for windowed consumers).
-    pub fn reset_windows(&self) {
-        for entry in self.inner.stats.lock().values_mut() {
-            entry.window_count = 0;
-            entry.window_total_s = 0.0;
-        }
-    }
-
     fn record_trace(&self, name: &'static str, start: Instant, seconds: f64) {
         if !self.inner.tracing {
             return;
@@ -410,18 +401,6 @@ mod tests {
         // Unknown names are a no-op, not an insertion.
         apex.reset_window("never-fired");
         assert_eq!(apex.stats("never-fired"), TimerStats::default());
-    }
-
-    #[test]
-    fn reset_windows_closes_every_timer() {
-        let apex = Apex::new(false);
-        apex.record("a", 1.0);
-        apex.record("b", 2.0);
-        apex.reset_windows();
-        assert_eq!(apex.stats("a").window_count, 0);
-        assert_eq!(apex.stats("b").window_count, 0);
-        assert_eq!(apex.stats("a").count, 1);
-        assert_eq!(apex.stats("b").count, 1);
     }
 
     #[test]

@@ -462,27 +462,6 @@ pub fn when_any<T: Clone + Send + 'static>(futures: Vec<Future<T>>) -> Future<(u
     out
 }
 
-/// HPX `dataflow`: run `f` on `rt` once both inputs are ready, producing a
-/// future of its result.  The two-argument form covers the solver's common
-/// "combine my ghost future with my kernel future" pattern; wider joins go
-/// through [`when_all`].
-pub fn dataflow2<A, B, U, F>(rt: &Runtime, a: &Future<A>, b: &Future<B>, f: F) -> Future<U>
-where
-    A: Clone + Send + Sync + 'static,
-    B: Clone + Send + 'static,
-    U: Send + 'static,
-    F: FnOnce(A, B) -> U + Send + 'static,
-{
-    let rt2 = rt.clone();
-    let b = b.clone();
-    a.then(rt, move |av: A| {
-        // The continuation itself waits on b (helping if on a worker).
-        let bv = b.get();
-        (av, bv)
-    })
-    .then(&rt2, move |(av, bv)| f(av, bv))
-}
-
 /// Join a set of futures into one future of all their values, in order
 /// (HPX `when_all` + unwrap).
 pub fn when_all<T: Clone + Send + 'static>(
@@ -706,28 +685,6 @@ mod tests {
     fn when_any_of_nothing_abandons() {
         let f = when_any::<i32>(Vec::new());
         f.wait();
-    }
-
-    #[test]
-    fn dataflow2_combines_two_inputs() {
-        let rt = Runtime::new(2);
-        let a = rt.async_call(|| 6);
-        let b = rt.async_call(|| 7);
-        let c = dataflow2(&rt, &a, &b, |x, y| x * y);
-        assert_eq!(c.get(), 42);
-        rt.shutdown();
-    }
-
-    #[test]
-    fn dataflow2_with_one_pending_input() {
-        let rt = Runtime::new(2);
-        let a = make_ready_future(10);
-        let (p, b) = Promise::new_pair();
-        let c = dataflow2(&rt, &a, &b, |x, y: i32| x + y);
-        assert!(!c.is_ready());
-        p.set(5);
-        assert_eq!(c.get(), 15);
-        rt.shutdown();
     }
 
     #[test]

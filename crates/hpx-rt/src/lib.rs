@@ -46,13 +46,11 @@ pub mod tuner;
 pub use apex::{Apex, TimerStats};
 pub use channel::{channel, Receiver, Sender};
 pub use counters::{
-    gravity_plan_counters, parcel_counters, regrid_counters, tuner_counters, Counters,
-    CountersSnapshot, GravityPlanCounters, GravityPlanSnapshot, ParcelClass, ParcelCounters,
-    ParcelSnapshot, RegridCounters, RegridSnapshot, TunerCounters, TunerCountersSnapshot,
+    parcel_counters, Counters, CountersSnapshot, ParcelClass, ParcelCounters, ParcelSnapshot,
 };
 pub use future::{
-    dataflow2, make_ready_future, set_blocked_wait_timeout, when_all, when_all_of, when_any,
-    Future, Promise, Settled,
+    make_ready_future, set_blocked_wait_timeout, when_all, when_all_of, when_any, Future, Promise,
+    Settled,
 };
 pub use locality::{ActionRegistry, Locality, LocalityId, Parcel, SimCluster};
 pub use parcel::{ParcelTransport, TypedParcel};

@@ -252,6 +252,22 @@ impl SimCluster {
         total
     }
 
+    /// Every locality's counters by HPX-style instance name
+    /// (`/threads{locality#1}/count/stolen`, …): the locality's parcel-port
+    /// block and its runtime's block, added name by name.
+    pub fn counters(&self) -> Vec<(String, u64)> {
+        let mut out = Vec::new();
+        for loc in &self.localities {
+            let instance = format!("locality#{}", loc.id.0);
+            let port = loc.counters.snapshot().entries();
+            let pool = loc.runtime.counters().snapshot().entries();
+            for ((name, a), (_, b)) in port.into_iter().zip(pool) {
+                out.push((crate::counters::instance_name(name, &instance), a + b));
+            }
+        }
+        out
+    }
+
     /// Stop parcel pumps and all locality runtimes.
     pub fn shutdown(mut self) {
         // Closing the senders ends each pump's recv loop.

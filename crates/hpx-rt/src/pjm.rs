@@ -145,11 +145,6 @@ impl JobSpec {
             self.procs,
         )
     }
-
-    /// Localities per node implied by this spec (`procs / nodes`, >= 1).
-    pub fn procs_per_node(&self) -> usize {
-        (self.procs / self.nodes.max(1)).max(1)
-    }
 }
 
 fn parse_num<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, PjmError> {
@@ -198,7 +193,6 @@ mpiexec ./octotiger
     fn procs_default_to_nodes() {
         let spec = JobSpec::parse("#PJM -L node=16\n").unwrap();
         assert_eq!(spec.procs, 16);
-        assert_eq!(spec.procs_per_node(), 1);
     }
 
     #[test]

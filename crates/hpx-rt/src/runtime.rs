@@ -22,7 +22,7 @@ use std::cell::Cell;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -188,11 +188,6 @@ impl Runtime {
         self.inner.virtual_sched.is_some()
     }
 
-    /// The schedule seed of a deterministic pool, `None` otherwise.
-    pub fn schedule_seed(&self) -> Option<u64> {
-        self.inner.virtual_sched.as_ref().map(|vs| vs.lock().seed)
-    }
-
     /// Cap the number of tasks a deterministic schedule may execute before
     /// being declared a livelock (default 1 000 000).  No-op on threaded
     /// pools.
@@ -262,19 +257,6 @@ impl Runtime {
             .unwrap_or_default()
     }
 
-    /// The process-wide default pool, sized to the host's parallelism.
-    ///
-    /// Mirrors HPX's implicit runtime; it is never shut down.
-    pub fn global() -> &'static Runtime {
-        static GLOBAL: OnceLock<Runtime> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            let n = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4);
-            Runtime::new(n)
-        })
-    }
-
     /// Number of worker threads ("cores") in this pool.
     pub fn num_workers(&self) -> usize {
         self.inner.num_workers
@@ -283,14 +265,6 @@ impl Runtime {
     /// The pool's performance counters.
     pub fn counters(&self) -> &Counters {
         &self.inner.counters
-    }
-
-    /// `true` if the calling thread is one of this pool's workers.
-    pub fn on_worker_thread(&self) -> bool {
-        CTX.with(|c| {
-            c.get()
-                .is_some_and(|ctx| std::ptr::eq(ctx.pool, Arc::as_ptr(&self.inner)))
-        })
     }
 
     /// Fire-and-forget spawn (HPX `apply`).
@@ -396,9 +370,10 @@ impl Runtime {
 
     /// Block until the pool is momentarily drained: no queued tasks anywhere.
     ///
-    /// Only a quiescence heuristic for tests/benchmarks — running tasks may
-    /// spawn more work afterwards.
-    pub fn wait_quiescent(&self) {
+    /// Only a quiescence heuristic for tests — running tasks may spawn
+    /// more work afterwards.
+    #[cfg(test)]
+    fn wait_quiescent(&self) {
         loop {
             let empty =
                 self.inner.injector.is_empty() && self.inner.stealers.iter().all(|s| s.is_empty());
@@ -759,16 +734,6 @@ mod tests {
     }
 
     #[test]
-    fn on_worker_thread_detection() {
-        let rt = Runtime::new(1);
-        assert!(!rt.on_worker_thread());
-        let rt2 = rt.clone();
-        let f = rt.async_call(move || rt2.on_worker_thread());
-        assert!(f.get());
-        rt.shutdown();
-    }
-
-    #[test]
     fn shutdown_is_idempotent() {
         let rt = Runtime::new(2);
         rt.shutdown();
@@ -841,7 +806,6 @@ mod tests {
         });
         assert_eq!(out, 22);
         assert!(rt.is_deterministic());
-        assert_eq!(rt.schedule_seed(), Some(7));
         assert!(rt.schedule_steps() > 0);
     }
 

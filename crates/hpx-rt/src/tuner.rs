@@ -35,11 +35,10 @@
 //! stripe-blocked accumulation, lane-aligned `split`), so any choice is
 //! bitwise neutral to the physics — see DESIGN.md §8 and the
 //! `autotune_equivalence` suite.  Only *decision points* are exposed, so
-//! the tuner itself is deterministic given the observed means; the global
-//! [`crate::counters::tuner_counters`] block plus the per-tuner counts in
-//! [`TunerSnapshot`] make its activity observable either way.
-
-use crate::counters::tuner_counters;
+//! the tuner itself is deterministic given the observed means; the
+//! per-tuner counts in [`TunerSnapshot`] (published as
+//! `/octotiger/tuner/*` by `Simulation::counters`) make its activity
+//! observable either way.
 
 /// Upper bound on families a [`TunerSnapshot`] can carry.  Snapshots ride
 /// inside per-step stats structs that are `Copy`, so the family table is a
@@ -175,8 +174,7 @@ impl Default for FamilySnapshot {
 }
 
 /// Plain-`Copy` snapshot of a [`Tuner`]: the per-family chosen configs
-/// plus the tuner's own activity counts (mirrors of what it reported into
-/// the global `/octotiger/tuner/*` block, but per-instance and therefore
+/// plus the tuner's own activity counts (per-instance, and therefore
 /// deterministic under test parallelism).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TunerSnapshot {
@@ -389,19 +387,6 @@ impl Tuner {
     }
 
     fn apply(&mut self, d: CounterDelta) {
-        let global = tuner_counters();
-        for _ in 0..d.probes {
-            global.note_probe();
-        }
-        for _ in 0..d.moves {
-            global.note_move();
-        }
-        for _ in 0..d.frozen {
-            global.note_frozen();
-        }
-        for _ in 0..d.regressions_rejected {
-            global.note_regression_rejected();
-        }
         self.probes += d.probes;
         self.moves += d.moves;
         self.frozen += d.frozen;

@@ -1,4 +1,4 @@
-//! `parallel_for` / `parallel_reduce` / `parallel_scan` dispatchers.
+//! `parallel_for` / `parallel_for_mut` / `parallel_reduce` dispatchers.
 //!
 //! These are the Kokkos entry points Octo-Tiger's kernels call.  On the HPX
 //! space a kernel launch resolves its [`ChunkSpec`] to a task count and
@@ -7,7 +7,7 @@
 //! from the caller (views live on the caller's stack), which is why the
 //! scoped-spawn machinery of `hpx-rt` is used rather than detached tasks.
 
-use crate::policy::{MDRangePolicy3, RangePolicy, TeamMember, TeamPolicy};
+use crate::policy::RangePolicy;
 use crate::space::ExecSpace;
 
 /// Execute `kernel(i)` for every `i` in the policy's range.
@@ -21,12 +21,6 @@ where
 {
     match space {
         ExecSpace::Serial => {
-            for i in policy.begin..policy.end {
-                kernel(i);
-            }
-        }
-        ExecSpace::Device(dev) => {
-            dev.record_launch(policy.len() as u64);
             for i in policy.begin..policy.end {
                 kernel(i);
             }
@@ -52,27 +46,6 @@ where
                     });
                 }
             });
-        }
-    }
-}
-
-/// Number of scheduler tasks a launch of `policy` on `space` actually
-/// carves — `ChunkSpec` resolution plus lane-alignment merging, exactly as
-/// [`parallel_for`] / [`parallel_for_mut`] perform it.  This is the
-/// launch-site truth an online granularity tuner observes: a requested
-/// split can come back smaller on short or lane-constrained ranges, and a
-/// tuner comparing candidate configurations that resolve to the *same*
-/// plan here is measuring pure noise.
-pub fn planned_tasks(space: &ExecSpace, policy: RangePolicy) -> usize {
-    let tasks = policy.chunk.resolve(policy.len(), space.concurrency());
-    match space {
-        ExecSpace::Serial | ExecSpace::Device(_) => usize::from(!policy.is_empty()),
-        ExecSpace::Hpx(_) => {
-            if tasks <= 1 {
-                usize::from(!policy.is_empty())
-            } else {
-                policy.split(tasks).len()
-            }
         }
     }
 }
@@ -108,10 +81,6 @@ where
     };
     match space {
         ExecSpace::Serial => serial(data),
-        ExecSpace::Device(dev) => {
-            dev.record_launch(policy.len() as u64);
-            serial(data);
-        }
         ExecSpace::Hpx(hpx) => {
             let tasks = policy
                 .chunk
@@ -138,60 +107,6 @@ where
                             kernel(base + off, slot);
                         }
                     });
-                }
-            });
-        }
-    }
-}
-
-/// Execute `kernel(i, j, k)` over a 3-D index box (flattened over the
-/// slowest dimension combination for task splitting).
-pub fn parallel_for_md3<F>(space: &ExecSpace, policy: MDRangePolicy3, kernel: F)
-where
-    F: Fn(usize, usize, usize) + Sync,
-{
-    let linear = policy.linear();
-    parallel_for(space, linear, |flat| {
-        let [i, j, k] = policy.unflatten(flat);
-        kernel(i, j, k);
-    });
-}
-
-/// Team-parallel execution: every `(league_rank, team_rank)` pair runs once.
-///
-/// On the HPX space each *team* is one task; members of a team execute
-/// sequentially inside it (team-level cooperation maps onto intra-task
-/// sequential work on CPUs, as in Kokkos' HPX backend).
-pub fn parallel_for_team<F>(space: &ExecSpace, policy: TeamPolicy, kernel: F)
-where
-    F: Fn(TeamMember) + Sync,
-{
-    let run_team = |league_rank: usize| {
-        for team_rank in 0..policy.team_size {
-            kernel(TeamMember {
-                league_rank,
-                team_rank,
-                team_size: policy.team_size,
-            });
-        }
-    };
-    match space {
-        ExecSpace::Serial => {
-            for lr in 0..policy.league_size {
-                run_team(lr);
-            }
-        }
-        ExecSpace::Device(dev) => {
-            dev.record_launch((policy.league_size * policy.team_size) as u64);
-            for lr in 0..policy.league_size {
-                run_team(lr);
-            }
-        }
-        ExecSpace::Hpx(hpx) => {
-            let run_team = &run_team;
-            hpx.runtime.scope(|s| {
-                for lr in 0..policy.league_size {
-                    s.spawn(move || run_team(lr));
                 }
             });
         }
@@ -225,10 +140,6 @@ where
     };
     match space {
         ExecSpace::Serial => serial(policy.begin, policy.end),
-        ExecSpace::Device(dev) => {
-            dev.record_launch(policy.len() as u64);
-            serial(policy.begin, policy.end)
-        }
         ExecSpace::Hpx(hpx) => {
             let tasks = policy
                 .chunk
@@ -255,102 +166,10 @@ where
     }
 }
 
-/// Exclusive prefix scan (Kokkos `parallel_scan`): `out[i]` is the combined
-/// value of `input[0..i]`.  Returns the grand total.
-///
-/// Two-pass chunked implementation: per-chunk totals, then offset fix-up —
-/// the standard work-efficient scheme.
-///
-/// # Panics
-/// Panics if `input.len() != out.len()`.
-pub fn parallel_scan<T, C>(
-    space: &ExecSpace,
-    input: &[T],
-    out: &mut [T],
-    identity: T,
-    combine: C,
-) -> T
-where
-    T: Clone + Send + Sync,
-    C: Fn(T, T) -> T + Sync,
-{
-    assert_eq!(input.len(), out.len(), "parallel_scan length mismatch");
-    let n = input.len();
-    if n == 0 {
-        return identity;
-    }
-    let workers = space.concurrency();
-    let chunks = workers.min(n).max(1);
-    let policy = RangePolicy::new(0, n);
-    let ranges = policy.split(chunks);
-
-    // Pass 1: local exclusive scans + chunk totals.
-    let mut chunk_totals: Vec<Option<T>> = vec![None; ranges.len()];
-    {
-        // Split `out` into disjoint chunk slices so tasks can write freely.
-        let mut out_parts: Vec<&mut [T]> = Vec::with_capacity(ranges.len());
-        let mut rest = &mut *out;
-        for (b, e) in &ranges {
-            let (head, tail) = rest.split_at_mut(e - b);
-            out_parts.push(head);
-            rest = tail;
-        }
-        let combine = &combine;
-        let identity2 = identity.clone();
-        let run_chunk = move |b: usize, e: usize, part: &mut [T], total: &mut Option<T>| {
-            let mut acc = identity2.clone();
-            for (i, slot) in (b..e).zip(part.iter_mut()) {
-                *slot = acc.clone();
-                acc = combine(acc.clone(), input[i].clone());
-            }
-            *total = Some(acc);
-        };
-        match space {
-            ExecSpace::Serial | ExecSpace::Device(_) => {
-                if let ExecSpace::Device(dev) = space {
-                    dev.record_launch(n as u64);
-                }
-                for ((range, part), total) in
-                    ranges.iter().zip(out_parts).zip(chunk_totals.iter_mut())
-                {
-                    run_chunk(range.0, range.1, part, total);
-                }
-            }
-            ExecSpace::Hpx(hpx) => {
-                let run_chunk = &run_chunk;
-                hpx.runtime.scope(|s| {
-                    for ((range, part), total) in
-                        ranges.iter().zip(out_parts).zip(chunk_totals.iter_mut())
-                    {
-                        let (b, e) = *range;
-                        s.spawn(move || run_chunk(b, e, part, total));
-                    }
-                });
-            }
-        }
-    }
-
-    // Pass 2: fold chunk offsets forward.
-    let mut offset = identity.clone();
-    let mut grand_total = identity.clone();
-    for (ci, (b, e)) in ranges.iter().copied().enumerate() {
-        let chunk_total = chunk_totals[ci].clone().expect("missing chunk total");
-        if ci > 0 {
-            for slot in &mut out[b..e] {
-                *slot = combine(offset.clone(), slot.clone());
-            }
-        }
-        offset = combine(offset, chunk_total.clone());
-        grand_total = offset.clone();
-    }
-    grand_total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::policy::ChunkSpec;
-    use crate::space::DeviceKind;
     use hpx_rt::Runtime;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -381,35 +200,9 @@ mod tests {
     }
 
     #[test]
-    fn planned_tasks_reports_launch_site_truth() {
-        let rt = Runtime::new(4);
-        let hpx = ExecSpace::hpx(rt.clone());
-        // Requested splits resolve on the HPX space...
-        let p = RangePolicy::new(0, 1024).with_chunk(ChunkSpec::Tasks(16));
-        assert_eq!(planned_tasks(&hpx, p), 16);
-        // ...but serial/device spaces always run one task.
-        assert_eq!(planned_tasks(&ExecSpace::Serial, p), 1);
-        // Lane alignment merges sub-lane chunks: 64 slots at lane 8 cannot
-        // carve more than 8 tasks however many were requested.
-        let lanes = RangePolicy::new(0, 64)
-            .with_chunk(ChunkSpec::Tasks(16))
-            .with_lanes(8);
-        assert_eq!(planned_tasks(&hpx, lanes), 8);
-        // Short ranges cap at one task per index; empty ranges at zero.
-        let short = RangePolicy::new(0, 3).with_chunk(ChunkSpec::Tasks(16));
-        assert_eq!(planned_tasks(&hpx, short), 3);
-        assert_eq!(planned_tasks(&hpx, RangePolicy::new(5, 5)), 0);
-        rt.shutdown();
-    }
-
-    #[test]
     fn parallel_for_mut_writes_every_slot_once() {
         let rt = Runtime::new(4);
-        for space in [
-            ExecSpace::Serial,
-            ExecSpace::hpx(rt.clone()),
-            ExecSpace::Device(crate::space::DeviceSpec::new(DeviceKind::A100)),
-        ] {
+        for space in [ExecSpace::Serial, ExecSpace::hpx(rt.clone())] {
             let n = 257; // not a multiple of the task count
             let mut data = vec![0u64; n];
             parallel_for_mut(
@@ -460,16 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn device_space_counts_launches() {
-        let dev = crate::space::DeviceSpec::new(DeviceKind::V100);
-        let space = ExecSpace::Device(dev.clone());
-        parallel_for(&space, RangePolicy::new(0, 100), |_| {});
-        parallel_for(&space, RangePolicy::new(0, 50), |_| {});
-        assert_eq!(dev.launches(), 2);
-        assert_eq!(dev.indices_executed(), 150);
-    }
-
-    #[test]
     fn reduce_sum_matches_closed_form() {
         let rt = Runtime::new(4);
         for space in [ExecSpace::Serial, ExecSpace::hpx(rt.clone())] {
@@ -511,57 +294,6 @@ mod tests {
             |a, b| a + b,
         );
         assert_eq!(v, 42);
-    }
-
-    #[test]
-    fn md3_visits_every_cell_once() {
-        let rt = Runtime::new(4);
-        let space = ExecSpace::hpx(rt.clone());
-        let n = 8;
-        let cells: Vec<AtomicU64> = (0..n * n * n).map(|_| AtomicU64::new(0)).collect();
-        parallel_for_md3(
-            &space,
-            MDRangePolicy3::new([0, 0, 0], [n, n, n]).with_chunk(ChunkSpec::Tasks(4)),
-            |i, j, k| {
-                cells[(i * n + j) * n + k].fetch_add(1, Ordering::Relaxed);
-            },
-        );
-        assert!(cells.iter().all(|c| c.load(Ordering::Relaxed) == 1));
-        rt.shutdown();
-    }
-
-    #[test]
-    fn team_policy_every_member_runs() {
-        let rt = Runtime::new(2);
-        let space = ExecSpace::hpx(rt.clone());
-        let hits = AtomicU64::new(0);
-        parallel_for_team(&space, TeamPolicy::new(5, 3), |m| {
-            assert!(m.league_rank < 5);
-            assert!(m.team_rank < m.team_size);
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.into_inner(), 15);
-        rt.shutdown();
-    }
-
-    #[test]
-    fn scan_exclusive_prefix_sums() {
-        let rt = Runtime::new(4);
-        for space in [ExecSpace::Serial, ExecSpace::hpx(rt.clone())] {
-            let input: Vec<u64> = (1..=10).collect();
-            let mut out = vec![0u64; 10];
-            let total = parallel_scan(&space, &input, &mut out, 0u64, |a, b| a + b);
-            assert_eq!(total, 55);
-            assert_eq!(out, vec![0, 1, 3, 6, 10, 15, 21, 28, 36, 45]);
-        }
-        rt.shutdown();
-    }
-
-    #[test]
-    fn scan_empty() {
-        let mut out: Vec<u64> = Vec::new();
-        let total = parallel_scan(&ExecSpace::Serial, &[], &mut out, 7u64, |a, b| a + b);
-        assert_eq!(total, 7);
     }
 
     #[test]

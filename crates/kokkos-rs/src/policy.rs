@@ -144,109 +144,6 @@ impl RangePolicy {
     }
 }
 
-/// A 3-D rectangular index space (Kokkos `MDRangePolicy<Rank<3>>`) —
-/// the natural policy for sub-grid cell loops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MDRangePolicy3 {
-    pub lower: [usize; 3],
-    pub upper: [usize; 3],
-    pub chunk: ChunkSpec,
-}
-
-impl MDRangePolicy3 {
-    /// Policy over the box `lower..upper` in each dimension.
-    pub fn new(lower: [usize; 3], upper: [usize; 3]) -> Self {
-        for d in 0..3 {
-            assert!(
-                lower[d] <= upper[d],
-                "MDRangePolicy3 requires lower <= upper"
-            );
-        }
-        MDRangePolicy3 {
-            lower,
-            upper,
-            chunk: ChunkSpec::SingleTask,
-        }
-    }
-
-    /// Replace the chunk specification (builder style).
-    pub fn with_chunk(mut self, chunk: ChunkSpec) -> Self {
-        self.chunk = chunk;
-        self
-    }
-
-    /// Extent in each dimension.
-    pub fn extent(&self) -> [usize; 3] {
-        [
-            self.upper[0] - self.lower[0],
-            self.upper[1] - self.lower[1],
-            self.upper[2] - self.lower[2],
-        ]
-    }
-
-    /// Total number of index triples.
-    pub fn len(&self) -> usize {
-        let e = self.extent();
-        e[0] * e[1] * e[2]
-    }
-
-    /// `true` if the box is empty in any dimension.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Flatten to an equivalent linear policy; `unflatten` maps back.
-    pub fn linear(&self) -> RangePolicy {
-        RangePolicy {
-            begin: 0,
-            end: self.len(),
-            chunk: self.chunk,
-            lane: 1,
-        }
-    }
-
-    /// Map a flat index from [`Self::linear`] back to `(i, j, k)`
-    /// (row-major: `k` fastest).
-    #[inline(always)]
-    pub fn unflatten(&self, flat: usize) -> [usize; 3] {
-        let e = self.extent();
-        let k = flat % e[2];
-        let j = (flat / e[2]) % e[1];
-        let i = flat / (e[1] * e[2]);
-        [self.lower[0] + i, self.lower[1] + j, self.lower[2] + k]
-    }
-}
-
-/// A league of teams (Kokkos `TeamPolicy`): `league_size` work items, each
-/// processed by a team of `team_size` cooperating "threads".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TeamPolicy {
-    pub league_size: usize,
-    pub team_size: usize,
-}
-
-impl TeamPolicy {
-    /// Policy with `league_size` teams of `team_size` members.
-    pub fn new(league_size: usize, team_size: usize) -> Self {
-        assert!(team_size >= 1, "team_size must be >= 1");
-        TeamPolicy {
-            league_size,
-            team_size,
-        }
-    }
-}
-
-/// Handle passed to team kernels: which team and member is executing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TeamMember {
-    /// Index of this team within the league.
-    pub league_rank: usize,
-    /// Index of this member within its team.
-    pub team_rank: usize,
-    /// Team size (for intra-team strided loops).
-    pub team_size: usize,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,37 +254,5 @@ mod tests {
         let a = RangePolicy::new(10, 110).split(7);
         let b = RangePolicy::new(10, 110).with_lanes(1).split(7);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn md3_flatten_unflatten_roundtrip() {
-        let p = MDRangePolicy3::new([1, 2, 3], [4, 6, 10]);
-        assert_eq!(p.extent(), [3, 4, 7]);
-        assert_eq!(p.len(), 84);
-        let mut seen = std::collections::HashSet::new();
-        for flat in 0..p.len() {
-            let [i, j, k] = p.unflatten(flat);
-            assert!((1..4).contains(&i));
-            assert!((2..6).contains(&j));
-            assert!((3..10).contains(&k));
-            assert!(seen.insert([i, j, k]));
-        }
-        assert_eq!(seen.len(), 84);
-    }
-
-    #[test]
-    fn md3_k_is_fastest_index() {
-        let p = MDRangePolicy3::new([0, 0, 0], [2, 2, 2]);
-        assert_eq!(p.unflatten(0), [0, 0, 0]);
-        assert_eq!(p.unflatten(1), [0, 0, 1]);
-        assert_eq!(p.unflatten(2), [0, 1, 0]);
-        assert_eq!(p.unflatten(4), [1, 0, 0]);
-    }
-
-    #[test]
-    fn team_policy_construction() {
-        let t = TeamPolicy::new(10, 4);
-        assert_eq!(t.league_size, 10);
-        assert_eq!(t.team_size, 4);
     }
 }

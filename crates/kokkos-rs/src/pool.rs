@@ -21,17 +21,29 @@
 //! edge are still flagged (no false negative).  This is what keeps the pool
 //! sound under `hpx-check races`.
 //!
-//! Every pool keeps its own statistics and mirrors them into the
-//! process-global `/octotiger/scratch/*` counters in `hpx-rt`.
+//! Every pool keeps its own statistics ([`BufferPool::stats`]) — the only
+//! count of its checkouts; `Simulation::counters` publishes its pools' sums
+//! as `/octotiger/scratch/*`.
 
 use crate::view::ViewId;
-use hpx_rt::counters::{scratch_counters, ScratchSnapshot};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Per-pool statistics (same shape as the global scratch counters).
+/// Plain-data statistics of one [`BufferPool`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScratchSnapshot {
+    /// Checkouts served from a free list (no heap allocation).
+    pub hits: u64,
+    /// Checkouts that had to allocate (pool warm-up, or a new size bucket).
+    pub misses: u64,
+    /// Bytes currently checked out of the pool (gauge, not monotonic).
+    pub bytes_in_use: u64,
+    /// Maximum `bytes_in_use` ever observed.
+    pub high_water: u64,
+}
+
 #[derive(Debug, Default)]
 struct PoolStats {
     hits: AtomicU64,
@@ -88,7 +100,8 @@ impl<T> BufferPool<T> {
     }
 
     /// Number of buffers currently sitting in free lists.
-    pub fn free_buffers(&self) -> usize {
+    #[cfg(test)]
+    fn free_buffers(&self) -> usize {
         self.inner.free.lock().values().map(Vec::len).sum()
     }
 
@@ -106,17 +119,10 @@ impl<T> BufferPool<T> {
 
     fn note_checkout(&self, hit: bool, bytes: u64) {
         let s = &self.inner.stats;
-        let g = scratch_counters();
-        if hit {
-            s.hits.fetch_add(1, Ordering::Relaxed);
-            g.note_hit();
-        } else {
-            s.misses.fetch_add(1, Ordering::Relaxed);
-            g.note_miss();
-        }
+        let outcome = if hit { &s.hits } else { &s.misses };
+        outcome.fetch_add(1, Ordering::Relaxed);
         let now = s.bytes_in_use.fetch_add(bytes, Ordering::Relaxed) + bytes;
         s.high_water.fetch_max(now, Ordering::Relaxed);
-        g.add_in_use(bytes);
     }
 
     fn pop_bucket(&self, bucket: usize) -> Option<Vec<T>> {
@@ -151,10 +157,6 @@ impl<T> BufferPool<T> {
                 .stats
                 .misses
                 .fetch_add(shortfall as u64, Ordering::Relaxed);
-            let g = scratch_counters();
-            for _ in 0..shortfall {
-                g.note_miss();
-            }
         }
     }
 }
@@ -243,16 +245,6 @@ impl<T> Recycled<T> {
     pub fn view_id(&self) -> ViewId {
         self.id
     }
-
-    /// The underlying buffer.
-    pub fn as_vec(&self) -> &Vec<T> {
-        &self.data
-    }
-
-    /// The underlying buffer, mutably.
-    pub fn as_vec_mut(&mut self) -> &mut Vec<T> {
-        &mut self.data
-    }
 }
 
 impl<T> Default for Recycled<T> {
@@ -296,7 +288,6 @@ impl<T> Drop for Recycled<T> {
         };
         let bytes = (self.bucket * std::mem::size_of::<T>()) as u64;
         pool.stats.bytes_in_use.fetch_sub(bytes, Ordering::Relaxed);
-        scratch_counters().sub_in_use(bytes);
         let data = std::mem::take(&mut self.data);
         pool.free.lock().entry(self.bucket).or_default().push(data);
     }
@@ -329,6 +320,32 @@ mod tests {
         // Recycled storage comes back zeroed on the next checkout.
         let b = pool.checkout(64);
         assert!(b.iter().all(|&x| x == 0.0));
+    }
+
+    /// A pool's own statistics are the only count of its events: one
+    /// checkout and its return move that pool's numbers by exactly one
+    /// event, and no other pool's.
+    #[test]
+    fn one_checkout_and_return_moves_exactly_one_set_of_statistics() {
+        let pool = BufferPool::<f64>::new();
+        let bystander = BufferPool::<f64>::new();
+        let b = pool.checkout(32);
+        let held = ScratchSnapshot {
+            hits: 0,
+            misses: 1,
+            bytes_in_use: 32 * 8,
+            high_water: 32 * 8,
+        };
+        assert_eq!(pool.stats(), held);
+        drop(b);
+        assert_eq!(
+            pool.stats(),
+            ScratchSnapshot {
+                bytes_in_use: 0,
+                ..held
+            }
+        );
+        assert_eq!(bystander.stats(), ScratchSnapshot::default());
     }
 
     #[test]

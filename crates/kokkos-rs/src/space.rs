@@ -1,17 +1,12 @@
 //! Execution spaces: where a kernel runs.
 //!
-//! The paper's stack uses three spaces.  `Serial` and the **HPX execution
-//! space** run on CPU worker threads (the latter splittable into many HPX
-//! tasks), and the CUDA space runs on the GPUs of Summit / Piz Daint /
-//! Perlmutter.  We execute `Device` kernels on the host — their semantics
-//! are what the tests need — and *model* their throughput in the `cluster`
-//! crate's machine descriptions (DESIGN.md substitution rule: no GPUs on
-//! this machine, and the paper's GPU numbers are scaling-model inputs, not
-//! things our laptop could measure anyway).
+//! `Serial` and the **HPX execution space** run on CPU worker threads (the
+//! latter splittable into many HPX tasks).  The paper's CUDA space — the
+//! GPUs of Summit / Piz Daint / Perlmutter — has no execution space here:
+//! the GPU curves are scaling-model inputs and come from the `cluster`
+//! crate's machine descriptions (DESIGN.md substitution rule).
 
 use hpx_rt::Runtime;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// The HPX execution space: kernels become `tasks_per_kernel` HPX tasks on
 /// a runtime's worker pool (paper Section IV-B / VII-C).
@@ -21,80 +16,6 @@ pub struct HpxSpace {
     pub runtime: Runtime,
 }
 
-/// Which GPU a simulated device space stands in for.  The variants are the
-/// accelerators of the paper's five machines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DeviceKind {
-    /// NVIDIA V100 (ORNL Summit, 6 per node).
-    V100,
-    /// NVIDIA P100 (CSCS Piz Daint, 1 per node).
-    P100,
-    /// NVIDIA A100 (NERSC Perlmutter, 4 per node).
-    A100,
-}
-
-impl DeviceKind {
-    /// Modelled sustained double-precision throughput in GFLOP/s, used by
-    /// the `cluster` machine models.  Values are the vendor peak scaled by
-    /// the ~35 % sustained efficiency Octo-Tiger kernels reach on GPUs
-    /// (paper [7], [8] report similar fractions).
-    pub fn modelled_gflops(self) -> f64 {
-        match self {
-            DeviceKind::V100 => 7800.0 * 0.35,
-            DeviceKind::P100 => 5300.0 * 0.35,
-            DeviceKind::A100 => 9700.0 * 0.35,
-        }
-    }
-
-    /// Display name.
-    pub const fn name(self) -> &'static str {
-        match self {
-            DeviceKind::V100 => "NVIDIA V100",
-            DeviceKind::P100 => "NVIDIA P100",
-            DeviceKind::A100 => "NVIDIA A100",
-        }
-    }
-}
-
-/// A simulated device execution space.
-///
-/// Kernels run on the calling host thread (bit-identical semantics for the
-/// test suite); every launch is counted so workload models can attribute
-/// device time.
-#[derive(Clone)]
-pub struct DeviceSpec {
-    /// Which accelerator this space models.
-    pub kind: DeviceKind,
-    launches: Arc<AtomicU64>,
-    indices_executed: Arc<AtomicU64>,
-}
-
-impl DeviceSpec {
-    /// New device space of the given kind.
-    pub fn new(kind: DeviceKind) -> Self {
-        DeviceSpec {
-            kind,
-            launches: Arc::new(AtomicU64::new(0)),
-            indices_executed: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
-    /// Number of kernel launches so far.
-    pub fn launches(&self) -> u64 {
-        self.launches.load(Ordering::Relaxed)
-    }
-
-    /// Total index-space points executed so far.
-    pub fn indices_executed(&self) -> u64 {
-        self.indices_executed.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn record_launch(&self, indices: u64) {
-        self.launches.fetch_add(1, Ordering::Relaxed);
-        self.indices_executed.fetch_add(indices, Ordering::Relaxed);
-    }
-}
-
 /// An execution space selection, Kokkos-style.
 #[derive(Clone)]
 pub enum ExecSpace {
@@ -102,8 +23,6 @@ pub enum ExecSpace {
     Serial,
     /// Run as HPX tasks (Kokkos HPX execution space).
     Hpx(HpxSpace),
-    /// Run on a modelled accelerator (Kokkos `Cuda`, simulated).
-    Device(DeviceSpec),
 }
 
 impl ExecSpace {
@@ -112,36 +31,12 @@ impl ExecSpace {
         ExecSpace::Hpx(HpxSpace { runtime })
     }
 
-    /// Convenience constructor for a modelled device space.
-    pub fn device(kind: DeviceKind) -> Self {
-        ExecSpace::Device(DeviceSpec::new(kind))
-    }
-
     /// Worker-thread count relevant for `ChunkSpec::Auto` resolution.
     pub fn concurrency(&self) -> usize {
         match self {
             ExecSpace::Serial => 1,
             ExecSpace::Hpx(h) => h.runtime.num_workers(),
-            // Model: a GPU behaves as one queue from the host's view.
-            ExecSpace::Device(_) => 1,
         }
-    }
-
-    /// The bounded power-of-two ladder of `tasks_per_kernel` candidates an
-    /// online tuner should search on this space: `1, 2, 4, …` up to 4×
-    /// the space's concurrency (oversplitting beyond that only adds spawn
-    /// overhead), capped at `cap`.  Serial and device spaces still expose
-    /// a multi-point ladder so the tuner can *measure* that splitting does
-    /// not help there, rather than assuming it.
-    pub fn task_ladder(&self, cap: usize) -> Vec<usize> {
-        let top = (self.concurrency() * 4).min(cap.max(1));
-        let mut ladder = Vec::new();
-        let mut v = 1usize;
-        while v <= top {
-            ladder.push(v);
-            v *= 2;
-        }
-        ladder
     }
 
     /// Space name, matching Kokkos nomenclature.
@@ -149,11 +44,6 @@ impl ExecSpace {
         match self {
             ExecSpace::Serial => "Serial",
             ExecSpace::Hpx(_) => "HPX",
-            ExecSpace::Device(d) => match d.kind {
-                DeviceKind::V100 => "Cuda(V100)",
-                DeviceKind::P100 => "Cuda(P100)",
-                DeviceKind::A100 => "Cuda(A100)",
-            },
         }
     }
 }
@@ -163,46 +53,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn concurrency_reporting() {
+    fn concurrency_and_names() {
         assert_eq!(ExecSpace::Serial.concurrency(), 1);
-        let rt = Runtime::new(3);
-        assert_eq!(ExecSpace::hpx(rt.clone()).concurrency(), 3);
-        assert_eq!(ExecSpace::device(DeviceKind::P100).concurrency(), 1);
-        rt.shutdown();
-    }
-
-    #[test]
-    fn task_ladder_is_power_of_two_and_scales_with_concurrency() {
-        assert_eq!(ExecSpace::Serial.task_ladder(64), vec![1, 2, 4]);
-        let rt = Runtime::new(4);
-        let ladder = ExecSpace::hpx(rt.clone()).task_ladder(64);
-        assert_eq!(ladder, vec![1, 2, 4, 8, 16]);
-        assert_eq!(ExecSpace::hpx(rt.clone()).task_ladder(8), vec![1, 2, 4, 8]);
-        rt.shutdown();
-        // Degenerate cap still yields a searchable ladder of one point.
-        assert_eq!(ExecSpace::Serial.task_ladder(0), vec![1]);
-    }
-
-    #[test]
-    fn device_counters_start_at_zero() {
-        let d = DeviceSpec::new(DeviceKind::A100);
-        assert_eq!(d.launches(), 0);
-        assert_eq!(d.indices_executed(), 0);
-        d.record_launch(128);
-        assert_eq!(d.launches(), 1);
-        assert_eq!(d.indices_executed(), 128);
-    }
-
-    #[test]
-    fn gpu_throughput_ordering_matches_hardware_generations() {
-        assert!(DeviceKind::A100.modelled_gflops() > DeviceKind::V100.modelled_gflops());
-        assert!(DeviceKind::V100.modelled_gflops() > DeviceKind::P100.modelled_gflops());
-    }
-
-    #[test]
-    fn names() {
         assert_eq!(ExecSpace::Serial.name(), "Serial");
-        assert_eq!(ExecSpace::device(DeviceKind::V100).name(), "Cuda(V100)");
-        assert_eq!(DeviceKind::P100.name(), "NVIDIA P100");
+        let rt = Runtime::new(3);
+        let space = ExecSpace::hpx(rt.clone());
+        assert_eq!(space.concurrency(), 3);
+        assert_eq!(space.name(), "HPX");
+        rt.shutdown();
     }
 }

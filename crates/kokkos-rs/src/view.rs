@@ -1,21 +1,8 @@
-//! Kokkos `View`s: labelled n-dimensional arrays with a memory layout.
+//! Kokkos `View`s: labelled n-dimensional arrays.
 //!
-//! Octo-Tiger stores each sub-grid's state variables in Kokkos views; the
-//! layout parameter is what lets the same kernel source index efficiently on
-//! CPUs (LayoutRight — row-major, unit stride in the fastest loop) and GPUs
-//! (LayoutLeft — column-major, coalesced across threads).
-
-/// Memory layout of a [`View`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Layout {
-    /// Row-major / C order; the rightmost index has stride 1.  Kokkos
-    /// default for CPU execution spaces.
-    #[default]
-    Right,
-    /// Column-major / Fortran order; the leftmost index has stride 1.
-    /// Kokkos default for CUDA device memory.
-    Left,
-}
+//! Octo-Tiger stores each sub-grid's state variables in Kokkos views.  Ours
+//! are always LayoutRight (row-major, unit stride in the fastest loop — the
+//! CPU layout); there is no device space to lay out differently for.
 
 /// Process-unique identity of one [`View`] allocation.
 ///
@@ -35,9 +22,8 @@ impl ViewId {
 
 /// A labelled, owned, contiguous array of rank 1–3.
 ///
-/// Views are the unit of data a kernel operates on.  `as_slice` /
-/// `as_mut_slice` expose the raw storage for SIMD kernels; `at`/`at_mut`
-/// give layout-aware multi-dimensional access.
+/// Views are the unit of data a kernel operates on.  `as_slice` exposes
+/// the raw storage; `at`/`at3` (and their `_mut` forms) index it.
 #[derive(Debug)]
 pub struct View<T> {
     id: ViewId,
@@ -45,7 +31,6 @@ pub struct View<T> {
     data: Vec<T>,
     dims: [usize; 3],
     rank: usize,
-    layout: Layout,
 }
 
 impl<T: Clone> Clone for View<T> {
@@ -56,7 +41,6 @@ impl<T: Clone> Clone for View<T> {
             data: self.data.clone(),
             dims: self.dims,
             rank: self.rank,
-            layout: self.layout,
         }
     }
 }
@@ -69,7 +53,6 @@ impl<T: PartialEq> PartialEq for View<T> {
             && self.data == other.data
             && self.dims == other.dims
             && self.rank == other.rank
-            && self.layout == other.layout
     }
 }
 
@@ -82,19 +65,6 @@ impl<T: Clone + Default> View<T> {
             data: vec![T::default(); n],
             dims: [n, 1, 1],
             rank: 1,
-            layout: Layout::Right,
-        }
-    }
-
-    /// Rank-2 view of `n0 × n1` default-initialized elements.
-    pub fn new_2d(label: impl Into<String>, n0: usize, n1: usize) -> Self {
-        View {
-            id: ViewId::fresh(),
-            label: label.into(),
-            data: vec![T::default(); n0 * n1],
-            dims: [n0, n1, 1],
-            rank: 2,
-            layout: Layout::Right,
         }
     }
 
@@ -106,34 +76,7 @@ impl<T: Clone + Default> View<T> {
             data: vec![T::default(); n0 * n1 * n2],
             dims: [n0, n1, n2],
             rank: 3,
-            layout: Layout::Right,
         }
-    }
-
-    /// Change the layout, reordering storage so logical contents are
-    /// preserved (Kokkos `deep_copy` between differently laid-out mirrors).
-    pub fn to_layout(&self, layout: Layout) -> Self {
-        if layout == self.layout {
-            return self.clone();
-        }
-        let mut out = View {
-            id: ViewId::fresh(),
-            label: self.label.clone(),
-            data: vec![T::default(); self.data.len()],
-            dims: self.dims,
-            rank: self.rank,
-            layout,
-        };
-        let [n0, n1, n2] = self.dims;
-        for i in 0..n0 {
-            for j in 0..n1 {
-                for k in 0..n2 {
-                    let v = self.at3(i, j, k).clone();
-                    *out.at3_mut(i, j, k) = v;
-                }
-            }
-        }
-        out
     }
 }
 
@@ -158,11 +101,6 @@ impl<T> View<T> {
         self.rank
     }
 
-    /// Current layout.
-    pub fn layout(&self) -> Layout {
-        self.layout
-    }
-
     /// Total number of elements.
     pub fn len(&self) -> usize {
         self.data.len()
@@ -173,24 +111,16 @@ impl<T> View<T> {
         self.data.is_empty()
     }
 
-    /// Raw storage in layout order.
+    /// Raw storage, row-major.
     pub fn as_slice(&self) -> &[T] {
         &self.data
-    }
-
-    /// Mutable raw storage in layout order.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
     }
 
     #[inline(always)]
     fn offset(&self, i: usize, j: usize, k: usize) -> usize {
         debug_assert!(i < self.dims[0] && j < self.dims[1] && k < self.dims[2]);
-        let [n0, n1, n2] = self.dims;
-        match self.layout {
-            Layout::Right => (i * n1 + j) * n2 + k,
-            Layout::Left => i + n0 * (j + n1 * k),
-        }
+        let [_, n1, n2] = self.dims;
+        (i * n1 + j) * n2 + k
     }
 
     /// Rank-1 element access.
@@ -206,19 +136,6 @@ impl<T> View<T> {
         &mut self.data[o]
     }
 
-    /// Rank-2 element access.
-    #[inline(always)]
-    pub fn at2(&self, i: usize, j: usize) -> &T {
-        &self.data[self.offset(i, j, 0)]
-    }
-
-    /// Rank-2 mutable element access.
-    #[inline(always)]
-    pub fn at2_mut(&mut self, i: usize, j: usize) -> &mut T {
-        let o = self.offset(i, j, 0);
-        &mut self.data[o]
-    }
-
     /// Rank-3 element access.
     #[inline(always)]
     pub fn at3(&self, i: usize, j: usize, k: usize) -> &T {
@@ -230,41 +147,6 @@ impl<T> View<T> {
     pub fn at3_mut(&mut self, i: usize, j: usize, k: usize) -> &mut T {
         let o = self.offset(i, j, k);
         &mut self.data[o]
-    }
-}
-
-impl<T: Clone> View<T> {
-    /// Rank-1 view initialized from a slice.
-    pub fn from_slice_1d(label: impl Into<String>, data: &[T]) -> Self {
-        View {
-            id: ViewId::fresh(),
-            label: label.into(),
-            data: data.to_vec(),
-            dims: [data.len(), 1, 1],
-            rank: 1,
-            layout: Layout::Right,
-        }
-    }
-
-    /// Kokkos `deep_copy`: copy contents of `src` (same shape required).
-    ///
-    /// # Panics
-    /// Panics if shapes differ.
-    pub fn deep_copy_from(&mut self, src: &View<T>) {
-        assert_eq!(self.dims, src.dims, "deep_copy shape mismatch");
-        if self.layout == src.layout {
-            self.data.clone_from_slice(&src.data);
-        } else {
-            let [n0, n1, n2] = self.dims;
-            for i in 0..n0 {
-                for j in 0..n1 {
-                    for k in 0..n2 {
-                        let v = src.at3(i, j, k).clone();
-                        *self.at3_mut(i, j, k) = v;
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -283,81 +165,17 @@ mod tests {
     }
 
     #[test]
-    fn rank3_layout_right_strides() {
+    fn rank3_row_major_strides() {
         let mut v = View::<u32>::new_3d("cube", 2, 3, 4);
         *v.at3_mut(1, 2, 3) = 9;
-        // LayoutRight: offset = (i*n1 + j)*n2 + k = (1*3+2)*4+3 = 23.
+        // Row-major: offset = (i*n1 + j)*n2 + k = (1*3+2)*4+3 = 23.
         assert_eq!(v.as_slice()[23], 9);
     }
 
     #[test]
-    fn rank3_layout_left_strides() {
-        let v = View::<u32>::new_3d("cube", 2, 3, 4);
-        let mut l = v.to_layout(Layout::Left);
-        *l.at3_mut(1, 2, 3) = 9;
-        // LayoutLeft: offset = i + n0*(j + n1*k) = 1 + 2*(2 + 3*3) = 23.
-        assert_eq!(l.as_slice()[23], 9);
-    }
-
-    #[test]
-    fn layout_conversion_preserves_contents() {
-        let mut v = View::<u32>::new_3d("c", 3, 4, 5);
-        for i in 0..3 {
-            for j in 0..4 {
-                for k in 0..5 {
-                    *v.at3_mut(i, j, k) = (100 * i + 10 * j + k) as u32;
-                }
-            }
-        }
-        let l = v.to_layout(Layout::Left);
-        let back = l.to_layout(Layout::Right);
-        for i in 0..3 {
-            for j in 0..4 {
-                for k in 0..5 {
-                    assert_eq!(*l.at3(i, j, k), (100 * i + 10 * j + k) as u32);
-                    assert_eq!(*back.at3(i, j, k), (100 * i + 10 * j + k) as u32);
-                }
-            }
-        }
-        assert_ne!(l.as_slice(), back.as_slice()); // storage differs...
-        assert_eq!(v.as_slice(), back.as_slice()); // ...contents round-trip
-    }
-
-    #[test]
-    fn deep_copy_across_layouts() {
-        let mut src = View::<f64>::new_2d("a", 4, 4);
-        for i in 0..4 {
-            for j in 0..4 {
-                *src.at2_mut(i, j) = (i * 4 + j) as f64;
-            }
-        }
-        let mut dst = View::<f64>::new_2d("b", 4, 4).to_layout(Layout::Left);
-        dst.deep_copy_from(&src);
-        for i in 0..4 {
-            for j in 0..4 {
-                assert_eq!(*dst.at2(i, j), (i * 4 + j) as f64);
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "shape mismatch")]
-    fn deep_copy_rejects_shape_mismatch() {
-        let src = View::<f64>::new_1d("a", 4);
-        let mut dst = View::<f64>::new_1d("b", 5);
-        dst.deep_copy_from(&src);
-    }
-
-    #[test]
-    fn from_slice_roundtrip() {
-        let v = View::from_slice_1d("s", &[1, 2, 3]);
-        assert_eq!(v.as_slice(), &[1, 2, 3]);
-        assert!(!v.is_empty());
-    }
-
-    #[test]
     fn clone_gets_fresh_identity_but_stays_equal() {
-        let v = View::from_slice_1d("s", &[1, 2, 3]);
+        let mut v = View::<u32>::new_1d("s", 3);
+        *v.at_mut(1) = 2;
         let c = v.clone();
         assert_ne!(v.id(), c.id());
         assert_eq!(v, c);

@@ -15,10 +15,8 @@
 //! * **direct path** — a read through the shared-memory grid handle,
 //!   counted in `local_direct_accesses`.  The exchange's phase structure
 //!   (all interiors are final before any ghost is read) plays the role of
-//!   the paper's promise/future readiness notifications; the
-//!   [`GhostConfig::notify_with_channels`] option additionally routes the
-//!   readiness signal through real `hpx_rt::channel` promise/future pairs
-//!   to mirror the paper's mechanism literally.
+//!   the paper's promise/future readiness notifications; the pipelined
+//!   exchange makes them literal, one future chain per link.
 //!
 //! Level jumps are handled as in Octo-Tiger: data from a coarser neighbour
 //! is prolonged (piecewise-constant), data from finer neighbours is
@@ -42,18 +40,12 @@ pub struct GhostConfig {
     /// The Section VII-B optimization: same-locality neighbours are read
     /// directly from memory instead of through parcels.
     pub direct_local_access: bool,
-    /// Route direct-path readiness through `hpx_rt::channel` promise/future
-    /// pairs (the paper's literal mechanism).  Off by default because the
-    /// phase barrier already guarantees readiness; the channel variant
-    /// exists to measure its overhead.
-    pub notify_with_channels: bool,
 }
 
 impl Default for GhostConfig {
     fn default() -> Self {
         GhostConfig {
             direct_local_access: true,
-            notify_with_channels: false,
         }
     }
 }
@@ -400,18 +392,6 @@ impl DistGrid {
     /// local path.
     pub fn exchange_ghosts(&self, cluster: &SimCluster, config: GhostConfig) -> usize {
         self.prewarm_payload_pool();
-        // Optional literal promise/future readiness notification: one
-        // channel per locality, signalled before any direct read happens.
-        let ready_channels: Vec<(hpx_rt::Sender<()>, hpx_rt::Receiver<()>)> = (0..cluster
-            .num_localities())
-            .map(|_| hpx_rt::channel())
-            .collect();
-        if config.notify_with_channels {
-            for (tx, _) in &ready_channels {
-                tx.send(()); // interiors are final: announce readiness
-            }
-        }
-
         let owner = self.inner.owner.read().clone();
         let mut direct_links = 0usize;
 
@@ -433,13 +413,6 @@ impl DistGrid {
             }
             let all_local = sources.iter().all(|s| owner[s] == me);
             if all_local && config.direct_local_access {
-                if config.notify_with_channels {
-                    // Wait on the readiness future before touching
-                    // neighbour memory (paper Section VII-B).
-                    let f = ready_channels[me.0].1.receive();
-                    f.wait();
-                    ready_channels[me.0].0.send(()); // re-arm
-                }
                 cluster.locality(me.0).note_local_direct_access();
                 direct_links += 1;
                 let payload = compute_payload(&self.inner, leaf, dir)
@@ -518,9 +491,8 @@ impl DistGrid {
     /// notification made literal, with no copy of any packed buffer
     /// (`then_ref` consumes payloads in place).
     ///
-    /// `config.notify_with_channels` is ignored here — the per-link futures
-    /// *are* the readiness notification.  This method only builds the graph;
-    /// it never blocks.
+    /// The per-link futures *are* the readiness notification.  This method
+    /// only builds the graph; it never blocks.
     pub fn exchange_ghosts_pipelined(
         &self,
         cluster: &SimCluster,
@@ -933,7 +905,6 @@ mod tests {
             &cluster,
             GhostConfig {
                 direct_local_access: false,
-                notify_with_channels: false,
             },
         );
         assert_eq!(direct, 0, "optimization off: no direct links");
@@ -941,22 +912,6 @@ mod tests {
         // Every link went through parcels.
         let totals = cluster.total_counters();
         assert!(totals.parcels_sent > 0);
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn channel_notification_variant_works() {
-        let cluster = SimCluster::new(1, 2);
-        let dg = DistGrid::new(Tree::new_uniform(1), 4, 1, 1, &cluster);
-        fill_linear(&dg);
-        dg.exchange_ghosts(
-            &cluster,
-            GhostConfig {
-                direct_local_access: true,
-                notify_with_channels: true,
-            },
-        );
-        check_same_level_ghosts(&dg);
         cluster.shutdown();
     }
 

@@ -18,13 +18,6 @@ impl Octant {
         (0u8..8).map(Octant)
     }
 
-    /// Build from per-axis half indices (each 0 or 1).
-    #[inline]
-    pub fn from_xyz(x: u8, y: u8, z: u8) -> Octant {
-        debug_assert!(x < 2 && y < 2 && z < 2);
-        Octant(x | (y << 1) | (z << 2))
-    }
-
     /// Per-axis half indices.
     #[inline]
     pub fn xyz(self) -> [u8; 3] {
@@ -100,11 +93,6 @@ impl Dir {
         .into_iter()
     }
 
-    /// Number of non-zero components: 1 = face, 2 = edge, 3 = corner.
-    pub fn codim(self) -> u8 {
-        (self.dx != 0) as u8 + (self.dy != 0) as u8 + (self.dz != 0) as u8
-    }
-
     /// The opposite direction.
     pub fn opposite(self) -> Dir {
         Dir {
@@ -166,15 +154,6 @@ impl NodeId {
                 path: self.path >> 3,
             })
         }
-    }
-
-    /// Which octant of its parent this node occupies.
-    ///
-    /// # Panics
-    /// Panics on the root.
-    pub fn octant_in_parent(self) -> Octant {
-        assert!(self.level > 0, "root has no parent octant");
-        Octant((self.path & 0b111) as u8)
     }
 
     /// Integer coordinates of this node within its level:
@@ -267,14 +246,6 @@ impl NodeId {
             corner[2] + 0.5 * size,
         ]
     }
-
-    /// `true` if `other` is a strict descendant of `self`.
-    pub fn is_ancestor_of(self, other: NodeId) -> bool {
-        other.level > self.level && {
-            let shift = 3 * (other.level - self.level) as u32;
-            (other.path >> shift) == self.path
-        }
-    }
 }
 
 impl std::fmt::Display for NodeId {
@@ -302,7 +273,6 @@ mod tests {
             let c = root.child(oct);
             assert_eq!(c.level(), 1);
             assert_eq!(c.parent(), Some(root));
-            assert_eq!(c.octant_in_parent(), oct);
         }
     }
 
@@ -323,7 +293,6 @@ mod tests {
 
     #[test]
     fn octant_xyz_mapping() {
-        assert_eq!(Octant::from_xyz(1, 0, 1).0, 0b101);
         assert_eq!(Octant(0b110).xyz(), [0, 1, 1]);
     }
 
@@ -357,9 +326,6 @@ mod tests {
     #[test]
     fn dir_census() {
         assert_eq!(Dir::all26().count(), 26);
-        assert_eq!(Dir::all26().filter(|d| d.codim() == 1).count(), 6);
-        assert_eq!(Dir::all26().filter(|d| d.codim() == 2).count(), 12);
-        assert_eq!(Dir::all26().filter(|d| d.codim() == 3).count(), 8);
         assert_eq!(Dir::faces().count(), 6);
     }
 
@@ -398,16 +364,6 @@ mod tests {
         assert_eq!(size, 0.5);
         assert_eq!(corner, [0.5, 0.0, 0.5]);
         assert_eq!(c.center(), [0.75, 0.25, 0.75]);
-    }
-
-    #[test]
-    fn ancestry() {
-        let a = NodeId::from_coords(1, [1, 1, 0]);
-        let d = a.child(Octant(3)).child(Octant(5));
-        assert!(a.is_ancestor_of(d));
-        assert!(!d.is_ancestor_of(a));
-        assert!(!a.is_ancestor_of(a));
-        assert!(NodeId::ROOT.is_ancestor_of(d));
     }
 
     #[test]

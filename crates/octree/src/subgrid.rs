@@ -68,11 +68,6 @@ impl SubGrid {
         self.n + 2 * self.ghost
     }
 
-    /// Number of interior cells (`n³`).
-    pub fn interior_cells(&self) -> usize {
-        self.n * self.n * self.n
-    }
-
     #[inline(always)]
     fn offset(&self, f: usize, i: usize, j: usize, k: usize) -> usize {
         let ext = self.ext();
@@ -404,7 +399,6 @@ mod tests {
     fn construction_and_extents() {
         let sg = SubGrid::new(8, 2, 5);
         assert_eq!(sg.ext(), 12);
-        assert_eq!(sg.interior_cells(), 512);
         assert_eq!(sg.field(0).len(), 12 * 12 * 12);
         assert_eq!(sg.nfields(), 5);
     }

@@ -236,7 +236,8 @@ impl Tree {
     }
 
     /// The changes accumulated since the last drain, without draining.
-    pub fn pending_regrid_delta(&self) -> &RegridDelta {
+    #[cfg(test)]
+    fn pending_regrid_delta(&self) -> &RegridDelta {
         &self.delta
     }
 

@@ -16,9 +16,6 @@ pub const SVE_VECTOR_BITS: usize = 512;
 /// `f64` lanes in one A64FX SVE vector.
 pub const SVE_LANES_F64: usize = SVE_VECTOR_BITS / 64;
 
-/// `f32` lanes in one A64FX SVE vector.
-pub const SVE_LANES_F32: usize = SVE_VECTOR_BITS / 32;
-
 /// Which vector backend a kernel should be instantiated with.
 ///
 /// Mirrors the paper's compile-time choice between scalar types and the
@@ -33,24 +30,6 @@ pub enum VectorMode {
 }
 
 impl VectorMode {
-    /// Number of `f64` lanes processed per vector operation in this mode.
-    #[inline]
-    pub const fn lanes_f64(self) -> usize {
-        match self {
-            VectorMode::Scalar => 1,
-            VectorMode::Sve512 => SVE_LANES_F64,
-        }
-    }
-
-    /// Number of `f32` lanes processed per vector operation in this mode.
-    #[inline]
-    pub const fn lanes_f32(self) -> usize {
-        match self {
-            VectorMode::Scalar => 1,
-            VectorMode::Sve512 => SVE_LANES_F32,
-        }
-    }
-
     /// Human-readable name matching the labels used in the paper's plots.
     pub const fn label(self) -> &'static str {
         match self {
@@ -95,14 +74,6 @@ impl std::fmt::Display for VectorMode {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn lane_counts() {
-        assert_eq!(VectorMode::Scalar.lanes_f64(), 1);
-        assert_eq!(VectorMode::Sve512.lanes_f64(), 8);
-        assert_eq!(VectorMode::Scalar.lanes_f32(), 1);
-        assert_eq!(VectorMode::Sve512.lanes_f32(), 16);
-    }
 
     #[test]
     fn default_is_sve() {

@@ -34,7 +34,7 @@ pub mod mask;
 pub mod simd;
 pub mod slice;
 
-pub use backend::{VectorMode, SVE_LANES_F32, SVE_LANES_F64, SVE_VECTOR_BITS};
+pub use backend::{VectorMode, SVE_LANES_F64, SVE_VECTOR_BITS};
 pub use isa::{wide_isa, WideIsa};
 pub use mask::Mask;
 pub use simd::{Simd, SimdElement};
@@ -44,10 +44,6 @@ pub use slice::{for_each_simd, map_simd, zip_map_simd, ChunkedLanes};
 pub type ScalarF64 = Simd<f64, 1>;
 /// 512-bit (8-lane) double-precision vector: the A64FX SVE vector width.
 pub type SveF64 = Simd<f64, 8>;
-/// Scalar (1-lane) single-precision vector.
-pub type ScalarF32 = Simd<f32, 1>;
-/// 512-bit (16-lane) single-precision vector.
-pub type SveF32 = Simd<f32, 16>;
 
 #[cfg(test)]
 mod tests {
@@ -57,13 +53,10 @@ mod tests {
     fn type_aliases_have_expected_widths() {
         assert_eq!(ScalarF64::LANES, 1);
         assert_eq!(SveF64::LANES, 8);
-        assert_eq!(ScalarF32::LANES, 1);
-        assert_eq!(SveF32::LANES, 16);
     }
 
     #[test]
     fn sve_f64_is_512_bits() {
         assert_eq!(SveF64::LANES * 64, SVE_VECTOR_BITS);
-        assert_eq!(SveF32::LANES * 32, SVE_VECTOR_BITS);
     }
 }

@@ -24,8 +24,6 @@ pub trait SimdElement:
 {
     /// Additive identity.
     const ZERO: Self;
-    /// Multiplicative identity.
-    const ONE: Self;
     /// Smallest representable value (for max-reductions).
     const MIN_VALUE: Self;
     /// Largest representable value (for min-reductions).
@@ -49,7 +47,6 @@ macro_rules! impl_simd_element_float {
     ($t:ty) => {
         impl SimdElement for $t {
             const ZERO: Self = 0.0;
-            const ONE: Self = 1.0;
             const MIN_VALUE: Self = <$t>::NEG_INFINITY;
             const MAX_VALUE: Self = <$t>::INFINITY;
 
@@ -328,12 +325,6 @@ impl<T: SimdElement, const W: usize> Simd<T, W> {
         Simd(out)
     }
 
-    /// Lane-wise clamp into `[lo, hi]`.
-    #[inline(always)]
-    pub fn simd_clamp(self, lo: Self, hi: Self) -> Self {
-        self.simd_max(lo).simd_min(hi)
-    }
-
     /// Lane-wise copysign.
     #[inline(always)]
     pub fn copysign(self, sign: Self) -> Self {
@@ -350,16 +341,6 @@ impl<T: SimdElement, const W: usize> Simd<T, W> {
         let mut acc = T::ZERO;
         for l in 0..W {
             acc = acc + self.0[l];
-        }
-        acc
-    }
-
-    /// Horizontal product of all lanes.
-    #[inline(always)]
-    pub fn reduce_product(self) -> T {
-        let mut acc = T::ONE;
-        for l in 0..W {
-            acc = acc * self.0[l];
         }
         acc
     }
@@ -576,13 +557,11 @@ mod tests {
     }
 
     #[test]
-    fn min_max_clamp() {
+    fn min_max() {
         let a = Simd::<f64, 4>::from_array([1., 5., -2., 8.]);
         let b = Simd::<f64, 4>::splat(3.0);
         assert_eq!(a.simd_min(b).to_array(), [1., 3., -2., 3.]);
         assert_eq!(a.simd_max(b).to_array(), [3., 5., 3., 8.]);
-        let c = a.simd_clamp(Simd::splat(0.0), Simd::splat(4.0));
-        assert_eq!(c.to_array(), [1., 4., 0., 4.]);
     }
 
     #[test]
@@ -591,8 +570,6 @@ mod tests {
         assert_eq!(a.reduce_sum(), 36.0);
         assert_eq!(a.reduce_min(), 1.0);
         assert_eq!(a.reduce_max(), 8.0);
-        let p = Simd::<f64, 3>::from_array([2., 3., 4.]);
-        assert_eq!(p.reduce_product(), 24.0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Quickstart: build the paper's rotating-star problem, evolve it a few
 //! steps with hydro + FMM gravity in the rotating frame, and print the
-//! paper's metric (processed cells per second) plus the conservation
-//! ledger.
+//! paper's metric (processed cells per second), the conservation ledger
+//! and the run's named performance counters.
 //!
 //! ```sh
 //! cargo run --release --example quickstart
@@ -63,5 +63,10 @@ fn main() {
         "mass ledger closure (drift + tracked outflow): {:.3e}",
         (after.mass + sim.mass_outflow - before.mass).abs() / before.mass
     );
+    // Every counter of the run by its HPX-style name, each read from the
+    // object that counts it (DESIGN.md §3.1 has the table).
+    for (name, value) in sim.counters(&cluster) {
+        println!("{name:<44} {value}");
+    }
     cluster.shutdown();
 }

@@ -41,7 +41,6 @@ fn main() {
     run_config("communication optimization OFF       ", 2, 2, |o| {
         o.ghost = GhostConfig {
             direct_local_access: false,
-            notify_with_channels: false,
         };
     });
     run_config("communication optimization ON        ", 2, 2, |_| {});

@@ -67,28 +67,14 @@ fn comm_optimization_is_physics_neutral() {
     let on = run(2, 1, 2, |o| {
         o.ghost = GhostConfig {
             direct_local_access: true,
-            notify_with_channels: false,
         }
     });
     let off = run(2, 1, 2, |o| {
         o.ghost = GhostConfig {
             direct_local_access: false,
-            notify_with_channels: false,
         }
     });
     assert_states_close(&on, &off, 0.0, "comm opt on vs off");
-}
-
-#[test]
-fn channel_notification_variant_is_physics_neutral() {
-    let plain = run(2, 1, 1, |_| {});
-    let channels = run(2, 1, 1, |o| {
-        o.ghost = GhostConfig {
-            direct_local_access: true,
-            notify_with_channels: true,
-        }
-    });
-    assert_states_close(&plain, &channels, 0.0, "channel notify");
 }
 
 #[test]
