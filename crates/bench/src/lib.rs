@@ -6,8 +6,8 @@
 //! every figure's qualitative claims without spawning processes; the
 //! binaries are thin wrappers that print markdown + JSON.
 //!
-//! [`host_calibration`] ties the two layers of the reproduction together:
-//! it measures the *actual* `octotiger` kernels on the host (scalar vs SVE
+//! [`measure_hydro_simd_speedup`] ties the two layers of the reproduction
+//! together: it measures the *actual* `octotiger` kernels on the host (scalar vs SVE
 //! width) and compares the measured SIMD speedup with the
 //! `cluster::KernelCosts` constant the machine models use.
 

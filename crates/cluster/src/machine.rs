@@ -179,7 +179,7 @@ impl Machine {
     /// Node-level sustained GPU rate in GFLOP/s, derated by an
     /// aggregation-efficiency factor (GPUs need large aggregated kernels;
     /// starved GPUs lose efficiency — the work-aggregation story of the
-    /// paper's reference [9]).
+    /// paper's reference \[9\]).
     pub fn gpu_node_gflops(&self, subgrids_per_node: f64) -> f64 {
         if self.gpus_per_node == 0 {
             return 0.0;

@@ -92,7 +92,8 @@ impl Workload {
     /// Fraction of ghost links that cross node boundaries under a Morton
     /// partition into `nodes` parts: a surface-to-volume estimate
     /// `min(1, 2/S^{1/3})` with `S` sub-grids per node (matches the
-    /// measured `octree::partition::partition_stats` trend).
+    /// trend of the direct-link share `octree::DistGrid::exchange_ghosts`
+    /// reports).
     pub fn remote_link_fraction(&self, nodes: usize) -> f64 {
         if nodes <= 1 {
             return 0.0;

@@ -293,8 +293,9 @@ struct StepShared {
     /// The step's leaves, in the fixed order the outflow ledger folds in.
     leaves: Vec<NodeId>,
     workspaces: HashMap<NodeId, Arc<parking_lot::Mutex<LeafWorkspace>>>,
-    /// Each leaf's domain-boundary face mask.
-    boundary_masks: HashMap<NodeId, [bool; 6]>,
+    /// Each leaf's domain-boundary face mask, one flag per face in
+    /// `Dir::faces` order: [-x, +x, -y, +y, -z, +z].
+    boundary_masks: Arc<HashMap<NodeId, [bool; 6]>>,
     /// Per-leaf boundary outflow rates of each stage.  Folded in fixed
     /// leaf order after the step's join ([`StepShared::fold_outflow`]): a
     /// shared `+=` in task-completion order would make the mass ledger
@@ -765,10 +766,10 @@ impl Simulation {
             .collect()
     }
 
-    /// The step's shared prologue: save u⁰ into the recycled workspaces,
-    /// classify every leaf's domain-boundary faces, and bundle what the
-    /// stage kernels read.  No stage task is in flight yet (the previous
-    /// step fully joined), so the workspace `try_lock` never contends.
+    /// The step's shared prologue: save u⁰ into the recycled workspaces and
+    /// bundle what the stage kernels read.  No stage task is in flight yet
+    /// (the previous step fully joined), so the workspace `try_lock` never
+    /// contends.
     fn begin_step(&self) -> Arc<StepShared> {
         let leaves = self.grid.leaves();
         for &l in &leaves {
@@ -778,23 +779,12 @@ impl Simulation {
                 .u0
                 .copy_from(&self.grid.grid(l).read());
         }
-        // One flag per face, in `Dir::faces` order: [-x, +x, -y, +y, -z, +z].
-        let boundary_masks = self.grid.with_tree(|t| {
-            let mask = |l| {
-                let mut mask = [false; 6];
-                for (at_boundary, d) in mask.iter_mut().zip(octree::Dir::faces()) {
-                    *at_boundary = matches!(t.neighbor_of(l, d), octree::Neighbor::DomainBoundary);
-                }
-                mask
-            };
-            leaves.iter().map(|&l| (l, mask(l))).collect()
-        });
         Arc::new(StepShared {
             grid: self.grid.clone(),
             opts: self.opts,
             leaves,
             workspaces: self.workspaces.clone(),
-            boundary_masks,
+            boundary_masks: self.grid.boundary_faces(),
             outflow_rates: Default::default(),
         })
     }
@@ -1171,9 +1161,9 @@ impl Simulation {
         }
         self.regrid_totals.refined += outcome.refined;
         self.regrid_totals.derefined += outcome.derefined;
-        // Drain the episode's delta once: the ghost-payload demand cache is
-        // patched inside `take_regrid_delta`, the workspaces here, and the
-        // solver's plan caches on its next plan miss.
+        // Drain the episode's delta once: the workspaces are patched here,
+        // the solver's plan caches on its next plan miss (the grid rebuilds
+        // its ghost plan per topology version on its own).
         let delta = self.grid.take_regrid_delta();
         self.patch_workspaces(&delta);
         self.gravity_solver.note_regrid(delta);

@@ -19,7 +19,7 @@
 //! * **P2P halo** (class `p2p`): near-field source leaves' point masses
 //!   read by leaves owned elsewhere.
 //!
-//! [`GravitySolver::solve_sharded`] — the one gravity solve — then runs
+//! `GravitySolver::solve_sharded` — the one gravity solve — then runs
 //! the phases in level lockstep: each locality launches the per-slot
 //! kernels of [`super::solver`] on its owned indices on its own runtime,
 //! and between phases the frozen exchange lists are serialized into

@@ -3,7 +3,7 @@
 //!
 //! The octupole term exists because of the paper's angular-momentum story:
 //! Octo-Tiger's FMM modification that conserves angular momentum "requires
-//! [it] to also compute the octupole moment with the lower moments"
+//! \[it\] to also compute the octupole moment with the lower moments"
 //! (Section IV-C).  [`Multipole::m2l`] therefore takes a `use_octupole`
 //! flag; the ablation benchmark compares accuracy with and without it.
 

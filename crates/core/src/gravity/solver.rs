@@ -5,9 +5,9 @@
 //! then calculate the same-level cell-to-cell interactions on each tree
 //! level.  Lastly, we do a third top-down step tree-traversal to compute
 //! the final results."*  Each phase's per-slot body is written exactly once
-//! here — [`GravitySolver::upward_level`] (P2M/M2M),
-//! [`GravitySolver::m2l_kernel`], [`GravitySolver::downward_level`] (L2L)
-//! and [`GravitySolver::evaluate_leaves`] (evaluation + near field) — as a
+//! here — `GravitySolver::upward_level` (P2M/M2M),
+//! `GravitySolver::m2l_kernel`, `GravitySolver::downward_level` (L2L)
+//! and `GravitySolver::evaluate_leaves` (evaluation + near field) — as a
 //! launch over one locality's *owned index list*, and there is exactly one
 //! solve that schedules them: the sharded phase loop in [`super::dist`].
 //!

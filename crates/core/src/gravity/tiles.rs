@@ -11,12 +11,12 @@
 //! i-major order, which is how every source gather in the tree lays them
 //! out — and any other leaf is its own single tile, used in place.
 //!
-//! Per solve and locality, [`TileSet::rebuild`] sizes the tile geometry —
+//! Per solve and locality, `TileSet::rebuild` sizes the tile geometry —
 //! a pure function of the plan and the points per leaf — and runs one
 //! launch that writes a tile-major copy and the tile multipoles of every
 //! visible multi-tile leaf.  The evaluation launch then puts every tile of
-//! every near leaf of a target tile to [`well_separated`], the plan's own
-//! acceptance test, on tile geometry ([`TileSet::classify`]): accepted
+//! every near leaf of a target tile to `well_separated`, the plan's own
+//! acceptance test, on tile geometry (`TileGeometry::classify`): accepted
 //! tiles are summed by M2L, rejected ones by P2P, both in ascending
 //! (leaf, tile) order.  The outcome is recomputed every solve, one target
 //! tile at a time (64 tests per near leaf pair steer ≥ 10⁵ interactions):

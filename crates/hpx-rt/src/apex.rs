@@ -2,7 +2,7 @@
 //!
 //! The paper's conclusion: *"To further analyze the code performance, more
 //! runs using HPX's performance counters or Autonomous Performance
-//! Environment for Exascale (APEX) are needed"* (reference [38]; the same
+//! Environment for Exascale (APEX) are needed"* (reference \[38\]; the same
 //! group's follow-up uses APEX for combined CPU/GPU profiling of HPX).
 //! This module is that layer for the Rust runtime: named timers with
 //! hierarchical task categories, aggregated statistics (count / total /

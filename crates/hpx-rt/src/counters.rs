@@ -7,7 +7,7 @@
 //! Rust runtime: cheap relaxed atomic counters, snapshot/reset semantics,
 //! and stable names.
 //!
-//! Two blocks live here, each declared once with [`counter_block!`] as a
+//! Two blocks live here, each declared once with `counter_block!` as a
 //! list of `field => "/name"` lines: [`Counters`] (one per runtime and per
 //! locality) and [`ParcelCounters`] (the one process-wide block, behind
 //! [`parcel_counters`]).  Every other counted event is counted once, on the

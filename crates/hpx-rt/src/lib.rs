@@ -21,7 +21,7 @@
 //!   registry and an in-process parcel transport whose traffic is metered by
 //!   [`counters::Counters`].  This stands in for HPX's distributed AGAS +
 //!   parcelport layer (see DESIGN.md substitution table).
-//! * [`channel`] — HPX-style `promise`/`future` channels, used by the
+//! * [`mod@channel`] — HPX-style `promise`/`future` channels, used by the
 //!   Section VII-B communication optimization ("simple local HPX
 //!   promise/future pairs to notify neighbors when the local values are
 //!   up-to-date").

@@ -3,7 +3,7 @@
 //! The distributed stepper moves four kinds of FMM halo traffic plus the
 //! ghost-zone payloads between localities (see
 //! [`crate::counters::ParcelClass`]).  This module is the common carrier:
-//! a full mesh of HPX-style [`crate::channel`] lanes, one per ordered
+//! a full mesh of HPX-style [`mod@crate::channel`] lanes, one per ordered
 //! `(from, to)` locality pair, moving [`TypedParcel`]s whose payload type
 //! is chosen by the caller (the solver ships pooled `Recycled<f64>`
 //! buffers so parcel serialization recycles like every other scratch

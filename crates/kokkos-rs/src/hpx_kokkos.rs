@@ -2,7 +2,7 @@
 //!
 //! Plain Kokkos can *run* a kernel on HPX worker threads, but cannot hand
 //! the caller a handle to its completion.  The paper's stack adds the
-//! HPX-Kokkos interoperability library (its Section IV-B, reference [32])
+//! HPX-Kokkos interoperability library (its Section IV-B, reference \[32\])
 //! so that *"any HPX task may asynchronously launch Kokkos kernels and
 //! define what should be done with the results by adding HPX
 //! continuations"*.  These functions are that layer: they return

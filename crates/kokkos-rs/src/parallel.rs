@@ -1,11 +1,12 @@
 //! `parallel_for` / `parallel_for_mut` / `parallel_reduce` dispatchers.
 //!
 //! These are the Kokkos entry points Octo-Tiger's kernels call.  On the HPX
-//! space a kernel launch resolves its [`ChunkSpec`] to a task count and
-//! spawns that many scoped tasks on the runtime — one task by default (hot
-//! cache), 16 for the paper's split multipole kernel, etc.  Kernels borrow
-//! from the caller (views live on the caller's stack), which is why the
-//! scoped-spawn machinery of `hpx-rt` is used rather than detached tasks.
+//! space a kernel launch resolves its [`crate::policy::ChunkSpec`] to a task
+//! count and spawns that many scoped tasks on the runtime — one task by
+//! default (hot cache), 16 for the paper's split multipole kernel, etc.
+//! Kernels borrow from the caller (views live on the caller's stack), which
+//! is why the scoped-spawn machinery of `hpx-rt` is used rather than
+//! detached tasks.
 
 use crate::policy::RangePolicy;
 use crate::space::ExecSpace;

@@ -1,4 +1,4 @@
-//! Happens-before race detection for [`View`](crate::view::View) accesses at
+//! Happens-before race detection for [`View`] accesses at
 //! kernel-launch boundaries.
 //!
 //! The HPX-Kokkos integration overlaps kernels aggressively: a launch only

@@ -7,32 +7,39 @@
 //! on the **same locality** to direct memory access, "avoiding HPX actions
 //! and temporary communication buffers where possible", with promise/future
 //! pairs guaranteeing the source is up to date.  Our exchange has the same
-//! two paths:
+//! two routes:
 //!
-//! * **parcel path** — an action request/reply through the locality's
+//! * **parcel route** — an action request/reply through the locality's
 //!   parcelport (always used across localities, and also used locally when
 //!   the optimization is off), metered in the locality counters;
-//! * **direct path** — a read through the shared-memory grid handle,
+//! * **direct route** — a read through the shared-memory grid handle,
 //!   counted in `local_direct_accesses`.  The exchange's phase structure
 //!   (all interiors are final before any ghost is read) plays the role of
 //!   the paper's promise/future readiness notifications; the pipelined
 //!   exchange makes them literal, one future chain per link.
 //!
+//! Which leaf feeds which shell from which locality is derived once per
+//! `topology_version` into a `GhostPlan` that also carries the per-link
+//! work; the two exchanges are schedulers over its links.
+//!
 //! Level jumps are handled as in Octo-Tiger: data from a coarser neighbour
 //! is prolonged (piecewise-constant), data from finer neighbours is
 //! restricted (conservative 8-cell average).
 
-use crate::index::{Dir, NodeId};
+use crate::index::{Dir, NodeId, Octant};
 use crate::partition::partition_morton;
 use crate::subgrid::SubGrid;
 use crate::tree::{Neighbor, RegridDelta, Tree};
-use hpx_rt::locality::{downcast_payload, ArcPayload};
-use hpx_rt::{LocalityId, SimCluster};
+use hpx_rt::locality::{downcast_payload, ArcPayload, Payload};
+use hpx_rt::{Locality, LocalityId, SimCluster};
 use kokkos_rs::pool::{BufferPool, Recycled};
-use parking_lot::RwLock;
-use std::collections::HashMap;
+use parking_lot::{Mutex, RwLock};
+use std::cmp::Ordering as LevelOrder;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+
+type GridHandle = Arc<RwLock<SubGrid>>;
 
 /// Options of a ghost exchange.
 #[derive(Debug, Clone, Copy)]
@@ -48,12 +55,6 @@ impl Default for GhostConfig {
             direct_local_access: true,
         }
     }
-}
-
-/// Request payload of the `ghost_pack` action.
-struct GhostRequest {
-    leaf: NodeId,
-    dir: Dir,
 }
 
 /// One (leaf, direction) ghost link, classified: which source leaves the
@@ -100,22 +101,222 @@ pub fn ghost_link_specs(tree: &Tree) -> Vec<LinkSpec> {
         .collect()
 }
 
+/// Which way a link's data travels in one exchange.
+enum Route {
+    Outflow,
+    Direct,
+    Parcel,
+}
+
+/// One ghost link with everything an exchange needs to serve it without
+/// consulting the tree or the leaf table again.
+struct PlanLink {
+    spec: LinkSpec,
+    /// The destination leaf's sub-grid.
+    grid: GridHandle,
+    /// The sub-grids of `spec.sources`, in the same order.
+    sources: Vec<GridHandle>,
+    /// Owner of the destination leaf.
+    owner: LocalityId,
+    /// Owner of the first source — the locality a parcel request asks to
+    /// assemble the payload (it can read all grids — shared memory under
+    /// the simulation — but pays the parcel metering the cluster models
+    /// charge).  The destination's owner at the boundary.
+    source_owner: LocalityId,
+    /// Every source lives on the destination's locality.
+    all_local: bool,
+    /// Payload length in elements (`nfields ×` the receive box's cells):
+    /// the pool bucket it is checked out of and, × 8, its parcel size.
+    elems: usize,
+}
+
+impl PlanLink {
+    /// The one place [`GhostConfig::direct_local_access`] is read.
+    fn route(&self, config: GhostConfig) -> Route {
+        if self.spec.is_boundary() {
+            Route::Outflow
+        } else if self.all_local && config.direct_local_access {
+            Route::Direct
+        } else {
+            Route::Parcel
+        }
+    }
+}
+
+/// A packed payload as the unpacking side holds it.
+enum Packed {
+    /// Checked out by the direct route.
+    Local(Recycled<f64>),
+    /// The reply of a `ghost_pack` parcel.
+    Reply(ArcPayload),
+}
+
+impl Packed {
+    fn data(&self) -> &[f64] {
+        match self {
+            Packed::Local(data) => data,
+            Packed::Reply(reply) => downcast_payload::<Recycled<f64>>(reply)
+                .expect("ghost_pack returns a recycled buffer"),
+        }
+    }
+}
+
+/// Request payload of the `ghost_pack` action: the plan and link to serve.
+/// Carrying the plan keeps the cluster-global handler stateless, so any
+/// number of grids can share one cluster.
+struct GhostRequest {
+    plan: Arc<GhostPlan>,
+    link: usize,
+}
+
+fn serve_ghost_pack(arg: Payload, _loc: &Locality) -> Payload {
+    let req = arg
+        .downcast::<GhostRequest>()
+        .expect("GhostRequest payload");
+    Box::new(req.plan.pack(req.link))
+}
+
+/// The ghost topology of one `topology_version`: built once after a regrid
+/// and shared by every exchange until the next one (owners and grid
+/// handles only change together with the tree).
+struct GhostPlan {
+    version: u64,
+    /// SFC-sorted leaves.
+    leaves: Vec<NodeId>,
+    /// `leaves` split by owner, indexed by locality id.
+    leaves_of: Vec<Vec<NodeId>>,
+    /// Per leaf, one flag per face in `Dir::faces` order: at the domain
+    /// boundary?
+    boundary_faces: Arc<HashMap<NodeId, [bool; 6]>>,
+    /// 26 per leaf, in `leaves × Dir::all26()` order.
+    links: Vec<PlanLink>,
+    /// Payload bucket (`PlanLink::elems`) → non-boundary links using it.
+    demand: BTreeMap<usize, usize>,
+    /// The grid's payload arena.
+    pool: BufferPool<f64>,
+}
+
+impl GhostPlan {
+    fn build(inner: &DistGridInner) -> GhostPlan {
+        let tree = inner.tree.read();
+        let table = inner.leaves.read();
+        let owner = |leaf: &NodeId| table[leaf].0;
+        let leaves = tree.leaves();
+        let localities = table.values().map(|(loc, _)| loc.0 + 1).max().unwrap_or(0);
+        let mut leaves_of = vec![Vec::new(); localities];
+        for leaf in &leaves {
+            leaves_of[owner(leaf).0].push(*leaf);
+        }
+        let mut boundary_faces: HashMap<NodeId, [bool; 6]> = HashMap::new();
+        let mut demand = BTreeMap::new();
+        let links = ghost_link_specs(&tree)
+            .into_iter()
+            .map(|spec| {
+                let (me, grid) = table[&spec.leaf].clone();
+                let recv = SubGrid::recv_box_of(inner.n, inner.ghost, spec.dir);
+                let elems = inner.nfields * SubGrid::box_cells(&recv);
+                let faces = boundary_faces.entry(spec.leaf).or_default();
+                if !spec.is_boundary() {
+                    *demand.entry(elems).or_default() += 1;
+                } else if let Some(face) = Dir::faces().position(|f| f == spec.dir) {
+                    faces[face] = true;
+                }
+                PlanLink {
+                    grid,
+                    sources: spec.sources.iter().map(|s| table[s].1.clone()).collect(),
+                    owner: me,
+                    source_owner: spec.sources.first().map_or(me, owner),
+                    all_local: spec.sources.iter().all(|s| owner(s) == me),
+                    elems,
+                    spec,
+                }
+            })
+            .collect();
+        GhostPlan {
+            version: tree.topology_version(),
+            leaves,
+            leaves_of,
+            boundary_faces: Arc::new(boundary_faces),
+            links,
+            demand,
+            pool: inner.pool.clone(),
+        }
+    }
+
+    /// Top up the payload arena to the exact per-bucket link demand before
+    /// an exchange fans out.  Payloads are checked out by the exchanging
+    /// thread (direct links) and by the remote parcel pumps (parcel links),
+    /// so the population a warm-up exchange reaches depends on how those
+    /// threads interleave; prewarming the peak demand makes the steady state
+    /// allocation-free deterministically (afterwards the top-up is a no-op).
+    fn prewarm(&self) {
+        for (&bucket, &count) in &self.demand {
+            self.pool.prewarm(bucket, count);
+        }
+    }
+
+    /// Assemble the payload of non-boundary link `i`, in the element order
+    /// `SubGrid::unpack_recv(dir, ..)` expects, in a buffer checked out of
+    /// the grid's recycling arena: the same-level source's send slab, the
+    /// coarser source prolonged, or the finer sources restricted.
+    fn pack(&self, i: usize) -> Recycled<f64> {
+        let link = &self.links[i];
+        let LinkSpec { leaf, dir, sources } = &link.spec;
+        let mut out = self.pool.checkout_empty(link.elems);
+        let first = || link.sources[0].read();
+        match sources[0].level().cmp(&leaf.level()) {
+            LevelOrder::Equal => first().pack_send_into(dir.opposite(), &mut out),
+            LevelOrder::Less => pack_prolonged(&first(), sources[0], *leaf, *dir, &mut out),
+            LevelOrder::Greater => pack_restricted(link, &mut out),
+        }
+        out
+    }
+
+    /// Write a packed payload into link `i`'s ghost shell.
+    fn unpack(&self, i: usize, packed: &Packed) {
+        let link = &self.links[i];
+        link.grid.write().unpack_recv(link.spec.dir, packed.data());
+    }
+
+    /// Fill boundary link `i`'s ghost shell from the leaf's own interior.
+    fn outflow(&self, i: usize) {
+        let link = &self.links[i];
+        apply_outflow(&mut link.grid.write(), link.spec.dir);
+    }
+
+    /// The parcel route: ask the first source's owner to pack link `i`.
+    /// `me` is the destination leaf's locality, the requester.
+    fn request(self: &Arc<Self>, i: usize, me: &Locality) -> hpx_rt::Future<ArcPayload> {
+        let link = &self.links[i];
+        let bytes = link.elems * std::mem::size_of::<f64>();
+        hpx_rt::parcel_counters().note_send(hpx_rt::ParcelClass::Ghost, bytes as u64);
+        me.apply_async(
+            link.source_owner,
+            "ghost_pack",
+            Box::new(GhostRequest {
+                plan: self.clone(),
+                link: i,
+            }),
+            bytes,
+        )
+    }
+}
+
 struct DistGridInner {
     tree: RwLock<Tree>,
-    owner: RwLock<HashMap<NodeId, LocalityId>>,
-    grids: RwLock<HashMap<NodeId, Arc<RwLock<SubGrid>>>>,
+    /// Each leaf's owner and sub-grid; changes only together with `tree`.
+    leaves: RwLock<HashMap<NodeId, (LocalityId, GridHandle)>>,
     n: usize,
     ghost: usize,
     nfields: usize,
     /// Recycling arena every ghost payload is checked out of: after the
     /// first exchange warms it up, packing allocates nothing.
     pool: BufferPool<f64>,
-    /// Cached per-bucket payload demand of the current topology
-    /// (`topology_version` → `bucket → count`), patched leaf-locally from
-    /// [`RegridDelta`]s instead of re-walked every exchange.  Counts are
-    /// signed only because patch arithmetic may pass through transients;
-    /// the settled demand is non-negative.
-    payload_demand: parking_lot::Mutex<Option<(u64, HashMap<usize, i64>)>>,
+    /// The current `topology_version`'s plan, or `None` since the last
+    /// regrid.  The three mutators hold the lock across their tree and
+    /// leaf-table updates and empty the slot once the topology has changed,
+    /// so no reader sees a tree whose leaf table has not caught up.
+    plan: Mutex<Option<Arc<GhostPlan>>>,
 }
 
 /// A distributed AMR grid: a [`Tree`] whose leaves carry [`SubGrid`]s
@@ -129,9 +330,6 @@ impl DistGrid {
     /// Build a distributed grid over `cluster` from `tree`, creating one
     /// zeroed sub-grid per leaf (`n` cells, `ghost` ghost width, `nfields`
     /// fields) and partitioning leaves in Morton order.
-    ///
-    /// Registers the `ghost_pack` action on the cluster; at most one
-    /// `DistGrid` should be active per cluster at a time.
     pub fn new(
         tree: Tree,
         n: usize,
@@ -139,31 +337,23 @@ impl DistGrid {
         nfields: usize,
         cluster: &SimCluster,
     ) -> DistGrid {
-        let owner = partition_morton(&tree, cluster.num_localities());
-        let grids: HashMap<NodeId, Arc<RwLock<SubGrid>>> = tree
-            .leaves()
+        let new_grid = || Arc::new(RwLock::new(SubGrid::new(n, ghost, nfields)));
+        let leaves = partition_morton(&tree, cluster.num_localities())
             .into_iter()
-            .map(|leaf| (leaf, Arc::new(RwLock::new(SubGrid::new(n, ghost, nfields)))))
+            .map(|(leaf, owner)| (leaf, (owner, new_grid())))
             .collect();
-        let inner = Arc::new(DistGridInner {
-            tree: RwLock::new(tree),
-            owner: RwLock::new(owner),
-            grids: RwLock::new(grids),
-            n,
-            ghost,
-            nfields,
-            pool: BufferPool::new(),
-            payload_demand: parking_lot::Mutex::new(None),
-        });
-        let handler_inner = inner.clone();
-        cluster.register_action("ghost_pack", move |arg, _loc| {
-            let req = arg
-                .downcast::<GhostRequest>()
-                .expect("GhostRequest payload");
-            let payload = compute_payload(&handler_inner, req.leaf, req.dir).unwrap_or_default();
-            Box::new(payload)
-        });
-        DistGrid { inner }
+        cluster.register_action("ghost_pack", serve_ghost_pack);
+        DistGrid {
+            inner: Arc::new(DistGridInner {
+                tree: RwLock::new(tree),
+                leaves: RwLock::new(leaves),
+                n,
+                ghost,
+                nfields,
+                pool: BufferPool::new(),
+                plan: Mutex::new(None),
+            }),
+        }
     }
 
     /// Interior extent per dimension of every sub-grid.
@@ -187,9 +377,30 @@ impl DistGrid {
         self.inner.pool.clone()
     }
 
+    /// The current topology's plan: a clone of the cached one, or a fresh
+    /// build after a regrid.  A hit touches neither the tree nor the leaf
+    /// table.
+    fn plan(&self) -> Arc<GhostPlan> {
+        let plan = self
+            .inner
+            .plan
+            .lock()
+            .get_or_insert_with(|| Arc::new(GhostPlan::build(&self.inner)))
+            .clone();
+        debug_assert_eq!(plan.version, self.topology_version(), "stale ghost plan");
+        plan
+    }
+
+    /// Read the cached plan, if a regrid has not emptied the slot: the
+    /// plain accessors fall back to the tree instead of building one.
+    fn cached<R>(&self, read: impl FnOnce(&GhostPlan) -> R) -> Option<R> {
+        self.inner.plan.lock().as_deref().map(read)
+    }
+
     /// SFC-sorted leaves.
     pub fn leaves(&self) -> Vec<NodeId> {
-        self.inner.tree.read().leaves()
+        self.cached(|plan| plan.leaves.clone())
+            .unwrap_or_else(|| self.inner.tree.read().leaves())
     }
 
     /// Run `f` with shared access to the tree.
@@ -208,7 +419,7 @@ impl DistGrid {
     /// # Panics
     /// Panics if `id` has no grid.
     pub fn grid(&self, id: NodeId) -> Arc<RwLock<SubGrid>> {
-        self.inner.grids.read()[&id].clone()
+        self.inner.leaves.read()[&id].1.clone()
     }
 
     /// Owner locality of a leaf.
@@ -216,32 +427,38 @@ impl DistGrid {
     /// # Panics
     /// Panics if `id` is not a leaf of the grid.
     pub fn owner(&self, id: NodeId) -> LocalityId {
-        self.inner.owner.read()[&id]
+        self.inner.leaves.read()[&id].0
     }
 
     /// Leaves owned by `loc`, SFC-sorted.
     pub fn leaves_of(&self, loc: LocalityId) -> Vec<NodeId> {
-        let owner = self.inner.owner.read();
-        self.leaves()
-            .into_iter()
-            .filter(|l| owner[l] == loc)
-            .collect()
+        self.cached(|plan| plan.leaves_of.get(loc.0).cloned().unwrap_or_default())
+            .unwrap_or_else(|| {
+                let table = self.inner.leaves.read();
+                let leaves = self.inner.tree.read().leaves();
+                (leaves.into_iter().filter(|l| table[l].0 == loc)).collect()
+            })
+    }
+
+    /// Per leaf, which of its six faces (in [`Dir::faces`] order) lie on
+    /// the domain boundary.
+    pub fn boundary_faces(&self) -> Arc<HashMap<NodeId, [bool; 6]>> {
+        self.plan().boundary_faces.clone()
     }
 
     /// Refine `leaf` (keeping 2:1 balance), prolonging its payload into the
     /// new children.  New children inherit the refined leaf's owner.
     pub fn refine_balanced(&self, leaf: NodeId) {
+        let mut plan = self.inner.plan.lock();
         let refined = self.inner.tree.write().refine_balanced(leaf);
-        let mut grids = self.inner.grids.write();
-        let mut owner = self.inner.owner.write();
+        plan.take_if(|_| !refined.is_empty());
+        let mut leaves = self.inner.leaves.write();
         for r in refined {
-            let parent_grid = grids.remove(&r).expect("refined leaf had a grid");
-            let parent_owner = owner.remove(&r).expect("refined leaf had an owner");
-            let parent = parent_grid.read();
-            for oct in crate::index::Octant::all() {
-                let child = r.child(oct);
-                grids.insert(child, Arc::new(RwLock::new(parent.prolong_child(oct))));
-                owner.insert(child, parent_owner);
+            let (owner, parent) = leaves.remove(&r).expect("refined leaf had a grid");
+            let parent = parent.read();
+            for oct in Octant::all() {
+                let child = Arc::new(RwLock::new(parent.prolong_child(oct)));
+                leaves.insert(r.child(oct), (owner, child));
             }
         }
     }
@@ -252,9 +469,11 @@ impl DistGrid {
     /// still-wanted fine neighbours coarser).  Returns whether the
     /// collapse happened.
     pub fn derefine(&self, id: NodeId) -> bool {
+        let mut plan = self.inner.plan.lock();
         if !self.inner.tree.write().derefine(id) {
             return false;
         }
+        *plan = None;
         self.collapse_payload(&[id]);
         true
     }
@@ -263,125 +482,34 @@ impl DistGrid {
     /// the eight children's payloads into the collapsed parent by conservative
     /// averaging.  The parent inherits the first child's owner.
     pub fn derefine_balanced(&self, id: NodeId) {
+        let mut plan = self.inner.plan.lock();
         let collapsed = self.inner.tree.write().derefine_balanced(id);
+        plan.take_if(|_| !collapsed.is_empty());
         self.collapse_payload(&collapsed);
     }
 
     /// Restrict the eight children's payloads of each collapsed interior
-    /// into a fresh parent grid and swap the grid/owner tables over.
+    /// into a fresh parent grid and swap the leaf table over.
     fn collapse_payload(&self, collapsed: &[NodeId]) {
-        let mut grids = self.inner.grids.write();
-        let mut owner = self.inner.owner.write();
+        let mut leaves = self.inner.leaves.write();
         for &c in collapsed {
             let mut parent = SubGrid::new(self.inner.n, self.inner.ghost, self.inner.nfields);
             let mut parent_owner = None;
-            for oct in crate::index::Octant::all() {
-                let child = c.child(oct);
-                let child_grid = grids.remove(&child).expect("collapsed child had a grid");
-                let child_owner = owner.remove(&child).expect("collapsed child had an owner");
-                parent.restrict_from_child(oct, &child_grid.read());
-                parent_owner.get_or_insert(child_owner);
+            for oct in Octant::all() {
+                let (owner, child) = (leaves.remove(&c.child(oct))).expect("child had a grid");
+                parent.restrict_from_child(oct, &child.read());
+                parent_owner.get_or_insert(owner);
             }
-            grids.insert(c, Arc::new(RwLock::new(parent)));
-            owner.insert(c, parent_owner.expect("octet has eight children"));
+            let owner = parent_owner.expect("octet has eight children");
+            leaves.insert(c, (owner, Arc::new(RwLock::new(parent))));
         }
     }
 
-    /// Drain the tree's accumulated [`RegridDelta`], patching the payload
-    /// demand cache across it first so the next exchange's pool prewarm
-    /// stays tree-walk-free.  The caller hands the delta on to whatever
-    /// plan caches need invalidating (e.g. the gravity solver).
+    /// Drain the tree's accumulated [`RegridDelta`].  The caller hands it
+    /// on to whatever plan caches patch across it (e.g. the gravity
+    /// solver); the ghost plan is rebuilt per version instead.
     pub fn take_regrid_delta(&self) -> RegridDelta {
-        let delta = self.inner.tree.write().take_regrid_delta();
-        self.patch_payload_demand(&delta);
-        delta
-    }
-
-    /// One leaf's contribution to the payload-demand map: one buffer per
-    /// non-boundary direction, bucketed by the receive box's element
-    /// count.  Boundary-ness is a pure function of the leaf's coordinates
-    /// (no tree access), which is what makes the demand patchable from a
-    /// [`RegridDelta`] alone.
-    fn fold_leaf_demand(&self, demand: &mut HashMap<usize, i64>, leaf: NodeId, sign: i64) {
-        for dir in Dir::all26() {
-            if leaf.neighbor(dir).is_none() {
-                continue; // domain boundary: outflow, no payload
-            }
-            let cells =
-                SubGrid::box_cells(&SubGrid::recv_box_of(self.inner.n, self.inner.ghost, dir));
-            *demand.entry(self.inner.nfields * cells).or_default() += sign;
-        }
-    }
-
-    /// Patch the cached payload demand across `delta` (leaf-locally: one
-    /// refined leaf retracts its 26 links and adds its children's, a
-    /// derefine the reverse) instead of invalidating it.  Falls back to
-    /// dropping the cache when the delta does not span the cached version
-    /// — the next exchange then re-walks the tree once.
-    fn patch_payload_demand(&self, delta: &RegridDelta) {
-        let mut guard = self.inner.payload_demand.lock();
-        let Some((version, demand)) = guard.as_mut() else {
-            return;
-        };
-        let current = self.inner.tree.read().topology_version();
-        if *version == current {
-            return;
-        }
-        if !delta.spans(*version, current) {
-            *guard = None;
-            return;
-        }
-        // Refine/derefine contributions are additive counts, so applying
-        // the two op lists out of interleaving order nets the same map.
-        for &id in &delta.refined {
-            self.fold_leaf_demand(demand, id, -1);
-            for oct in crate::index::Octant::all() {
-                self.fold_leaf_demand(demand, id.child(oct), 1);
-            }
-        }
-        for &id in &delta.derefined {
-            for oct in crate::index::Octant::all() {
-                self.fold_leaf_demand(demand, id.child(oct), -1);
-            }
-            self.fold_leaf_demand(demand, id, 1);
-        }
-        *version = current;
-    }
-
-    /// Top up the payload arena to this topology's exact per-bucket link
-    /// demand (one buffer per non-boundary link, bucketed by the receive
-    /// box's cell count) before an exchange fans out.
-    ///
-    /// Payloads are checked out both by this thread (direct links) and by
-    /// the remote localities' parcel pumps (parcel links), so the pool
-    /// population a warm-up exchange reaches depends on how those threads
-    /// interleave — a later exchange with more overlap would still
-    /// allocate.  Prewarming the peak demand makes the steady state
-    /// allocation-free deterministically: after the first exchange the
-    /// top-up is a no-op and every checkout is a hit.
-    ///
-    /// The demand map is cached per `topology_version` and patched
-    /// leaf-locally across regrids ([`DistGrid::take_regrid_delta`]), so
-    /// the steady state also stops re-walking the tree every exchange.
-    fn prewarm_payload_pool(&self) {
-        let mut guard = self.inner.payload_demand.lock();
-        let current = self.inner.tree.read().topology_version();
-        let demand = match guard.as_ref() {
-            Some((version, demand)) if *version == current => demand,
-            _ => {
-                let mut demand: HashMap<usize, i64> = HashMap::new();
-                for &leaf in &self.inner.tree.read().leaves() {
-                    self.fold_leaf_demand(&mut demand, leaf, 1);
-                }
-                &guard.insert((current, demand)).1
-            }
-        };
-        for (&bucket, &count) in demand {
-            debug_assert!(count >= 0, "settled payload demand must be non-negative");
-            if count > 0 {
-                self.inner.pool.prewarm(bucket, count as usize);
-            }
-        }
+        self.inner.tree.write().take_regrid_delta()
     }
 
     /// Fill every leaf's ghost shells: interior data from neighbours
@@ -391,73 +519,37 @@ impl DistGrid {
     /// Returns the number of (leaf, direction) links that used the direct
     /// local path.
     pub fn exchange_ghosts(&self, cluster: &SimCluster, config: GhostConfig) -> usize {
-        self.prewarm_payload_pool();
-        let owner = self.inner.owner.read().clone();
+        let plan = self.plan();
+        plan.prewarm();
         let mut direct_links = 0usize;
 
-        // Phase 1: gather payloads (reads only — interiors are stable),
-        // over the same link classification the pipelined exchange wires
-        // and `hpx-check` lints, in the same `leaves × 26` order.
-        // Each entry: (leaf, dir, payload or pending future).
+        // Phase 1: gather payloads (reads only — interiors are stable).
         enum Pending {
-            Data(Recycled<f64>),
-            Remote(hpx_rt::Future<hpx_rt::locality::ArcPayload>),
-            Boundary,
+            Outflow,
+            Packed(Packed),
+            Reply(hpx_rt::Future<ArcPayload>),
         }
-        let mut pending: Vec<(NodeId, Dir, Pending)> = Vec::new();
-        for LinkSpec { leaf, dir, sources } in self.link_specs() {
-            let me = owner[&leaf];
-            if sources.is_empty() {
-                pending.push((leaf, dir, Pending::Boundary));
-                continue;
-            }
-            let all_local = sources.iter().all(|s| owner[s] == me);
-            if all_local && config.direct_local_access {
-                cluster.locality(me.0).note_local_direct_access();
-                direct_links += 1;
-                let payload = compute_payload(&self.inner, leaf, dir)
-                    .expect("non-boundary link must produce data");
-                pending.push((leaf, dir, Pending::Data(payload)));
-            } else {
-                // Parcel path: ask the owner of the *first* source to
-                // assemble the payload (it can read all grids — shared
-                // memory under the simulation — but pays the parcel
-                // metering that the cluster models charge).
-                let dest = owner[&sources[0]];
-                let bytes = {
-                    let grids = self.inner.grids.read();
-                    let g = grids[&leaf].read();
-                    g.payload_bytes(dir.opposite())
-                };
-                hpx_rt::parcel_counters().note_send(hpx_rt::ParcelClass::Ghost, bytes as u64);
-                let fut = cluster.locality(me.0).apply_async(
-                    dest,
-                    "ghost_pack",
-                    Box::new(GhostRequest { leaf, dir }),
-                    bytes,
-                );
-                pending.push((leaf, dir, Pending::Remote(fut)));
-            }
-        }
+        let pending: Vec<Pending> = (plan.links.iter().enumerate())
+            .map(|(i, link)| {
+                let me = cluster.locality(link.owner.0);
+                match link.route(config) {
+                    Route::Outflow => Pending::Outflow,
+                    Route::Direct => {
+                        me.note_local_direct_access();
+                        direct_links += 1;
+                        Pending::Packed(Packed::Local(plan.pack(i)))
+                    }
+                    Route::Parcel => Pending::Reply(plan.request(i, me)),
+                }
+            })
+            .collect();
 
         // Phase 2: unpack into ghost shells (writes).
-        for (leaf, dir, p) in pending {
+        for (i, p) in pending.into_iter().enumerate() {
             match p {
-                Pending::Boundary => {
-                    let grid = self.grid(leaf);
-                    apply_outflow(&mut grid.write(), dir);
-                }
-                Pending::Data(data) => {
-                    let grid = self.grid(leaf);
-                    grid.write().unpack_recv(dir, &data);
-                }
-                Pending::Remote(fut) => {
-                    let reply = fut.get();
-                    let data = downcast_payload::<Recycled<f64>>(&reply)
-                        .expect("ghost_pack returns a recycled buffer");
-                    let grid = self.grid(leaf);
-                    grid.write().unpack_recv(dir, data);
-                }
+                Pending::Outflow => plan.outflow(i),
+                Pending::Packed(packed) => plan.unpack(i, &packed),
+                Pending::Reply(reply) => plan.unpack(i, &Packed::Reply(reply.get())),
             }
         }
         direct_links
@@ -467,13 +559,15 @@ impl DistGrid {
     /// has exactly 26 links (a link with several finer sources still counts
     /// once, and domain-boundary directions count as outflow links).
     pub fn total_ghost_links(&self) -> usize {
-        self.leaves().len() * 26
+        self.cached(|plan| plan.links.len())
+            .unwrap_or_else(|| 26 * self.inner.tree.read().num_leaves())
     }
 
-    /// Classify every ghost link of the current tree (see
+    /// Every ghost link of the current tree, classified (see
     /// [`ghost_link_specs`]): the exact link set both exchanges serve.
     pub fn link_specs(&self) -> Vec<LinkSpec> {
-        ghost_link_specs(&self.inner.tree.read())
+        self.cached(|plan| plan.links.iter().map(|l| l.spec.clone()).collect())
+            .unwrap_or_else(|| self.with_tree(ghost_link_specs))
     }
 
     /// Futurized ghost exchange: instead of a phase barrier, every
@@ -489,7 +583,7 @@ impl DistGrid {
     /// Together they let interior leaves of the next stage run while slower
     /// neighbours are still exchanging: the paper's promise/future readiness
     /// notification made literal, with no copy of any packed buffer
-    /// (`then_ref` consumes payloads in place).
+    /// (`with_value` consumes payloads in place).
     ///
     /// The per-link futures *are* the readiness notification.  This method
     /// only builds the graph; it never blocks.
@@ -499,121 +593,92 @@ impl DistGrid {
         config: GhostConfig,
         ready: &HashMap<NodeId, hpx_rt::Future<()>>,
     ) -> PipelinedExchange {
-        self.prewarm_payload_pool();
-        let leaves = self.leaves();
-        let owner = self.inner.owner.read().clone();
-
-        // Classify all links first so no tree lock is held while futures are
-        // wired (continuations re-acquire it from worker threads).  This is
-        // the same classification `hpx-check`'s DAG linter analyzes.
-        let links = self.link_specs();
-
+        let plan = self.plan();
+        plan.prewarm();
         let links_resolved = Arc::new(AtomicUsize::new(0));
-        let total_links = links.len();
         let mut direct_links = 0usize;
-        let mut incoming: HashMap<NodeId, Vec<hpx_rt::Future<()>>> =
-            leaves.iter().map(|&l| (l, Vec::new())).collect();
+        let mut ghosts_filled = HashMap::with_capacity(plan.leaves.len());
+        let mut filled: Vec<hpx_rt::Future<()>> = Vec::with_capacity(26);
         let mut outgoing: HashMap<NodeId, Vec<hpx_rt::Future<()>>> =
-            leaves.iter().map(|&l| (l, Vec::new())).collect();
+            plan.leaves.iter().map(|&l| (l, Vec::new())).collect();
+        let mut gate_parts: Vec<hpx_rt::Future<()>> = Vec::new();
 
-        for LinkSpec { leaf, dir, sources } in links {
-            let me = owner[&leaf];
-            let rt_leaf = cluster.locality(me.0).runtime().clone();
-            let grid = self.grid(leaf);
-            let resolved = links_resolved.clone();
-            if sources.is_empty() {
-                // Outflow reads the leaf's own interior: gate on the
-                // leaf itself.
-                let unpacked = ready[&leaf].then(&rt_leaf, move |()| {
-                    apply_outflow(&mut grid.write(), dir);
+        for (i, link) in plan.links.iter().enumerate() {
+            let LinkSpec { leaf, sources, .. } = &link.spec;
+            let me = cluster.locality(link.owner.0);
+            let rt_leaf = me.runtime();
+            let route = link.route(config);
+            let (p, resolved) = (plan.clone(), links_resolved.clone());
+            let unpacked = if let Route::Outflow = route {
+                // Outflow reads the leaf's own interior: gate on the leaf
+                // itself.
+                ready[leaf].then(rt_leaf, move |()| {
+                    p.outflow(i);
                     resolved.fetch_add(1, Ordering::Relaxed);
-                });
-                incoming.get_mut(&leaf).unwrap().push(unpacked);
+                })
             } else {
-                let all_local = sources.iter().all(|s| owner[s] == me);
-                let src_rt = cluster.locality(owner[&sources[0]].0).runtime().clone();
-                let gate = if sources.len() == 1 {
-                    ready[&sources[0]].clone()
+                let src_rt = cluster.locality(link.source_owner.0).runtime();
+                let gate = if let [only] = sources.as_slice() {
+                    ready[only].clone()
                 } else {
-                    let parts: Vec<hpx_rt::Future<()>> =
-                        sources.iter().map(|s| ready[s].clone()).collect();
-                    hpx_rt::when_all_of(&src_rt, &parts)
+                    gate_parts.clear();
+                    gate_parts.extend(sources.iter().map(|s| ready[s].clone()));
+                    hpx_rt::when_all_of(src_rt, &gate_parts)
                 };
                 // The link's payload future: packed as soon as all of its
-                // *sources* are ready, on either the direct or parcel
-                // path.  The unpack additionally gates on the destination
-                // leaf's own readiness — its previous-stage combine
-                // rewrites the whole array (ghost shells included), so a
-                // ghost write landing before it would be clobbered.
-                let unpacked = if all_local && config.direct_local_access {
+                // *sources* are ready, on either route.
+                let payload = if let Route::Direct = route {
                     direct_links += 1;
-                    let inner = self.inner.clone();
-                    let loc = cluster.locality(me.0).clone();
-                    let payload = gate.then(&src_rt, move |()| {
-                        loc.note_local_direct_access();
-                        compute_payload(&inner, leaf, dir)
-                            .expect("non-boundary link must produce data")
-                    });
-                    for s in &sources {
-                        outgoing.get_mut(s).unwrap().push(payload.ticket());
-                    }
-                    let parts = [payload.ticket(), ready[&leaf].clone()];
-                    hpx_rt::when_all_of(&rt_leaf, &parts).then(&rt_leaf, move |()| {
-                        payload.with_value(|data| grid.write().unpack_recv(dir, data));
-                        resolved.fetch_add(1, Ordering::Relaxed);
+                    let (p, me) = (plan.clone(), me.clone());
+                    gate.then(src_rt, move |()| {
+                        me.note_local_direct_access();
+                        Packed::Local(p.pack(i))
                     })
                 } else {
-                    let dest = owner[&sources[0]];
-                    let bytes = {
-                        let grids = self.inner.grids.read();
-                        let g = grids[&leaf].read();
-                        g.payload_bytes(dir.opposite())
-                    };
-                    let loc_me = cluster.locality(me.0).clone();
                     // The parcel is only *sent* once the gate resolves, so
                     // the remote pack handler observes stage-consistent
                     // sources; its reply is re-exposed as a plain future.
-                    let (reply_p, reply_f) = hpx_rt::Promise::<ArcPayload>::new_pair();
+                    let (reply_p, reply_f) = hpx_rt::Promise::new_pair();
+                    let (p, me) = (plan.clone(), me.clone());
                     gate.on_ready(move |_| {
-                        hpx_rt::parcel_counters()
-                            .note_send(hpx_rt::ParcelClass::Ghost, bytes as u64);
-                        let f = loc_me.apply_async(
-                            dest,
-                            "ghost_pack",
-                            Box::new(GhostRequest { leaf, dir }),
-                            bytes,
-                        );
-                        f.on_ready(move |arc| reply_p.set(arc.clone()));
+                        p.request(i, &me)
+                            .on_ready(move |reply| reply_p.set(Packed::Reply(reply.clone())));
                     });
-                    for s in &sources {
-                        outgoing.get_mut(s).unwrap().push(reply_f.ticket());
-                    }
-                    let parts = [reply_f.ticket(), ready[&leaf].clone()];
-                    hpx_rt::when_all_of(&rt_leaf, &parts).then(&rt_leaf, move |()| {
-                        reply_f.with_value(|arc| {
-                            let data = downcast_payload::<Recycled<f64>>(arc)
-                                .expect("ghost_pack returns a recycled buffer");
-                            grid.write().unpack_recv(dir, data);
-                        });
-                        resolved.fetch_add(1, Ordering::Relaxed);
-                    })
+                    reply_f
                 };
-                incoming.get_mut(&leaf).unwrap().push(unpacked);
+                for s in sources {
+                    let packed = outgoing.get_mut(s).expect("source is a leaf");
+                    packed.push(payload.ticket());
+                }
+                // The unpack additionally gates on the destination leaf's
+                // own readiness — its previous-stage combine rewrites the
+                // whole array (ghost shells included), so a ghost write
+                // landing before it would be clobbered.
+                let parts = [payload.ticket(), ready[leaf].clone()];
+                hpx_rt::when_all_of(rt_leaf, &parts).then(rt_leaf, move |()| {
+                    payload.with_value(|packed| p.unpack(i, packed));
+                    resolved.fetch_add(1, Ordering::Relaxed);
+                })
+            };
+            // A leaf's 26 links are contiguous: join them once all are wired.
+            filled.push(unpacked);
+            if filled.len() == 26 {
+                ghosts_filled.insert(*leaf, hpx_rt::when_all_of(rt_leaf, &filled));
+                filled.clear();
             }
         }
 
-        let join = |map: HashMap<NodeId, Vec<hpx_rt::Future<()>>>| {
-            map.into_iter()
-                .map(|(l, futs)| {
-                    let rt = cluster.locality(owner[&l].0).runtime();
-                    (l, hpx_rt::when_all_of(rt, &futs))
-                })
-                .collect()
-        };
+        let outgoing_packed = (plan.leaves_of.iter().enumerate())
+            .flat_map(|(loc, leaves)| {
+                let rt = cluster.locality(loc).runtime();
+                let outgoing = &outgoing;
+                (leaves.iter()).map(move |l| (*l, hpx_rt::when_all_of(rt, &outgoing[l])))
+            })
+            .collect();
         PipelinedExchange {
-            ghosts_filled: join(incoming),
-            outgoing_packed: join(outgoing),
-            total_links,
+            ghosts_filled,
+            outgoing_packed,
+            total_links: plan.links.len(),
             direct_links,
             links_resolved,
         }
@@ -637,51 +702,9 @@ pub struct PipelinedExchange {
     pub links_resolved: Arc<AtomicUsize>,
 }
 
-/// Assemble the ghost payload `leaf` needs from direction `dir`, in the
-/// element order expected by `SubGrid::unpack_recv(dir, ..)`, in a buffer
-/// checked out of the grid's recycling arena.  `None` at the domain
-/// boundary.
-fn compute_payload(inner: &DistGridInner, leaf: NodeId, dir: Dir) -> Option<Recycled<f64>> {
-    let tree = inner.tree.read();
-    let grids = inner.grids.read();
-    // Every case produces exactly the destination ghost region's cell count
-    // per field, so the checkout capacity is exact and the bucket is stable
-    // per direction class.
-    let cells = SubGrid::box_cells(&SubGrid::recv_box_of(inner.n, inner.ghost, dir));
-    match tree.neighbor_of(leaf, dir) {
-        Neighbor::SameLevel(nb) => {
-            let mut out = inner.pool.checkout_empty(inner.nfields * cells);
-            grids[&nb].read().pack_send_into(dir.opposite(), &mut out);
-            Some(out)
-        }
-        Neighbor::Coarser(c) => {
-            let mut out = inner.pool.checkout_empty(inner.nfields * cells);
-            let coarse = grids[&c].read();
-            pack_prolonged(&coarse, c, leaf, dir, inner.n, inner.ghost, &mut out);
-            Some(out)
-        }
-        Neighbor::Finer(kids) => {
-            let mut out = inner.pool.checkout_empty(inner.nfields * cells);
-            let kid_grids: HashMap<NodeId, Arc<RwLock<SubGrid>>> =
-                kids.iter().map(|k| (*k, grids[k].clone())).collect();
-            pack_restricted(
-                &kid_grids,
-                leaf,
-                dir,
-                inner.n,
-                inner.ghost,
-                inner.nfields,
-                &mut out,
-            );
-            Some(out)
-        }
-        Neighbor::DomainBoundary => None,
-    }
-}
-
 /// Fill the ghost region toward `dir` by copying the nearest interior layer
 /// (zero-gradient outflow, Octo-Tiger's outer boundary condition).
-pub fn apply_outflow(grid: &mut SubGrid, dir: Dir) {
+fn apply_outflow(grid: &mut SubGrid, dir: Dir) {
     let b = grid.recv_box(dir);
     let g = grid.ghost();
     let n = grid.n();
@@ -698,32 +721,23 @@ pub fn apply_outflow(grid: &mut SubGrid, dir: Dir) {
     }
 }
 
-/// Floor division of possibly-negative global indices.
-#[inline]
-fn div_floor(a: i64, b: i64) -> i64 {
-    a.div_euclid(b)
-}
-
 /// Payload for a fine leaf whose neighbour in `dir` is one level coarser:
 /// piecewise-constant prolongation of the coarse interior onto the fine
 /// ghost region, pushed into `out` (cleared first).
-#[allow(clippy::too_many_arguments)]
 fn pack_prolonged(
     coarse: &SubGrid,
     coarse_id: NodeId,
     fine_id: NodeId,
     dir: Dir,
-    n: usize,
-    ghost: usize,
     out: &mut Vec<f64>,
 ) {
     let fine_coords = fine_id.coords();
     let coarse_coords = coarse_id.coords();
     // Shape of the fine ghost region (same as recv_box of the fine grid).
-    let b = SubGrid::recv_box_of(n, ghost, dir);
+    let b = coarse.recv_box(dir);
     out.clear();
-    let ni = n as i64;
-    let gi = ghost as i64;
+    let ni = coarse.n() as i64;
+    let gi = coarse.ghost() as i64;
     for f in 0..coarse.nfields() {
         for i in b[0].0..b[0].1 {
             for j in b[1].0..b[1].1 {
@@ -734,7 +748,7 @@ fn pack_prolonged(
                         // Global fine index of this ghost cell.
                         let gf = i64::from(fine_coords[a]) * ni + s[a] - gi;
                         // Enclosing global coarse cell.
-                        let gc = div_floor(gf, 2);
+                        let gc = gf.div_euclid(2);
                         // Local storage index within the coarse grid.
                         let l = gc - i64::from(coarse_coords[a]) * ni + gi;
                         debug_assert!(
@@ -753,25 +767,18 @@ fn pack_prolonged(
 /// Payload for a coarse leaf whose same-level neighbour in `dir` is refined:
 /// conservative 8-cell average of the fine children's interiors onto the
 /// coarse ghost region, pushed into `out` (cleared first).
-#[allow(clippy::too_many_arguments)]
-fn pack_restricted(
-    kids: &HashMap<NodeId, Arc<RwLock<SubGrid>>>,
-    coarse_id: NodeId,
-    dir: Dir,
-    n: usize,
-    ghost: usize,
-    nfields: usize,
-    out: &mut Vec<f64>,
-) {
-    let coarse_coords = coarse_id.coords();
-    let b = SubGrid::recv_box_of(n, ghost, dir);
+fn pack_restricted(link: &PlanLink, out: &mut Vec<f64>) {
+    let LinkSpec { leaf, dir, sources } = &link.spec;
+    let coarse_coords = leaf.coords();
+    let fine_level = leaf.level() + 1;
+    // Lock each child once (a link has 1, 2 or 4 finer sources).
+    let kids: [_; 4] = std::array::from_fn(|s| link.sources.get(s).map(|g| g.read()));
+    let first = kids[0].as_ref().expect("finer link has a source");
+    let b = first.recv_box(*dir);
     out.clear();
-    let ni = n as i64;
-    let gi = ghost as i64;
-    // Lock each child once.
-    let locked: HashMap<NodeId, parking_lot::RwLockReadGuard<'_, SubGrid>> =
-        kids.iter().map(|(id, g)| (*id, g.read())).collect();
-    for f in 0..nfields {
+    let ni = first.n() as i64;
+    let gi = first.ghost() as i64;
+    for f in 0..first.nfields() {
         for i in b[0].0..b[0].1 {
             for j in b[1].0..b[1].1 {
                 for k in b[2].0..b[2].1 {
@@ -788,26 +795,15 @@ fn pack_restricted(
                             for dk in 0..2i64 {
                                 let gf = [2 * gc[0] + di, 2 * gc[1] + dj, 2 * gc[2] + dk];
                                 // Which fine leaf holds this cell?
-                                let leaf_coords = [
-                                    div_floor(gf[0], ni),
-                                    div_floor(gf[1], ni),
-                                    div_floor(gf[2], ni),
-                                ];
-                                let fine_level = coarse_id.level() + 1;
-                                let fid = NodeId::from_coords(
-                                    fine_level,
-                                    [
-                                        leaf_coords[0] as u32,
-                                        leaf_coords[1] as u32,
-                                        leaf_coords[2] as u32,
-                                    ],
-                                );
-                                let grid = locked
-                                    .get(&fid)
+                                let lc = gf.map(|g| g.div_euclid(ni));
+                                let fid = NodeId::from_coords(fine_level, lc.map(|c| c as u32));
+                                let grid = sources
+                                    .iter()
+                                    .position(|&s| s == fid)
+                                    .and_then(|s| kids[s].as_ref())
                                     .unwrap_or_else(|| panic!("restriction source {fid} missing"));
-                                let li = (gf[0] - leaf_coords[0] * ni + gi) as usize;
-                                let lj = (gf[1] - leaf_coords[1] * ni + gi) as usize;
-                                let lk = (gf[2] - leaf_coords[2] * ni + gi) as usize;
+                                let [li, lj, lk] =
+                                    [0, 1, 2].map(|a| (gf[a] - lc[a] * ni + gi) as usize);
                                 acc += grid.get(f, li, lj, lk);
                             }
                         }
@@ -824,8 +820,8 @@ mod tests {
     use super::*;
 
     /// Fill every leaf with a globally smooth linear field so ghost values
-    /// are predictable: field value = physical x + 10 y + 100 z at the cell
-    /// center.
+    /// are predictable: field `f` = (f + 1) × (physical x + 10 y + 100 z) at
+    /// the cell center.
     fn fill_linear(dg: &DistGrid) {
         for leaf in dg.leaves() {
             let (corner, size) = leaf.cube();
@@ -839,7 +835,9 @@ mod tests {
                         let x = corner[0] + (i as f64 + 0.5) * h;
                         let y = corner[1] + (j as f64 + 0.5) * h;
                         let z = corner[2] + (k as f64 + 0.5) * h;
-                        g.set_interior(0, i, j, k, x + 10.0 * y + 100.0 * z);
+                        for f in 0..dg.nfields() {
+                            g.set_interior(f, i, j, k, (f + 1) as f64 * (x + 10.0 * y + 100.0 * z));
+                        }
                     }
                 }
             }
@@ -893,25 +891,6 @@ mod tests {
         let direct = dg.exchange_ghosts(&cluster, GhostConfig::default());
         assert!(direct > 0, "expected some direct local links");
         check_same_level_ghosts(&dg);
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn uniform_exchange_parcel_path_matches_direct() {
-        let cluster = SimCluster::new(2, 2);
-        let dg = DistGrid::new(Tree::new_uniform(2), 4, 2, 1, &cluster);
-        fill_linear(&dg);
-        let direct = dg.exchange_ghosts(
-            &cluster,
-            GhostConfig {
-                direct_local_access: false,
-            },
-        );
-        assert_eq!(direct, 0, "optimization off: no direct links");
-        check_same_level_ghosts(&dg);
-        // Every link went through parcels.
-        let totals = cluster.total_counters();
-        assert!(totals.parcels_sent > 0);
         cluster.shutdown();
     }
 
@@ -1007,7 +986,7 @@ mod tests {
         dg.refine_balanced(target);
         // Children exist, inherit the owner, and conserve the parent's mean.
         let mut child_sum = 0.0;
-        for oct in crate::index::Octant::all() {
+        for oct in Octant::all() {
             let child = target.child(oct);
             assert_eq!(dg.owner(child), parent_owner);
             child_sum += dg.grid(child).read().interior_sum(0);
@@ -1034,78 +1013,9 @@ mod tests {
         let sum_after = dg.grid(target).read().interior_sum(0);
         assert!((sum_after - sum_before).abs() < 1e-9);
         assert!(dg.leaves().contains(&target));
-        for oct in crate::index::Octant::all() {
+        for oct in Octant::all() {
             assert!(!dg.leaves().contains(&target.child(oct)));
         }
-        cluster.shutdown();
-    }
-
-    /// Full-walk payload demand, the reference the patched cache must match.
-    fn walked_demand(dg: &DistGrid) -> HashMap<usize, i64> {
-        let mut demand = HashMap::new();
-        for leaf in dg.leaves() {
-            dg.fold_leaf_demand(&mut demand, leaf, 1);
-        }
-        demand.retain(|_, c| *c != 0);
-        demand
-    }
-
-    #[test]
-    fn payload_demand_cache_patches_across_regrids() {
-        let cluster = SimCluster::new(1, 1);
-        let dg = DistGrid::new(Tree::new_uniform(2), 4, 2, 3, &cluster);
-        fill_linear(&dg);
-        dg.take_regrid_delta(); // drain the seed delta
-        dg.exchange_ghosts(&cluster, GhostConfig::default()); // populates the cache
-
-        // A mixed episode: refine one corner, round-trip another so the
-        // patch exercises both the refine and derefine arithmetic.
-        dg.refine_balanced(NodeId::from_coords(2, [0, 0, 0]));
-        dg.refine_balanced(NodeId::from_coords(2, [3, 3, 3]));
-        dg.derefine_balanced(NodeId::from_coords(2, [3, 3, 3]));
-        let delta = dg.take_regrid_delta(); // patches the cache leaf-locally
-        assert!(!delta.is_empty());
-
-        let cached = {
-            let guard = dg.inner.payload_demand.lock();
-            let (version, demand) = guard.as_ref().expect("cache survived the patch");
-            assert_eq!(*version, dg.topology_version());
-            let mut demand = demand.clone();
-            demand.retain(|_, c| *c != 0);
-            demand
-        };
-        assert_eq!(cached, walked_demand(&dg));
-
-        // And the next exchange runs off the patched cache without panicking.
-        dg.exchange_ghosts(&cluster, GhostConfig::default());
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn unseen_regrid_invalidates_payload_demand_cache() {
-        let cluster = SimCluster::new(1, 1);
-        let dg = DistGrid::new(Tree::new_uniform(1), 4, 2, 1, &cluster);
-        fill_linear(&dg);
-        dg.take_regrid_delta();
-        dg.exchange_ghosts(&cluster, GhostConfig::default());
-
-        // Regrid, then prewarm again WITHOUT draining: the cache version is
-        // stale, so the walk refreshes it in place.
-        dg.refine_balanced(NodeId::from_coords(1, [0, 1, 0]));
-        dg.exchange_ghosts(&cluster, GhostConfig::default());
-        {
-            let guard = dg.inner.payload_demand.lock();
-            let (version, demand) = guard.as_ref().expect("walk refreshed the cache");
-            assert_eq!(*version, dg.topology_version());
-            let mut demand = demand.clone();
-            demand.retain(|_, c| *c != 0);
-            assert_eq!(demand, walked_demand(&dg));
-        }
-
-        // The pending delta no longer spans the cached (current) version's
-        // start, but versions now match, so draining keeps the cache.
-        dg.take_regrid_delta();
-        assert!(dg.inner.payload_demand.lock().is_some());
         cluster.shutdown();
     }
 
@@ -1136,46 +1046,6 @@ mod tests {
         assert_eq!(ex.links_resolved.load(Ordering::SeqCst), ex.total_links);
         check_same_level_ghosts(&dg);
         cluster.shutdown();
-    }
-
-    #[test]
-    fn pipelined_direct_link_accounting_matches_barrier_path() {
-        // Same tree and partition on two clusters; the pipelined exchange
-        // must classify exactly the same links as direct-local, and its
-        // direct-access counters must match the barrier path's.
-        let barrier_cluster = SimCluster::new(2, 2);
-        let barrier_dg = DistGrid::new(Tree::new_uniform(2), 4, 2, 1, &barrier_cluster);
-        fill_linear(&barrier_dg);
-        let barrier_direct = barrier_dg.exchange_ghosts(&barrier_cluster, GhostConfig::default());
-
-        let cluster = SimCluster::new(2, 2);
-        let dg = DistGrid::new(Tree::new_uniform(2), 4, 2, 1, &cluster);
-        fill_linear(&dg);
-        let ex = dg.exchange_ghosts_pipelined(&cluster, GhostConfig::default(), &all_ready(&dg));
-        for f in ex.ghosts_filled.values() {
-            f.wait();
-        }
-        assert_eq!(ex.direct_links, barrier_direct);
-        let direct_ctr = cluster.total_counters().local_direct_accesses;
-        let barrier_ctr = barrier_cluster.total_counters().local_direct_accesses;
-        assert_eq!(direct_ctr, barrier_ctr);
-
-        // And the resulting fields are identical, cell for cell.
-        for leaf in dg.leaves() {
-            let a = dg.grid(leaf);
-            let b = barrier_dg.grid(leaf);
-            let (a, b) = (a.read(), b.read());
-            let ext = a.ext();
-            for i in 0..ext {
-                for j in 0..ext {
-                    for k in 0..ext {
-                        assert_eq!(a.get(0, i, j, k), b.get(0, i, j, k), "leaf {leaf}");
-                    }
-                }
-            }
-        }
-        cluster.shutdown();
-        barrier_cluster.shutdown();
     }
 
     #[test]
@@ -1270,25 +1140,202 @@ mod tests {
         cluster.shutdown();
     }
 
-    #[test]
-    fn direct_link_count_matches_partition_locality() {
-        let cluster = SimCluster::new(1, 1);
-        let dg = DistGrid::new(Tree::new_uniform(1), 4, 1, 1, &cluster);
+    /// Level 1 with one octant refined: same-level, coarser and finer
+    /// links plus the domain boundary, on 15 leaves.
+    fn one_refined_octant() -> Tree {
+        let mut tree = Tree::new_uniform(1);
+        tree.refine_balanced(NodeId::from_coords(1, [0, 0, 0]));
+        tree
+    }
+
+    /// What one exchange leaves behind: every storage cell of every leaf
+    /// (SFC order, as bits) and the route accounting.
+    #[derive(Debug, PartialEq)]
+    struct Exchanged {
+        cells: Vec<u64>,
+        direct_links: usize,
+        local_direct_accesses: u64,
+        parcels_sent: u64,
+        parcel_bytes: u64,
+    }
+
+    fn exchanged(tree: Tree, localities: usize, direct: bool, pipelined: bool) -> Exchanged {
+        let cluster = SimCluster::new(localities, 2);
+        let dg = DistGrid::new(tree, 4, 2, 2, &cluster);
         fill_linear(&dg);
-        let direct = dg.exchange_ghosts(&cluster, GhostConfig::default());
-        // Single locality: every non-boundary link is direct.
-        let expected: usize = dg.with_tree(|t| {
-            t.leaves()
-                .iter()
-                .map(|&l| {
-                    Dir::all26()
-                        .filter(|&d| !matches!(t.neighbor_of(l, d), Neighbor::DomainBoundary))
-                        .count()
-                })
-                .sum()
-        });
-        assert_eq!(direct, expected);
-        assert_eq!(cluster.total_counters().parcels_sent, 0);
+        let config = GhostConfig {
+            direct_local_access: direct,
+        };
+        let direct_links = if pipelined {
+            let ex = dg.exchange_ghosts_pipelined(&cluster, config, &all_ready(&dg));
+            for f in ex.ghosts_filled.values().chain(ex.outgoing_packed.values()) {
+                f.wait();
+            }
+            assert_eq!(ex.links_resolved.load(Ordering::SeqCst), ex.total_links);
+            ex.direct_links
+        } else {
+            dg.exchange_ghosts(&cluster, config)
+        };
+        let mut cells = Vec::new();
+        for leaf in dg.leaves() {
+            let grid = dg.grid(leaf);
+            let g = grid.read();
+            for f in 0..g.nfields() {
+                cells.extend(g.field(f).iter().map(|v| v.to_bits()));
+            }
+        }
+        let totals = cluster.total_counters();
         cluster.shutdown();
+        Exchanged {
+            cells,
+            direct_links,
+            local_direct_accesses: totals.local_direct_accesses,
+            parcels_sent: totals.parcels_sent,
+            parcel_bytes: totals.parcel_bytes,
+        }
+    }
+
+    #[test]
+    fn every_route_and_scheduler_fills_identical_ghosts() {
+        for tree in [|| Tree::new_uniform(2), one_refined_octant] {
+            let links = ghost_link_specs(&tree());
+            let payload_links = links.iter().filter(|l| !l.is_boundary()).count();
+            let reference = exchanged(tree(), 1, true, false);
+            for localities in [1, 2] {
+                for direct in [true, false] {
+                    let bulk = exchanged(tree(), localities, direct, false);
+                    let pipelined = exchanged(tree(), localities, direct, true);
+                    let case = format!(
+                        "{} leaves, {localities} localities, direct {direct}",
+                        links.len() / 26
+                    );
+                    assert!(bulk.cells == reference.cells, "bulk ghosts differ: {case}");
+                    // Same cells and the same route accounting from both
+                    // schedulers.
+                    assert!(pipelined == bulk, "pipelined differs from bulk: {case}");
+                    // Every payload link took exactly one of the two routes.
+                    assert_eq!(
+                        bulk.direct_links as u64, bulk.local_direct_accesses,
+                        "{case}"
+                    );
+                    assert_eq!(
+                        bulk.direct_links as u64 + bulk.parcels_sent,
+                        payload_links as u64,
+                        "{case}"
+                    );
+                    match (direct, localities) {
+                        (false, _) => assert_eq!(bulk.direct_links, 0, "{case}"),
+                        (true, 1) => assert_eq!(bulk.parcels_sent, 0, "{case}"),
+                        (true, _) => {
+                            assert!(bulk.direct_links > 0 && bulk.parcels_sent > 0, "{case}")
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ghost_plan_is_shared_until_the_next_regrid() {
+        let cluster = SimCluster::new(2, 1);
+        let dg = DistGrid::new(Tree::new_uniform(1), 4, 2, 3, &cluster);
+        fill_linear(&dg);
+        dg.exchange_ghosts(&cluster, GhostConfig::default());
+        let first = dg.plan();
+        dg.exchange_ghosts(&cluster, GhostConfig::default());
+        assert!(
+            Arc::ptr_eq(&first, &dg.plan()),
+            "unchanged tree must reuse the plan"
+        );
+        // A refused collapse (the target is a leaf) leaves the topology,
+        // and so the plan, alone.
+        assert!(!dg.derefine(NodeId::from_coords(1, [0, 1, 0])));
+        assert!(
+            Arc::ptr_eq(&first, &dg.plan()),
+            "a refused derefine must keep the plan"
+        );
+
+        dg.refine_balanced(NodeId::from_coords(1, [0, 1, 0]));
+        // The plain accessors answer from the tree without building.
+        let unbuilt = (dg.leaves(), dg.total_ghost_links(), dg.link_specs());
+        let unbuilt_of = [0, 1].map(|loc| dg.leaves_of(LocalityId(loc)));
+        assert!(dg.inner.plan.lock().is_none(), "accessors must not build");
+        let plan = dg.plan();
+        let built = (dg.leaves(), dg.total_ghost_links(), dg.link_specs());
+        assert_eq!(unbuilt, built);
+        assert_eq!(unbuilt_of, [0, 1].map(|loc| dg.leaves_of(LocalityId(loc))));
+        assert!(
+            !Arc::ptr_eq(&first, &plan),
+            "a regrid must yield a new plan"
+        );
+        assert_eq!(plan.version, dg.topology_version());
+        let specs = dg.with_tree(ghost_link_specs);
+        assert!(plan.links.iter().map(|l| &l.spec).eq(&specs));
+        assert_eq!(plan.leaves, dg.with_tree(|t| t.leaves()));
+        for loc in [LocalityId(0), LocalityId(1)] {
+            let owned: Vec<NodeId> = (plan.leaves.iter().copied())
+                .filter(|&l| dg.owner(l) == loc)
+                .collect();
+            assert_eq!(dg.leaves_of(loc), owned);
+        }
+        let mut demand = BTreeMap::new();
+        for spec in specs.iter().filter(|s| !s.is_boundary()) {
+            let cells = SubGrid::box_cells(&SubGrid::recv_box_of(4, 2, spec.dir));
+            *demand.entry(3 * cells).or_insert(0usize) += 1;
+        }
+        assert_eq!(plan.demand, demand);
+        // The new plan serves the new tree: coarse-fine links included.
+        dg.exchange_ghosts(&cluster, GhostConfig::default());
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn two_grids_on_one_cluster_keep_their_own_parcel_links() {
+        // Every link on the parcel route, across two localities: the
+        // cluster-global `ghost_pack` handler must serve each request from
+        // the grid that sent it, not from whichever grid registered last.
+        let cluster = SimCluster::new(2, 1);
+        let first = DistGrid::new(Tree::new_uniform(1), 4, 2, 1, &cluster);
+        fill_linear(&first);
+        let second = DistGrid::new(Tree::new_uniform(1), 4, 2, 1, &cluster);
+        for leaf in second.leaves() {
+            second.grid(leaf).write().fill(-7.0);
+        }
+        let parcels_only = GhostConfig {
+            direct_local_access: false,
+        };
+        first.exchange_ghosts(&cluster, parcels_only);
+        check_same_level_ghosts(&first);
+        for leaf in first.leaves() {
+            let grid = first.grid(leaf);
+            let g = grid.read();
+            assert!(
+                g.field(0).iter().all(|&v| v != -7.0),
+                "leaf {leaf} holds the second grid's data"
+            );
+        }
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn local_link_share_falls_with_locality_count() {
+        // The geometric fact behind the paper's Figure 8 break-even: the
+        // more localities a Morton partition is cut into, the fewer links
+        // are eligible for the direct route.
+        let mut prev = usize::MAX;
+        for localities in [1usize, 2, 4, 8, 16] {
+            let cluster = SimCluster::new(localities, 1);
+            let dg = DistGrid::new(Tree::new_uniform(3), 2, 1, 1, &cluster);
+            let plan = dg.plan();
+            let local = (plan.links.iter())
+                .filter(|l| !l.spec.is_boundary() && l.all_local)
+                .count();
+            assert!(
+                local <= prev,
+                "{localities} localities: {local} local links"
+            );
+            prev = local;
+            cluster.shutdown();
+        }
     }
 }

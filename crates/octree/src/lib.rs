@@ -19,25 +19,19 @@
 //! * [`tree`] — the octree itself with full-refinement and 2:1-balance
 //!   invariants, refinement driven by a criterion callback.
 //! * [`ghost`] — distributed ghost-layer exchange over `hpx-rt` localities,
-//!   with the communication-optimization fast path.
-//! * [`partition`] — Morton-order space-filling-curve and recursive
-//!   coordinate-bisection partitioning of leaves over localities.
-//! * [`shard`] — per-locality subtree views (owned leaves + remote-leaf
-//!   stubs) over a partition, the distributed stepper's ownership map.
+//!   with the communication-optimization fast path; owns the per-topology
+//!   ghost plan (links, per-locality leaf lists, boundary faces).
+//! * [`partition`] — Morton-order space-filling-curve partitioning of
+//!   leaves over localities, and its static verifier.
 
 pub mod ghost;
 pub mod index;
 pub mod partition;
-pub mod shard;
 pub mod subgrid;
 pub mod tree;
 
 pub use ghost::{ghost_link_specs, DistGrid, GhostConfig, LinkSpec, PipelinedExchange};
 pub use index::{Dir, NodeId, Octant, MAX_LEVEL};
-pub use partition::{
-    partition_morton, partition_rcb, partition_rcb_with_cuts, verify_partition, PartitionStats,
-    RcbCut,
-};
-pub use shard::{Shard, ShardMap};
+pub use partition::{partition_morton, verify_partition};
 pub use subgrid::SubGrid;
 pub use tree::{Neighbor, RegridDelta, Tree};

@@ -1,22 +1,15 @@
-//! Space-filling-curve and coordinate-bisection partitioning of leaves
-//! over localities.
+//! Space-filling-curve partitioning of leaves over localities.
 //!
 //! Octo-Tiger distributes sub-grids over HPX localities along a Morton
 //! curve; contiguous curve segments give compact partitions whose surface
-//! (the ghost exchanges that cross locality boundaries) stays small.  The
-//! statistics computed here — how many neighbour links stay on-locality vs.
-//! cross localities — are exactly what decides whether the Section VII-B
-//! communication optimization pays off (Figure 8: big win at 1–4 localities
-//! where most links are local, break-even at 8, slightly negative beyond).
-//!
-//! [`partition_rcb`] is the recursive-coordinate-bisection alternative:
-//! leaves are recursively split along the widest spatial axis, with every
-//! cut placed on a lane-aligned [`kokkos_rs::RangePolicy::split`] boundary
-//! so the
-//! per-locality leaf runs feed whole SIMD lane blocks downstream.
+//! (the ghost exchanges that cross locality boundaries) stays small.  How
+//! many neighbour links stay on-locality vs. cross localities is exactly
+//! what decides whether the Section VII-B communication optimization pays
+//! off (Figure 8: big win at 1–4 localities where most links are local,
+//! break-even at 8, slightly negative beyond); the ghost exchange reports
+//! that split as its direct-link count.
 
-use crate::index::Dir;
-use crate::tree::{Neighbor, Tree};
+use crate::tree::Tree;
 use crate::NodeId;
 use hpx_rt::LocalityId;
 use std::collections::HashMap;
@@ -46,143 +39,6 @@ pub fn partition_morton(tree: &Tree, num_localities: usize) -> HashMap<NodeId, L
         idx += size;
     }
     out
-}
-
-/// One bisection cut recorded by [`partition_rcb_with_cuts`].
-///
-/// Indices are positions in the recursion's working order (each subrange
-/// re-sorted along its own widest axis).  The invariant property tests
-/// pin: `cut - begin` is always a multiple of `lane` — the exact rounding
-/// [`kokkos_rs::RangePolicy::split`] applies to interior task boundaries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RcbCut {
-    /// First index of the bisected subrange.
-    pub begin: usize,
-    /// One past the last index of the subrange.
-    pub end: usize,
-    /// The split position (`begin <= cut <= end`).
-    pub cut: usize,
-    /// Spatial axis the subrange was sorted along (0 = x, 1 = y, 2 = z).
-    pub axis: usize,
-    /// Lane alignment the cut respects.
-    pub lane: usize,
-}
-
-/// The boundary `RangePolicy::new(0, len).with_lanes(lane).split(parts)`
-/// places after the first `pl` proportional chunks: the proportional
-/// cursor rounded down to a lane multiple.
-fn lane_cut(len: usize, parts: usize, pl: usize, lane: usize) -> usize {
-    let base = len / parts;
-    let extra = len % parts;
-    let cursor = pl * base + pl.min(extra);
-    (cursor / lane) * lane
-}
-
-fn rcb_recurse(
-    items: &mut [(NodeId, [f64; 3])],
-    parts: usize,
-    first_id: usize,
-    offset: usize,
-    lane: usize,
-    out: &mut HashMap<NodeId, LocalityId>,
-    cuts: &mut Vec<RcbCut>,
-) {
-    if parts <= 1 || items.len() <= 1 {
-        for (leaf, _) in items.iter() {
-            out.insert(*leaf, LocalityId(first_id));
-        }
-        return;
-    }
-    // Widest spatial extent of the subrange's leaf centers picks the axis.
-    let axis = (0..3)
-        .max_by(|&a, &b| {
-            let spread = |ax: usize| {
-                let lo = items
-                    .iter()
-                    .map(|(_, c)| c[ax])
-                    .fold(f64::INFINITY, f64::min);
-                let hi = items
-                    .iter()
-                    .map(|(_, c)| c[ax])
-                    .fold(f64::NEG_INFINITY, f64::max);
-                hi - lo
-            };
-            spread(a).total_cmp(&spread(b))
-        })
-        .unwrap_or(0);
-    // Deterministic order: coordinate along the axis, SFC key as tiebreak.
-    items.sort_by(|(na, ca), (nb, cb)| {
-        ca[axis]
-            .total_cmp(&cb[axis])
-            .then_with(|| na.sfc_key().cmp(&nb.sfc_key()))
-    });
-    let pl = parts - parts / 2;
-    let pr = parts / 2;
-    let cut = lane_cut(items.len(), parts, pl, lane);
-    cuts.push(RcbCut {
-        begin: offset,
-        end: offset + items.len(),
-        cut: offset + cut,
-        axis,
-        lane,
-    });
-    let (left, right) = items.split_at_mut(cut);
-    rcb_recurse(left, pl, first_id, offset, lane, out, cuts);
-    rcb_recurse(right, pr, first_id + pl, offset + cut, lane, out, cuts);
-}
-
-/// Assign the tree's leaves to `num_localities` localities by recursive
-/// coordinate bisection: split along the widest axis at a lane-aligned
-/// [`kokkos_rs::RangePolicy::split`] boundary, recurse on both halves with
-/// the
-/// locality budget split proportionally.
-///
-/// Compared to [`partition_morton`] this trades SFC contiguity for
-/// spatially compact boxes; both keep every leaf owned by exactly one
-/// locality.  `lane` is the SIMD lane count downstream kernels carve on
-/// (`sve_simd::SVE_LANES_F64` in production); `lane == 1` disables
-/// alignment.
-///
-/// # Panics
-/// Panics if `num_localities == 0` or `lane == 0`.
-pub fn partition_rcb(
-    tree: &Tree,
-    num_localities: usize,
-    lane: usize,
-) -> HashMap<NodeId, LocalityId> {
-    partition_rcb_with_cuts(tree, num_localities, lane).0
-}
-
-/// [`partition_rcb`], also returning the recorded bisection cuts so tests
-/// can verify every cut sits on a lane-aligned `RangePolicy::split`
-/// boundary.
-pub fn partition_rcb_with_cuts(
-    tree: &Tree,
-    num_localities: usize,
-    lane: usize,
-) -> (HashMap<NodeId, LocalityId>, Vec<RcbCut>) {
-    assert!(num_localities > 0, "need at least one locality");
-    assert!(lane > 0, "lane alignment must be >= 1");
-    let leaves = tree.leaves();
-    let mut items: Vec<(NodeId, [f64; 3])> = leaves
-        .iter()
-        .map(|&leaf| {
-            let (corner, size) = leaf.cube();
-            (
-                leaf,
-                [
-                    corner[0] + 0.5 * size,
-                    corner[1] + 0.5 * size,
-                    corner[2] + 0.5 * size,
-                ],
-            )
-        })
-        .collect();
-    let mut out = HashMap::with_capacity(items.len());
-    let mut cuts = Vec::new();
-    let parts = num_localities.min(items.len().max(1));
-    rcb_recurse(&mut items, parts, 0, 0, lane, &mut out, &mut cuts);
-    (out, cuts)
 }
 
 /// Statically verify that `owner` is a sound leaf partition of `tree`
@@ -229,83 +85,9 @@ pub fn verify_partition(
     out
 }
 
-/// Locality-boundary statistics of a partition.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PartitionStats {
-    /// Leaves per locality.
-    pub leaves_per_locality: Vec<usize>,
-    /// Neighbour links (leaf, dir) whose data source is on the same
-    /// locality.
-    pub local_links: usize,
-    /// Neighbour links crossing locality boundaries.
-    pub remote_links: usize,
-}
-
-impl PartitionStats {
-    /// Fraction of links that stay on-locality (`1.0` when everything is
-    /// local, e.g. a single-locality run).
-    pub fn local_fraction(&self) -> f64 {
-        let total = self.local_links + self.remote_links;
-        if total == 0 {
-            1.0
-        } else {
-            self.local_links as f64 / total as f64
-        }
-    }
-
-    /// Largest / smallest leaf count over localities (load imbalance).
-    pub fn imbalance(&self) -> f64 {
-        let max = self.leaves_per_locality.iter().copied().max().unwrap_or(0);
-        let min = self
-            .leaves_per_locality
-            .iter()
-            .copied()
-            .filter(|&c| c > 0)
-            .min()
-            .unwrap_or(1);
-        max as f64 / min as f64
-    }
-}
-
-/// Compute [`PartitionStats`] for a partition over all 26-direction links.
-pub fn partition_stats(
-    tree: &Tree,
-    owner: &HashMap<NodeId, LocalityId>,
-    num_localities: usize,
-) -> PartitionStats {
-    let mut leaves_per_locality = vec![0usize; num_localities];
-    let mut local_links = 0usize;
-    let mut remote_links = 0usize;
-    for leaf in tree.leaves() {
-        let me = owner[&leaf];
-        leaves_per_locality[me.0] += 1;
-        for dir in Dir::all26() {
-            let sources: Vec<NodeId> = match tree.neighbor_of(leaf, dir) {
-                Neighbor::SameLevel(nb) => vec![nb],
-                Neighbor::Coarser(c) => vec![c],
-                Neighbor::Finer(kids) => kids,
-                Neighbor::DomainBoundary => continue,
-            };
-            for src in sources {
-                if owner[&src] == me {
-                    local_links += 1;
-                } else {
-                    remote_links += 1;
-                }
-            }
-        }
-    }
-    PartitionStats {
-        leaves_per_locality,
-        local_links,
-        remote_links,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kokkos_rs::RangePolicy;
 
     #[test]
     fn partition_is_total_and_balanced() {
@@ -354,114 +136,12 @@ mod tests {
     }
 
     #[test]
-    fn single_locality_stats_are_fully_local() {
-        let tree = Tree::new_uniform(2);
-        let owner = partition_morton(&tree, 1);
-        let stats = partition_stats(&tree, &owner, 1);
-        assert_eq!(stats.remote_links, 0);
-        assert!(stats.local_links > 0);
-        assert_eq!(stats.local_fraction(), 1.0);
-        assert_eq!(stats.imbalance(), 1.0);
-    }
-
-    #[test]
-    fn local_fraction_decreases_with_locality_count() {
-        // This monotonic trend is the geometric fact behind the paper's
-        // Figure 8 break-even behaviour.
-        let tree = Tree::new_uniform(3); // 512 leaves
-        let mut prev_fraction = 1.1;
-        for parts in [1usize, 2, 4, 8, 16] {
-            let owner = partition_morton(&tree, parts);
-            let stats = partition_stats(&tree, &owner, parts);
-            let f = stats.local_fraction();
-            assert!(
-                f < prev_fraction + 1e-12,
-                "local fraction should not increase: {parts} parts -> {f}"
-            );
-            prev_fraction = f;
-        }
-    }
-
-    #[test]
-    fn lane_cut_matches_range_policy_split_boundaries() {
-        // The bisection cut must be exactly the boundary RangePolicy::split
-        // places after the first `pl` proportional chunks.
-        for (len, parts, lane) in [
-            (64, 7, 8),
-            (64, 4, 8),
-            (512, 16, 8),
-            (33, 3, 8),
-            (100, 5, 4),
-        ] {
-            let chunks = RangePolicy::new(0, len).with_lanes(lane).split(parts);
-            let pl = parts - parts / 2;
-            if let Some(&(_, bound)) = chunks.get(pl - 1) {
-                if bound < len {
-                    assert_eq!(
-                        lane_cut(len, parts, pl, lane),
-                        bound,
-                        "len={len} parts={parts} lane={lane}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn rcb_is_total_and_lane_aligned() {
-        let tree = Tree::new_uniform(2); // 64 leaves
-        for parts in [1usize, 2, 3, 4, 7] {
-            let (owner, cuts) = partition_rcb_with_cuts(&tree, parts, 8);
-            assert_eq!(owner.len(), 64, "{parts} parts");
-            let mut counts = vec![0usize; parts];
-            for loc in owner.values() {
-                counts[loc.0] += 1;
-            }
-            assert_eq!(counts.iter().sum::<usize>(), 64);
-            for c in &cuts {
-                assert_eq!(
-                    (c.cut - c.begin) % c.lane,
-                    0,
-                    "unaligned cut {c:?} at {parts} parts"
-                );
-            }
-            // 64 = 8 lanes × 8 blocks: every locality count is whole blocks.
-            for (p, &c) in counts.iter().enumerate() {
-                assert_eq!(c % 8, 0, "locality {p} got {c} leaves at {parts} parts");
-            }
-        }
-    }
-
-    #[test]
-    fn rcb_covers_adaptive_trees() {
-        let mut tree = Tree::new_uniform(1);
-        tree.refine_balanced(NodeId::from_coords(1, [1, 0, 1]));
-        let owner = partition_rcb(&tree, 3, 8);
-        assert_eq!(owner.len(), tree.num_leaves());
-        let stats = partition_stats(&tree, &owner, 3);
-        assert_eq!(
-            stats.leaves_per_locality.iter().sum::<usize>(),
-            tree.num_leaves()
-        );
-    }
-
-    #[test]
-    fn rcb_single_locality_owns_everything() {
-        let tree = Tree::new_uniform(2);
-        let (owner, cuts) = partition_rcb_with_cuts(&tree, 1, 8);
-        assert!(owner.values().all(|&l| l == LocalityId(0)));
-        assert!(cuts.is_empty());
-    }
-
-    #[test]
     fn verify_partition_accepts_real_partitions_and_rejects_broken_ones() {
         let mut tree = Tree::new_uniform(1);
         tree.refine_balanced(NodeId::from_coords(1, [0, 0, 0]));
         for parts in [1usize, 2, 4, 7] {
             let owner = partition_morton(&tree, parts);
             assert_eq!(verify_partition(&tree, &owner, parts), Vec::<String>::new());
-            let rcb = partition_rcb(&tree, parts, 8);
-            assert_eq!(verify_partition(&tree, &rcb, parts), Vec::<String>::new());
         }
         // A missing leaf, an out-of-range owner, and a stale key are each
         // reported.
@@ -481,18 +161,5 @@ mod tests {
         assert!(verify_partition(&tree, &owner, 2)
             .iter()
             .any(|v| v.contains("not a leaf")));
-    }
-
-    #[test]
-    fn stats_on_adaptive_tree() {
-        let mut tree = Tree::new_uniform(1);
-        tree.refine_balanced(NodeId::from_coords(1, [0, 0, 0]));
-        let owner = partition_morton(&tree, 2);
-        let stats = partition_stats(&tree, &owner, 2);
-        assert_eq!(
-            stats.leaves_per_locality.iter().sum::<usize>(),
-            tree.num_leaves()
-        );
-        assert!(stats.local_links + stats.remote_links > 0);
     }
 }

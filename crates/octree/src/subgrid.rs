@@ -207,7 +207,7 @@ impl SubGrid {
     /// Pack all fields over `b` into `out` (cleared first) — the
     /// allocation-free variant: hand it a pooled buffer whose capacity is
     /// `nfields * box_cells(b)` and no heap traffic occurs.
-    pub fn pack_box_into(&self, b: &Box3, out: &mut Vec<f64>) {
+    fn pack_box_into(&self, b: &Box3, out: &mut Vec<f64>) {
         out.clear();
         for f in 0..self.nfields {
             for i in b[0].0..b[0].1 {
@@ -225,7 +225,7 @@ impl SubGrid {
     ///
     /// # Panics
     /// Panics if `data` has the wrong length.
-    pub fn unpack_box(&mut self, b: &Box3, data: &[f64]) {
+    fn unpack_box(&mut self, b: &Box3, data: &[f64]) {
         assert_eq!(
             data.len(),
             self.nfields * Self::box_cells(b),
@@ -299,11 +299,6 @@ impl SubGrid {
     /// The payload must come from the neighbour's `pack_send(dir.opposite())`.
     pub fn unpack_recv(&mut self, dir: Dir, data: &[f64]) {
         self.unpack_box(&self.recv_box(dir), data);
-    }
-
-    /// Wire size in bytes of one same-level exchange payload toward `dir`.
-    pub fn payload_bytes(&self, dir: Dir) -> usize {
-        self.nfields * Self::box_cells(&self.send_box(dir)) * std::mem::size_of::<f64>()
     }
 
     // ---------------------------------------------------------------
@@ -471,7 +466,6 @@ mod tests {
         let sg = SubGrid::new(8, 2, 3);
         let dir = Dir::new(1, 0, -1);
         assert_eq!(sg.pack_send(dir).len(), 3 * 2 * 8 * 2);
-        assert_eq!(sg.payload_bytes(dir), 3 * 2 * 8 * 2 * 8);
     }
 
     #[test]

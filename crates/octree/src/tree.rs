@@ -23,8 +23,8 @@ enum Node {
 /// change dirtied.  Emitted by [`Tree::refine`]/[`Tree::derefine`] (and
 /// their balanced drivers) *in addition to* the `topology_version` bump,
 /// so layers caching topology-derived structures (the gravity interaction
-/// plan, halo plans, ghost payload demand) can patch themselves
-/// subtree-locally instead of rebuilding wholesale.
+/// plan, halo plans, leaf workspaces) can patch themselves subtree-locally
+/// instead of rebuilding wholesale.
 ///
 /// The delta spans `[first_version, last_version]`: a consumer holding a
 /// structure built at `first_version` can apply the delta to reach

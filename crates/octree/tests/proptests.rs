@@ -1,9 +1,7 @@
 //! Property-based tests of the AMR substrate: random refinement sequences,
 //! random ghost-region round-trips, partition totality.
 
-use octree::{
-    partition_morton, partition_rcb, partition_rcb_with_cuts, Dir, NodeId, Octant, SubGrid, Tree,
-};
+use octree::{partition_morton, Dir, NodeId, Octant, SubGrid, Tree};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -122,18 +120,15 @@ proptest! {
 
     #[test]
     fn every_leaf_owned_by_exactly_one_locality(seq in prop::collection::vec(0usize..512, 0..8),
-                                                parts in 1usize..9,
-                                                lane_pow in 0u32..4) {
-        let lane = 1usize << lane_pow;
+                                                parts in 1usize..9) {
         let tree = random_tree(&seq);
-        for owner in [partition_morton(&tree, parts), partition_rcb(&tree, parts, lane)] {
-            // Totality: the map covers the leaf set exactly (every leaf has
-            // an owner; a HashMap can't assign a leaf twice).
-            prop_assert_eq!(owner.len(), tree.num_leaves());
-            for leaf in tree.leaves() {
-                let p = owner[&leaf].0;
-                prop_assert!(p < parts, "owner {} out of range", p);
-            }
+        let owner = partition_morton(&tree, parts);
+        // Totality: the map covers the leaf set exactly (every leaf has
+        // an owner; a HashMap can't assign a leaf twice).
+        prop_assert_eq!(owner.len(), tree.num_leaves());
+        for leaf in tree.leaves() {
+            let p = owner[&leaf].0;
+            prop_assert!(p < parts, "owner {} out of range", p);
         }
     }
 
@@ -153,25 +148,6 @@ proptest! {
     }
 
     #[test]
-    fn rcb_cuts_are_lane_aligned(seq in prop::collection::vec(0usize..512, 0..8),
-                                 parts in 1usize..9,
-                                 lane_pow in 0u32..4) {
-        let lane = 1usize << lane_pow;
-        let tree = random_tree(&seq);
-        let (owner, cuts) = partition_rcb_with_cuts(&tree, parts, lane);
-        prop_assert_eq!(owner.len(), tree.num_leaves());
-        for cut in cuts {
-            prop_assert!(cut.begin <= cut.cut && cut.cut <= cut.end);
-            // The invariant the distributed stepper leans on: every
-            // bisection boundary sits where RangePolicy::split would put a
-            // lane-aligned task boundary.
-            prop_assert_eq!((cut.cut - cut.begin) % lane, 0,
-                            "cut {} in [{}, {}) not aligned to lane {}",
-                            cut.cut, cut.begin, cut.end, lane);
-        }
-    }
-
-    #[test]
     fn repartition_after_refine_covers_new_leaves(seq in prop::collection::vec(0usize..512, 1..8),
                                                   parts in 1usize..5) {
         let mut tree = Tree::new_uniform(1);
@@ -186,12 +162,11 @@ proptest! {
         // After refinement the stale map misses the new leaves...
         let still_covered = tree.leaves().iter().all(|l| before.contains_key(l));
         prop_assert!(tree.num_leaves() == before.len() || !still_covered);
-        // ...and a repartition covers every leaf again, for both partitioners.
-        for owner in [partition_morton(&tree, parts), partition_rcb(&tree, parts, 8)] {
-            prop_assert_eq!(owner.len(), tree.num_leaves());
-            for leaf in tree.leaves() {
-                prop_assert!(owner.contains_key(&leaf), "new leaf unowned after repartition");
-            }
+        // ...and a repartition covers every leaf again.
+        let owner = partition_morton(&tree, parts);
+        prop_assert_eq!(owner.len(), tree.num_leaves());
+        for leaf in tree.leaves() {
+            prop_assert!(owner.contains_key(&leaf), "new leaf unowned after repartition");
         }
     }
 

@@ -7,7 +7,7 @@
 //! the same asymmetry: this crate is compiled for the target *baseline*
 //! (so the `W = 1` instantiations are genuinely scalar code, like the
 //! paper's scalar build), and the wide (`W = 8`) kernel instantiations are
-//! entered through [`wide_dispatch!`]-generated `#[target_feature]`
+//! entered through `wide_dispatch!`-generated `#[target_feature]`
 //! wrappers that unlock the widest vector ISA the host actually has.
 //!
 //! Enabling a wider ISA never changes results: every lane operation is the
