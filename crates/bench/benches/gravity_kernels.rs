@@ -69,15 +69,14 @@ fn l2l_eval_bench(c: &mut Criterion) {
     group.finish();
 }
 
-/// Full FMM solves with the interaction plan cached vs rebuilt every
-/// solve: the gap is the dual-tree traversal + list construction the plan
-/// cache eliminates from steady-state steps.
+/// Full FMM solves on the cached interaction plan — the steady-state
+/// step.  What a plan miss adds on top is `gravity/plan`'s
+/// `build`-vs-`cache_hit` gap below.
 fn plan_cache_bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("gravity/solve");
     group.sample_size(20);
     // Cells per leaf shrink with depth so each config solves in bench
-    // time; the level-4 config is traversal-heavy (4681 nodes, one point
-    // per leaf), where the cache's saving is largest.
+    // time.
     for (level, n) in [(2u8, 4usize), (3, 2), (4, 1)] {
         let tree = Tree::new_uniform(level);
         let sources: HashMap<NodeId, LeafSources> = tree
@@ -104,12 +103,6 @@ fn plan_cache_bench(c: &mut Criterion) {
         solver.solve(&tree, &sources, &ExecSpace::Serial); // warm the cache
         group.bench_function(BenchmarkId::new("plan_cached", level), |bench| {
             bench.iter(|| {
-                black_box(solver.solve(black_box(&tree), black_box(&sources), &ExecSpace::Serial))
-            })
-        });
-        group.bench_function(BenchmarkId::new("plan_rebuilt", level), |bench| {
-            bench.iter(|| {
-                solver.invalidate_plan();
                 black_box(solver.solve(black_box(&tree), black_box(&sources), &ExecSpace::Serial))
             })
         });

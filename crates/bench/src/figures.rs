@@ -536,21 +536,26 @@ pub fn scratch_pressure() -> FigureReport {
         let mut opts = SimOptions::default();
         opts.gravity = false;
         opts.omega = sc.omega;
-        opts.recycle_scratch = recycle;
         let mut sim = Simulation::new(sc.grid, opts);
         let mut prev = 0u64;
         let mut per_step = Vec::with_capacity(steps);
         for _ in 0..steps {
+            if !recycle {
+                // The unpooled series: a fresh simulation (arena and
+                // workspaces) around the same grid every step, so its
+                // arena's miss counter starts from zero each time.
+                let mut fresh = Simulation::new(sim.grid.clone(), sim.opts);
+                fresh.time = sim.time;
+                fresh.step_count = sim.step_count;
+                fresh.mass_outflow = sim.mass_outflow;
+                sim = fresh;
+                prev = 0;
+            }
+            // `scratch_misses` is cumulative per simulation, so the
+            // per-step alloc count is the delta.
             let s = sim.step(&cluster);
-            // `scratch_misses` is cumulative, so the per-step alloc count
-            // is the delta.  The unpooled run rebuilds its arena each step,
-            // which resets the counter — count the raw misses then.
-            per_step.push(if recycle {
-                s.scratch_misses - prev
-            } else {
-                s.scratch_misses
-            });
-            prev = if recycle { s.scratch_misses } else { 0 };
+            per_step.push(s.scratch_misses - prev);
+            prev = s.scratch_misses;
         }
         cluster.shutdown();
         per_step

@@ -67,18 +67,6 @@ pub struct SimOptions {
     /// release runs can also opt in via `HPX_WATCHDOG_MS`); `Some(0)`
     /// disables it.
     pub watchdog_ms: Option<u64>,
-    /// Reuse the per-leaf workspaces and scratch arena across steps (the
-    /// CPPuddle-style zero-allocation steady state).  `false` rebuilds every
-    /// workspace from a fresh arena each step — physics is bit-identical
-    /// (see `tests/scratch_recycling.rs`), only allocation traffic changes.
-    pub recycle_scratch: bool,
-    /// Reuse the FMM interaction plan across steps while the tree topology
-    /// is unchanged (Octo-Tiger computes interaction lists once per
-    /// regrid).  `false` invalidates the plan before every solve — the
-    /// traverse-every-step reference configuration; physics is
-    /// bit-identical (see `tests/gravity_plan.rs`), only traversal work
-    /// changes.
-    pub cache_gravity_plan: bool,
     /// Simulated localities to shard the gravity octree over (clamped to
     /// the cluster's locality count).  The leaves are partitioned with
     /// [`octree::partition_morton`], each shard's kernels run on its own
@@ -91,10 +79,11 @@ pub struct SimOptions {
     pub localities: usize,
     /// Mid-run adaptive regridding: every `Some(k)` steps the driver runs
     /// the density/shock criterion pass ([`Simulation::regrid`]) before the
-    /// step proper, hands the resulting [`octree::RegridDelta`] to the
-    /// gravity solver (which patches its cached plans subtree-locally
-    /// instead of rebuilding them), and rebuilds only the touched leaves'
-    /// workspaces.  `None` — the default — never regrids mid-run.
+    /// step proper.  A pass that changes the tree bumps its
+    /// `topology_version`; the step that follows rebuilds the gravity
+    /// plans and the ghost plan at the new version and provisions
+    /// workspaces for the new leaves only.  `None` — the default — never
+    /// regrids mid-run.
     /// Defaults from `OCTO_REGRID_CADENCE` (CI's adaptive-run axis).
     pub regrid_cadence: Option<usize>,
     /// Maximum refinement level the cadence-driven criterion pass may
@@ -133,8 +122,6 @@ impl Default for SimOptions {
             cfl: 0.4,
             pipeline: false,
             watchdog_ms: None,
-            recycle_scratch: true,
-            cache_gravity_plan: true,
             localities: std::env::var("OCTO_LOCALITIES")
                 .ok()
                 .and_then(|v| v.parse().ok())
@@ -209,7 +196,7 @@ pub struct StepStats {
     pub gravity_stats: Option<crate::gravity::solver::SolveStats>,
     /// Whether this step's gravity solve reused the cached interaction
     /// plan (`false` when the plan was rebuilt — first step, post-regrid,
-    /// or `cache_gravity_plan = false` — and when gravity is off).
+    /// θ change — and when gravity is off).
     pub gravity_plan_hit: bool,
     /// Leaves refined by this step's cadence-driven regrid pass (0 when no
     /// regrid ran; the run's total is `/octotiger/regrid/refined`).
@@ -217,10 +204,8 @@ pub struct StepStats {
     /// Octets coarsened by this step's cadence-driven regrid pass (the
     /// run's total is `/octotiger/regrid/derefined`).
     pub regrid_derefined: u64,
-    /// Whether this step's gravity plans were *patched* subtree-locally
-    /// from the regrid delta instead of rebuilt from scratch (the
-    /// `/octotiger/regrid/plan-patched` path; `false` when no regrid ran,
-    /// the topology was unchanged, or the solver fell back to a rebuild).
+    /// Always `false`: plans are rebuilt per `topology_version`, never
+    /// patched (DESIGN.md §7).  Kept because `benchmark/` reads it.
     pub gravity_plan_patched: bool,
     /// The granularity tuner's chosen configs and activity counts after
     /// this step (`None` unless [`SimOptions::autotune`] is on).
@@ -417,11 +402,6 @@ pub struct Simulation {
 impl Simulation {
     /// Wrap an initialized grid.
     pub fn new(grid: DistGrid, opts: SimOptions) -> Simulation {
-        // The construction-time delta (the scenario's initial refines)
-        // predates every cached plan; drain it so the first mid-run
-        // regrid's delta starts exactly at the version the first gravity
-        // plan is built against — the precondition for patching it.
-        grid.take_regrid_delta();
         let scratch = ScratchArena::new();
         let gravity_solver = GravitySolver::with_scratch(opts.gravity_opts, scratch.clone());
         let tuner = opts.autotune.then(|| Self::build_tuner(&opts));
@@ -492,7 +472,6 @@ impl Simulation {
         let solver = &self.gravity_solver;
         let (plan_hits, plan_rebuilds) = solver.plan_counters();
         let (dist_hits, dist_rebuilds) = solver.dist_plan_counters();
-        let (patches, dist_patches) = solver.plan_patch_counters();
         let tuner = self
             .tuner
             .as_ref()
@@ -515,7 +494,6 @@ impl Simulation {
                 "/octotiger/regrid/derefined",
                 self.regrid_totals.derefined as u64,
             ),
-            ("/octotiger/regrid/plan-patched", patches + dist_patches),
             ("/octotiger/regrid/plan-rebuilt", solver.topology_rebuilds()),
             ("/octotiger/tuner/probes", tuner.probes),
             ("/octotiger/tuner/moves", tuner.moves),
@@ -662,13 +640,6 @@ impl Simulation {
         if let Some(ms) = self.opts.watchdog_ms {
             hpx_rt::set_blocked_wait_timeout(std::time::Duration::from_millis(ms));
         }
-        if !self.opts.recycle_scratch {
-            // Fresh arena + workspaces every step: the unpooled reference
-            // configuration the recycling equivalence tests compare against.
-            self.scratch = ScratchArena::new();
-            self.workspaces.clear();
-            self.gravity_solver.set_scratch(self.scratch.clone());
-        }
         // Options are mutable between steps: push the current FMM knobs
         // into the persistent solver (a θ change invalidates the cached
         // plan by itself, via the plan's validity key).
@@ -676,14 +647,9 @@ impl Simulation {
             vector_mode: self.opts.vector_mode,
             ..self.opts.gravity_opts
         };
-        if !self.opts.cache_gravity_plan {
-            // Traverse-every-step reference configuration.
-            self.gravity_solver.invalidate_plan();
-        }
         // ---- Mid-run adaptive regrid (every `regrid_cadence` steps). ----
         // Runs before workspaces are ensured, so both steppers see the new
-        // topology; the delta flows to the solver inside `regrid`, so the
-        // step's gravity solve patches its plans instead of rebuilding.
+        // topology; its version bump is what the step's plan lookups miss on.
         let regrid = match self.opts.regrid_cadence {
             Some(k) if self.step_count > 0 && self.step_count.is_multiple_of(k as u64) => {
                 let _t = self.apex.timer("regrid:criterion_pass");
@@ -711,17 +677,14 @@ impl Simulation {
             self.hydro_leaves_per_task = t.current(TUNE_HYDRO).max(1);
             pipeline = t.current(TUNE_STEPPER) == 1;
         }
-        let patches_before = self.gravity_solver.plan_patch_counters();
         self.ensure_workspaces();
         let mut stats = if pipeline {
             self.step_pipelined(cluster)
         } else {
             self.step_barrier(cluster)
         };
-        let patches_after = self.gravity_solver.plan_patch_counters();
         stats.regrid_refined = regrid.refined as u64;
         stats.regrid_derefined = regrid.derefined as u64;
-        stats.gravity_plan_patched = patches_after.0 > patches_before.0;
         // ---- Online granularity tuner (observe phase). ----
         // Feed the step's windowed kernel timings back, then close the
         // windows so the next step's observation is not diluted by this
@@ -1100,12 +1063,11 @@ impl Simulation {
     ///   polite [`DistGrid::derefine`], which refuses rather than drag
     ///   still-wanted fine neighbours coarser.
     ///
-    /// 2:1 balance is maintained throughout.  The accumulated
-    /// [`octree::RegridDelta`] is drained at the end of the pass: touched
-    /// leaves' workspaces are dropped (clean leaves keep theirs — and
-    /// their recycled kernel scratch) and the delta is deposited with the
-    /// gravity solver so the next solve *patches* its cached interaction
-    /// and halo plans subtree-locally instead of rebuilding them.
+    /// 2:1 balance is maintained throughout.  The pass tells no cache what
+    /// it did: every change bumps the tree's `topology_version`, and the
+    /// next step's plan lookups (gravity, halo, ghost) rebuild at the new
+    /// version while `ensure_workspaces` drops the consumed leaves'
+    /// workspaces and keeps every surviving leaf's.
     pub fn regrid(&mut self, max_level: u8, threshold: f64) -> RegridOutcome {
         let shock = self.opts.regrid_shock_threshold;
         let coarsen = self.opts.regrid_coarsen_threshold;
@@ -1161,28 +1123,7 @@ impl Simulation {
         }
         self.regrid_totals.refined += outcome.refined;
         self.regrid_totals.derefined += outcome.derefined;
-        // Drain the episode's delta once: the workspaces are patched here,
-        // the solver's plan caches on its next plan miss (the grid rebuilds
-        // its ghost plan per topology version on its own).
-        let delta = self.grid.take_regrid_delta();
-        self.patch_workspaces(&delta);
-        self.gravity_solver.note_regrid(delta);
         outcome
-    }
-
-    /// Subtree-local workspace invalidation: drop exactly the workspaces
-    /// whose leaves the delta consumed (refined leaves and collapsed
-    /// children); every clean leaf keeps its recycled workspace across the
-    /// regrid.  New leaves are provisioned lazily by `ensure_workspaces`.
-    fn patch_workspaces(&mut self, delta: &octree::RegridDelta) {
-        for &id in &delta.refined {
-            self.workspaces.remove(&id);
-        }
-        for &id in &delta.derefined {
-            for oct in octree::Octant::all() {
-                self.workspaces.remove(&id.child(oct));
-            }
-        }
     }
 }
 
@@ -1371,7 +1312,7 @@ mod tests {
     }
 
     #[test]
-    fn cadence_regrid_patches_gravity_plans_mid_run() {
+    fn cadence_regrid_rebuilds_gravity_plans_mid_run() {
         let cluster = SimCluster::new(1, 2);
         let sc = Scenario::build(ScenarioKind::RotatingStar, &cluster, 2, 0, 4);
         let mut opts = SimOptions::default();
@@ -1382,29 +1323,58 @@ mod tests {
         // Step 0 never regrids (there is nothing mid-run about it yet).
         let s0 = sim.step(&cluster);
         assert_eq!(s0.regrid_refined, 0);
-        assert!(!s0.gravity_plan_patched);
-        // The cadence fires before step 1: the star refines, and the solve
-        // that follows must *patch* the cached interaction plan from the
-        // deposited delta (every patched plan is verified and, in debug
-        // builds, byte-compared against a from-scratch rebuild).
+        assert!(!s0.gravity_plan_hit, "the first solve builds the plan");
+        // The cadence fires before step 1: the star refines, the version
+        // bump invalidates the cached interaction plan, and the solve that
+        // follows rebuilds it (verified, in debug builds, like every
+        // rebuilt plan).
         let s1 = sim.step(&cluster);
         assert!(s1.regrid_refined > 0, "the star should trigger refinement");
-        assert!(
-            s1.gravity_plan_patched,
-            "post-regrid solve must patch the plan, not rebuild it"
-        );
+        assert!(!s1.gravity_plan_hit, "a stale plan must not be reused");
+        assert!(!s1.gravity_plan_patched, "nothing is patched");
         assert!(s1.dt > 0.0);
-        // One locality: exactly the interaction plan was patched, once,
-        // and nothing was rebuilt beyond step 0's first build.
-        assert_eq!(sim.gravity_solver.plan_patch_counters(), (1, 0));
+        // One locality: exactly the interaction plan was rebuilt for the
+        // regrid, once, on top of step 0's first build.
+        assert_eq!(sim.gravity_plan_counters(), (0, 2));
         let regrid = hpx_rt::counters::select(&sim.counters(&cluster), "/octotiger/regrid/*");
         let expect = [
             ("/octotiger/regrid/refined", s1.regrid_refined),
             ("/octotiger/regrid/derefined", 0),
-            ("/octotiger/regrid/plan-patched", 1),
-            ("/octotiger/regrid/plan-rebuilt", 0),
+            ("/octotiger/regrid/plan-rebuilt", 1),
         ];
         assert_eq!(regrid, expect.map(|(n, v)| (n.to_owned(), v)));
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn regrid_keeps_every_surviving_leafs_workspace() {
+        let cluster = SimCluster::new(1, 2);
+        let mut sim = small_sim(&cluster, false);
+        sim.step(&cluster);
+        let before = sim.workspaces.clone();
+        // Make one leaf the densest, so the criterion pass refines exactly
+        // it (a level-1 tree is balanced whichever leaf splits, so nothing
+        // is dragged along).
+        let target = sim.grid.leaves()[3];
+        let peak = (sim.grid.leaves().into_iter())
+            .map(|l| sim.leaf_density_extrema(l).0)
+            .fold(0.0, f64::max);
+        (sim.grid.grid(target).write()).set_interior(field::RHO, 1, 1, 1, 2.0 * peak);
+        let out = sim.regrid(2, 1.5 * peak);
+        assert_eq!((out.refined, out.derefined), (1, 0));
+        sim.step(&cluster);
+        assert_eq!(sim.workspaces.len(), before.len() + 7);
+        for (leaf, ws) in &before {
+            match sim.workspaces.get(leaf) {
+                Some(kept) => assert!(Arc::ptr_eq(kept, ws), "{leaf} lost its workspace"),
+                None => assert_eq!(*leaf, target, "only the refined leaf's goes"),
+            }
+        }
+        assert!(!sim.workspaces.contains_key(&target));
+        for oct in octree::Octant::all() {
+            assert!(!before.contains_key(&target.child(oct)));
+            assert!(sim.workspaces.contains_key(&target.child(oct)));
+        }
         cluster.shutdown();
     }
 

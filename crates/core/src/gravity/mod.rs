@@ -31,10 +31,10 @@ pub mod solver;
 pub mod tiles;
 pub mod verify;
 
-pub use dist::{DistLedger, DistPlan, Exchange, Phase};
+pub use dist::{DistPlan, Exchange, Phase};
 pub use m2l_simd::MultipoleSoA;
 pub use multipole::{LocalExpansion, Multipole};
-pub use plan::{GravityPlan, PatchReport};
+pub use plan::GravityPlan;
 pub use solver::{GravityOptions, GravitySolver, LeafField, LeafSources, M2lBench};
 pub use tiles::{near_field_counts, NearFieldCounts};
 pub use verify::{verify_dist_plan, verify_gravity_plan, PlanViolation, ProtocolViolation};

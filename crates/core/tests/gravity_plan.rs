@@ -4,36 +4,39 @@
 //! and the cache must actually work: one rebuild for a whole run on an
 //! unchanged tree, an invalidation (and only one) after a regrid.
 
+mod common;
+
+use common::step_uncached;
 use hpx_rt::SimCluster;
 use octotiger::{
     ConservationLedger, Scenario, ScenarioKind, SimOptions, Simulation, StepStats, NF,
 };
 
-fn build(cluster: &SimCluster, pipeline: bool, cache_plan: bool) -> Simulation {
+fn build(cluster: &SimCluster, pipeline: bool) -> Simulation {
     let sc = Scenario::build(ScenarioKind::RotatingStar, cluster, 1, 0, 4);
     let mut opts = SimOptions::default();
     opts.gravity = true;
     opts.omega = sc.omega;
     opts.pipeline = pipeline;
-    opts.cache_gravity_plan = cache_plan;
     Simulation::new(sc.grid, opts)
 }
 
-/// Step a plan-caching sim and a traverse-every-step sim side by side and
-/// assert every field of every leaf — and the conservation ledgers — are
-/// bit-identical afterwards.
+/// Step a plan-caching sim and a traverse-every-step sim (a fresh solver
+/// per step) side by side and assert every field of every leaf — and the
+/// conservation ledgers — are bit-identical afterwards.
 fn assert_bit_identical(pipeline: bool, steps: usize) {
     let cluster_a = SimCluster::new(2, 2);
     let cluster_b = SimCluster::new(2, 2);
-    let mut cached = build(&cluster_a, pipeline, true);
-    let mut rebuilt = build(&cluster_b, pipeline, false);
+    let mut cached = build(&cluster_a, pipeline);
+    let mut rebuilt = build(&cluster_b, pipeline);
     for step in 0..steps {
         let sa = cached.step(&cluster_a);
-        let sb = rebuilt.step(&cluster_b);
+        let sb = step_uncached(&mut rebuilt, &cluster_b);
         assert_eq!(sa.dt.to_bits(), sb.dt.to_bits(), "Δt must be bit-identical");
         assert_eq!(sa.gravity_stats, sb.gravity_stats, "solve stats differ");
         assert_eq!(sa.gravity_plan_hit, step > 0, "cached side must hit");
-        assert!(!sb.gravity_plan_hit, "invalidated side must never hit");
+        assert!(!sb.gravity_plan_hit, "uncached side must never hit");
+        assert_eq!(rebuilt.gravity_plan_counters(), (0, 1));
     }
     for leaf in cached.grid.leaves() {
         let ga = cached.grid.grid(leaf);
@@ -70,7 +73,7 @@ fn ten_step_run_rebuilds_the_plan_exactly_once() {
     // The acceptance criterion for the subsystem: on an unchanged tree the
     // dual-tree traversal runs once for the whole run, not once per step.
     let cluster = SimCluster::new(2, 2);
-    let mut sim = build(&cluster, false, true);
+    let mut sim = build(&cluster, false);
     let stats: Vec<StepStats> = (0..10).map(|_| sim.step(&cluster)).collect();
     assert!(!stats[0].gravity_plan_hit, "first solve must traverse");
     for (i, s) in stats.iter().enumerate().skip(1) {
@@ -89,7 +92,7 @@ fn pipelined_run_shares_the_cache_across_step_futures() {
     // The pipelined stepper moves a solver clone into each step's gravity
     // future; the clones must all hit the persistent solver's cache.
     let cluster = SimCluster::new(2, 2);
-    let mut sim = build(&cluster, true, true);
+    let mut sim = build(&cluster, true);
     let stats: Vec<StepStats> = (0..5).map(|_| sim.step(&cluster)).collect();
     assert!(!stats[0].gravity_plan_hit);
     assert!(stats[1..].iter().all(|s| s.gravity_plan_hit));
@@ -102,7 +105,7 @@ fn regrid_invalidates_the_plan_exactly_once() {
     // Refining the tree bumps its topology version; the next solve must
     // rebuild the plan (once), and the steps after it must hit again.
     let cluster = SimCluster::new(2, 2);
-    let mut sim = build(&cluster, false, true);
+    let mut sim = build(&cluster, false);
     sim.step(&cluster);
     sim.step(&cluster);
     assert_eq!(sim.gravity_plan_counters(), (1, 1));
@@ -116,6 +119,27 @@ fn regrid_invalidates_the_plan_exactly_once() {
         "second post-regrid solve must hit again"
     );
     assert_eq!(sim.gravity_plan_counters(), (2, 2));
+    cluster.shutdown();
+}
+
+#[test]
+fn theta_change_rebuilds_the_plan_but_is_not_a_regrid_rebuild() {
+    // θ is part of the plan's key, so changing it between steps misses the
+    // cache — but no topology changed, and `/octotiger/regrid/plan-rebuilt`
+    // counts only the rebuilds a regrid caused.  Sharded over two
+    // localities, so the halo plan (keyed on θ too) takes the same path.
+    let cluster = SimCluster::new(2, 2);
+    let mut sim = build(&cluster, false);
+    sim.opts.localities = 2;
+    sim.step(&cluster);
+    sim.opts.gravity_opts.theta = 0.4;
+    let s = sim.step(&cluster);
+    assert!(!s.gravity_plan_hit, "a θ change must re-traverse");
+    let view = sim.counters(&cluster);
+    let value = |name: &str| hpx_rt::counters::select(&view, name)[0].1;
+    assert_eq!(value("/octotiger/gravity/plan-rebuilds"), 2);
+    assert_eq!(value("/octotiger/gravity/dist-plan-rebuilds"), 2);
+    assert_eq!(value("/octotiger/regrid/plan-rebuilt"), 0);
     cluster.shutdown();
 }
 
@@ -135,7 +159,7 @@ fn counters_are_scoped_to_their_simulation() {
     // exactly its own events, whatever else runs in this process.
     let cluster_a = SimCluster::new(2, 2);
     let cluster_b = SimCluster::new(2, 2);
-    let mut a = build(&cluster_a, false, true);
+    let mut a = build(&cluster_a, false);
     a.opts.localities = 1;
     let sc = Scenario::build(ScenarioKind::RotatingStar, &cluster_b, 2, 0, 4);
     let mut opts = SimOptions::default();
@@ -172,23 +196,21 @@ fn counters_are_scoped_to_their_simulation() {
                 ("/octotiger/gravity/dist-plan-rebuilds", 0),
                 ("/octotiger/regrid/refined", 0),
                 ("/octotiger/regrid/derefined", 0),
-                ("/octotiger/regrid/plan-patched", 0),
                 ("/octotiger/regrid/plan-rebuilt", 0),
                 ("/octotiger/scratch/misses", last.0.scratch_misses),
             ],
         ),
         (
-            // Build, hit, patch (interaction + halo plan), hit.
+            // Build, hit, rebuild (interaction + halo plan), hit.
             &b_view,
             [
                 ("/octotiger/gravity/plan-hits", 2),
-                ("/octotiger/gravity/plan-rebuilds", 1),
+                ("/octotiger/gravity/plan-rebuilds", 2),
                 ("/octotiger/gravity/dist-plan-hits", 2),
-                ("/octotiger/gravity/dist-plan-rebuilds", 1),
+                ("/octotiger/gravity/dist-plan-rebuilds", 2),
                 ("/octotiger/regrid/refined", refined),
                 ("/octotiger/regrid/derefined", 0),
-                ("/octotiger/regrid/plan-patched", 2),
-                ("/octotiger/regrid/plan-rebuilt", 0),
+                ("/octotiger/regrid/plan-rebuilt", 2),
                 ("/octotiger/scratch/misses", b_last.scratch_misses),
             ],
         ),

@@ -3,6 +3,9 @@
 //! fresh-allocation runs produce bit-identical physics — and the pools must
 //! actually reach steady state, where `scratch/misses` stops growing.
 
+mod common;
+
+use common::step_uncached;
 use hpx_rt::SimCluster;
 use kokkos_rs::pool::ScratchArena;
 use kokkos_rs::ExecSpace;
@@ -62,26 +65,26 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-fn build(cluster: &SimCluster, pipeline: bool, recycle: bool) -> Simulation {
+fn build(cluster: &SimCluster, pipeline: bool) -> Simulation {
     let sc = Scenario::build(ScenarioKind::RotatingStar, cluster, 1, 0, 4);
     let mut opts = SimOptions::default();
     opts.gravity = true; // exercise the pooled gravity LeafFields too
     opts.omega = sc.omega;
     opts.pipeline = pipeline;
-    opts.recycle_scratch = recycle;
     Simulation::new(sc.grid, opts)
 }
 
-/// Step both sims `steps` times and assert every field of every leaf is
-/// bit-identical afterwards, as are the conservation ledgers.
+/// Step a pooled sim and an unpooled one (a fresh arena and fresh
+/// workspaces every step) `steps` times and assert every field of every
+/// leaf is bit-identical afterwards, as are the conservation ledgers.
 fn assert_bit_identical(pipeline: bool, steps: usize) {
     let cluster_a = SimCluster::new(2, 2);
     let cluster_b = SimCluster::new(2, 2);
-    let mut pooled = build(&cluster_a, pipeline, true);
-    let mut fresh = build(&cluster_b, pipeline, false);
+    let mut pooled = build(&cluster_a, pipeline);
+    let mut fresh = build(&cluster_b, pipeline);
     for _ in 0..steps {
         let sa = pooled.step(&cluster_a);
-        let sb = fresh.step(&cluster_b);
+        let sb = step_uncached(&mut fresh, &cluster_b);
         assert_eq!(sa.dt.to_bits(), sb.dt.to_bits(), "Δt must be bit-identical");
     }
     for leaf in pooled.grid.leaves() {
@@ -121,7 +124,7 @@ fn barrier_steady_state_is_allocation_free_after_warmup() {
     // warm-up step populates the pools, `scratch/misses` must not grow at
     // all over a 10-step run — the acceptance criterion for the subsystem.
     let cluster = SimCluster::new(2, 2);
-    let mut sim = build(&cluster, false, true);
+    let mut sim = build(&cluster, false);
     let warm = sim.step(&cluster);
     assert!(warm.scratch_misses > 0, "warm-up must populate the pools");
     let stats: Vec<StepStats> = (0..10).map(|_| sim.step(&cluster)).collect();
@@ -150,7 +153,7 @@ fn pipelined_steady_state_misses_plateau() {
     // full link set beyond the warm-up population) and in practice stops
     // growing after the first couple of steps.
     let cluster = SimCluster::new(2, 2);
-    let mut sim = build(&cluster, true, true);
+    let mut sim = build(&cluster, true);
     let warm = sim.step(&cluster);
     assert!(warm.scratch_misses > 0);
     let stats: Vec<StepStats> = (0..10).map(|_| sim.step(&cluster)).collect();

@@ -57,7 +57,7 @@ pub use scan::{
 };
 pub use tuner::{race_model_tuner_resplit, TunerRaceBug};
 pub use verify::{
-    find_stale_patch_probe, mutate_dist, mutate_plan, mutation_sweep, scenario_trees,
-    stale_patch_probe, verify_real_plans, DistMutationKind, MissedMutation, PlanMutationKind,
-    StalePatchProbe, DIST_MUTATIONS, LOCALITY_COUNTS, MUTATION_LOCALITY_COUNTS, PLAN_MUTATIONS,
+    mutate_dist, mutate_plan, mutation_sweep, scenario_trees, verify_real_plans, DistMutation,
+    DistMutationKind, MissedMutation, PlanMutationKind, DIST_MUTATIONS, LOCALITY_COUNTS,
+    MUTATION_LOCALITY_COUNTS, PLAN_MUTATIONS,
 };

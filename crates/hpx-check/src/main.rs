@@ -14,10 +14,10 @@
 //! Exit status 0 when every requested analysis is clean, 1 otherwise.
 
 use hpx_check::{
-    exercise_dist_solve, exercise_pipeline, find_stale_patch_probe, lint_pipeline, mutation_sweep,
-    race_model_dist_regrid, race_model_gravity_plan, race_model_pipeline, race_model_tuner_resplit,
-    scan_workspace, scan_workspace_invariants, verify_real_plans, Allowlist, DistRaceBug,
-    DistScheduleBug, GravityRaceBug, ModelChecker, RaceBug, ScheduleBug, TunerRaceBug,
+    exercise_dist_solve, exercise_pipeline, lint_pipeline, mutation_sweep, race_model_dist_regrid,
+    race_model_gravity_plan, race_model_pipeline, race_model_tuner_resplit, scan_workspace,
+    scan_workspace_invariants, verify_real_plans, Allowlist, DistRaceBug, DistScheduleBug,
+    GravityRaceBug, ModelChecker, RaceBug, ScheduleBug, TunerRaceBug,
 };
 use octree::{ghost_link_specs, LinkSpec, Tree};
 use std::path::PathBuf;
@@ -381,30 +381,7 @@ fn run_dist_models(opts: &Options) -> bool {
             false
         }
     };
-    // The stale *subtree cache* probe: an incrementally patched halo plan
-    // with one dirtied delivery dropped must be caught by the static
-    // verifier's starvation/demand check before any schedule runs it.
-    let patch_ok = match find_stale_patch_probe(opts.level, opts.seed) {
-        Some(probe) if probe.caught() => {
-            println!(
-                "races: stale patched halo plan caught statically ({})",
-                probe.description
-            );
-            true
-        }
-        Some(probe) => {
-            eprintln!(
-                "races: stale patched halo plan NOT caught ({}); got: {:?}",
-                probe.description, probe.violations
-            );
-            false
-        }
-        None => {
-            eprintln!("races: stale-patch probe found no cross-locality dirty slot to drop");
-            false
-        }
-    };
-    clean_ok & lost_ok & regrid_ok & stale_ok & patch_ok
+    clean_ok & lost_ok & regrid_ok & stale_ok
 }
 
 fn run_waitlint(opts: &Options) -> bool {
@@ -482,33 +459,7 @@ fn run_verify(opts: &Options) -> bool {
         }
     }
 
-    // 3. The stale-subtree-cache planted bug: a halo plan patched across a
-    //    real regrid, minus one dirtied slot's delivery, must be named by
-    //    the starvation/demand check.
-    match find_stale_patch_probe(opts.level, opts.seed) {
-        Some(probe) if probe.caught() => {
-            counts.push(("stale-patch-missed", 0));
-            println!(
-                "verify: stale patched halo plan caught ({})",
-                probe.description
-            );
-        }
-        Some(probe) => {
-            clean = false;
-            counts.push(("stale-patch-missed", 1));
-            eprintln!(
-                "verify: stale patched halo plan NOT caught ({}); got: {:?}",
-                probe.description, probe.violations
-            );
-        }
-        None => {
-            clean = false;
-            counts.push(("stale-patch-missed", 1));
-            eprintln!("verify: stale-patch probe found no cross-locality dirty slot to drop");
-        }
-    }
-
-    // 4. Source lints guarding the zero-alloc and FP-determinism steady
+    // 3. Source lints guarding the zero-alloc and FP-determinism steady
     //    state, plus the raw sites for the allowlist rot check.
     let allow_path = opts
         .allow

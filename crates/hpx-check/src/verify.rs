@@ -11,6 +11,8 @@
 //!
 //! * **dropped exchange** → a `deadlock:` report naming the starved phase
 //!   and `from→to` link (a lost parcel over a real transport);
+//! * **dropped slot** → the same report naming exactly the one slot a lane
+//!   no longer carries (a halo list that missed one consumer's demand);
 //! * **ownership overlap** → a double-receive report (two localities both
 //!   claim a slot and both ship it);
 //! * **forged second sender** → double receive + foreign send;
@@ -27,7 +29,6 @@ use octotiger::gravity::{
     ProtocolViolation,
 };
 use octree::{partition_morton, verify_partition, Tree};
-use std::collections::HashSet;
 
 /// The locality counts every scenario is sharded over.  1 is the
 /// degenerate no-communication case; 7 does not divide any uniform leaf
@@ -85,6 +86,10 @@ pub enum DistMutationKind {
     /// Remove one frozen exchange: its receiver starves (deadlock over a
     /// real transport).
     DroppedExchange,
+    /// Remove one slot from one frozen exchange: the lane still runs, but
+    /// one consumer's operand never arrives.  The verifier must name that
+    /// slot's receive as starved, not merely report something.
+    DroppedSlot,
     /// Forge a second sender shipping an already-delivered slot.
     DoubleReceive,
     /// A second locality claims an owned slot *and* ships it — the
@@ -110,6 +115,7 @@ pub enum PlanMutationKind {
 /// All mutation kinds, for sweeps.
 pub const DIST_MUTATIONS: &[DistMutationKind] = &[
     DistMutationKind::DroppedExchange,
+    DistMutationKind::DroppedSlot,
     DistMutationKind::DoubleReceive,
     DistMutationKind::OwnershipOverlap,
     DistMutationKind::SelfLink,
@@ -161,15 +167,25 @@ fn exchange_candidates(dist: &DistPlan) -> Vec<(Phase, usize)> {
         .collect()
 }
 
+/// A mutated halo plan and what was done to it.
+#[derive(Debug)]
+pub struct DistMutation {
+    pub plan: DistPlan,
+    /// What was done (for sweep failure messages).
+    pub description: String,
+    /// For a mutation that starves exactly one receive, the `(phase, slot)`
+    /// the verifier has to name; any report counts for the others.
+    pub starves: Option<(Phase, usize)>,
+}
+
 /// Apply `kind` to a clone of `dist`, picking the target exchange with
-/// `seed`.  Returns the mutated plan and a description of what was done
-/// (for sweep failure messages).
+/// `seed`.
 pub fn mutate_dist(
     plan: &GravityPlan,
     dist: &DistPlan,
     kind: DistMutationKind,
     seed: u64,
-) -> Option<(DistPlan, String)> {
+) -> Option<DistMutation> {
     let candidates = exchange_candidates(dist);
     if candidates.is_empty() {
         return None; // single-locality plans have nothing to mutate
@@ -177,16 +193,30 @@ pub fn mutate_dist(
     let mut rng = Lcg::new(seed);
     let (phase, idx) = candidates[rng.pick(candidates.len())];
     let mut mutated = dist.clone();
-    let desc;
+    let description;
+    let mut starves = None;
     match kind {
         DistMutationKind::DroppedExchange => {
             let ex = list_mut(&mut mutated, phase).remove(idx);
-            desc = format!(
+            description = format!(
                 "dropped exchange {}→{} ({} slots) in phase {phase}",
                 ex.from,
                 ex.to,
                 ex.slots.len()
             );
+        }
+        DistMutationKind::DroppedSlot => {
+            let list = list_mut(&mut mutated, phase);
+            let ex = &mut list[idx];
+            let slot = ex.slots.remove(rng.pick(ex.slots.len()));
+            description = format!(
+                "dropped slot {slot} from exchange {}→{} in phase {phase}",
+                ex.from, ex.to
+            );
+            if ex.slots.is_empty() {
+                list.remove(idx);
+            }
+            starves = Some((phase, slot));
         }
         DistMutationKind::DoubleReceive => {
             let ex = list_mut(&mut mutated, phase)[idx].clone();
@@ -201,7 +231,7 @@ pub fn mutate_dist(
                 to: ex.to,
                 slots: vec![slot],
             });
-            desc = format!(
+            description = format!(
                 "forged second delivery of slot {slot} to {} (from {forged_from}) in phase {phase}",
                 ex.to
             );
@@ -233,7 +263,7 @@ pub fn mutate_dist(
                     slots: vec![slot],
                 });
             }
-            desc = format!(
+            description = format!(
                 "locality {claimer} also claims slot {slot} (owner {}) in phase {phase}",
                 ex.from
             );
@@ -243,10 +273,14 @@ pub fn mutate_dist(
             let from = list[idx].from;
             let to = list[idx].to;
             list[idx].to = from;
-            desc = format!("re-aimed lane {from}→{to} at its own sender in phase {phase}");
+            description = format!("re-aimed lane {from}→{to} at its own sender in phase {phase}");
         }
     }
-    Some((mutated, desc))
+    Some(DistMutation {
+        plan: mutated,
+        description,
+        starves,
+    })
 }
 
 /// Apply `kind` to a clone of `plan`, picking targets with `seed`.
@@ -362,7 +396,7 @@ pub fn mutation_sweep(level: u8, seed: u64) -> Result<usize, Vec<MissedMutation>
             let owner = partition_morton(&tree, nloc);
             let dist = DistPlan::build(&plan, &owner, nloc);
             for (k, &kind) in DIST_MUTATIONS.iter().enumerate() {
-                let Some((mutated, desc)) = mutate_dist(
+                let Some(mutation) = mutate_dist(
                     &plan,
                     &dist,
                     kind,
@@ -371,10 +405,18 @@ pub fn mutation_sweep(level: u8, seed: u64) -> Result<usize, Vec<MissedMutation>
                     continue;
                 };
                 checked += 1;
-                if verify_dist_plan(&plan, &mutated).is_empty() {
+                let findings = verify_dist_plan(&plan, &mutation.plan);
+                let caught = match mutation.starves {
+                    Some(want) => findings.iter().any(|v| {
+                        matches!(v, ProtocolViolation::StarvedReceive { phase, slot, .. }
+                            if (*phase, *slot) == want)
+                    }),
+                    None => !findings.is_empty(),
+                };
+                if !caught {
                     missed.push(MissedMutation {
                         scenario: format!("protocol[{name} N={nloc}]"),
-                        mutation: desc,
+                        mutation: mutation.description,
                     });
                 }
             }
@@ -387,99 +429,6 @@ pub fn mutation_sweep(level: u8, seed: u64) -> Result<usize, Vec<MissedMutation>
     }
 }
 
-/// A planted *stale subtree cache* bug and what the verifier said about
-/// it: a halo plan that was incrementally patched across a regrid, minus
-/// one dirtied slot's delivery — exactly the lane entry a broken
-/// incremental invalidation would fail to re-add.
-#[derive(Debug)]
-pub struct StalePatchProbe {
-    /// What was planted (for reports).
-    pub description: String,
-    /// Phase of the dropped delivery.
-    pub phase: Phase,
-    /// The dirtied slot whose delivery went missing.
-    pub slot: usize,
-    /// What `verify_dist_plan` reported on the broken plan.
-    pub violations: Vec<ProtocolViolation>,
-}
-
-impl StalePatchProbe {
-    /// Did the starvation/demand check name exactly the dropped delivery?
-    /// (Any other report — or silence — means the stale cache would have
-    /// sailed into a real deadlock.)
-    pub fn caught(&self) -> bool {
-        self.violations.iter().any(|v| {
-            matches!(v, ProtocolViolation::StarvedReceive { phase, slot, .. }
-                if *phase == self.phase && *slot == self.slot)
-        })
-    }
-}
-
-/// Build the stale-patch probe for one `(nloc, seed)`: regrid a seed-picked
-/// leaf of the uniform `level` tree, patch the halo plan incrementally
-/// through the demand ledger (the production path — the patched plan is
-/// byte-identical to a rebuild), then drop one delivery of a slot the
-/// [`octotiger::gravity::PatchReport`] marked dirty.  Returns `None` when
-/// no dirtied slot happens to cross localities for this pick.
-pub fn stale_patch_probe(level: u8, nloc: usize, seed: u64) -> Option<StalePatchProbe> {
-    let mut tree = Tree::new_uniform(level.max(1));
-    tree.take_regrid_delta();
-    let old_plan = GravityPlan::build(&tree, 0.5);
-    let old_owner = partition_morton(&tree, nloc);
-    let (old_dist, ledger) = DistPlan::build_with_ledger(&old_plan, &old_owner, nloc);
-    let mut rng = Lcg::new(seed);
-    let leaves = tree.leaves();
-    tree.refine_balanced(leaves[rng.pick(leaves.len())]);
-    let delta = tree.take_regrid_delta();
-    let (new_plan, report) = GravityPlan::patch(&old_plan, &tree, &delta, 0.5)
-        .expect("a freshly drained delta spans the plan");
-    let new_owner = partition_morton(&tree, nloc);
-    let (patched, _) = DistPlan::patch(
-        &old_dist, &ledger, &old_plan, &new_plan, &report, &new_owner, nloc,
-    )
-    .expect("a consistent report patches the halo plan");
-    let dirty: HashSet<usize> = report.dirty_slots.iter().copied().collect();
-    let mut broken = patched;
-    let mut target = None;
-    'outer: for (li, lane) in broken.m2l_halo.iter().enumerate() {
-        for (si, &slot) in lane.slots.iter().enumerate() {
-            if dirty.contains(&slot) {
-                target = Some((li, si, slot, lane.from, lane.to));
-                break 'outer;
-            }
-        }
-    }
-    let (li, si, slot, from, to) = target?;
-    broken.m2l_halo[li].slots.remove(si);
-    if broken.m2l_halo[li].slots.is_empty() {
-        broken.m2l_halo.remove(li);
-    }
-    let violations = verify_dist_plan(&new_plan, &broken);
-    Some(StalePatchProbe {
-        description: format!(
-            "patched halo plan missing dirtied slot {slot}'s delivery {from}→{to} (N={nloc})"
-        ),
-        phase: Phase::M2lHalo,
-        slot,
-        violations,
-    })
-}
-
-/// Scan locality counts and nearby seeds until a stale-patch probe
-/// materializes (a dirtied slot must cross localities, which depends on
-/// which leaf the seed picks).  The standard scenarios always yield one
-/// within a few tries.
-pub fn find_stale_patch_probe(level: u8, seed: u64) -> Option<StalePatchProbe> {
-    for &nloc in MUTATION_LOCALITY_COUNTS {
-        for attempt in 0..8 {
-            if let Some(probe) = stale_patch_probe(level, nloc, seed.wrapping_add(attempt)) {
-                return Some(probe);
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -490,25 +439,11 @@ mod tests {
     }
 
     #[test]
-    fn stale_patch_probe_is_caught_by_the_starvation_check() {
-        for seed in [1u64, 7, 42] {
-            let probe = find_stale_patch_probe(2, seed)
-                .expect("the standard scenario must yield a cross-locality dirty slot");
-            assert!(
-                probe.caught(),
-                "seed {seed}: {} not caught; got: {:?}",
-                probe.description,
-                probe.violations
-            );
-        }
-    }
-
-    #[test]
     fn sweep_catches_every_mutation_across_seeds() {
         for seed in [1u64, 7, 42] {
             match mutation_sweep(2, seed) {
                 Ok(checked) => {
-                    assert!(checked >= 2 * (4 + 3 * 4) - 4, "sweep too small: {checked}")
+                    assert!(checked >= 2 * (4 + 3 * 5) - 4, "sweep too small: {checked}")
                 }
                 Err(missed) => panic!(
                     "seed {seed}: {} mutation(s) not caught:\n{}",

@@ -29,7 +29,7 @@
 use crate::index::{Dir, NodeId, Octant};
 use crate::partition::partition_morton;
 use crate::subgrid::SubGrid;
-use crate::tree::{Neighbor, RegridDelta, Tree};
+use crate::tree::{Neighbor, Tree};
 use hpx_rt::locality::{downcast_payload, ArcPayload, Payload};
 use hpx_rt::{Locality, LocalityId, SimCluster};
 use kokkos_rs::pool::{BufferPool, Recycled};
@@ -503,13 +503,6 @@ impl DistGrid {
             let owner = parent_owner.expect("octet has eight children");
             leaves.insert(c, (owner, Arc::new(RwLock::new(parent))));
         }
-    }
-
-    /// Drain the tree's accumulated [`RegridDelta`].  The caller hands it
-    /// on to whatever plan caches patch across it (e.g. the gravity
-    /// solver); the ghost plan is rebuilt per version instead.
-    pub fn take_regrid_delta(&self) -> RegridDelta {
-        self.inner.tree.write().take_regrid_delta()
     }
 
     /// Fill every leaf's ghost shells: interior data from neighbours

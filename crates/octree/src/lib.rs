@@ -34,4 +34,4 @@ pub use ghost::{ghost_link_specs, DistGrid, GhostConfig, LinkSpec, PipelinedExch
 pub use index::{Dir, NodeId, Octant, MAX_LEVEL};
 pub use partition::{partition_morton, verify_partition};
 pub use subgrid::SubGrid;
-pub use tree::{Neighbor, RegridDelta, Tree};
+pub use tree::{Neighbor, Tree};

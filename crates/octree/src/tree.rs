@@ -18,72 +18,6 @@ enum Node {
     Leaf,
 }
 
-/// The record of one regrid episode: every topology change since the delta
-/// was last drained, in application order, plus the neighbour links each
-/// change dirtied.  Emitted by [`Tree::refine`]/[`Tree::derefine`] (and
-/// their balanced drivers) *in addition to* the `topology_version` bump,
-/// so layers caching topology-derived structures (the gravity interaction
-/// plan, halo plans, leaf workspaces) can patch themselves subtree-locally
-/// instead of rebuilding wholesale.
-///
-/// The delta spans `[first_version, last_version]`: a consumer holding a
-/// structure built at `first_version` can apply the delta to reach
-/// `last_version`; anything else must fall back to a full rebuild.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RegridDelta {
-    /// Leaves that were refined (each now interior with 8 new leaf
-    /// children), in refinement order.
-    pub refined: Vec<NodeId>,
-    /// Interior nodes that were collapsed back into leaves (their 8
-    /// children removed), in collapse order.
-    pub derefined: Vec<NodeId>,
-    /// Neighbour links dirtied by the changes: for every changed node, the
-    /// in-domain directions whose ghost/interaction classification may
-    /// have changed.  Consumers resolve the far end against the *current*
-    /// tree (covering leaf / finer children).
-    pub touched_links: Vec<(NodeId, Dir)>,
-    /// `topology_version` before the first recorded change.
-    pub first_version: u64,
-    /// `topology_version` after the last recorded change.
-    pub last_version: u64,
-}
-
-impl RegridDelta {
-    /// `true` if no topology change is recorded.
-    pub fn is_empty(&self) -> bool {
-        self.refined.is_empty() && self.derefined.is_empty()
-    }
-
-    /// Append `other` (a later episode) onto this delta.  The episodes
-    /// must be contiguous: `other.first_version == self.last_version`
-    /// (or either side empty).
-    pub fn merge(&mut self, other: RegridDelta) {
-        if other.is_empty() {
-            return;
-        }
-        if self.is_empty() {
-            *self = other;
-            return;
-        }
-        assert_eq!(
-            other.first_version, self.last_version,
-            "merging non-contiguous regrid deltas"
-        );
-        self.refined.extend(other.refined);
-        self.derefined.extend(other.derefined);
-        self.touched_links.extend(other.touched_links);
-        self.last_version = other.last_version;
-    }
-
-    /// `true` if applying this delta to a structure built at
-    /// `built_version` yields the topology at `current_version`.
-    pub fn spans(&self, built_version: u64, current_version: u64) -> bool {
-        !self.is_empty()
-            && self.first_version == built_version
-            && self.last_version == current_version
-    }
-}
-
 /// What a leaf finds in one of its 26 directions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Neighbor {
@@ -108,9 +42,6 @@ pub struct Tree {
     /// interaction plan, ghost link tables, …) can detect regrids with one
     /// integer compare instead of re-walking the tree.
     topology_version: u64,
-    /// Changes accumulated since [`Tree::take_regrid_delta`] last drained
-    /// them — the subtree-local invalidation record.
-    delta: RegridDelta,
 }
 
 impl Default for Tree {
@@ -127,7 +58,6 @@ impl Tree {
         Tree {
             nodes,
             topology_version: 0,
-            delta: RegridDelta::default(),
         }
     }
 
@@ -225,41 +155,6 @@ impl Tree {
         self.topology_version
     }
 
-    /// Drain the changes accumulated since the last drain.  The returned
-    /// delta spans `[delta.first_version, topology_version()]`; the next
-    /// recorded change starts a fresh episode at the current version.
-    pub fn take_regrid_delta(&mut self) -> RegridDelta {
-        let mut fresh = RegridDelta::default();
-        fresh.first_version = self.topology_version;
-        fresh.last_version = self.topology_version;
-        std::mem::replace(&mut self.delta, fresh)
-    }
-
-    /// The changes accumulated since the last drain, without draining.
-    #[cfg(test)]
-    fn pending_regrid_delta(&self) -> &RegridDelta {
-        &self.delta
-    }
-
-    /// Record one change at `id` into the pending delta (links first, so
-    /// `first_version` is pinned before the version bump).
-    fn record_change(&mut self, id: NodeId, refined: bool) {
-        if self.delta.is_empty() {
-            self.delta.first_version = self.topology_version;
-        }
-        for dir in Dir::all26() {
-            if id.neighbor(dir).is_some() {
-                self.delta.touched_links.push((id, dir));
-            }
-        }
-        if refined {
-            self.delta.refined.push(id);
-        } else {
-            self.delta.derefined.push(id);
-        }
-        self.delta.last_version = self.topology_version + 1;
-    }
-
     /// Refine a leaf into an interior node with 8 leaf children.
     /// Does **not** restore 2:1 balance — use [`Tree::refine_balanced`]
     /// when the invariant must hold afterwards.
@@ -274,7 +169,6 @@ impl Tree {
         for oct in Octant::all() {
             self.nodes.insert(id.child(oct), Node::Leaf);
         }
-        self.record_change(id, true);
         self.topology_version += 1;
     }
 
@@ -339,7 +233,6 @@ impl Tree {
             self.nodes.remove(&id.child(oct));
         }
         self.nodes.insert(id, Node::Leaf);
-        self.record_change(id, false);
         self.topology_version += 1;
         true
     }
@@ -741,44 +634,6 @@ mod tests {
     }
 
     #[test]
-    fn regrid_delta_records_changes_and_drains() {
-        let mut t = Tree::new_uniform(1);
-        let drained = t.take_regrid_delta();
-        assert_eq!(drained.refined.len(), 1, "new_uniform refined the root");
-        assert!(t.pending_regrid_delta().is_empty());
-        let v0 = t.topology_version();
-        let corner = NodeId::from_coords(1, [0, 0, 0]);
-        let refined = t.refine_balanced(corner);
-        assert!(t.derefine(corner));
-        let d = t.take_regrid_delta();
-        assert_eq!(d.refined, refined);
-        assert_eq!(d.derefined, vec![corner]);
-        assert!(d.spans(v0, t.topology_version()));
-        assert!(!d.spans(v0 + 1, t.topology_version()));
-        // Touched links cover the changed node's in-domain directions.
-        assert!(d.touched_links.iter().any(|&(id, _)| id == corner));
-        // Refused derefines record nothing.
-        let mut deep = Tree::new_uniform(2);
-        deep.take_regrid_delta();
-        assert!(!deep.derefine(NodeId::ROOT));
-        assert!(deep.pending_regrid_delta().is_empty());
-    }
-
-    #[test]
-    fn regrid_delta_merge_chains_episodes() {
-        let mut t = Tree::new();
-        let _ = t.take_regrid_delta();
-        let v0 = t.topology_version();
-        t.refine(NodeId::ROOT);
-        let mut a = t.take_regrid_delta();
-        t.refine_balanced(NodeId::from_coords(1, [0, 0, 0]));
-        let b = t.take_regrid_delta();
-        a.merge(b);
-        assert!(a.spans(v0, t.topology_version()));
-        assert_eq!(a.refined.len(), 2);
-    }
-
-    #[test]
     fn derefine_balanced_collapses_blocking_neighbours() {
         let mut t = Tree::new_uniform(1);
         let a = NodeId::from_coords(1, [0, 0, 0]);
@@ -798,8 +653,6 @@ mod tests {
         assert_eq!(collapsed.last(), Some(&nb), "target collapses last");
         assert!(t.is_leaf(nb));
         assert!(t.check_invariants().is_ok());
-        // Every collapse was recorded in the pending delta.
-        assert!(t.pending_regrid_delta().derefined.len() >= collapsed.len());
     }
 
     #[test]
