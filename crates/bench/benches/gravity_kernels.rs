@@ -1,12 +1,15 @@
 //! Gravity kernels: the P2P monopole kernel (the paper's dominant GPU
-//! kernel, SVE's main CPU beneficiary) and the M2L multipole kernel whose
-//! task-splitting Figure 9 studies.
+//! kernel, SVE's main CPU beneficiary), the M2L multipole kernel whose
+//! task-splitting Figure 9 studies, and the M2P kernel of the near field's
+//! cell-level tier.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use kokkos_rs::pool::Recycled;
 use kokkos_rs::ExecSpace;
 use octotiger::gravity::direct::{p2p_at, PointMasses};
+use octotiger::gravity::m2p_simd::{far_cells, m2p_accumulate};
 use octotiger::gravity::multipole::Multipole;
-use octotiger::gravity::{GravityPlan, GravitySolver, LeafSources};
+use octotiger::gravity::{GravityPlan, GravitySolver, LeafField, LeafSources};
 use octree::{NodeId, Tree};
 use std::collections::HashMap;
 use std::hint::black_box;
@@ -52,6 +55,44 @@ fn m2l_bench(c: &mut Criterion) {
     group.bench_function("with_octupole", |bench| {
         bench.iter(|| black_box(mp.m2l(black_box([4.0, 1.0, -2.0]), true)))
     });
+    group.finish();
+}
+
+/// One source tile against the 64 cells of a target tile three tile edges
+/// away (every cell passes the cell-level test): classification + M2P, the
+/// work that replaces 64 x 64 P2P interactions.
+fn m2p_bench(c: &mut Criterion) {
+    let lattice = |corner: [f64; 3]| {
+        let mut pts = PointMasses::default();
+        for q in 0..64usize {
+            let at = [q / 16, q / 4 % 4, q % 4];
+            let x: [f64; 3] = std::array::from_fn(|a| corner[a] + (at[a] as f64 + 0.5) * 0.25);
+            pts.push(x, 1.0 + 0.1 * (0.3 * q as f64).sin());
+        }
+        pts
+    };
+    let (source, targets) = (lattice([0.0; 3]), lattice([3.0, 1.0, 0.0]));
+    let mp = Multipole::from_soa(source.view());
+    let (center, radius) = ([0.5; 3], 0.5 * 3f64.sqrt());
+    let run = || Recycled::detached(vec![0.0; 64]);
+    let mut out = LeafField {
+        phi: run(),
+        gx: run(),
+        gy: run(),
+        gz: run(),
+    };
+    let mut far = vec![false; 64];
+    let mut group = c.benchmark_group("gravity/m2p");
+    for (label, mode) in [("scalar", VectorMode::Scalar), ("sve", VectorMode::Sve512)] {
+        group.bench_function(BenchmarkId::new(label, 64), |bench| {
+            bench.iter(|| {
+                let nfar = far_cells(targets.view(), center, radius, 0.5, mode, &mut far);
+                assert_eq!(nfar, 64);
+                m2p_accumulate(black_box(&mp), true, targets.view(), &far, mode, out.run());
+                black_box(&out);
+            })
+        });
+    }
     group.finish();
 }
 
@@ -133,6 +174,7 @@ criterion_group!(
     benches,
     p2p_bench,
     m2l_bench,
+    m2p_bench,
     l2l_eval_bench,
     plan_cache_bench,
     plan_acquisition_bench

@@ -12,19 +12,22 @@
 //!    kernel, whose launch is splittable into `tasks_per_kernel` HPX tasks
 //!    (the Figure 9 knob);
 //! 3. **top-down** — L2L local-expansion propagation and per-cell
-//!    evaluation, plus the near field: tile M2L and direct P2P sums
-//!    between touching 4³-cell tiles.
+//!    evaluation, plus the near field in three tiers: M2L between
+//!    4³-cell tiles, M2P from a tile to the cells that see it as far, and
+//!    direct P2P sums for the cells that touch it.
 //!
 //! The near/far decision uses a dual-tree traversal with a geometric
 //! multipole acceptance criterion, which handles the adaptive tree without
 //! interaction-list gaps by construction.  The traversal's outcome is
 //! frozen into a CSR-encoded [`plan::GravityPlan`] keyed on the tree's
 //! topology version, so solves on an unchanged tree skip it entirely; the
-//! evaluation continues it one level below the leaves ([`tiles`]).
+//! evaluation continues it below the leaves, down to the single cell
+//! ([`tiles`], [`m2p_simd`]).
 
 pub mod direct;
 pub mod dist;
 pub mod m2l_simd;
+pub mod m2p_simd;
 pub mod multipole;
 pub mod plan;
 pub mod solver;

@@ -29,6 +29,7 @@ use super::solver::SolveStats;
 use crate::units::BOX_SIZE;
 use octree::{NodeId, Tree};
 use std::collections::HashMap;
+use sve_simd::{Mask, Simd};
 
 /// Physical center and half-diagonal of a node's cube.
 pub(crate) fn node_geometry(id: NodeId) -> ([f64; 3], f64) {
@@ -50,12 +51,32 @@ pub(crate) fn cube_geometry(corner: [f64; 3], size: f64) -> ([f64; 3], f64) {
 
 /// The multipole acceptance test — the one place it is spelled: bodies
 /// `a` and `b` (bounding-sphere centers and radii) are well separated when
-/// `(r_a + r_b) / d < theta`.  [`GravityPlan::build`] applies it to node
-/// pairs, the solver's tile classifier ([`super::tiles`]) continues it one
-/// level below the leaves.
+/// `(r_a + r_b) / d < theta`, lane by lane.  [`GravityPlan::build`] applies
+/// the one-lane form to node pairs, the solver's tile classifier
+/// ([`super::tiles`]) continues it one level below the leaves, and the
+/// cell classifier ([`super::m2p_simd`]) puts a run of target cells —
+/// points, `r_a = 0` — to it against one source tile.
+///
+/// Not re-associated to `r_a + r_b < theta * d`: tile offsets with
+/// |v|² = 12 are exact ties in real arithmetic, and this rounding decides
+/// them.
+#[inline(always)]
+pub(crate) fn well_separated_w<const W: usize>(
+    ca: [Simd<f64, W>; 3],
+    ra: Simd<f64, W>,
+    cb: [Simd<f64, W>; 3],
+    rb: Simd<f64, W>,
+    theta: Simd<f64, W>,
+) -> Mask<W> {
+    let (dx, dy, dz) = (ca[0] - cb[0], ca[1] - cb[1], ca[2] - cb[2]);
+    let d = (dx * dx + dy * dy + dz * dz).sqrt();
+    d.simd_gt(Simd::splat(0.0)) & ((ra + rb) / d).simd_lt(theta)
+}
+
+/// [`well_separated_w`] of one pair of bodies.
 pub(crate) fn well_separated(ca: [f64; 3], ra: f64, cb: [f64; 3], rb: f64, theta: f64) -> bool {
-    let d = ((ca[0] - cb[0]).powi(2) + (ca[1] - cb[1]).powi(2) + (ca[2] - cb[2]).powi(2)).sqrt();
-    d > 0.0 && (ra + rb) / d < theta
+    let s = Simd::<f64, 1>::splat;
+    well_separated_w(ca.map(s), s(ra), cb.map(s), s(rb), s(theta)).test(0)
 }
 
 /// What a slot of the plan's node table is.

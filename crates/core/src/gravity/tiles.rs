@@ -4,8 +4,8 @@
 //! The [`GravityPlan`]'s dual-tree traversal stops at the leaves, so every
 //! leaf pair it could not accept lands in the P2P list whole.  Octo-Tiger's
 //! FMM treats the sub-grid's cells and their aggregates as the finest tree
-//! levels instead; this module continues the plan's opening criterion that
-//! one step.  A leaf whose point count is the cube of a multiple of 4 above
+//! levels instead; this module continues the plan's opening criterion
+//! below the leaf.  A leaf whose point count is the cube of a multiple of 4 above
 //! 4 (the paper's N = 8 sub-grid: 512 cells, 8 tiles) is a list of
 //! (N/4)³ tiles — its cells are taken to be the leaf cube's N³ lattice in
 //! i-major order, which is how every source gather in the tree lays them
@@ -13,33 +13,42 @@
 //!
 //! Per solve and locality, `TileSet::rebuild` sizes the tile geometry —
 //! a pure function of the plan and the points per leaf — and runs one
-//! launch that writes a tile-major copy and the tile multipoles of every
-//! visible multi-tile leaf.  The evaluation launch then puts every tile of
-//! every near leaf of a target tile to `well_separated`, the plan's own
-//! acceptance test, on tile geometry (`TileGeometry::classify`): accepted
-//! tiles are summed by M2L, rejected ones by P2P, both in ascending
-//! (leaf, tile) order.  The outcome is recomputed every solve, one target
-//! tile at a time (64 tests per near leaf pair steer ≥ 10⁵ interactions):
-//! once to gather the M2L index list into a buffer recycled with the
-//! leaf's output slot, once more to walk the P2P tiles.  It is not part of
-//! the plan, the halo plan, `patch` or `verify`.  [`near_field_counts`]
-//! counts it without solving.
+//! launch that writes the tile multipoles of every visible leaf and a
+//! tile-major copy of every multi-tile one.  The evaluation launch then
+//! sums the near field of a target tile in three tiers, each decided by
+//! `well_separated`, the plan's own acceptance test:
 //!
-//! Two single-tile leaves are never re-tested: the plan already rejected
-//! that very pair, so every N ≤ 4 input keeps the summation order — and
-//! the bits — of the all-pairs leaf loop this replaced.
+//! 1. **tile M2L** — every tile of every near leaf, tile against tile
+//!    (`TileGeometry::classify`); accepted tiles go through the target
+//!    tile's local expansion;
+//! 2. **M2P** — every target cell against every rejected tile, the cell
+//!    taken as the point it is (`TileSet::far_cells`, target radius 0);
+//!    accepted cells take the tile's multipole directly
+//!    ([`super::m2p_simd`]);
+//! 3. **P2P** — what is left: the cells that touch the source tile.
+//!
+//! All three run in ascending (leaf, tile) order.  The outcome is
+//! recomputed every solve, one target tile at a time: it is not part of the
+//! plan, the halo plan or `verify`.  [`near_field_counts`] counts it without
+//! solving.
+//!
+//! Two single-tile leaves are never re-tested, at either level: the plan
+//! already rejected that very pair, so every N ≤ 4 input keeps the
+//! summation order — and the bits — of the all-pairs leaf loop.
 
 use super::direct::{PointMasses, PointsRef};
 use super::m2l_simd::MultipoleSoA;
+use super::m2p_simd::far_cells;
 use super::multipole::Multipole;
 use super::plan::{cube_geometry, well_separated, GravityPlan};
 use kokkos_rs::{parallel_for_mut, ChunkSpec, ExecSpace, RangePolicy};
 use std::ops::Range;
+use sve_simd::VectorMode;
 
 /// Cells per tile edge.
 const TILE_EDGE: usize = 4;
 /// Cells per tile of a multi-tile leaf.
-const TILE_CELLS: usize = TILE_EDGE * TILE_EDGE * TILE_EDGE;
+pub(super) const TILE_CELLS: usize = TILE_EDGE * TILE_EDGE * TILE_EDGE;
 
 /// Tiles per edge of a leaf holding `npoints` cells: `n / 4` when
 /// `npoints = n³` with `n` a multiple of 4 above 4, else 1.
@@ -111,11 +120,16 @@ impl TileGeometry {
         self.first[li]..self.first[li + 1]
     }
 
+    /// Whether the near leaf pair `(li, sl)` is opened below the leaf.  A
+    /// pair of single-tile leaves is the pair the plan already rejected and
+    /// is summed point by point, whole.
+    fn retested(&self, li: usize, sl: usize) -> bool {
+        self.edge[li] > 1 || self.edge[sl] > 1
+    }
+
     /// The near-field traversal of target tile `tt` of leaf `li`, one level
     /// below the plan: `visit(source leaf, source tile, accepted)` for
-    /// every tile of every near leaf, ascending.  A pair of single-tile
-    /// leaves is the leaf pair the plan already rejected and is not
-    /// re-tested.
+    /// every tile of every near leaf, ascending.
     fn classify(
         &self,
         plan: &GravityPlan,
@@ -124,7 +138,7 @@ impl TileGeometry {
         mut visit: impl FnMut(usize, usize, bool),
     ) {
         for &sl in plan.p2p_sources_of(li) {
-            let retest = self.edge[li] > 1 || self.edge[sl] > 1;
+            let retest = self.retested(li, sl);
             for st in self.tiles_of(sl) {
                 let accepted = retest
                     && well_separated(
@@ -143,35 +157,38 @@ impl TileGeometry {
 /// Exact near-field work of one solve (see [`near_field_counts`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NearFieldCounts {
-    /// Ordered tile pairs summed by P2P (self pairs included).
-    pub p2p_tile_pairs: u64,
     /// Ordered tile pairs summed by M2L.
     pub m2l_tile_pairs: u64,
-    /// Source-target cell pairs the P2P tile pairs evaluate.
+    /// (Source tile, target cell) pairs summed by M2P.
+    pub m2p_cell_pairs: u64,
+    /// Source-target cell pairs summed by P2P (self pairs included).
     pub p2p_cell_interactions: u64,
 }
 
 /// Count the near-field work of a solve over `plan` whose leaf `li` holds
-/// `points_per_leaf[li]` cells — through the very classifier the solver
-/// runs, so the counts are the kernel's, not a model of it.
-pub fn near_field_counts(plan: &GravityPlan, points_per_leaf: &[usize]) -> NearFieldCounts {
-    assert_eq!(points_per_leaf.len(), plan.leaves.len());
-    let mut geo = TileGeometry::default();
-    geo.reset(plan, points_per_leaf.iter().copied());
-    let tile_cells = |li: usize| match geo.edge[li] {
-        1 => points_per_leaf[li] as u64,
-        _ => TILE_CELLS as u64,
-    };
+/// the cells `points[li]` — through the very classifiers the solver runs,
+/// tile against tile and cell against tile, so the counts are the
+/// kernels', not a model of them.
+pub fn near_field_counts(plan: &GravityPlan, points: &[&PointMasses]) -> NearFieldCounts {
+    assert_eq!(points.len(), plan.leaves.len());
+    let owned: Vec<usize> = (0..plan.leaves.len()).collect();
+    let mut tiles = TileSet::default();
+    tiles.rebuild(plan, &owned, points, 1, &ExecSpace::Serial);
     let mut counts = NearFieldCounts::default();
-    for li in 0..plan.leaves.len() {
-        for tt in geo.tiles_of(li) {
-            geo.classify(plan, li, tt, |sl, _, accepted| {
+    let mut far = Vec::new();
+    for &li in &owned {
+        for tile in tiles.tiles_of(li) {
+            let targets = tiles.points(tile, points);
+            tiles.for_each_near(plan, li, tile, |src, accepted| {
                 if accepted {
                     counts.m2l_tile_pairs += 1;
-                } else {
-                    counts.p2p_tile_pairs += 1;
-                    counts.p2p_cell_interactions += tile_cells(li) * tile_cells(sl);
+                    return;
                 }
+                let nfar =
+                    tiles.far_cells(li, targets, src, plan.theta, VectorMode::Scalar, &mut far);
+                counts.m2p_cell_pairs += nfar as u64;
+                counts.p2p_cell_interactions +=
+                    ((targets.len() - nfar) * tiles.points(src, points).len()) as u64;
             });
         }
     }
@@ -284,8 +301,8 @@ impl TileSet {
     /// Rebuild for one solve: `near[li]` is leaf `li`'s point set as this
     /// locality sees it, `owned` its owned leaf indices.  The tile launch
     /// (split into `tasks` HPX tasks, 0 = auto) only runs when some
-    /// visible leaf has more than one tile — otherwise no tile pair is
-    /// ever re-tested, so no tile multipole is ever read.
+    /// visible leaf has more than one tile — otherwise no pair is ever
+    /// re-tested, so no tile multipole is ever read.
     pub(super) fn rebuild(
         &mut self,
         plan: &GravityPlan,
@@ -360,6 +377,35 @@ impl TileSet {
     /// Bounding-sphere center of `tile`.
     pub(super) fn center(&self, tile: usize) -> [f64; 3] {
         self.geo.centers[tile]
+    }
+
+    /// The multipole of `tile`.
+    pub(super) fn moment(&self, tile: usize) -> &Multipole {
+        let li = self.geo.leaf_of[tile];
+        &self.built[li].moments[tile - self.geo.first[li]]
+    }
+
+    /// The cell-level tier: `far[q]` = cell `q` of `targets` — a run of
+    /// cells of leaf `li`, each taken as a point — passes the acceptance
+    /// test against source `tile`.  Returns how many do.  Between two
+    /// single-tile leaves, which are not re-tested, that is none, and `far`
+    /// is left as it was (never grown on a tree of single-tile leaves).
+    pub(super) fn far_cells(
+        &self,
+        li: usize,
+        targets: PointsRef<'_>,
+        tile: usize,
+        theta: f64,
+        mode: VectorMode,
+        far: &mut Vec<bool>,
+    ) -> usize {
+        let sl = self.geo.leaf_of[tile];
+        if !self.geo.retested(li, sl) {
+            return 0;
+        }
+        far.resize(targets.len(), false);
+        let (center, radius) = (self.geo.centers[tile], self.geo.radii[sl]);
+        far_cells(targets, center, radius, theta, mode, far)
     }
 
     /// The points of `tile`: a run of its leaf's tile-major copy, or the
@@ -450,20 +496,27 @@ mod tests {
         }
     }
 
+    /// The cell centres of `leaf`'s n³ lattice, i-major, cell `c` of mass
+    /// `c` — as the driver's source gather lays them out.
+    fn lattice(leaf: NodeId, n: usize) -> PointMasses {
+        let (corner, size) = leaf.cube();
+        let h = size / n as f64;
+        let mut points = PointMasses::with_capacity(n * n * n);
+        for c in 0..n * n * n {
+            let at = [c / (n * n), c / n % n, c % n];
+            let x: [f64; 3] = std::array::from_fn(|a| {
+                (corner[a] + (at[a] as f64 + 0.5) * h - 0.5) * crate::units::BOX_SIZE
+            });
+            points.push(x, c as f64);
+        }
+        points
+    }
+
     #[test]
     fn tile_major_copy_and_cell_index_are_inverse() {
         let plan = GravityPlan::build(&Tree::new_uniform(0), 0.5);
-        let (corner, size) = plan.leaves[0].cube();
         for n in [8usize, 12] {
-            let h = size / n as f64;
-            let mut src = PointMasses::with_capacity(n * n * n);
-            for c in 0..n * n * n {
-                let at = [c / (n * n), c / n % n, c % n];
-                let x: [f64; 3] = std::array::from_fn(|a| {
-                    (corner[a] + (at[a] as f64 + 0.5) * h - 0.5) * crate::units::BOX_SIZE
-                });
-                src.push(x, c as f64);
-            }
+            let src = lattice(plan.leaves[0], n);
             let mut geo = TileGeometry::default();
             geo.reset(&plan, [src.len()].into_iter());
             let mut built = LeafTiles::default();
@@ -488,27 +541,35 @@ mod tests {
         }
     }
 
+    fn counts_on_lattices(plan: &GravityPlan, n: usize) -> NearFieldCounts {
+        let points: Vec<PointMasses> = plan.leaves.iter().map(|&l| lattice(l, n)).collect();
+        near_field_counts(plan, &points.iter().collect::<Vec<_>>())
+    }
+
     #[test]
     fn near_field_counts_at_the_papers_subgrid_size() {
         // Uniform level 2, N = 8, θ = 0.5 — the `rotstar_grav` solve: every
         // one of the 3 344 near leaf pairs' 64 tile pairs is decided tile
-        // against tile.
+        // against tile, and every cell of the 53 824 rejected tile pairs
+        // once more against the source tile.
         let plan = GravityPlan::build(&Tree::new_uniform(2), 0.5);
         assert_eq!(plan.stats.p2p_pairs, 3_344);
+        let rejected_cell_pairs = 53_824 * 64;
         assert_eq!(
-            near_field_counts(&plan, &[512; 64]),
+            counts_on_lattices(&plan, 8),
             NearFieldCounts {
-                p2p_tile_pairs: 53_824,
                 m2l_tile_pairs: 160_192,
-                p2p_cell_interactions: 220_463_104,
+                m2p_cell_pairs: 2_887_120,
+                p2p_cell_interactions: (rejected_cell_pairs - 2_887_120) * 64,
             }
         );
+        assert_eq!((rejected_cell_pairs - 2_887_120) * 64, 35_687_424);
         // Single-tile leaves: the plan's near field, untouched.
         assert_eq!(
-            near_field_counts(&plan, &[64; 64]),
+            counts_on_lattices(&plan, 4),
             NearFieldCounts {
-                p2p_tile_pairs: 3_344,
                 m2l_tile_pairs: 0,
+                m2p_cell_pairs: 0,
                 p2p_cell_interactions: 3_344 * 64 * 64,
             }
         );

@@ -10,11 +10,13 @@
 
 use octo_repro::amr::{NodeId, SubGrid, Tree};
 use octo_repro::hpx::SimCluster;
+use octo_repro::kokkos::pool::Recycled;
 use octo_repro::kokkos::ExecSpace;
 use octo_repro::octotiger::gravity::direct::{p2p_at_w, PointMasses};
 use octo_repro::octotiger::gravity::m2l_simd::m2l_accumulate_w;
+use octo_repro::octotiger::gravity::m2p_simd::{far_cells_w, m2p_accumulate_w};
 use octo_repro::octotiger::gravity::{
-    GravityOptions, GravitySolver, LeafSources, Multipole, MultipoleSoA,
+    GravityOptions, GravitySolver, LeafField, LeafSources, Multipole, MultipoleSoA,
 };
 use octo_repro::octotiger::hydro::{self, kernels::KernelScratch, HydroOptions, SourceInput};
 use octo_repro::octotiger::state::{field, from_primitive, Primitive};
@@ -80,6 +82,71 @@ proptest! {
                 prop_assert_eq!(l1.l2[a][b].to_bits(), l8.l2[a][b].to_bits());
                 for c in 0..3 {
                     prop_assert_eq!(l1.l3[a][b][c].to_bits(), l8.l3[a][b][c].to_bits());
+                }
+            }
+        }
+    }
+
+    /// M2P: lanes are target cells, so the widths run the same expression
+    /// sequence per cell.  A 4³-cell source tile (sometimes massless)
+    /// against the n³ cells of a cube half, once or twice its size (a
+    /// coarse-fine pair) at every nearby offset; n = 3 is a 27-cell tile,
+    /// whose last chunk has three live lanes.  The cell classifier must
+    /// flag the same cells at both widths, and cells it rejects keep the
+    /// bits they had.
+    #[test]
+    fn m2p_bit_identical_across_widths(
+        masses in prop::collection::vec(0.0f64..3.0, 64),
+        massless in any::<bool>(),
+        use_oct in any::<bool>(),
+        n in 3usize..6,
+        level in 0usize..3,
+        offset in (-3i32..4, -3i32..4, -3i32..4),
+    ) {
+        let lattice = |corner: [f64; 3], size: f64, n: usize, mass: &dyn Fn(usize) -> f64| {
+            let mut pts = PointMasses::default();
+            for c in 0..n * n * n {
+                let at = [c / (n * n), c / n % n, c % n];
+                let x: [f64; 3] =
+                    std::array::from_fn(|a| corner[a] + (at[a] as f64 + 0.5) * size / n as f64);
+                pts.push(x, mass(c));
+            }
+            pts
+        };
+        let source = lattice([0.0; 3], 1.0, 4, &|c| masses[c]);
+        let (center, radius) = ([0.5; 3], 0.5 * 3f64.sqrt());
+        let mp = if massless {
+            Multipole::zero(center)
+        } else {
+            Multipole::from_soa(source.view())
+        };
+        let scale = [0.5f64, 1.0, 2.0][level];
+        let corner = [offset.0, offset.1, offset.2].map(|o| o as f64 * scale.min(1.0));
+        let targets = lattice(corner, scale, n, &|_| 0.0);
+
+        let ncells = targets.len();
+        let (mut far1, mut far8) = (vec![false; ncells], vec![true; ncells]);
+        let n1 = far_cells_w::<1>(targets.view(), center, radius, 0.5, &mut far1);
+        let n8 = far_cells_w::<8>(targets.view(), center, radius, 0.5, &mut far8);
+        prop_assert_eq!(n1, n8);
+        prop_assert_eq!(&far1, &far8);
+
+        let seeded = || {
+            let run = |k: f64| Recycled::detached((0..ncells).map(|q| k - q as f64).collect());
+            LeafField { phi: run(-1.0), gx: run(0.25), gy: run(-0.0), gz: run(7.0) }
+        };
+        let (before, mut out1, mut out8) = (seeded(), seeded(), seeded());
+        m2p_accumulate_w::<1>(&mp, use_oct, targets.view(), &far1, out1.run());
+        m2p_accumulate_w::<8>(&mp, use_oct, targets.view(), &far8, out8.run());
+        for (b, (a1, a8)) in [&before.phi, &before.gx, &before.gy, &before.gz].into_iter().zip(
+            [&out1.phi, &out1.gx, &out1.gy, &out1.gz]
+                .into_iter()
+                .zip([&out8.phi, &out8.gx, &out8.gy, &out8.gz]),
+        ) {
+            for q in 0..ncells {
+                prop_assert_eq!(a1[q].to_bits(), a8[q].to_bits(), "cell {}", q);
+                if !far1[q] {
+                    prop_assert_eq!(a1[q].to_bits(), b[q].to_bits(), "near cell {} moved", q);
                 }
             }
         }
