@@ -4,12 +4,11 @@
 //! cell-level tier.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use kokkos_rs::pool::Recycled;
 use kokkos_rs::ExecSpace;
 use octotiger::gravity::direct::{p2p_at, PointMasses};
-use octotiger::gravity::m2p_simd::{far_cells, m2p_accumulate};
+use octotiger::gravity::m2p_simd::m2p_accumulate;
 use octotiger::gravity::multipole::Multipole;
-use octotiger::gravity::{GravityPlan, GravitySolver, LeafField, LeafSources};
+use octotiger::gravity::{GravityPlan, GravitySolver, LeafSources};
 use octree::{NodeId, Tree};
 use std::collections::HashMap;
 use std::hint::black_box;
@@ -73,23 +72,17 @@ fn m2p_bench(c: &mut Criterion) {
     };
     let (source, targets) = (lattice([0.0; 3]), lattice([3.0, 1.0, 0.0]));
     let mp = Multipole::from_soa(source.view());
-    let (center, radius) = ([0.5; 3], 0.5 * 3f64.sqrt());
-    let run = || Recycled::detached(vec![0.0; 64]);
-    let mut out = LeafField {
-        phi: run(),
-        gx: run(),
-        gy: run(),
-        gz: run(),
-    };
-    let mut far = vec![false; 64];
+    let sphere = ([0.5; 3], 0.5 * 3f64.sqrt());
+    let (mut sums, mut far) = ([[0.0; 64]; 4], [false; 64]);
     let mut group = c.benchmark_group("gravity/m2p");
     for (label, mode) in [("scalar", VectorMode::Scalar), ("sve", VectorMode::Sve512)] {
         group.bench_function(BenchmarkId::new(label, 64), |bench| {
             bench.iter(|| {
-                let nfar = far_cells(targets.view(), center, radius, 0.5, mode, &mut far);
+                let mut out = sums.each_mut().map(|run| &mut run[..]);
+                let (mp, cells) = (black_box(&mp), targets.view());
+                let nfar = m2p_accumulate(mp, sphere, 0.5, true, cells, mode, &mut far, &mut out);
                 assert_eq!(nfar, 64);
-                m2p_accumulate(black_box(&mp), true, targets.view(), &far, mode, out.run());
-                black_box(&out);
+                black_box(&sums);
             })
         });
     }

@@ -2,13 +2,14 @@
 //!
 //! The tile classifier ([`super::tiles`]) charges the *target* tile's
 //! bounding sphere to the acceptance test, but the sums it steers already
-//! run one target cell at a time.  Put to the same test with radius 0
-//! ([`far_cells_w`]), most cells of a rejected tile pair see the source
-//! tile as well separated; those take the tile's multipole directly
-//! ([`m2p_accumulate_w`]) and only the rest are summed source cell by
-//! source cell.
+//! run one target cell at a time.  Put to the same test with radius 0,
+//! most cells of a rejected tile pair see the source tile as well
+//! separated; those take the tile's multipole directly and only the rest
+//! are summed source cell by source cell.  [`m2p_accumulate_w`] does both:
+//! it tests a chunk of cells and adds the multipole's field where the test
+//! passes.
 //!
-//! Both kernels are width-generic with **lanes = target cells**: every lane
+//! The kernel is width-generic with **lanes = target cells**: every lane
 //! runs the scalar expression sequence on its own cell and writes its own
 //! output element, so there is no horizontal sum and the `W = 1` and
 //! `W = 8` instantiations agree bit for bit by construction.  Tail lanes
@@ -36,90 +37,27 @@ use super::plan::well_separated_w;
 use crate::units::G;
 use sve_simd::{ChunkedLanes, Mask, Simd, VectorMode, SVE_LANES_F64};
 
-/// Potential and acceleration sums of a run of cells, in the run's order —
-/// the output side of a [`PointsRef`].
-#[derive(Debug)]
-pub struct FieldRun<'a> {
-    pub phi: &'a mut [f64],
-    pub gx: &'a mut [f64],
-    pub gy: &'a mut [f64],
-    pub gz: &'a mut [f64],
-}
-
-impl FieldRun<'_> {
-    /// The same run, borrowed for one call.
-    pub fn reborrow(&mut self) -> FieldRun<'_> {
-        FieldRun {
-            phi: self.phi,
-            gx: self.gx,
-            gy: self.gy,
-            gz: self.gz,
-        }
-    }
-}
-
-/// The acceptance test at target radius 0: `far[q]` = cell `q` of
-/// `targets`, a point, is well separated from the source tile's bounding
-/// sphere (`center`, `radius`).  Returns how many are.
-#[inline(always)]
-pub fn far_cells_w<const W: usize>(
-    targets: PointsRef<'_>,
-    center: [f64; 3],
-    radius: f64,
-    theta: f64,
-    far: &mut [bool],
-) -> usize {
-    type V<const W: usize> = Simd<f64, W>;
-    assert_eq!(far.len(), targets.len());
-    let c = center.map(V::<W>::splat);
-    let (point, radius, theta) = (V::<W>::splat(0.0), V::splat(radius), V::splat(theta));
-    let mut count = 0;
-    for (off, lanes) in ChunkedLanes::<W>::new(targets.len()) {
-        // Tail lanes sit on the tile centre: distance 0 is never accepted.
-        let x = [
-            V::<W>::load_chunk(targets.xs, off, lanes, center[0]),
-            V::<W>::load_chunk(targets.ys, off, lanes, center[1]),
-            V::<W>::load_chunk(targets.zs, off, lanes, center[2]),
-        ];
-        let accepted = well_separated_w(x, point, c, radius, theta);
-        for (l, flag) in far[off..off + lanes].iter_mut().enumerate() {
-            *flag = accepted.test(l);
-        }
-        count += accepted.count_set();
-    }
-    count
-}
-
-/// The lanes `off..off + lanes` of `flags`, unset beyond.
-#[inline(always)]
-fn load_flags<const W: usize>(flags: &[bool], off: usize, lanes: usize) -> Mask<W> {
-    let mut m = [false; W];
-    if lanes == W {
-        m.copy_from_slice(&flags[off..off + W]);
-    } else {
-        // Fixed trip count, like `Mask::first_n`.
-        for (lane, b) in m.iter_mut().enumerate() {
-            *b = lane < lanes && flags[off + lane];
-        }
-    }
-    Mask::from_array(m)
-}
-
-/// Add the field of `mp` at every cell `q` of `targets` with `far[q]` set
-/// to `out`, `W` cells per iteration; the other cells of `out` are left
-/// untouched.  A massless `mp` ([`Multipole::zero`]) adds an exact zero.
+/// Put every cell `q` of `targets` — a point, radius 0 — to the acceptance
+/// test against a source tile's bounding `sphere` (center, radius), `W`
+/// cells per iteration: `far[q]` says whether it passes, and where it does
+/// the field of `mp`, the tile's multipole, is added to `out` (the
+/// `[phi, gx, gy, gz]` sums of the run); the other cells of `out` keep
+/// their bits.  Returns how many pass.  A massless `mp`
+/// ([`Multipole::zero`]) adds an exact zero.
 #[inline(always)]
 pub fn m2p_accumulate_w<const W: usize>(
     mp: &Multipole,
+    sphere: ([f64; 3], f64),
+    theta: f64,
     use_octupole: bool,
     targets: PointsRef<'_>,
-    far: &[bool],
-    out: FieldRun<'_>,
-) {
+    far: &mut [bool],
+    out: &mut [&mut [f64]; 4],
+) -> usize {
     type V<const W: usize> = Simd<f64, W>;
     assert_eq!(far.len(), targets.len());
-    assert_eq!(out.phi.len(), targets.len());
     let s = V::<W>::splat;
+    let (center, radius) = sphere;
     let com = mp.com.map(s);
     let m = s(mp.m);
 
@@ -144,14 +82,25 @@ pub fn m2p_accumulate_w<const W: usize>(
     let tau: [V<W>; 3] =
         std::array::from_fn(|i| s((0..3).map(|k| t[i][k][k] + t[k][i][k] + t[k][k][i]).sum()));
 
+    // Reborrowed once: a store through one run could, for all the compiler
+    // knows, move the array of runs itself, and it would reload it per chunk.
+    let [phi, gx, gy, gz] = out.each_mut().map(|sums| &mut **sums);
+    assert_eq!(phi.len(), targets.len());
+    let mut count = 0;
     for (off, lanes) in ChunkedLanes::<W>::new(targets.len()) {
-        let on = load_flags::<W>(far, off, lanes);
+        // Tail lanes sit on the tile centre: distance 0 is never accepted.
+        let at = [
+            V::<W>::load_chunk(targets.xs, off, lanes, center[0]),
+            V::<W>::load_chunk(targets.ys, off, lanes, center[1]),
+            V::<W>::load_chunk(targets.zs, off, lanes, center[2]),
+        ];
+        let on = well_separated_w(at, s(0.0), center.map(s), s(radius), s(theta));
+        far[off..off + lanes].copy_from_slice(&on.to_array()[..lanes]);
         if on.none() {
             continue;
         }
-        let x = V::<W>::load_chunk(targets.xs, off, lanes, 0.0) - com[0];
-        let y = V::<W>::load_chunk(targets.ys, off, lanes, 0.0) - com[1];
-        let z = V::<W>::load_chunk(targets.zs, off, lanes, 0.0) - com[2];
+        count += on.count_set();
+        let (x, y, z) = (at[0] - com[0], at[1] - com[1], at[2] - com[2]);
         let r2 = x * x + y * y + z * z;
         debug_assert!(
             (0..W).all(|l| !on.test(l) || r2[l] > 0.0),
@@ -211,11 +160,12 @@ pub fn m2p_accumulate_w<const W: usize>(
         p += p5 * inv5;
         rad += rad7 * inv7;
         let g = s(-G);
-        add_where(on, g * p, &mut out.phi[off..off + lanes]);
-        add_where(on, g * (x * rad + lin[0]), &mut out.gx[off..off + lanes]);
-        add_where(on, g * (y * rad + lin[1]), &mut out.gy[off..off + lanes]);
-        add_where(on, g * (z * rad + lin[2]), &mut out.gz[off..off + lanes]);
+        add_where(on, g * p, &mut phi[off..off + lanes]);
+        add_where(on, g * (x * rad + lin[0]), &mut gx[off..off + lanes]);
+        add_where(on, g * (y * rad + lin[1]), &mut gy[off..off + lanes]);
+        add_where(on, g * (z * rad + lin[2]), &mut gz[off..off + lanes]);
     }
+    count
 }
 
 /// `sum[l] += d[l]` on the lanes of `on`; the others keep their bits.
@@ -226,55 +176,38 @@ fn add_where<const W: usize>(on: Mask<W>, d: Simd<f64, W>, sum: &mut [f64]) {
 }
 
 sve_simd::wide_dispatch! {
-    /// [`far_cells_w::<8>`] entered under the host's widest vector ISA (see
-    /// [`sve_simd::isa`]).
-    fn far_cells_wide(
-        targets: PointsRef<'_>,
-        center: [f64; 3],
-        radius: f64,
-        theta: f64,
-        far: &mut [bool]
-    ) -> usize = far_cells_w::<SVE_LANES_F64>
-}
-
-sve_simd::wide_dispatch! {
-    /// [`m2p_accumulate_w::<8>`] entered under the host's widest vector ISA.
+    /// [`m2p_accumulate_w::<8>`] entered under the host's widest vector ISA
+    /// (see [`sve_simd::isa`]).
     fn m2p_accumulate_wide(
         mp: &Multipole,
+        sphere: ([f64; 3], f64),
+        theta: f64,
         use_octupole: bool,
         targets: PointsRef<'_>,
-        far: &[bool],
-        out: FieldRun<'_>
-    ) = m2p_accumulate_w::<SVE_LANES_F64>
-}
-
-/// [`far_cells_w`] dispatched on a [`VectorMode`].
-pub fn far_cells(
-    targets: PointsRef<'_>,
-    center: [f64; 3],
-    radius: f64,
-    theta: f64,
-    mode: VectorMode,
-    far: &mut [bool],
-) -> usize {
-    match mode {
-        VectorMode::Scalar => far_cells_w::<1>(targets, center, radius, theta, far),
-        VectorMode::Sve512 => far_cells_wide(targets, center, radius, theta, far),
-    }
+        far: &mut [bool],
+        out: &mut [&mut [f64]; 4]
+    ) -> usize = m2p_accumulate_w::<SVE_LANES_F64>
 }
 
 /// [`m2p_accumulate_w`] dispatched on a [`VectorMode`].
+#[allow(clippy::too_many_arguments)]
 pub fn m2p_accumulate(
     mp: &Multipole,
+    sphere: ([f64; 3], f64),
+    theta: f64,
     use_octupole: bool,
     targets: PointsRef<'_>,
-    far: &[bool],
     mode: VectorMode,
-    out: FieldRun<'_>,
-) {
+    far: &mut [bool],
+    out: &mut [&mut [f64]; 4],
+) -> usize {
     match mode {
-        VectorMode::Scalar => m2p_accumulate_w::<1>(mp, use_octupole, targets, far, out),
-        VectorMode::Sve512 => m2p_accumulate_wide(mp, use_octupole, targets, far, out),
+        VectorMode::Scalar => {
+            m2p_accumulate_w::<1>(mp, sphere, theta, use_octupole, targets, far, out)
+        }
+        VectorMode::Sve512 => {
+            m2p_accumulate_wide(mp, sphere, theta, use_octupole, targets, far, out)
+        }
     }
 }
 
@@ -282,8 +215,7 @@ pub fn m2p_accumulate(
 mod tests {
     use super::*;
     use crate::gravity::direct::{p2p_at, PointMasses};
-    use crate::gravity::LeafField;
-    use kokkos_rs::pool::Recycled;
+    use crate::gravity::plan::well_separated;
 
     /// A 4³-cell tile of edge `4 h` centred on the origin, masses rippled.
     fn lattice_tile(h: f64) -> PointMasses {
@@ -303,27 +235,27 @@ mod tests {
         pts
     }
 
-    fn zeroed(n: usize) -> LeafField {
-        let zeros = || Recycled::detached(vec![0.0; n]);
-        LeafField {
-            phi: zeros(),
-            gx: zeros(),
-            gy: zeros(),
-            gz: zeros(),
-        }
+    /// `[phi, gx, gy, gz]` and the flags of the cells of `targets` the
+    /// cell-level test accepts against `sphere` at θ = 0.5, summed from 0.
+    fn m2p_from_zero(
+        mp: &Multipole,
+        sphere: ([f64; 3], f64),
+        use_oct: bool,
+        targets: &PointMasses,
+    ) -> ([Vec<f64>; 4], Vec<bool>) {
+        let mut sums = [(); 4].map(|_| vec![0.0; targets.len()]);
+        let mut far = vec![false; targets.len()];
+        let mut out = sums.each_mut().map(|v| &mut v[..]);
+        m2p_accumulate_w::<8>(mp, sphere, 0.5, use_oct, targets.view(), &mut far, &mut out);
+        (sums, far)
     }
 
-    fn m2p_at(mp: &Multipole, use_oct: bool, at: &[[f64; 3]]) -> LeafField {
-        let targets = targets_at(at);
-        let mut out = zeroed(at.len());
-        m2p_accumulate_w::<8>(
-            mp,
-            use_oct,
-            targets.view(),
-            &vec![true; at.len()],
-            out.run(),
-        );
-        out
+    /// M2P at every point of `at`: a sphere of radius 0 that none of them
+    /// sits on accepts every cell.
+    fn m2p_at(mp: &Multipole, use_oct: bool, at: &[[f64; 3]]) -> [Vec<f64>; 4] {
+        let (sums, far) = m2p_from_zero(mp, ([100.0; 3], 0.0), use_oct, &targets_at(at));
+        assert!(far.iter().all(|&f| f));
+        sums
     }
 
     #[test]
@@ -337,12 +269,12 @@ mod tests {
             [0.9, 0.9, 0.9],
         ];
         for use_oct in [false, true] {
-            let got = m2p_at(&mp, use_oct, &at);
+            let [phi, gx, gy, gz] = m2p_at(&mp, use_oct, &at);
             for (q, &x) in at.iter().enumerate() {
                 let want = mp.m2l(x, use_oct);
                 let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * b.abs();
-                assert!(close(got.phi[q], want.l0), "phi, oct={use_oct}, cell {q}");
-                for (g, l1) in [got.gx[q], got.gy[q], got.gz[q]].into_iter().zip(want.l1) {
+                assert!(close(phi[q], want.l0), "phi, oct={use_oct}, cell {q}");
+                for (g, l1) in [gx[q], gy[q], gz[q]].into_iter().zip(want.l1) {
                     assert!(close(g, -l1), "g {g} vs {}, oct={use_oct}, cell {q}", -l1);
                 }
             }
@@ -358,7 +290,9 @@ mod tests {
     #[test]
     fn m2p_error_is_below_tile_m2l_error_and_falls_with_distance() {
         // Against direct summation of the tile's own points, over every
-        // lattice cell the cell-level test accepts: the worst M2P error —
+        // lattice cell the cell-level test accepts — the cells
+        // `well_separated` accepts as points against the tile's sphere,
+        // the kernel's lanes being that one function: the worst M2P error —
         // it sits at the acceptance boundary, two tile radii out — is
         // below the worst tile-M2L error at *its* boundary (the closest
         // accepted tile offset, (3, 2, 0) tile edges), whose third-order
@@ -371,29 +305,23 @@ mod tests {
         for c in 0..32usize.pow(3) {
             cells.push([c / 1024, c / 32 % 32, c % 32].map(|i| (i as f64 - 15.5) * h));
         }
-        let targets = targets_at(&cells);
-        let mut far = vec![false; cells.len()];
-        let nfar = far_cells_w::<8>(targets.view(), [0.0; 3], radius, 0.5, &mut far);
-        assert!(nfar > 0 && nfar < cells.len());
-        let mut out = zeroed(cells.len());
-        m2p_accumulate_w::<8>(&mp, true, targets.view(), &far, out.run());
+        let ([phi, gx, gy, gz], far) =
+            m2p_from_zero(&mp, ([0.0; 3], radius), true, &targets_at(&cells));
+        assert!(far.contains(&true) && far.contains(&false));
         // Worst error per shell of one tile radius, from the boundary out.
         let mut worst = [0.0f64; 3];
         for (q, &x) in cells.iter().enumerate() {
             let d = x.iter().map(|c| c * c).sum::<f64>().sqrt();
+            assert_eq!(far[q], well_separated(x, 0.0, [0.0; 3], radius, 0.5));
             if !far[q] {
                 assert!(d <= 2.0 * radius * (1.0 + 1e-12));
-                assert_eq!(
-                    (out.phi[q], out.gx[q]),
-                    (0.0, 0.0),
-                    "cell {q} was masked off"
-                );
+                assert_eq!((phi[q], gx[q]), (0.0, 0.0), "cell {q} was masked off");
                 continue;
             }
             let shell = (d / radius) as usize - 2;
             if shell < worst.len() {
                 let (_, want) = p2p_at(&tile, x, VectorMode::Scalar);
-                worst[shell] = worst[shell].max(rel_err([out.gx[q], out.gy[q], out.gz[q]], want));
+                worst[shell] = worst[shell].max(rel_err([gx[q], gy[q], gz[q]], want));
             }
         }
         assert!(worst[0] > worst[1] && worst[1] > worst[2], "{worst:?}");
@@ -415,40 +343,6 @@ mod tests {
             worst[0] < m2l_worst,
             "M2P {worst:?} vs tile M2L {m2l_worst:e}"
         );
-    }
-
-    #[test]
-    fn far_cells_decides_like_the_scalar_acceptance_test() {
-        // The lane-wise form and `plan::well_separated` are one function at
-        // two widths; this pins that the kernel hands it the cell as a
-        // point and the tile as the sphere, and that both widths flag the
-        // same cells, over every cell against every fifth tile of the
-        // `rotstar_grav` geometry (uniform level 2, N = 8).
-        use crate::gravity::plan::{cube_geometry, well_separated};
-        let (n, tiles_per_edge) = (32usize, 8usize);
-        let h = 1.0 / n as f64;
-        let mut cells = PointMasses::default();
-        for c in 0..n * n * n {
-            let at = [c / (n * n), c / n % n, c % n];
-            cells.push(
-                at.map(|i| ((i as f64 + 0.5) * h - 0.5) * crate::units::BOX_SIZE),
-                0.0,
-            );
-        }
-        let (mut far1, mut far8) = (vec![false; cells.len()], vec![false; cells.len()]);
-        let mut accepted = 0;
-        for t in (0..tiles_per_edge.pow(3)).step_by(5) {
-            let corner = [t / 64, t / 8 % 8, t % 8].map(|i| i as f64 * 4.0 * h);
-            let (center, radius) = cube_geometry(corner, 4.0 * h);
-            accepted += far_cells_w::<1>(cells.view(), center, radius, 0.5, &mut far1);
-            far_cells_w::<8>(cells.view(), center, radius, 0.5, &mut far8);
-            assert_eq!(far1, far8, "tile {t}");
-            for q in (0..cells.len()).step_by(7) {
-                let x = [cells.xs[q], cells.ys[q], cells.zs[q]];
-                assert_eq!(far1[q], well_separated(x, 0.0, center, radius, 0.5));
-            }
-        }
-        assert!(accepted > 0);
     }
 
     #[test]

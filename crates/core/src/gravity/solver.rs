@@ -52,10 +52,10 @@
 use super::direct::{p2p_at_ref, PointMasses, PointsRef};
 use super::dist::DistPlan;
 use super::m2l_simd::{m2l_accumulate, MultipoleSoA};
-use super::m2p_simd::{m2p_accumulate, FieldRun};
+use super::m2p_simd::m2p_accumulate;
 use super::multipole::{LocalExpansion, Multipole};
 use super::plan::{GravityPlan, SlotKind};
-use super::tiles::{TileSet, TILE_CELLS};
+use super::tiles::{NearTier, TileSet, TILE_CELLS};
 use hpx_rt::LocalityId;
 use kokkos_rs::pool::{Recycled, ScratchArena};
 use kokkos_rs::{parallel_for_mut, ChunkSpec, ExecSpace, RangePolicy};
@@ -131,18 +131,6 @@ pub struct LeafField {
     pub gx: Recycled<f64>,
     pub gy: Recycled<f64>,
     pub gz: Recycled<f64>,
-}
-
-impl LeafField {
-    /// The four arrays as one run of cell sums.
-    pub fn run(&mut self) -> FieldRun<'_> {
-        FieldRun {
-            phi: &mut self.phi,
-            gx: &mut self.gx,
-            gy: &mut self.gy,
-            gz: &mut self.gz,
-        }
-    }
 }
 
 /// Interaction statistics of one solve (inputs to the cluster workload
@@ -680,8 +668,8 @@ impl GravitySolver {
             let LeafEval { m2l, far, .. } = out;
             for tile in tiles.tiles_of(li) {
                 m2l.clear();
-                tiles.for_each_near(plan, li, tile, |src, accepted| {
-                    if accepted {
+                tiles.for_each_near(plan, li, tile, |src, tier| {
+                    if tier == NearTier::TileM2l {
                         m2l.push(src);
                     }
                 });
@@ -714,33 +702,33 @@ impl GravitySolver {
                 // A single-tile leaf's tile order is the leaf's own: its
                 // sums run in the output arrays.  A 4³-cell tile's run on
                 // the stack and are scattered once.
-                if single {
-                    self.tile_field(plan, tiles, near, &target, far, field.run());
-                    continue;
-                }
-                let mut sums = [[0.0; TILE_CELLS]; 4];
-                let [phi, gx, gy, gz] = &mut sums;
-                let run = FieldRun { phi, gx, gy, gz };
-                self.tile_field(plan, tiles, near, &target, far, run);
-                let cells = tiles.cells(tile);
-                for q in 0..TILE_CELLS {
-                    let c = cells.index(q);
-                    field.phi[c] = sums[0][q];
-                    field.gx[c] = sums[1][q];
-                    field.gy[c] = sums[2][q];
-                    field.gz[c] = sums[3][q];
+                let mut stack = [[0.0; TILE_CELLS]; 4];
+                let mut sums: [&mut [f64]; 4] = match single {
+                    true => [&mut field.phi, &mut field.gx, &mut field.gy, &mut field.gz],
+                    false => stack.each_mut().map(|run| &mut run[..]),
+                };
+                self.tile_field(plan, tiles, near, &target, far, &mut sums);
+                if !single {
+                    let cells = tiles.cells(tile);
+                    for q in 0..TILE_CELLS {
+                        let c = cells.index(q);
+                        field.phi[c] = stack[0][q];
+                        field.gx[c] = stack[1][q];
+                        field.gy[c] = stack[2][q];
+                        field.gz[c] = stack[3][q];
+                    }
                 }
             }
             out.field = field;
         });
     }
 
-    /// The field of one target tile, written to `sums` in the order of the
-    /// tile's cells: its local expansion evaluated at every cell, then
-    /// every near tile the tile-level test rejected, ascending — the
-    /// tile's multipole (M2P) at the cells that pass the acceptance test
-    /// as points, its points one by one (P2P) at the others.  `far` is the
-    /// slot's flag list.
+    /// The field of one target tile, written to `sums` (`[phi, gx, gy,
+    /// gz]`) in the order of the tile's cells: its local expansion
+    /// evaluated at every cell, then every near tile the tile-level test
+    /// did not accept, ascending — the tile's multipole (M2P) at the cells
+    /// that pass the acceptance test as points, its points one by one
+    /// (P2P) at the others.  `far` is the slot's flag list.
     fn tile_field(
         &self,
         plan: &GravityPlan,
@@ -748,7 +736,7 @@ impl GravitySolver {
         near: &[&PointMasses],
         target: &Target<'_>,
         far: &mut Vec<bool>,
-        mut sums: FieldRun<'_>,
+        sums: &mut [&mut [f64]; 4],
     ) {
         let (pts, mode) = (target.pts, self.opts.vector_mode);
         let center = tiles.center(target.tile);
@@ -759,34 +747,45 @@ impl GravitySolver {
                 pts.zs[q] - center[2],
             ];
             let (phi, g) = target.local.evaluate(off);
-            sums.phi[q] = phi;
-            sums.gx[q] = g[0];
-            sums.gy[q] = g[1];
-            sums.gz[q] = g[2];
+            sums[0][q] = phi;
+            sums[1][q] = g[0];
+            sums[2][q] = g[1];
+            sums[3][q] = g[2];
         }
         // Source tile outermost: its moments and its points stay in L1
         // across the target tile's cells.  Each cell still adds its
         // sources in ascending order.
-        tiles.for_each_near(plan, target.leaf, target.tile, |src, accepted| {
-            if accepted {
-                return;
-            }
-            let nfar = tiles.far_cells(target.leaf, pts, src, plan.theta, mode, far);
-            if nfar > 0 {
-                let mp = tiles.moment(src);
-                m2p_accumulate(mp, self.opts.use_octupole, pts, far, mode, sums.reborrow());
-            }
-            if nfar == pts.len() {
-                return;
-            }
+        tiles.for_each_near(plan, target.leaf, target.tile, |src, tier| {
             let src_pts = tiles.points(src, near);
-            for q in (0..pts.len()).filter(|&q| nfar == 0 || !far[q]) {
+            let p2p = |sums: &mut [&mut [f64]; 4], q: usize| {
                 let x = [pts.xs[q], pts.ys[q], pts.zs[q]];
                 let (p, g) = p2p_at_ref(src_pts, x, mode);
-                sums.phi[q] += p;
-                sums.gx[q] += g[0];
-                sums.gy[q] += g[1];
-                sums.gz[q] += g[2];
+                sums[0][q] += p;
+                sums[1][q] += g[0];
+                sums[2][q] += g[1];
+                sums[3][q] += g[2];
+            };
+            match tier {
+                NearTier::TileM2l => {}
+                NearTier::Points => (0..pts.len()).for_each(|q| p2p(sums, q)),
+                NearTier::Cells => {
+                    far.resize(pts.len(), false);
+                    let nfar = m2p_accumulate(
+                        tiles.moment(src),
+                        tiles.sphere(src),
+                        plan.theta,
+                        self.opts.use_octupole,
+                        pts,
+                        mode,
+                        far,
+                        sums,
+                    );
+                    if nfar < pts.len() {
+                        (0..pts.len())
+                            .filter(|&q| !far[q])
+                            .for_each(|q| p2p(sums, q));
+                    }
+                }
             }
         });
     }
@@ -805,6 +804,7 @@ struct Target<'a> {
 mod tests {
     use super::*;
     use crate::gravity::direct::direct_field;
+    use crate::gravity::plan::well_separated;
     use crate::units::BOX_SIZE;
 
     /// Deterministic pseudo-random density on a leaf's cell centers.
@@ -1104,6 +1104,40 @@ mod tests {
         (fine, fine_sources, went)
     }
 
+    /// Move every (near leaf, cell) pair of a solve on `tree` whose cell, a
+    /// point, passes the acceptance test against the leaf from P2P to M2P
+    /// — what the cell tier does to the tiles `tree`'s leaves are one
+    /// level up — spelled with `well_separated`, `Multipole::m2l` and
+    /// `p2p_at_ref`, not with the tile set or the M2P kernel.
+    fn m2p_minus_p2p(
+        tree: &Tree,
+        sources: &HashMap<NodeId, LeafSources>,
+        opts: GravityOptions,
+        fields: &mut HashMap<NodeId, LeafField>,
+    ) {
+        let plan = GravityPlan::build(tree, opts.theta);
+        for (li, leaf) in plan.leaves.iter().enumerate() {
+            let (pts, field) = (&sources[leaf].points, fields.get_mut(leaf).unwrap());
+            for &sl in plan.p2p_sources_of(li) {
+                let src = sources[&plan.leaves[sl]].points.view();
+                let (center, radius) = node_geometry(plan.leaves[sl]);
+                let mp = Multipole::from_soa(src);
+                for q in 0..pts.len() {
+                    let x = [pts.xs[q], pts.ys[q], pts.zs[q]];
+                    if !well_separated(x, 0.0, center, radius, opts.theta) {
+                        continue;
+                    }
+                    let m2p = mp.m2l(x, opts.use_octupole);
+                    let (phi, g) = p2p_at_ref(src, x, opts.vector_mode);
+                    field.phi[q] += m2p.l0 - phi;
+                    field.gx[q] -= m2p.l1[0] + g[0];
+                    field.gy[q] -= m2p.l1[1] + g[1];
+                    field.gz[q] -= m2p.l1[2] + g[2];
+                }
+            }
+        }
+    }
+
     #[test]
     fn tiled_solve_matches_the_plain_solve_one_level_down() {
         // The tile classifier continues the plan's traversal one level
@@ -1111,12 +1145,14 @@ mod tests {
         // the one-level-finer tree also decides every pair the coarse plan
         // left near at that granularity — it accepts nothing between a
         // fine leaf and a coarser node — the two solves take the same
-        // tiles by M2L, and differ only where the tiled one's cells take a
-        // rejected tile by M2P: the plain one's leaves are single tiles,
-        // which sum each other point by point.  That difference is the
-        // octupole truncation at the cell-level acceptance boundary,
-        // ∝ θ⁴: measured 4.7e-5 (phi) and 3.7e-4 (g) of the max norm at
-        // θ = 0.5, 7.7e-6 and 2.8e-5 at θ = 0.3.
+        // tiles by M2L and reject the same ones, and differ only in how a
+        // rejected tile is summed: the plain solve's leaves are single
+        // tiles, which sum each other point by point, where the tiled
+        // one's cells take the tile by M2P wherever they pass the
+        // acceptance test as points.  `m2p_minus_p2p` moves exactly those
+        // (tile, cell) pairs of the plain solve from P2P to M2P; after
+        // that the two are the same sums up to association (and
+        // P2M-vs-M2M rounding in the moments).
         // That holds on the level-1 tree at the default θ (no fine leaf is
         // 2.6 coarse-leaf edges from a coarse leaf's center) and on its
         // once-refined version for θ ≤ 1/3.  It does not on level 2 at
@@ -1132,8 +1168,9 @@ mod tests {
             opts.theta = theta;
             let solver = GravitySolver::new(opts);
             let (tiled, _) = solver.solve(&tree, &sources, &ExecSpace::Serial);
-            let (plain, stats) = solver.solve(&fine, &fine_sources, &ExecSpace::Serial);
+            let (mut plain, stats) = solver.solve(&fine, &fine_sources, &ExecSpace::Serial);
             assert!(stats.m2l_interactions > 0, "the oracle has a far field");
+            m2p_minus_p2p(&fine, &fine_sources, opts, &mut plain);
             let (mut diff, mut scale) = ([0.0f64; 2], [0.0f64; 2]);
             for leaf in tree.leaves() {
                 let t = &tiled[&leaf];
@@ -1147,15 +1184,8 @@ mod tests {
                     }
                 }
             }
-            let truncation = theta.powi(4);
-            assert!(
-                diff[0] <= 2e-3 * truncation * scale[0],
-                "phi: {diff:?} vs {scale:?}"
-            );
-            assert!(
-                diff[1] <= 1.6e-2 * truncation * scale[1],
-                "g: {diff:?} vs {scale:?}"
-            );
+            assert!(diff[0] <= 1e-10 * scale[0], "phi: {diff:?} vs {scale:?}");
+            assert!(diff[1] <= 1e-10 * scale[1], "g: {diff:?} vs {scale:?}");
             // Against direct summation at the default θ; θ = 0.3 only
             // tightens it.
             if theta == GravityOptions::default().theta {

@@ -22,23 +22,23 @@
 //!    (`TileGeometry::classify`); accepted tiles go through the target
 //!    tile's local expansion;
 //! 2. **M2P** — every target cell against every rejected tile, the cell
-//!    taken as the point it is (`TileSet::far_cells`, target radius 0);
-//!    accepted cells take the tile's multipole directly
-//!    ([`super::m2p_simd`]);
+//!    taken as the point it is (target radius 0); accepted cells take the
+//!    tile's multipole directly ([`super::m2p_simd`], which tests and
+//!    sums in one pass);
 //! 3. **P2P** — what is left: the cells that touch the source tile.
 //!
 //! All three run in ascending (leaf, tile) order.  The outcome is
 //! recomputed every solve, one target tile at a time: it is not part of the
-//! plan, the halo plan or `verify`.  [`near_field_counts`] counts it without
-//! solving.
+//! plan, the halo plan or `verify`.  [`near_field_counts`] counts it.
 //!
-//! Two single-tile leaves are never re-tested, at either level: the plan
-//! already rejected that very pair, so every N ≤ 4 input keeps the
-//! summation order — and the bits — of the all-pairs leaf loop.
+//! Two single-tile leaves are never re-tested, at either level
+//! (`NearTier::Points`): the plan already rejected that very pair, so
+//! every N ≤ 4 input keeps the summation order — and the bits — of the
+//! all-pairs leaf loop.
 
 use super::direct::{PointMasses, PointsRef};
 use super::m2l_simd::MultipoleSoA;
-use super::m2p_simd::far_cells;
+use super::m2p_simd::m2p_accumulate;
 use super::multipole::Multipole;
 use super::plan::{cube_geometry, well_separated, GravityPlan};
 use kokkos_rs::{parallel_for_mut, ChunkSpec, ExecSpace, RangePolicy};
@@ -69,6 +69,20 @@ fn cell_index(edge: usize, t: usize, q: usize) -> usize {
     let j = t / edge % edge * TILE_EDGE + q / TILE_EDGE % TILE_EDGE;
     let k = t % edge * TILE_EDGE + q % TILE_EDGE;
     (i * n + j) * n + k
+}
+
+/// How a near source tile is summed into a target tile, as
+/// `TileGeometry::classify` decides it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum NearTier {
+    /// Accepted tile against tile: M2L from the tile's multipole.
+    TileM2l,
+    /// Rejected tile against tile: every target cell is tested again, as a
+    /// point — M2P where it passes, P2P where it does not.
+    Cells,
+    /// Tile and target are two single-tile leaves, the pair the plan
+    /// already rejected: not re-tested at either level, P2P at every cell.
+    Points,
 }
 
 /// Tile geometry of every leaf of a plan: a pure function of the plan and
@@ -120,35 +134,30 @@ impl TileGeometry {
         self.first[li]..self.first[li + 1]
     }
 
-    /// Whether the near leaf pair `(li, sl)` is opened below the leaf.  A
-    /// pair of single-tile leaves is the pair the plan already rejected and
-    /// is summed point by point, whole.
-    fn retested(&self, li: usize, sl: usize) -> bool {
-        self.edge[li] > 1 || self.edge[sl] > 1
-    }
-
     /// The near-field traversal of target tile `tt` of leaf `li`, one level
-    /// below the plan: `visit(source leaf, source tile, accepted)` for
-    /// every tile of every near leaf, ascending.
+    /// below the plan: `visit(source tile, tier)` for every tile of every
+    /// near leaf, ascending.
     fn classify(
         &self,
         plan: &GravityPlan,
         li: usize,
         tt: usize,
-        mut visit: impl FnMut(usize, usize, bool),
+        mut visit: impl FnMut(usize, NearTier),
     ) {
         for &sl in plan.p2p_sources_of(li) {
-            let retest = self.retested(li, sl);
+            // A near leaf pair is opened below the leaf unless both are
+            // single tiles — the one place that is decided.
+            let retest = self.edge[li] > 1 || self.edge[sl] > 1;
             for st in self.tiles_of(sl) {
-                let accepted = retest
-                    && well_separated(
-                        self.centers[tt],
-                        self.radii[li],
-                        self.centers[st],
-                        self.radii[sl],
-                        plan.theta,
-                    );
-                visit(sl, st, accepted);
+                let (ct, cs) = (self.centers[tt], self.centers[st]);
+                let tier = if !retest {
+                    NearTier::Points
+                } else if well_separated(ct, self.radii[li], cs, self.radii[sl], plan.theta) {
+                    NearTier::TileM2l
+                } else {
+                    NearTier::Cells
+                };
+                visit(st, tier);
             }
         }
     }
@@ -166,26 +175,42 @@ pub struct NearFieldCounts {
 }
 
 /// Count the near-field work of a solve over `plan` whose leaf `li` holds
-/// the cells `points[li]` — through the very classifiers the solver runs,
-/// tile against tile and cell against tile, so the counts are the
-/// kernels', not a model of them.
+/// the cells `points[li]` — through the very classifier and M2P kernel
+/// the solver runs, tile against tile and cell against tile, so the counts
+/// are the kernels', not a model of them.
 pub fn near_field_counts(plan: &GravityPlan, points: &[&PointMasses]) -> NearFieldCounts {
     assert_eq!(points.len(), plan.leaves.len());
     let owned: Vec<usize> = (0..plan.leaves.len()).collect();
     let mut tiles = TileSet::default();
     tiles.rebuild(plan, &owned, points, 1, &ExecSpace::Serial);
     let mut counts = NearFieldCounts::default();
-    let mut far = Vec::new();
+    let (mut far, mut sums) = (Vec::new(), [(); 4].map(|_| Vec::new()));
     for &li in &owned {
         for tile in tiles.tiles_of(li) {
             let targets = tiles.points(tile, points);
-            tiles.for_each_near(plan, li, tile, |src, accepted| {
-                if accepted {
-                    counts.m2l_tile_pairs += 1;
-                    return;
-                }
-                let nfar =
-                    tiles.far_cells(li, targets, src, plan.theta, VectorMode::Scalar, &mut far);
+            far.resize(targets.len(), false);
+            let mut out = sums.each_mut().map(|run| {
+                run.resize(targets.len(), 0.0);
+                &mut run[..]
+            });
+            tiles.for_each_near(plan, li, tile, |src, tier| {
+                let nfar = match tier {
+                    NearTier::TileM2l => {
+                        counts.m2l_tile_pairs += 1;
+                        return;
+                    }
+                    NearTier::Cells => m2p_accumulate(
+                        tiles.moment(src),
+                        tiles.sphere(src),
+                        plan.theta,
+                        false,
+                        targets,
+                        VectorMode::Sve512,
+                        &mut far,
+                        &mut out,
+                    ),
+                    NearTier::Points => 0,
+                };
                 counts.m2p_cell_pairs += nfar as u64;
                 counts.p2p_cell_interactions +=
                     ((targets.len() - nfar) * tiles.points(src, points).len()) as u64;
@@ -301,8 +326,8 @@ impl TileSet {
     /// Rebuild for one solve: `near[li]` is leaf `li`'s point set as this
     /// locality sees it, `owned` its owned leaf indices.  The tile launch
     /// (split into `tasks` HPX tasks, 0 = auto) only runs when some
-    /// visible leaf has more than one tile — otherwise no pair is ever
-    /// re-tested, so no tile multipole is ever read.
+    /// visible leaf has more than one tile — otherwise every near pair is
+    /// [`NearTier::Points`], so no tile multipole is ever read.
     pub(super) fn rebuild(
         &mut self,
         plan: &GravityPlan,
@@ -356,17 +381,16 @@ impl TileSet {
     }
 
     /// The near field of `tile` (a tile of leaf `li`), classified:
-    /// `visit(source tile, accepted)` for every tile of every near leaf,
-    /// ascending — accepted tiles are summed by M2L, the rest by P2P.
+    /// `visit(source tile, tier)` for every tile of every near leaf,
+    /// ascending.
     pub(super) fn for_each_near(
         &self,
         plan: &GravityPlan,
         li: usize,
         tile: usize,
-        mut visit: impl FnMut(usize, bool),
+        visit: impl FnMut(usize, NearTier),
     ) {
-        self.geo
-            .classify(plan, li, tile, |_, st, accepted| visit(st, accepted));
+        self.geo.classify(plan, li, tile, visit);
     }
 
     /// Whether leaf `li` is its own single tile.
@@ -379,33 +403,15 @@ impl TileSet {
         self.geo.centers[tile]
     }
 
+    /// Bounding sphere of `tile`: center and radius.
+    pub(super) fn sphere(&self, tile: usize) -> ([f64; 3], f64) {
+        (self.center(tile), self.geo.radii[self.geo.leaf_of[tile]])
+    }
+
     /// The multipole of `tile`.
     pub(super) fn moment(&self, tile: usize) -> &Multipole {
         let li = self.geo.leaf_of[tile];
         &self.built[li].moments[tile - self.geo.first[li]]
-    }
-
-    /// The cell-level tier: `far[q]` = cell `q` of `targets` — a run of
-    /// cells of leaf `li`, each taken as a point — passes the acceptance
-    /// test against source `tile`.  Returns how many do.  Between two
-    /// single-tile leaves, which are not re-tested, that is none, and `far`
-    /// is left as it was (never grown on a tree of single-tile leaves).
-    pub(super) fn far_cells(
-        &self,
-        li: usize,
-        targets: PointsRef<'_>,
-        tile: usize,
-        theta: f64,
-        mode: VectorMode,
-        far: &mut Vec<bool>,
-    ) -> usize {
-        let sl = self.geo.leaf_of[tile];
-        if !self.geo.retested(li, sl) {
-            return 0;
-        }
-        far.resize(targets.len(), false);
-        let (center, radius) = (self.geo.centers[tile], self.geo.radii[sl]);
-        far_cells(targets, center, radius, theta, mode, far)
     }
 
     /// The points of `tile`: a run of its leaf's tile-major copy, or the

@@ -10,13 +10,12 @@
 
 use octo_repro::amr::{NodeId, SubGrid, Tree};
 use octo_repro::hpx::SimCluster;
-use octo_repro::kokkos::pool::Recycled;
 use octo_repro::kokkos::ExecSpace;
 use octo_repro::octotiger::gravity::direct::{p2p_at_w, PointMasses};
 use octo_repro::octotiger::gravity::m2l_simd::m2l_accumulate_w;
-use octo_repro::octotiger::gravity::m2p_simd::{far_cells_w, m2p_accumulate_w};
+use octo_repro::octotiger::gravity::m2p_simd::m2p_accumulate_w;
 use octo_repro::octotiger::gravity::{
-    GravityOptions, GravitySolver, LeafField, LeafSources, Multipole, MultipoleSoA,
+    GravityOptions, GravitySolver, LeafSources, Multipole, MultipoleSoA,
 };
 use octo_repro::octotiger::hydro::{self, kernels::KernelScratch, HydroOptions, SourceInput};
 use octo_repro::octotiger::state::{field, from_primitive, Primitive};
@@ -91,9 +90,8 @@ proptest! {
     /// sequence per cell.  A 4³-cell source tile (sometimes massless)
     /// against the n³ cells of a cube half, once or twice its size (a
     /// coarse-fine pair) at every nearby offset; n = 3 is a 27-cell tile,
-    /// whose last chunk has three live lanes.  The cell classifier must
-    /// flag the same cells at both widths, and cells it rejects keep the
-    /// bits they had.
+    /// whose last chunk has three live lanes.  Both widths must flag the
+    /// same cells as far, and cells they reject keep the bits they had.
     #[test]
     fn m2p_bit_identical_across_widths(
         masses in prop::collection::vec(0.0f64..3.0, 64),
@@ -125,24 +123,24 @@ proptest! {
         let targets = lattice(corner, scale, n, &|_| 0.0);
 
         let ncells = targets.len();
-        let (mut far1, mut far8) = (vec![false; ncells], vec![true; ncells]);
-        let n1 = far_cells_w::<1>(targets.view(), center, radius, 0.5, &mut far1);
-        let n8 = far_cells_w::<8>(targets.view(), center, radius, 0.5, &mut far8);
-        prop_assert_eq!(n1, n8);
-        prop_assert_eq!(&far1, &far8);
-
-        let seeded = || {
-            let run = |k: f64| Recycled::detached((0..ncells).map(|q| k - q as f64).collect());
-            LeafField { phi: run(-1.0), gx: run(0.25), gy: run(-0.0), gz: run(7.0) }
+        let seeded = || -> [Vec<f64>; 4] {
+            [-1.0, 0.25, -0.0, 7.0].map(|k| (0..ncells).map(|q| k - q as f64).collect())
         };
         let (before, mut out1, mut out8) = (seeded(), seeded(), seeded());
-        m2p_accumulate_w::<1>(&mp, use_oct, targets.view(), &far1, out1.run());
-        m2p_accumulate_w::<8>(&mp, use_oct, targets.view(), &far8, out8.run());
-        for (b, (a1, a8)) in [&before.phi, &before.gx, &before.gy, &before.gz].into_iter().zip(
-            [&out1.phi, &out1.gx, &out1.gy, &out1.gz]
-                .into_iter()
-                .zip([&out8.phi, &out8.gx, &out8.gy, &out8.gz]),
-        ) {
+        let (mut far1, mut far8) = (vec![false; ncells], vec![true; ncells]);
+        let sphere = (center, radius);
+        let n1 = m2p_accumulate_w::<1>(
+            &mp, sphere, 0.5, use_oct, targets.view(), &mut far1,
+            &mut out1.each_mut().map(|v| &mut v[..]),
+        );
+        let n8 = m2p_accumulate_w::<8>(
+            &mp, sphere, 0.5, use_oct, targets.view(), &mut far8,
+            &mut out8.each_mut().map(|v| &mut v[..]),
+        );
+        prop_assert_eq!(n1, n8);
+        prop_assert_eq!(n1, far1.iter().filter(|&&f| f).count());
+        prop_assert_eq!(&far1, &far8);
+        for (b, (a1, a8)) in before.iter().zip(out1.iter().zip(&out8)) {
             for q in 0..ncells {
                 prop_assert_eq!(a1[q].to_bits(), a8[q].to_bits(), "cell {}", q);
                 if !far1[q] {
