@@ -59,14 +59,6 @@ pub struct SimOptions {
     /// the gravity FMM overlaps the first stage's ghost fill.  Bit-identical
     /// physics to the barrier path (see `tests/switch_equivalence.rs`).
     pub pipeline: bool,
-    /// Arm the `hpx-rt` blocked-worker watchdog for this run: a worker stuck
-    /// on an unresolved future for this many milliseconds (with nothing to
-    /// help with) aborts with a deadlock diagnosis instead of hanging, and
-    /// the fire is exported as the `/threads/count/watchdog-fires` counter.
-    /// `None` keeps the build default (30 s in debug, off in release —
-    /// release runs can also opt in via `HPX_WATCHDOG_MS`); `Some(0)`
-    /// disables it.
-    pub watchdog_ms: Option<u64>,
     /// Simulated localities to shard the gravity octree over (clamped to
     /// the cluster's locality count).  The leaves are partitioned with
     /// [`octree::partition_morton`], each shard's kernels run on its own
@@ -104,8 +96,7 @@ pub struct SimOptions {
     /// the hydro-RHS leaves-per-task grouping, and the pipelined-vs-barrier
     /// stepper.  Every knob flows through the chunk-count-independent
     /// launch paths, so physics is bit-identical tuner-on vs tuner-off
-    /// (see `tests/autotune_equivalence.rs`).  Defaults from
-    /// `OCTO_AUTOTUNE` (`1`/`true`/`on`).
+    /// (see `tests/autotune_equivalence.rs`).  Off by default.
     pub autotune: bool,
 }
 
@@ -121,7 +112,6 @@ impl Default for SimOptions {
             omega: 0.0,
             cfl: 0.4,
             pipeline: false,
-            watchdog_ms: None,
             localities: std::env::var("OCTO_LOCALITIES")
                 .ok()
                 .and_then(|v| v.parse().ok())
@@ -135,9 +125,7 @@ impl Default for SimOptions {
             regrid_refine_threshold: 1.0,
             regrid_shock_threshold: f64::INFINITY,
             regrid_coarsen_threshold: 0.0,
-            autotune: std::env::var("OCTO_AUTOTUNE")
-                .map(|v| v == "1" || v.eq_ignore_ascii_case("true") || v.eq_ignore_ascii_case("on"))
-                .unwrap_or(false),
+            autotune: false,
         }
     }
 }
@@ -637,9 +625,6 @@ impl Simulation {
 
     /// Advance one full RK3 step; returns the step telemetry.
     pub fn step(&mut self, cluster: &SimCluster) -> StepStats {
-        if let Some(ms) = self.opts.watchdog_ms {
-            hpx_rt::set_blocked_wait_timeout(std::time::Duration::from_millis(ms));
-        }
         // Options are mutable between steps: push the current FMM knobs
         // into the persistent solver (a θ change invalidates the cached
         // plan by itself, via the plan's validity key).

@@ -22,10 +22,10 @@
 //! `GravitySolver::solve_sharded` — the one gravity solve — then runs
 //! the phases in level lockstep: each locality launches the per-slot
 //! kernels of [`super::solver`] on its owned indices on its own runtime,
-//! and between phases the frozen exchange lists are serialized into
-//! recycled payload buffers and moved through a typed
-//! [`hpx_rt::ParcelTransport`] (one parcel per `(from, to)` pair per
-//! phase/level, metered into `/octotiger/parcels/*`).  **Local = one
+//! and between phases every frozen exchange is one parcel: encoded into
+//! a recycled payload buffer, metered by class into
+//! `/octotiger/parcels/*` and decoded into the receiver's table (one
+//! parcel per `(from, to)` pair per phase/level).  **Local = one
 //! locality**: [`GravitySolver::solve_with_plan`] is this loop over the
 //! trivial one-locality plan, whose exchange lists are all empty, and
 //! [`GravitySolver::solve_distributed`] is this loop over one HPX space
@@ -44,8 +44,8 @@ use super::direct::PointMasses;
 use super::multipole::{LocalExpansion, Multipole};
 use super::plan::{GravityPlan, SlotKind};
 use super::solver::{GravitySolver, LeafField, LeafSources, LocBufs, SolveStats};
-use hpx_rt::{LocalityId, ParcelClass, ParcelTransport, Runtime};
-use kokkos_rs::pool::{Recycled, ScratchArena};
+use hpx_rt::{parcel_counters, LocalityId, ParcelClass, Runtime};
+use kokkos_rs::pool::ScratchArena;
 use kokkos_rs::ExecSpace;
 use octree::NodeId;
 use std::collections::{BTreeMap, HashMap};
@@ -390,28 +390,32 @@ where
     }
 }
 
-/// Move one phase's exchange list through the transport: serialize on the
-/// sender's side into a recycled payload of exactly the lane's word count
-/// (so its arena bucket is stable from solve to solve), one parcel per
-/// `(from, to)` lane, then decode on the receiver's side in the same
-/// frozen order.  The class names the cargo: multipoles on the way up and
-/// for the M2L halo, local expansions on the way down, and the listed
-/// leaves' `points` for the P2P halo.  Phases are joined before any
-/// exchange runs, so every parcel is queued by receive time.
+/// Ship one phase's exchange list, one parcel per `(from, to)` exchange:
+/// encode on the sender's side into a recycled payload of exactly the
+/// exchange's word count (so its arena bucket is stable from solve to
+/// solve), meter it by class, decode it into the receiver's table in the
+/// same frozen order.  The class names the cargo: multipoles on the way
+/// up and for the M2L halo, local expansions on the way down, and the
+/// listed leaves' `points` for the P2P halo.  Phases are joined before
+/// any exchange runs, and no exchange of a phase reads what another
+/// writes (senders own what they ship, nothing is received twice —
+/// `verify_dist_plan`), so parcels are delivered in list order.  Returns
+/// the `(parcels, bytes)` shipped.
 fn exchange(
-    transport: &ParcelTransport<Recycled<f64>>,
     arena: &ScratchArena,
     points: &[&PointMasses],
     bufs: &mut [LocBufs],
     exchanges: &[Exchange],
     class: ParcelClass,
-) {
+) -> (usize, usize) {
     let words = |i: usize| match class {
         ParcelClass::P2p => points_flat_len(points[i]),
         ParcelClass::MultipoleDown => LocalExpansion::FLAT_LEN,
         _ => Multipole::FLAT_LEN,
     };
+    let mut shipped = 0usize;
     for ex in exchanges {
+        debug_assert_ne!(ex.from, ex.to, "local traffic must not become parcels");
         let mut payload = arena.checkout_empty(ex.slots.iter().map(|&i| words(i)).sum());
         let sender = &bufs[ex.from];
         for &i in &ex.slots {
@@ -422,16 +426,12 @@ fn exchange(
             }
         }
         let bytes = payload.len() * std::mem::size_of::<f64>();
-        transport.send(ex.from, ex.to, class, bytes, payload);
-    }
-    for ex in exchanges {
-        let parcel = transport
-            .try_receive(ex.from, ex.to)
-            .expect("lockstep exchange: parcel queued");
+        parcel_counters().note_send(class, bytes as u64);
+        shipped += bytes;
         let receiver = &mut bufs[ex.to];
         let mut off = 0usize;
         for &i in &ex.slots {
-            let buf = &parcel.payload[off..off + words(i)];
+            let buf = &payload[off..off + words(i)];
             match class {
                 ParcelClass::P2p => read_points_flat(buf, &mut receiver.halo_points[i]),
                 ParcelClass::MultipoleDown => receiver.locals[i] = LocalExpansion::read_flat(buf),
@@ -439,15 +439,27 @@ fn exchange(
             }
             off += buf.len();
         }
-        debug_assert_eq!(off, parcel.payload.len(), "parcel decode misaligned");
+        debug_assert_eq!(off, payload.len(), "parcel decode misaligned");
     }
+    (exchanges.len(), shipped)
+}
+
+/// `(parcels, bytes)` one solve shipped, indexed by `ParcelClass as usize`.
+type Shipped = [(usize, usize); ParcelClass::P2p as usize + 1];
+
+#[cfg(test)]
+thread_local! {
+    /// Test observation point: what the last solve on this thread shipped
+    /// — exact where the process-wide `parcel_counters()` also count
+    /// concurrent tests' parcels.
+    static LAST_SHIPPED: std::cell::Cell<Shipped> = std::cell::Cell::default();
 }
 
 impl GravitySolver {
     /// Run the solve sharded over `dist.num_localities` simulated
     /// localities, each computing its owned slots on its own runtime
-    /// (`rts[loc]`), with cross-locality traffic batched through a typed
-    /// parcel transport.  Bit-identical for every locality count.
+    /// (`rts[loc]`), with cross-locality traffic batched into one parcel
+    /// per frozen exchange.  Bit-identical for every locality count.
     pub fn solve_distributed(
         &self,
         plan: &Arc<GravityPlan>,
@@ -486,9 +498,11 @@ impl GravitySolver {
             b.reset_tables(plan);
         }
         let points: Vec<&PointMasses> = plan.leaves.iter().map(|l| &sources[l].points).collect();
-        let transport: ParcelTransport<Recycled<f64>> = ParcelTransport::new(nloc);
-        let ship = |bufs: &mut [LocBufs], exchanges: &[Exchange], class| {
-            exchange(&transport, &self.scratch, &points, bufs, exchanges, class)
+        let mut shipped = Shipped::default();
+        let mut ship = |bufs: &mut [LocBufs], exchanges: &[Exchange], class: ParcelClass| {
+            let (parcels, bytes) = exchange(&self.scratch, &points, bufs, exchanges, class);
+            shipped[class as usize].0 += parcels;
+            shipped[class as usize].1 += bytes;
         };
 
         // ---- Phase 1: bottom-up, level-lockstep. -----------------------
@@ -541,6 +555,13 @@ impl GravitySolver {
             }
         }
         self.put_buffers(bufs);
+        debug_assert_eq!(
+            shipped.iter().map(|s| s.0).sum::<usize>(),
+            dist.parcels_per_solve(),
+            "every frozen exchange is one parcel"
+        );
+        #[cfg(test)]
+        LAST_SHIPPED.with(|last| last.set(shipped));
         (fields, plan.stats)
     }
 }
@@ -652,6 +673,30 @@ mod tests {
         out
     }
 
+    /// What one solve's wire carries, from the frozen plan alone: words of
+    /// slot payloads (multipoles, local expansions) and of P2P point sets.
+    fn wire_words(
+        plan: &GravityPlan,
+        dist: &DistPlan,
+        sources: &HashMap<NodeId, super::LeafSources>,
+    ) -> (usize, usize) {
+        let slot_words = (dist.up.iter().flatten())
+            .chain(&dist.m2l_halo)
+            .chain(dist.down.iter().flatten())
+            .map(|ex| ex.slots.len() * Multipole::FLAT_LEN)
+            .sum();
+        let point_words = (dist.p2p_halo.iter())
+            .flat_map(|ex| &ex.slots)
+            .map(|&li| points_flat_len(&sources[&plan.leaves[li]].points))
+            .sum();
+        (slot_words, point_words)
+    }
+
+    /// `(parcels, bytes)` over every class.
+    fn total(shipped: &Shipped) -> (usize, usize) {
+        shipped.iter().fold((0, 0), |t, s| (t.0 + s.0, t.1 + s.1))
+    }
+
     #[test]
     fn distributed_solve_is_bit_identical_to_single_locality() {
         let mut adaptive = Tree::new_uniform(1);
@@ -714,20 +759,26 @@ mod tests {
         let plan = solver.plan_for(&tree);
         let owner = partition_morton(&tree, 4);
         let dist = solver.dist_plan_for(&plan, &owner, 4);
-        let before = hpx_rt::parcel_counters().snapshot();
+        let before = parcel_counters().snapshot();
         let rts: Vec<Runtime> = (0..4).map(|_| Runtime::new(2)).collect();
         drop(solver.solve_distributed(&plan, &dist, &sources, &rts));
-        let delta = hpx_rt::parcel_counters().snapshot().since(&before);
-        // Other tests in this process may send parcels concurrently, so
-        // the delta is a lower bound here; the distributed-equivalence
-        // suite asserts the exact per-solve count in isolation.
-        assert!(
-            delta.total_count() as usize >= dist.parcels_per_solve(),
-            "every frozen exchange is one metered parcel"
+        let delta = parcel_counters().snapshot().since(&before);
+        let (slot_words, point_words) = wire_words(&plan, &dist, &sources);
+        let shipped = LAST_SHIPPED.with(std::cell::Cell::take);
+        assert_eq!(
+            total(&shipped),
+            (dist.parcels_per_solve(), 8 * (slot_words + point_words)),
+            "every frozen exchange is one parcel of its exact word count"
         );
-        assert!(delta.m2l_count > 0);
-        assert!(delta.p2p_count > 0);
-        assert!(delta.total_bytes() > 0);
+        let [_, up, m2l, down, p2p] = shipped;
+        assert_eq!(p2p, (dist.p2p_halo.len(), 8 * point_words));
+        assert_eq!(m2l.0, dist.m2l_halo.len());
+        assert_eq!(up.0, dist.up.iter().map(Vec::len).sum::<usize>());
+        assert_eq!(down.0, dist.down.iter().map(Vec::len).sum::<usize>());
+        // Each is metered once; the process-wide block also counts
+        // concurrent tests' parcels, so its delta is a lower bound.
+        assert!(delta.total_count() as usize >= dist.parcels_per_solve());
+        assert!(delta.p2p_bytes as usize >= p2p.1 && delta.m2l_bytes as usize >= m2l.1);
         for rt in rts {
             rt.shutdown();
         }
@@ -744,22 +795,12 @@ mod tests {
         let plan = solver.plan_for(&tree);
         let dist = solver.dist_plan_for(&plan, &partition_morton(&tree, 4), 4);
         let spaces = vec![ExecSpace::Serial; 4];
-        // What the wire carries, from the frozen plan alone.
-        let slot_words: usize = (dist.up.iter().flatten())
-            .chain(&dist.m2l_halo)
-            .chain(dist.down.iter().flatten())
-            .map(|ex| ex.slots.len() * Multipole::FLAT_LEN)
-            .sum();
-        let point_words: usize = (dist.p2p_halo.iter())
-            .flat_map(|ex| &ex.slots)
-            .map(|&li| points_flat_len(&sources[&plan.leaves[li]].points))
-            .sum();
+        let (slot_words, point_words) = wire_words(&plan, &dist, &sources);
         let solve_metered = || {
-            let parcels = hpx_rt::parcel_counters().snapshot();
             let misses = solver.scratch.stats().misses;
             drop(solver.solve_sharded(&plan, &dist, &sources, &spaces));
             (
-                hpx_rt::parcel_counters().snapshot().since(&parcels),
+                LAST_SHIPPED.with(std::cell::Cell::take),
                 solver.scratch.stats().misses - misses,
             )
         };
@@ -771,11 +812,12 @@ mod tests {
             "an unchanged tree re-solves out of the arena: exact-size payload \
              checkouts land in stable buckets"
         );
-        // Lower bounds against concurrent tests' parcels, as above.
-        for delta in [first, second] {
-            assert!(delta.total_count() as usize >= dist.parcels_per_solve());
-            assert!(delta.total_bytes() as usize >= 8 * (slot_words + point_words));
-            assert!(delta.p2p_bytes as usize >= 8 * point_words);
+        for shipped in [first, second] {
+            assert_eq!(
+                total(&shipped),
+                (dist.parcels_per_solve(), 8 * (slot_words + point_words))
+            );
+            assert_eq!(shipped[ParcelClass::P2p as usize].1, 8 * point_words);
         }
     }
 

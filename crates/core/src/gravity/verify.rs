@@ -916,7 +916,7 @@ pub fn verify_dist_plan(plan: &GravityPlan, dist: &DistPlan) -> Vec<ProtocolViol
     // the toposort is the machine-checked proof, and it guards any future
     // change to [`DistPlan::phase_schedule`] (reordered phases, chained
     // same-phase forwarding) that would break that argument.  Deadlock
-    // under the buffered transport otherwise means a *missing* message,
+    // under buffered sends otherwise means a *missing* message,
     // which is `StarvedReceive` above.
     let schedule = dist.phase_schedule();
     let nphases = schedule.len();

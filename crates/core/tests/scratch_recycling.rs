@@ -202,8 +202,8 @@ fn tiled_gravity_solve_recycles_everything_after_warmup() {
     // buffers.  All of it must recycle: the second solve on the unchanged
     // tree misses the scratch pool zero times, and allocates exactly what
     // the single-tile solve of the same tree does — the per-solve result
-    // map and transport, nothing per launch, leaf or tile.  (`Serial`
-    // launches run inline, on the metered thread.)
+    // map, nothing per launch, leaf or tile.  (`Serial` launches run
+    // inline, on the metered thread.)
     let tree = Tree::new_uniform(1);
     let steady_allocs = |n: usize| {
         let arena = ScratchArena::new();

@@ -65,7 +65,7 @@ const LAUNCH_TASKS: usize = 4;
 /// launch shape, the owned index list carved into lane-aligned chunk tasks
 /// joined by the scatter — one future per frozen exchange (the parcel),
 /// receivers gated on their inbox exactly like the solve's lockstep
-/// `try_receive`.
+/// decode.
 ///
 /// Must run inside a deterministic runtime (via
 /// [`crate::model::ModelChecker`]): the final waits double as stall
@@ -297,8 +297,8 @@ pub fn race_model_dist_regrid(
     };
 
     // The cached halo plan's storage (owner arrays + frozen exchange
-    // lists), each locality's expansion buffers, and the nloc² transport
-    // lanes' payload buffers.
+    // lists), each locality's expansion buffers, and one payload buffer
+    // per `(from, to)` lane.
     let halo_plan = view("halo-plan(owner map + frozen exchanges)".to_string());
     let owned: Vec<View<f64>> = (0..nloc)
         .map(|loc| view(format!("owned-expansions(loc {loc})")))

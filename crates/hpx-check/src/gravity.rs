@@ -76,12 +76,14 @@ fn carve(len: usize, chunks: usize, bug: GravityRaceBug) -> Vec<(usize, usize)> 
     policy.split(chunks)
 }
 
-/// Expand a chunk's write range `[lo, hi)` to whole vector-lane blocks of
-/// its `len`-element output buffer — the footprint of a kernel that walks
-/// its chunk with `W`-wide vector stores.
-fn lane_blocks(len: usize, lo: usize, hi: usize) -> (usize, usize) {
+/// Expand a chunk's write range `[lo, hi)` to whole vector-lane blocks
+/// within the kernel's range `[b, e)` — the store footprint of a kernel
+/// that walks its chunk with `W`-wide vector stores.
+pub(crate) fn lane_blocks(b: usize, e: usize, lo: usize, hi: usize) -> (usize, usize) {
     let w = SVE_LANES_F64;
-    (lo / w * w, (hi.div_ceil(w) * w).min(len))
+    let wlo = b + (lo - b) / w * w;
+    let whi = (b + (hi - b).div_ceil(w) * w).min(e);
+    (wlo, whi)
 }
 
 /// The shadow state of one replay: the detector, every locality's slot
@@ -183,7 +185,7 @@ impl Replay<'_> {
                 // footprint that makes unaligned carving a write-write race.
                 let (wlo, whi) = match pass {
                     Pass::M2l => (lo, hi_w),
-                    _ => lane_blocks(owned.len(), lo, hi_w),
+                    _ => lane_blocks(0, owned.len(), lo, hi_w),
                 };
                 accesses.extend(out[wlo..whi].iter().map(ViewAccess::write));
                 let site = format!("{name}(l{level}, loc {loc}, chunk {ci})");
@@ -453,7 +455,7 @@ mod tests {
                 for owned in dist.owned_by_level.iter().flatten() {
                     let mut prev_end = 0;
                     for &(lo, hi) in &carve(owned.len(), chunks, GravityRaceBug::None) {
-                        let (wlo, whi) = lane_blocks(owned.len(), lo, hi);
+                        let (wlo, whi) = lane_blocks(0, owned.len(), lo, hi);
                         assert!(wlo >= prev_end, "lane block overlaps previous chunk");
                         prev_end = whi;
                     }

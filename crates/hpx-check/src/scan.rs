@@ -6,9 +6,9 @@
 //! whole wait.  On the real machine that serializes an entire core team;
 //! under the deterministic scheduler it is a stall; with HPX task inlining
 //! it can deadlock outright when the awaited task would have run on the
-//! same worker.  The integration layer exists precisely so ordering is
-//! expressed with `launch_*_after`/`launch_for_tracked` edges *outside*
-//! kernels — so the lint bans the blocking calls inside them.
+//! same worker.  Futures exist precisely so ordering is expressed with
+//! `then`/`when_all` edges *outside* kernels — so the lint bans the
+//! blocking calls inside them.
 //!
 //! **Allocation lint** ([`scan_source_allocs`]) — no heap allocation
 //! inside kernel bodies.  The solver's steady state is allocation-free
@@ -43,11 +43,7 @@ const KERNEL_ENTRIES: &[&str] = &[
     "parallel_for",
     "parallel_for_mut",
     "parallel_reduce",
-    "launch_for_async",
     "launch_reduce_async",
-    "launch_for_after",
-    "launch_reduce_after",
-    "launch_for_tracked",
 ];
 
 /// Blocking calls banned inside kernel bodies.
@@ -706,8 +702,8 @@ mod tests {
     }
 
     #[test]
-    fn get_inside_launch_after_is_flagged_and_allowlistable() {
-        let src = "fn f() {\n    launch_for_after(rt, &s, p, &deps, move |i| {\n        let v = m.get(i);\n    });\n}\n";
+    fn get_inside_async_launch_is_flagged_and_allowlistable() {
+        let src = "fn f() {\n    launch_reduce_async(rt, s, p, 0.0, move |i| {\n        m.get(i)\n    }, f64::max);\n}\n";
         let findings = scan_source("a/b.rs", src);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].call, "get");
@@ -722,9 +718,10 @@ mod tests {
     #[test]
     fn nested_kernel_regions_are_scanned() {
         let src = "fn f() {\n\
-                   \x20   launch_for_async(rt, &s, p, |i| {\n\
+                   \x20   launch_reduce_async(rt, s, p, 0.0, |i| {\n\
                    \x20       parallel_for(&s2, p2, |j| { q.wait(); });\n\
-                   \x20   });\n\
+                   \x20       0.0\n\
+                   \x20   }, f64::max);\n\
                    }\n";
         let findings = scan_source("x.rs", src);
         // Hit reported for both enclosing regions, deduped by line+call
@@ -823,9 +820,10 @@ mod tests {
     #[test]
     fn nested_kernel_alloc_is_reported_for_both_regions() {
         let src = "fn f() {\n\
-                   \x20   launch_for_async(rt, &s, p, |i| {\n\
+                   \x20   launch_reduce_async(rt, s, p, 0.0, |i| {\n\
                    \x20       parallel_for(&s2, p2, |j| { let v = Vec::new(); });\n\
-                   \x20   });\n\
+                   \x20       0.0\n\
+                   \x20   }, f64::max);\n\
                    }\n";
         let findings = scan_source_allocs("x.rs", src);
         assert!(findings

@@ -23,6 +23,7 @@ use kokkos_rs::{LaunchToken, RaceDetector, RaceReport, RangePolicy, View, ViewAc
 use octotiger::gravity::plan::GravityPlan;
 use sve_simd::SVE_LANES_F64;
 
+use crate::gravity::lane_blocks;
 pub use crate::pipeline::RaceModelSummary;
 
 /// Bug to plant into the launch sequence of [`race_model_tuner_resplit`].
@@ -44,16 +45,6 @@ fn carve(b: usize, e: usize, tasks: usize) -> Vec<(usize, usize)> {
     RangePolicy::new(b, e)
         .with_lanes(SVE_LANES_F64)
         .split(tasks)
-}
-
-/// Expand a chunk's write range to whole vector-lane blocks within the
-/// kernel's range — the store footprint of a `W`-wide vector loop over the
-/// padded slot table.
-fn lane_blocks(b: usize, e: usize, lo: usize, hi: usize) -> (usize, usize) {
-    let w = SVE_LANES_F64;
-    let wlo = b + (lo - b) / w * w;
-    let whi = (b + (hi - b).div_ceil(w) * w).min(e);
-    (wlo, whi)
 }
 
 /// Replay two consecutive launches of one tuned kernel family — step 1 at

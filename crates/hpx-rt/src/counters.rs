@@ -161,7 +161,8 @@ counter_block! {
     /// count/bytes pair per [`ParcelClass`].
     ///
     /// This is the one *process-wide* block ([`parcel_counters`]): every
-    /// parcel transport in the process reports into it, so "the N=1
+    /// parcel sender in the process (the ghost exchange's action parcels,
+    /// the gravity solve's halo exchanges) reports into it, so "the N=1
     /// reference path sends zero parcels" is a single-snapshot assertion —
     /// and two simulations in one process share it.  Per-locality raw
     /// parcel counts remain on each locality's [`Counters`].
@@ -206,7 +207,7 @@ impl ParcelCounters {
     }
 }
 
-/// The process-global [`ParcelCounters`] block every parcel transport
+/// The process-global [`ParcelCounters`] block every parcel sender
 /// reports into.
 pub fn parcel_counters() -> &'static ParcelCounters {
     static GLOBAL: ParcelCounters = ParcelCounters::new();

@@ -28,8 +28,8 @@ use std::time::Duration;
 /// wired dependency graph a starved worker always either finds work or sees
 /// its future resolve.  Debug builds arm the watchdog by default (30 s);
 /// release builds leave it off (a loaded machine can stall legitimately) but
-/// can opt in via the `HPX_WATCHDOG_MS` environment variable,
-/// [`set_blocked_wait_timeout`], or `SimOptions::watchdog_ms` in the driver.
+/// can opt in via the `HPX_WATCHDOG_MS` environment variable or
+/// [`set_blocked_wait_timeout`].
 /// Every fire is exported as the `/threads/count/watchdog-fires` performance
 /// counter of the blocked pool before the panic unwinds.
 static BLOCKED_WAIT_TIMEOUT_MS: AtomicU64 =
@@ -244,9 +244,9 @@ impl<T: Send + 'static> Future<T> {
                     .wait_for(&mut guard, Duration::from_micros(200));
             }
             drop(guard);
-            let watchdog_ms = watchdog_timeout_ms();
-            if watchdog_ms != 0 && crate::runtime::on_any_worker_thread() {
-                let limit = Duration::from_millis(watchdog_ms);
+            let timeout_ms = watchdog_timeout_ms();
+            if timeout_ms != 0 && crate::runtime::on_any_worker_thread() {
+                let limit = Duration::from_millis(timeout_ms);
                 if last_progress.elapsed() > limit {
                     crate::runtime::note_watchdog_fire();
                     panic!(

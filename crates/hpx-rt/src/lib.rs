@@ -18,13 +18,13 @@
 //!   `then`-continuations and `when_all`, the paper's mechanism for chaining
 //!   Kokkos kernel launches into HPX's asynchronous execution graph.
 //! * [`locality`] — N logical localities in one process, with an action
-//!   registry and an in-process parcel transport whose traffic is metered by
-//!   [`counters::Counters`].  This stands in for HPX's distributed AGAS +
-//!   parcelport layer (see DESIGN.md substitution table).
-//! * [`mod@channel`] — HPX-style `promise`/`future` channels, used by the
-//!   Section VII-B communication optimization ("simple local HPX
-//!   promise/future pairs to notify neighbors when the local values are
-//!   up-to-date").
+//!   registry and the one in-process parcel transport
+//!   ([`Locality::apply_async`]: an action carried by a parcel, delivered
+//!   by the destination's pump thread, answered through a future), metered
+//!   by [`counters::Counters`].  This stands in for HPX's distributed AGAS
+//!   and parcelport layer (see DESIGN.md substitution table).  The Section
+//!   VII-B "local HPX promise/future pairs to notify neighbors" are plain
+//!   [`future::Promise`] pairs: the ghost exchange's per-link futures.
 //! * [`pjm`] — a model of the Fugaku Parallel Job Manager resource
 //!   specification the paper added HPX support for (HPX PR #5870).
 //! * [`apex`] — APEX-style autonomic performance instrumentation, the
@@ -34,17 +34,14 @@
 //!   driven by apex window means.
 
 pub mod apex;
-pub mod channel;
 pub mod counters;
 pub mod future;
 pub mod locality;
-pub mod parcel;
 pub mod pjm;
 pub mod runtime;
 pub mod tuner;
 
 pub use apex::{Apex, TimerStats};
-pub use channel::{channel, Receiver, Sender};
 pub use counters::{
     parcel_counters, Counters, CountersSnapshot, ParcelClass, ParcelCounters, ParcelSnapshot,
 };
@@ -53,7 +50,6 @@ pub use future::{
     Settled,
 };
 pub use locality::{ActionRegistry, Locality, LocalityId, Parcel, SimCluster};
-pub use parcel::{ParcelTransport, TypedParcel};
 pub use pjm::JobSpec;
 pub use runtime::{Runtime, Scope};
 pub use tuner::{FamilyPhase, FamilySnapshot, Tuner, TunerSnapshot, TuningState};

@@ -17,8 +17,9 @@
 //!   the paper's GPU numbers are reproduced by the `cluster` crate's
 //!   machine models (see the DESIGN.md substitution table).
 //! * [`parallel`] — `parallel_for` / `parallel_for_mut` / `parallel_reduce`.
-//! * [`hpx_kokkos`] — asynchronous kernel launches returning `hpx-rt`
-//!   futures, the HPX-Kokkos integration layer of the paper.
+//! * [`hpx_kokkos`] — the asynchronous kernel launch returning an
+//!   `hpx-rt` future ([`launch_reduce_async`]), the HPX-Kokkos integration
+//!   layer of the paper.
 
 pub mod hpx_kokkos;
 pub mod parallel;
@@ -28,10 +29,7 @@ pub mod race;
 pub mod space;
 pub mod view;
 
-pub use hpx_kokkos::{
-    launch_for_after, launch_for_async, launch_for_tracked, launch_reduce_after,
-    launch_reduce_async, TrackedLaunch,
-};
+pub use hpx_kokkos::launch_reduce_async;
 pub use parallel::{parallel_for, parallel_for_mut, parallel_reduce};
 pub use policy::{ChunkSpec, RangePolicy};
 pub use pool::{BufferPool, Recycled, ScratchArena, ScratchSnapshot};

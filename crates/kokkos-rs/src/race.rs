@@ -13,7 +13,8 @@
 //!
 //! The detector checks declared access sets, not individual loads/stores, so
 //! it is cheap enough to leave on in debug runs and in the `hpx-check` CI
-//! job; the tracked-launch wrappers in [`crate::hpx_kokkos`] feed it.
+//! job, whose stepper-shaped models register every launch through
+//! [`RaceDetector::launch`].
 
 use crate::view::{View, ViewId};
 use parking_lot::Mutex;
@@ -209,20 +210,6 @@ impl RaceDetector {
         Ok(LaunchToken(id))
     }
 
-    /// Like [`RaceDetector::launch`], but aborts the process (panics) with
-    /// the full report on a race — the debug-build fail-fast mode.
-    pub fn launch_or_abort(
-        &self,
-        site: &str,
-        deps: &[LaunchToken],
-        accesses: &[ViewAccess],
-    ) -> LaunchToken {
-        match self.launch(site, deps, accesses) {
-            Ok(t) => t,
-            Err(report) => panic!("{report}"),
-        }
-    }
-
     /// Number of launches registered so far.
     pub fn launches(&self) -> usize {
         self.state.lock().sites.len()
@@ -327,14 +314,5 @@ mod tests {
         // The failed launch must not have committed its write: a launch
         // ordered after `init` alone is still clean.
         det.launch("good", &[w], &[ViewAccess::write(&a)]).unwrap();
-    }
-
-    #[test]
-    #[should_panic(expected = "data race on view")]
-    fn launch_or_abort_panics_with_report() {
-        let det = RaceDetector::new();
-        let a = v("rho");
-        det.launch_or_abort("ka", &[], &[ViewAccess::write(&a)]);
-        det.launch_or_abort("kb", &[], &[ViewAccess::write(&a)]);
     }
 }
