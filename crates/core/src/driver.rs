@@ -648,10 +648,10 @@ impl Simulation {
         // ---- Online granularity tuner (apply phase). ----
         // Runs after the regrid so `note_topology` sees the post-regrid
         // version: a topology change unfreezes every family for exactly one
-        // re-probe cycle.  Applying launch knobs here — at a step boundary,
-        // before any kernel of the step launches — is the safety argument:
-        // no kernel is ever re-split mid-launch (see DESIGN.md and the
-        // hpx-check `tuner-resplit` race model).
+        // re-probe cycle.  Launch knobs are written here, through
+        // `&mut self` before any kernel of the step launches, and every
+        // launch copies them by value: no kernel can be re-split mid-launch
+        // (DESIGN.md §8).
         let mut pipeline = self.opts.pipeline;
         if let Some(t) = &mut self.tuner {
             let ver = self.grid.with_tree(|tr| tr.topology_version());
@@ -1360,6 +1360,16 @@ mod tests {
             assert!(!before.contains_key(&target.child(oct)));
             assert!(sim.workspaces.contains_key(&target.child(oct)));
         }
+        // Every leaf owns its workspace: two leaves sharing one would only
+        // trip `run_stage`'s `try_lock` when their tasks happen to overlap.
+        let mut distinct: Vec<_> = sim.workspaces.values().map(Arc::as_ptr).collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(
+            distinct.len(),
+            sim.workspaces.len(),
+            "two leaves share a workspace"
+        );
         cluster.shutdown();
     }
 

@@ -68,9 +68,9 @@ pub struct Exchange {
 /// The per-locality halo plan: slot ownership plus the frozen exchange
 /// lists of every phase.  Built once per (plan, locality count) and
 /// cached by the solver next to the [`GravityPlan`] itself, keyed on the
-/// same `topology_version` — a regrid invalidates both together
-/// (`hpx-check`'s planted `StaleHalo` bug demonstrates what skipping that
-/// invalidation costs).
+/// same `topology_version` — a regrid invalidates both together, and
+/// `solve_sharded` asserts in debug builds that it never runs a halo plan
+/// against a plan it was not built for ([`DistPlan::is_valid_for`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DistPlan {
     /// `topology_version` of the plan this halo plan shards.
@@ -492,6 +492,12 @@ impl GravitySolver {
     ) -> (HashMap<NodeId, LeafField>, SolveStats) {
         let nloc = dist.num_localities;
         assert_eq!(spaces.len(), nloc, "need one execution space per locality");
+        debug_assert!(
+            dist.is_valid_for(plan, nloc),
+            "stale halo plan: built for topology_version {}, solving version {}",
+            dist.topology_version,
+            plan.topology_version
+        );
         debug_assert!(plan.leaves.iter().all(|l| sources.contains_key(l)));
         let mut bufs = self.take_buffers(nloc);
         for b in &mut bufs {

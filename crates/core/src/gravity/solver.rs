@@ -484,10 +484,9 @@ fn launch_slots<T: Clone + Send + Sync>(
 }
 
 /// Carving of the slot-table (upward/downward) launches.  Task boundaries
-/// stay on vector-lane multiples: the kernels walk their chunk in
-/// `SVE_LANES_F64`-wide blocks, so an interior boundary inside a lane
-/// block would let two tasks' stores touch the same block (`hpx-check
-/// races` validates this carving against the launch sequence).
+/// are rounded to `SVE_LANES_F64`-slot blocks, so a short level runs as a
+/// few block-sized tasks instead of many one-slot ones.  The kernels store
+/// one element per `&mut` slot, so the carving never changes a result.
 fn slot_policy(len: usize, opts: &GravityOptions) -> RangePolicy {
     RangePolicy::new(0, len)
         .with_chunk(ChunkSpec::tasks_or_auto(opts.tasks_per_slot_kernel))

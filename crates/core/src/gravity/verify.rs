@@ -27,10 +27,11 @@
 //!   delivered twice to one locality (**double receive**), every
 //!   remotely-owned operand a locality consumes is covered by an
 //!   inbound exchange (**halo completeness** — a gap here is a starved
-//!   receive, i.e. a deadlock over a real transport; this is the
-//!   static form of the `StaleHalo` bug `hpx-check` plants
-//!   dynamically), nothing is shipped that nobody consumes, and the
-//!   phase-barrier wait-for graph is acyclic.
+//!   receive, i.e. a deadlock over a real transport), nothing is shipped
+//!   that nobody consumes, and the phase-barrier wait-for graph is
+//!   acyclic.  Staleness is checked elsewhere: `solve_sharded`
+//!   debug-asserts [`DistPlan::is_valid_for`] on entry, so a halo plan
+//!   reused after a regrid fails by name.
 //!
 //! Findings carry *plan coordinates* — phase, level, `from→to` link,
 //! slot — so a report names the exact frozen transfer that is wrong.
@@ -38,8 +39,8 @@
 //! run these verifiers on every rebuild under `debug_assertions`, so
 //! the whole test suite (notably `tests/distributed_equivalence.rs`
 //! with its N/tree/stepper sweep) exercises them for free; `hpx-check
-//! -- verify` runs them from the CLI with planted-mutation
-//! regressions.
+//! verify` runs them from the CLI over every standard scenario and
+//! locality count, with a seeded mutation sweep that must be caught.
 //!
 //! [`GravitySolver::plan_for`]: super::solver::GravitySolver::plan_for
 //! [`GravitySolver::dist_plan_for`]: super::solver::GravitySolver::dist_plan_for

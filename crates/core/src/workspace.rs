@@ -12,8 +12,10 @@
 //! Concurrency: both steppers guard each workspace behind a `Mutex` and
 //! acquire it with `try_lock`.  The per-leaf future chain orders every task
 //! touching a leaf, so the lock is never contended — a failed `try_lock` is
-//! a dependency-graph bug, and panicking loudly there is exactly the
-//! fail-fast behaviour the `hpx-check races` model proves unreachable.
+//! a dependency-graph bug, and it panics loudly there.  `hpx-check model`
+//! runs the real pipelined step over seeded schedules, where such a panic
+//! (or a missing gate that only corrupts the state) is reported with its
+//! seed.
 
 use crate::hydro::kernels::KernelScratch;
 use crate::state::NF;

@@ -3,10 +3,8 @@
 //!
 //! ```text
 //! cargo run -p hpx-check -- all                 # every analysis, defaults
-//! cargo run -p hpx-check -- lint --level 2      # static DAG lint only
-//! cargo run -p hpx-check -- model --schedules 64 --seed 1
+//! cargo run -p hpx-check -- model --schedules 64 --seed 1   # the real step
 //! cargo run -p hpx-check -- model --replay 17   # re-run one interleaving
-//! cargo run -p hpx-check -- races --level 1
 //! cargo run -p hpx-check -- waitlint --root . --allow hpx-check.allow
 //! cargo run -p hpx-check -- verify --strict --bench-out BENCH_check.json
 //! ```
@@ -14,18 +12,15 @@
 //! Exit status 0 when every requested analysis is clean, 1 otherwise.
 
 use hpx_check::{
-    exercise_dist_solve, exercise_pipeline, lint_pipeline, mutation_sweep, race_model_dist_regrid,
-    race_model_gravity_plan, race_model_pipeline, race_model_tuner_resplit, scan_workspace,
-    scan_workspace_invariants, verify_real_plans, Allowlist, DistRaceBug, DistScheduleBug,
-    GravityRaceBug, ModelChecker, RaceBug, ScheduleBug, TunerRaceBug,
+    mutation_sweep, scan_workspace, scan_workspace_invariants, verify_real_plans, Allowlist,
+    ModelChecker, RealStep,
 };
-use octree::{ghost_link_specs, LinkSpec, Tree};
+use hpx_rt::Runtime;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Options {
     level: u8,
-    stages: usize,
     schedules: usize,
     seed: u64,
     replay: Option<u64>,
@@ -39,7 +34,6 @@ impl Default for Options {
     fn default() -> Self {
         Options {
             level: 2,
-            stages: 3,
             schedules: 32,
             seed: 1,
             replay: None,
@@ -51,8 +45,8 @@ impl Default for Options {
     }
 }
 
-const USAGE: &str = "usage: hpx-check <all|lint|model|races|waitlint|verify> \
-    [--level N] [--stages N] [--schedules N] [--seed N] [--replay SEED] \
+const USAGE: &str = "usage: hpx-check <all|model|waitlint|verify> \
+    [--level N] [--schedules N] [--seed N] [--replay SEED] \
     [--root DIR] [--allow FILE] [--strict] [--bench-out FILE]";
 
 fn parse_args(args: &[String]) -> Result<(String, Options), String> {
@@ -72,11 +66,6 @@ fn parse_args(args: &[String]) -> Result<(String, Options), String> {
                 opts.level = value("--level")?
                     .parse()
                     .map_err(|e| format!("--level: {e}"))?
-            }
-            "--stages" => {
-                opts.stages = value("--stages")?
-                    .parse()
-                    .map_err(|e| format!("--stages: {e}"))?
             }
             "--schedules" => {
                 opts.schedules = value("--schedules")?
@@ -108,280 +97,35 @@ fn parse_args(args: &[String]) -> Result<(String, Options), String> {
     Ok((cmd, opts))
 }
 
-fn scenario_links(level: u8) -> Vec<LinkSpec> {
-    // The standard scenarios (uniform base grid, optionally refined) share
-    // their link classification with the runtime via `ghost_link_specs`.
-    ghost_link_specs(&scenario_tree(level))
-}
-
-fn scenario_tree(level: u8) -> Tree {
-    Tree::new_uniform(level)
-}
-
-fn run_lint(opts: &Options) -> bool {
-    // Uniform scenario plus a refined variant — the two standard shapes.
+/// The model checker over the real pipelined step: per configuration, the
+/// `step_barrier` reference once, then `--schedules` seeds from `--seed`
+/// (or just the `--replay` seed), each bit-compared against it.
+fn run_model(opts: &Options) -> bool {
+    let checker = ModelChecker::new()
+        .schedules(opts.schedules)
+        .base_seed(opts.seed);
     let mut clean = true;
-    for (name, tree) in [
-        ("uniform", Tree::new_uniform(opts.level)),
-        ("refined", {
-            let mut t = Tree::new_uniform(opts.level.max(1));
-            let first = t.leaves()[0];
-            t.refine_balanced(first);
-            t
-        }),
-    ] {
-        let links = ghost_link_specs(&tree);
-        match lint_pipeline(&links, opts.stages, true) {
-            Ok(summary) => println!(
-                "lint[{name}]: clean — {} nodes, {} edges, {} leaves, {} stages",
-                summary.nodes, summary.edges, summary.leaves, summary.stages
-            ),
-            Err(findings) => {
-                clean = false;
-                eprintln!("lint[{name}]: {} finding(s):", findings.len());
-                for f in findings.iter().take(20) {
-                    eprintln!("  {f}");
-                }
-                if findings.len() > 20 {
-                    eprintln!("  … {} more", findings.len() - 20);
-                }
+    for check in RealStep::ALL {
+        let reference = check.reference();
+        let run = |rt: &Runtime| check.run(rt, &reference);
+        let (ok, report) = match opts.replay {
+            Some(seed) => match checker.replay(seed, run) {
+                None => (true, format!("seed {seed} replayed clean")),
+                Some(failure) => (false, failure.to_string()),
+            },
+            None => {
+                let report = checker.explore(run);
+                (report.is_clean(), report.to_string())
             }
+        };
+        if ok {
+            println!("model[{check:?}]: {report}");
+        } else {
+            eprintln!("model[{check:?}]: {report}");
+            clean = false;
         }
     }
     clean
-}
-
-fn run_model(opts: &Options) -> bool {
-    // Model-check on a small tree: interleaving coverage matters more than
-    // leaf count, and per-schedule cost is cubic in leaves.
-    let links = scenario_links(opts.level.min(1));
-    let stages = opts.stages;
-    let checker = ModelChecker::new()
-        .schedules(opts.schedules)
-        .base_seed(opts.seed);
-    if let Some(seed) = opts.replay {
-        match checker.replay(seed, |rt| {
-            exercise_pipeline(rt, &links, stages, ScheduleBug::None)
-        }) {
-            None => {
-                println!("model: seed {seed} replayed clean");
-                true
-            }
-            Some(failure) => {
-                eprintln!("model: {failure}");
-                false
-            }
-        }
-    } else {
-        let report = checker.explore(|rt| exercise_pipeline(rt, &links, stages, ScheduleBug::None));
-        if report.is_clean() {
-            println!("model: {report}");
-            true
-        } else {
-            eprintln!("model: {report}");
-            false
-        }
-    }
-}
-
-fn run_races(opts: &Options) -> bool {
-    let links = scenario_links(opts.level.min(2));
-    let pipeline_ok = match race_model_pipeline(&links, opts.stages, RaceBug::None) {
-        Ok(summary) => {
-            println!(
-                "races: stepper clean — {} launches over {} views",
-                summary.launches, summary.views
-            );
-            true
-        }
-        Err(report) => {
-            eprintln!("races: stepper {report}");
-            false
-        }
-    };
-    // The one sharded FMM solve's chunked owned-list launches, over the
-    // same scenario tree (16 tasks: the paper's Figure 9 setting), as the
-    // local solve (one locality) and sharded over four.
-    let gravity_tree = scenario_tree(opts.level.min(2));
-    let plan = octotiger::gravity::GravityPlan::build(&gravity_tree, 0.5);
-    let shard = |nloc: usize| {
-        let owner = octree::partition_morton(&gravity_tree, nloc);
-        octotiger::gravity::DistPlan::build(&plan, &owner, nloc)
-    };
-    let mut gravity_ok = true;
-    for dist in [shard(1), shard(4)] {
-        let nloc = dist.num_localities;
-        match race_model_gravity_plan(&plan, &dist, 16, GravityRaceBug::None) {
-            Ok(summary) => println!(
-                "races: gravity solve on {nloc} localities clean — {} launches over {} views",
-                summary.launches, summary.views
-            ),
-            Err(report) => {
-                eprintln!("races: gravity solve on {nloc} localities {report}");
-                gravity_ok = false;
-            }
-        }
-        // Prove the lane-aligned carving is load-bearing at this locality
-        // count: the same launch sequence with unaligned task boundaries
-        // must collide inside a vector-lane block of an output buffer.
-        match race_model_gravity_plan(&plan, &dist, 16, GravityRaceBug::SplitsVectorLane) {
-            Ok(_) => {
-                eprintln!(
-                    "races: lane-split carving on {nloc} localities did NOT race — the \
-                     alignment check lost its witness"
-                );
-                gravity_ok = false;
-            }
-            Err(report) => println!(
-                "races: unaligned carving on {nloc} localities races as expected ({} on {})",
-                report.conflict, report.view_label
-            ),
-        }
-    }
-    // The online tuner's re-split protocol (PR-10): moving a kernel
-    // family's task count at the step boundary must be race-free for any
-    // ladder move, and the boundary must be load-bearing — a mid-launch
-    // re-split of the same range must collide as a write-write race.
-    let tuner_ok = match race_model_tuner_resplit(&plan, 4, 16, TunerRaceBug::None) {
-        Ok(summary) => {
-            println!(
-                "races: tuner step-boundary re-split clean — {} launches over {} views",
-                summary.launches, summary.views
-            );
-            true
-        }
-        Err(report) => {
-            eprintln!("races: tuner step-boundary re-split {report}");
-            false
-        }
-    };
-    let resplit_ok = match race_model_tuner_resplit(&plan, 4, 16, TunerRaceBug::ResplitMidLaunch) {
-        Ok(_) => {
-            eprintln!(
-                "races: mid-launch re-split did NOT race — the tuner boundary check lost its witness"
-            );
-            false
-        }
-        Err(report) if report.conflict == "write-write" && report.site.starts_with("resplit(") => {
-            println!(
-                "races: mid-launch re-split races as expected ({} on {}: {} vs {})",
-                report.conflict, report.view_label, report.prior_site, report.site
-            );
-            true
-        }
-        Err(report) => {
-            eprintln!("races: mid-launch re-split raced but named the wrong sites: {report}");
-            false
-        }
-    };
-    pipeline_ok & gravity_ok & tuner_ok & resplit_ok & run_dist_models(opts)
-}
-
-/// The distributed-solve models: the multi-locality phase graph must drain
-/// under every explored schedule, a planted lost parcel must stall naming
-/// its link, the faithful regrid/rebuild sequence must be race-free, and a
-/// planted stale halo plan must surface as a write-read race naming both
-/// the regrid and the consuming halo pack.
-fn run_dist_models(opts: &Options) -> bool {
-    const NLOC: usize = 4;
-    let solver = octotiger::gravity::GravitySolver::default();
-    let dist_for = |tree: &Tree| {
-        let plan = solver.plan_for(tree);
-        let owner = octree::partition_morton(tree, NLOC);
-        solver.dist_plan_for(&plan, &owner, NLOC)
-    };
-    let tree = scenario_tree(opts.level.clamp(1, 2));
-    let dist = dist_for(&tree);
-    let refined = {
-        let mut t = Tree::new_uniform(opts.level.clamp(1, 2));
-        let first = t.leaves()[0];
-        t.refine_balanced(first);
-        t
-    };
-    let dist_refined = dist_for(&refined);
-
-    let checker = ModelChecker::new()
-        .schedules(opts.schedules)
-        .base_seed(opts.seed);
-    let report = checker.explore(|rt| exercise_dist_solve(rt, &dist, DistScheduleBug::None));
-    let clean_ok = if report.is_clean() {
-        println!(
-            "races: distributed solve clean over {NLOC} localities ({} parcels/solve) — {report}",
-            dist.parcels_per_solve()
-        );
-        true
-    } else {
-        eprintln!("races: distributed solve {report}");
-        false
-    };
-
-    // The planted stall panics inside the checker's catch_unwind by
-    // design; silence the default hook so the expected failure does not
-    // spray backtraces over the report.
-    let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let report = checker
-        .schedules(opts.schedules.min(4))
-        .explore(|rt| exercise_dist_solve(rt, &dist, DistScheduleBug::LostParcel));
-    std::panic::set_hook(hook);
-    let lost_ok = match report.failures.first() {
-        Some(failure) if failure.report.contains("undelivered parcel link(s)") => {
-            println!(
-                "races: lost parcel stalls as expected (seed {} names the link)",
-                failure.seed
-            );
-            true
-        }
-        Some(failure) => {
-            eprintln!(
-                "races: lost parcel stalled without naming its link: {}",
-                failure.report
-            );
-            false
-        }
-        None => {
-            eprintln!("races: lost parcel did NOT stall — the stall probe lost its witness");
-            false
-        }
-    };
-
-    let regrid_ok = match race_model_dist_regrid(&dist, &dist_refined, DistRaceBug::None) {
-        Ok(summary) => {
-            println!(
-                "races: regrid halo-plan rebuild clean — {} launches over {} views",
-                summary.launches, summary.views
-            );
-            true
-        }
-        Err(report) => {
-            eprintln!("races: regrid halo-plan rebuild {report}");
-            false
-        }
-    };
-    let stale_ok = match race_model_dist_regrid(&dist, &dist_refined, DistRaceBug::StaleHalo) {
-        Ok(_) => {
-            eprintln!(
-                "races: stale halo plan did NOT race — the invalidation check lost its witness"
-            );
-            false
-        }
-        Err(report)
-            if report.conflict == "write-read"
-                && report.prior_site.starts_with("regrid(")
-                && report.site.contains("halo-pack(step2") =>
-        {
-            println!(
-                "races: stale halo plan races as expected ({} on {}: {} vs {})",
-                report.conflict, report.view_label, report.prior_site, report.site
-            );
-            true
-        }
-        Err(report) => {
-            eprintln!("races: stale halo plan raced but named the wrong sites: {report}");
-            false
-        }
-    };
-    clean_ok & lost_ok & regrid_ok & stale_ok
 }
 
 fn run_waitlint(opts: &Options) -> bool {
@@ -539,19 +283,15 @@ fn main() -> ExitCode {
         }
     };
     let clean = match cmd.as_str() {
-        "lint" => run_lint(&opts),
         "model" => run_model(&opts),
-        "races" => run_races(&opts),
         "waitlint" => run_waitlint(&opts),
         "verify" => run_verify(&opts),
         "all" => {
             // `&` not `&&`: run every analysis even after a failure.
-            let lint = run_lint(&opts);
             let model = run_model(&opts);
-            let races = run_races(&opts);
             let wait = run_waitlint(&opts);
             let verify = run_verify(&opts);
-            lint & model & races & wait & verify
+            model & wait & verify
         }
         other => {
             eprintln!("unknown command `{other}`\n{USAGE}");

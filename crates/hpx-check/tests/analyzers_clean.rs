@@ -1,17 +1,35 @@
-//! The acceptance run: a full pipelined 3-step simulation of the default
-//! scenario, with every `hpx-check` analyzer passing clean on the exact
-//! link set that run wires.
+//! The acceptance runs: the real pipelined step under the model checker,
+//! bit-identical to `step_barrier` on every explored schedule, plus full
+//! pipelined and distributed runs and the static analyzers over the
+//! workspace.
 
 use hpx_check::{
-    exercise_dist_solve, exercise_pipeline, lint_pipeline, race_model_pipeline, scan_source,
-    scan_workspace_invariants, verify_real_plans, Allowlist, DistScheduleBug, ModelChecker,
-    RaceBug, ScheduleBug,
+    scan_source, scan_workspace_invariants, verify_real_plans, Allowlist, ModelChecker, RealStep,
 };
 use hpx_rt::{parcel_counters, SimCluster};
 use octotiger::{Scenario, ScenarioKind, SimOptions, Simulation};
 
+/// Explore seeds 1-16 of the real pipelined step in configuration `check`,
+/// which ends on `leaves` leaves: every schedule must drain, contain no
+/// task panic, and end bit-identical to `step_barrier`.
+fn real_step_is_clean_on_sixteen_seeds(check: RealStep, leaves: usize) {
+    let reference = check.reference();
+    assert_eq!(reference.len(), leaves, "{check:?}");
+    let report = ModelChecker::new()
+        .schedules(16)
+        .explore(|rt| check.run(rt, &reference));
+    assert!(report.is_clean(), "{check:?}: {report}");
+    assert_eq!(report.schedules_run, 16);
+}
+
 #[test]
 fn pipelined_run_passes_all_analyzers() {
+    // The model checker over the real step: two pipelined steps, gravity
+    // on, 16 seeded schedules.
+    real_step_is_clean_on_sixteen_seeds(RealStep::TWO_STEPS, 8);
+
+    // And a threaded run of the default scenario: three pipelined steps,
+    // every link drained.
     let cluster = SimCluster::new(2, 2);
     let scenario = Scenario::build(ScenarioKind::RotatingStar, &cluster, 2, 0, 4);
     let mut opts = SimOptions::default();
@@ -19,26 +37,6 @@ fn pipelined_run_passes_all_analyzers() {
     opts.gravity = true;
     opts.pipeline = true;
     let mut sim = Simulation::new(scenario.grid, opts);
-
-    // The exact link classification this run's exchanges are wired from.
-    let links = sim.grid.link_specs();
-
-    // Analyzer 1: the static DAG linter, as the driver pre-flight.
-    let summary = lint_pipeline(&links, 3, true).expect("pre-flight lint must be clean");
-    assert_eq!(summary.leaves, sim.grid.leaves().len());
-    assert_eq!(summary.stages, 3);
-
-    // Analyzer 2: the model checker over the same graph shape (noop
-    // payloads — interleaving coverage, not physics).
-    let report = ModelChecker::new()
-        .schedules(4)
-        .explore(|rt| exercise_pipeline(rt, &links, 3, ScheduleBug::None));
-    assert!(report.is_clean(), "model checker failures: {report}");
-
-    // Analyzer 3: the race model over the same launch sequence.
-    race_model_pipeline(&links, 3, RaceBug::None).expect("launch sequence must be race-free");
-
-    // And the run itself: three pipelined steps, every link drained.
     for _ in 0..3 {
         let stats = sim.step(&cluster);
         assert!(stats.dt > 0.0 && stats.dt.is_finite());
@@ -48,10 +46,16 @@ fn pipelined_run_passes_all_analyzers() {
 }
 
 #[test]
+fn pipelined_step_after_a_coarsening_regrid_matches_barrier_on_every_seed() {
+    // The same check across a topology change: the third step runs on the
+    // tree the cadence-2 regrid collapsed to one leaf, with every plan,
+    // ghost link and workspace rebuilt or dropped.
+    real_step_is_clean_on_sixteen_seeds(RealStep::COARSEN_THEN_STEP, 1);
+}
+
+#[test]
 fn distributed_run_passes_the_dist_analyzers() {
-    // A four-locality sharded run: the exact halo plan that run solves
-    // with must drain under the schedule explorer, and the run itself
-    // must both step and communicate.
+    // A four-locality sharded run must both step and communicate.
     let cluster = SimCluster::new(4, 2);
     let scenario = Scenario::build(ScenarioKind::RotatingStar, &cluster, 2, 0, 4);
     let mut opts = SimOptions::default();
@@ -60,20 +64,6 @@ fn distributed_run_passes_the_dist_analyzers() {
     opts.localities = 4;
     let mut sim = Simulation::new(scenario.grid, opts);
 
-    // Analyzer: the model checker over the run's own distribution plan.
-    let solver = octotiger::gravity::GravitySolver::default();
-    let dist = sim.grid.with_tree(|tree| {
-        let plan = solver.plan_for(tree);
-        let owner = octree::partition_morton(tree, 4);
-        solver.dist_plan_for(&plan, &owner, 4)
-    });
-    assert!(dist.parcels_per_solve() > 0, "4 localities must exchange");
-    let report = ModelChecker::new()
-        .schedules(4)
-        .explore(|rt| exercise_dist_solve(rt, &dist, DistScheduleBug::None));
-    assert!(report.is_clean(), "dist model failures: {report}");
-
-    // And the run: three distributed steps with real parcel traffic.
     let before = parcel_counters().snapshot();
     for _ in 0..3 {
         let stats = sim.step(&cluster);

@@ -1,238 +1,17 @@
-//! Regression tests planting the three bug classes `hpx-check` exists to
-//! catch, proving each analyzer actually detects its bug (the PR's
-//! acceptance criteria).
+//! Regression tests planting the bug classes the static plan verifier and
+//! the source lints exist to catch, proving each analyzer actually detects
+//! its bug.  Schedule bugs in the stepper are planted into the real
+//! `step_pipelined` instead (see `analyzers_clean.rs` and EXPERIMENTS.md
+//! "Finding concurrency bugs").
 
 use hpx_check::{
-    exercise_dist_solve, exercise_pipeline, mutate_plan, mutation_sweep, race_model_dist_regrid,
-    race_model_pipeline, scan_source_allocs, scan_source_fp, DagNode, DistRaceBug, DistScheduleBug,
-    FutureDag, LintFinding, ModelChecker, PlanMutationKind, RaceBug, ScheduleBug,
+    mutate_plan, mutation_sweep, scan_source_allocs, scan_source_fp, PlanMutationKind,
 };
-use kokkos_rs::{RaceDetector, View, ViewAccess};
 use octotiger::gravity::{
-    verify_dist_plan, verify_gravity_plan, DistPlan, Exchange, GravityPlan, GravitySolver,
-    PlanViolation, ProtocolViolation,
+    verify_dist_plan, verify_gravity_plan, DistPlan, Exchange, GravityPlan, PlanViolation,
+    ProtocolViolation,
 };
-use octree::{ghost_link_specs, partition_morton, Tree};
-use std::sync::Arc;
-
-/// The step-1 and (refined) step-2 halo plans the distributed models run
-/// over: four localities sharding the uniform level-2 scenario tree.
-fn dist_plans() -> (Arc<DistPlan>, Arc<DistPlan>) {
-    let solver = GravitySolver::default();
-    let dist_for = |tree: &Tree| {
-        let plan = solver.plan_for(tree);
-        solver.dist_plan_for(&plan, &partition_morton(tree, 4), 4)
-    };
-    let tree = Tree::new_uniform(2);
-    let mut refined = Tree::new_uniform(2);
-    let first = refined.leaves()[0];
-    refined.refine_balanced(first);
-    (dist_for(&tree), dist_for(&refined))
-}
-
-/// Planted bug #1: a cyclic ghost link.  A miswired exchange that makes a
-/// link's unpack wait on the *same stage's* combine (instead of the
-/// previous stage's) closes a cycle
-/// `update -> ghosts_filled -> unpack -> update`: the static linter must
-/// report it without running anything.
-#[test]
-fn linter_reports_cyclic_ghost_link() {
-    let links = ghost_link_specs(&Tree::new_uniform(1));
-    let mut dag = FutureDag::from_links(&links, 3, true);
-    let bad = &links[0];
-    dag.add_dep(
-        DagNode::Unpack {
-            stage: 0,
-            leaf: bad.leaf,
-            dir: bad.dir,
-        },
-        DagNode::Update {
-            stage: 0,
-            leaf: bad.leaf,
-        },
-    );
-    let findings = dag.lint();
-    let cycle = findings
-        .iter()
-        .find_map(|f| match f {
-            LintFinding::Cycle { path } => Some(path),
-            _ => None,
-        })
-        .expect("the cyclic ghost link must be reported");
-    // The reported path must actually include the miswired link's nodes.
-    assert!(cycle
-        .iter()
-        .any(|n| matches!(n, DagNode::Unpack { stage: 0, leaf, .. } if *leaf == bad.leaf)));
-    assert!(cycle
-        .iter()
-        .any(|n| matches!(n, DagNode::Update { stage: 0, leaf } if *leaf == bad.leaf)));
-    // And the untouched graph is clean, so the finding is the plant.
-    assert!(FutureDag::from_links(&links, 3, true).lint().is_empty());
-}
-
-/// Planted bug #2: a dropped (leaked, never-resolved) readiness promise.
-/// The model checker must report the resulting deadlock under sampled
-/// schedules, and the reported seed must replay to the same failure.
-#[test]
-fn model_checker_reports_dropped_promise_with_replayable_seed() {
-    let links = ghost_link_specs(&Tree::new_uniform(1));
-    let checker = ModelChecker::new().schedules(8);
-
-    let report =
-        checker.explore(|rt| exercise_pipeline(rt, &links, 3, ScheduleBug::ForgottenReadyPromise));
-    assert!(
-        !report.is_clean(),
-        "the dropped promise must deadlock some schedule"
-    );
-    let failure = &report.failures[0];
-    assert!(
-        failure.report.contains("deterministic schedule stalled"),
-        "deadlock must be reported as a schedule stall: {}",
-        failure.report
-    );
-    assert!(
-        failure
-            .report
-            .contains(&format!("Runtime::deterministic({})", failure.seed)),
-        "the stall report must carry replay instructions: {}",
-        failure.report
-    );
-
-    // Replaying the named seed reproduces the identical report.
-    let replayed = checker
-        .replay(failure.seed, |rt| {
-            exercise_pipeline(rt, &links, 3, ScheduleBug::ForgottenReadyPromise)
-        })
-        .expect("the seed must reproduce the deadlock");
-    assert_eq!(replayed.report, failure.report);
-
-    // The bug-free graph explores clean under the same seeds.
-    let clean = checker.explore(|rt| exercise_pipeline(rt, &links, 3, ScheduleBug::None));
-    assert!(clean.is_clean(), "unexpected failures: {clean}");
-}
-
-/// Planted bug #3: an unordered write-write pair on a shared view.  The
-/// race detector must abort with a report naming *both* launch sites.
-#[test]
-fn race_detector_reports_unordered_write_write_with_both_sites() {
-    let det = RaceDetector::new();
-    let rho = View::<f64>::new_3d("rho", 4, 4, 4);
-    let a = det
-        .launch("hydro_rhs@stage0", &[], &[ViewAccess::write(&rho)])
-        .expect("first write is fine");
-    let report = det
-        .launch("combine@stage0", &[], &[ViewAccess::write(&rho)])
-        .expect_err("unordered second write must race");
-    assert_eq!(report.conflict, "write-write");
-    assert_eq!(report.prior_site, "hydro_rhs@stage0");
-    assert_eq!(report.site, "combine@stage0");
-    assert_eq!(report.view_label, "rho");
-    let text = report.to_string();
-    assert!(text.contains("hydro_rhs@stage0") && text.contains("combine@stage0"));
-
-    // With the ordering edge declared, the same pair is accepted.
-    let det2 = RaceDetector::new();
-    let b = det2
-        .launch("hydro_rhs@stage0", &[], &[ViewAccess::write(&rho)])
-        .unwrap();
-    det2.launch("combine@stage0", &[b], &[ViewAccess::write(&rho)])
-        .expect("ordered writes are not a race");
-    let _ = a;
-}
-
-/// The same write-write class planted into the full stepper launch model:
-/// dropping the ghosts_filled gate makes the combine race its unpacks.
-#[test]
-fn race_model_catches_dropped_gate_in_stepper_shape() {
-    let links = ghost_link_specs(&Tree::new_uniform(1));
-    let report = race_model_pipeline(&links, 3, RaceBug::DropGhostGate).expect_err("must race");
-    assert_eq!(report.conflict, "write-write");
-    assert!(report.site.starts_with("combine("), "{report}");
-}
-
-/// Planted bug #4: workspace aliasing.  A buggy workspace map hands two
-/// leaves the same recycled buffers; nothing in the future graph orders
-/// two different leaves' stage kernels, so the detector must flag the
-/// write-write on the shared workspace — while the faithful per-leaf
-/// mapping, where the ready-chain orders each workspace's three writers,
-/// stays clean.
-#[test]
-fn race_model_catches_aliased_recycled_workspace() {
-    let links = ghost_link_specs(&Tree::new_uniform(1));
-    let report = race_model_pipeline(&links, 3, RaceBug::AliasWorkspace).expect_err("must race");
-    assert_eq!(report.conflict, "write-write");
-    assert!(report.view_label.starts_with("workspace("), "{report}");
-    assert!(report.prior_site.starts_with("combine("), "{report}");
-    assert!(report.site.starts_with("combine("), "{report}");
-    race_model_pipeline(&links, 3, RaceBug::None).expect("per-leaf workspaces are race-free");
-}
-
-/// Planted bug #5: a lost parcel.  One M2L halo parcel's promise is leaked
-/// un-resolved, so the receiving locality's multipole kernel can never
-/// run: the model checker must report the stall, the report must name the
-/// dropped link (not just "something deadlocked"), and the seed must
-/// replay to the same stall.
-#[test]
-fn model_checker_reports_lost_parcel_naming_the_link() {
-    let (dist, _) = dist_plans();
-    assert!(
-        !dist.m2l_halo.is_empty(),
-        "four localities on the level-2 tree must exchange M2L halos"
-    );
-    let checker = ModelChecker::new().schedules(4);
-
-    let report = checker.explore(|rt| exercise_dist_solve(rt, &dist, DistScheduleBug::LostParcel));
-    assert_eq!(report.failures.len(), 4, "every schedule must stall");
-    let failure = &report.failures[0];
-    let lost = &dist.m2l_halo[0];
-    assert!(
-        failure.report.contains("undelivered parcel link(s)"),
-        "stall must be attributed to parcel delivery: {}",
-        failure.report
-    );
-    assert!(
-        failure
-            .report
-            .contains(&format!("m2l halo {} -> {}", lost.from, lost.to)),
-        "stall must name the dropped link: {}",
-        failure.report
-    );
-    assert!(
-        failure.report.contains("deterministic schedule stalled"),
-        "the runtime's stall diagnosis must be preserved: {}",
-        failure.report
-    );
-
-    let replayed = checker
-        .replay(failure.seed, |rt| {
-            exercise_dist_solve(rt, &dist, DistScheduleBug::LostParcel)
-        })
-        .expect("the seed must reproduce the stall");
-    assert_eq!(replayed.report, failure.report);
-
-    // The faithful wiring drains clean under the same seeds.
-    let clean = checker.explore(|rt| exercise_dist_solve(rt, &dist, DistScheduleBug::None));
-    assert!(clean.is_clean(), "unexpected failures: {clean}");
-}
-
-/// Planted bug #6: a stale halo plan.  The regrid bumps the topology
-/// version and repartitions (rewriting the halo plan's backing storage);
-/// skipping the keyed rebuild leaves step 2's halo packs reading the plan
-/// unordered against that rewrite.  The race detector must flag the
-/// write-read naming both the regrid and the consuming pack — while the
-/// faithful rebuild sequence stays clean.
-#[test]
-fn race_model_catches_stale_halo_plan_after_regrid() {
-    let (dist1, dist2) = dist_plans();
-    let report =
-        race_model_dist_regrid(&dist1, &dist2, DistRaceBug::StaleHalo).expect_err("must race");
-    assert_eq!(report.conflict, "write-read");
-    assert!(report.view_label.starts_with("halo-plan("), "{report}");
-    assert!(report.prior_site.starts_with("regrid("), "{report}");
-    assert!(report.site.contains("halo-pack(step2"), "{report}");
-    race_model_dist_regrid(&dist1, &dist2, DistRaceBug::None)
-        .expect("the rebuild-gated sequence is race-free");
-}
+use octree::{partition_morton, Tree};
 
 /// The uniform level-2 plan sharded over four localities — the standard
 /// shape the static-verifier plants run against.

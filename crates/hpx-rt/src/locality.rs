@@ -167,6 +167,15 @@ pub struct SimCluster {
 impl SimCluster {
     /// Build a cluster of `n` localities with `workers` task workers each.
     pub fn new(n: usize, workers: usize) -> Self {
+        Self::from_runtimes((0..n).map(|_| Runtime::new(workers)).collect())
+    }
+
+    /// Build a cluster with one locality per runtime, locality `i` running
+    /// its tasks on `runtimes[i]` — e.g. a [`Runtime::deterministic`] pool,
+    /// so a model checker can drive the real program through seeded
+    /// schedules.
+    pub fn from_runtimes(runtimes: Vec<Runtime>) -> Self {
+        let n = runtimes.len();
         assert!(n > 0, "a cluster needs at least one locality");
         let registry = Arc::new(ActionRegistry::default());
         let mut rxs = Vec::with_capacity(n);
@@ -176,11 +185,11 @@ impl SimCluster {
             inboxes.push(tx);
             rxs.push(rx);
         }
-        let localities: Vec<Arc<Locality>> = (0..n)
-            .map(|i| {
+        let localities: Vec<Arc<Locality>> = (runtimes.into_iter().enumerate())
+            .map(|(i, runtime)| {
                 Arc::new(Locality {
                     id: LocalityId(i),
-                    runtime: Runtime::new(workers),
+                    runtime,
                     registry: registry.clone(),
                     peers: RwLock::new(inboxes.iter().map(|tx| Inbox { tx: tx.clone() }).collect()),
                     counters: Counters::new(),

@@ -167,7 +167,9 @@ impl Runtime {
     /// empty queue" into a *definite* deadlock rather than a heuristic: waits
     /// panic immediately with a seed-stamped report instead of hanging.
     ///
-    /// This is the loom-lite substrate of the `hpx-check` model checker.
+    /// This is the loom-lite substrate of the `hpx-check` model checker,
+    /// which runs the real pipelined step on it through a one-locality
+    /// [`SimCluster::from_runtimes`](crate::SimCluster::from_runtimes).
     pub fn deterministic(seed: u64) -> Self {
         let inner = Arc::new(PoolInner {
             injector: Injector::new(),

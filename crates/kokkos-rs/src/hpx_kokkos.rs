@@ -22,6 +22,23 @@ use hpx_rt::{Future, Runtime};
 /// Unlike [`parallel_reduce`], the kernel must be `'static`: it outlives
 /// the caller's stack frame, exactly as a real asynchronous Kokkos launch
 /// requires device-visible (not stack) data.
+///
+/// That bound is what keeps an asynchronous launch from racing a later
+/// write by its caller: a kernel that borrows a buffer on the caller's
+/// stack does not compile — error E0373, the closure may outlive the
+/// caller but borrows `buf` (and the write after the launch is E0502).
+/// Move (or share) the data into the kernel instead.
+///
+/// ```compile_fail,E0373
+/// use hpx_rt::Runtime;
+/// use kokkos_rs::{launch_reduce_async, ExecSpace, RangePolicy};
+/// let rt = Runtime::new(1);
+/// let mut buf = vec![1.0f64; 16];
+/// let sum = launch_reduce_async(&rt, ExecSpace::Serial, RangePolicy::new(0, 16), 0.0,
+///     |i| buf[i], |a, b| a + b);
+/// buf[0] = 2.0;
+/// sum.wait();
+/// ```
 pub fn launch_reduce_async<T, M, C>(
     rt: &Runtime,
     space: ExecSpace,

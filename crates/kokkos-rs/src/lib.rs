@@ -10,32 +10,33 @@
 //!
 //! This crate reproduces that abstraction layer on top of `hpx-rt`:
 //!
-//! * [`view::View`] — labelled n-dimensional (row-major) arrays.
 //! * [`policy`] — `RangePolicy` and [`policy::ChunkSpec`] (the
 //!   tasks-per-kernel knob).
 //! * [`space::ExecSpace`] — `Serial` and `Hpx`.  There is no device space:
 //!   the paper's GPU numbers are reproduced by the `cluster` crate's
 //!   machine models (see the DESIGN.md substitution table).
 //! * [`parallel`] — `parallel_for` / `parallel_for_mut` / `parallel_reduce`.
+//!   Kernels write through disjoint `&mut` slots and borrow their inputs,
+//!   so the borrow checker rules out two tasks writing one element.
 //! * [`hpx_kokkos`] — the asynchronous kernel launch returning an
 //!   `hpx-rt` future ([`launch_reduce_async`]), the HPX-Kokkos integration
 //!   layer of the paper.
+//! * [`pool`] — the CPPuddle-style recycling scratch pool.
+//!
+//! Where Kokkos kernels take `View`s, these take plain slices; scratch
+//! buffers come from [`pool`].
 
 pub mod hpx_kokkos;
 pub mod parallel;
 pub mod policy;
 pub mod pool;
-pub mod race;
 pub mod space;
-pub mod view;
 
 pub use hpx_kokkos::launch_reduce_async;
 pub use parallel::{parallel_for, parallel_for_mut, parallel_reduce};
 pub use policy::{ChunkSpec, RangePolicy};
 pub use pool::{BufferPool, Recycled, ScratchArena, ScratchSnapshot};
-pub use race::{AccessKind, LaunchToken, RaceDetector, RaceReport, ViewAccess};
 pub use space::{ExecSpace, HpxSpace};
-pub use view::{View, ViewId};
 
 #[cfg(test)]
 mod tests {

@@ -64,6 +64,21 @@ where
 /// # Panics
 /// Panics if `policy` does not cover `data` exactly
 /// (`policy.begin != 0 || policy.end != data.len()`).
+///
+/// # A task can write only its own slot
+///
+/// The borrow checker retires the overlapping-chunk and split-vector-lane
+/// race classes (`OverlapChunks`, `SplitsVectorLane`): while the launch
+/// holds `data` mutably, a kernel that also indexes it does not compile —
+/// error E0502, `data` borrowed as immutable while borrowed as mutable.
+///
+/// ```compile_fail,E0502
+/// use kokkos_rs::{parallel_for_mut, ExecSpace, RangePolicy};
+/// let mut data = vec![0.0f64; 16];
+/// parallel_for_mut(&ExecSpace::Serial, RangePolicy::new(0, 16), &mut data, |i, slot| {
+///     *slot = data[(i + 1) % 16];
+/// });
+/// ```
 pub fn parallel_for_mut<T, F>(space: &ExecSpace, policy: RangePolicy, data: &mut [T], kernel: F)
 where
     T: Send,

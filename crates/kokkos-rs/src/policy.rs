@@ -62,13 +62,13 @@ pub struct RangePolicy {
     pub chunk: ChunkSpec,
     /// Vector-lane alignment of task boundaries (1 = unconstrained).
     ///
-    /// A kernel that walks its sub-range with `W`-lane vector stores
-    /// (`ChunkedLanes` + a masked tail) covers whole lane blocks per
-    /// store: a task boundary in the middle of a block would make two
-    /// tasks' masked stores touch the same block.  Setting `lane = W`
-    /// rounds every interior [`split`](Self::split) boundary down to a
-    /// multiple of `W` from `begin`, so task carving can never split a
-    /// vector lane — the invariant `hpx-check races` validates.
+    /// Setting `lane = W` rounds every interior [`split`](Self::split)
+    /// boundary down to a multiple of `W` from `begin`: every task but the
+    /// last covers whole `W`-index blocks, and a range too short for the
+    /// requested task count yields fewer, block-sized tasks.  It is never
+    /// needed for correctness — [`crate::parallel_for_mut`] hands each
+    /// index its own `&mut` slot, so no carving lets two tasks write one
+    /// element.
     pub lane: usize,
 }
 

@@ -11,21 +11,14 @@
 //! [`BufferPool`] reproduces that allocator: size-bucketed thread-safe
 //! free-lists keyed by `(len, T)` (the element type is the pool's type
 //! parameter, the requested length is the bucket key), handing out RAII
-//! [`Recycled`] handles that return their storage on drop.
-//!
-//! **Generation tagging.**  Every checkout stamps the buffer with a fresh
-//! [`ViewId`], so to the happens-before checker in [`crate::race`] a
-//! recycled buffer is a *new* allocation: two ordered launches reusing the
-//! same storage across a checkout boundary are clean (no false positive),
-//! while two launches sharing one *checkout generation* without an ordering
-//! edge are still flagged (no false negative).  This is what keeps the pool
-//! sound under `hpx-check races`.
+//! [`Recycled`] handles that return their storage on drop.  A checkout is
+//! owned by exactly one handle, so a recycled buffer can only be reused
+//! after its previous holder dropped it.
 //!
 //! Every pool keeps its own statistics ([`BufferPool::stats`]) — the only
 //! count of its checkouts; `Simulation::counters` publishes its pools' sums
 //! as `/octotiger/scratch/*`.
 
-use crate::view::ViewId;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -206,14 +199,9 @@ impl<T> BufferPool<T> {
 
 /// RAII handle to a pooled buffer: derefs to its `Vec<T>` and returns the
 /// storage to the owning pool's free list on drop.
-///
-/// Each checkout carries a fresh [`ViewId`] generation tag (see the module
-/// docs); declare kernel accesses against [`Recycled::view_id`] with
-/// [`crate::race::ViewAccess::read_id`] / `write_id`.
 #[derive(Debug)]
 pub struct Recycled<T> {
     data: Vec<T>,
-    id: ViewId,
     bucket: usize,
     pool: Option<Arc<PoolInner<T>>>,
 }
@@ -222,7 +210,6 @@ impl<T> Recycled<T> {
     fn pooled(data: Vec<T>, bucket: usize, pool: &BufferPool<T>) -> Self {
         Recycled {
             data,
-            id: ViewId::fresh(),
             bucket,
             pool: Some(Arc::clone(&pool.inner)),
         }
@@ -235,15 +222,8 @@ impl<T> Recycled<T> {
         Recycled {
             bucket: data.len(),
             data,
-            id: ViewId::fresh(),
             pool: None,
         }
-    }
-
-    /// This checkout generation's allocation identity for the race
-    /// detector.  Distinct checkouts of the same storage get distinct ids.
-    pub fn view_id(&self) -> ViewId {
-        self.id
     }
 }
 
@@ -253,8 +233,8 @@ impl<T> Default for Recycled<T> {
     }
 }
 
-/// Cloning copies the contents into a *detached* buffer with a fresh
-/// identity — a clone is a new allocation, exactly as for `View`.
+/// Cloning copies the contents into a *detached* buffer — a clone is a new
+/// allocation outside the pool.
 impl<T: Clone> Clone for Recycled<T> {
     fn clone(&self) -> Self {
         Recycled::detached(self.data.clone())
@@ -263,7 +243,7 @@ impl<T: Clone> Clone for Recycled<T> {
 
 impl<T: PartialEq> PartialEq for Recycled<T> {
     fn eq(&self, other: &Self) -> bool {
-        // Identity and pool membership are excluded, as for `View`.
+        // Pool membership is excluded: equal contents are equal buffers.
         self.data == other.data
     }
 }
@@ -296,7 +276,6 @@ impl<T> Drop for Recycled<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::race::{RaceDetector, ViewAccess};
 
     #[test]
     fn checkout_miss_then_hit() {
@@ -410,106 +389,14 @@ mod tests {
     }
 
     #[test]
-    fn each_checkout_gets_a_fresh_generation_id() {
-        let pool = BufferPool::<f64>::new();
-        let first = pool.checkout(32);
-        let id0 = first.view_id();
-        drop(first);
-        let second = pool.checkout(32); // same storage, recycled
-        assert_ne!(id0, second.view_id());
-    }
-
-    #[test]
     fn detached_and_clone_have_no_pool() {
         let pool = BufferPool::<f64>::new();
         let b = pool.checkout(8);
         let c = b.clone();
-        assert_ne!(b.view_id(), c.view_id());
         assert_eq!(b, c);
         drop(c); // detached clone must not enter the free list
         drop(b);
         assert_eq!(pool.free_buffers(), 1);
         drop(Recycled::<f64>::detached(vec![1.0; 4]));
-    }
-
-    /// Satellite regression: a recycled buffer reused by two *ordered*
-    /// launches is clean under the race detector, because the second
-    /// checkout is a new generation (fresh `ViewId`).
-    #[test]
-    fn recycled_reuse_by_ordered_launches_is_clean() {
-        let pool = BufferPool::<f64>::new();
-        let det = RaceDetector::new();
-
-        let gen1 = pool.checkout(128);
-        let t1 = det
-            .launch(
-                "stage1/flux",
-                &[],
-                &[ViewAccess::write_id(gen1.view_id(), "scratch")],
-            )
-            .unwrap();
-        drop(gen1); // launch retired, buffer returns to the pool
-
-        // Same storage, next generation, launch ordered after the first.
-        let gen2 = pool.checkout(128);
-        det.launch(
-            "stage2/flux",
-            &[t1],
-            &[ViewAccess::write_id(gen2.view_id(), "scratch")],
-        )
-        .unwrap();
-    }
-
-    /// Satellite regression: reuse *within one checkout generation* without
-    /// an ordering edge is still a race — generation tagging removes false
-    /// positives without hiding true ones.
-    #[test]
-    fn unordered_reuse_of_one_generation_is_flagged() {
-        let pool = BufferPool::<f64>::new();
-        let det = RaceDetector::new();
-
-        let shared = pool.checkout(128);
-        det.launch(
-            "leaf_a/flux",
-            &[],
-            &[ViewAccess::write_id(shared.view_id(), "scratch")],
-        )
-        .unwrap();
-        let err = det
-            .launch(
-                "leaf_b/flux",
-                &[],
-                &[ViewAccess::write_id(shared.view_id(), "scratch")],
-            )
-            .unwrap_err();
-        assert_eq!(err.conflict, "write-write");
-        assert_eq!(err.view_label, "scratch");
-    }
-
-    /// Ordered reuse across generations is clean *and* unordered sharing of
-    /// a generation is flagged, in one schedule — the full soundness story.
-    #[test]
-    fn generation_tagging_is_sound_in_mixed_schedule() {
-        let pool = BufferPool::<f64>::new();
-        let det = RaceDetector::new();
-
-        let g1 = pool.checkout(64);
-        let a = det
-            .launch("a", &[], &[ViewAccess::write_id(g1.view_id(), "s")])
-            .unwrap();
-        let b = det
-            .launch("b", &[a], &[ViewAccess::read_id(g1.view_id(), "s")])
-            .unwrap();
-        drop(g1);
-
-        let g2 = pool.checkout(64);
-        let c = det
-            .launch("c", &[b], &[ViewAccess::write_id(g2.view_id(), "s")])
-            .unwrap();
-        // An unordered sibling touching generation 2 is still caught.
-        assert!(det
-            .launch("d", &[a], &[ViewAccess::write_id(g2.view_id(), "s")])
-            .is_err());
-        let _ = c;
     }
 }

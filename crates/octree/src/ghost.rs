@@ -63,8 +63,7 @@ impl Default for GhostConfig {
 ///
 /// This is the *single* classification both runtime exchanges
 /// ([`DistGrid::exchange_ghosts`], [`DistGrid::exchange_ghosts_pipelined`])
-/// and the `hpx-check` static future-DAG linter consume, so neither
-/// executed exchange can drift from the analyzed graph.
+/// consume, so the two schedulers serve the same link set.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LinkSpec {
     /// The destination leaf whose ghost shell the link fills.
@@ -85,7 +84,7 @@ impl LinkSpec {
 
 /// Classify every (leaf, direction) ghost link of `tree`: 26 per leaf, in
 /// `leaves() × Dir::all26()` order.
-pub fn ghost_link_specs(tree: &Tree) -> Vec<LinkSpec> {
+pub(crate) fn ghost_link_specs(tree: &Tree) -> Vec<LinkSpec> {
     tree.leaves()
         .into_iter()
         .flat_map(|leaf| Dir::all26().map(move |dir| (leaf, dir)))
@@ -557,7 +556,8 @@ impl DistGrid {
     }
 
     /// Every ghost link of the current tree, classified (see
-    /// [`ghost_link_specs`]): the exact link set both exchanges serve.
+    /// [`LinkSpec`]), 26 per leaf in `leaves() × Dir::all26()` order: the
+    /// exact link set both exchanges serve.
     pub fn link_specs(&self) -> Vec<LinkSpec> {
         self.cached(|plan| plan.links.iter().map(|l| l.spec.clone()).collect())
             .unwrap_or_else(|| self.with_tree(ghost_link_specs))

@@ -30,7 +30,7 @@ pub mod partition;
 pub mod subgrid;
 pub mod tree;
 
-pub use ghost::{ghost_link_specs, DistGrid, GhostConfig, LinkSpec, PipelinedExchange};
+pub use ghost::{DistGrid, GhostConfig, LinkSpec, PipelinedExchange};
 pub use index::{Dir, NodeId, Octant, MAX_LEVEL};
 pub use partition::{partition_morton, verify_partition};
 pub use subgrid::SubGrid;

@@ -6,13 +6,13 @@
 //! dependency:
 //!
 //! * [`hpx`] — HPX-style asynchronous many-task runtime.
-//! * [`kokkos`] — Kokkos-style execution spaces, views and policies.
+//! * [`kokkos`] — Kokkos-style execution spaces, policies and scratch pool.
 //! * [`simd`] — `std::experimental::simd`-style SVE vector types.
 //! * [`amr`] — AMR octree with sub-grids and ghost-layer exchange.
 //! * [`octotiger`] — the application: hydro + FMM gravity + SCF.
 //! * [`cluster`] — machine models and the discrete-event scaling simulator.
-//! * [`check`] — concurrency analyses: schedule-exploring model checker,
-//!   static future-DAG linter, view race detector, kernel-body wait lint.
+//! * [`check`] — concurrency analyses: a model checker over the real
+//!   pipelined step, the static plan verifier, kernel-body source lints.
 //!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
 //! paper-vs-measured record of every reproduced table and figure.

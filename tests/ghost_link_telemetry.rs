@@ -1,9 +1,9 @@
-//! StepStats ghost-link telemetry contract (satellite of the `hpx-check`
-//! PR): the pipelined stepper's counters must account for exactly the
-//! link set the tree implies — `26 links × leaves × 3 RK stages` — and
-//! every link must be drained (`resolved == total`), on uniform *and*
-//! refined trees.  These counters are what the analyzers and the
-//! pre-flight lint reason about, so they must not drift.
+//! StepStats ghost-link telemetry contract: the pipelined stepper's
+//! counters must account for exactly the link set the tree implies —
+//! `26 links × leaves × 3 RK stages` — and every link must be drained
+//! (`resolved == total`), on uniform *and* refined trees.  The stepper's
+//! undrained-link `debug_assert` rests on these counters, so they must not
+//! drift.
 
 use octo_repro::hpx::SimCluster;
 use octo_repro::octotiger::{Scenario, ScenarioKind, SimOptions, Simulation, StepStats};
