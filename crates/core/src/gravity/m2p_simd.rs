@@ -15,23 +15,15 @@
 //! `W = 8` instantiations agree bit for bit by construction.  Tail lanes
 //! are masked off.
 //!
-//! M2P is [`Multipole::m2l`]'s `L0` and `−L1` — potential and acceleration
-//! of (mass, second moment `S`, third moment `T`) at offset `r` from the
-//! centre of mass — with the `S:D2`, `S:D3`, `T:D3`, `T:D4` contractions in
-//! closed form.  With `A = rᵀS r`, `u = (S + Sᵀ) r`, the cubic form
-//! `B = T(r, r, r)`, its gradient `w = ∇B`, the trace vector
-//! `τ_i = Σ_k (T_ikk + T_kik + T_kki)` and `c = τ·r`:
-//!
-//! ```text
-//! φ   = −G [ m/r − ½ tr S/r³ + (3/2 A − ½ c)/r⁵ + 5/2 B/r⁷ ]
-//! g_i = −G [ r_i ( m/r³ − 3/2 tr S/r⁵ + (15/2 A − 5/2 c)/r⁷ + 35/2 B/r⁹ )
-//!            − 3/2 u_i/r⁵ − 5/2 w_i/r⁷ + ½ τ_i/r⁵ ]
-//! ```
-//!
-//! — exact for any `S`, `T` (no symmetry assumed), ~150 flop against the
-//! 64 x 24 of summing a 4³-cell tile point by point.
+//! M2P is the M2L kernel's `L0` and `−L1` — potential and acceleration of
+//! (mass, second moment `S`, third moment `T`) at offset `r` from the
+//! centre of mass — in the same closed form and from the same per-lane
+//! code ([`super::m2l_simd`]'s `field`, over the moments `Moments::of`
+//! derives): ~150 flop against the 64 x 24 of summing a 4³-cell tile point
+//! by point.
 
 use super::direct::PointsRef;
+use super::m2l_simd::{field, Moments};
 use super::multipole::Multipole;
 use super::plan::well_separated_w;
 use crate::units::G;
@@ -58,29 +50,7 @@ pub fn m2p_accumulate_w<const W: usize>(
     assert_eq!(far.len(), targets.len());
     let s = V::<W>::splat;
     let (center, radius) = sphere;
-    let com = mp.com.map(s);
-    let m = s(mp.m);
-
-    // Second moment: diagonal, symmetrized off-diagonal sums, trace.
-    let q = &mp.quad;
-    let (sxx, syy, szz) = (s(2.0 * q[0][0]), s(2.0 * q[1][1]), s(2.0 * q[2][2]));
-    let (sxy, sxz, syz) = (
-        s(q[0][1] + q[1][0]),
-        s(q[0][2] + q[2][0]),
-        s(q[1][2] + q[2][1]),
-    );
-    let tr = s(q[0][0] + q[1][1] + q[2][2]);
-
-    // Third moment: the cubic form's ten coefficients (each the sum of its
-    // index permutations) and the trace vector.
-    let t = &mp.oct;
-    let c3 = |i: usize, j: usize, k: usize| t[i][j][k] + t[i][k][j] + t[k][i][j];
-    let (cxxx, cyyy, czzz) = (s(t[0][0][0]), s(t[1][1][1]), s(t[2][2][2]));
-    let (cxxy, cxxz, cxyy) = (s(c3(0, 0, 1)), s(c3(0, 0, 2)), s(c3(1, 1, 0)));
-    let (cxzz, cyyz, cyzz) = (s(c3(2, 2, 0)), s(c3(1, 1, 2)), s(c3(2, 2, 1)));
-    let cxyz = s(c3(0, 1, 2) + c3(1, 0, 2));
-    let tau: [V<W>; 3] =
-        std::array::from_fn(|i| s((0..3).map(|k| t[i][k][k] + t[k][i][k] + t[k][k][i]).sum()));
+    let k = Moments::from_array(Moments::of(mp).to_array().map(s));
 
     // Reborrowed once: a store through one run could, for all the compiler
     // knows, move the array of runs itself, and it would reload it per chunk.
@@ -100,70 +70,19 @@ pub fn m2p_accumulate_w<const W: usize>(
             continue;
         }
         count += on.count_set();
-        let (x, y, z) = (at[0] - com[0], at[1] - com[1], at[2] - com[2]);
-        let r2 = x * x + y * y + z * z;
+        let r = [at[0] - k.com[0], at[1] - k.com[1], at[2] - k.com[2]];
+        let r2 = r[0] * r[0] + r[1] * r[1] + r[2] * r[2];
         debug_assert!(
             (0..W).all(|l| !on.test(l) || r2[l] > 0.0),
             "M2P at the source location"
         );
         // Lanes that are off may sit anywhere, the centre of mass included.
-        let r2 = Simd::select(on, r2, s(1.0));
-        let inv = s(1.0) / r2.sqrt();
-        let inv2 = inv * inv;
-        let inv3 = inv2 * inv;
-        let inv5 = inv3 * inv2;
-        let inv7 = inv5 * inv2;
-
-        let ux = sxx * x + sxy * y + sxz * z;
-        let uy = sxy * x + syy * y + syz * z;
-        let uz = sxz * x + syz * y + szz * z;
-        let a = s(0.5) * (ux * x + uy * y + uz * z);
-
-        // φ = −G p, g_i = −G (r_i rad − 3/2 u_i/r⁵ …), built up term by term.
-        let mut p = m * inv - s(0.5) * tr * inv3;
-        let mut rad = m * inv3 - s(1.5) * tr * inv5;
-        let mut p5 = s(1.5) * a;
-        let mut rad7 = s(7.5) * a;
-        let k5 = s(1.5) * inv5;
-        let mut lin = [-(k5 * ux), -(k5 * uy), -(k5 * uz)];
-        if use_octupole {
-            let (xx, xy, xz) = (x * x, x * y, x * z);
-            let (yy, yz, zz) = (y * y, y * z, z * z);
-            let wx = s(3.0) * cxxx * xx
-                + s(2.0) * (cxxy * xy + cxxz * xz)
-                + cxyy * yy
-                + cxzz * zz
-                + cxyz * yz;
-            let wy = cxxy * xx
-                + s(2.0) * (cxyy * xy + cyyz * yz)
-                + cxyz * xz
-                + s(3.0) * cyyy * yy
-                + cyzz * zz;
-            let wz = cxxz * xx
-                + cxyz * xy
-                + s(2.0) * (cxzz * xz + cyzz * yz)
-                + cyyz * yy
-                + s(3.0) * czzz * zz;
-            // Euler: ∇B·r = 3 B.
-            let b = (wx * x + wy * y + wz * z) / s(3.0);
-            let c = tau[0] * x + tau[1] * y + tau[2] * z;
-            let inv9 = inv7 * inv2;
-            p5 -= s(0.5) * c;
-            p += s(2.5) * b * inv7;
-            rad7 -= s(2.5) * c;
-            rad += s(17.5) * b * inv9;
-            let (k7, h5) = (s(2.5) * inv7, s(0.5) * inv5);
-            lin[0] += h5 * tau[0] - k7 * wx;
-            lin[1] += h5 * tau[1] - k7 * wy;
-            lin[2] += h5 * tau[2] - k7 * wz;
-        }
-        p += p5 * inv5;
-        rad += rad7 * inv7;
+        let f = field(&k, r, Simd::select(on, r2, s(1.0)), use_octupole);
         let g = s(-G);
-        add_where(on, g * p, &mut phi[off..off + lanes]);
-        add_where(on, g * (x * rad + lin[0]), &mut gx[off..off + lanes]);
-        add_where(on, g * (y * rad + lin[1]), &mut gy[off..off + lanes]);
-        add_where(on, g * (z * rad + lin[2]), &mut gz[off..off + lanes]);
+        add_where(on, g * f.phi, &mut phi[off..off + lanes]);
+        add_where(on, g * f.grad[0], &mut gx[off..off + lanes]);
+        add_where(on, g * f.grad[1], &mut gy[off..off + lanes]);
+        add_where(on, g * f.grad[2], &mut gz[off..off + lanes]);
     }
     count
 }

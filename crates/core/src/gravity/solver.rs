@@ -945,10 +945,12 @@ mod tests {
 
     #[test]
     fn unified_solve_reproduces_the_pinned_local_solve_bits() {
-        // The hashes were recorded from `solve_with_plan` at the last
-        // commit that still had separate local kernels (32b98f3, debug and
-        // release alike); the one sharded solve must reproduce them at
-        // every locality count, on either space, at either width.
+        // The hashes were recorded from the one-locality Serial solve when
+        // the M2L kernel moved to the closed-form contractions (debug and
+        // release alike; before that they pinned the separate local
+        // kernels' `solve_with_plan`, 32b98f3); the one sharded solve must
+        // reproduce them at every locality count, on either space, at
+        // either width.
         let mut refined = Tree::new_uniform(1);
         refined.refine_balanced(NodeId::from_coords(1, [0, 0, 0]));
         refined.refine_balanced(NodeId::from_coords(2, [0, 0, 0]));
@@ -958,8 +960,8 @@ mod tests {
         // of a pin.
         let rt = hpx_rt::Runtime::new(2);
         for (tree, n, pinned) in [
-            (Tree::new_uniform(2), 3, Some(0x1937_0ed4_0693_9656u64)),
-            (refined, 3, Some(0xb809_17e2_d5b6_4589u64)),
+            (Tree::new_uniform(2), 3, Some(0x3b6e_ce65_3686_736fu64)),
+            (refined, 3, Some(0x65fd_eb07_a660_1831u64)),
             (Tree::new_uniform(1), 8, None),
         ] {
             let sources = Arc::new(make_sources(&tree, n));
