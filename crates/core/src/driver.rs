@@ -57,7 +57,7 @@ pub struct SimOptions {
     /// per-neighbor ghost futures it actually reads, so interior leaves of
     /// stage N+1 run while boundary exchanges of stage N are in flight and
     /// the gravity FMM overlaps the first stage's ghost fill.  Bit-identical
-    /// physics to the barrier path (see `tests/switch_equivalence.rs`).
+    /// physics to the barrier path (see `tests/equivalence.rs`).
     pub pipeline: bool,
     /// Simulated localities to shard the gravity octree over (clamped to
     /// the cluster's locality count).  The leaves are partitioned with
@@ -65,9 +65,7 @@ pub struct SimOptions {
     /// locality's runtime, and every cross-locality interaction moves as a
     /// typed parcel (metered under `/octotiger/parcels/*`); at `1` — the
     /// reference configuration — the same solve has nothing to exchange.
-    /// Physics is bit-identical at every count (see
-    /// `tests/distributed_equivalence.rs`).
-    /// Defaults from `OCTO_LOCALITIES` (CI's distribution axis).
+    /// Physics is bit-identical at every count (see `tests/equivalence.rs`).
     pub localities: usize,
     /// Mid-run adaptive regridding: every `Some(k)` steps the driver runs
     /// the density/shock criterion pass ([`Simulation::regrid`]) before the
@@ -76,7 +74,6 @@ pub struct SimOptions {
     /// plans and the ghost plan at the new version and provisions
     /// workspaces for the new leaves only.  `None` — the default — never
     /// regrids mid-run.
-    /// Defaults from `OCTO_REGRID_CADENCE` (CI's adaptive-run axis).
     pub regrid_cadence: Option<usize>,
     /// Maximum refinement level the cadence-driven criterion pass may
     /// create (the `max_level` argument of [`Simulation::regrid`]).
@@ -96,31 +93,22 @@ pub struct SimOptions {
     /// the hydro-RHS leaves-per-task grouping, and the pipelined-vs-barrier
     /// stepper.  Every knob flows through the chunk-count-independent
     /// launch paths, so physics is bit-identical tuner-on vs tuner-off
-    /// (see `tests/autotune_equivalence.rs`).  Off by default.
+    /// (see `tests/equivalence.rs`).  Off by default.
     pub autotune: bool,
 }
 
 impl Default for SimOptions {
     fn default() -> Self {
         SimOptions {
-            // SVE unless overridden through OCTO_VECTOR_MODE (CI runs the
-            // suite once per backend via that switch).
-            vector_mode: VectorMode::env_default(),
+            vector_mode: VectorMode::default(),
             ghost: GhostConfig::default(),
             gravity: true,
             gravity_opts: GravityOptions::default(),
             omega: 0.0,
             cfl: 0.4,
             pipeline: false,
-            localities: std::env::var("OCTO_LOCALITIES")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .filter(|&n| n > 0)
-                .unwrap_or(1),
-            regrid_cadence: std::env::var("OCTO_REGRID_CADENCE")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .filter(|&k| k > 0),
+            localities: 1,
+            regrid_cadence: None,
             regrid_max_level: 3,
             regrid_refine_threshold: 1.0,
             regrid_shock_threshold: f64::INFINITY,
@@ -1116,7 +1104,6 @@ impl Simulation {
 mod tests {
     use super::*;
     use crate::scenario::{Scenario, ScenarioKind};
-    use crate::state::NF;
 
     fn small_sim(cluster: &SimCluster, gravity: bool) -> Simulation {
         let sc = Scenario::build(ScenarioKind::RotatingStar, cluster, 1, 0, 4);
@@ -1177,41 +1164,6 @@ mod tests {
             assert!(gg.field(field::EGAS).iter().all(|v| v.is_finite()));
         }
         cluster.shutdown();
-    }
-
-    #[test]
-    fn scalar_and_sve_runs_produce_identical_states() {
-        // The Figure 7 switch is performance-only.
-        let cluster_a = SimCluster::new(1, 2);
-        let cluster_b = SimCluster::new(1, 2);
-        let mut sim_a = small_sim(&cluster_a, false);
-        let mut sim_b = small_sim(&cluster_b, false);
-        sim_a.opts.vector_mode = VectorMode::Scalar;
-        sim_b.opts.vector_mode = VectorMode::Sve512;
-        let sa = sim_a.step(&cluster_a);
-        let sb = sim_b.step(&cluster_b);
-        assert_eq!(sa.vector_mode, VectorMode::Scalar);
-        assert_eq!(sb.vector_mode, VectorMode::Sve512);
-        assert_eq!(sa.dt.to_bits(), sb.dt.to_bits(), "Δt must be bit-identical");
-        for leaf in sim_a.grid.leaves() {
-            let ga = sim_a.grid.grid(leaf);
-            let gb = sim_b.grid.grid(leaf);
-            let (ga, gb) = (ga.read(), gb.read());
-            for f in 0..NF {
-                for (a, b) in ga.field(f).iter().zip(gb.field(f)) {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "state diverged between widths: {a} vs {b}"
-                    );
-                }
-            }
-        }
-        // The per-backend apex timers landed under distinct labels.
-        assert_eq!(sim_a.apex.stats("step:simd-scalar").count, 1);
-        assert_eq!(sim_b.apex.stats("step:simd-sve512").count, 1);
-        cluster_a.shutdown();
-        cluster_b.shutdown();
     }
 
     #[test]
@@ -1371,69 +1323,5 @@ mod tests {
             "two leaves share a workspace"
         );
         cluster.shutdown();
-    }
-
-    #[test]
-    fn pipelined_step_matches_barrier_bit_for_bit() {
-        // The tentpole switch must be performance-only, like the others —
-        // and with gravity on, so the FMM future overlaps the stage-0 fill.
-        let cluster_a = SimCluster::new(2, 2);
-        let cluster_b = SimCluster::new(2, 2);
-        let mut sim_a = small_sim(&cluster_a, true);
-        let mut sim_b = small_sim(&cluster_b, true);
-        sim_b.opts.pipeline = true;
-        let sa = sim_a.step(&cluster_a);
-        let sb = sim_b.step(&cluster_b);
-        assert_eq!(sa.dt.to_bits(), sb.dt.to_bits(), "Δt must be bit-identical");
-        // Outflow is accumulated leaf-by-leaf in task-completion order in
-        // both steppers, so it is only reproducible to rounding.
-        let outflow_diff = (sa.mass_outflow - sb.mass_outflow).abs();
-        assert!(outflow_diff <= 1e-12 * (1.0 + sa.mass_outflow.abs()));
-        for leaf in sim_a.grid.leaves() {
-            let ga = sim_a.grid.grid(leaf);
-            let gb = sim_b.grid.grid(leaf);
-            let (ga, gb) = (ga.read(), gb.read());
-            for f in 0..NF {
-                assert_eq!(ga.field(f), gb.field(f), "field {f} differs at {leaf}");
-            }
-        }
-        // Telemetry contract: the barrier path never overlaps; the
-        // pipelined path drains every link and counts the same link set.
-        assert_eq!(sa.overlapped_tasks, 0);
-        assert_eq!(sa.ghost_links_resolved, sa.ghost_links_total);
-        assert_eq!(sb.ghost_links_resolved, sb.ghost_links_total);
-        assert_eq!(sb.ghost_links_total, sa.ghost_links_total);
-        assert_eq!(sb.direct_ghost_links, sa.direct_ghost_links);
-        cluster_a.shutdown();
-        cluster_b.shutdown();
-    }
-
-    #[test]
-    fn comm_optimization_does_not_change_physics() {
-        // Figure 8's switch must be performance-only too.
-        let cluster_a = SimCluster::new(2, 1);
-        let cluster_b = SimCluster::new(2, 1);
-        let mut sim_a = small_sim(&cluster_a, false);
-        let mut sim_b = small_sim(&cluster_b, false);
-        sim_a.opts.ghost = GhostConfig {
-            direct_local_access: true,
-        };
-        sim_b.opts.ghost = GhostConfig {
-            direct_local_access: false,
-        };
-        let sa = sim_a.step(&cluster_a);
-        let sb = sim_b.step(&cluster_b);
-        assert!(sa.direct_ghost_links > 0);
-        assert_eq!(sb.direct_ghost_links, 0);
-        for leaf in sim_a.grid.leaves() {
-            let ga = sim_a.grid.grid(leaf);
-            let gb = sim_b.grid.grid(leaf);
-            let (ga, gb) = (ga.read(), gb.read());
-            for f in 0..NF {
-                assert_eq!(ga.field(f), gb.field(f), "field {f} differs");
-            }
-        }
-        cluster_a.shutdown();
-        cluster_b.shutdown();
     }
 }

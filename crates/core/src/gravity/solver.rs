@@ -101,9 +101,7 @@ impl Default for GravityOptions {
             tasks_per_multipole_kernel: 1,
             tasks_per_p2p_kernel: 0,
             tasks_per_slot_kernel: 0,
-            // SVE unless the OCTO_VECTOR_MODE env override says otherwise
-            // (how CI runs the suite once per backend).
-            vector_mode: VectorMode::env_default(),
+            vector_mode: VectorMode::default(),
         }
     }
 }
@@ -295,8 +293,8 @@ impl GravitySolver {
         }
         let dist = Arc::new(DistPlan::build(plan, owner, num_localities));
         // Every rebuilt halo plan is protocol-verified in debug builds —
-        // `tests/distributed_equivalence.rs` runs this on all its
-        // N/tree/stepper combinations without any extra test code.
+        // `tests/equivalence.rs` runs this on all its N/tree/stepper
+        // combinations without any extra test code.
         #[cfg(debug_assertions)]
         debug_assert_verified(
             "rebuilt halo plan",

@@ -35,9 +35,7 @@ pub struct HydroOptions {
 impl Default for HydroOptions {
     fn default() -> Self {
         HydroOptions {
-            // SVE unless overridden through OCTO_VECTOR_MODE (CI runs the
-            // suite once per backend via that switch).
-            vector_mode: VectorMode::env_default(),
+            vector_mode: VectorMode::default(),
             cfl: 0.4,
         }
     }

@@ -17,7 +17,7 @@ use crate::counters::Counters;
 use crate::runtime::{try_help_current_thread, Runtime};
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Blocked-worker watchdog timeout in milliseconds; `0` disables it.
@@ -28,36 +28,18 @@ use std::time::Duration;
 /// wired dependency graph a starved worker always either finds work or sees
 /// its future resolve.  Debug builds arm the watchdog by default (30 s);
 /// release builds leave it off (a loaded machine can stall legitimately) but
-/// can opt in via the `HPX_WATCHDOG_MS` environment variable or
-/// [`set_blocked_wait_timeout`].
+/// can opt in via [`set_blocked_wait_timeout`].
 /// Every fire is exported as the `/threads/count/watchdog-fires` performance
 /// counter of the blocked pool before the panic unwinds.
 static BLOCKED_WAIT_TIMEOUT_MS: AtomicU64 =
     AtomicU64::new(if cfg!(debug_assertions) { 30_000 } else { 0 });
 
 /// Set the blocked-worker watchdog timeout (see `Future::wait`);
-/// `Duration::ZERO` disables it.  Works in release builds too — this is the
-/// programmatic form of the `HPX_WATCHDOG_MS` opt-in.  Returns the previous
-/// value.
+/// `Duration::ZERO` disables it.  Works in release builds too.  Returns the
+/// previous value.
 pub fn set_blocked_wait_timeout(timeout: Duration) -> Duration {
     let prev = BLOCKED_WAIT_TIMEOUT_MS.swap(timeout.as_millis() as u64, Ordering::Relaxed);
     Duration::from_millis(prev)
-}
-
-/// Effective watchdog timeout: the `HPX_WATCHDOG_MS` environment variable is
-/// folded into the configured value once, on the first blocking wait, so the
-/// opt-in needs no code change.  `0` = disabled.
-fn watchdog_timeout_ms() -> u64 {
-    static ENV_APPLIED: OnceLock<()> = OnceLock::new();
-    ENV_APPLIED.get_or_init(|| {
-        if let Some(ms) = std::env::var("HPX_WATCHDOG_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-        {
-            BLOCKED_WAIT_TIMEOUT_MS.store(ms, Ordering::Relaxed);
-        }
-    });
-    BLOCKED_WAIT_TIMEOUT_MS.load(Ordering::Relaxed)
 }
 
 /// A settled future's outcome, as seen by [`Future::on_settled`] hooks: the
@@ -244,7 +226,7 @@ impl<T: Send + 'static> Future<T> {
                     .wait_for(&mut guard, Duration::from_micros(200));
             }
             drop(guard);
-            let timeout_ms = watchdog_timeout_ms();
+            let timeout_ms = BLOCKED_WAIT_TIMEOUT_MS.load(Ordering::Relaxed);
             if timeout_ms != 0 && crate::runtime::on_any_worker_thread() {
                 let limit = Duration::from_millis(timeout_ms);
                 if last_progress.elapsed() > limit {
@@ -722,7 +704,7 @@ mod tests {
     #[test]
     fn watchdog_flags_worker_blocked_on_unresolvable_future() {
         // Runs in release builds too now that the watchdog is an opt-in
-        // release feature (set_blocked_wait_timeout / HPX_WATCHDOG_MS).
+        // release feature (set_blocked_wait_timeout).
         let prev = set_blocked_wait_timeout(Duration::from_millis(250));
         let rt = Runtime::new(1);
         let fires_before = rt.counters().snapshot().watchdog_fires;

@@ -33,8 +33,8 @@
 //! Safety: the tuner only ever picks values that flow into the existing
 //! chunk-count-independent launch paths (plan-frozen summation order,
 //! stripe-blocked accumulation, lane-aligned `split`), so any choice is
-//! bitwise neutral to the physics — see DESIGN.md §8 and the
-//! `autotune_equivalence` suite.  Only *decision points* are exposed, so
+//! bitwise neutral to the physics — see DESIGN.md §8 and
+//! `tests/equivalence.rs`.  Only *decision points* are exposed, so
 //! the tuner itself is deterministic given the observed means; the
 //! per-tuner counts in [`TunerSnapshot`] (published as
 //! `/octotiger/tuner/*` by `Simulation::counters`) make its activity

@@ -42,27 +42,6 @@ impl VectorMode {
     pub const fn all() -> [VectorMode; 2] {
         [VectorMode::Scalar, VectorMode::Sve512]
     }
-
-    /// Parse the `OCTO_VECTOR_MODE` environment variable, if set.
-    ///
-    /// Recognised values (case-insensitive): `scalar` and `sve512`/`sve`.
-    /// Anything else — including an unset variable — yields `None` so the
-    /// caller falls back to the compiled-in default.  This is how CI runs
-    /// the full test suite once per backend without rebuilding.
-    pub fn from_env() -> Option<VectorMode> {
-        let raw = std::env::var("OCTO_VECTOR_MODE").ok()?;
-        match raw.trim().to_ascii_lowercase().as_str() {
-            "scalar" => Some(VectorMode::Scalar),
-            "sve512" | "sve" => Some(VectorMode::Sve512),
-            _ => None,
-        }
-    }
-
-    /// The mode simulation options should default to: the `OCTO_VECTOR_MODE`
-    /// override when present, else [`VectorMode::default`] (SVE).
-    pub fn env_default() -> VectorMode {
-        VectorMode::from_env().unwrap_or_default()
-    }
 }
 
 impl std::fmt::Display for VectorMode {
@@ -83,19 +62,5 @@ mod tests {
     #[test]
     fn labels_are_distinct() {
         assert_ne!(VectorMode::Scalar.label(), VectorMode::Sve512.label());
-    }
-
-    #[test]
-    fn env_default_falls_back_to_default_when_unset() {
-        // The test harness does not set OCTO_VECTOR_MODE; mutating the
-        // process environment from a parallel test runner is racy, so only
-        // the unset path is exercised here.  `from_env` parsing is covered
-        // through `env_default` consistency instead.
-        if std::env::var("OCTO_VECTOR_MODE").is_err() {
-            assert_eq!(VectorMode::env_default(), VectorMode::default());
-            assert_eq!(VectorMode::from_env(), None);
-        } else {
-            assert_eq!(VectorMode::env_default(), VectorMode::from_env().unwrap());
-        }
     }
 }

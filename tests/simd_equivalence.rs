@@ -6,10 +6,9 @@
 //! in lane order and by masking remainder lanes out of every fold (see
 //! DESIGN.md), so the property holds for *any* input — which is what the
 //! randomized suites below check — and composes all the way up to full
-//! multi-step simulations, checked ledger-against-ledger at the end.
+//! multi-step simulations, which `tests/equivalence.rs` compares.
 
 use octo_repro::amr::{NodeId, SubGrid, Tree};
-use octo_repro::hpx::SimCluster;
 use octo_repro::kokkos::ExecSpace;
 use octo_repro::octotiger::gravity::direct::{p2p_at_w, PointMasses};
 use octo_repro::octotiger::gravity::m2l_simd::m2l_accumulate_w;
@@ -19,7 +18,7 @@ use octo_repro::octotiger::gravity::{
 };
 use octo_repro::octotiger::hydro::{self, kernels::KernelScratch, HydroOptions, SourceInput};
 use octo_repro::octotiger::state::{field, from_primitive, Primitive};
-use octo_repro::octotiger::{Scenario, ScenarioKind, SimOptions, Simulation, NF};
+use octo_repro::octotiger::NF;
 use octo_repro::simd::VectorMode;
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -304,80 +303,4 @@ fn gravity_solve_bit_identical_on_refined_trees() {
             }
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Simulation-level: ten full steps, ledgers bit-identical across widths,
-// in both stepper modes.
-// ---------------------------------------------------------------------
-
-fn ten_step_run(mode: VectorMode, pipeline: bool) -> (Vec<u64>, Vec<Vec<f64>>) {
-    let cluster = SimCluster::new(1, 2);
-    let scenario = Scenario::build(ScenarioKind::RotatingStar, &cluster, 2, 0, 4);
-    let mut opts = SimOptions::default();
-    opts.omega = scenario.omega;
-    opts.gravity = true;
-    opts.vector_mode = mode;
-    opts.pipeline = pipeline;
-    let mut sim = Simulation::new(scenario.grid, opts);
-    let (before, after, stats) = sim.run(&cluster, 10);
-    // Everything the run "reports": the two ledgers, every step's Δt and
-    // the tracked outflow — bit-packed so comparison is exact.
-    let mut ledger = vec![
-        before.mass.to_bits(),
-        before.gas_energy.to_bits(),
-        before.angular_momentum_z.to_bits(),
-        after.mass.to_bits(),
-        after.gas_energy.to_bits(),
-        after.angular_momentum_z.to_bits(),
-        sim.mass_outflow.to_bits(),
-    ];
-    for ax in 0..3 {
-        ledger.push(before.momentum[ax].to_bits());
-        ledger.push(after.momentum[ax].to_bits());
-    }
-    for s in &stats {
-        ledger.push(s.dt.to_bits());
-    }
-    let mut state = Vec::new();
-    for leaf in sim.grid.leaves() {
-        let g = sim.grid.grid(leaf);
-        let gg = g.read();
-        let mut block = Vec::new();
-        for f in 0..NF {
-            block.extend_from_slice(gg.field(f));
-        }
-        state.push(block);
-    }
-    cluster.shutdown();
-    (ledger, state)
-}
-
-fn assert_states_bit_equal(a: &[Vec<f64>], b: &[Vec<f64>], what: &str) {
-    assert_eq!(a.len(), b.len(), "{what}: leaf count differs");
-    for (la, lb) in a.iter().zip(b) {
-        for (x, y) in la.iter().zip(lb) {
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "{what}: state diverged: {x} vs {y}"
-            );
-        }
-    }
-}
-
-#[test]
-fn ten_step_ledgers_bit_identical_barrier() {
-    let (la, sa) = ten_step_run(VectorMode::Scalar, false);
-    let (lb, sb) = ten_step_run(VectorMode::Sve512, false);
-    assert_eq!(la, lb, "barrier: ledgers/Δt diverged between widths");
-    assert_states_bit_equal(&sa, &sb, "barrier scalar vs SVE");
-}
-
-#[test]
-fn ten_step_ledgers_bit_identical_pipelined() {
-    let (la, sa) = ten_step_run(VectorMode::Scalar, true);
-    let (lb, sb) = ten_step_run(VectorMode::Sve512, true);
-    assert_eq!(la, lb, "pipelined: ledgers/Δt diverged between widths");
-    assert_states_bit_equal(&sa, &sb, "pipelined scalar vs SVE");
 }
