@@ -57,7 +57,7 @@ pub struct SimOptions {
     /// per-neighbor ghost futures it actually reads, so interior leaves of
     /// stage N+1 run while boundary exchanges of stage N are in flight and
     /// the gravity FMM overlaps the first stage's ghost fill.  Bit-identical
-    /// physics to the barrier path (see `tests/equivalence.rs`).
+    /// physics to the barrier path (see `tests/switch_equivalence.rs`).
     pub pipeline: bool,
     /// Simulated localities to shard the gravity octree over (clamped to
     /// the cluster's locality count).  The leaves are partitioned with
@@ -65,7 +65,7 @@ pub struct SimOptions {
     /// locality's runtime, and every cross-locality interaction moves as a
     /// typed parcel (metered under `/octotiger/parcels/*`); at `1` — the
     /// reference configuration — the same solve has nothing to exchange.
-    /// Physics is bit-identical at every count (see `tests/equivalence.rs`).
+    /// Bit-identical physics at every count (`tests/distributed_equivalence.rs`).
     pub localities: usize,
     /// Mid-run adaptive regridding: every `Some(k)` steps the driver runs
     /// the density/shock criterion pass ([`Simulation::regrid`]) before the
@@ -93,7 +93,7 @@ pub struct SimOptions {
     /// the hydro-RHS leaves-per-task grouping, and the pipelined-vs-barrier
     /// stepper.  Every knob flows through the chunk-count-independent
     /// launch paths, so physics is bit-identical tuner-on vs tuner-off
-    /// (see `tests/equivalence.rs`).  Off by default.
+    /// (see `tests/autotune_equivalence.rs`).  Off by default.
     pub autotune: bool,
 }
 

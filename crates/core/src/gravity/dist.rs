@@ -34,7 +34,7 @@
 //! **Bit-identity.**  Every locality count runs the same kernel code, fed
 //! the same operands in the same plan-frozen order — transported values
 //! are exact `f64` copies, and consumers fold them in CSR order, never
-//! arrival order.  `tests/equivalence.rs` pins this: any
+//! arrival order.  `tests/distributed_equivalence.rs` pins this: any
 //! locality count produces bit-identical fields (and therefore
 //! bit-identical 10-step ledgers) to the single-locality reference, and a
 //! `solver.rs` test pins both to the bits the separate local kernels

@@ -293,8 +293,8 @@ impl GravitySolver {
         }
         let dist = Arc::new(DistPlan::build(plan, owner, num_localities));
         // Every rebuilt halo plan is protocol-verified in debug builds —
-        // `tests/equivalence.rs` runs this on all its N/tree/stepper
-        // combinations without any extra test code.
+        // the equivalence harness (`tests/harness/mod.rs`) runs this on
+        // all its N/tree/stepper combinations without any extra test code.
         #[cfg(debug_assertions)]
         debug_assert_verified(
             "rebuilt halo plan",

@@ -37,8 +37,8 @@
 //! slot — so a report names the exact frozen transfer that is wrong.
 //! [`GravitySolver::plan_for`] and [`GravitySolver::dist_plan_for`]
 //! run these verifiers on every rebuild under `debug_assertions`, so
-//! the whole test suite (notably `tests/equivalence.rs` with its
-//! N/tree/stepper/regrid sweep) exercises them for free; `hpx-check
+//! the whole test suite (notably the equivalence harness,
+//! `tests/harness/mod.rs`, with its N/tree/stepper/regrid sweep) exercises them for free; `hpx-check
 //! verify` runs them from the CLI over every standard scenario and
 //! locality count, with a seeded mutation sweep that must be caught.
 //!

@@ -34,7 +34,7 @@
 //! chunk-count-independent launch paths (plan-frozen summation order,
 //! stripe-blocked accumulation, lane-aligned `split`), so any choice is
 //! bitwise neutral to the physics — see DESIGN.md §8 and
-//! `tests/equivalence.rs`.  Only *decision points* are exposed, so
+//! `tests/autotune_equivalence.rs`.  Only *decision points* are exposed, so
 //! the tuner itself is deterministic given the observed means; the
 //! per-tuner counts in [`TunerSnapshot`] (published as
 //! `/octotiger/tuner/*` by `Simulation::counters`) make its activity

@@ -1,186 +1,33 @@
-//! The online granularity tuner must be a pure performance feature.
-//!
-//! The tuner (PR-10) re-splits gravity kernel launches, re-groups hydro
-//! leaf tasks, and flips the stepper between barrier and pipelined mode —
-//! all of which are bitwise-neutral launch knobs by construction
-//! (plan-frozen CSR summation order, disjoint `&mut` chunks, per-leaf
-//! independent RHS work).  This test closes the loop on that argument:
-//! a 10-step run with `autotune` on is **bit-identical** in per-leaf
-//! state, conservation ledger, and Δt sequence to the same run with the
-//! tuner off, across locality counts × vector widths, and across a
-//! mid-run regrid.
-//!
-//! The regrid run also checks the freeze/unfreeze contract: converged
-//! families re-probe exactly once per topology change (the snapshot's
-//! `topology_reprobes` counter equals the number of steps whose regrid
-//! actually changed the tree).
+//! The online granularity tuner is a pure performance feature.  It
+//! re-splits gravity kernel launches, re-groups hydro leaf tasks and flips
+//! the stepper between barrier and pipelined mode, all bitwise-neutral
+//! launch knobs by construction (plan-frozen CSR summation order, disjoint
+//! `&mut` chunks, independent per-leaf work).  Through the shared harness
+//! (`harness/mod.rs`) a tuned run is bit-identical to the untuned reference
+//! across locality counts × widths and across a mid-run regrid, and its
+//! converged families re-probe exactly once per topology change.
 
-use octo_repro::hpx::SimCluster;
-use octo_repro::octotiger::{
-    ConservationLedger, Scenario, ScenarioKind, SimOptions, Simulation, NF,
-};
-use octo_repro::simd::VectorMode;
+mod harness;
 
-/// Debug builds (plain `cargo test`) run a reduced copy — fewer steps on
-/// a coarser tree — purely for wall-clock; the property under test
-/// (bit-identity tuner-on vs tuner-off) is size-independent.  The release
-/// CI job runs the full configuration.
-const STEPS: usize = if cfg!(debug_assertions) { 4 } else { 10 };
-const LEVEL: u8 = if cfg!(debug_assertions) { 1 } else { 2 };
+use harness::{check, Config, REFERENCE, REGRID, UNIFORM};
 
-/// Global tuner counters are process-wide; serialize the tests in this
-/// binary so each run's snapshot is its own story.
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-/// Outcome of one run: per-leaf final state (sorted leaf order), the
-/// ledger fields that must match bit-for-bit, the Δt bit sequence, and
-/// the tuner's activity record.
-struct RunResult {
-    state: Vec<Vec<u64>>,
-    ledger_bits: Vec<u64>,
-    dt_bits: Vec<u64>,
-    /// `topology_reprobes` from the final step's tuner snapshot (0 when
-    /// the tuner is off).
-    topology_reprobes: u64,
-    /// Probes issued by this run's tuner (0 when off).
-    probes: u64,
-    /// Steps whose regrid actually changed the tree.
-    regrid_steps: u64,
-}
-
-fn run(localities: usize, mode: VectorMode, autotune: bool, regrid: bool) -> RunResult {
-    let cluster = SimCluster::new(localities.max(1), 2);
-    let scenario = Scenario::build(ScenarioKind::RotatingStar, &cluster, LEVEL, 0, 4);
-    let mut opts = SimOptions::default();
-    opts.omega = scenario.omega;
-    opts.gravity = true;
-    opts.localities = localities;
-    opts.vector_mode = mode;
-    opts.autotune = autotune;
-    if regrid {
-        opts.regrid_cadence = Some(3);
-        opts.regrid_max_level = LEVEL + 1;
-        opts.regrid_refine_threshold = 1.0;
-        opts.regrid_coarsen_threshold = 1e-8;
-    }
-    let mut sim = Simulation::new(scenario.grid, opts);
-    let mut dt_bits = Vec::new();
-    let mut regrid_steps = 0u64;
-    let mut topology_reprobes = 0u64;
-    let mut probes = 0u64;
-    let mut ledger_bits = Vec::new();
-    for _ in 0..STEPS {
-        let stats = sim.step(&cluster);
-        dt_bits.push(stats.dt.to_bits());
-        if stats.regrid_refined + stats.regrid_derefined > 0 {
-            regrid_steps += 1;
-        }
-        assert_eq!(
-            stats.tuner.is_some(),
-            autotune,
-            "StepStats carries a tuner snapshot exactly when autotune is on"
-        );
-        if let Some(snap) = stats.tuner {
-            topology_reprobes = snap.topology_reprobes;
-            probes = snap.probes;
-        }
-        let ledger = ConservationLedger::measure(&sim.grid);
-        ledger_bits.extend([
-            ledger.mass.to_bits(),
-            ledger.gas_energy.to_bits(),
-            ledger.momentum[0].to_bits(),
-            ledger.momentum[1].to_bits(),
-            ledger.momentum[2].to_bits(),
-            ledger.angular_momentum_z.to_bits(),
-        ]);
-    }
-    let mut leaves = sim.grid.leaves();
-    leaves.sort();
-    let state = leaves
-        .iter()
-        .map(|&leaf| {
-            let handle = sim.grid.grid(leaf);
-            let g = handle.read();
-            let mut bits = Vec::new();
-            for f in 0..NF {
-                bits.extend(g.field(f).iter().map(|v| v.to_bits()));
-            }
-            bits
-        })
-        .collect();
-    cluster.shutdown();
-    RunResult {
-        state,
-        ledger_bits,
-        dt_bits,
-        topology_reprobes,
-        probes,
-        regrid_steps,
-    }
-}
-
-fn assert_bit_identical(reference: &RunResult, other: &RunResult, what: &str) {
-    assert_eq!(
-        reference.dt_bits, other.dt_bits,
-        "{what}: Δt sequence diverged"
-    );
-    assert_eq!(
-        reference.ledger_bits, other.ledger_bits,
-        "{what}: conservation ledger diverged"
-    );
-    assert_eq!(
-        reference.state.len(),
-        other.state.len(),
-        "{what}: leaf count differs"
-    );
-    for (li, (a, b)) in reference.state.iter().zip(&other.state).enumerate() {
-        assert_eq!(a, b, "{what}: leaf {li} state diverged");
-    }
-}
-
+/// Tuner on at 1 and 4 localities and both widths, with the untuned
+/// four-locality scalar run as well.
 #[test]
 fn autotune_is_bit_identical_across_localities_and_widths() {
-    let _serial = SERIAL.lock().unwrap();
-    for localities in [1usize, 4] {
-        for mode in [VectorMode::Scalar, VectorMode::Sve512] {
-            let off = run(localities, mode, false, false);
-            let on = run(localities, mode, true, false);
-            assert!(
-                on.probes > 0,
-                "{localities} localities, {mode:?}: the tuner never probed — \
-                 the equivalence would be vacuous"
-            );
-            assert_bit_identical(
-                &off,
-                &on,
-                &format!("{localities} localities, {mode:?}, autotune on vs off"),
-            );
-        }
-    }
+    check(
+        &UNIFORM,
+        &[
+            REFERENCE.tuned(),
+            REFERENCE.scalar().tuned(),
+            Config::sharded(4).scalar(),
+            Config::sharded(4).tuned(),
+            Config::sharded(4).scalar().tuned(),
+        ],
+    );
 }
 
 #[test]
 fn autotune_survives_a_mid_run_regrid_and_reprobes_once_per_topology_change() {
-    let _serial = SERIAL.lock().unwrap();
-    let off = run(4, VectorMode::Sve512, false, true);
-    let on = run(4, VectorMode::Sve512, true, true);
-    assert!(
-        off.regrid_steps >= 1,
-        "the regrid run must actually change the tree"
-    );
-    assert_eq!(
-        off.regrid_steps, on.regrid_steps,
-        "tuner must not change which steps regrid"
-    );
-    assert_bit_identical(&off, &on, "regrid run, autotune on vs off");
-    // Freeze/unfreeze contract: exactly one re-probe cycle per topology
-    // change, no matter how many families were frozen at the time.
-    assert_eq!(
-        on.topology_reprobes, on.regrid_steps,
-        "tuner must re-probe exactly once per topology change"
-    );
-    assert_eq!(
-        off.topology_reprobes, 0,
-        "tuner-off run must report no tuner activity"
-    );
+    check(&REGRID, &[Config::sharded(4), Config::sharded(4).tuned()]);
 }

@@ -1,181 +1,57 @@
-//! The distribution axis must be invisible to the physics: sharding the
-//! octree over N simulated localities — with every cross-locality
-//! multipole, local-expansion, and point-mass interaction moving as a
-//! typed parcel — produces **bit-identical** states and conservation
-//! ledgers to the single-locality reference, for any locality count, on
-//! uniform and refined trees, in both stepper modes.
-//!
-//! The counters close the loop in the other direction: a distributed run
-//! must actually communicate (`/octotiger/parcels/*` gravity classes
-//! nonzero for N > 1) and the reference must not (zero for N = 1), so the
-//! equivalence cannot pass vacuously by never taking the distributed path.
+//! The distribution axis is invisible to the physics: sharding the octree
+//! over N simulated localities — every cross-locality multipole, local
+//! expansion and point-mass interaction moving as a parcel — gives the
+//! single-locality reference bit for bit, for any locality count, on
+//! uniform and refined trees, in both steppers.  The harness
+//! (`harness/mod.rs`) also checks the other direction: a sharded run sends
+//! gravity parcels and an unsharded one sends none, so the equivalence
+//! cannot pass by never taking the distributed path.
 
-use octo_repro::hpx::{parcel_counters, SimCluster};
-use octo_repro::octotiger::{Scenario, ScenarioKind, SimOptions, Simulation, NF};
+mod harness;
 
-/// Global parcel counters are process-wide; serialize the tests in this
-/// binary so each one's snapshot delta is its own traffic.
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+use harness::{check, Config, REFERENCE, REFINED, SMALL, UNIFORM};
 
-/// Debug builds (plain `cargo test`) run a reduced copy of the sweep —
-/// fewer steps on a coarser tree — purely for wall-clock: unoptimized
-/// kernels are ~an order of magnitude slower and the property under test
-/// (bit-identity across locality counts) is size-independent.  The release
-/// `distributed-equivalence` CI job runs the full configuration.
-const STEPS: usize = if cfg!(debug_assertions) { 3 } else { 10 };
-const LEVEL: u8 = if cfg!(debug_assertions) { 1 } else { 2 };
-
-/// Outcome of one run: per-leaf final state (SFC order) and the ledger
-/// fields that must match bit-for-bit.
-struct RunResult {
-    state: Vec<Vec<f64>>,
-    ledger_bits: Vec<u64>,
-    dt_bits: Vec<u64>,
-    gravity_parcels: u64,
-    total_parcels: u64,
-}
-
-/// Run `STEPS` steps of the rotating star sharded over `localities`
-/// gravity localities (on a cluster with that many simulated localities),
-/// and capture state, ledger, and this run's parcel-counter delta.
-fn run(localities: usize, amr_extra: u8, pipeline: bool) -> RunResult {
-    let cluster = SimCluster::new(localities.max(1), 2);
-    let scenario = Scenario::build(ScenarioKind::RotatingStar, &cluster, LEVEL, amr_extra, 4);
-    let mut opts = SimOptions::default();
-    opts.omega = scenario.omega;
-    opts.gravity = true;
-    opts.pipeline = pipeline;
-    opts.localities = localities;
-    let mut sim = Simulation::new(scenario.grid, opts);
-    let before = parcel_counters().snapshot();
-    let (_, after_ledger, stats) = sim.run(&cluster, STEPS);
-    let delta = parcel_counters().snapshot().since(&before);
-    let mut state = Vec::new();
-    for leaf in sim.grid.leaves() {
-        let g = sim.grid.grid(leaf);
-        let gg = g.read();
-        let mut block = Vec::new();
-        for f in 0..NF {
-            block.extend_from_slice(gg.field(f));
-        }
-        state.push(block);
-    }
-    cluster.shutdown();
-    RunResult {
-        state,
-        ledger_bits: vec![
-            after_ledger.mass.to_bits(),
-            after_ledger.gas_energy.to_bits(),
-            after_ledger.momentum[0].to_bits(),
-            after_ledger.momentum[1].to_bits(),
-            after_ledger.momentum[2].to_bits(),
-            after_ledger.angular_momentum_z.to_bits(),
-        ],
-        dt_bits: stats.iter().map(|s| s.dt.to_bits()).collect(),
-        gravity_parcels: delta.gravity_count(),
-        total_parcels: delta.total_count(),
-    }
-}
-
-fn assert_bit_identical(reference: &RunResult, other: &RunResult, what: &str) {
-    assert_eq!(
-        reference.ledger_bits, other.ledger_bits,
-        "{what}: conservation ledger diverged"
-    );
-    assert_eq!(
-        reference.dt_bits, other.dt_bits,
-        "{what}: Δt sequence diverged"
-    );
-    assert_eq!(
-        reference.state.len(),
-        other.state.len(),
-        "{what}: leaf count differs"
-    );
-    for (li, (a, b)) in reference.state.iter().zip(&other.state).enumerate() {
-        assert_eq!(a.len(), b.len());
-        for (c, (x, y)) in a.iter().zip(b).enumerate() {
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "{what}: leaf {li} word {c}: {x} vs {y}"
-            );
-        }
-    }
-}
-
+/// 2 and 4 divide the 64-leaf curve evenly; 7 leaves remainders.
 #[test]
 fn uniform_tree_any_locality_count_is_bit_identical_barrier() {
-    let _serial = SERIAL.lock().unwrap();
-    let reference = run(1, 0, false);
-    assert_eq!(
-        reference.gravity_parcels, 0,
-        "single locality must not send gravity parcels"
+    check(
+        &UNIFORM,
+        &[Config::sharded(2), Config::sharded(4), Config::sharded(7)],
     );
-    assert_eq!(
-        reference.total_parcels, 0,
-        "single locality must not send parcels at all"
-    );
-    // 2 and 4 divide the uniform curve (a power-of-8 leaf count) evenly;
-    // 7 exercises the remainder path (non-power-of-two shard sizes).
-    for nloc in [2usize, 4, 7] {
-        let dist = run(nloc, 0, false);
-        assert!(
-            dist.gravity_parcels > 0,
-            "{nloc} localities must communicate"
-        );
-        assert_bit_identical(&reference, &dist, &format!("barrier, {nloc} localities"));
-    }
 }
 
+/// The pipelined one-locality run must match the barrier reference too, so
+/// both steppers share one equivalence class.
 #[test]
 fn uniform_tree_any_locality_count_is_bit_identical_pipelined() {
-    let _serial = SERIAL.lock().unwrap();
-    // The pipelined reference must also match the barrier reference, so
-    // the two stepper modes share one equivalence class.
-    let barrier_reference = run(1, 0, false);
-    let reference = run(1, 0, true);
-    assert_bit_identical(
-        &barrier_reference,
-        &reference,
-        "pipelined vs barrier, 1 locality",
+    check(
+        &UNIFORM,
+        &[
+            REFERENCE.pipelined(),
+            Config::sharded(2).pipelined(),
+            Config::sharded(4).pipelined(),
+            Config::sharded(7).pipelined(),
+        ],
     );
-    assert_eq!(reference.gravity_parcels, 0);
-    for nloc in [2usize, 4, 7] {
-        let dist = run(nloc, 0, true);
-        assert!(dist.gravity_parcels > 0);
-        assert_bit_identical(&reference, &dist, &format!("pipelined, {nloc} localities"));
-    }
 }
 
+/// Mixed-level leaves, so the shard boundaries cut through refinement
+/// transitions.
 #[test]
 fn refined_tree_distribution_is_bit_identical_both_modes() {
-    let _serial = SERIAL.lock().unwrap();
-    // One extra AMR level where the star sits: mixed-level leaves, so the
-    // shard boundaries cut through refinement transitions.
-    for pipeline in [false, true] {
-        let reference = run(1, 1, pipeline);
-        assert_eq!(reference.gravity_parcels, 0);
-        let dist = run(4, 1, pipeline);
-        assert!(dist.gravity_parcels > 0);
-        let mode = if pipeline { "pipelined" } else { "barrier" };
-        assert_bit_identical(&reference, &dist, &format!("refined tree, {mode}"));
-    }
+    check(
+        &REFINED,
+        &[
+            Config::sharded(4),
+            REFERENCE.pipelined(),
+            Config::sharded(4).pipelined(),
+        ],
+    );
 }
 
+/// More gravity localities than the cluster has fall back to what exists
+/// (here one): the local solve, no gravity parcels.
 #[test]
 fn locality_option_clamps_to_the_cluster() {
-    let _serial = SERIAL.lock().unwrap();
-    // Asking for more gravity localities than the cluster has falls back
-    // to what exists (here: 1), rather than indexing out of bounds.
-    let cluster = SimCluster::new(1, 2);
-    let scenario = Scenario::build(ScenarioKind::RotatingStar, &cluster, 1, 0, 4);
-    let mut opts = SimOptions::default();
-    opts.omega = scenario.omega;
-    opts.localities = 64;
-    let mut sim = Simulation::new(scenario.grid, opts);
-    let before = parcel_counters().snapshot();
-    sim.run(&cluster, 2);
-    let delta = parcel_counters().snapshot().since(&before);
-    assert_eq!(delta.gravity_count(), 0, "clamped run is the local solve");
-    cluster.shutdown();
+    check(&SMALL, &[REFERENCE.gravity_localities(64)]);
 }

@@ -6,8 +6,12 @@
 //! in lane order and by masking remainder lanes out of every fold (see
 //! DESIGN.md), so the property holds for *any* input — which is what the
 //! randomized suites below check — and composes all the way up to full
-//! multi-step simulations, which `tests/equivalence.rs` compares.
+//! multi-step simulations, which the last section compares through the
+//! shared harness (`harness/mod.rs`).
 
+mod harness;
+
+use harness::{check, REFERENCE, UNIFORM};
 use octo_repro::amr::{NodeId, SubGrid, Tree};
 use octo_repro::kokkos::ExecSpace;
 use octo_repro::octotiger::gravity::direct::{p2p_at_w, PointMasses};
@@ -303,4 +307,22 @@ fn gravity_solve_bit_identical_on_refined_trees() {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Simulation-level: ten full steps bit-identical across widths, in both
+// stepper modes.
+// ---------------------------------------------------------------------
+
+#[test]
+fn ten_step_ledgers_bit_identical_barrier() {
+    check(&UNIFORM, &[REFERENCE.scalar()]);
+}
+
+#[test]
+fn ten_step_ledgers_bit_identical_pipelined() {
+    check(
+        &UNIFORM,
+        &[REFERENCE.pipelined(), REFERENCE.scalar().pipelined()],
+    );
 }
