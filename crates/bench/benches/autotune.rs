@@ -1,7 +1,7 @@
 //! The online granularity tuner, closed loop — the Figure 9 static sweep
 //! turned into a feedback experiment.
 //!
-//! Two layers, same tuner ([`hpx_rt::Tuner`]), same families:
+//! Two layers, same hill-climb ([`hpx_rt::Tuner`], one per ladder):
 //!
 //! * **Paper scale (acceptance claims)** — the tuner drives the
 //!   calibrated cluster model ([`cluster::simulate_step`], the engine
@@ -12,12 +12,11 @@
 //!   choice must match the best static rung within a hair and beat the
 //!   worst rung by >= 1.5x.
 //! * **This host (informational)** — the same closed loop over the real
-//!   kernels: one multipole-kernel launch over a frozen plan
-//!   (`GravitySolver::m2l_bench_run`) and a fleet of per-leaf
-//!   `compute_rhs` calls grouped `leaves_per_task` per spawned task.
-//!   CI boxes share cores with co-tenants and often expose a single
-//!   effective core, so only convergence-within-budget is checked here;
-//!   the measured ladder is reported for plotting.
+//!   multipole kernel: one launch over a frozen plan
+//!   (`GravitySolver::m2l_bench_run`), the knob the driver's tuner
+//!   climbs.  CI boxes share cores with co-tenants and often expose a
+//!   single effective core, so only convergence-within-budget is checked
+//!   here; the measured ladder is reported for plotting.
 //!
 //! Everything lands in `BENCH_autotune.json`.
 
@@ -26,9 +25,7 @@ use hpx_rt::Runtime;
 use kokkos_rs::ExecSpace;
 use octotiger::gravity::direct::PointMasses;
 use octotiger::gravity::{GravitySolver, LeafSources};
-use octotiger::hydro::{self, HydroOptions, SourceInput};
-use octotiger::state::{field, NF};
-use octree::{NodeId, SubGrid, Tree};
+use octree::{NodeId, Tree};
 use std::collections::HashMap;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -60,25 +57,23 @@ fn time_per_iter(mut f: impl FnMut()) -> f64 {
     }
 }
 
-/// Run the tuner's closed loop over `measure(candidate)` until the family
+/// Run the tuner's closed loop over `measure(candidate)` until the climb
 /// freezes (or the window budget runs out), then return the converged
 /// candidate and the number of windows it took.
 fn closed_loop(
-    family: &'static str,
     ladder: Vec<usize>,
     start: usize,
     hysteresis: f64,
     mut measure: impl FnMut(usize) -> f64,
 ) -> (usize, u64) {
-    let mut tuner = hpx_rt::Tuner::with_params(hysteresis, u64::MAX);
-    tuner.register(family, ladder, start);
+    let mut tuner = hpx_rt::Tuner::with_params(ladder, start, hysteresis, u64::MAX);
     let mut windows = 0u64;
-    while !tuner.is_frozen(family) && windows < WINDOW_BUDGET {
-        let t = measure(tuner.current(family));
-        tuner.observe(family, t);
+    while !tuner.is_frozen() && windows < WINDOW_BUDGET {
+        let t = measure(tuner.current());
+        tuner.observe(t);
         windows += 1;
     }
-    (tuner.current(family), windows)
+    (tuner.current(), windows)
 }
 
 struct FamilyResult {
@@ -98,7 +93,6 @@ struct FamilyResult {
 /// the convergence check.
 fn run_family(
     name: &'static str,
-    family: &'static str,
     ladder: Vec<usize>,
     start: usize,
     hysteresis: f64,
@@ -107,7 +101,7 @@ fn run_family(
     let statics: Vec<(usize, f64)> = ladder.iter().map(|&c| (c, measure(c))).collect();
     let best_time = statics.iter().map(|p| p.1).fold(f64::INFINITY, f64::min);
     let worst_time = statics.iter().map(|p| p.1).fold(0.0, f64::max);
-    let (tuned_choice, windows) = closed_loop(family, ladder, start, hysteresis, &mut measure);
+    let (tuned_choice, windows) = closed_loop(ladder, start, hysteresis, &mut measure);
     let tuned_time = measure(tuned_choice);
     FamilyResult {
         name,
@@ -135,7 +129,7 @@ fn model_m2l_family() -> FamilyResult {
     };
     // Closed loop from the paper's 1-task default (Figure 9 "OFF").
     let ladder = vec![1, 2, 4, 8, 16, 32, 64, 128, 256];
-    run_family("m2l", "gravity:m2l", ladder, 1, MODEL_HYSTERESIS, measure)
+    run_family("m2l", ladder, 1, MODEL_HYSTERESIS, measure)
 }
 
 /// Hydro-RHS family at paper scale: `hydro_leaves_per_task` against the
@@ -152,14 +146,7 @@ fn model_hydro_family() -> FamilyResult {
     };
     // Closed loop from the coarse end: one task owning 512 leaves.
     let ladder = vec![1, 2, 4, 8, 16, 32, 64, 128, 256, 512];
-    run_family(
-        "hydro-rhs",
-        "hydro:rhs",
-        ladder,
-        512,
-        MODEL_HYSTERESIS,
-        measure,
-    )
+    run_family("hydro-rhs", ladder, 512, MODEL_HYSTERESIS, measure)
 }
 
 /// M2L family on this host: the real multipole kernel over a frozen
@@ -201,102 +188,8 @@ fn host_m2l_family(rt: &Runtime) -> FamilyResult {
     };
     run_family(
         "m2l (host kernels)",
-        "gravity:m2l-host",
         ladder,
         1,
-        hpx_rt::tuner::DEFAULT_HYSTERESIS,
-        measure,
-    )
-}
-
-/// One leaf's hydro-RHS work: state, output buffer, scratch.
-struct HydroLeaf {
-    u: SubGrid,
-    rhs: SubGrid,
-    scratch: hydro::kernels::KernelScratch,
-}
-
-fn make_state(n: usize, seed: f64) -> SubGrid {
-    let mut u = SubGrid::new(n, 2, NF);
-    let ext = u.ext();
-    for i in 0..ext {
-        for j in 0..ext {
-            for k in 0..ext {
-                let x = i as f64 * 0.31 + j as f64 * 0.17 + k as f64 * 0.11 + seed;
-                u.set(field::RHO, i, j, k, 1.0 + 0.3 * x.sin());
-                u.set(field::SX, i, j, k, 0.2 * x.cos());
-                u.set(field::SY, i, j, k, -0.1 * (0.5 * x).sin());
-                u.set(field::EGAS, i, j, k, 1.2 + 0.2 * (2.0 * x).cos());
-                u.set(field::TAU, i, j, k, 0.9);
-                u.set(field::FRAC1, i, j, k, 0.6);
-            }
-        }
-    }
-    u
-}
-
-/// Hydro-RHS family on this host: 64 independent leaves,
-/// `leaves_per_task` grouped per spawned task — the driver's
-/// `for_each_leaf` grouping, isolated.
-fn host_hydro_family(rt: &Runtime) -> FamilyResult {
-    const LEAVES: usize = 64;
-    const N: usize = 8;
-    let mut data: Vec<HydroLeaf> = (0..LEAVES)
-        .map(|i| {
-            let u = make_state(N, i as f64 * 0.7);
-            let rhs = hydro::rhs_like(&u);
-            HydroLeaf {
-                u,
-                rhs,
-                scratch: hydro::kernels::KernelScratch::ephemeral(N, 2),
-            }
-        })
-        .collect();
-    let src = SourceInput {
-        gravity: None,
-        omega: 0.0,
-        origin: [0.0; 3],
-        h: 0.01,
-        boundary_faces: [false; 6],
-    };
-    let opts = HydroOptions {
-        // Scalar for the same reason as the M2L family: keep the kernel
-        // compute-bound so granularity, not memory bandwidth, decides.
-        vector_mode: sve_simd::VectorMode::Scalar,
-        cfl: 0.4,
-    };
-
-    let ladder: Vec<usize> = vec![1, 2, 4, 8, 16, 32, 64];
-    let measure = {
-        let data = &mut data;
-        let src = &src;
-        let opts = &opts;
-        move |leaves_per_task: usize| {
-            time_per_iter(|| {
-                rt.scope(|s| {
-                    for chunk in data.chunks_mut(leaves_per_task) {
-                        s.spawn(move || {
-                            for leaf in chunk {
-                                let info = hydro::compute_rhs(
-                                    &leaf.u,
-                                    &mut leaf.rhs,
-                                    src,
-                                    opts,
-                                    &mut leaf.scratch,
-                                );
-                                black_box(info.max_signal_speed);
-                            }
-                        });
-                    }
-                });
-            })
-        }
-    };
-    run_family(
-        "hydro-rhs (host kernels)",
-        "hydro:rhs-host",
-        ladder,
-        LEAVES,
         hpx_rt::tuner::DEFAULT_HYSTERESIS,
         measure,
     )
@@ -355,22 +248,21 @@ fn autotune_report() -> bench::FigureReport {
     // core.
     let workers = std::thread::available_parallelism().map_or(2, |n| n.get());
     let rt = Runtime::new(workers.saturating_sub(1).max(1));
-    for fam in [host_m2l_family(&rt), host_hydro_family(&rt)] {
-        add_series(&mut report, &fam, "s/launch (this host)");
-        report.check(
-            format!(
-                "{}: converged to {} per task in {} windows (tuned {:.3}ms, \
-                 static best {:.3}ms / worst {:.3}ms — informational)",
-                fam.name,
-                fam.tuned_choice,
-                fam.windows,
-                fam.tuned_time * 1e3,
-                fam.best_time * 1e3,
-                fam.worst_time * 1e3
-            ),
-            fam.windows < WINDOW_BUDGET,
-        );
-    }
+    let fam = host_m2l_family(&rt);
+    add_series(&mut report, &fam, "s/launch (this host)");
+    report.check(
+        format!(
+            "{}: converged to {} per task in {} windows (tuned {:.3}ms, \
+             static best {:.3}ms / worst {:.3}ms — informational)",
+            fam.name,
+            fam.tuned_choice,
+            fam.windows,
+            fam.tuned_time * 1e3,
+            fam.best_time * 1e3,
+            fam.worst_time * 1e3
+        ),
+        fam.windows < WINDOW_BUDGET,
+    );
     rt.shutdown();
     report
 }

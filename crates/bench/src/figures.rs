@@ -380,7 +380,7 @@ pub fn figure9() -> FigureReport {
     }
     // The tuner overlay: at each node count, hill-climb `multipole_tasks`
     // over the figure's ladder with the model's step time as the signal
-    // until the family freezes.  The model is deterministic (noise-free),
+    // until the climb freezes.  The model is deterministic (noise-free),
     // so the hysteresis band is set well below the paper's smallest
     // effect (the ~2% crossover gain at 128 nodes).
     let ladder: Vec<usize> = vec![1, 2, 4, 8, 16, 32, 64];
@@ -391,14 +391,13 @@ pub fn figure9() -> FigureReport {
             o.multipole_tasks = tasks;
             sweep(&m, &w, &[n], &o, &costs)[0].1.cells_per_second
         };
-        let mut tuner = hpx_rt::Tuner::with_params(1e-4, u64::MAX);
-        tuner.register("m2l", ladder.clone(), 1);
+        let mut tuner = hpx_rt::Tuner::with_params(ladder.clone(), 1, 1e-4, u64::MAX);
         let mut windows = 0;
-        while !tuner.is_frozen("m2l") && windows < 64 {
-            tuner.observe("m2l", 1.0 / run_at(tuner.current("m2l")));
+        while !tuner.is_frozen() && windows < 64 {
+            tuner.observe(1.0 / run_at(tuner.current()));
             windows += 1;
         }
-        let choice = tuner.current("m2l");
+        let choice = tuner.current();
         let rate = run_at(choice);
         r.point("TUNED (closed loop)", n as f64, rate, "cells/s");
         tuned.push((n, choice, rate));

@@ -88,12 +88,13 @@ pub struct SimOptions {
     /// density falls below this (`0.0` disables coarsening).
     pub regrid_coarsen_threshold: f64,
     /// Online auto-tuning of task granularity (the closed-loop Figure 9):
-    /// an [`hpx_rt::Tuner`] reads the step's apex timer windows and
-    /// adaptively picks `tasks_per_kernel` for the gravity kernel families,
-    /// the hydro-RHS leaves-per-task grouping, and the pipelined-vs-barrier
-    /// stepper.  Every knob flows through the chunk-count-independent
-    /// launch paths, so physics is bit-identical tuner-on vs tuner-off
-    /// (see `tests/autotune_equivalence.rs`).  Off by default.
+    /// an [`hpx_rt::Tuner`] reads each step's `gravity:kernels` apex
+    /// window and hill-climbs
+    /// [`GravityOptions::tasks_per_multipole_kernel`] from its configured
+    /// value, and nothing else.  The split flows through a
+    /// chunk-count-independent launch, so physics is bit-identical
+    /// tuner-on vs tuner-off (see `tests/autotune_equivalence.rs`).  Off
+    /// by default.
     pub autotune: bool,
 }
 
@@ -117,15 +118,6 @@ impl Default for SimOptions {
         }
     }
 }
-
-// Kernel-family names the driver registers with the tuner.  The three
-// gravity knobs share one apex signal (`gravity:kernels`), so they are
-// observed through `Tuner::observe_shared`.
-const TUNE_M2L: &str = "gravity:m2l";
-const TUNE_P2P: &str = "gravity:p2p";
-const TUNE_SLOT: &str = "gravity:slot";
-const TUNE_HYDRO: &str = "hydro:rhs";
-const TUNE_STEPPER: &str = "stepper";
 
 /// Telemetry of one step.
 #[derive(Debug, Clone, Copy)]
@@ -183,7 +175,7 @@ pub struct StepStats {
     /// Always `false`: plans are rebuilt per `topology_version`, never
     /// patched (DESIGN.md §7).  Kept because `benchmark/` reads it.
     pub gravity_plan_patched: bool,
-    /// The granularity tuner's chosen configs and activity counts after
+    /// The granularity tuner's chosen split and activity counts after
     /// this step (`None` unless [`SimOptions::autotune`] is on).
     pub tuner: Option<hpx_rt::TunerSnapshot>,
 }
@@ -353,8 +345,6 @@ pub struct Simulation {
     /// APEX-style phase profiler (paper conclusion: "more runs using HPX's
     /// performance counters or APEX are needed" — here it is built in).
     pub apex: hpx_rt::Apex,
-    /// FMM statistics of the most recent gravity solve.
-    last_gravity_stats: Option<crate::gravity::solver::SolveStats>,
     /// The simulation's scratch arena: kernel scratch and gravity fields
     /// check their buffers out of this pool.
     scratch: ScratchArena,
@@ -365,11 +355,8 @@ pub struct Simulation {
     /// tree skips the dual-tree traversal entirely.
     gravity_solver: GravitySolver,
     /// The online granularity tuner ([`SimOptions::autotune`]); its chosen
-    /// configs override the static launch knobs at the start of each step.
+    /// multipole split overrides the static one at the start of each step.
     tuner: Option<hpx_rt::Tuner>,
-    /// Leaves grouped per hydro task in [`Simulation::for_each_leaf`]
-    /// (tuner-controlled; 1 = the default one-task-per-leaf launch).
-    hydro_leaves_per_task: usize,
     /// Leaves refined / octets coarsened by every [`Simulation::regrid`]
     /// pass of this run (`/octotiger/regrid/{refined,derefined}`).
     regrid_totals: RegridOutcome,
@@ -380,7 +367,12 @@ impl Simulation {
     pub fn new(grid: DistGrid, opts: SimOptions) -> Simulation {
         let scratch = ScratchArena::new();
         let gravity_solver = GravitySolver::with_scratch(opts.gravity_opts, scratch.clone());
-        let tuner = opts.autotune.then(|| Self::build_tuner(&opts));
+        // The tuner's ladder: powers of two around Figure 9's 1 and 16,
+        // climbed from the configured split.
+        let tuner = opts.autotune.then(|| {
+            let start = opts.gravity_opts.tasks_per_multipole_kernel.max(1);
+            hpx_rt::Tuner::new(vec![1, 2, 4, 8, 16, 32], start)
+        });
         Simulation {
             grid,
             opts,
@@ -388,45 +380,12 @@ impl Simulation {
             step_count: 0,
             mass_outflow: 0.0,
             apex: hpx_rt::Apex::new(false),
-            last_gravity_stats: None,
             scratch,
             workspaces: HashMap::new(),
             gravity_solver,
             tuner,
-            hydro_leaves_per_task: 1,
             regrid_totals: RegridOutcome::default(),
         }
-    }
-
-    /// Register the step's kernel families with a fresh tuner.  Ladders are
-    /// bounded powers of two; each family starts at the static default so
-    /// switching the tuner on never jumps away from a hand-tuned value.
-    fn build_tuner(opts: &SimOptions) -> hpx_rt::Tuner {
-        let mut tuner = hpx_rt::Tuner::new();
-        // The Figure 9 knob proper: tasks per M2L kernel launch.
-        tuner.register(
-            TUNE_M2L,
-            vec![1, 2, 4, 8, 16, 32],
-            opts.gravity_opts.tasks_per_multipole_kernel.max(1),
-        );
-        // P2P/evaluation and the lane-aligned slot-table passes; their
-        // static default is `Auto` (0), so start mid-ladder.
-        let start_or = |knob: usize, auto: usize| if knob == 0 { auto } else { knob };
-        tuner.register(
-            TUNE_P2P,
-            vec![1, 2, 4, 8, 16],
-            start_or(opts.gravity_opts.tasks_per_p2p_kernel, 4),
-        );
-        tuner.register(
-            TUNE_SLOT,
-            vec![1, 2, 4, 8, 16],
-            start_or(opts.gravity_opts.tasks_per_slot_kernel, 4),
-        );
-        // Hydro RHS: leaves grouped per task (1 = one task per leaf).
-        tuner.register(TUNE_HYDRO, vec![1, 2, 4, 8, 16], 1);
-        // The stepper switch: 0 = barrier, 1 = pipelined.
-        tuner.register(TUNE_STEPPER, vec![0, 1], usize::from(opts.pipeline));
-        tuner
     }
 
     /// This run's (plan-hit, plan-rebuild) counts of the persistent gravity
@@ -525,17 +484,11 @@ impl Simulation {
         )
     }
 
-    /// Leaf-parallel execution: each locality runs its own leaves as tasks
-    /// on its own worker pool, mirroring HPX's per-locality scheduling.
-    ///
-    /// Leaves are grouped `hydro_leaves_per_task` per task (the tuner's
-    /// hydro-RHS granularity knob; default 1 = one task per leaf).  Each
-    /// leaf's work is independent — per-leaf workspace, per-leaf output
-    /// slot — so the grouping is bitwise neutral to the physics; it only
-    /// trades spawn overhead against parallelism.
+    /// Leaf-parallel execution: each locality runs its own leaves, one
+    /// task per leaf, on its own worker pool, mirroring HPX's per-locality
+    /// scheduling.
     fn for_each_leaf(&self, cluster: &SimCluster, f: impl Fn(NodeId) + Send + Sync + 'static) {
         let f = Arc::new(f);
-        let group = self.hydro_leaves_per_task.max(1);
         let mut futures: Vec<Future<()>> = Vec::new();
         for loc in cluster.localities() {
             let leaves = self.grid.leaves_of(loc.id());
@@ -546,15 +499,10 @@ impl Simulation {
             let rt = loc.runtime().clone();
             let rt_inner = rt.clone();
             futures.push(rt.async_call(move || {
+                let f = &*f;
                 rt_inner.scope(|s| {
-                    for chunk in leaves.chunks(group) {
-                        let f = f.clone();
-                        let chunk = chunk.to_vec();
-                        s.spawn(move || {
-                            for leaf in chunk {
-                                f(leaf);
-                            }
-                        });
+                    for leaf in leaves {
+                        s.spawn(move || f(leaf));
                     }
                 });
             }));
@@ -635,23 +583,17 @@ impl Simulation {
         };
         // ---- Online granularity tuner (apply phase). ----
         // Runs after the regrid so `note_topology` sees the post-regrid
-        // version: a topology change unfreezes every family for exactly one
-        // re-probe cycle.  Launch knobs are written here, through
-        // `&mut self` before any kernel of the step launches, and every
-        // launch copies them by value: no kernel can be re-split mid-launch
-        // (DESIGN.md §8).
-        let mut pipeline = self.opts.pipeline;
+        // version: a topology change unfreezes the climb for exactly one
+        // re-probe cycle.  The split is written here, through `&mut self`
+        // before any kernel of the step launches, and every launch copies
+        // it by value: no kernel can be re-split mid-launch (DESIGN.md §8).
         if let Some(t) = &mut self.tuner {
             let ver = self.grid.with_tree(|tr| tr.topology_version());
             t.note_topology(ver);
-            self.gravity_solver.opts.tasks_per_multipole_kernel = t.current(TUNE_M2L);
-            self.gravity_solver.opts.tasks_per_p2p_kernel = t.current(TUNE_P2P);
-            self.gravity_solver.opts.tasks_per_slot_kernel = t.current(TUNE_SLOT);
-            self.hydro_leaves_per_task = t.current(TUNE_HYDRO).max(1);
-            pipeline = t.current(TUNE_STEPPER) == 1;
+            self.gravity_solver.opts.tasks_per_multipole_kernel = t.current();
         }
         self.ensure_workspaces();
-        let mut stats = if pipeline {
+        let mut stats = if self.opts.pipeline {
             self.step_pipelined(cluster)
         } else {
             self.step_barrier(cluster)
@@ -659,25 +601,15 @@ impl Simulation {
         stats.regrid_refined = regrid.refined as u64;
         stats.regrid_derefined = regrid.derefined as u64;
         // ---- Online granularity tuner (observe phase). ----
-        // Feed the step's windowed kernel timings back, then close the
-        // windows so the next step's observation is not diluted by this
-        // one.  The three gravity knobs share one apex signal
-        // (`gravity:kernels`); `observe_shared` attributes it to whichever
-        // family is actively probing.  The pipelined stepper fuses RK
-        // stages into continuations and records no `hydro:rk_stage` timer,
-        // hence the window_count guards.
+        // Feed the step's gravity-kernel window back, then close it so the
+        // next step's observation is not diluted by this one.  Without
+        // gravity there is no window, and the climb never starts.
         if let Some(tuner) = self.tuner.as_mut() {
             let g = self.apex.stats("gravity:kernels");
             if g.window_count > 0 {
-                tuner.observe_shared(&[TUNE_M2L, TUNE_SLOT, TUNE_P2P], g.window_mean_s());
+                tuner.observe(g.window_mean_s());
             }
-            let h = self.apex.stats("hydro:rk_stage");
-            if h.window_count > 0 {
-                tuner.observe(TUNE_HYDRO, h.window_mean_s());
-            }
-            tuner.observe(TUNE_STEPPER, stats.elapsed_seconds);
             self.apex.reset_window("gravity:kernels");
-            self.apex.reset_window("hydro:rk_stage");
             stats.tuner = Some(tuner.snapshot());
         }
         stats
@@ -738,7 +670,6 @@ impl Simulation {
         let leaves = shared.leaves.len() as u64;
         let mass_outflow = shared.fold_outflow(dt);
         self.mass_outflow += mass_outflow;
-        self.last_gravity_stats = gravity_stats;
         self.time += dt;
         self.step_count += 1;
         let elapsed = t0.elapsed().as_secs_f64();
@@ -988,11 +919,6 @@ impl Simulation {
 }
 
 impl Simulation {
-    /// FMM statistics of the most recent step (if gravity ran).
-    pub fn last_gravity_stats(&self) -> Option<crate::gravity::solver::SolveStats> {
-        self.last_gravity_stats
-    }
-
     /// Peak interior density and maximum relative density jump between
     /// adjacent interior cells of one leaf — the two refinement indicators
     /// of the criterion pass.

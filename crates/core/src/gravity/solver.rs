@@ -79,16 +79,8 @@ pub struct GravityOptions {
     /// FMM modification.
     pub use_octupole: bool,
     /// HPX tasks per multipole-kernel launch (Figure 9: 1 = OFF, 16 = ON).
+    /// The other launches run `ChunkSpec::Auto` (one task per worker).
     pub tasks_per_multipole_kernel: usize,
-    /// HPX tasks per evaluation (and tile) kernel launch; 0 =
-    /// `ChunkSpec::Auto` (one task per worker).  An online-tuner knob —
-    /// any value is bitwise neutral because each leaf's output slot is
-    /// computed independently.
-    pub tasks_per_p2p_kernel: usize,
-    /// HPX tasks per slot-table (upward/downward) kernel launch; 0 =
-    /// `ChunkSpec::Auto`.  Task boundaries stay lane-aligned regardless
-    /// (the `SplitsVectorLane` invariant), so any value is bitwise neutral.
-    pub tasks_per_slot_kernel: usize,
     /// SIMD width for the P2P kernels (Figure 7).
     pub vector_mode: VectorMode,
 }
@@ -99,8 +91,6 @@ impl Default for GravityOptions {
             theta: 0.5,
             use_octupole: true,
             tasks_per_multipole_kernel: 1,
-            tasks_per_p2p_kernel: 0,
-            tasks_per_slot_kernel: 0,
             vector_mode: VectorMode::default(),
         }
     }
@@ -481,13 +471,14 @@ fn launch_slots<T: Clone + Send + Sync>(
     }
 }
 
-/// Carving of the slot-table (upward/downward) launches.  Task boundaries
-/// are rounded to `SVE_LANES_F64`-slot blocks, so a short level runs as a
-/// few block-sized tasks instead of many one-slot ones.  The kernels store
-/// one element per `&mut` slot, so the carving never changes a result.
-fn slot_policy(len: usize, opts: &GravityOptions) -> RangePolicy {
+/// Carving of the slot-table (upward/downward) launches: one task per
+/// worker, with boundaries rounded to `SVE_LANES_F64`-slot blocks, so a
+/// short level runs as a few block-sized tasks instead of many one-slot
+/// ones.  The kernels store one element per `&mut` slot, so the carving
+/// never changes a result.
+fn slot_policy(len: usize) -> RangePolicy {
     RangePolicy::new(0, len)
-        .with_chunk(ChunkSpec::tasks_or_auto(opts.tasks_per_slot_kernel))
+        .with_chunk(ChunkSpec::Auto)
         .with_lanes(sve_simd::SVE_LANES_F64)
 }
 
@@ -506,7 +497,7 @@ impl GravitySolver {
     ) {
         launch_slots(
             space,
-            slot_policy(owned.len(), &self.opts),
+            slot_policy(owned.len()),
             owned,
             &mut bufs.multipoles,
             &mut bufs.mp_out,
@@ -588,7 +579,7 @@ impl GravitySolver {
     ) {
         launch_slots(
             space,
-            slot_policy(owned.len(), &self.opts),
+            slot_policy(owned.len()),
             owned,
             &mut bufs.locals,
             &mut bufs.local_out,
@@ -644,13 +635,12 @@ impl GravitySolver {
             })
             .collect();
         let near = &near[..];
-        let tasks = self.opts.tasks_per_p2p_kernel;
         let mode = self.opts.vector_mode;
-        tiles.rebuild(plan, owned, near, tasks, space);
+        tiles.rebuild(plan, owned, near, space);
         let tiles = &*tiles;
         // Not cleared: a slot's lists keep their capacity.
         evals.resize_with(owned.len(), LeafEval::default);
-        let policy = RangePolicy::new(0, owned.len()).with_chunk(ChunkSpec::tasks_or_auto(tasks));
+        let policy = RangePolicy::new(0, owned.len()).with_chunk(ChunkSpec::Auto);
         parallel_for_mut(space, policy, evals, |i, out| {
             let li = owned[i];
             let ncells = near[li].len();
@@ -925,15 +915,17 @@ mod tests {
 
     /// Solve sharded over `nloc` Morton-partitioned localities, two
     /// workers each.
+    /// The sharded solve over `nloc` runtimes of `workers` threads each.
     fn solve_on_localities(
         solver: &GravitySolver,
         tree: &Tree,
         sources: &Arc<HashMap<NodeId, LeafSources>>,
         nloc: usize,
+        workers: usize,
     ) -> HashMap<NodeId, LeafField> {
         let plan = solver.plan_for(tree);
         let dist = solver.dist_plan_for(&plan, &octree::partition_morton(tree, nloc), nloc);
-        let rts: Vec<hpx_rt::Runtime> = (0..nloc).map(|_| hpx_rt::Runtime::new(2)).collect();
+        let rts: Vec<hpx_rt::Runtime> = (0..nloc).map(|_| hpx_rt::Runtime::new(workers)).collect();
         let (fields, _) = solver.solve_distributed(&plan, &dist, sources, &rts);
         for rt in rts {
             rt.shutdown();
@@ -981,7 +973,7 @@ mod tests {
                     );
                 }
                 for nloc in [2, 4, 7] {
-                    let fields = solve_on_localities(&solver, &tree, &sources, nloc);
+                    let fields = solve_on_localities(&solver, &tree, &sources, nloc, 2);
                     assert_eq!(field_hash(&tree, &fields), pinned, "{mode:?}, nloc={nloc}");
                 }
             }
@@ -991,11 +983,13 @@ mod tests {
 
     #[test]
     fn task_splitting_does_not_change_results() {
-        // Figure 9's knob — and the tuner's slot and P2P knobs — are
-        // performance-only at every locality count: per-target summation
-        // order is fixed by the plan's CSR lists and every launch writes
-        // disjoint per-index outputs, so splitting is bitwise neutral.
-        // The n = 8 row splits the tile launch and the tiled evaluation.
+        // Figure 9's knob and the worker count are performance-only at
+        // every locality count: per-target summation order is fixed by the
+        // plan's CSR lists and every launch writes disjoint per-index
+        // outputs, so splitting is bitwise neutral.  The tile, evaluation
+        // and slot launches run `ChunkSpec::Auto`, so 1, 2 and 3 workers
+        // carve them 1, 2 and 3 ways.  The n = 8 row splits the tile launch
+        // and the tiled evaluation.
         for (tree, n, nlocs) in [
             (Tree::new_uniform(2), 3, &[1, 2, 4][..]),
             (Tree::new_uniform(1), 8, &[2][..]),
@@ -1008,17 +1002,15 @@ mod tests {
                     .0,
             );
             for &nloc in nlocs {
-                for (multipole, p2p, slot) in [(16, 0, 0), (1, 3, 5), (16, 8, 16)] {
+                for (workers, multipole) in [(1, 16), (2, 1), (3, 16)] {
                     let mut opts = GravityOptions::default();
                     opts.tasks_per_multipole_kernel = multipole;
-                    opts.tasks_per_p2p_kernel = p2p;
-                    opts.tasks_per_slot_kernel = slot;
-                    let fields =
-                        solve_on_localities(&GravitySolver::new(opts), &tree, &sources, nloc);
+                    let solver = GravitySolver::new(opts);
+                    let fields = solve_on_localities(&solver, &tree, &sources, nloc, workers);
                     assert_eq!(
                         field_hash(&tree, &fields),
                         reference,
-                        "n={n}, nloc={nloc}, tasks m2l/p2p/slot = {multipole}/{p2p}/{slot}"
+                        "n={n}, nloc={nloc}, {workers} workers, {multipole} multipole tasks"
                     );
                 }
             }

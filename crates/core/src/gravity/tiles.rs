@@ -182,7 +182,7 @@ pub fn near_field_counts(plan: &GravityPlan, points: &[&PointMasses]) -> NearFie
     assert_eq!(points.len(), plan.leaves.len());
     let owned: Vec<usize> = (0..plan.leaves.len()).collect();
     let mut tiles = TileSet::default();
-    tiles.rebuild(plan, &owned, points, 1, &ExecSpace::Serial);
+    tiles.rebuild(plan, &owned, points, &ExecSpace::Serial);
     let mut counts = NearFieldCounts::default();
     let (mut far, mut sums) = (Vec::new(), [(); 4].map(|_| Vec::new()));
     for &li in &owned {
@@ -325,7 +325,7 @@ pub(super) struct TileSet {
 impl TileSet {
     /// Rebuild for one solve: `near[li]` is leaf `li`'s point set as this
     /// locality sees it, `owned` its owned leaf indices.  The tile launch
-    /// (split into `tasks` HPX tasks, 0 = auto) only runs when some
+    /// (one task per worker of `space`) only runs when some
     /// visible leaf has more than one tile — otherwise every near pair is
     /// [`NearTier::Points`], so no tile multipole is ever read.
     pub(super) fn rebuild(
@@ -333,7 +333,6 @@ impl TileSet {
         plan: &GravityPlan,
         owned: &[usize],
         near: &[&PointMasses],
-        tasks: usize,
         space: &ExecSpace,
     ) {
         let nleaves = plan.leaves.len();
@@ -356,7 +355,7 @@ impl TileSet {
             return;
         }
         self.built.resize_with(nleaves, LeafTiles::default);
-        let policy = RangePolicy::new(0, nleaves).with_chunk(ChunkSpec::tasks_or_auto(tasks));
+        let policy = RangePolicy::new(0, nleaves).with_chunk(ChunkSpec::Auto);
         parallel_for_mut(space, policy, &mut self.built, |li, out| {
             if visible[li] {
                 let centers = &geo.centers[geo.tiles_of(li)];

@@ -5,7 +5,7 @@
 //! is a continuation on its ghost, pack, Δt and gravity futures, and only
 //! those gates keep a stage from reading a half-updated neighbour.  Every
 //! other ordering — the sharded solve's level and tile joins, the kernels'
-//! disjoint `&mut` slots, the tuner's step-boundary knobs — is a borrow or a
+//! disjoint `&mut` slots, the tuner's step-boundary split — is a borrow or a
 //! `Runtime::scope` join the compiler checks.
 //!
 //! [`RealStep`] therefore checks the code itself rather than a replica of

@@ -29,9 +29,9 @@
 //!   specification the paper added HPX support for (HPX PR #5870).
 //! * [`apex`] — APEX-style autonomic performance instrumentation, the
 //!   analysis layer the paper's conclusion points to for future work.
-//! * [`tuner`] — the closed loop over that layer: online auto-tuning of
-//!   task granularity per kernel family (the paper's Figure 9 knob),
-//!   driven by apex window means.
+//! * [`tuner`] — the closed loop over that layer: a hill-climb over one
+//!   task-granularity ladder (the paper's Figure 9 knob), driven by apex
+//!   window means.
 
 pub mod apex;
 pub mod counters;
@@ -52,7 +52,7 @@ pub use future::{
 pub use locality::{ActionRegistry, Locality, LocalityId, Parcel, SimCluster};
 pub use pjm::JobSpec;
 pub use runtime::{Runtime, Scope};
-pub use tuner::{FamilyPhase, FamilySnapshot, Tuner, TunerSnapshot, TuningState};
+pub use tuner::{Tuner, TunerPhase, TunerSnapshot};
 
 #[cfg(test)]
 mod tests {

@@ -25,17 +25,6 @@ pub enum ChunkSpec {
 }
 
 impl ChunkSpec {
-    /// `Tasks(n)` for a positive `n`, `Auto` for 0 — the shape tuner-chosen
-    /// task counts arrive in, where 0 means "not tuned, let the space
-    /// decide" (one task per worker).
-    pub fn tasks_or_auto(n: usize) -> ChunkSpec {
-        if n == 0 {
-            ChunkSpec::Auto
-        } else {
-            ChunkSpec::Tasks(n)
-        }
-    }
-
     /// Resolve to a concrete task count for a range of `len` indices on a
     /// pool of `workers` threads.  Always at least 1; never more tasks than
     /// indices (except for the empty range, which yields 0).
@@ -147,13 +136,6 @@ impl RangePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tasks_or_auto_maps_zero_to_auto() {
-        assert_eq!(ChunkSpec::tasks_or_auto(0), ChunkSpec::Auto);
-        assert_eq!(ChunkSpec::tasks_or_auto(1), ChunkSpec::Tasks(1));
-        assert_eq!(ChunkSpec::tasks_or_auto(16), ChunkSpec::Tasks(16));
-    }
 
     #[test]
     fn chunkspec_resolution() {

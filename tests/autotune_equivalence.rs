@@ -1,11 +1,10 @@
 //! The online granularity tuner is a pure performance feature.  It
-//! re-splits gravity kernel launches, re-groups hydro leaf tasks and flips
-//! the stepper between barrier and pipelined mode, all bitwise-neutral
-//! launch knobs by construction (plan-frozen CSR summation order, disjoint
-//! `&mut` chunks, independent per-leaf work).  Through the shared harness
-//! (`harness/mod.rs`) a tuned run is bit-identical to the untuned reference
-//! across locality counts × widths and across a mid-run regrid, and its
-//! converged families re-probe exactly once per topology change.
+//! re-splits the multipole kernel launch (Figure 9's knob), which is
+//! bitwise neutral by construction (plan-frozen CSR summation order,
+//! disjoint `&mut` chunks).  Through the shared harness (`harness/mod.rs`)
+//! a tuned run is bit-identical to the untuned reference across locality
+//! counts × widths and across a mid-run regrid, and its climb re-probes
+//! exactly once per topology change.
 
 mod harness;
 
