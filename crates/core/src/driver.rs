@@ -68,7 +68,7 @@ pub struct SimOptions {
     /// Bit-identical physics at every count (`tests/distributed_equivalence.rs`).
     pub localities: usize,
     /// Mid-run adaptive regridding: every `Some(k)` steps the driver runs
-    /// the density/shock criterion pass ([`Simulation::regrid`]) before the
+    /// the density criterion pass ([`Simulation::regrid`]) before the
     /// step proper.  A pass that changes the tree bumps its
     /// `topology_version`; the step that follows rebuilds the gravity
     /// plans and the ghost plan at the new version and provisions
@@ -81,9 +81,6 @@ pub struct SimOptions {
     /// Refine a leaf when its peak interior density exceeds this (paper
     /// Section IV-C: "AMR is based on the density field").
     pub regrid_refine_threshold: f64,
-    /// Also refine when the relative density jump between adjacent cells
-    /// exceeds this (a shock indicator; `INFINITY` disables it).
-    pub regrid_shock_threshold: f64,
     /// Coarsen an octet back into its parent when every child's peak
     /// density falls below this (`0.0` disables coarsening).
     pub regrid_coarsen_threshold: f64,
@@ -112,7 +109,6 @@ impl Default for SimOptions {
             regrid_cadence: None,
             regrid_max_level: 3,
             regrid_refine_threshold: 1.0,
-            regrid_shock_threshold: f64::INFINITY,
             regrid_coarsen_threshold: 0.0,
             autotune: false,
         }
@@ -919,46 +915,32 @@ impl Simulation {
 }
 
 impl Simulation {
-    /// Peak interior density and maximum relative density jump between
-    /// adjacent interior cells of one leaf — the two refinement indicators
-    /// of the criterion pass.
-    fn leaf_density_extrema(&self, leaf: NodeId) -> (f64, f64) {
+    /// Peak interior density of one leaf — the refinement indicator of the
+    /// criterion pass.
+    fn leaf_peak_density(&self, leaf: NodeId) -> f64 {
         let handle = self.grid.grid(leaf);
         let g = handle.read();
         let n = g.n();
         let mut peak = 0.0f64;
-        let mut jump = 0.0f64;
-        let rel = |a: f64, b: f64| (a - b).abs() / a.min(b).max(1e-300);
         for i in 0..n {
             for j in 0..n {
                 for k in 0..n {
-                    let rho = g.get_interior(field::RHO, i, j, k);
-                    peak = peak.max(rho);
-                    if i + 1 < n {
-                        jump = jump.max(rel(rho, g.get_interior(field::RHO, i + 1, j, k)));
-                    }
-                    if j + 1 < n {
-                        jump = jump.max(rel(rho, g.get_interior(field::RHO, i, j + 1, k)));
-                    }
-                    if k + 1 < n {
-                        jump = jump.max(rel(rho, g.get_interior(field::RHO, i, j, k + 1)));
-                    }
+                    peak = peak.max(g.get_interior(field::RHO, i, j, k));
                 }
             }
         }
-        (peak, jump)
+        peak
     }
 
     /// Octo-Tiger's regrid, both directions of it (paper Section IV-C:
     /// "AMR is based on the density field"):
     ///
     /// * **refine** every leaf below `max_level` whose peak interior
-    ///   density exceeds `threshold` or whose relative cell-to-cell
-    ///   density jump exceeds [`SimOptions::regrid_shock_threshold`],
-    ///   prolonging payloads into the new children conservatively;
+    ///   density exceeds `threshold`, prolonging payloads into the new
+    ///   children conservatively;
     /// * **coarsen** every octet whose eight children are leaves with peak
-    ///   density below [`SimOptions::regrid_coarsen_threshold`] (and no
-    ///   shock), restricting the children back into the parent — via the
+    ///   density below [`SimOptions::regrid_coarsen_threshold`],
+    ///   restricting the children back into the parent — via the
     ///   polite [`DistGrid::derefine`], which refuses rather than drag
     ///   still-wanted fine neighbours coarser.
     ///
@@ -968,7 +950,6 @@ impl Simulation {
     /// version while `ensure_workspaces` drops the consumed leaves'
     /// workspaces and keeps every surviving leaf's.
     pub fn regrid(&mut self, max_level: u8, threshold: f64) -> RegridOutcome {
-        let shock = self.opts.regrid_shock_threshold;
         let coarsen = self.opts.regrid_coarsen_threshold;
         let mut outcome = RegridOutcome::default();
         loop {
@@ -980,8 +961,7 @@ impl Simulation {
                     if leaf.level() >= max_level {
                         return false;
                     }
-                    let (peak, jump) = self.leaf_density_extrema(leaf);
-                    peak > threshold || jump > shock
+                    self.leaf_peak_density(leaf) > threshold
                 })
                 .collect();
             if candidates.is_empty() {
@@ -1011,10 +991,8 @@ impl Simulation {
                         .all(|o| t.is_leaf(p.child(o)))
                 });
                 let collapsible = whole_octet_of_leaves
-                    && octree::Octant::all().into_iter().all(|o| {
-                        let (peak, jump) = self.leaf_density_extrema(p.child(o));
-                        peak < coarsen && jump < shock
-                    });
+                    && (octree::Octant::all().into_iter())
+                        .all(|o| self.leaf_peak_density(p.child(o)) < coarsen);
                 if collapsible && self.grid.derefine(p) {
                     outcome.derefined += 1;
                 }
@@ -1220,7 +1198,7 @@ mod tests {
         // is dragged along).
         let target = sim.grid.leaves()[3];
         let peak = (sim.grid.leaves().into_iter())
-            .map(|l| sim.leaf_density_extrema(l).0)
+            .map(|l| sim.leaf_peak_density(l))
             .fold(0.0, f64::max);
         (sim.grid.grid(target).write()).set_interior(field::RHO, 1, 1, 1, 2.0 * peak);
         let out = sim.regrid(2, 1.5 * peak);

@@ -33,8 +33,8 @@
 //! through the Kokkos-style `ExecSpace` with a configurable
 //! [`GravityOptions::tasks_per_multipole_kernel`]: 1 task (Octo-Tiger's
 //! default, hot cache) or 16 tasks (the paper's anti-starvation setting,
-//! Figure 9); the slot-table and evaluation launches have the same kind of
-//! knob, honoured at every locality count.
+//! Figure 9), honoured at every locality count; the slot-table and
+//! evaluation launches have no such knob and run `ChunkSpec::Auto`.
 //!
 //! The *dual-tree traversal* that decides near/far is **not** redone per
 //! solve: it is frozen into a [`GravityPlan`] keyed on

@@ -6,11 +6,10 @@
 //! properties can be **proven before anything runs** — no schedule
 //! exploration, no race detection, just graph checks over the frozen
 //! lists.  This matters most for the planned real-process transport:
-//! a mismatched or cyclic exchange that the in-process parcel pump
-//! happens to tolerate (the receive `expect`s a queued parcel and
-//! panics) becomes a hard *hang* over pipes or sockets — the classic
-//! distributed-AMT failure mode the Octo-Tiger scaling work reports
-//! burning node-hours on.
+//! a mismatched or cyclic exchange that the in-process transport happens
+//! to tolerate (the receive `expect`s a queued parcel and panics) becomes
+//! a hard *hang* over pipes or sockets — the classic distributed-AMT
+//! failure mode the Octo-Tiger scaling work reports burning node-hours on.
 //!
 //! Two verifiers:
 //!

@@ -12,7 +12,7 @@
 //!   ([`hpx_rt::Runtime::deterministic`]) and reports stalls and contained
 //!   task panics with a *replayable seed*.
 //! * **The real pipelined step** ([`step`]) — the model checker's
-//!   workload: the real `Simulation::step` on a one-locality cluster over
+//!   workload: the real `Simulation::step` on 1, 2 or 4 localities sharing
 //!   the deterministic pool, bit-compared against `step_barrier`.
 //! * **Kernel-body source lints** ([`scan`]) — source scans forbidding
 //!   blocking `.wait()`/`.get()`, heap allocation, and shared

@@ -97,9 +97,10 @@ fn parse_args(args: &[String]) -> Result<(String, Options), String> {
     Ok((cmd, opts))
 }
 
-/// The model checker over the real pipelined step: per configuration, the
-/// `step_barrier` reference once, then `--schedules` seeds from `--seed`
-/// (or just the `--replay` seed), each bit-compared against it.
+/// The model checker over the real pipelined step: per configuration (a
+/// step count and a locality count, [`RealStep::ALL`]), the `step_barrier`
+/// reference once, then `--schedules` seeds from `--seed` (or just the
+/// `--replay` seed), each bit-compared against it.
 fn run_model(opts: &Options) -> bool {
     let checker = ModelChecker::new()
         .schedules(opts.schedules)

@@ -9,13 +9,15 @@
 //! `Runtime::scope` join the compiler checks.
 //!
 //! [`RealStep`] therefore checks the code itself rather than a replica of
-//! it: it builds a one-locality `SimCluster` over the model checker's
-//! [`Runtime::deterministic`] pool, runs the real pipelined
+//! it: it builds a `SimCluster` of 1, 2 or 4 localities over the model
+//! checker's one [`Runtime::deterministic`] pool, runs the real pipelined
 //! `Simulation::step` there, and compares the final state bit for bit with
-//! `step_barrier` run on a threaded cluster.  Per seed it reports a stall (a
-//! dropped or cyclic gate), a contained panic, or the first
-//! `(leaf, field, cell)` whose bits differ (a missing gate that let a
-//! kernel race its neighbour's pack or unpack).
+//! `step_barrier` run on a threaded cluster of as many localities.  A parcel
+//! is a task on its destination's runtime, so at N > 1 the seed also
+//! interleaves the ghost exchange's parcel links and the sharded solve.
+//! Per seed it reports a stall (a dropped or cyclic gate, a lost parcel), a
+//! contained panic, or the first `(leaf, field, cell)` whose bits differ (a
+//! missing gate that let a kernel race its neighbour's pack or unpack).
 
 use hpx_rt::{Runtime, SimCluster};
 use octotiger::{Scenario, ScenarioKind, SimOptions, Simulation, NF};
@@ -31,24 +33,38 @@ pub struct RealStep {
     /// Regrid at cadence 2 with every octet collapsible, so the third step
     /// runs on the coarsened tree (8 leaves -> 1).
     coarsen: bool,
+    /// Localities the leaves are sharded over (`SimOptions::localities`).
+    localities: usize,
 }
 
 /// Final state of a run: every leaf's sub-grid, in leaf order.
 pub type LeafStates = Vec<(NodeId, SubGrid)>;
 
 impl RealStep {
-    /// Two pipelined steps on the unchanged tree.
-    pub const TWO_STEPS: RealStep = RealStep {
-        steps: 2,
-        coarsen: false,
-    };
-    /// Two steps, a coarsening regrid, then a third step.
-    pub const COARSEN_THEN_STEP: RealStep = RealStep {
-        steps: 3,
-        coarsen: true,
-    };
-    /// Both configurations, as `hpx-check model` runs them.
-    pub const ALL: [RealStep; 2] = [Self::TWO_STEPS, Self::COARSEN_THEN_STEP];
+    /// Two pipelined steps on the unchanged tree, on `localities`.
+    pub const fn two_steps(localities: usize) -> RealStep {
+        RealStep {
+            steps: 2,
+            coarsen: false,
+            localities,
+        }
+    }
+    /// Two steps, a coarsening regrid, then a third step, on `localities`.
+    pub const fn coarsen_then_step(localities: usize) -> RealStep {
+        RealStep {
+            steps: 3,
+            coarsen: true,
+            localities,
+        }
+    }
+    /// Every configuration, as `hpx-check model` runs them.
+    pub const ALL: [RealStep; 5] = [
+        Self::two_steps(1),
+        Self::two_steps(2),
+        Self::two_steps(4),
+        Self::coarsen_then_step(1),
+        Self::coarsen_then_step(2),
+    ];
 
     /// Build the scenario on `cluster`, take the steps with the chosen
     /// stepper, and return the final state.
@@ -58,7 +74,7 @@ impl RealStep {
         opts.omega = scenario.omega;
         opts.gravity = true;
         opts.pipeline = pipeline;
-        opts.localities = 1;
+        opts.localities = self.localities;
         opts.regrid_cadence = self.coarsen.then_some(2);
         opts.regrid_refine_threshold = f64::INFINITY;
         opts.regrid_coarsen_threshold = f64::INFINITY;
@@ -73,23 +89,30 @@ impl RealStep {
     }
 
     /// The reference: the same run with `step_barrier` on a threaded
-    /// one-locality cluster.
+    /// cluster of as many localities, one worker each.
     pub fn reference(&self) -> LeafStates {
-        let cluster = SimCluster::new(1, 2);
+        let cluster = SimCluster::new(self.localities, 1);
         let state = self.simulate(&cluster, false);
         cluster.shutdown();
         state
     }
 
     /// Run the pipelined steps on the deterministic pool `rt` (the
-    /// [`crate::ModelChecker`] closure) and panic, naming the first
-    /// `(leaf, field, cell)`, if the final state differs from `reference`
-    /// in any bit.
+    /// [`crate::ModelChecker`] closure), every locality on that one pool,
+    /// and panic, naming the first `(leaf, field, cell)`, if the final state
+    /// differs from `reference` in any bit.  A multi-locality run that sent
+    /// no parcel panics too: it would have checked the one-locality path.
     pub fn run(&self, rt: &Runtime, reference: &LeafStates) {
-        let cluster = SimCluster::from_runtimes(vec![rt.clone()]);
+        let cluster = SimCluster::from_runtimes(vec![rt.clone(); self.localities]);
         let outcome = catch_unwind(AssertUnwindSafe(|| self.simulate(&cluster, true)));
+        let parcels = cluster.total_counters().parcels_sent;
         cluster.shutdown();
         let state = outcome.unwrap_or_else(|panic| resume_unwind(panic));
+        assert!(
+            self.localities == 1 || parcels > 0,
+            "{self:?}: {} localities sent no parcel",
+            self.localities
+        );
         if let Some(diff) = first_difference(&state, reference) {
             panic!("{self:?}: final state differs from step_barrier at {diff}");
         }

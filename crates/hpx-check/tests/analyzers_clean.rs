@@ -26,7 +26,7 @@ fn real_step_is_clean_on_sixteen_seeds(check: RealStep, leaves: usize) {
 fn pipelined_run_passes_all_analyzers() {
     // The model checker over the real step: two pipelined steps, gravity
     // on, 16 seeded schedules.
-    real_step_is_clean_on_sixteen_seeds(RealStep::TWO_STEPS, 8);
+    real_step_is_clean_on_sixteen_seeds(RealStep::two_steps(1), 8);
 
     // And a threaded run of the default scenario: three pipelined steps,
     // every link drained.
@@ -50,7 +50,15 @@ fn pipelined_step_after_a_coarsening_regrid_matches_barrier_on_every_seed() {
     // The same check across a topology change: the third step runs on the
     // tree the cadence-2 regrid collapsed to one leaf, with every plan,
     // ghost link and workspace rebuilt or dropped.
-    real_step_is_clean_on_sixteen_seeds(RealStep::COARSEN_THEN_STEP, 1);
+    real_step_is_clean_on_sixteen_seeds(RealStep::coarsen_then_step(1), 1);
+}
+
+#[test]
+fn pipelined_step_on_two_and_four_localities_matches_barrier_on_every_seed() {
+    // Every locality on the one seeded pool: the ghost exchange's parcel
+    // links and the sharded solve are interleaved by the seed too.
+    real_step_is_clean_on_sixteen_seeds(RealStep::two_steps(2), 8);
+    real_step_is_clean_on_sixteen_seeds(RealStep::two_steps(4), 8);
 }
 
 #[test]

@@ -20,11 +20,12 @@
 //! * [`locality`] — N logical localities in one process, with an action
 //!   registry and the one in-process parcel transport
 //!   ([`Locality::apply_async`]: an action carried by a parcel, delivered
-//!   by the destination's pump thread, answered through a future), metered
-//!   by [`counters::Counters`].  This stands in for HPX's distributed AGAS
-//!   and parcelport layer (see DESIGN.md substitution table).  The Section
-//!   VII-B "local HPX promise/future pairs to notify neighbors" are plain
-//!   [`future::Promise`] pairs: the ghost exchange's per-link futures.
+//!   as a task on the destination's runtime, answered through a future),
+//!   metered by [`counters::Counters`].  This stands in for HPX's
+//!   distributed AGAS and parcelport layer (see DESIGN.md substitution
+//!   table).  The Section VII-B "local HPX promise/future pairs to notify
+//!   neighbors" are plain [`future::Promise`] pairs: the ghost exchange's
+//!   per-link futures.
 //! * [`pjm`] — a model of the Fugaku Parallel Job Manager resource
 //!   specification the paper added HPX support for (HPX PR #5870).
 //! * [`apex`] — APEX-style autonomic performance instrumentation, the
@@ -49,7 +50,7 @@ pub use future::{
     make_ready_future, set_blocked_wait_timeout, when_all, when_all_of, when_any, Future, Promise,
     Settled,
 };
-pub use locality::{ActionRegistry, Locality, LocalityId, Parcel, SimCluster};
+pub use locality::{ActionRegistry, Locality, LocalityId, SimCluster};
 pub use pjm::JobSpec;
 pub use runtime::{Runtime, Scope};
 pub use tuner::{Tuner, TunerPhase, TunerSnapshot};

@@ -22,8 +22,7 @@ use crate::runtime::Runtime;
 use parking_lot::RwLock;
 use std::any::Any;
 use std::collections::HashMap;
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock, Weak};
 
 /// Identifier of a logical locality (0-based, dense).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -66,34 +65,19 @@ impl ActionRegistry {
     }
 }
 
-/// A parcel: an action invocation in flight to another locality.
-pub struct Parcel {
-    /// Action to invoke at the destination.
-    pub action: &'static str,
-    /// Argument payload.
-    pub arg: Payload,
-    /// Declared wire size of `arg` in bytes.
-    pub size_bytes: usize,
-    /// Completion promise fulfilled with the handler's result.
-    reply: Promise<ArcPayload>,
-    /// Originating locality (for diagnostics).
-    pub source: LocalityId,
-}
-
 /// Results are shared (futures are cloneable), so the payload crosses the
 /// reply path behind an `Arc`.
 pub type ArcPayload = Arc<dyn Any + Send + Sync>;
-
-struct Inbox {
-    tx: mpsc::Sender<Parcel>,
-}
 
 /// One logical HPX locality: a task pool plus a parcel port.
 pub struct Locality {
     id: LocalityId,
     runtime: Runtime,
     registry: Arc<ActionRegistry>,
-    peers: RwLock<Vec<Inbox>>,
+    /// Every locality of the cluster, this one included, by id; set once
+    /// when the cluster is built.  Weak, so the localities do not keep
+    /// each other alive.
+    peers: OnceLock<Vec<Weak<Locality>>>,
     counters: Counters,
 }
 
@@ -116,10 +100,16 @@ impl Locality {
     /// Invoke `action` on locality `dest` with `arg` (declared wire size
     /// `size_bytes`); returns a future for the handler's boxed result.
     ///
-    /// A same-locality destination still takes the full parcel path — the
+    /// The parcel is delivered by spawning the handler as a task on the
+    /// destination's runtime; that task answers through the future.  A
+    /// same-locality destination still takes the full parcel path — the
     /// *communication optimization* of the paper's Section VII-B is
     /// implemented above this layer (in `octree::ghost`) precisely because
     /// short-circuiting is an application-level decision there.
+    ///
+    /// # Panics
+    /// Panics, before anything is counted, if `action` is not registered
+    /// or `dest` is not a live locality of this cluster.
     pub fn apply_async(
         &self,
         dest: LocalityId,
@@ -127,25 +117,24 @@ impl Locality {
         arg: Payload,
         size_bytes: usize,
     ) -> Future<ArcPayload> {
+        let handler = (self.registry.lookup(action))
+            .unwrap_or_else(|| panic!("unregistered action '{action}'"));
+        let peer = (self.peers.get().and_then(|peers| peers.get(dest.0)))
+            .unwrap_or_else(|| panic!("unknown destination {dest}"))
+            .upgrade()
+            .unwrap_or_else(|| panic!("destination {dest} has shut down"));
         let (reply, future) = Promise::new_pair();
         Counters::bump(&self.counters.parcels_sent);
         Counters::add(&self.counters.parcel_bytes, size_bytes as u64);
         Counters::bump(&self.counters.futures_created);
-        let parcel = Parcel {
-            action,
-            arg,
-            size_bytes,
-            reply,
-            source: self.id,
-        };
-        let peers = self.peers.read();
-        let inbox = peers
-            .get(dest.0)
-            .unwrap_or_else(|| panic!("unknown destination {dest}"));
-        inbox
-            .tx
-            .send(parcel)
-            .expect("destination locality has shut down");
+        let runtime = peer.runtime.clone();
+        runtime.spawn(move || {
+            let result = handler(arg, &peer);
+            // Box<dyn Any + Send> -> Arc<dyn Any + Send + Sync>: handlers
+            // return plain data; require Sync via a wrapper box.
+            let arc: ArcPayload = Arc::new(SendBox(result));
+            reply.set(arc);
+        });
         future
     }
 
@@ -156,12 +145,12 @@ impl Locality {
     }
 }
 
-/// A simulated cluster: `n` localities, each with `workers` worker threads,
-/// plus one parcel-pump thread per locality.
+/// A simulated cluster: `n` localities, each with its own task pool.
+/// Parcels travel as tasks spawned on the destination's pool, so the
+/// cluster runs no threads beyond the pools' workers.
 pub struct SimCluster {
     localities: Vec<Arc<Locality>>,
     registry: Arc<ActionRegistry>,
-    pumps: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl SimCluster {
@@ -171,47 +160,34 @@ impl SimCluster {
     }
 
     /// Build a cluster with one locality per runtime, locality `i` running
-    /// its tasks on `runtimes[i]` — e.g. a [`Runtime::deterministic`] pool,
-    /// so a model checker can drive the real program through seeded
-    /// schedules.
+    /// its tasks on `runtimes[i]`.  The runtimes may be clones of one pool:
+    /// `vec![Runtime::deterministic(seed); n]` puts every locality, and
+    /// every parcel between them, on one seeded schedule, so a model
+    /// checker can drive the real distributed program.
     pub fn from_runtimes(runtimes: Vec<Runtime>) -> Self {
-        let n = runtimes.len();
-        assert!(n > 0, "a cluster needs at least one locality");
+        assert!(
+            !runtimes.is_empty(),
+            "a cluster needs at least one locality"
+        );
         let registry = Arc::new(ActionRegistry::default());
-        let mut rxs = Vec::with_capacity(n);
-        let mut inboxes = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = mpsc::channel::<Parcel>();
-            inboxes.push(tx);
-            rxs.push(rx);
-        }
         let localities: Vec<Arc<Locality>> = (runtimes.into_iter().enumerate())
             .map(|(i, runtime)| {
                 Arc::new(Locality {
                     id: LocalityId(i),
                     runtime,
                     registry: registry.clone(),
-                    peers: RwLock::new(inboxes.iter().map(|tx| Inbox { tx: tx.clone() }).collect()),
+                    peers: OnceLock::new(),
                     counters: Counters::new(),
                 })
             })
             .collect();
-        drop(inboxes); // pump threads hold the only receivers; senders live in peers
-
-        let mut pumps = Vec::with_capacity(n);
-        for (i, rx) in rxs.into_iter().enumerate() {
-            let loc = localities[i].clone();
-            pumps.push(
-                std::thread::Builder::new()
-                    .name(format!("hpx-parcelport-{i}"))
-                    .spawn(move || parcel_pump(loc, rx))
-                    .expect("failed to spawn parcel pump"),
-            );
+        let peers: Vec<Weak<Locality>> = localities.iter().map(Arc::downgrade).collect();
+        for loc in &localities {
+            let _ = loc.peers.set(peers.clone());
         }
         SimCluster {
             localities,
             registry,
-            pumps,
         }
     }
 
@@ -277,35 +253,12 @@ impl SimCluster {
         out
     }
 
-    /// Stop parcel pumps and all locality runtimes.
-    pub fn shutdown(mut self) {
-        // Closing the senders ends each pump's recv loop.
-        for loc in &self.localities {
-            loc.peers.write().clear();
-        }
-        for pump in self.pumps.drain(..) {
-            let _ = pump.join();
-        }
+    /// Stop every locality's runtime (a pool shared by several localities
+    /// is stopped once and the rest are no-ops).
+    pub fn shutdown(self) {
         for loc in &self.localities {
             loc.runtime().shutdown();
         }
-    }
-}
-
-fn parcel_pump(loc: Arc<Locality>, rx: mpsc::Receiver<Parcel>) {
-    while let Ok(parcel) = rx.recv() {
-        let handler = loc
-            .registry
-            .lookup(parcel.action)
-            .unwrap_or_else(|| panic!("unregistered action '{}'", parcel.action));
-        let loc2 = loc.clone();
-        loc.runtime().spawn(move || {
-            let result = handler(parcel.arg, &loc2);
-            // Box<dyn Any + Send> -> Arc<dyn Any + Send + Sync>: handlers
-            // return plain data; require Sync via a wrapper box.
-            let arc: ArcPayload = Arc::new(SendBox(result));
-            parcel.reply.set(arc);
-        });
     }
 }
 
@@ -330,6 +283,7 @@ pub fn downcast_payload<T: 'static>(payload: &ArcPayload) -> Option<&T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::AssertUnwindSafe;
 
     #[test]
     fn action_roundtrip_with_typed_payload() {
@@ -409,6 +363,62 @@ mod tests {
             assert_eq!(*downcast_payload::<u64>(&reply).unwrap(), (i * i) as u64);
         }
         cluster.shutdown();
+    }
+
+    #[test]
+    fn unregistered_action_panics_at_the_sender_and_the_cluster_still_delivers() {
+        let cluster = SimCluster::new(2, 1);
+        cluster.register_action("ping", |_arg, loc| Box::new(loc.id().0));
+        let send = |dest, action| {
+            std::panic::catch_unwind(AssertUnwindSafe(|| {
+                cluster
+                    .locality(0)
+                    .apply_async(LocalityId(dest), action, Box::new(()), 8)
+            }))
+            .map(|_| ())
+            .expect_err("the send must panic")
+        };
+        let message = |panic: Box<dyn Any + Send>| *panic.downcast::<String>().unwrap();
+        assert_eq!(message(send(1, "x")), "unregistered action 'x'");
+        assert_eq!(message(send(2, "ping")), "unknown destination locality#2");
+        assert_eq!(cluster.locality(0).counters().snapshot().parcels_sent, 0);
+        let reply = cluster
+            .locality(0)
+            .apply_async(LocalityId(1), "ping", Box::new(()), 8)
+            .get();
+        assert_eq!(*downcast_payload::<usize>(&reply).unwrap(), 1);
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn localities_sharing_one_deterministic_pool_deliver_on_every_seed() {
+        for n in [2, 4] {
+            for seed in 1..=16 {
+                let rt = Runtime::deterministic(seed);
+                let cluster = SimCluster::from_runtimes(vec![rt.clone(); n]);
+                cluster.register_action("ping", |arg, loc| {
+                    Box::new(*arg.downcast::<usize>().unwrap() * 10 + loc.id().0)
+                });
+                rt.enter(|| {
+                    let replies: Vec<_> = (0..n)
+                        .map(|i| {
+                            cluster.locality(i).apply_async(
+                                LocalityId((i + 1) % n),
+                                "ping",
+                                Box::new(i),
+                                8,
+                            )
+                        })
+                        .collect();
+                    for (i, reply) in replies.iter().enumerate() {
+                        let got = *downcast_payload::<usize>(&reply.get()).unwrap();
+                        assert_eq!(got, i * 10 + (i + 1) % n, "n = {n}, seed {seed}");
+                    }
+                });
+                assert_eq!(cluster.total_counters().parcels_sent, n as u64);
+                cluster.shutdown();
+            }
+        }
     }
 
     #[test]

@@ -168,8 +168,10 @@ impl Runtime {
     /// panic immediately with a seed-stamped report instead of hanging.
     ///
     /// This is the loom-lite substrate of the `hpx-check` model checker,
-    /// which runs the real pipelined step on it through a one-locality
-    /// [`SimCluster::from_runtimes`](crate::SimCluster::from_runtimes).
+    /// which runs the real pipelined step on it through
+    /// [`SimCluster::from_runtimes`](crate::SimCluster::from_runtimes) with
+    /// one clone of the pool per locality, so every locality's tasks and
+    /// every parcel between them share the one seeded schedule.
     pub fn deterministic(seed: u64) -> Self {
         let inner = Arc::new(PoolInner {
             injector: Injector::new(),

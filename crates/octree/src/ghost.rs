@@ -244,10 +244,11 @@ impl GhostPlan {
 
     /// Top up the payload arena to the exact per-bucket link demand before
     /// an exchange fans out.  Payloads are checked out by the exchanging
-    /// thread (direct links) and by the remote parcel pumps (parcel links),
-    /// so the population a warm-up exchange reaches depends on how those
-    /// threads interleave; prewarming the peak demand makes the steady state
-    /// allocation-free deterministically (afterwards the top-up is a no-op).
+    /// thread (direct links) and by the destination localities' workers
+    /// (parcel links, whose handlers run as tasks there), so the population
+    /// a warm-up exchange reaches depends on how those threads interleave;
+    /// prewarming the peak demand makes the steady state allocation-free
+    /// deterministically (afterwards the top-up is a no-op).
     fn prewarm(&self) {
         for (&bucket, &count) in &self.demand {
             self.pool.prewarm(bucket, count);
@@ -1114,10 +1115,10 @@ mod tests {
             "steady-state exchange must allocate nothing (misses still growing after {rounds} rounds)"
         );
         assert!(dg.scratch().stats().hits > warm.hits);
-        // A parcel reply's last reference can be dropped on the remote
-        // pump's worker thread, so the final return may land a beat after
-        // the exchange itself completes: poll for it instead of sampling
-        // once.
+        // A parcel reply's last reference can be dropped on a worker of
+        // the locality that ran the handler, so the final return may land a
+        // beat after the exchange itself completes: poll for it instead of
+        // sampling once.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         loop {
             let in_use = dg.scratch().stats().bytes_in_use;
