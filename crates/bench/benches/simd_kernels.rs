@@ -28,7 +28,7 @@ fn axpy_bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("simd/axpy");
     group.bench_function(BenchmarkId::new("width", 1), |bench| {
         bench.iter(|| {
-            zip_map_simd::<f64, 1>(black_box(&a), black_box(&b), &mut out, |x, y| {
+            zip_map_simd::<1>(black_box(&a), black_box(&b), &mut out, |x, y| {
                 x.mul_add(Simd::splat(1.5), y)
             });
             black_box(&out);
@@ -36,7 +36,7 @@ fn axpy_bench(c: &mut Criterion) {
     });
     group.bench_function(BenchmarkId::new("width", 8), |bench| {
         bench.iter(|| {
-            zip_map_simd::<f64, 8>(black_box(&a), black_box(&b), &mut out, |x, y| {
+            zip_map_simd::<8>(black_box(&a), black_box(&b), &mut out, |x, y| {
                 x.mul_add(Simd::splat(1.5), y)
             });
             black_box(&out);
@@ -52,12 +52,12 @@ fn rsqrt_bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("simd/rsqrt");
     group.bench_function(BenchmarkId::new("width", 1), |bench| {
         bench.iter(|| {
-            for_each_simd::<f64, 1>(black_box(&mut data), |v| Simd::splat(1.0) / v.sqrt());
+            for_each_simd::<1>(black_box(&mut data), |v| Simd::splat(1.0) / v.sqrt());
         })
     });
     group.bench_function(BenchmarkId::new("width", 8), |bench| {
         bench.iter(|| {
-            for_each_simd::<f64, 8>(black_box(&mut data), |v| Simd::splat(1.0) / v.sqrt());
+            for_each_simd::<8>(black_box(&mut data), |v| Simd::splat(1.0) / v.sqrt());
         })
     });
     group.finish();
@@ -73,13 +73,13 @@ fn minmod_bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("simd/minmod");
     group.bench_function(BenchmarkId::new("width", 1), |bench| {
         bench.iter(|| {
-            zip_map_simd::<f64, 1>(black_box(&a), black_box(&b), &mut out, minmod);
+            zip_map_simd::<1>(black_box(&a), black_box(&b), &mut out, minmod);
             black_box(&out);
         })
     });
     group.bench_function(BenchmarkId::new("width", 8), |bench| {
         bench.iter(|| {
-            zip_map_simd::<f64, 8>(black_box(&a), black_box(&b), &mut out, minmod);
+            zip_map_simd::<8>(black_box(&a), black_box(&b), &mut out, minmod);
             black_box(&out);
         })
     });

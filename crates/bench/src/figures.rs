@@ -494,7 +494,7 @@ pub fn figure10() -> FigureReport {
 /// Fault-injection companion to Figure 6: the paper could not debug hangs
 /// at large node counts ("Octo-Tiger started to hang for a larger node
 /// count") — reproduce the reliability cliff.
-pub fn fault_companion() -> FigureReport {
+pub(crate) fn fault_companion() -> FigureReport {
     let mut r = FigureReport::new(
         "fig6-faults",
         "Run-completion probability on Fugaku (Fujitsu MPI hang model)",

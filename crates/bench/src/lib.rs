@@ -2,7 +2,7 @@
 //!
 //! One binary per table/figure of the paper's evaluation (see DESIGN.md
 //! §4 for the index), plus criterion microbenchmarks of the real kernels.
-//! The figure builders live in [`figures`] so integration tests can assert
+//! The figure builders live in `figures` so integration tests can assert
 //! every figure's qualitative claims without spawning processes; the
 //! binaries are thin wrappers that print markdown + JSON.
 //!
@@ -11,14 +11,14 @@
 //! width) and compares the measured SIMD speedup with the
 //! `cluster::KernelCosts` constant the machine models use.
 
-pub mod figures;
-pub mod report;
+mod figures;
+mod report;
 
 pub use figures::{
-    all_reports, fault_companion, figure10, figure3, figure4, figure5, figure6, figure7, figure8,
-    figure9, scratch_pressure, table2,
+    all_reports, figure10, figure3, figure4, figure5, figure6, figure7, figure8, figure9,
+    scratch_pressure, table2,
 };
-pub use report::{Check, FigureReport};
+pub use report::FigureReport;
 
 use octotiger::hydro::{self, HydroOptions, SourceInput};
 use octotiger::state::{field, NF};

@@ -83,7 +83,7 @@ impl KernelCosts {
     }
 
     /// Effective SIMD speedup factor for a run (`1.0` when SVE is off).
-    pub fn simd_factor(&self, sve: bool) -> f64 {
+    pub(crate) fn simd_factor(&self, sve: bool) -> f64 {
         if sve {
             self.sve_speedup
         } else {

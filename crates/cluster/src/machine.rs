@@ -145,7 +145,7 @@ impl Machine {
 
     /// Effective clock in GHz for a run (`boost` selects Fugaku's
     /// 2.2 GHz mode when available).
-    pub fn effective_clock(&self, boost: bool) -> f64 {
+    pub(crate) fn effective_clock(&self, boost: bool) -> f64 {
         if boost {
             self.boost_clock_ghz.unwrap_or(self.clock_ghz)
         } else {
@@ -180,7 +180,7 @@ impl Machine {
     /// aggregation-efficiency factor (GPUs need large aggregated kernels;
     /// starved GPUs lose efficiency — the work-aggregation story of the
     /// paper's reference \[9\]).
-    pub fn gpu_node_gflops(&self, subgrids_per_node: f64) -> f64 {
+    pub(crate) fn gpu_node_gflops(&self, subgrids_per_node: f64) -> f64 {
         if self.gpus_per_node == 0 {
             return 0.0;
         }
@@ -196,19 +196,19 @@ impl Machine {
     }
 }
 
-/// All machine ids the paper evaluates.
-pub const ALL_MACHINES: [MachineId; 6] = [
-    MachineId::Fugaku,
-    MachineId::Ookami,
-    MachineId::Summit,
-    MachineId::PizDaint,
-    MachineId::Perlmutter,
-    MachineId::PerlmutterCpuOnly,
-];
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// All machine ids the paper evaluates.
+    const ALL_MACHINES: [MachineId; 6] = [
+        MachineId::Fugaku,
+        MachineId::Ookami,
+        MachineId::Summit,
+        MachineId::PizDaint,
+        MachineId::Perlmutter,
+        MachineId::PerlmutterCpuOnly,
+    ];
 
     #[test]
     fn fugaku_matches_paper_description() {

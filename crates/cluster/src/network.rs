@@ -30,7 +30,7 @@ impl Interconnect {
     /// Fugaku's Tofu-D (6D torus, ~6.8 GB/s injection per NIC group).
     /// The elevated per-message overhead reflects the Fujitsu-MPI
     /// small-message behaviour the paper ran into at scale.
-    pub const fn tofu_d() -> Interconnect {
+    pub(crate) const fn tofu_d() -> Interconnect {
         Interconnect {
             name: "Tofu-D (Fujitsu MPI)",
             latency_s: 0.9e-6,
@@ -40,7 +40,7 @@ impl Interconnect {
     }
 
     /// Ookami's InfiniBand HDR with OpenMPI.
-    pub const fn infiniband_hdr() -> Interconnect {
+    pub(crate) const fn infiniband_hdr() -> Interconnect {
         Interconnect {
             name: "InfiniBand HDR (OpenMPI)",
             latency_s: 1.1e-6,
@@ -50,7 +50,7 @@ impl Interconnect {
     }
 
     /// Summit's dual-rail EDR InfiniBand.
-    pub const fn infiniband_edr_dual() -> Interconnect {
+    pub(crate) const fn infiniband_edr_dual() -> Interconnect {
         Interconnect {
             name: "InfiniBand EDR x2",
             latency_s: 1.0e-6,
@@ -60,7 +60,7 @@ impl Interconnect {
     }
 
     /// Piz Daint's Cray Aries dragonfly.
-    pub const fn aries() -> Interconnect {
+    pub(crate) const fn aries() -> Interconnect {
         Interconnect {
             name: "Cray Aries",
             latency_s: 1.3e-6,
@@ -71,7 +71,7 @@ impl Interconnect {
 
     /// Perlmutter's HPE Slingshot 10 (phase 1 — the paper's disclaimer
     /// notes the network was not final).
-    pub const fn slingshot10() -> Interconnect {
+    pub(crate) const fn slingshot10() -> Interconnect {
         Interconnect {
             name: "Slingshot 10 (phase 1)",
             latency_s: 1.2e-6,
@@ -84,7 +84,7 @@ impl Interconnect {
     /// bytes, with `overlap_cores` cores able to progress communication
     /// concurrently (HPX overlaps communication with computation, so
     /// per-message host overhead is divided over the helper cores).
-    pub fn transfer_time(&self, messages: u64, bytes: u64, overlap_cores: usize) -> f64 {
+    pub(crate) fn transfer_time(&self, messages: u64, bytes: u64, overlap_cores: usize) -> f64 {
         if messages == 0 {
             return 0.0;
         }

@@ -38,7 +38,7 @@ impl Default for PowerModel {
 impl PowerModel {
     /// Average power of one node given core-utilization in `[0, 1]` and
     /// whether SVE is active.
-    pub fn node_watts(&self, machine: &Machine, utilization: f64, sve: bool) -> f64 {
+    pub(crate) fn node_watts(&self, machine: &Machine, utilization: f64, sve: bool) -> f64 {
         let util = utilization.clamp(0.0, 1.0);
         let cores = machine.cores_per_node as f64;
         let simd = if sve { self.simd_w_per_core } else { 0.0 };
@@ -54,7 +54,70 @@ impl PowerModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::calibrate::KernelCosts;
     use crate::machine::MachineId;
+    use crate::workload::{RunOptions, Workload};
+
+    /// Table II of the paper, verbatim: (refinement level, nodes, average
+    /// watts).  Entries the paper leaves blank are absent.
+    const TABLE2_PAPER: [(u8, usize, f64); 10] = [
+        (5, 4, 373.94),
+        (5, 16, 1145.69),
+        (5, 32, 1969.14),
+        (5, 128, 11908.93),
+        (5, 256, 15228.07),
+        (6, 128, 8659.86),
+        (6, 256, 19274.0),
+        (6, 1024, 111261.36),
+        (7, 512, 55310.55),
+        (7, 1024, 111235.41),
+    ];
+
+    /// `(level, nodes, paper watts, model watts)` over the Table II grid.
+    fn table2_comparisons() -> Vec<(u8, usize, f64, f64)> {
+        let m = Machine::get(MachineId::Fugaku);
+        let costs = KernelCosts::default();
+        let opts = RunOptions::default();
+        let power = PowerModel::default();
+        TABLE2_PAPER
+            .iter()
+            .map(|&(level, nodes, paper_watts)| {
+                let w = Workload::rotating_star(level);
+                let model = crate::campaign::power_for(&m, nodes, &w, &opts, &costs, &power);
+                (level, nodes, paper_watts, model)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn table2_has_the_papers_ten_entries() {
+        assert_eq!(TABLE2_PAPER.len(), 10);
+        // Spot-check against the paper's text.
+        assert_eq!(TABLE2_PAPER[7], (6, 1024, 111261.36));
+    }
+
+    #[test]
+    fn largest_runs_agree_within_fifteen_percent() {
+        for (level, nodes, paper, model) in table2_comparisons() {
+            if nodes >= 512 {
+                assert!(
+                    (model / paper - 1.0).abs() < 0.15,
+                    "level {level} @ {nodes} nodes: model {model} vs paper {paper}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn per_node_watts_always_physical() {
+        for (_, nodes, _, model) in table2_comparisons() {
+            let per_node = model / nodes as f64;
+            assert!(
+                (40.0..150.0).contains(&per_node),
+                "unphysical node power {per_node} W"
+            );
+        }
+    }
 
     #[test]
     fn fugaku_node_power_in_table_ii_band() {

@@ -8,15 +8,15 @@ use serde::{Deserialize, Serialize};
 /// Chosen so the minimum feasible node counts match Section VI-B: fits one
 /// Summit node (512 GB), four Piz Daint nodes (64 GB each), sixteen Fugaku
 /// nodes (28 GB each, after power-of-two rounding).
-pub const V1309_FOOTPRINT_GB: f64 = 250.0;
+pub(crate) const V1309_FOOTPRINT_GB: f64 = 250.0;
 
 /// Modelled footprint of the DWD level-12 scenario — the paper chose the
 /// refinement "such that it fits into the 28 GB of one Supercomputer
 /// Fugaku node".
-pub const DWD_FOOTPRINT_GB: f64 = 26.0;
+pub(crate) const DWD_FOOTPRINT_GB: f64 = 26.0;
 
 /// Cells per sub-grid edge (the paper's N).
-pub const SUBGRID_N: usize = 8;
+pub(crate) const SUBGRID_N: usize = 8;
 
 /// One scenario's step workload.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -85,7 +85,7 @@ impl Workload {
     }
 
     /// Sub-grids per node at a given node count.
-    pub fn subgrids_per_node(&self, nodes: usize) -> f64 {
+    pub(crate) fn subgrids_per_node(&self, nodes: usize) -> f64 {
         self.subgrids / nodes as f64
     }
 
@@ -94,7 +94,7 @@ impl Workload {
     /// `min(1, 2/S^{1/3})` with `S` sub-grids per node (matches the
     /// trend of the direct-link share `octree::DistGrid::exchange_ghosts`
     /// reports).
-    pub fn remote_link_fraction(&self, nodes: usize) -> f64 {
+    pub(crate) fn remote_link_fraction(&self, nodes: usize) -> f64 {
         if nodes <= 1 {
             return 0.0;
         }

@@ -185,13 +185,6 @@ pub struct RegridOutcome {
     pub derefined: usize,
 }
 
-impl RegridOutcome {
-    /// Did the pass change the topology at all?
-    pub fn changed(&self) -> bool {
-        self.refined > 0 || self.derefined > 0
-    }
-}
-
 /// What one gravity solve hands the stage kernels: the per-leaf fields
 /// (shared by every stage task) and the interaction counts.
 type GravityResult = (
@@ -439,12 +432,6 @@ impl Simulation {
             .map(|(name, value)| (name.to_owned(), value))
             .chain(cluster.counters())
             .collect()
-    }
-
-    /// Handle to the simulation's scratch arena (kernel + gravity buffers;
-    /// ghost payloads live in [`DistGrid::scratch`]).
-    pub fn scratch(&self) -> ScratchArena {
-        self.scratch.clone()
     }
 
     /// Create workspaces for new leaves and drop the ones whose leaves a
@@ -1101,7 +1088,6 @@ mod tests {
         let refined = sim.regrid(3, 1.0);
         assert!(refined.refined > 0, "the star should trigger refinement");
         assert_eq!(refined.derefined, 0, "coarsening is off by default");
-        assert!(refined.changed());
         assert!(sim.grid.leaves().len() > leaves_before);
         sim.grid
             .with_tree(|t| t.check_invariants().expect("balanced"));
@@ -1136,7 +1122,6 @@ mod tests {
         let out = sim.regrid(3, f64::INFINITY);
         assert_eq!(out.refined, 0);
         assert!(out.derefined > 0, "vacuum octets should collapse");
-        assert!(out.changed());
         assert!(sim.grid.leaves().len() < leaves_before);
         sim.grid
             .with_tree(|t| t.check_invariants().expect("balanced"));

@@ -1,11 +1,13 @@
-//! Equations of state: ideal gas for the hydro evolution, polytropes for
-//! the SCF initial models.
+//! Equations of state: polytropes for the SCF initial models.  The hydro
+//! evolution's gamma-law closure is `units::GAMMA`, applied inline by the
+//! kernels.
 //!
 //! Paper Section IV-C: the SCF module builds binaries whose components
 //! "may be polytropic or a 'bi-polytropic' structure, with core, envelope,
-//! and/or common envelope components".
+//! and/or common envelope components".  Both scenarios here use single
+//! polytropes.
 
-use crate::units::{GAMMA, P_FLOOR, RHO_FLOOR};
+use crate::units::{P_FLOOR, RHO_FLOOR};
 
 /// Minimal EOS interface used by the hydro solver and SCF module.
 pub trait Eos {
@@ -18,44 +20,6 @@ pub trait Eos {
     fn enthalpy(&self, rho: f64) -> f64;
     /// Inverse of [`Eos::enthalpy`]: density from specific enthalpy.
     fn rho_from_enthalpy(&self, h: f64) -> f64;
-}
-
-/// Gamma-law ideal gas, `p = (γ−1) e`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IdealGas {
-    /// Ratio of specific heats.
-    pub gamma: f64,
-}
-
-impl Default for IdealGas {
-    fn default() -> Self {
-        IdealGas { gamma: GAMMA }
-    }
-}
-
-impl Eos for IdealGas {
-    #[inline]
-    fn pressure(&self, _rho: f64, e: f64) -> f64 {
-        ((self.gamma - 1.0) * e).max(P_FLOOR)
-    }
-
-    #[inline]
-    fn sound_speed(&self, rho: f64, p: f64) -> f64 {
-        (self.gamma * p / rho.max(RHO_FLOOR)).sqrt()
-    }
-
-    fn enthalpy(&self, rho: f64) -> f64 {
-        // For an isentropic gamma-law gas with K = 1:
-        // h = γ/(γ−1) K ρ^(γ−1).
-        self.gamma / (self.gamma - 1.0) * rho.max(0.0).powf(self.gamma - 1.0)
-    }
-
-    fn rho_from_enthalpy(&self, h: f64) -> f64 {
-        if h <= 0.0 {
-            return 0.0;
-        }
-        ((self.gamma - 1.0) / self.gamma * h).powf(1.0 / (self.gamma - 1.0))
-    }
 }
 
 /// Polytrope `p = K ρ^(1 + 1/n)` with index `n`.
@@ -78,12 +42,12 @@ impl Polytrope {
     }
 
     /// Adiabatic exponent `Γ = 1 + 1/n`.
-    pub fn gamma(&self) -> f64 {
+    pub(crate) fn gamma(&self) -> f64 {
         1.0 + 1.0 / self.n
     }
 
     /// Barotropic pressure `p(ρ)`.
-    pub fn pressure_of_rho(&self, rho: f64) -> f64 {
+    pub(crate) fn pressure_of_rho(&self, rho: f64) -> f64 {
         self.k * rho.max(0.0).powf(self.gamma())
     }
 }
@@ -110,97 +74,9 @@ impl Eos for Polytrope {
     }
 }
 
-/// Bi-polytropic structure: a core polytrope beneath a transition density,
-/// an envelope polytrope above — with the envelope constant chosen for
-/// pressure continuity at the transition (paper: "core, envelope, and/or
-/// common envelope components").
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BiPolytrope {
-    /// Core EOS (applies for `rho >= rho_transition`).
-    pub core: Polytrope,
-    /// Envelope EOS (applies below the transition).
-    pub envelope: Polytrope,
-    /// Transition density.
-    pub rho_transition: f64,
-}
-
-impl BiPolytrope {
-    /// Build with pressure-matched envelope: `k_env` is derived so
-    /// `p_core(ρ_t) = p_env(ρ_t)`.
-    pub fn pressure_matched(core: Polytrope, n_envelope: f64, rho_transition: f64) -> Self {
-        assert!(rho_transition > 0.0);
-        let p_t = core.pressure_of_rho(rho_transition);
-        let gamma_env = 1.0 + 1.0 / n_envelope;
-        let k_env = p_t / rho_transition.powf(gamma_env);
-        BiPolytrope {
-            core,
-            envelope: Polytrope::new(k_env, n_envelope),
-            rho_transition,
-        }
-    }
-
-    /// Which component's EOS applies at density `rho`.
-    fn part(&self, rho: f64) -> &Polytrope {
-        if rho >= self.rho_transition {
-            &self.core
-        } else {
-            &self.envelope
-        }
-    }
-}
-
-impl Eos for BiPolytrope {
-    fn pressure(&self, rho: f64, _e: f64) -> f64 {
-        self.part(rho).pressure_of_rho(rho).max(P_FLOOR)
-    }
-
-    fn sound_speed(&self, rho: f64, p: f64) -> f64 {
-        self.part(rho).sound_speed(rho, p)
-    }
-
-    fn enthalpy(&self, rho: f64) -> f64 {
-        if rho >= self.rho_transition {
-            // Continuity: h_core(ρ) - h_core(ρ_t) + h_env(ρ_t).
-            self.core.enthalpy(rho) - self.core.enthalpy(self.rho_transition)
-                + self.envelope.enthalpy(self.rho_transition)
-        } else {
-            self.envelope.enthalpy(rho)
-        }
-    }
-
-    fn rho_from_enthalpy(&self, h: f64) -> f64 {
-        let h_t = self.envelope.enthalpy(self.rho_transition);
-        if h <= h_t {
-            self.envelope.rho_from_enthalpy(h)
-        } else {
-            self.core
-                .rho_from_enthalpy(h - h_t + self.core.enthalpy(self.rho_transition))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ideal_gas_pressure_and_sound_speed() {
-        let eos = IdealGas::default();
-        let p = eos.pressure(1.0, 1.5);
-        assert!((p - (GAMMA - 1.0) * 1.5).abs() < 1e-14);
-        let cs = eos.sound_speed(1.0, p);
-        assert!((cs * cs - GAMMA * p).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ideal_gas_enthalpy_roundtrip() {
-        let eos = IdealGas::default();
-        for rho in [1e-4, 0.1, 1.0, 7.3] {
-            let h = eos.enthalpy(rho);
-            assert!((eos.rho_from_enthalpy(h) - rho).abs() / rho < 1e-12);
-        }
-        assert_eq!(eos.rho_from_enthalpy(-1.0), 0.0);
-    }
 
     #[test]
     fn polytrope_enthalpy_roundtrip() {
@@ -226,31 +102,5 @@ mod tests {
         let dh = (eos.enthalpy(rho + drho) - eos.enthalpy(rho - drho)) / (2.0 * drho);
         let dp = (eos.pressure_of_rho(rho + drho) - eos.pressure_of_rho(rho - drho)) / (2.0 * drho);
         assert!((dh - dp / rho).abs() < 1e-5);
-    }
-
-    #[test]
-    fn bipolytrope_pressure_is_continuous() {
-        let core = Polytrope::new(1.0, 1.5);
-        let bi = BiPolytrope::pressure_matched(core, 3.0, 0.5);
-        let below = bi.pressure(0.5 - 1e-9, 0.0);
-        let above = bi.pressure(0.5 + 1e-9, 0.0);
-        assert!((below - above).abs() / above < 1e-6);
-    }
-
-    #[test]
-    fn bipolytrope_enthalpy_continuous_and_invertible() {
-        let core = Polytrope::new(1.0, 1.5);
-        let bi = BiPolytrope::pressure_matched(core, 3.0, 0.5);
-        let h_below = bi.enthalpy(0.5 - 1e-9);
-        let h_above = bi.enthalpy(0.5 + 1e-9);
-        assert!((h_below - h_above).abs() / h_above < 1e-6);
-        for rho in [0.05, 0.3, 0.5, 0.9, 2.0] {
-            let h = bi.enthalpy(rho);
-            let back = bi.rho_from_enthalpy(h);
-            assert!(
-                (back - rho).abs() / rho < 1e-9,
-                "rho {rho} -> h {h} -> {back}"
-            );
-        }
     }
 }

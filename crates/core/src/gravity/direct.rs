@@ -29,13 +29,8 @@ pub struct PointsRef<'a> {
 
 impl PointsRef<'_> {
     /// Number of points.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.ms.len()
-    }
-
-    /// `true` when empty.
-    pub fn is_empty(&self) -> bool {
-        self.ms.is_empty()
     }
 }
 
@@ -56,7 +51,7 @@ impl PointMasses {
     }
 
     /// Borrow the points `range`.
-    pub fn slice(&self, range: std::ops::Range<usize>) -> PointsRef<'_> {
+    pub(crate) fn slice(&self, range: std::ops::Range<usize>) -> PointsRef<'_> {
         PointsRef {
             xs: &self.xs[range.clone()],
             ys: &self.ys[range.clone()],
@@ -82,11 +77,6 @@ impl PointMasses {
         self.zs.push(x[2]);
         self.ms.push(m);
     }
-
-    /// Total mass.
-    pub fn total_mass(&self) -> f64 {
-        self.ms.iter().sum()
-    }
 }
 
 /// The fixed stripe count of every horizontal reduction in the ported
@@ -96,11 +86,11 @@ impl PointMasses {
 /// sources `s, s+8, s+16, …`), which is what makes the `W = 1` and `W = 8`
 /// instantiations bit-identical while still letting the wide build keep a
 /// full vector of partial sums in one register.
-pub const STRIPES: usize = 8;
+pub(crate) const STRIPES: usize = 8;
 
 /// Fold stripe partial sums in fixed (stripe-index) order.
 #[inline(always)]
-pub fn fold_stripes(acc: &[f64; STRIPES]) -> f64 {
+pub(crate) fn fold_stripes(acc: &[f64; STRIPES]) -> f64 {
     let mut s = 0.0;
     for &a in acc {
         s += a;
@@ -112,7 +102,7 @@ pub fn fold_stripes(acc: &[f64; STRIPES]) -> f64 {
 /// points, skipping any source closer than `eps` (used to exclude the
 /// self-cell).  Width-generic: the paper's SIMD-type kernel pattern.
 ///
-/// The horizontal reduction is stripe-blocked (see [`STRIPES`]): lane
+/// The horizontal reduction is stripe-blocked (see `STRIPES`): lane
 /// contributions land in the stripe accumulator of their source index
 /// modulo 8, and the stripes are folded in fixed order at the end.  Both
 /// widths therefore perform the identical addition sequence per stripe —
@@ -127,7 +117,12 @@ pub fn p2p_at_w<const W: usize>(src: &PointMasses, x: f64, y: f64, z: f64) -> (f
 /// stripe of a source is its index *within `src`*, so a tile of a
 /// tile-major leaf copy sums exactly like a point set holding only it.
 #[inline(always)]
-pub fn p2p_ref_w<const W: usize>(src: PointsRef<'_>, x: f64, y: f64, z: f64) -> (f64, [f64; 3]) {
+pub(crate) fn p2p_ref_w<const W: usize>(
+    src: PointsRef<'_>,
+    x: f64,
+    y: f64,
+    z: f64,
+) -> (f64, [f64; 3]) {
     let tx = Simd::<f64, W>::splat(x);
     let ty = Simd::<f64, W>::splat(y);
     let tz = Simd::<f64, W>::splat(z);
@@ -181,11 +176,11 @@ pub fn p2p_ref_w<const W: usize>(src: PointsRef<'_>, x: f64, y: f64, z: f64) -> 
 sve_simd::wide_dispatch! {
     /// [`p2p_ref_w::<8>`] entered under the host's widest vector ISA — the
     /// "SVE build" half of the Figure 7 pair (see [`sve_simd::isa`]).
-    pub fn p2p_ref_wide(src: PointsRef<'_>, x: f64, y: f64, z: f64) -> (f64, [f64; 3])
+    pub(crate) fn p2p_ref_wide(src: PointsRef<'_>, x: f64, y: f64, z: f64) -> (f64, [f64; 3])
         = p2p_ref_w::<8>
 }
 
-/// [`p2p_ref_wide`] over a whole point set.
+/// `p2p_ref_wide` over a whole point set.
 pub fn p2p_at_wide(src: &PointMasses, x: f64, y: f64, z: f64) -> (f64, [f64; 3]) {
     p2p_ref_wide(src.view(), x, y, z)
 }
@@ -196,7 +191,7 @@ pub fn p2p_at(src: &PointMasses, at: [f64; 3], mode: VectorMode) -> (f64, [f64; 
 }
 
 /// Width-dispatched wrapper over [`p2p_ref_w`].
-pub fn p2p_at_ref(src: PointsRef<'_>, at: [f64; 3], mode: VectorMode) -> (f64, [f64; 3]) {
+pub(crate) fn p2p_at_ref(src: PointsRef<'_>, at: [f64; 3], mode: VectorMode) -> (f64, [f64; 3]) {
     match mode {
         VectorMode::Scalar => p2p_ref_w::<1>(src, at[0], at[1], at[2]),
         VectorMode::Sve512 => p2p_ref_wide(src, at[0], at[1], at[2]),

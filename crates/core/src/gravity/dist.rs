@@ -70,7 +70,7 @@ pub struct Exchange {
 /// cached by the solver next to the [`GravityPlan`] itself, keyed on the
 /// same `topology_version` — a regrid invalidates both together, and
 /// `solve_sharded` asserts in debug builds that it never runs a halo plan
-/// against a plan it was not built for ([`DistPlan::is_valid_for`]).
+/// against a plan it was not built for (`DistPlan::is_valid_for`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DistPlan {
     /// `topology_version` of the plan this halo plan shards.
@@ -300,7 +300,7 @@ impl DistPlan {
     /// `topology_version`, node count and θ) over the same locality
     /// count.  The owner map is not part of the key because it is a pure
     /// function of (topology, locality count).
-    pub fn is_valid_for(&self, plan: &GravityPlan, num_localities: usize) -> bool {
+    pub(crate) fn is_valid_for(&self, plan: &GravityPlan, num_localities: usize) -> bool {
         self.topology_version == plan.topology_version
             && self.num_nodes == plan.num_nodes
             && self.theta == plan.theta
@@ -328,7 +328,7 @@ impl DistPlan {
     }
 
     /// Total parcels one solve moves (every exchange is one parcel).
-    pub fn parcels_per_solve(&self) -> usize {
+    pub(crate) fn parcels_per_solve(&self) -> usize {
         self.up.iter().map(Vec::len).sum::<usize>()
             + self.m2l_halo.len()
             + self.down.iter().map(Vec::len).sum::<usize>()

@@ -34,13 +34,12 @@
 //!
 //! **Bit-equality across widths** is a hard invariant: both widths run
 //! the same per-lane expressions, and the horizontal accumulation is
-//! stripe-blocked at the fixed count [`STRIPES`] — source `s` always lands
+//! stripe-blocked at the fixed count `STRIPES` — source `s` always lands
 //! in stripe `s % 8`, and the stripes fold in fixed order at the end — so
 //! both perform the identical addition sequence and Scalar and Sve512
 //! solves produce bit-identical fields.  Masked lanes (massless sources,
 //! padded tails) carry all-zero moments and contribute an exact `±0.0`.
 //!
-//! [`STRIPES`]: super::direct::STRIPES
 //! [`GravityPlan`]: super::plan::GravityPlan
 
 use super::direct::{fold_stripes, STRIPES};
@@ -195,7 +194,7 @@ impl MultipoleSoA {
 
     /// [`MultipoleSoA::fill`] from the `n` multipoles of a table held in
     /// pieces, in slot order.
-    pub fn fill_from<'a>(&mut self, n: usize, mps: impl IntoIterator<Item = &'a Multipole>) {
+    pub(crate) fn fill_from<'a>(&mut self, n: usize, mps: impl IntoIterator<Item = &'a Multipole>) {
         self.n = n;
         self.data.clear();
         self.data.resize(NCOMP * n, 0.0);
@@ -208,7 +207,7 @@ impl MultipoleSoA {
 
     /// The dense lane array of component `c`.
     #[inline(always)]
-    pub fn comp(&self, c: usize) -> &[f64] {
+    pub(crate) fn comp(&self, c: usize) -> &[f64] {
         &self.data[c * self.n..(c + 1) * self.n]
     }
 

@@ -1,6 +1,6 @@
 //! The cell-level tier of the near field: a target cell is a point.
 //!
-//! The tile classifier ([`super::tiles`]) charges the *target* tile's
+//! The tile classifier (`super::tiles`) charges the *target* tile's
 //! bounding sphere to the acceptance test, but the sums it steers already
 //! run one target cell at a time.  Put to the same test with radius 0,
 //! most cells of a rejected tile pair see the source tile as well

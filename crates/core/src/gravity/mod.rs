@@ -22,22 +22,22 @@
 //! frozen into a CSR-encoded [`plan::GravityPlan`] keyed on the tree's
 //! topology version, so solves on an unchanged tree skip it entirely; the
 //! evaluation continues it below the leaves, down to the single cell
-//! ([`tiles`], [`m2p_simd`]).
+//! (`tiles`, [`m2p_simd`]).
 
 pub mod direct;
-pub mod dist;
+pub(crate) mod dist;
 pub mod m2l_simd;
 pub mod m2p_simd;
 pub mod multipole;
-pub mod plan;
-pub mod solver;
-pub mod tiles;
-pub mod verify;
+pub(crate) mod plan;
+pub(crate) mod solver;
+pub(crate) mod tiles;
+pub(crate) mod verify;
 
 pub use dist::{DistPlan, Exchange, Phase};
 pub use m2l_simd::MultipoleSoA;
 pub use multipole::{LocalExpansion, Multipole};
 pub use plan::GravityPlan;
-pub use solver::{GravityOptions, GravitySolver, LeafField, LeafSources, M2lBench};
+pub use solver::{GravityOptions, GravitySolver, LeafField, LeafSources};
 pub use tiles::{near_field_counts, NearFieldCounts};
 pub use verify::{verify_dist_plan, verify_gravity_plan, PlanViolation, ProtocolViolation};

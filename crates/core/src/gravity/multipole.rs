@@ -115,7 +115,7 @@ impl Multipole {
 
     /// M2M: combine child expansions into one about the children's common
     /// center of mass.
-    pub fn combine(children: &[&Multipole]) -> Multipole {
+    pub(crate) fn combine(children: &[&Multipole]) -> Multipole {
         let mut m = 0.0;
         let mut com = [0.0; 3];
         for c in children {
@@ -276,12 +276,12 @@ impl Multipole {
 impl Multipole {
     /// `f64` words in the flat parcel encoding: mass, COM, quadrupole,
     /// octupole.
-    pub const FLAT_LEN: usize = 1 + 3 + 9 + 27;
+    pub(crate) const FLAT_LEN: usize = 1 + 3 + 9 + 27;
 
     /// Append the flat parcel encoding to `out` — exact bit copies, so a
     /// multipole shipped to another locality contributes identically to
     /// one read from local memory (the distributed-equivalence invariant).
-    pub fn write_flat(&self, out: &mut Vec<f64>) {
+    pub(crate) fn write_flat(&self, out: &mut Vec<f64>) {
         out.push(self.m);
         out.extend_from_slice(&self.com);
         for row in &self.quad {
@@ -295,7 +295,7 @@ impl Multipole {
     }
 
     /// Decode the first [`Multipole::FLAT_LEN`] words of `buf`.
-    pub fn read_flat(buf: &[f64]) -> Multipole {
+    pub(crate) fn read_flat(buf: &[f64]) -> Multipole {
         let mut it = buf.iter().copied();
         let mut next = || it.next().expect("flat multipole truncated");
         let m = next();
@@ -340,7 +340,7 @@ impl LocalExpansion {
     }
 
     /// Accumulate another expansion about the same center.
-    pub fn add_assign(&mut self, other: &LocalExpansion) {
+    pub(crate) fn add_assign(&mut self, other: &LocalExpansion) {
         self.l0 += other.l0;
         for i in 0..3 {
             self.l1[i] += other.l1[i];
@@ -394,10 +394,10 @@ impl LocalExpansion {
     }
 
     /// `f64` words in the flat parcel encoding: L0, L1, L2, L3.
-    pub const FLAT_LEN: usize = 1 + 3 + 9 + 27;
+    pub(crate) const FLAT_LEN: usize = 1 + 3 + 9 + 27;
 
     /// Append the flat parcel encoding to `out` (exact bit copies).
-    pub fn write_flat(&self, out: &mut Vec<f64>) {
+    pub(crate) fn write_flat(&self, out: &mut Vec<f64>) {
         out.push(self.l0);
         out.extend_from_slice(&self.l1);
         for row in &self.l2 {
@@ -411,7 +411,7 @@ impl LocalExpansion {
     }
 
     /// Decode the first [`LocalExpansion::FLAT_LEN`] words of `buf`.
-    pub fn read_flat(buf: &[f64]) -> LocalExpansion {
+    pub(crate) fn read_flat(buf: &[f64]) -> LocalExpansion {
         let mut it = buf.iter().copied();
         let mut next = || it.next().expect("flat local expansion truncated");
         let l0 = next();

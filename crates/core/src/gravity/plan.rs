@@ -287,7 +287,7 @@ impl GravityPlan {
     /// The plan's invalidation rule: valid iff the tree's topology version
     /// *and* node count still match (the count guards against a different
     /// tree whose version coincides) and θ is unchanged.
-    pub fn is_valid_for(&self, tree: &Tree, theta: f64) -> bool {
+    pub(crate) fn is_valid_for(&self, tree: &Tree, theta: f64) -> bool {
         self.topology_version == tree.topology_version()
             && self.num_nodes == tree.len()
             && self.theta == theta
@@ -295,7 +295,7 @@ impl GravityPlan {
 
     /// M2L source slots of `slot`.
     #[inline]
-    pub fn m2l_sources_of(&self, slot: usize) -> &[usize] {
+    pub(crate) fn m2l_sources_of(&self, slot: usize) -> &[usize] {
         &self.m2l_sources[self.m2l_offsets[slot]..self.m2l_offsets[slot + 1]]
     }
 
@@ -303,11 +303,6 @@ impl GravityPlan {
     #[inline]
     pub fn p2p_sources_of(&self, li: usize) -> &[usize] {
         &self.p2p_sources[self.p2p_offsets[li]..self.p2p_offsets[li + 1]]
-    }
-
-    /// Deepest level of the encoded tree.
-    pub fn max_level(&self) -> u8 {
-        (self.level_ranges.len() - 1) as u8
     }
 }
 

@@ -102,7 +102,7 @@ impl Default for GravityOptions {
 pub struct LeafSources {
     /// SoA point masses of the leaf's cells.  (4k)³ points, k > 1, are
     /// read as the leaf cube's cell lattice in i-major order and tiled
-    /// ([`super::tiles`]); any other count is an opaque point set.
+    /// (`super::tiles`); any other count is an opaque point set.
     pub points: PointMasses,
 }
 
@@ -239,12 +239,12 @@ impl GravitySolver {
 
     /// Whether the most recent [`GravitySolver::plan_for`] reused the
     /// cached plan.
-    pub fn last_plan_hit(&self) -> bool {
+    pub(crate) fn last_plan_hit(&self) -> bool {
         self.cache.last_hit.load(Ordering::Relaxed)
     }
 
     /// This solver's (plan-hit, plan-rebuild) counts.
-    pub fn plan_counters(&self) -> (u64, u64) {
+    pub(crate) fn plan_counters(&self) -> (u64, u64) {
         (
             self.cache.hits.load(Ordering::Relaxed),
             self.cache.rebuilds.load(Ordering::Relaxed),
@@ -297,7 +297,7 @@ impl GravitySolver {
     }
 
     /// Per-solver (halo-plan-hit, halo-plan-rebuild) counts.
-    pub fn dist_plan_counters(&self) -> (u64, u64) {
+    pub(crate) fn dist_plan_counters(&self) -> (u64, u64) {
         (
             self.cache.dist_hits.load(Ordering::Relaxed),
             self.cache.dist_rebuilds.load(Ordering::Relaxed),

@@ -66,7 +66,7 @@ pub enum PlanViolation {
     /// A P2P pair-list entry is wrong (asymmetric, duplicated, or a
     /// broken self pair).
     P2p { a: usize, b: usize, detail: String },
-    /// The precomputed [`SolveStats`](super::solver::SolveStats) or CSR
+    /// The precomputed `SolveStats` or CSR
     /// offsets disagree with the lists.
     Stats { detail: String },
 }

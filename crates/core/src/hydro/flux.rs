@@ -12,7 +12,7 @@ use sve_simd::Simd;
 
 /// Primitive interface state on `W` lanes.
 #[derive(Debug, Clone, Copy)]
-pub struct PrimLanes<const W: usize> {
+pub(crate) struct PrimLanes<const W: usize> {
     pub rho: Simd<f64, W>,
     pub vx: Simd<f64, W>,
     pub vy: Simd<f64, W>,
@@ -26,7 +26,7 @@ pub struct PrimLanes<const W: usize> {
 impl<const W: usize> PrimLanes<W> {
     /// Velocity component along `axis` (0 = x, 1 = y, 2 = z).
     #[inline(always)]
-    pub fn v_axis(&self, axis: usize) -> Simd<f64, W> {
+    pub(crate) fn v_axis(&self, axis: usize) -> Simd<f64, W> {
         match axis {
             0 => self.vx,
             1 => self.vy,
@@ -37,7 +37,7 @@ impl<const W: usize> PrimLanes<W> {
 
     /// Conserved vector `U` of this state.
     #[inline(always)]
-    pub fn conserved(&self) -> [Simd<f64, W>; NF] {
+    pub(crate) fn conserved(&self) -> [Simd<f64, W>; NF] {
         let half = Simd::splat(0.5);
         let v2 = self.vx * self.vx + self.vy * self.vy + self.vz * self.vz;
         let e = self.p / Simd::splat(GAMMA - 1.0);
@@ -55,7 +55,7 @@ impl<const W: usize> PrimLanes<W> {
 
     /// Physical flux vector `F(U)` along `axis`.
     #[inline(always)]
-    pub fn flux(&self, axis: usize) -> [Simd<f64, W>; NF] {
+    pub(crate) fn flux(&self, axis: usize) -> [Simd<f64, W>; NF] {
         let va = self.v_axis(axis);
         let u = self.conserved();
         let mut f = [Simd::splat(0.0); NF];
@@ -74,7 +74,7 @@ impl<const W: usize> PrimLanes<W> {
 
     /// Sound speed lanes.
     #[inline(always)]
-    pub fn sound_speed(&self) -> Simd<f64, W> {
+    pub(crate) fn sound_speed(&self) -> Simd<f64, W> {
         (Simd::splat(GAMMA) * self.p / self.rho).sqrt()
     }
 }
@@ -82,7 +82,7 @@ impl<const W: usize> PrimLanes<W> {
 /// HLL flux from left/right interface states along `axis`, plus the
 /// interface's maximum wave speed (for CFL bookkeeping).
 #[inline(always)]
-pub fn hll_flux<const W: usize>(
+pub(crate) fn hll_flux<const W: usize>(
     axis: usize,
     l: &PrimLanes<W>,
     r: &PrimLanes<W>,

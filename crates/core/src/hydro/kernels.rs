@@ -36,7 +36,7 @@ pub struct KernelScratch {
 impl KernelScratch {
     /// Scratch for an `n`-cell leaf with `ghost` ghost width, checked out
     /// of `pool` (returned to it on drop).
-    pub fn new(n: usize, ghost: usize, pool: &ScratchArena) -> KernelScratch {
+    pub(crate) fn new(n: usize, ghost: usize, pool: &ScratchArena) -> KernelScratch {
         let ext3 = (n + 2 * ghost).pow(3);
         KernelScratch {
             prim: pool.checkout(NPRIM * ext3),
@@ -55,7 +55,7 @@ impl KernelScratch {
     }
 
     /// `true` if this scratch is sized for an `n`/`ghost` leaf.
-    pub fn fits(&self, n: usize, ghost: usize) -> bool {
+    pub(crate) fn fits(&self, n: usize, ghost: usize) -> bool {
         let ext3 = (n + 2 * ghost).pow(3);
         self.prim.len() == NPRIM * ext3 && self.flux.len() == 3 * NF * ext3
     }
@@ -200,7 +200,7 @@ fn recon_field<const W: usize>(
 /// `scratch` buffers; returns the leaf's maximum wave speed and its
 /// boundary mass-outflow rate.
 #[inline(always)]
-pub fn compute_rhs_w<const W: usize>(
+pub(crate) fn compute_rhs_w<const W: usize>(
     u: &SubGrid,
     rhs: &mut SubGrid,
     src: &SourceInput<'_>,
@@ -362,7 +362,7 @@ pub fn compute_rhs_w<const W: usize>(
 
 /// Maximum `|v| + c_s` over the interior.
 #[inline(always)]
-pub fn max_signal_speed_w<const W: usize>(u: &SubGrid) -> f64 {
+pub(crate) fn max_signal_speed_w<const W: usize>(u: &SubGrid) -> f64 {
     let n = u.n();
     let g = u.ghost();
     let ext = u.ext();

@@ -5,7 +5,7 @@
 //!
 //! 1. primitive recovery over the full ghosted block ([`kernels`]),
 //! 2. piecewise-linear reconstruction with the minmod limiter ([`recon`]),
-//! 3. HLL fluxes on all cell interfaces of each axis ([`flux`]),
+//! 3. HLL fluxes on all cell interfaces of each axis (`flux`),
 //! 4. flux divergence + gravity and rotating-frame sources into the RHS,
 //! 5. SSP-RK3 stage combination ([`rk3`]).
 //!
@@ -13,11 +13,11 @@
 //! at `W = 1` (scalar build) and `W = 8` (SVE build), dispatched on
 //! [`sve_simd::VectorMode`] — the Figure 7 experiment switch.
 
-pub mod flux;
+pub(crate) mod flux;
 pub mod kernels;
 pub mod recon;
 pub mod rk3;
-pub mod rotating;
+pub(crate) mod rotating;
 
 use crate::state::NF;
 use octree::SubGrid;

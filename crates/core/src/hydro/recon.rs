@@ -24,7 +24,7 @@ pub fn minmod<const W: usize>(a: Simd<f64, W>, b: Simd<f64, W>) -> Simd<f64, W> 
 /// * `q_L = q_{i−1} + ½ minmod(q_{i−1}−q_{i−2}, q_i−q_{i−1})`
 /// * `q_R = q_i − ½ minmod(q_i−q_{i−1}, q_{i+1}−q_i)`
 #[inline(always)]
-pub fn reconstruct_interface<const W: usize>(
+pub(crate) fn reconstruct_interface<const W: usize>(
     qm2: Simd<f64, W>,
     qm1: Simd<f64, W>,
     q0: Simd<f64, W>,

@@ -15,7 +15,7 @@ use crate::units::RHO_FLOOR;
 use octree::SubGrid;
 
 /// Add gravity + rotating-frame sources to the interior cells of `rhs`.
-pub fn apply_sources(u: &SubGrid, rhs: &mut SubGrid, src: &SourceInput<'_>) {
+pub(crate) fn apply_sources(u: &SubGrid, rhs: &mut SubGrid, src: &SourceInput<'_>) {
     let n = u.n();
     debug_assert_eq!(rhs.nfields(), NF);
     let omega = src.omega;

@@ -7,12 +7,15 @@
 //! ghosted field blocks per leaf.  Round-tripping a simulation through a
 //! checkpoint is covered by integration tests.
 
-use octree::{DistGrid, NodeId, Octant, Tree};
+use octree::{DistGrid, NodeId, Octant, Tree, MAX_LEVEL};
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"SILOLT01";
+
+/// Bytes before the first leaf: the magic and six 8-byte header words.
+const HEADER_BYTES: u64 = 8 + 6 * 8;
 
 /// An in-memory checkpoint.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,7 +61,7 @@ impl Checkpoint {
     }
 
     /// Rebuild the octree implied by the leaf set.
-    pub fn rebuild_tree(&self) -> Tree {
+    pub(crate) fn rebuild_tree(&self) -> Tree {
         tree_from_leaves(self.leaves.iter().map(|(id, _)| *id))
     }
 
@@ -80,7 +83,7 @@ impl Checkpoint {
 }
 
 /// Reconstruct a full-refinement tree from its (valid) leaf set.
-pub fn tree_from_leaves(leaves: impl IntoIterator<Item = NodeId>) -> Tree {
+pub(crate) fn tree_from_leaves(leaves: impl IntoIterator<Item = NodeId>) -> Tree {
     let mut ids: Vec<NodeId> = leaves.into_iter().collect();
     ids.sort_by_key(|id| id.level());
     let mut tree = Tree::new();
@@ -128,7 +131,7 @@ fn node_from_level_path(level: u8, path: u64) -> NodeId {
 }
 
 /// Write a checkpoint to `path`.
-pub fn write_checkpoint(path: &Path, ckpt: &Checkpoint) -> io::Result<()> {
+pub(crate) fn write_checkpoint(path: &Path, ckpt: &Checkpoint) -> io::Result<()> {
     let mut w = BufWriter::new(File::create(path)?);
     w.write_all(MAGIC)?;
     write_u64(&mut w, ckpt.n as u64)?;
@@ -148,40 +151,84 @@ pub fn write_checkpoint(path: &Path, ckpt: &Checkpoint) -> io::Result<()> {
     w.flush()
 }
 
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+/// Read a word that must fit a `usize`; `field` names it in the error.
+fn read_usize(r: &mut impl Read, field: &str) -> io::Result<usize> {
+    let v = read_u64(r)?;
+    usize::try_from(v).map_err(|_| invalid(format!("{field} {v} does not fit a usize")))
+}
+
 /// Read a checkpoint from `path`.
+///
+/// A corrupt file is an `InvalidData` error naming the field, never a
+/// panic or an abort: the leaf count is checked against the bytes the
+/// file has left before anything is allocated, each leaf's level and
+/// path against the octree's limits, and the header's block size
+/// `nfields·(n+2·ghost)³` with checked arithmetic.
 pub fn read_checkpoint(path: &Path) -> io::Result<Checkpoint> {
-    let mut r = BufReader::new(File::open(path)?);
+    let file = File::open(path)?;
+    let file_bytes = file.metadata()?.len();
+    let mut r = BufReader::new(file);
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "not a silo-lite checkpoint",
-        ));
+        return Err(invalid("not a silo-lite checkpoint".to_owned()));
     }
-    let n = read_u64(&mut r)? as usize;
-    let ghost = read_u64(&mut r)? as usize;
-    let nfields = read_u64(&mut r)? as usize;
+    let n = read_usize(&mut r, "header: n")?;
+    let ghost = read_usize(&mut r, "header: ghost")?;
+    let nfields = read_usize(&mut r, "header: nfields")?;
     let time = read_f64(&mut r)?;
     let step = read_u64(&mut r)?;
-    let count = read_u64(&mut r)? as usize;
-    let mut leaves = Vec::with_capacity(count);
-    for _ in 0..count {
-        let level = read_u64(&mut r)? as u8;
+    let block = ghost
+        .checked_mul(2)
+        .and_then(|g2| n.checked_add(g2))
+        .and_then(|ext| ext.checked_pow(3))
+        .and_then(|ext3| ext3.checked_mul(nfields));
+    // Level, path and length words plus the block, per leaf.
+    let leaf_bytes = block
+        .and_then(|words| (words as u64).checked_mul(8))
+        .and_then(|b| b.checked_add(3 * 8));
+    let (Some(expected), Some(leaf_bytes)) = (block, leaf_bytes) else {
+        return Err(invalid(format!(
+            "header: nfields·(n+2·ghost)³ overflows (n {n}, ghost {ghost}, nfields {nfields})"
+        )));
+    };
+    let count = read_u64(&mut r)?;
+    let left = file_bytes.saturating_sub(HEADER_BYTES);
+    if count > left / leaf_bytes {
+        return Err(invalid(format!(
+            "leaf count {count} needs {leaf_bytes} bytes a leaf, the file has {left} left"
+        )));
+    }
+    let mut leaves = Vec::with_capacity(count as usize);
+    for i in 0..count {
+        let level = read_u64(&mut r)?;
+        if level > u64::from(MAX_LEVEL) {
+            return Err(invalid(format!(
+                "leaf {i}: level {level} exceeds MAX_LEVEL {MAX_LEVEL}"
+            )));
+        }
         let path = read_u64(&mut r)?;
-        let len = read_u64(&mut r)? as usize;
-        let expected = nfields * (n + 2 * ghost).pow(3);
+        if path >> (3 * level) != 0 {
+            return Err(invalid(format!(
+                "leaf {i}: path {path:#x} has bits above 3·level = {}",
+                3 * level
+            )));
+        }
+        let len = read_usize(&mut r, "block length")?;
         if len != expected {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("leaf block length {len}, expected {expected}"),
-            ));
+            return Err(invalid(format!(
+                "leaf {i}: block length {len}, expected {expected}"
+            )));
         }
         let mut data = Vec::with_capacity(len);
         for _ in 0..len {
             data.push(read_f64(&mut r)?);
         }
-        leaves.push((node_from_level_path(level, path), data));
+        leaves.push((node_from_level_path(level as u8, path), data));
     }
     Ok(Checkpoint {
         n,
@@ -258,6 +305,66 @@ mod tests {
         let rebuilt = tree_from_leaves(tree.leaves());
         assert_eq!(rebuilt.leaves(), tree.leaves());
         assert!(rebuilt.check_invariants().is_ok());
+    }
+
+    /// A valid two-level checkpoint on disk, as bytes.
+    fn checkpoint_bytes(name: &str) -> (std::path::PathBuf, Vec<u8>) {
+        let cluster = SimCluster::new(1, 1);
+        let grid = DistGrid::new(Tree::new_uniform(1), 2, 1, 2, &cluster);
+        let path = tmp(name);
+        save(&path, &grid, 0.5, 3).unwrap();
+        cluster.shutdown();
+        let bytes = std::fs::read(&path).unwrap();
+        (path, bytes)
+    }
+
+    /// Read `bytes` back through `path` and return the `InvalidData`
+    /// error's message.
+    fn rejection(path: &Path, bytes: &[u8]) -> String {
+        std::fs::write(path, bytes).unwrap();
+        let err = read_checkpoint(path).unwrap_err();
+        std::fs::remove_file(path).ok();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        err.to_string()
+    }
+
+    #[test]
+    fn flipped_leaf_count_is_rejected_before_allocating() {
+        let (path, mut bytes) = checkpoint_bytes("flipcount.slt");
+        // The leaf count is the sixth header word; bit 40 adds 2^40 leaves.
+        bytes[48 + 5] ^= 1;
+        let msg = rejection(&path, &bytes);
+        assert!(msg.contains("leaf count"), "{msg}");
+    }
+
+    #[test]
+    fn flipped_leaf_level_is_rejected() {
+        let (path, mut bytes) = checkpoint_bytes("fliplevel.slt");
+        // The first leaf's level word follows the header.
+        bytes[HEADER_BYTES as usize] = 200;
+        let msg = rejection(&path, &bytes);
+        assert!(msg.contains("leaf 0: level 200"), "{msg}");
+        // A path with bits above 3·level is just as corrupt.
+        let (path, mut bytes) = checkpoint_bytes("flippath.slt");
+        bytes[HEADER_BYTES as usize + 8] |= 0b1000;
+        let msg = rejection(&path, &bytes);
+        assert!(msg.contains("leaf 0: path"), "{msg}");
+    }
+
+    #[test]
+    fn truncated_checkpoint_is_rejected() {
+        let (path, bytes) = checkpoint_bytes("truncated.slt");
+        let msg = rejection(&path, &bytes[..bytes.len() - 8]);
+        assert!(msg.contains("leaf count 8"), "{msg}");
+    }
+
+    #[test]
+    fn overflowing_header_is_rejected() {
+        let (path, mut bytes) = checkpoint_bytes("overflow.slt");
+        // nfields is the third header word.
+        bytes[8 + 2 * 8..8 + 3 * 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let msg = rejection(&path, &bytes);
+        assert!(msg.contains("header"), "{msg}");
     }
 
     #[test]

@@ -33,20 +33,19 @@
 //! dispatched on `sve_simd::VectorMode` — the paper's compile-time SIMD
 //! switch, reproduced at run time (Figure 7).
 
-pub mod diag;
-pub mod driver;
+mod diag;
+mod driver;
 pub mod eos;
 pub mod gravity;
 pub mod hydro;
 pub mod io;
-pub mod scenario;
+mod scenario;
 pub mod scf;
 pub mod state;
 pub mod units;
 pub mod workspace;
 
 pub use diag::ConservationLedger;
-pub use driver::{RegridOutcome, SimOptions, Simulation, StepStats};
-pub use eos::{Eos, IdealGas, Polytrope};
+pub use driver::{SimOptions, Simulation, StepStats};
 pub use scenario::{Scenario, ScenarioKind};
-pub use state::{field, NF};
+pub use state::NF;

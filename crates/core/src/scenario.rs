@@ -134,7 +134,7 @@ impl Scenario {
 
 /// Fill every leaf's conserved fields from the SCF model (co-rotating
 /// equilibrium: zero velocity in the rotating frame).
-pub fn fill_from_model(grid: &DistGrid, model: &BinaryModel) {
+pub(crate) fn fill_from_model(grid: &DistGrid, model: &BinaryModel) {
     let n = grid.n();
     for leaf in grid.leaves() {
         let (corner, size) = leaf.cube();

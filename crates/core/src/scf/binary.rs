@@ -36,7 +36,7 @@ pub struct BinaryParams {
 impl BinaryParams {
     /// The paper's V1309 progenitor: a *contact* binary of two MS stars
     /// (masses after Tylenda et al., code units).
-    pub fn v1309() -> BinaryParams {
+    pub(crate) fn v1309() -> BinaryParams {
         BinaryParams {
             m1: 1.52,
             m2: 0.16,
@@ -47,7 +47,7 @@ impl BinaryParams {
     }
 
     /// The paper's DWD scenario with mass ratio q = 0.7.
-    pub fn dwd_q07() -> BinaryParams {
+    pub(crate) fn dwd_q07() -> BinaryParams {
         BinaryParams {
             m1: 0.6,
             m2: 0.42,
@@ -58,7 +58,7 @@ impl BinaryParams {
     }
 
     /// A single rotating star (the paper's scaling-study problem).
-    pub fn single_star() -> BinaryParams {
+    pub(crate) fn single_star() -> BinaryParams {
         BinaryParams {
             m1: 1.0,
             m2: 0.0,
@@ -225,7 +225,7 @@ impl BinaryModel {
 
     /// Effective (softened point-mass + centrifugal) potential of the
     /// rotating frame.
-    pub fn phi_eff(&self, x: [f64; 3]) -> f64 {
+    pub(crate) fn phi_eff(&self, x: [f64; 3]) -> f64 {
         let d1sq = dist2(x, self.x1) + self.eps1 * self.eps1;
         let mut phi = -G * self.params.m1 / d1sq.sqrt();
         if self.params.m2 > 0.0 {
@@ -246,7 +246,7 @@ impl BinaryModel {
     /// each component off beyond 1.6 of its characteristic radius
     /// (generous enough for contact envelopes, far inside corotation for
     /// the paper's scenarios).
-    pub fn density_at(&self, x: [f64; 3]) -> (f64, f64, f64) {
+    pub(crate) fn density_at(&self, x: [f64; 3]) -> (f64, f64, f64) {
         const LOBE_CUTOFF: f64 = 1.6;
         let d1 = dist2(x, self.x1).sqrt() / self.r1.max(1e-12);
         let d2 = if self.params.m2 > 0.0 {
@@ -276,7 +276,7 @@ impl BinaryModel {
 
     /// Integrate both component masses on a `res³` grid over the domain
     /// box (midpoint rule; the SCF iteration only needs ratios).
-    pub fn integrate_masses(&self, res: usize) -> (f64, f64) {
+    pub(crate) fn integrate_masses(&self, res: usize) -> (f64, f64) {
         let half = crate::units::BOX_SIZE / 2.0;
         let h = crate::units::BOX_SIZE / res as f64;
         let vol = h * h * h;
@@ -301,7 +301,7 @@ impl BinaryModel {
 
     /// Effective potential at the inner Lagrange point (maximum along the
     /// line between the centers).
-    pub fn phi_l1(&self) -> f64 {
+    pub(crate) fn phi_l1(&self) -> f64 {
         if self.params.m2 == 0.0 {
             return f64::INFINITY;
         }

@@ -6,15 +6,9 @@
 //! and the scenario initializers (n = 3/2 for the convective MS stars of
 //! V1309 and for non-relativistic white dwarfs).
 
-/// A tabulated Lane-Emden solution for one polytropic index.
+/// The surface constants of a Lane-Emden solution for one polytropic index.
 #[derive(Debug, Clone)]
-pub struct LaneEmden {
-    /// Polytropic index.
-    pub n: f64,
-    /// Radial samples of ξ.
-    xi: Vec<f64>,
-    /// θ(ξ) samples.
-    theta: Vec<f64>,
+pub(crate) struct LaneEmden {
     /// First zero ξ₁ (stellar surface).
     pub xi1: f64,
     /// −ξ₁² θ'(ξ₁), the mass integral constant.
@@ -26,19 +20,15 @@ impl LaneEmden {
     ///
     /// # Panics
     /// Panics if `n < 0` or `h <= 0`.
-    pub fn solve(n: f64, h: f64) -> LaneEmden {
+    pub(crate) fn solve(n: f64, h: f64) -> LaneEmden {
         assert!(n >= 0.0, "polytropic index must be non-negative");
         assert!(h > 0.0, "step must be positive");
         // State y = (θ, φ) with φ = θ'.
         // θ'' = −θⁿ − (2/ξ)θ'.  Start from the series expansion at ξ → 0:
         // θ ≈ 1 − ξ²/6 to avoid the coordinate singularity.
-        let mut xi = vec![0.0];
-        let mut theta = vec![1.0];
         let mut x = h;
         let mut t = 1.0 - x * x / 6.0 + n * x.powi(4) / 120.0;
         let mut dt = -x / 3.0 + n * x.powi(3) / 30.0;
-        xi.push(x);
-        theta.push(t);
         let deriv = |x: f64, t: f64, dt: f64| -> (f64, f64) {
             let tn = if t > 0.0 { t.powf(n) } else { 0.0 };
             (dt, -tn - 2.0 / x * dt)
@@ -58,53 +48,21 @@ impl LaneEmden {
                 xi1 = x + frac * h;
                 let dt1 = dt + frac * (dt_new - dt);
                 mass_constant = -xi1 * xi1 * dt1;
-                xi.push(xi1);
-                theta.push(0.0);
                 break;
             }
             x = x_new;
             t = t_new;
             dt = dt_new;
-            xi.push(x);
-            theta.push(t);
         }
         assert!(
             xi1.is_finite(),
             "Lane-Emden integration did not reach the surface (n = {n})"
         );
-        LaneEmden {
-            n,
-            xi,
-            theta,
-            xi1,
-            mass_constant,
-        }
-    }
-
-    /// θ(ξ) by linear interpolation; 0 beyond the surface.
-    pub fn theta_at(&self, xi: f64) -> f64 {
-        if xi <= 0.0 {
-            return 1.0;
-        }
-        if xi >= self.xi1 {
-            return 0.0;
-        }
-        // Uniform grid except the last point; binary search is robust.
-        match self
-            .xi
-            .binary_search_by(|probe| probe.partial_cmp(&xi).expect("finite"))
-        {
-            Ok(i) => self.theta[i],
-            Err(i) => {
-                let (x0, x1) = (self.xi[i - 1], self.xi[i]);
-                let (t0, t1) = (self.theta[i - 1], self.theta[i]);
-                t0 + (t1 - t0) * (xi - x0) / (x1 - x0)
-            }
-        }
+        LaneEmden { xi1, mass_constant }
     }
 
     /// Ratio of central to mean density, `ρ_c/ρ̄ = ξ₁³ / (3 · mass_constant)`.
-    pub fn central_to_mean_density(&self) -> f64 {
+    pub(crate) fn central_to_mean_density(&self) -> f64 {
         self.xi1.powi(3) / (3.0 * self.mass_constant)
     }
 }
@@ -119,7 +77,6 @@ mod tests {
         let le = LaneEmden::solve(0.0, 1e-4);
         assert!((le.xi1 - 6.0f64.sqrt()).abs() < 1e-5, "xi1 = {}", le.xi1);
         assert!((le.mass_constant - le.xi1.powi(3) / 3.0).abs() < 1e-3);
-        assert!((le.theta_at(1.0) - (1.0 - 1.0 / 6.0)).abs() < 1e-6);
     }
 
     #[test]
@@ -127,9 +84,6 @@ mod tests {
         // n = 1: θ = sin ξ / ξ, ξ₁ = π.
         let le = LaneEmden::solve(1.0, 1e-4);
         assert!((le.xi1 - std::f64::consts::PI).abs() < 1e-5);
-        for x in [0.5, 1.0, 2.0, 3.0] {
-            assert!((le.theta_at(x) - x.sin() / x).abs() < 1e-6, "xi = {x}");
-        }
     }
 
     #[test]
@@ -147,20 +101,6 @@ mod tests {
         let le = LaneEmden::solve(3.0, 1e-4);
         assert!((le.xi1 - 6.8968).abs() < 5e-3);
         assert!((le.mass_constant - 2.01824).abs() < 2e-3);
-    }
-
-    #[test]
-    fn theta_is_monotone_decreasing() {
-        let le = LaneEmden::solve(1.5, 1e-3);
-        let mut prev = 1.0 + 1e-12;
-        for i in 0..=100 {
-            let x = le.xi1 * i as f64 / 100.0;
-            let t = le.theta_at(x);
-            assert!(t <= prev + 1e-9, "θ must not increase");
-            prev = t;
-        }
-        assert_eq!(le.theta_at(le.xi1 + 1.0), 0.0);
-        assert_eq!(le.theta_at(0.0), 1.0);
     }
 
     #[test]

@@ -8,18 +8,18 @@
 //! detached, semi-detached, and contact binaries, such as the progenitor to
 //! V1309 Sco."*
 //!
-//! * [`lane_emden`] — the Lane-Emden polytrope integrator providing the
+//! * `lane_emden` — the Lane-Emden polytrope integrator providing the
 //!   single-star structure.
-//! * [`binary`] — the iterative SCF solver balancing `H + Φ_eff = C` for
+//! * `binary` — the iterative SCF solver balancing `H + Φ_eff = C` for
 //!   each component in the rotating frame, with per-star polytropic
 //!   constants rescaled until the target masses are met.
-//! * [`rcb`] — post-merger product diagnostics: the R CrB candidacy
+//! * `rcb` — post-merger product diagnostics: the R CrB candidacy
 //!   analysis of paper Section III-B.
 
-pub mod binary;
-pub mod lane_emden;
-pub mod rcb;
+pub(crate) mod binary;
+pub(crate) mod lane_emden;
+pub(crate) mod rcb;
 
-pub use binary::{BinaryKind, BinaryModel, BinaryParams};
-pub use lane_emden::LaneEmden;
+pub(crate) use binary::BinaryParams;
+pub use binary::{BinaryKind, BinaryModel};
 pub use rcb::MergerProduct;

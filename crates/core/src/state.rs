@@ -1,4 +1,5 @@
-//! The evolved state vector and primitive-variable recovery.
+//! The evolved state vector and the primitive-to-conserved map of the
+//! scenario initializers.
 //!
 //! Octo-Tiger evolves, per cell: mass density, the three momentum
 //! densities, gas energy density, an entropy tracer `τ` (the dual-energy
@@ -7,7 +8,7 @@
 //! envelope fractions)" used by the refinement criterion (paper Section
 //! IV-C).  We carry two component tracers.
 
-use crate::units::{GAMMA, P_FLOOR, RHO_FLOOR};
+use crate::units::GAMMA;
 
 /// Field indices within each leaf's [`octree::SubGrid`].
 pub mod field {
@@ -32,10 +33,6 @@ pub mod field {
 /// Number of evolved fields.
 pub const NF: usize = 8;
 
-/// Human-readable names of the evolved fields, index-aligned with
-/// [`field`].
-pub const FIELD_NAMES: [&str; NF] = ["rho", "sx", "sy", "sz", "egas", "tau", "frac1", "frac2"];
-
 /// Primitive variables of one cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Primitive {
@@ -56,39 +53,9 @@ pub struct Conserved {
     pub egas: f64,
 }
 
-impl Conserved {
-    /// Recover primitives with floors and the dual-energy fallback:
-    /// when the internal energy from `E − ρv²/2` falls below
-    /// `DUAL_ENERGY_SWITCH · E`, pressure is taken from the entropy tracer
-    /// `τ` instead (Octo-Tiger's `tau`-based dual-energy treatment keeps
-    /// highly supersonic flows well-behaved).
-    pub fn to_primitive(self, tau: f64) -> Primitive {
-        let rho = self.rho.max(RHO_FLOOR);
-        let vx = self.sx / rho;
-        let vy = self.sy / rho;
-        let vz = self.sz / rho;
-        let kinetic = 0.5 * rho * (vx * vx + vy * vy + vz * vz);
-        let e_from_total = self.egas - kinetic;
-        let e = if e_from_total > DUAL_ENERGY_SWITCH * self.egas.abs() {
-            e_from_total
-        } else {
-            // τ = e^{1/γ}  ⇒  e = τ^γ.
-            tau.max(0.0).powf(GAMMA)
-        };
-        let p = ((GAMMA - 1.0) * e).max(P_FLOOR);
-        Primitive { rho, vx, vy, vz, p }
-    }
-
-    /// Kinetic energy density of this state.
-    pub fn kinetic(self) -> f64 {
-        let rho = self.rho.max(RHO_FLOOR);
-        0.5 * (self.sx * self.sx + self.sy * self.sy + self.sz * self.sz) / rho
-    }
-}
-
 /// Threshold of the dual-energy switch (fraction of total energy below
 /// which `E − K` is considered untrustworthy).
-pub const DUAL_ENERGY_SWITCH: f64 = 1.0e-3;
+pub(crate) const DUAL_ENERGY_SWITCH: f64 = 1.0e-3;
 
 /// Build the conserved state of a cell from primitives (used by the
 /// scenario initializers).  Returns `(Conserved, tau)`.
@@ -112,73 +79,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn primitive_conserved_roundtrip() {
-        let p0 = Primitive {
-            rho: 1.3,
-            vx: 0.2,
-            vy: -0.1,
-            vz: 0.05,
-            p: 0.7,
-        };
-        let (u, tau) = from_primitive(&p0);
-        let p1 = u.to_primitive(tau);
-        assert!((p1.rho - p0.rho).abs() < 1e-14);
-        assert!((p1.vx - p0.vx).abs() < 1e-14);
-        assert!((p1.vy - p0.vy).abs() < 1e-14);
-        assert!((p1.vz - p0.vz).abs() < 1e-14);
-        assert!((p1.p - p0.p).abs() < 1e-12);
-    }
-
-    #[test]
-    fn floors_apply_to_vacuum() {
-        let u = Conserved::default();
-        let p = u.to_primitive(0.0);
-        assert!(p.rho >= RHO_FLOOR);
-        assert!(p.p >= P_FLOOR);
-        assert_eq!(p.vx, 0.0);
-    }
-
-    #[test]
-    fn dual_energy_recovers_pressure_in_supersonic_flow() {
-        // Kinetic-dominated state: E - K catastrophically cancels; τ saves p.
-        let rho = 1.0;
-        let v = 100.0;
-        let e_true = 1e-4;
-        let u = Conserved {
-            rho,
-            sx: rho * v,
-            sy: 0.0,
-            sz: 0.0,
-            // Slightly corrupted total energy (simulating roundoff).
-            egas: e_true + 0.5 * rho * v * v * (1.0 + 1e-12),
-        };
-        let tau = e_true.powf(1.0 / GAMMA);
-        let p = u.to_primitive(tau);
-        let p_expected = (GAMMA - 1.0) * e_true;
-        assert!(
-            (p.p - p_expected).abs() / p_expected < 1e-9,
-            "dual energy failed: {} vs {}",
-            p.p,
-            p_expected
-        );
-    }
-
-    #[test]
-    fn kinetic_energy() {
-        let u = Conserved {
+    fn from_primitive_builds_momenta_total_energy_and_entropy() {
+        let p = Primitive {
             rho: 2.0,
-            sx: 2.0,
-            sy: 0.0,
-            sz: 0.0,
-            egas: 10.0,
+            vx: 1.0,
+            vy: -0.5,
+            vz: 0.0,
+            p: 0.4,
         };
-        assert!((u.kinetic() - 1.0).abs() < 1e-14);
-    }
-
-    #[test]
-    fn field_names_align() {
-        assert_eq!(FIELD_NAMES[field::RHO], "rho");
-        assert_eq!(FIELD_NAMES[field::TAU], "tau");
-        assert_eq!(FIELD_NAMES.len(), NF);
+        let (u, tau) = from_primitive(&p);
+        let e = 0.4 / (GAMMA - 1.0);
+        assert_eq!((u.rho, u.sx, u.sy, u.sz), (2.0, 2.0, -1.0, 0.0));
+        assert!((u.egas - (e + 0.5 * 2.0 * 1.25)).abs() < 1e-14);
+        // τ = e^{1/γ}.
+        assert!((tau.powf(GAMMA) - e).abs() < 1e-14);
     }
 }

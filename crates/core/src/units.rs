@@ -6,17 +6,17 @@
 //! hydro, and provide conversions for reporting in solar units.
 
 /// Gravitational constant in code units.
-pub const G: f64 = 1.0;
+pub(crate) const G: f64 = 1.0;
 
 /// Ratio of specific heats for the ideal-gas hydro EOS.  Octo-Tiger's
 /// merger runs use 5/3 (monatomic / fully convective stars).
 pub const GAMMA: f64 = 5.0 / 3.0;
 
 /// Density floor applied by the hydro solver (vacuum treatment).
-pub const RHO_FLOOR: f64 = 1.0e-10;
+pub(crate) const RHO_FLOOR: f64 = 1.0e-10;
 
 /// Pressure floor applied by the hydro solver.
-pub const P_FLOOR: f64 = 1.0e-12;
+pub(crate) const P_FLOOR: f64 = 1.0e-12;
 
 /// Physical edge length of the computational box in code units.  The
 /// octree's unit cube `[0,1]³` maps to `[-BOX_SIZE/2, BOX_SIZE/2]³`.

@@ -7,18 +7,18 @@
 //! `Runtime::scope` join, which the compiler already checks (DESIGN.md
 //! §6).  This crate checks the rest on the real code:
 //!
-//! * **Schedule-exploring model checker** ([`model`]) — drives a closure
+//! * **Schedule-exploring model checker** (`model`) — drives a closure
 //!   through seeded deterministic interleavings
 //!   ([`hpx_rt::Runtime::deterministic`]) and reports stalls and contained
 //!   task panics with a *replayable seed*.
-//! * **The real pipelined step** ([`step`]) — the model checker's
+//! * **The real pipelined step** (`step`) — the model checker's
 //!   workload: the real `Simulation::step` on 1, 2 or 4 localities sharing
 //!   the deterministic pool, bit-compared against `step_barrier`.
-//! * **Kernel-body source lints** ([`scan`]) — source scans forbidding
+//! * **Kernel-body source lints** (`scan`) — source scans forbidding
 //!   blocking `.wait()`/`.get()`, heap allocation, and shared
 //!   floating-point accumulators inside kernel argument regions, with a
 //!   shared allowlist file (whose own staleness is checked).
-//! * **Static plan verifier** ([`verify`]) — drives
+//! * **Static plan verifier** (`verify`) — drives
 //!   `core::gravity::verify`'s provers over real and seeded-mutated
 //!   frozen plans: deadlock-freedom, exact send/receive matching and halo
 //!   completeness of every `DistPlan`, structural invariants of every
@@ -26,19 +26,15 @@
 //!
 //! Run everything from the CLI: `cargo run -p hpx-check -- all`.
 
-pub mod model;
-pub mod scan;
-pub mod step;
-pub mod verify;
+mod model;
+mod scan;
+mod step;
+mod verify;
 
-pub use model::{CheckReport, ModelChecker, ScheduleFailure};
+pub use model::ModelChecker;
 pub use scan::{
     scan_source, scan_source_allocs, scan_source_fp, scan_workspace, scan_workspace_invariants,
-    Allowlist, SourceFinding, WaitLintFinding,
+    Allowlist,
 };
-pub use step::{LeafStates, RealStep};
-pub use verify::{
-    mutate_dist, mutate_plan, mutation_sweep, scenario_trees, verify_real_plans, DistMutation,
-    DistMutationKind, MissedMutation, PlanMutationKind, DIST_MUTATIONS, LOCALITY_COUNTS,
-    MUTATION_LOCALITY_COUNTS, PLAN_MUTATIONS,
-};
+pub use step::RealStep;
+pub use verify::{mutate_plan, mutation_sweep, verify_real_plans, PlanMutationKind};

@@ -115,11 +115,6 @@ impl ModelChecker {
         self
     }
 
-    pub fn max_steps(mut self, steps: u64) -> Self {
-        self.max_steps = steps;
-        self
-    }
-
     /// Run `build` under `self.schedules` seeded interleavings.
     ///
     /// `build` receives the deterministic runtime and must construct the

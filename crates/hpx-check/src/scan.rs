@@ -500,7 +500,7 @@ pub struct Allowlist {
 
 impl Allowlist {
     /// Parse allowlist text.
-    pub fn parse(text: &str) -> Self {
+    pub(crate) fn parse(text: &str) -> Self {
         let mut allow = Allowlist::default();
         for raw in text.lines() {
             let line = raw.split('#').next().unwrap_or("").trim();
@@ -526,13 +526,13 @@ impl Allowlist {
     }
 
     /// `true` when `finding` is explicitly allowed.
-    pub fn permits(&self, finding: &WaitLintFinding) -> bool {
+    pub(crate) fn permits(&self, finding: &WaitLintFinding) -> bool {
         self.permits_site(&finding.path, finding.line)
     }
 
     /// `true` when the exact `path:line` site (or its whole file) is
     /// allowed.  All lints share one allowlist namespace.
-    pub fn permits_site(&self, path: &str, line: usize) -> bool {
+    pub(crate) fn permits_site(&self, path: &str, line: usize) -> bool {
         self.files.contains(path) || self.lines.contains(&(path.to_owned(), line))
     }
 

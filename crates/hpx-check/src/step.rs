@@ -38,7 +38,7 @@ pub struct RealStep {
 }
 
 /// Final state of a run: every leaf's sub-grid, in leaf order.
-pub type LeafStates = Vec<(NodeId, SubGrid)>;
+pub(crate) type LeafStates = Vec<(NodeId, SubGrid)>;
 
 impl RealStep {
     /// Two pipelined steps on the unchanged tree, on `localities`.

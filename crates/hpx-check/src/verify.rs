@@ -33,15 +33,15 @@ use octree::{partition_morton, verify_partition, Tree};
 /// The locality counts every scenario is sharded over.  1 is the
 /// degenerate no-communication case; 7 does not divide any uniform leaf
 /// count, exercising the remainder paths.
-pub const LOCALITY_COUNTS: &[usize] = &[1, 2, 4, 7];
+pub(crate) const LOCALITY_COUNTS: &[usize] = &[1, 2, 4, 7];
 
 /// Locality counts the mutation sweep uses (mutations need actual
 /// exchanges, so the single-locality case is excluded).
-pub const MUTATION_LOCALITY_COUNTS: &[usize] = &[2, 4, 7];
+pub(crate) const MUTATION_LOCALITY_COUNTS: &[usize] = &[2, 4, 7];
 
 /// The two standard scenario trees at `level`: a uniform grid and one
 /// with the first leaf refined (the shapes every other analysis uses).
-pub fn scenario_trees(level: u8) -> Vec<(String, Tree)> {
+pub(crate) fn scenario_trees(level: u8) -> Vec<(String, Tree)> {
     let uniform = Tree::new_uniform(level);
     let refined = {
         let mut t = Tree::new_uniform(level.max(1));
@@ -82,7 +82,7 @@ pub fn verify_real_plans(level: u8) -> Vec<String> {
 
 /// A protocol-breaking mutation of a [`DistPlan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DistMutationKind {
+pub(crate) enum DistMutationKind {
     /// Remove one frozen exchange: its receiver starves (deadlock over a
     /// real transport).
     DroppedExchange,
@@ -113,14 +113,14 @@ pub enum PlanMutationKind {
 }
 
 /// All mutation kinds, for sweeps.
-pub const DIST_MUTATIONS: &[DistMutationKind] = &[
+pub(crate) const DIST_MUTATIONS: &[DistMutationKind] = &[
     DistMutationKind::DroppedExchange,
     DistMutationKind::DroppedSlot,
     DistMutationKind::DoubleReceive,
     DistMutationKind::OwnershipOverlap,
     DistMutationKind::SelfLink,
 ];
-pub const PLAN_MUTATIONS: &[PlanMutationKind] = &[
+pub(crate) const PLAN_MUTATIONS: &[PlanMutationKind] = &[
     PlanMutationKind::AsymmetricP2p,
     PlanMutationKind::M2lSelfAlias,
     PlanMutationKind::BrokenParentLink,
@@ -169,7 +169,7 @@ fn exchange_candidates(dist: &DistPlan) -> Vec<(Phase, usize)> {
 
 /// A mutated halo plan and what was done to it.
 #[derive(Debug)]
-pub struct DistMutation {
+pub(crate) struct DistMutation {
     pub plan: DistPlan,
     /// What was done (for sweep failure messages).
     pub description: String,
@@ -180,7 +180,7 @@ pub struct DistMutation {
 
 /// Apply `kind` to a clone of `dist`, picking the target exchange with
 /// `seed`.
-pub fn mutate_dist(
+pub(crate) fn mutate_dist(
     plan: &GravityPlan,
     dist: &DistPlan,
     kind: DistMutationKind,

@@ -107,7 +107,7 @@ impl Apex {
     }
 
     /// Record one externally-measured duration.
-    pub fn record(&self, name: &'static str, seconds: f64) {
+    pub(crate) fn record(&self, name: &'static str, seconds: f64) {
         let mut stats = self.inner.stats.lock();
         let entry = stats.entry(name).or_default();
         entry.count += 1;

@@ -104,7 +104,7 @@ counter_block! {
         /// attacks).
         worker_parks => "/threads/count/parked",
         /// Blocked-worker watchdog fires: a worker sat on an unresolved
-        /// future past the `set_blocked_wait_timeout` timeout with
+        /// future past the `BLOCKED_WAIT_TIMEOUT_MS` timeout with
         /// nothing to help with.  Bumped just before the watchdog panic
         /// unwinds, so post-mortem counter dumps show how often the
         /// deadlock detector tripped.

@@ -27,26 +27,17 @@ use std::time::Duration;
 /// longer than this, the wait panics instead of hanging: in a correctly
 /// wired dependency graph a starved worker always either finds work or sees
 /// its future resolve.  Debug builds arm the watchdog by default (30 s);
-/// release builds leave it off (a loaded machine can stall legitimately) but
-/// can opt in via [`set_blocked_wait_timeout`].
+/// release builds leave it off (a loaded machine can stall legitimately).
 /// Every fire is exported as the `/threads/count/watchdog-fires` performance
 /// counter of the blocked pool before the panic unwinds.
 static BLOCKED_WAIT_TIMEOUT_MS: AtomicU64 =
     AtomicU64::new(if cfg!(debug_assertions) { 30_000 } else { 0 });
 
-/// Set the blocked-worker watchdog timeout (see `Future::wait`);
-/// `Duration::ZERO` disables it.  Works in release builds too.  Returns the
-/// previous value.
-pub fn set_blocked_wait_timeout(timeout: Duration) -> Duration {
-    let prev = BLOCKED_WAIT_TIMEOUT_MS.swap(timeout.as_millis() as u64, Ordering::Relaxed);
-    Duration::from_millis(prev)
-}
-
 /// A settled future's outcome, as seen by [`Future::on_settled`] hooks: the
 /// value, or the abandonment reason.  Continuation-based combinators use
 /// this to *propagate* abandonment promptly (with a reason naming the failed
 /// input) instead of leaving their output forever pending.
-pub enum Settled<'a, T> {
+pub(crate) enum Settled<'a, T> {
     /// The producing side fulfilled the promise.
     Ready(&'a T),
     /// The producing side panicked or dropped its promise.
@@ -168,7 +159,7 @@ impl<T: Send + 'static> Promise<T> {
     /// instead of deadlocking, and attached continuations observe
     /// `Settled::Abandoned` so downstream futures abandon too.  Used when a
     /// producing task panics.
-    pub fn abandon(mut self, reason: String) {
+    pub(crate) fn abandon(mut self, reason: String) {
         self.fulfilled = true;
         self.shared.settle_abandoned(reason);
     }
@@ -296,7 +287,7 @@ impl<T: Send + 'static> Future<T> {
     /// Low-level continuation hook: run `f` with a reference to the value as
     /// soon as it is available (inline if already ready).  If the producing
     /// side abandons the promise after attachment, `f` is silently dropped —
-    /// combinators that must *react* to abandonment use [`Future::on_settled`].
+    /// combinators that must *react* to abandonment use `Future::on_settled`.
     ///
     /// # Panics
     /// Panics if the future is already abandoned when `f` is attached.
@@ -320,7 +311,7 @@ impl<T: Send + 'static> Future<T> {
     /// [`when_all`]/[`when_all_of`]/[`Future::then`] build on so a single
     /// dropped promise surfaces as a diagnosable abandoned output instead of
     /// a poisoned worker or a silent hang.
-    pub fn on_settled(&self, f: impl FnOnce(Settled<'_, T>) + Send + 'static) {
+    pub(crate) fn on_settled(&self, f: impl FnOnce(Settled<'_, T>) + Send + 'static) {
         let mut guard = self.shared.state.lock();
         match *guard {
             State::Pending(ref mut conts) => conts.push(Box::new(f)),
@@ -355,43 +346,6 @@ impl<T: Send + 'static> Future<T> {
             Settled::Ready(_) => p.set(()),
             Settled::Abandoned(reason) => {
                 p.abandon(format!("hpx-rt: ticket input abandoned: {reason}"));
-            }
-        });
-        out
-    }
-
-    /// Like [`Future::then`], but the continuation borrows the value instead
-    /// of cloning it.  This is the zero-copy consumption path for bulk
-    /// payloads (e.g. packed ghost-zone buffers): the payload stays in the
-    /// shared state and `f` reads it in place.
-    ///
-    /// `f` runs under the source future's state lock; it must not wait on or
-    /// attach continuations to the source future itself.
-    pub fn then_ref<U, F>(&self, rt: &Runtime, f: F) -> Future<U>
-    where
-        U: Send + 'static,
-        T: Sync,
-        F: FnOnce(&T) -> U + Send + 'static,
-    {
-        Counters::bump(&rt.counters().continuations_attached);
-        let (promise, out) = Promise::new_pair();
-        let rt2 = rt.clone();
-        let source = self.clone();
-        self.on_settled(move |s: Settled<'_, T>| match s {
-            Settled::Ready(_) => {
-                let source = source.clone();
-                rt2.spawn(move || {
-                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        source.with_value(|v| f(v))
-                    }));
-                    match result {
-                        Ok(u) => promise.set(u),
-                        Err(p) => promise.abandon(crate::runtime::panic_message(&*p)),
-                    }
-                });
-            }
-            Settled::Abandoned(reason) => {
-                promise.abandon(format!("hpx-rt: `then_ref` input abandoned: {reason}"));
             }
         });
         out
@@ -670,16 +624,15 @@ mod tests {
     }
 
     #[test]
-    fn ticket_and_then_ref_work_on_non_clone_payloads() {
+    fn ticket_works_on_non_clone_payloads() {
         // The payload type is deliberately not Clone: this compiles only
-        // because ticket/then_ref consume the value by reference.
+        // because the ticket never clones the value.
         struct Big(Vec<f64>);
         let rt = Runtime::new(2);
         let f: Future<Big> = rt.async_call(|| Big(vec![0.5; 64]));
         let ticket = f.ticket();
-        let sum = f.then_ref(&rt, |b: &Big| b.0.iter().sum::<f64>());
         ticket.wait();
-        assert_eq!(sum.get(), 32.0);
+        assert_eq!(f.with_value(|b| b.0.len()), 64);
         rt.shutdown();
     }
 
@@ -703,9 +656,8 @@ mod tests {
 
     #[test]
     fn watchdog_flags_worker_blocked_on_unresolvable_future() {
-        // Runs in release builds too now that the watchdog is an opt-in
-        // release feature (set_blocked_wait_timeout).
-        let prev = set_blocked_wait_timeout(Duration::from_millis(250));
+        // Armed here with a short timeout, so it runs in release builds too.
+        let prev = BLOCKED_WAIT_TIMEOUT_MS.swap(250, Ordering::Relaxed);
         let rt = Runtime::new(1);
         let fires_before = rt.counters().snapshot().watchdog_fires;
         // A promise that is neither fulfilled nor abandoned: forget it so its
@@ -718,7 +670,7 @@ mod tests {
         });
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task.get()));
         let fires_after = rt.counters().snapshot().watchdog_fires;
-        set_blocked_wait_timeout(prev);
+        BLOCKED_WAIT_TIMEOUT_MS.store(prev, Ordering::Relaxed);
         rt.shutdown();
         assert!(outcome.is_err(), "watchdog should have fired");
         assert!(

@@ -26,34 +26,29 @@
 //!   table).  The Section VII-B "local HPX promise/future pairs to notify
 //!   neighbors" are plain [`future::Promise`] pairs: the ghost exchange's
 //!   per-link futures.
-//! * [`pjm`] — a model of the Fugaku Parallel Job Manager resource
+//! * `pjm` — a model of the Fugaku Parallel Job Manager resource
 //!   specification the paper added HPX support for (HPX PR #5870).
-//! * [`apex`] — APEX-style autonomic performance instrumentation, the
+//! * `apex` — APEX-style autonomic performance instrumentation, the
 //!   analysis layer the paper's conclusion points to for future work.
 //! * [`tuner`] — the closed loop over that layer: a hill-climb over one
 //!   task-granularity ladder (the paper's Figure 9 knob), driven by apex
 //!   window means.
 
-pub mod apex;
+mod apex;
 pub mod counters;
-pub mod future;
+mod future;
 pub mod locality;
-pub mod pjm;
-pub mod runtime;
+mod pjm;
+mod runtime;
 pub mod tuner;
 
-pub use apex::{Apex, TimerStats};
-pub use counters::{
-    parcel_counters, Counters, CountersSnapshot, ParcelClass, ParcelCounters, ParcelSnapshot,
-};
-pub use future::{
-    make_ready_future, set_blocked_wait_timeout, when_all, when_all_of, when_any, Future, Promise,
-    Settled,
-};
-pub use locality::{ActionRegistry, Locality, LocalityId, SimCluster};
+pub use apex::Apex;
+pub use counters::{parcel_counters, ParcelClass, ParcelSnapshot};
+pub use future::{make_ready_future, when_all, when_all_of, when_any, Future, Promise};
+pub use locality::{Locality, LocalityId, SimCluster};
 pub use pjm::JobSpec;
-pub use runtime::{Runtime, Scope};
-pub use tuner::{Tuner, TunerPhase, TunerSnapshot};
+pub use runtime::Runtime;
+pub use tuner::{Tuner, TunerSnapshot};
 
 #[cfg(test)]
 mod tests {

@@ -40,19 +40,19 @@ impl std::fmt::Display for LocalityId {
 pub type Payload = Box<dyn Any + Send>;
 
 /// An action handler: runs on the destination locality's task pool.
-pub type Handler = Arc<dyn Fn(Payload, &Locality) -> Payload + Send + Sync>;
+pub(crate) type Handler = Arc<dyn Fn(Payload, &Locality) -> Payload + Send + Sync>;
 
 /// Registry of named actions, shared by all localities of a cluster
 /// (HPX registers actions globally at static-init time; we register at
 /// cluster construction).
 #[derive(Default)]
-pub struct ActionRegistry {
+pub(crate) struct ActionRegistry {
     handlers: RwLock<HashMap<&'static str, Handler>>,
 }
 
 impl ActionRegistry {
     /// Register `name`; replaces any previous handler with that name.
-    pub fn register(
+    pub(crate) fn register(
         &self,
         name: &'static str,
         handler: impl Fn(Payload, &Locality) -> Payload + Send + Sync + 'static,
@@ -93,7 +93,7 @@ impl Locality {
     }
 
     /// Parcel/task counters of this locality.
-    pub fn counters(&self) -> &Counters {
+    pub(crate) fn counters(&self) -> &Counters {
         &self.counters
     }
 
@@ -264,7 +264,7 @@ impl SimCluster {
 
 /// Wrapper making a `Box<dyn Any + Send>` payload shareable behind an `Arc`.
 /// Downcast with [`downcast_payload`].
-pub struct SendBox(pub Payload);
+pub(crate) struct SendBox(pub Payload);
 
 // SAFETY: the inner payload is only ever accessed by value-consuming
 // `downcast` or by shared reference; `SendBox` exposes no interior

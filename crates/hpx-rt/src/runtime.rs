@@ -188,7 +188,7 @@ impl Runtime {
     }
 
     /// `true` for pools created by [`Runtime::deterministic`].
-    pub fn is_deterministic(&self) -> bool {
+    pub(crate) fn is_deterministic(&self) -> bool {
         self.inner.virtual_sched.is_some()
     }
 
@@ -322,7 +322,7 @@ impl Runtime {
         future
     }
 
-    /// Run `f` with a [`Scope`] that can spawn tasks borrowing from the
+    /// Run `f` with a `Scope` that can spawn tasks borrowing from the
     /// caller's stack; returns only after every scoped task finished.
     ///
     /// The waiting thread executes other tasks meanwhile, so `scope` may be
@@ -348,7 +348,7 @@ impl Runtime {
     /// Execute other tasks while `cond` holds.  Usable from worker threads
     /// *and* external threads (external threads steal from the injector and
     /// the workers but have no local deque).
-    pub fn help_while(&self, mut cond: impl FnMut() -> bool) {
+    pub(crate) fn help_while(&self, mut cond: impl FnMut() -> bool) {
         let mut idle_spins = 0u32;
         while cond() {
             if let Some(job) = self.inner.find_task(current_local(&self.inner)) {
@@ -621,11 +621,6 @@ impl<'env, 'scope> Scope<'env, 'scope> {
             pending.fetch_sub(1, Ordering::AcqRel);
         });
     }
-
-    /// The runtime this scope spawns onto.
-    pub fn runtime(&self) -> &Runtime {
-        self.rt
-    }
 }
 
 #[cfg(test)]
@@ -695,7 +690,7 @@ mod tests {
             rt2.scope(|outer| {
                 for _ in 0..4 {
                     let t = t.clone();
-                    let rt3 = outer.runtime().clone();
+                    let rt3 = rt2.clone();
                     outer.spawn(move || {
                         rt3.scope(|inner| {
                             for _ in 0..4 {

@@ -11,7 +11,7 @@
 //! nothing else.
 //!
 //! The feedback signal is the apex timer stream: the driver closes one
-//! observation window per step ([`crate::apex::TimerStats::window_mean_s`]
+//! observation window per step (`crate::apex::TimerStats::window_mean_s`
 //! and [`crate::apex::Apex::reset_window`]) and feeds the window mean
 //! into [`Tuner::observe`].  The tuner answers with the configuration to
 //! run the *next* window at.  Decisions are:
@@ -42,7 +42,7 @@
 pub const DEFAULT_HYSTERESIS: f64 = 0.05;
 
 /// Default frozen windows between epsilon-greedy re-probes.
-pub const DEFAULT_REPROBE_EVERY: u64 = 8;
+pub(crate) const DEFAULT_REPROBE_EVERY: u64 = 8;
 
 /// Where the climb currently is in its search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -19,7 +19,7 @@ use hpx_rt::{Future, Runtime};
 /// Launch a reduction asynchronously on `rt`; the future carries the
 /// reduced value.
 ///
-/// Unlike [`parallel_reduce`], the kernel must be `'static`: it outlives
+/// Unlike `parallel_reduce`, the kernel must be `'static`: it outlives
 /// the caller's stack frame, exactly as a real asynchronous Kokkos launch
 /// requires device-visible (not stack) data.
 ///

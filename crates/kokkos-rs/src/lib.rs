@@ -10,15 +10,15 @@
 //!
 //! This crate reproduces that abstraction layer on top of `hpx-rt`:
 //!
-//! * [`policy`] — `RangePolicy` and [`policy::ChunkSpec`] (the
+//! * `policy` — `RangePolicy` and [`policy::ChunkSpec`] (the
 //!   tasks-per-kernel knob).
 //! * [`space::ExecSpace`] — `Serial` and `Hpx`.  There is no device space:
 //!   the paper's GPU numbers are reproduced by the `cluster` crate's
 //!   machine models (see the DESIGN.md substitution table).
-//! * [`parallel`] — `parallel_for` / `parallel_for_mut` / `parallel_reduce`.
+//! * `parallel` — `parallel_for` / `parallel_for_mut` / `parallel_reduce`.
 //!   Kernels write through disjoint `&mut` slots and borrow their inputs,
 //!   so the borrow checker rules out two tasks writing one element.
-//! * [`hpx_kokkos`] — the asynchronous kernel launch returning an
+//! * `hpx_kokkos` — the asynchronous kernel launch returning an
 //!   `hpx-rt` future ([`launch_reduce_async`]), the HPX-Kokkos integration
 //!   layer of the paper.
 //! * [`pool`] — the CPPuddle-style recycling scratch pool.
@@ -26,17 +26,17 @@
 //! Where Kokkos kernels take `View`s, these take plain slices; scratch
 //! buffers come from [`pool`].
 
-pub mod hpx_kokkos;
-pub mod parallel;
-pub mod policy;
+mod hpx_kokkos;
+mod parallel;
+mod policy;
 pub mod pool;
-pub mod space;
+mod space;
 
 pub use hpx_kokkos::launch_reduce_async;
-pub use parallel::{parallel_for, parallel_for_mut, parallel_reduce};
+pub use parallel::{parallel_for, parallel_for_mut};
 pub use policy::{ChunkSpec, RangePolicy};
-pub use pool::{BufferPool, Recycled, ScratchArena, ScratchSnapshot};
-pub use space::{ExecSpace, HpxSpace};
+pub use pool::ScratchArena;
+pub use space::ExecSpace;
 
 #[cfg(test)]
 mod tests {

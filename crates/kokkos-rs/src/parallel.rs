@@ -135,7 +135,7 @@ where
 /// `combine` must be associative; partial results are combined in chunk
 /// order, so non-commutative reductions still see index order across chunk
 /// boundaries.
-pub fn parallel_reduce<T, M, C>(
+pub(crate) fn parallel_reduce<T, M, C>(
     space: &ExecSpace,
     policy: RangePolicy,
     identity: T,

@@ -28,7 +28,7 @@ impl ChunkSpec {
     /// Resolve to a concrete task count for a range of `len` indices on a
     /// pool of `workers` threads.  Always at least 1; never more tasks than
     /// indices (except for the empty range, which yields 0).
-    pub fn resolve(self, len: usize, workers: usize) -> usize {
+    pub(crate) fn resolve(self, len: usize, workers: usize) -> usize {
         if len == 0 {
             return 0;
         }
@@ -51,7 +51,7 @@ pub struct RangePolicy {
     pub chunk: ChunkSpec,
     /// Vector-lane alignment of task boundaries (1 = unconstrained).
     ///
-    /// Setting `lane = W` rounds every interior [`split`](Self::split)
+    /// Setting `lane = W` rounds every interior `split`
     /// boundary down to a multiple of `W` from `begin`: every task but the
     /// last covers whole `W`-index blocks, and a range too short for the
     /// requested task count yields fewer, block-sized tasks.  It is never
@@ -88,13 +88,8 @@ impl RangePolicy {
     }
 
     /// Number of indices in the range.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.end - self.begin
-    }
-
-    /// `true` if the range is empty.
-    pub fn is_empty(&self) -> bool {
-        self.begin == self.end
     }
 
     /// Split into `tasks` contiguous sub-ranges of near-equal length.
@@ -104,7 +99,7 @@ impl RangePolicy {
     /// is rounded down to a multiple of `lane` from `begin` (the first and
     /// last boundaries stay at `begin`/`end`); sub-ranges emptied by the
     /// rounding are dropped, so short ranges may yield fewer tasks.
-    pub fn split(&self, tasks: usize) -> Vec<(usize, usize)> {
+    pub(crate) fn split(&self, tasks: usize) -> Vec<(usize, usize)> {
         let len = self.len();
         if len == 0 || tasks == 0 {
             return Vec::new();
@@ -176,7 +171,7 @@ mod tests {
     #[test]
     fn empty_range() {
         let p = RangePolicy::new(5, 5);
-        assert!(p.is_empty());
+        assert_eq!(p.len(), 0);
         assert!(p.split(4).is_empty());
     }
 

@@ -31,14 +31,6 @@ impl ExecSpace {
         ExecSpace::Hpx(HpxSpace { runtime })
     }
 
-    /// Worker-thread count relevant for `ChunkSpec::Auto` resolution.
-    pub fn concurrency(&self) -> usize {
-        match self {
-            ExecSpace::Serial => 1,
-            ExecSpace::Hpx(h) => h.runtime.num_workers(),
-        }
-    }
-
     /// Space name, matching Kokkos nomenclature.
     pub fn name(&self) -> &'static str {
         match self {
@@ -53,12 +45,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn concurrency_and_names() {
-        assert_eq!(ExecSpace::Serial.concurrency(), 1);
+    fn names() {
         assert_eq!(ExecSpace::Serial.name(), "Serial");
         let rt = Runtime::new(3);
         let space = ExecSpace::hpx(rt.clone());
-        assert_eq!(space.concurrency(), 3);
         assert_eq!(space.name(), "HPX");
         rt.shutdown();
     }

@@ -410,7 +410,7 @@ impl DistGrid {
 
     /// The tree's [`Tree::topology_version`]: unchanged between two calls
     /// ⇒ no regrid happened ⇒ cached traversal plans are still valid.
-    pub fn topology_version(&self) -> u64 {
+    pub(crate) fn topology_version(&self) -> u64 {
         self.inner.tree.read().topology_version()
     }
 
@@ -440,7 +440,7 @@ impl DistGrid {
             })
     }
 
-    /// Per leaf, which of its six faces (in [`Dir::faces`] order) lie on
+    /// Per leaf, which of its six faces (in `Dir::faces` order) lie on
     /// the domain boundary.
     pub fn boundary_faces(&self) -> Arc<HashMap<NodeId, [bool; 6]>> {
         self.plan().boundary_faces.clone()
@@ -464,9 +464,10 @@ impl DistGrid {
     }
 
     /// Collapse the octet under `id` back into a leaf if 2:1 balance
-    /// permits (the polite counterpart of [`DistGrid::derefine_balanced`],
-    /// used by criterion-driven coarsening passes that must not drag
-    /// still-wanted fine neighbours coarser).  Returns whether the
+    /// permits, restricting the eight children's payloads into the parent
+    /// by conservative averaging (the parent inherits the first child's
+    /// owner).  Coarsening never drags still-wanted fine neighbours
+    /// coarser: a collapse balance forbids is refused.  Returns whether the
     /// collapse happened.
     pub fn derefine(&self, id: NodeId) -> bool {
         let mut plan = self.inner.plan.lock();
@@ -476,16 +477,6 @@ impl DistGrid {
         *plan = None;
         self.collapse_payload(&[id]);
         true
-    }
-
-    /// Derefine the parent of `id`'s octet (keeping 2:1 balance), restricting
-    /// the eight children's payloads into the collapsed parent by conservative
-    /// averaging.  The parent inherits the first child's owner.
-    pub fn derefine_balanced(&self, id: NodeId) {
-        let mut plan = self.inner.plan.lock();
-        let collapsed = self.inner.tree.write().derefine_balanced(id);
-        plan.take_if(|_| !collapsed.is_empty());
-        self.collapse_payload(&collapsed);
     }
 
     /// Restrict the eight children's payloads of each collapsed interior
@@ -557,7 +548,7 @@ impl DistGrid {
     }
 
     /// Every ghost link of the current tree, classified (see
-    /// [`LinkSpec`]), 26 per leaf in `leaves() × Dir::all26()` order: the
+    /// `LinkSpec`), 26 per leaf in `leaves() × Dir::all26()` order: the
     /// exact link set both exchanges serve.
     pub fn link_specs(&self) -> Vec<LinkSpec> {
         self.cached(|plan| plan.links.iter().map(|l| l.spec.clone()).collect())
@@ -999,7 +990,7 @@ mod tests {
         let owner_before = dg.owner(target);
         let sum_before = dg.grid(target).read().interior_sum(0);
         dg.refine_balanced(target);
-        dg.derefine_balanced(target);
+        assert!(dg.derefine(target));
         // Round trip: the collapsed parent reproduces the linear field
         // exactly (prolongation is piecewise constant, restriction averages
         // the 8 copies back) and keeps the octet's owner.

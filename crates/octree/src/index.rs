@@ -20,7 +20,7 @@ impl Octant {
 
     /// Per-axis half indices.
     #[inline]
-    pub fn xyz(self) -> [u8; 3] {
+    pub(crate) fn xyz(self) -> [u8; 3] {
         [self.0 & 1, (self.0 >> 1) & 1, (self.0 >> 2) & 1]
     }
 }
@@ -57,7 +57,7 @@ impl Dir {
     }
 
     /// The 6 face directions only.
-    pub fn faces() -> impl Iterator<Item = Dir> {
+    pub(crate) fn faces() -> impl Iterator<Item = Dir> {
         [
             Dir {
                 dx: -1,
@@ -103,7 +103,7 @@ impl Dir {
     }
 
     /// Components as an array.
-    pub fn as_array(self) -> [i8; 3] {
+    pub(crate) fn as_array(self) -> [i8; 3] {
         [self.dx, self.dy, self.dz]
     }
 }
@@ -196,7 +196,7 @@ impl NodeId {
 
     /// Same-level neighbour in direction `dir`, or `None` when it would
     /// fall outside the root domain (Octo-Tiger's outflow boundary).
-    pub fn neighbor(self, dir: Dir) -> Option<NodeId> {
+    pub(crate) fn neighbor(self, dir: Dir) -> Option<NodeId> {
         let extent = 1i64 << self.level;
         let [x, y, z] = self.coords();
         let nx = i64::from(x) + i64::from(dir.dx);
@@ -235,16 +235,6 @@ impl NodeId {
             ],
             size,
         )
-    }
-
-    /// Physical center of this node's cube in the unit domain.
-    pub fn center(self) -> [f64; 3] {
-        let (corner, size) = self.cube();
-        [
-            corner[0] + 0.5 * size,
-            corner[1] + 0.5 * size,
-            corner[2] + 0.5 * size,
-        ]
     }
 }
 
@@ -363,7 +353,6 @@ mod tests {
         let (corner, size) = c.cube();
         assert_eq!(size, 0.5);
         assert_eq!(corner, [0.5, 0.0, 0.5]);
-        assert_eq!(c.center(), [0.75, 0.25, 0.75]);
     }
 
     #[test]

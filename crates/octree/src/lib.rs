@@ -12,25 +12,25 @@
 //!
 //! Modules:
 //!
-//! * [`index`] — octant paths, integer coordinates, 26-neighbour arithmetic
+//! * `index` — octant paths, integer coordinates, 26-neighbour arithmetic
 //!   and space-filling-curve keys.
-//! * [`subgrid`] — the `N³` cell block with ghost shells, packing/unpacking
+//! * `subgrid` — the `N³` cell block with ghost shells, packing/unpacking
 //!   of face/edge/corner regions, and inter-level prolongation/restriction.
-//! * [`tree`] — the octree itself with full-refinement and 2:1-balance
+//! * `tree` — the octree itself with full-refinement and 2:1-balance
 //!   invariants, refinement driven by a criterion callback.
-//! * [`ghost`] — distributed ghost-layer exchange over `hpx-rt` localities,
+//! * `ghost` — distributed ghost-layer exchange over `hpx-rt` localities,
 //!   with the communication-optimization fast path; owns the per-topology
 //!   ghost plan (links, per-locality leaf lists, boundary faces).
-//! * [`partition`] — Morton-order space-filling-curve partitioning of
+//! * `partition` — Morton-order space-filling-curve partitioning of
 //!   leaves over localities, and its static verifier.
 
-pub mod ghost;
-pub mod index;
-pub mod partition;
-pub mod subgrid;
-pub mod tree;
+mod ghost;
+mod index;
+mod partition;
+mod subgrid;
+mod tree;
 
-pub use ghost::{DistGrid, GhostConfig, LinkSpec, PipelinedExchange};
+pub use ghost::{DistGrid, GhostConfig};
 pub use index::{Dir, NodeId, Octant, MAX_LEVEL};
 pub use partition::{partition_morton, verify_partition};
 pub use subgrid::SubGrid;

@@ -24,7 +24,7 @@ pub struct SubGrid {
 
 /// Half-open per-dimension index ranges describing a box in storage
 /// coordinates.
-pub type Box3 = [(usize, usize); 3];
+pub(crate) type Box3 = [(usize, usize); 3];
 
 impl SubGrid {
     /// Create a zero-initialized sub-grid.
@@ -114,22 +114,6 @@ impl SubGrid {
         &mut self.data[f * ext3..(f + 1) * ext3]
     }
 
-    /// Two distinct fields, one mutable (for `dst[i] = f(src[i])` kernels).
-    ///
-    /// # Panics
-    /// Panics if `fa == fb`.
-    pub fn fields_pair_mut(&mut self, fa: usize, fb: usize) -> (&mut [f64], &[f64]) {
-        assert_ne!(fa, fb, "fields_pair_mut requires distinct fields");
-        let ext3 = self.ext().pow(3);
-        if fa < fb {
-            let (lo, hi) = self.data.split_at_mut(fb * ext3);
-            (&mut lo[fa * ext3..(fa + 1) * ext3], &hi[..ext3])
-        } else {
-            let (lo, hi) = self.data.split_at_mut(fa * ext3);
-            (&mut hi[..ext3], &lo[fb * ext3..(fb + 1) * ext3])
-        }
-    }
-
     /// Fill every cell of every field with `v`.
     pub fn fill(&mut self, v: f64) {
         self.data.fill(v);
@@ -154,12 +138,12 @@ impl SubGrid {
 
     /// Source box (in storage coords) of the interior data this grid must
     /// *send* toward direction `dir`.
-    pub fn send_box(&self, dir: Dir) -> Box3 {
+    pub(crate) fn send_box(&self, dir: Dir) -> Box3 {
         Self::send_box_of(self.n, self.ghost, dir)
     }
 
     /// [`SubGrid::send_box`] from geometry alone, without a grid in hand.
-    pub fn send_box_of(n: usize, ghost: usize, dir: Dir) -> Box3 {
+    pub(crate) fn send_box_of(n: usize, ghost: usize, dir: Dir) -> Box3 {
         let mut out = [(0usize, 0usize); 3];
         for (axis, d) in dir.as_array().into_iter().enumerate() {
             out[axis] = match d {
@@ -495,20 +479,6 @@ mod tests {
     }
 
     #[test]
-    fn fields_pair_mut_disjoint() {
-        let mut sg = filled(4, 1, 3);
-        let expect_src: Vec<f64> = sg.field(2).to_vec();
-        let (dst, src) = sg.fields_pair_mut(0, 2);
-        assert_eq!(src, &expect_src[..]);
-        dst[0] = -1.0;
-        assert_eq!(sg.field(0)[0], -1.0);
-        let (dst2, src2) = sg.fields_pair_mut(2, 0);
-        assert_eq!(src2[0], -1.0);
-        dst2[0] = -2.0;
-        assert_eq!(sg.field(2)[0], -2.0);
-    }
-
-    #[test]
     fn prolong_then_restrict_is_identity_on_means() {
         // Piecewise-constant prolongation followed by 8-cell averaging must
         // reproduce the parent exactly (conservation round-trip).
@@ -573,13 +543,6 @@ mod tests {
             }
         }
         assert_eq!(sg.interior_sum(0), 8.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "distinct fields")]
-    fn fields_pair_mut_same_field_panics() {
-        let mut sg = SubGrid::new(2, 0, 2);
-        let _ = sg.fields_pair_mut(1, 1);
     }
 
     #[test]

@@ -95,7 +95,7 @@ impl Tree {
     }
 
     /// `true` if `id` is an interior (fully refined) node.
-    pub fn is_interior(&self, id: NodeId) -> bool {
+    pub(crate) fn is_interior(&self, id: NodeId) -> bool {
         matches!(self.nodes.get(&id), Some(Node::Interior))
     }
 
@@ -235,62 +235,6 @@ impl Tree {
         self.nodes.insert(id, Node::Leaf);
         self.topology_version += 1;
         true
-    }
-
-    /// Collapse `id` back into a leaf, first collapsing whatever blocks it:
-    /// interior children (recursively) and neighbouring subtrees that are
-    /// too fine for the would-be leaf.  The counterpart of
-    /// [`Tree::refine_balanced`] — where that drags coarse neighbours
-    /// *finer*, this drags fine neighbours *coarser*.  Returns every
-    /// interior that was collapsed (including `id`, last), in collapse
-    /// order; empty if `id` is not interior or a collapse was impossible
-    /// (the tree is left with whatever collapses already succeeded — each
-    /// was individually balance-safe).
-    pub fn derefine_balanced(&mut self, id: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        if !self.is_interior(id) {
-            return out;
-        }
-        self.derefine_balanced_inner(id, &mut out);
-        out
-    }
-
-    fn derefine_balanced_inner(&mut self, id: NodeId, out: &mut Vec<NodeId>) -> bool {
-        if self.is_leaf(id) {
-            return true; // already no finer than required
-        }
-        if !self.contains(id) {
-            // The region is coarser than `id` — vacuously coarse enough.
-            return self.covering_leaf(id).is_some();
-        }
-        // Interior children first: `derefine` needs all 8 to be leaves.
-        // Recursion strictly deepens, so it terminates within MAX_LEVEL.
-        for oct in Octant::all() {
-            let c = id.child(oct);
-            if self.is_interior(c) && !self.derefine_balanced_inner(c, out) {
-                return false;
-            }
-        }
-        // Then any same-level neighbour whose children are interior (they
-        // would sit two levels below the would-be leaf).
-        for dir in Dir::all26() {
-            if let Some(nb) = id.neighbor(dir) {
-                if self.is_interior(nb) {
-                    for oct in Octant::all() {
-                        let c = nb.child(oct);
-                        if self.is_interior(c) && !self.derefine_balanced_inner(c, out) {
-                            return false;
-                        }
-                    }
-                }
-            }
-        }
-        if self.derefine(id) {
-            out.push(id);
-            true
-        } else {
-            false
-        }
     }
 
     /// The leaf covering position `id` (deepest existing ancestor-or-self
@@ -631,38 +575,6 @@ mod tests {
         // …a successful one bumps it.
         assert!(t.derefine(NodeId::ROOT));
         assert!(t.topology_version() > after_refine);
-    }
-
-    #[test]
-    fn derefine_balanced_collapses_blocking_neighbours() {
-        let mut t = Tree::new_uniform(1);
-        let a = NodeId::from_coords(1, [0, 0, 0]);
-        t.refine_balanced(a);
-        // Refining the centre-corner child drags the level-1 neighbours of
-        // `a` down to level 2 for balance.
-        t.refine_balanced(NodeId::from_coords(2, [1, 1, 1]));
-        assert!(t.check_invariants().is_ok());
-        // A plain derefine of `a`'s refined neighbour is refused (level-3
-        // leaves would sit next to a level-1 leaf), but the balanced
-        // collapse drags the deep subtree coarser first.
-        let nb = NodeId::from_coords(1, [1, 0, 0]);
-        assert!(t.is_interior(nb));
-        assert!(!t.clone().derefine(nb));
-        let collapsed = t.derefine_balanced(nb);
-        assert!(collapsed.contains(&nb));
-        assert_eq!(collapsed.last(), Some(&nb), "target collapses last");
-        assert!(t.is_leaf(nb));
-        assert!(t.check_invariants().is_ok());
-    }
-
-    #[test]
-    fn derefine_balanced_inverts_uniform_refinement() {
-        let mut t = Tree::new_uniform(2);
-        let collapsed = t.derefine_balanced(NodeId::ROOT);
-        assert_eq!(collapsed.len(), 1 + 8);
-        assert!(t.is_leaf(NodeId::ROOT));
-        assert_eq!(t.len(), 1);
-        assert!(t.check_invariants().is_ok());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 ///
 /// SVE is length-agnostic in the ISA, but the A64FX implements 512-bit
 /// vectors; the paper's SVE types are fixed to that width.
-pub const SVE_VECTOR_BITS: usize = 512;
+pub(crate) const SVE_VECTOR_BITS: usize = 512;
 
 /// `f64` lanes in one A64FX SVE vector.
 pub const SVE_LANES_F64: usize = SVE_VECTOR_BITS / 64;
@@ -31,7 +31,7 @@ pub enum VectorMode {
 
 impl VectorMode {
     /// Human-readable name matching the labels used in the paper's plots.
-    pub const fn label(self) -> &'static str {
+    pub(crate) const fn label(self) -> &'static str {
         match self {
             VectorMode::Scalar => "SIMD OFF (scalar)",
             VectorMode::Sve512 => "SIMD ON (SVE)",

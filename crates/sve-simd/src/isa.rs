@@ -34,17 +34,6 @@ pub enum WideIsa {
     Baseline,
 }
 
-impl WideIsa {
-    /// Short label for logs and bench output.
-    pub const fn label(self) -> &'static str {
-        match self {
-            WideIsa::Avx512 => "avx512",
-            WideIsa::Avx2 => "avx2+fma",
-            WideIsa::Baseline => "baseline",
-        }
-    }
-}
-
 /// Detect the widest usable [`WideIsa`] (cached after the first call).
 pub fn wide_isa() -> WideIsa {
     #[cfg(target_arch = "x86_64")]
@@ -126,12 +115,6 @@ mod tests {
     #[test]
     fn detection_is_stable() {
         assert_eq!(wide_isa(), wide_isa());
-    }
-
-    #[test]
-    fn labels_are_distinct() {
-        assert_ne!(WideIsa::Avx512.label(), WideIsa::Avx2.label());
-        assert_ne!(WideIsa::Avx2.label(), WideIsa::Baseline.label());
     }
 
     // The macro must expand for plain, reference, and mut-reference

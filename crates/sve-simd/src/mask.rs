@@ -14,18 +14,9 @@ use std::ops::{BitAnd, BitOr, BitXor, Not};
 pub struct Mask<const W: usize>([bool; W]);
 
 impl<const W: usize> Mask<W> {
-    /// Number of lanes.
-    pub const LANES: usize = W;
-
-    /// All lanes set to `v`.
-    #[inline(always)]
-    pub fn splat(v: bool) -> Self {
-        Mask([v; W])
-    }
-
     /// Build from an array of lane booleans.
     #[inline(always)]
-    pub fn from_array(a: [bool; W]) -> Self {
+    pub(crate) fn from_array(a: [bool; W]) -> Self {
         Mask(a)
     }
 
@@ -44,15 +35,9 @@ impl<const W: usize> Mask<W> {
         self.0[l]
     }
 
-    /// Set lane `l` to `v`.
-    #[inline(always)]
-    pub fn set(&mut self, l: usize, v: bool) {
-        self.0[l] = v;
-    }
-
     /// `true` if any lane is set (SVE `ptest`).
     #[inline(always)]
-    pub fn any(self) -> bool {
+    pub(crate) fn any(self) -> bool {
         self.0.iter().any(|&b| b)
     }
 
@@ -72,12 +57,6 @@ impl<const W: usize> Mask<W> {
     #[inline(always)]
     pub fn count_set(self) -> usize {
         self.0.iter().filter(|&&b| b).count()
-    }
-
-    /// Index of the first set lane, if any (SVE `brka`-style scan).
-    #[inline(always)]
-    pub fn first_set(self) -> Option<usize> {
-        self.0.iter().position(|&b| b)
     }
 
     /// A mask with the first `n` lanes set — SVE's `whilelt` predicate,
@@ -149,15 +128,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn splat_any_all_none() {
-        assert!(Mask::<8>::splat(true).all());
-        assert!(Mask::<8>::splat(false).none());
-        let mut m = Mask::<8>::splat(false);
-        m.set(3, true);
+    fn any_all_none() {
+        assert!(Mask::<8>::from_array([true; 8]).all());
+        assert!(Mask::<8>::from_array([false; 8]).none());
+        let mut lanes = [false; 8];
+        lanes[3] = true;
+        let m = Mask::from_array(lanes);
         assert!(m.any());
         assert!(!m.all());
         assert_eq!(m.count_set(), 1);
-        assert_eq!(m.first_set(), Some(3));
     }
 
     #[test]
@@ -173,19 +152,17 @@ mod tests {
 
     #[test]
     fn all_false_and_all_true_edge_cases() {
-        let none = Mask::<8>::splat(false);
+        let none = Mask::<8>::from_array([false; 8]);
         assert!(none.none());
         assert!(!none.any());
         assert!(!none.all());
         assert_eq!(none.count_set(), 0);
-        assert_eq!(none.first_set(), None);
 
-        let all = Mask::<8>::splat(true);
+        let all = Mask::<8>::from_array([true; 8]);
         assert!(all.all());
         assert!(all.any());
         assert!(!all.none());
         assert_eq!(all.count_set(), 8);
-        assert_eq!(all.first_set(), Some(0));
 
         // first_n at the extremes reproduces both.
         assert_eq!(Mask::<8>::first_n(0), none);
@@ -202,7 +179,6 @@ mod tests {
         for n in 1..=7usize {
             let m = Mask::<8>::first_n(n);
             assert_eq!(m.count_set(), n);
-            assert_eq!(m.first_set(), Some(0));
             for l in 0..8 {
                 assert_eq!(m.test(l), l < n, "lane {l} at n={n}");
             }
@@ -213,7 +189,7 @@ mod tests {
     fn width_one_masks() {
         assert!(Mask::<1>::first_n(1).all());
         assert!(Mask::<1>::first_n(0).none());
-        assert_eq!(Mask::<1>::splat(true).count_set(), 1);
+        assert_eq!(Mask::<1>::from_array([true]).count_set(), 1);
     }
 
     #[test]

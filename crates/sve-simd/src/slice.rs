@@ -4,7 +4,7 @@
 //! of the vector width, with a masked tail.  These helpers encapsulate that
 //! traversal so the `octotiger` kernels contain only the physics.
 
-use crate::simd::{Simd, SimdElement};
+use crate::simd::Simd;
 
 /// Iterator over `(offset, lanes_in_chunk)` pairs covering `len` elements in
 /// strides of `W`, with a final partial chunk when `W` does not divide `len`.
@@ -49,40 +49,18 @@ impl<const W: usize> ExactSizeIterator for ChunkedLanes<W> {}
 /// The tail (when `W ∤ data.len()`) is processed with a padded load and a
 /// partial store, mirroring SVE's predicated loop tails.
 #[inline(always)]
-pub fn for_each_simd<T: SimdElement, const W: usize>(
-    data: &mut [T],
-    mut kernel: impl FnMut(Simd<T, W>) -> Simd<T, W>,
+pub fn for_each_simd<const W: usize>(
+    data: &mut [f64],
+    mut kernel: impl FnMut(Simd<f64, W>) -> Simd<f64, W>,
 ) {
     let len = data.len();
     for (off, lanes) in ChunkedLanes::<W>::new(len) {
         if lanes == W {
-            let v = Simd::<T, W>::from_slice(&data[off..]);
+            let v = Simd::<f64, W>::from_slice(&data[off..]);
             kernel(v).write_to_slice(&mut data[off..]);
         } else {
-            let v = Simd::<T, W>::from_slice_padded(&data[off..], T::ZERO);
+            let v = Simd::<f64, W>::from_slice_padded(&data[off..], 0.0);
             kernel(v).write_to_slice_partial(&mut data[off..]);
-        }
-    }
-}
-
-/// Map `src` through a vector kernel into `dst` (same length).
-///
-/// # Panics
-/// Panics if `src.len() != dst.len()`.
-#[inline(always)]
-pub fn map_simd<T: SimdElement, const W: usize>(
-    src: &[T],
-    dst: &mut [T],
-    mut kernel: impl FnMut(Simd<T, W>) -> Simd<T, W>,
-) {
-    assert_eq!(src.len(), dst.len(), "map_simd length mismatch");
-    for (off, lanes) in ChunkedLanes::<W>::new(src.len()) {
-        if lanes == W {
-            let v = Simd::<T, W>::from_slice(&src[off..]);
-            kernel(v).write_to_slice(&mut dst[off..]);
-        } else {
-            let v = Simd::<T, W>::from_slice_padded(&src[off..], T::ZERO);
-            kernel(v).write_to_slice_partial(&mut dst[off..]);
         }
     }
 }
@@ -92,11 +70,11 @@ pub fn map_simd<T: SimdElement, const W: usize>(
 /// # Panics
 /// Panics if the three slices disagree in length.
 #[inline(always)]
-pub fn zip_map_simd<T: SimdElement, const W: usize>(
-    a: &[T],
-    b: &[T],
-    dst: &mut [T],
-    mut kernel: impl FnMut(Simd<T, W>, Simd<T, W>) -> Simd<T, W>,
+pub fn zip_map_simd<const W: usize>(
+    a: &[f64],
+    b: &[f64],
+    dst: &mut [f64],
+    mut kernel: impl FnMut(Simd<f64, W>, Simd<f64, W>) -> Simd<f64, W>,
 ) {
     assert_eq!(a.len(), b.len(), "zip_map_simd length mismatch (a vs b)");
     assert_eq!(
@@ -106,12 +84,12 @@ pub fn zip_map_simd<T: SimdElement, const W: usize>(
     );
     for (off, lanes) in ChunkedLanes::<W>::new(a.len()) {
         if lanes == W {
-            let va = Simd::<T, W>::from_slice(&a[off..]);
-            let vb = Simd::<T, W>::from_slice(&b[off..]);
+            let va = Simd::<f64, W>::from_slice(&a[off..]);
+            let vb = Simd::<f64, W>::from_slice(&b[off..]);
             kernel(va, vb).write_to_slice(&mut dst[off..]);
         } else {
-            let va = Simd::<T, W>::from_slice_padded(&a[off..], T::ZERO);
-            let vb = Simd::<T, W>::from_slice_padded(&b[off..], T::ZERO);
+            let va = Simd::<f64, W>::from_slice_padded(&a[off..], 0.0);
+            let vb = Simd::<f64, W>::from_slice_padded(&b[off..], 0.0);
             kernel(va, vb).write_to_slice_partial(&mut dst[off..]);
         }
     }
@@ -142,19 +120,9 @@ mod tests {
     #[test]
     fn for_each_simd_squares_with_tail() {
         let mut data: Vec<f64> = (0..11).map(|i| i as f64).collect();
-        for_each_simd::<f64, 4>(&mut data, |v| v * v);
+        for_each_simd::<4>(&mut data, |v| v * v);
         for (i, &x) in data.iter().enumerate() {
             assert_eq!(x, (i * i) as f64);
-        }
-    }
-
-    #[test]
-    fn map_simd_matches_scalar_loop() {
-        let src: Vec<f64> = (0..13).map(|i| i as f64 * 0.5).collect();
-        let mut dst = vec![0.0; 13];
-        map_simd::<f64, 8>(&src, &mut dst, |v| v + Simd::splat(1.0));
-        for i in 0..13 {
-            assert_eq!(dst[i], src[i] + 1.0);
         }
     }
 
@@ -163,17 +131,9 @@ mod tests {
         let a: Vec<f64> = (0..9).map(|i| i as f64).collect();
         let b: Vec<f64> = (0..9).map(|i| (i * 10) as f64).collect();
         let mut dst = vec![0.0; 9];
-        zip_map_simd::<f64, 4>(&a, &b, &mut dst, |x, y| x + y);
+        zip_map_simd::<4>(&a, &b, &mut dst, |x, y| x + y);
         for i in 0..9 {
             assert_eq!(dst[i], a[i] + b[i]);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn map_simd_rejects_mismatched_lengths() {
-        let src = [1.0f64; 4];
-        let mut dst = [0.0f64; 5];
-        map_simd::<f64, 4>(&src, &mut dst, |v| v);
     }
 }

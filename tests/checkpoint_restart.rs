@@ -1,6 +1,6 @@
 //! Checkpoint/restart integration: a run interrupted by a silo-lite
 //! checkpoint and restored on a *different* cluster layout must continue
-//! exactly like the uninterrupted run.
+//! exactly like the uninterrupted run, bit for bit.
 
 use octo_repro::hpx::SimCluster;
 use octo_repro::octotiger::{io, Scenario, ScenarioKind, SimOptions, Simulation, NF};
@@ -54,11 +54,11 @@ fn restart_continues_identically() {
     std::fs::remove_file(&tmp).ok();
 
     assert_eq!(expected.len(), actual.len());
-    for (e, a) in expected.iter().zip(&actual) {
-        for (x, y) in e.iter().zip(a) {
+    for (leaf, (e, a)) in expected.iter().zip(&actual).enumerate() {
+        for (i, (x, y)) in e.iter().zip(a).enumerate() {
             assert!(
-                (x - y).abs() <= 1e-11 * (1.0 + x.abs()),
-                "restart diverged: {x} vs {y}"
+                x.to_bits() == y.to_bits(),
+                "restart diverged at leaf {leaf} word {i}: {x} vs {y}"
             );
         }
     }
