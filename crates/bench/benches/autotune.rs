@@ -20,7 +20,6 @@
 //!
 //! Everything lands in `BENCH_autotune.json`.
 
-use criterion::Criterion;
 use hpx_rt::Runtime;
 use kokkos_rs::ExecSpace;
 use octotiger::gravity::direct::PointMasses;
@@ -28,7 +27,6 @@ use octotiger::gravity::{GravitySolver, LeafSources};
 use octree::{NodeId, Tree};
 use std::collections::HashMap;
 use std::hint::black_box;
-use std::time::{Duration, Instant};
 
 /// Window budget per closed loop: a family that has not frozen after
 /// this many observation windows failed to converge.
@@ -38,24 +36,6 @@ const WINDOW_BUDGET: u64 = 40;
 /// the band only needs to sit below the smallest real rung-to-rung
 /// improvement (~0.02% on the flat end of the hydro ladder).
 const MODEL_HYSTERESIS: f64 = 1e-4;
-
-/// Seconds per call of `f`, measured over an adaptively sized batch —
-/// one tuner observation window.
-fn time_per_iter(mut f: impl FnMut()) -> f64 {
-    f(); // warm up
-    let mut reps = 1u32;
-    loop {
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            f();
-        }
-        let dt = t0.elapsed();
-        if dt >= Duration::from_millis(200) || reps >= 1 << 20 {
-            return dt.as_secs_f64() / reps as f64;
-        }
-        reps *= 2;
-    }
-}
 
 /// Run the tuner's closed loop over `measure(candidate)` until the climb
 /// freezes (or the window budget runs out), then return the converged
@@ -181,7 +161,8 @@ fn host_m2l_family(rt: &Runtime) -> FamilyResult {
     let ladder: Vec<usize> = vec![1, 2, 4, 8, 16, 32];
     let measure = |tasks: usize| {
         solver.opts.tasks_per_multipole_kernel = tasks;
-        time_per_iter(|| {
+        // One call of `time_per_iter` is one tuner observation window.
+        bench::time_per_iter(|| {
             solver.m2l_bench_run(&plan, &mut bench, &space);
             black_box(&bench);
         })
@@ -268,9 +249,6 @@ fn autotune_report() -> bench::FigureReport {
 }
 
 fn main() {
-    // No criterion groups: the closed loop *is* the benchmark.  Keep a
-    // Criterion value alive so `cargo bench` filter flags parse.
-    let _ = Criterion::default();
     let report = autotune_report();
     println!("{}", report.to_markdown());
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_autotune.json");

@@ -4,9 +4,9 @@
 //! not have; what our reproduction must preserve are the *ratios* that
 //! produce the figures' shapes.  The constants here are calibrated in two
 //! ways: the per-cell flop counts follow from counting operations in our
-//! actual `octotiger` kernels (the bench crate's criterion microbenchmarks
-//! measure the same kernels on the host, and `bench/src/bin/calibration.rs`
-//! prints the comparison), and the overhead constants are set so the
+//! actual `octotiger` kernels (the bench crate's `simd_kernels` report
+//! measures the same kernels on the host, scalar against SVE width, into
+//! `BENCH_simd.json`), and the overhead constants are set so the
 //! paper's documented crossovers land where the paper saw them
 //! (communication-optimization break-even at 8 nodes, multipole-split
 //! win appearing around 128 nodes).
@@ -30,8 +30,8 @@ pub struct KernelCosts {
     pub m2l_list_len: f64,
     /// SVE speedup of the compute kernels measured between the `W = 1` and
     /// `W = 8` instantiations (paper: "a factor of two and three for
-    /// various parts of the code"; our criterion benches land in the same
-    /// band).
+    /// various parts of the code"; the kernel families of
+    /// `BENCH_simd.json` land in the same band).
     pub sve_speedup: f64,
     /// Average ghost payload per neighbour link, bytes (all 26 link
     /// classes averaged, 8 fields, N = 8, ghost width 2).

@@ -99,8 +99,8 @@ pub(crate) fn fold_stripes(acc: &[f64; STRIPES]) -> f64 {
 }
 
 /// Accumulate potential and acceleration at `(x, y, z)` from all `src`
-/// points, skipping any source closer than `eps` (used to exclude the
-/// self-cell).  Width-generic: the paper's SIMD-type kernel pattern.
+/// points, skipping a source at zero distance (the self-cell).
+/// Width-generic: the paper's SIMD-type kernel pattern.
 ///
 /// The horizontal reduction is stripe-blocked (see `STRIPES`): lane
 /// contributions land in the stripe accumulator of their source index
@@ -108,13 +108,8 @@ pub(crate) fn fold_stripes(acc: &[f64; STRIPES]) -> f64 {
 /// widths therefore perform the identical addition sequence per stripe —
 /// masked lanes contribute an exact `±0.0` (their weight is forced to
 /// zero), which never perturbs a stripe accumulator.
-#[inline(always)]
-pub fn p2p_at_w<const W: usize>(src: &PointMasses, x: f64, y: f64, z: f64) -> (f64, [f64; 3]) {
-    p2p_ref_w::<W>(src.view(), x, y, z)
-}
-
-/// [`p2p_at_w`] over a borrowed run of points — the kernel proper.  The
-/// stripe of a source is its index *within `src`*, so a tile of a
+///
+/// The stripe of a source is its index *within `src`*, so a tile of a
 /// tile-major leaf copy sums exactly like a point set holding only it.
 #[inline(always)]
 pub(crate) fn p2p_ref_w<const W: usize>(
@@ -180,12 +175,7 @@ sve_simd::wide_dispatch! {
         = p2p_ref_w::<8>
 }
 
-/// `p2p_ref_wide` over a whole point set.
-pub fn p2p_at_wide(src: &PointMasses, x: f64, y: f64, z: f64) -> (f64, [f64; 3]) {
-    p2p_ref_wide(src.view(), x, y, z)
-}
-
-/// Width-dispatched wrapper over [`p2p_at_w`].
+/// P2P at `at` from a whole point set, dispatched on a [`VectorMode`].
 pub fn p2p_at(src: &PointMasses, at: [f64; 3], mode: VectorMode) -> (f64, [f64; 3]) {
     p2p_at_ref(src.view(), at, mode)
 }

@@ -327,7 +327,7 @@ pub(super) fn field<const W: usize>(
 /// component, which the stripe accumulators absorb without a bit of
 /// change.
 #[inline(always)]
-pub fn m2l_accumulate_w<const W: usize>(
+fn m2l_accumulate_w<const W: usize>(
     soa: &MultipoleSoA,
     sources: &[usize],
     center: [f64; 3],
@@ -445,10 +445,10 @@ pub fn m2l_accumulate_w<const W: usize>(
 }
 
 sve_simd::wide_dispatch! {
-    /// [`m2l_accumulate_w::<8>`] entered under the host's widest vector
+    /// `m2l_accumulate_w::<8>` entered under the host's widest vector
     /// ISA — the "SVE build" half of the Figure 7 pair (see
     /// [`sve_simd::isa`]).
-    pub fn m2l_accumulate_wide(
+    fn m2l_accumulate_wide(
         soa: &MultipoleSoA,
         sources: &[usize],
         center: [f64; 3],
@@ -457,7 +457,9 @@ sve_simd::wide_dispatch! {
     ) = m2l_accumulate_w::<SVE_LANES_F64>
 }
 
-/// [`m2l_accumulate_w`] dispatched on a [`sve_simd::VectorMode`].
+/// Accumulate the M2L contributions of `sources` (slot indices into `soa`)
+/// about `center` into `out`: `m2l_accumulate_w` at `W = 1`, or at
+/// `W = 8` under the host's widest vector ISA, by `mode`.
 pub fn m2l_accumulate(
     soa: &MultipoleSoA,
     sources: &[usize],

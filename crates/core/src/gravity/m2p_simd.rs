@@ -5,7 +5,7 @@
 //! run one target cell at a time.  Put to the same test with radius 0,
 //! most cells of a rejected tile pair see the source tile as well
 //! separated; those take the tile's multipole directly and only the rest
-//! are summed source cell by source cell.  [`m2p_accumulate_w`] does both:
+//! are summed source cell by source cell.  [`m2p_accumulate`] does both:
 //! it tests a chunk of cells and adds the multipole's field where the test
 //! passes.
 //!
@@ -37,7 +37,7 @@ use sve_simd::{ChunkedLanes, Mask, Simd, VectorMode, SVE_LANES_F64};
 /// their bits.  Returns how many pass.  A massless `mp`
 /// ([`Multipole::zero`]) adds an exact zero.
 #[inline(always)]
-pub fn m2p_accumulate_w<const W: usize>(
+fn m2p_accumulate_w<const W: usize>(
     mp: &Multipole,
     sphere: ([f64; 3], f64),
     theta: f64,
@@ -95,7 +95,7 @@ fn add_where<const W: usize>(on: Mask<W>, d: Simd<f64, W>, sum: &mut [f64]) {
 }
 
 sve_simd::wide_dispatch! {
-    /// [`m2p_accumulate_w::<8>`] entered under the host's widest vector ISA
+    /// `m2p_accumulate_w::<8>` entered under the host's widest vector ISA
     /// (see [`sve_simd::isa`]).
     fn m2p_accumulate_wide(
         mp: &Multipole,
@@ -108,7 +108,8 @@ sve_simd::wide_dispatch! {
     ) -> usize = m2p_accumulate_w::<SVE_LANES_F64>
 }
 
-/// [`m2p_accumulate_w`] dispatched on a [`VectorMode`].
+/// `m2p_accumulate_w` at `W = 1`, or at `W = 8` under the host's widest
+/// vector ISA, by `mode`.
 #[allow(clippy::too_many_arguments)]
 pub fn m2p_accumulate(
     mp: &Multipole,

@@ -18,7 +18,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Declare a counter block: every line is one counter, `field => "/name"`.
 /// Generates the atomic block (`new`, `snapshot`, `reset`) and its
-/// plain-data snapshot (`since`, `entries`, `Display`).
+/// plain-data snapshot (`since`, `entries`, `Display`, and a field-wise
+/// `+`, so no sum can skip a counter).
 macro_rules! counter_block {
     (
         $(#[$block_doc:meta])*
@@ -70,6 +71,14 @@ macro_rules! counter_block {
             /// Every counter as `(name, value)`, in declaration order.
             pub fn entries(&self) -> Vec<(&'static str, u64)> {
                 vec![ $( ($name, self.$field), )+ ]
+            }
+        }
+
+        impl std::ops::Add for $snap {
+            type Output = Self;
+
+            fn add(self, other: Self) -> Self {
+                Self { $( $field: self.$field + other.$field, )+ }
             }
         }
 

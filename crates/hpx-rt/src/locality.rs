@@ -218,23 +218,22 @@ impl SimCluster {
         self.registry.register(name, handler);
     }
 
-    /// Aggregate counter snapshot over all localities.
+    /// Aggregate counter snapshot of the cluster: every locality's
+    /// parcel-port block plus every distinct runtime's block, each added
+    /// once — a pool shared by several localities
+    /// ([`SimCluster::from_runtimes`]) counts its events once.
     pub fn total_counters(&self) -> crate::counters::CountersSnapshot {
-        let mut total = crate::counters::CountersSnapshot::default();
+        let mut pools: Vec<&Runtime> = Vec::new();
         for loc in &self.localities {
-            let s = loc.counters().snapshot();
-            total.parcels_sent += s.parcels_sent;
-            total.parcel_bytes += s.parcel_bytes;
-            total.local_direct_accesses += s.local_direct_accesses;
-            total.futures_created += s.futures_created;
-            let r = loc.runtime().counters().snapshot();
-            total.tasks_spawned += r.tasks_spawned;
-            total.tasks_executed += r.tasks_executed;
-            total.tasks_stolen += r.tasks_stolen;
-            total.worker_parks += r.worker_parks;
-            total.continuations_attached += r.continuations_attached;
+            if !pools.iter().any(|rt| rt.same_pool(&loc.runtime)) {
+                pools.push(&loc.runtime);
+            }
         }
-        total
+        let ports = self.localities.iter().map(|loc| loc.counters().snapshot());
+        let pools = pools.into_iter().map(|rt| rt.counters().snapshot());
+        ports
+            .chain(pools)
+            .fold(Default::default(), |sum, s| sum + s)
     }
 
     /// Every locality's counters by HPX-style instance name
@@ -419,6 +418,55 @@ mod tests {
                 cluster.shutdown();
             }
         }
+    }
+
+    /// `n` futures from `async_call` on `rt`, all awaited.
+    fn await_calls(rt: &Runtime, n: usize) {
+        rt.enter(|| {
+            let calls: Vec<_> = (0..n).map(|i| rt.async_call(move || i)).collect();
+            for (i, f) in calls.into_iter().enumerate() {
+                assert_eq!(f.get(), i);
+            }
+        });
+    }
+
+    #[test]
+    fn total_counters_adds_a_shared_pool_once() {
+        let rt = Runtime::deterministic(1);
+        let cluster = SimCluster::from_runtimes(vec![rt.clone(); 2]);
+        await_calls(&rt, 5);
+        let total = cluster.total_counters();
+        assert_eq!(total.tasks_spawned, 5);
+        assert_eq!(total.tasks_executed, 5);
+        assert_eq!(total.futures_created, 5);
+        assert_eq!(
+            total,
+            cluster.locality(0).counters().snapshot() + rt.counters().snapshot()
+        );
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn total_counters_sums_every_field_of_every_block() {
+        let pools = [Runtime::deterministic(1), Runtime::deterministic(2)];
+        let cluster = SimCluster::from_runtimes(pools.to_vec());
+        await_calls(&pools[0], 3);
+        await_calls(&pools[1], 4);
+        Counters::bump(&pools[1].counters().watchdog_fires);
+        cluster.locality(1).note_local_direct_access();
+        let total = cluster.total_counters();
+        assert_eq!(total.futures_created, 7);
+        assert_eq!(total.watchdog_fires, 1);
+        assert_eq!(total.local_direct_accesses, 1);
+        let blocks: Vec<_> = (cluster.localities().iter())
+            .flat_map(|loc| [loc.counters(), loc.runtime().counters()])
+            .map(|block| block.snapshot().entries())
+            .collect();
+        for (i, (name, value)) in total.entries().into_iter().enumerate() {
+            let sum: u64 = blocks.iter().map(|entries| entries[i].1).sum();
+            assert_eq!(value, sum, "{name}");
+        }
+        cluster.shutdown();
     }
 
     #[test]

@@ -266,6 +266,11 @@ impl Runtime {
         self.inner.num_workers
     }
 
+    /// Whether `self` and `other` are handles to one pool.
+    pub(crate) fn same_pool(&self, other: &Runtime) -> bool {
+        Arc::ptr_eq(&self.inner, &other.inner)
+    }
+
     /// The pool's performance counters.
     pub fn counters(&self) -> &Counters {
         &self.inner.counters

@@ -18,8 +18,6 @@ pub enum ChunkSpec {
     /// Split the range into exactly `n` tasks (the Figure 9 "ON" setting
     /// uses 16).
     Tasks(usize),
-    /// Split into tasks of at most `n` consecutive indices.
-    ChunkSize(usize),
     /// One task per worker thread of the executing runtime.
     Auto,
 }
@@ -35,7 +33,6 @@ impl ChunkSpec {
         let n = match self {
             ChunkSpec::SingleTask => 1,
             ChunkSpec::Tasks(n) => n.max(1),
-            ChunkSpec::ChunkSize(c) => len.div_ceil(c.max(1)),
             ChunkSpec::Auto => workers.max(1),
         };
         n.min(len)
@@ -137,8 +134,6 @@ mod tests {
         assert_eq!(ChunkSpec::SingleTask.resolve(100, 8), 1);
         assert_eq!(ChunkSpec::Tasks(16).resolve(100, 8), 16);
         assert_eq!(ChunkSpec::Tasks(16).resolve(10, 8), 10); // capped at len
-        assert_eq!(ChunkSpec::ChunkSize(25).resolve(100, 8), 4);
-        assert_eq!(ChunkSpec::ChunkSize(30).resolve(100, 8), 4); // ceil
         assert_eq!(ChunkSpec::Auto.resolve(100, 8), 8);
         assert_eq!(ChunkSpec::Auto.resolve(0, 8), 0);
         assert_eq!(ChunkSpec::Tasks(0).resolve(5, 8), 1); // degenerate input

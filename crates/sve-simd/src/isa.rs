@@ -66,13 +66,13 @@ pub fn wide_isa() -> WideIsa {
 ///
 /// ```ignore
 /// sve_simd::wide_dispatch! {
-///     pub fn p2p_at_wide(src: &PointMasses, x: f64, y: f64, z: f64) -> (f64, [f64; 3])
-///         = p2p_at_w::<8>
+///     pub(crate) fn p2p_ref_wide(src: PointsRef<'_>, x: f64, y: f64, z: f64) -> (f64, [f64; 3])
+///         = p2p_ref_w::<8>
 /// }
 /// ```
 ///
-/// expands to a safe function `p2p_at_wide` with that exact signature that
-/// calls `p2p_at_w::<8>` inside an `#[target_feature]` wrapper chosen by
+/// expands to a safe function `p2p_ref_wide` with that exact signature that
+/// calls `p2p_ref_w::<8>` inside an `#[target_feature]` wrapper chosen by
 /// [`wide_isa`].  The kernel must be marked `#[inline]` (or be otherwise
 /// inlineable) so its body is compiled *inside* the wrapper and its lane
 /// loops actually lower to the wide ISA; the feature sets here are strict

@@ -38,4 +38,4 @@ pub use backend::{VectorMode, SVE_LANES_F64};
 pub use isa::{wide_isa, WideIsa};
 pub use mask::Mask;
 pub use simd::Simd;
-pub use slice::{for_each_simd, zip_map_simd, ChunkedLanes};
+pub use slice::ChunkedLanes;

@@ -1,6 +1,9 @@
 //! The width-equivalence harness for the Figure 7 SIMD port: every kernel
 //! ported onto `Simd<f64, W>` must produce **bit-identical** results at
 //! `W = 1` (scalar) and `W = 8` (one 512-bit SVE register of f64).
+//! The kernel properties call the `VectorMode`-dispatched entries the
+//! solver calls, so the `W = 8` side is the build under the host's widest
+//! vector ISA (`wide_dispatch!`), not a baseline-target instantiation.
 //!
 //! The kernels earn this by folding their lanes into scalar accumulators
 //! in lane order and by masking remainder lanes out of every fold (see
@@ -14,9 +17,9 @@ mod harness;
 use harness::{check, REFERENCE, UNIFORM};
 use octo_repro::amr::{NodeId, SubGrid, Tree};
 use octo_repro::kokkos::ExecSpace;
-use octo_repro::octotiger::gravity::direct::{p2p_at_w, PointMasses};
-use octo_repro::octotiger::gravity::m2l_simd::m2l_accumulate_w;
-use octo_repro::octotiger::gravity::m2p_simd::m2p_accumulate_w;
+use octo_repro::octotiger::gravity::direct::{p2p_at, PointMasses};
+use octo_repro::octotiger::gravity::m2l_simd::m2l_accumulate;
+use octo_repro::octotiger::gravity::m2p_simd::m2p_accumulate;
 use octo_repro::octotiger::gravity::{
     GravityOptions, GravitySolver, LeafSources, Multipole, MultipoleSoA,
 };
@@ -43,8 +46,9 @@ proptest! {
         for ((x, y, z), m) in &pts {
             cloud.push([*x, *y, *z], *m);
         }
-        let (p1, g1) = p2p_at_w::<1>(&cloud, at.0, at.1, at.2);
-        let (p8, g8) = p2p_at_w::<8>(&cloud, at.0, at.1, at.2);
+        let at = [at.0, at.1, at.2];
+        let (p1, g1) = p2p_at(&cloud, at, VectorMode::Scalar);
+        let (p8, g8) = p2p_at(&cloud, at, VectorMode::Sve512);
         prop_assert_eq!(p1.to_bits(), p8.to_bits(), "phi differs: {} vs {}", p1, p8);
         for ax in 0..3 {
             prop_assert_eq!(g1[ax].to_bits(), g8[ax].to_bits(),
@@ -75,8 +79,8 @@ proptest! {
         let center = [3.0, -2.0, 1.5];
         let mut l1 = octo_repro::octotiger::gravity::LocalExpansion::zero();
         let mut l8 = octo_repro::octotiger::gravity::LocalExpansion::zero();
-        m2l_accumulate_w::<1>(&soa, &sources, center, use_oct, &mut l1);
-        m2l_accumulate_w::<8>(&soa, &sources, center, use_oct, &mut l8);
+        m2l_accumulate(&soa, &sources, center, use_oct, VectorMode::Scalar, &mut l1);
+        m2l_accumulate(&soa, &sources, center, use_oct, VectorMode::Sve512, &mut l8);
         prop_assert_eq!(l1.l0.to_bits(), l8.l0.to_bits());
         for a in 0..3 {
             prop_assert_eq!(l1.l1[a].to_bits(), l8.l1[a].to_bits());
@@ -132,12 +136,12 @@ proptest! {
         let (before, mut out1, mut out8) = (seeded(), seeded(), seeded());
         let (mut far1, mut far8) = (vec![false; ncells], vec![true; ncells]);
         let sphere = (center, radius);
-        let n1 = m2p_accumulate_w::<1>(
-            &mp, sphere, 0.5, use_oct, targets.view(), &mut far1,
+        let n1 = m2p_accumulate(
+            &mp, sphere, 0.5, use_oct, targets.view(), VectorMode::Scalar, &mut far1,
             &mut out1.each_mut().map(|v| &mut v[..]),
         );
-        let n8 = m2p_accumulate_w::<8>(
-            &mp, sphere, 0.5, use_oct, targets.view(), &mut far8,
+        let n8 = m2p_accumulate(
+            &mp, sphere, 0.5, use_oct, targets.view(), VectorMode::Sve512, &mut far8,
             &mut out8.each_mut().map(|v| &mut v[..]),
         );
         prop_assert_eq!(n1, n8);
