@@ -510,7 +510,7 @@ impl GravitySolver {
                     SlotKind::Interior(kids) => {
                         // Fixed-size gather: no per-slot heap allocation
                         // inside the kernel body (the zero-alloc steady
-                        // state hpx-check's allocation lint guards).
+                        // state `tests/kernel_allocations.rs` checks).
                         let children: [&Multipole; 8] = std::array::from_fn(|c| &mps[kids[c]]);
                         Multipole::combine(&children)
                     }

@@ -13,28 +13,27 @@
 //!   task panics with a *replayable seed*.
 //! * **The real pipelined step** (`step`) — the model checker's
 //!   workload: the real `Simulation::step` on 1, 2 or 4 localities sharing
-//!   the deterministic pool, bit-compared against `step_barrier`.
-//! * **Kernel-body source lints** (`scan`) — source scans forbidding
-//!   blocking `.wait()`/`.get()`, heap allocation, and shared
-//!   floating-point accumulators inside kernel argument regions, with a
-//!   shared allowlist file (whose own staleness is checked).
+//!   the deterministic pool, bit-compared against `step_barrier`: every
+//!   step's Δt, the run's `mass_outflow` and the final leaf state, so a
+//!   float fold in task-completion order shows wherever it lands.
 //! * **Static plan verifier** (`verify`) — drives
 //!   `core::gravity::verify`'s provers over real and seeded-mutated
 //!   frozen plans: deadlock-freedom, exact send/receive matching and halo
 //!   completeness of every `DistPlan`, structural invariants of every
 //!   `GravityPlan`, with planted-bug regressions.
 //!
+//! The two kernel-body rules — a kernel neither blocks nor, once its
+//! buffers are recycled, allocates — are not checked here but where
+//! kernels run: every `kokkos-rs` chunk is an [`hpx_rt::kernel_body`],
+//! inside which a debug build's `Future::wait` panics and the root
+//! `kernel_allocations` test counts allocations.
+//!
 //! Run everything from the CLI: `cargo run -p hpx-check -- all`.
 
 mod model;
-mod scan;
 mod step;
 mod verify;
 
 pub use model::ModelChecker;
-pub use scan::{
-    scan_source, scan_source_allocs, scan_source_fp, scan_workspace, scan_workspace_invariants,
-    Allowlist,
-};
-pub use step::RealStep;
+pub use step::{RealStep, RunRecord};
 pub use verify::{mutate_plan, mutation_sweep, verify_real_plans, PlanMutationKind};

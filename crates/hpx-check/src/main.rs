@@ -5,16 +5,12 @@
 //! cargo run -p hpx-check -- all                 # every analysis, defaults
 //! cargo run -p hpx-check -- model --schedules 64 --seed 1   # the real step
 //! cargo run -p hpx-check -- model --replay 17   # re-run one interleaving
-//! cargo run -p hpx-check -- waitlint --root . --allow hpx-check.allow
-//! cargo run -p hpx-check -- verify --strict --bench-out BENCH_check.json
+//! cargo run -p hpx-check -- verify --bench-out BENCH_check.json
 //! ```
 //!
 //! Exit status 0 when every requested analysis is clean, 1 otherwise.
 
-use hpx_check::{
-    mutation_sweep, scan_workspace, scan_workspace_invariants, verify_real_plans, Allowlist,
-    ModelChecker, RealStep,
-};
+use hpx_check::{mutation_sweep, verify_real_plans, ModelChecker, RealStep};
 use hpx_rt::Runtime;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -24,9 +20,6 @@ struct Options {
     schedules: usize,
     seed: u64,
     replay: Option<u64>,
-    root: PathBuf,
-    allow: Option<PathBuf>,
-    strict: bool,
     bench_out: Option<PathBuf>,
 }
 
@@ -37,17 +30,13 @@ impl Default for Options {
             schedules: 32,
             seed: 1,
             replay: None,
-            root: PathBuf::from("."),
-            allow: None,
-            strict: false,
             bench_out: None,
         }
     }
 }
 
-const USAGE: &str = "usage: hpx-check <all|model|waitlint|verify> \
-    [--level N] [--schedules N] [--seed N] [--replay SEED] \
-    [--root DIR] [--allow FILE] [--strict] [--bench-out FILE]";
+const USAGE: &str = "usage: hpx-check <all|model|verify> \
+    [--level N] [--schedules N] [--seed N] [--replay SEED] [--bench-out FILE]";
 
 fn parse_args(args: &[String]) -> Result<(String, Options), String> {
     let mut cmd = None;
@@ -84,9 +73,6 @@ fn parse_args(args: &[String]) -> Result<(String, Options), String> {
                         .map_err(|e| format!("--replay: {e}"))?,
                 )
             }
-            "--root" => opts.root = PathBuf::from(value("--root")?),
-            "--allow" => opts.allow = Some(PathBuf::from(value("--allow")?)),
-            "--strict" => opts.strict = true,
             "--bench-out" => opts.bench_out = Some(PathBuf::from(value("--bench-out")?)),
             other if cmd.is_none() && !other.starts_with('-') => cmd = Some(other.to_owned()),
             other => return Err(format!("unknown argument `{other}`\n{USAGE}")),
@@ -129,31 +115,9 @@ fn run_model(opts: &Options) -> bool {
     clean
 }
 
-fn run_waitlint(opts: &Options) -> bool {
-    let allow_path = opts
-        .allow
-        .clone()
-        .unwrap_or_else(|| opts.root.join("hpx-check.allow"));
-    let allow = Allowlist::load(&allow_path);
-    let findings = scan_workspace(&opts.root, &allow);
-    if findings.is_empty() {
-        println!("waitlint: clean");
-        true
-    } else {
-        eprintln!("waitlint: {} finding(s):", findings.len());
-        for f in &findings {
-            eprintln!("  {f}");
-        }
-        false
-    }
-}
-
-/// The static plan verifier plus the production-invariant source lints:
-/// real plans must verify silently, every seeded mutation must be caught,
-/// kernel bodies must be allocation-free and accumulator-safe, and the
-/// allowlist must not have rotted (a warning, or a failure with
-/// `--strict`).  With `--bench-out`, per-check finding counts and the
-/// wall clock land in a `BENCH_simd.json`-shaped file.
+/// The static plan verifier: real plans must verify silently and every
+/// seeded mutation must be caught.  With `--bench-out`, per-check finding
+/// counts and the wall clock land in a `BENCH_simd.json`-shaped file.
 fn run_verify(opts: &Options) -> bool {
     let t0 = std::time::Instant::now();
     let mut clean = true;
@@ -204,50 +168,7 @@ fn run_verify(opts: &Options) -> bool {
         }
     }
 
-    // 3. Source lints guarding the zero-alloc and FP-determinism steady
-    //    state, plus the raw sites for the allowlist rot check.
-    let allow_path = opts
-        .allow
-        .clone()
-        .unwrap_or_else(|| opts.root.join("hpx-check.allow"));
-    let allow = Allowlist::load(&allow_path);
-    let (lint_findings, raw_sites) = scan_workspace_invariants(&opts.root, &allow);
-    let alloc = lint_findings.iter().filter(|f| f.lint == "alloc").count();
-    let fp = lint_findings.len() - alloc;
-    counts.push(("alloc-lint", alloc));
-    counts.push(("fp-lint", fp));
-    if lint_findings.is_empty() {
-        println!("verify: kernel bodies allocation-free, no shared float accumulators");
-    } else {
-        clean = false;
-        eprintln!("verify: {} source lint finding(s):", lint_findings.len());
-        for f in &lint_findings {
-            eprintln!("  {f}");
-        }
-    }
-
-    // 4. Allowlist staleness: entries matching no raw finding have rotted.
-    let stale = allow.stale_entries(&raw_sites);
-    counts.push(("stale-allow", stale.len()));
-    if stale.is_empty() {
-        println!("verify: allowlist fresh ({})", allow_path.display());
-    } else {
-        for entry in &stale {
-            eprintln!(
-                "verify: {} allowlist entry `{entry}` matches no finding — remove or refresh it",
-                if opts.strict {
-                    "stale"
-                } else {
-                    "warning: stale"
-                }
-            );
-        }
-        if opts.strict {
-            clean = false;
-        }
-    }
-
-    // 5. Analysis-cost trend line for re-anchors, same shape as
+    // 3. Analysis-cost trend line for re-anchors, same shape as
     //    BENCH_simd.json.
     if let Some(path) = &opts.bench_out {
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -285,14 +206,12 @@ fn main() -> ExitCode {
     };
     let clean = match cmd.as_str() {
         "model" => run_model(&opts),
-        "waitlint" => run_waitlint(&opts),
         "verify" => run_verify(&opts),
         "all" => {
             // `&` not `&&`: run every analysis even after a failure.
             let model = run_model(&opts);
-            let wait = run_waitlint(&opts);
             let verify = run_verify(&opts);
-            model & wait & verify
+            model & verify
         }
         other => {
             eprintln!("unknown command `{other}`\n{USAGE}");

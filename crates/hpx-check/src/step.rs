@@ -11,13 +11,16 @@
 //! [`RealStep`] therefore checks the code itself rather than a replica of
 //! it: it builds a `SimCluster` of 1, 2 or 4 localities over the model
 //! checker's one [`Runtime::deterministic`] pool, runs the real pipelined
-//! `Simulation::step` there, and compares the final state bit for bit with
-//! `step_barrier` run on a threaded cluster of as many localities.  A parcel
-//! is a task on its destination's runtime, so at N > 1 the seed also
-//! interleaves the ghost exchange's parcel links and the sharded solve.
-//! Per seed it reports a stall (a dropped or cyclic gate, a lost parcel), a
-//! contained panic, or the first `(leaf, field, cell)` whose bits differ (a
-//! missing gate that let a kernel race its neighbour's pack or unpack).
+//! `Simulation::step` there, and compares the run bit for bit with
+//! `step_barrier` run on a threaded cluster of as many localities: every
+//! step's Δt, the run's `mass_outflow` (folded outside the grid) and the
+//! final state.  A parcel is a task on its destination's runtime, so at
+//! N > 1 the seed also interleaves the ghost exchange's parcel links and
+//! the sharded solve.  Per seed it reports a stall (a dropped or cyclic
+//! gate, a lost parcel), a contained panic, or the first quantity whose
+//! bits differ: a Δt or the outflow (a float fold in task-completion
+//! order), or a `(leaf, field, cell)` (a missing gate that let a kernel
+//! race its neighbour's pack or unpack).
 
 use hpx_rt::{Runtime, SimCluster};
 use octotiger::{Scenario, ScenarioKind, SimOptions, Simulation, NF};
@@ -37,8 +40,20 @@ pub struct RealStep {
     localities: usize,
 }
 
-/// Final state of a run: every leaf's sub-grid, in leaf order.
-pub(crate) type LeafStates = Vec<(NodeId, SubGrid)>;
+/// What a run leaves behind, compared bit for bit: every step's Δt, the
+/// run's `mass_outflow`, and every leaf's final sub-grid, in leaf order.
+pub struct RunRecord {
+    dts: Vec<f64>,
+    mass_outflow: f64,
+    leaves: Vec<(NodeId, SubGrid)>,
+}
+
+impl RunRecord {
+    /// Leaves of the final tree.
+    pub fn leaf_count(&self) -> usize {
+        self.leaves.len()
+    }
+}
 
 impl RealStep {
     /// Two pipelined steps on the unchanged tree, on `localities`.
@@ -67,8 +82,8 @@ impl RealStep {
     ];
 
     /// Build the scenario on `cluster`, take the steps with the chosen
-    /// stepper, and return the final state.
-    fn simulate(&self, cluster: &SimCluster, pipeline: bool) -> LeafStates {
+    /// stepper, and record the run.
+    fn simulate(&self, cluster: &SimCluster, pipeline: bool) -> RunRecord {
         let scenario = Scenario::build(ScenarioKind::RotatingStar, cluster, 1, 0, 4);
         let mut opts = SimOptions::default();
         opts.omega = scenario.omega;
@@ -79,18 +94,20 @@ impl RealStep {
         opts.regrid_refine_threshold = f64::INFINITY;
         opts.regrid_coarsen_threshold = f64::INFINITY;
         let mut sim = Simulation::new(scenario.grid, opts);
-        for _ in 0..self.steps {
-            sim.step(cluster);
-        }
-        let leaves = sim.grid.leaves();
-        (leaves.into_iter())
+        let dts = (0..self.steps).map(|_| sim.step(cluster).dt).collect();
+        let leaves = (sim.grid.leaves().into_iter())
             .map(|leaf| (leaf, sim.grid.grid(leaf).read().clone()))
-            .collect()
+            .collect();
+        RunRecord {
+            dts,
+            mass_outflow: sim.mass_outflow,
+            leaves,
+        }
     }
 
     /// The reference: the same run with `step_barrier` on a threaded
     /// cluster of as many localities, one worker each.
-    pub fn reference(&self) -> LeafStates {
+    pub fn reference(&self) -> RunRecord {
         let cluster = SimCluster::new(self.localities, 1);
         let state = self.simulate(&cluster, false);
         cluster.shutdown();
@@ -99,29 +116,40 @@ impl RealStep {
 
     /// Run the pipelined steps on the deterministic pool `rt` (the
     /// [`crate::ModelChecker`] closure), every locality on that one pool,
-    /// and panic, naming the first `(leaf, field, cell)`, if the final state
-    /// differs from `reference` in any bit.  A multi-locality run that sent
-    /// no parcel panics too: it would have checked the one-locality path.
-    pub fn run(&self, rt: &Runtime, reference: &LeafStates) {
+    /// and panic, naming the first differing quantity, if the run differs
+    /// from `reference` in any bit.  A multi-locality run that sent no
+    /// parcel panics too: it would have checked the one-locality path.
+    pub fn run(&self, rt: &Runtime, reference: &RunRecord) {
         let cluster = SimCluster::from_runtimes(vec![rt.clone(); self.localities]);
         let outcome = catch_unwind(AssertUnwindSafe(|| self.simulate(&cluster, true)));
         let parcels = cluster.total_counters().parcels_sent;
         cluster.shutdown();
-        let state = outcome.unwrap_or_else(|panic| resume_unwind(panic));
+        let record = outcome.unwrap_or_else(|panic| resume_unwind(panic));
         assert!(
             self.localities == 1 || parcels > 0,
             "{self:?}: {} localities sent no parcel",
             self.localities
         );
-        if let Some(diff) = first_difference(&state, reference) {
-            panic!("{self:?}: final state differs from step_barrier at {diff}");
+        if let Some(diff) = first_difference(&record, reference) {
+            panic!("{self:?}: run differs from step_barrier at {diff}");
         }
     }
 }
 
-/// The first interior cell whose bits differ, as `leaf L field F cell
-/// (i, j, k): pipelined vs barrier`, or a differing leaf set.
-fn first_difference(state: &LeafStates, reference: &LeafStates) -> Option<String> {
+/// The first quantity whose bits differ, pipelined vs barrier: a step's
+/// Δt, the outflow, the leaf set, or an interior cell as `leaf L field F
+/// cell (i, j, k)`.
+fn first_difference(record: &RunRecord, reference: &RunRecord) -> Option<String> {
+    for (step, (a, b)) in record.dts.iter().zip(&reference.dts).enumerate() {
+        if a.to_bits() != b.to_bits() {
+            return Some(format!("step {step}'s Δt: {a:e} vs {b:e}"));
+        }
+    }
+    let (a, b) = (record.mass_outflow, reference.mass_outflow);
+    if a.to_bits() != b.to_bits() {
+        return Some(format!("mass_outflow: {a:e} vs {b:e}"));
+    }
+    let (state, reference) = (&record.leaves, &reference.leaves);
     let (got, want): (Vec<NodeId>, Vec<NodeId>) = (
         state.iter().map(|(leaf, _)| *leaf).collect(),
         reference.iter().map(|(leaf, _)| *leaf).collect(),

@@ -184,8 +184,15 @@ impl<T: Send + 'static> Future<T> {
     /// waiting when called from a worker thread.
     ///
     /// # Panics
-    /// Panics if the producing side abandoned the promise.
+    /// Panics if the producing side abandoned the promise, and in debug
+    /// builds when called inside a [`kernel_body`](crate::kernel_body),
+    /// ready future or not.
     pub fn wait(&self) {
+        debug_assert!(
+            !crate::runtime::in_kernel_body(),
+            "hpx-rt: blocking wait in a kernel body: a kernel must not block; \
+             gate its launch on the future with `then` instead"
+        );
         // Fast path.
         if self.is_ready() {
             self.check_abandoned();

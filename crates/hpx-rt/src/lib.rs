@@ -47,7 +47,7 @@ pub use counters::{parcel_counters, ParcelClass, ParcelSnapshot};
 pub use future::{make_ready_future, when_all, when_all_of, when_any, Future, Promise};
 pub use locality::{Locality, LocalityId, SimCluster};
 pub use pjm::JobSpec;
-pub use runtime::Runtime;
+pub use runtime::{in_kernel_body, kernel_body, Runtime};
 pub use tuner::{Tuner, TunerSnapshot};
 
 #[cfg(test)]

@@ -112,6 +112,39 @@ struct WorkerCtx {
 
 thread_local! {
     static CTX: Cell<Option<WorkerCtx>> = const { Cell::new(None) };
+    /// Set while the thread runs a kernel body ([`kernel_body`]).
+    static IN_KERNEL_BODY: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Run `f` with the calling thread's kernel-body mark set to `on`; the
+/// previous mark comes back on return and on unwind.
+fn with_kernel_mark<R>(on: bool, f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            let prev = self.0;
+            IN_KERNEL_BODY.with(|c| c.set(prev));
+        }
+    }
+    let _restore = Restore(IN_KERNEL_BODY.with(|c| c.replace(on)));
+    f()
+}
+
+/// Run `f` as a kernel body: the calling thread is marked for the length
+/// of the call.  A kernel body must not block — its ordering belongs in
+/// continuations — and must not allocate once its buffers are recycled.
+/// Debug builds make [`Future::wait`](crate::Future::wait) panic inside
+/// one, and a test can count the allocations made while
+/// [`in_kernel_body`] holds.  A task the thread runs while it helps (the
+/// join of a nested launch) is not part of the body: the pool clears the
+/// mark for each such task.
+pub fn kernel_body<R>(f: impl FnOnce() -> R) -> R {
+    with_kernel_mark(true, f)
+}
+
+/// `true` while the calling thread runs a [`kernel_body`].
+pub fn in_kernel_body() -> bool {
+    IN_KERNEL_BODY.with(|c| c.get())
 }
 
 /// A handle to a work-stealing task pool.
@@ -480,7 +513,8 @@ impl PoolInner {
         // Panics in detached tasks are contained so one bad kernel cannot
         // take down a worker (HPX converts them into error futures; promise
         // abandonment plays that role here — see `Runtime::async_call`).
-        let result = catch_unwind(AssertUnwindSafe(job));
+        // A task run by a helping kernel launcher is not part of its body.
+        let result = with_kernel_mark(false, || catch_unwind(AssertUnwindSafe(job)));
         Counters::bump(&self.counters.tasks_executed);
         if let Err(payload) = result {
             let msg = panic_message(&*payload);

@@ -6,10 +6,58 @@
 //! default (hot cache), 16 for the paper's split multipole kernel, etc.
 //! Kernels borrow from the caller (views live on the caller's stack), which
 //! is why the scoped-spawn machinery of `hpx-rt` is used rather than
-//! detached tasks.
+//! detached tasks.  All three run their chunks through one runner, which
+//! marks each chunk as a kernel body ([`hpx_rt::kernel_body`]): the one
+//! place the no-blocking and no-allocation rules are checked at run time.
 
 use crate::policy::RangePolicy;
 use crate::space::ExecSpace;
+
+/// The one chunk runner behind every launch.  The policy resolves to a
+/// task count on `space`; its range is split into that many chunks,
+/// `carve` turns each `(begin, end)` into the chunk's part (in range
+/// order, on the launching thread), and `chunk(part)` runs as a
+/// [`hpx_rt::kernel_body`].  A launch of one task — every launch on the
+/// Serial space — runs its one chunk inline; otherwise each chunk is a
+/// scoped task on the space's runtime.  `fold` receives the chunks'
+/// results in range order after the join.
+fn run_chunks<P, R, K, C>(
+    space: &ExecSpace,
+    policy: &RangePolicy,
+    mut carve: K,
+    chunk: C,
+    mut fold: impl FnMut(R),
+) where
+    P: Send,
+    R: Send,
+    K: FnMut(usize, usize) -> P,
+    C: Fn(P) -> R + Sync,
+{
+    let run = |part: P| hpx_rt::kernel_body(|| chunk(part));
+    let tasks = match space {
+        ExecSpace::Serial => 1,
+        ExecSpace::Hpx(hpx) => policy
+            .chunk
+            .resolve(policy.len(), hpx.runtime.num_workers()),
+    };
+    match space {
+        ExecSpace::Hpx(hpx) if tasks > 1 => {
+            let ranges = policy.split(tasks);
+            let mut results: Vec<Option<R>> = (0..ranges.len()).map(|_| None).collect();
+            let run = &run;
+            hpx.runtime.scope(|s| {
+                for (slot, (b, e)) in results.iter_mut().zip(ranges) {
+                    let part = carve(b, e);
+                    s.spawn(move || *slot = Some(run(part)));
+                }
+            });
+            for r in results {
+                fold(r.expect("kernel chunk did not run"));
+            }
+        }
+        _ => fold(run(carve(policy.begin, policy.end))),
+    }
+}
 
 /// Execute `kernel(i)` for every `i` in the policy's range.
 ///
@@ -20,35 +68,13 @@ pub fn parallel_for<F>(space: &ExecSpace, policy: RangePolicy, kernel: F)
 where
     F: Fn(usize) + Sync,
 {
-    match space {
-        ExecSpace::Serial => {
-            for i in policy.begin..policy.end {
-                kernel(i);
-            }
-        }
-        ExecSpace::Hpx(hpx) => {
-            let tasks = policy
-                .chunk
-                .resolve(policy.len(), hpx.runtime.num_workers());
-            if tasks <= 1 {
-                // Octo-Tiger's default: run on the launching worker.
-                for i in policy.begin..policy.end {
-                    kernel(i);
-                }
-                return;
-            }
-            let kernel = &kernel;
-            hpx.runtime.scope(|s| {
-                for (b, e) in policy.split(tasks) {
-                    s.spawn(move || {
-                        for i in b..e {
-                            kernel(i);
-                        }
-                    });
-                }
-            });
-        }
-    }
+    run_chunks(
+        space,
+        &policy,
+        |b, e| b..e,
+        |range| range.for_each(&kernel),
+        |()| {},
+    );
 }
 
 /// Execute `kernel(i, &mut data[i])` for every element, handing each HPX
@@ -90,43 +116,24 @@ where
         data.len(),
         "parallel_for_mut: policy/data length mismatch"
     );
-    let serial = |data: &mut [T]| {
-        for (i, slot) in data.iter_mut().enumerate() {
-            kernel(i, slot);
-        }
-    };
-    match space {
-        ExecSpace::Serial => serial(data),
-        ExecSpace::Hpx(hpx) => {
-            let tasks = policy
-                .chunk
-                .resolve(policy.len(), hpx.runtime.num_workers());
-            if tasks <= 1 {
-                serial(data);
-                return;
+    // The chunks are consecutive, so each carves its slice off the front
+    // of the rest: disjoint, every task owns its part.
+    let mut rest = data;
+    run_chunks(
+        space,
+        &policy,
+        |b, e| {
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(e - b);
+            rest = tail;
+            (b, head)
+        },
+        |(base, part): (usize, &mut [T])| {
+            for (off, slot) in part.iter_mut().enumerate() {
+                kernel(base + off, slot);
             }
-            // Carve `data` into the policy's chunk ranges — disjoint, so
-            // each task gets exclusive ownership of its slice.
-            let ranges = policy.split(tasks);
-            let mut parts: Vec<(usize, &mut [T])> = Vec::with_capacity(ranges.len());
-            let mut rest = data;
-            for (b, e) in &ranges {
-                let (head, tail) = rest.split_at_mut(e - b);
-                parts.push((*b, head));
-                rest = tail;
-            }
-            let kernel = &kernel;
-            hpx.runtime.scope(|s| {
-                for (base, part) in parts {
-                    s.spawn(move || {
-                        for (off, slot) in part.iter_mut().enumerate() {
-                            kernel(base + off, slot);
-                        }
-                    });
-                }
-            });
-        }
-    }
+        },
+        |()| {},
+    );
 }
 
 /// Reduce `map(i)` over the range with a binary `combine`, starting from
@@ -147,39 +154,20 @@ where
     M: Fn(usize) -> T + Sync,
     C: Fn(T, T) -> T + Sync,
 {
-    let serial = |b: usize, e: usize| {
-        let mut acc = identity.clone();
-        for i in b..e {
-            acc = combine(acc, map(i));
-        }
-        acc
-    };
-    match space {
-        ExecSpace::Serial => serial(policy.begin, policy.end),
-        ExecSpace::Hpx(hpx) => {
-            let tasks = policy
-                .chunk
-                .resolve(policy.len(), hpx.runtime.num_workers());
-            if tasks <= 1 {
-                return serial(policy.begin, policy.end);
-            }
-            let ranges = policy.split(tasks);
-            let mut partials: Vec<Option<T>> = vec![None; ranges.len()];
-            let serial = &serial;
-            hpx.runtime.scope(|s| {
-                for (slot, (b, e)) in partials.iter_mut().zip(ranges.iter().copied()) {
-                    s.spawn(move || {
-                        *slot = Some(serial(b, e));
-                    });
-                }
-            });
-            let mut acc = identity;
-            for p in partials {
-                acc = combine(acc, p.expect("reduce task did not produce a partial"));
-            }
-            acc
-        }
-    }
+    let mut acc = None;
+    run_chunks(
+        space,
+        &policy,
+        |b, e| b..e,
+        |range| range.fold(identity.clone(), |acc, i| combine(acc, map(i))),
+        |partial| {
+            acc = Some(match acc.take() {
+                Some(a) => combine(a, partial),
+                None => partial,
+            })
+        },
+    );
+    acc.unwrap_or(identity)
 }
 
 #[cfg(test)]
@@ -310,6 +298,63 @@ mod tests {
             |a, b| a + b,
         );
         assert_eq!(v, 42);
+    }
+
+    /// A callee the kernel reaches, not the kernel's own text, waits.
+    fn callee_that_waits(ready: &hpx_rt::Future<u32>) -> u32 {
+        ready.get()
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "blocking wait in a kernel body")]
+    fn a_wait_reached_through_a_callee_panics_in_debug() {
+        let ready = hpx_rt::make_ready_future(3u32);
+        parallel_for(&ExecSpace::Serial, RangePolicy::new(0, 4), |_| {
+            callee_that_waits(&ready);
+        });
+    }
+
+    #[test]
+    fn a_kernel_that_does_not_wait_is_not_flagged() {
+        let rt = Runtime::new(2);
+        for space in [ExecSpace::Serial, ExecSpace::hpx(rt.clone())] {
+            let marked = AtomicU64::new(0);
+            let policy = RangePolicy::new(0, 64).with_chunk(ChunkSpec::Tasks(4));
+            parallel_for(&space, policy, |_| {
+                marked.fetch_add(u64::from(hpx_rt::in_kernel_body()), Ordering::Relaxed);
+            });
+            assert_eq!(marked.into_inner(), 64, "every index runs marked");
+            assert!(!hpx_rt::in_kernel_body(), "the mark ends with the launch");
+        }
+        assert_eq!(hpx_rt::make_ready_future(5).get(), 5);
+        rt.shutdown();
+    }
+
+    #[test]
+    fn a_task_run_by_a_helping_launcher_is_not_flagged() {
+        // Occupy the one worker, so the launcher runs every task itself.
+        let rt = Runtime::new(1);
+        let (started, busy) = std::sync::mpsc::channel();
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        rt.spawn(move || {
+            started.send(()).unwrap();
+            gate.recv().unwrap();
+        });
+        busy.recv().unwrap();
+        let waited = rt.async_call(|| {
+            let marked = hpx_rt::in_kernel_body();
+            (marked, hpx_rt::make_ready_future(7).get())
+        });
+        parallel_for(&ExecSpace::Serial, RangePolicy::new(0, 1), |_| {
+            // The nested launch's join helps: it runs `waited` too.
+            let nested = RangePolicy::new(0, 2).with_chunk(ChunkSpec::Tasks(2));
+            parallel_for(&ExecSpace::hpx(rt.clone()), nested, |_| {});
+        });
+        assert!(waited.is_ready(), "the helping launcher ran the task");
+        release.send(()).unwrap();
+        assert_eq!(waited.get(), (false, 7));
+        rt.shutdown();
     }
 
     #[test]

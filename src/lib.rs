@@ -6,13 +6,15 @@
 //! dependency:
 //!
 //! * [`hpx`] — HPX-style asynchronous many-task runtime.
-//! * [`kokkos`] — Kokkos-style execution spaces, policies and scratch pool.
+//! * [`kokkos`] — Kokkos-style execution spaces, policies and scratch pool;
+//!   every kernel chunk runs as a [`hpx::kernel_body`], where a debug
+//!   build's blocking wait panics.
 //! * [`simd`] — `std::experimental::simd`-style SVE vector types.
 //! * [`amr`] — AMR octree with sub-grids and ghost-layer exchange.
 //! * [`octotiger`] — the application: hydro + FMM gravity + SCF.
 //! * [`cluster`] — machine models and the discrete-event scaling simulator.
 //! * [`check`] — concurrency analyses: a model checker over the real
-//!   pipelined step, the static plan verifier, kernel-body source lints.
+//!   pipelined step, the static plan verifier.
 //!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
 //! paper-vs-measured record of every reproduced table and figure.
