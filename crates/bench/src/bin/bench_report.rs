@@ -1,9 +1,8 @@
 //! `bench_report` — merge every `BENCH_*.json` artifact at the workspace
 //! root into one summary.
 //!
-//! Each benchmark binary (`hpx-check verify --bench-out`, the Figure 7
-//! kernel report, the autotune closed loop) drops a [`bench::FigureReport`]
-//! as `BENCH_<name>.json`.  CI runs them as separate jobs, so no single
+//! Each benchmark binary (the Figure 7 kernel report, the autotune closed
+//! loop) drops a [`bench::FigureReport`] as `BENCH_<name>.json`.  CI runs them as separate jobs, so no single
 //! job sees the whole picture; this binary is the merge point.  It prints
 //! a markdown digest (one row per report: series count, point count,
 //! checks passed) followed by every failing check verbatim, then the

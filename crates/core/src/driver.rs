@@ -1152,8 +1152,8 @@ mod tests {
         assert!(!s0.gravity_plan_hit, "the first solve builds the plan");
         // The cadence fires before step 1: the star refines, the version
         // bump invalidates the cached interaction plan, and the solve that
-        // follows rebuilds it (verified, in debug builds, like every
-        // rebuilt plan).
+        // follows rebuilds it (and, in debug builds, checks its tables'
+        // held marks, like every solve).
         let s1 = sim.step(&cluster);
         assert!(s1.regrid_refined > 0, "the star should trigger refinement");
         assert!(!s1.gravity_plan_hit, "a stale plan must not be reused");

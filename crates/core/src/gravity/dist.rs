@@ -43,6 +43,8 @@
 use super::direct::PointMasses;
 use super::multipole::{LocalExpansion, Multipole};
 use super::plan::{GravityPlan, SlotKind};
+#[cfg(debug_assertions)]
+use super::solver::Hold;
 use super::solver::{GravitySolver, LeafField, LeafSources, LocBufs, SolveStats};
 use hpx_rt::{parcel_counters, LocalityId, ParcelClass, Runtime};
 use kokkos_rs::pool::ScratchArena;
@@ -55,14 +57,14 @@ use std::sync::Arc;
 /// leaf) indices whose payloads travel the `(from, to)` lane together in
 /// one parcel.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Exchange {
+pub(crate) struct Exchange {
     /// Sending locality.
-    pub from: usize,
+    pub(crate) from: usize,
     /// Receiving locality.
-    pub to: usize,
+    pub(crate) to: usize,
     /// Plan slot indices (or leaf indices for P2P), ascending — the
     /// serialization order on both ends.
-    pub slots: Vec<usize>,
+    pub(crate) slots: Vec<usize>,
 }
 
 /// The per-locality halo plan: slot ownership plus the frozen exchange
@@ -74,48 +76,46 @@ pub struct Exchange {
 #[derive(Debug, Clone, PartialEq)]
 pub struct DistPlan {
     /// `topology_version` of the plan this halo plan shards.
-    pub topology_version: u64,
+    pub(crate) topology_version: u64,
     /// θ of the underlying plan.
-    pub theta: f64,
+    pub(crate) theta: f64,
     /// Node count of the underlying plan.
-    pub num_nodes: usize,
+    pub(crate) num_nodes: usize,
     /// Localities the tree is sharded over.
-    pub num_localities: usize,
+    pub(crate) num_localities: usize,
     /// Owner locality of every plan slot (leaves from the partition,
     /// interiors from their SFC-first descendant).
-    pub slot_owner: Vec<usize>,
+    pub(crate) slot_owner: Vec<usize>,
     /// Owner locality of every leaf index.
-    pub leaf_owner: Vec<usize>,
+    pub(crate) leaf_owner: Vec<usize>,
     /// `owned_by_level[loc][level]` — slots of `loc` at `level`,
     /// ascending.
-    pub owned_by_level: Vec<Vec<Vec<usize>>>,
+    pub(crate) owned_by_level: Vec<Vec<Vec<usize>>>,
     /// `owned_m2l_slots[loc]` — M2L target slots owned by `loc`,
     /// ascending (the locality's share of the multipole-kernel launch).
-    pub owned_m2l_slots: Vec<Vec<usize>>,
+    pub(crate) owned_m2l_slots: Vec<Vec<usize>>,
     /// `owned_leaves[loc]` — leaf indices owned by `loc`, ascending (SFC
     /// order).
-    pub owned_leaves: Vec<Vec<usize>>,
+    pub(crate) owned_leaves: Vec<Vec<usize>>,
     /// Upward-pass exchanges, indexed by child tree level: child
     /// multipoles shipped to the parent slot's owner.
-    pub up: Vec<Vec<Exchange>>,
+    pub(crate) up: Vec<Vec<Exchange>>,
     /// M2L halo exchanges: source multipoles shipped to the owners of the
     /// targets that read them.
-    pub m2l_halo: Vec<Exchange>,
+    pub(crate) m2l_halo: Vec<Exchange>,
     /// Downward-pass exchanges, indexed by child tree level: parent local
     /// expansions shipped to the child slots' owners.
-    pub down: Vec<Vec<Exchange>>,
+    pub(crate) down: Vec<Vec<Exchange>>,
     /// P2P halo exchanges: source leaves' point masses shipped to the
     /// owners of near-field neighbours.
-    pub p2p_halo: Vec<Exchange>,
+    pub(crate) p2p_halo: Vec<Exchange>,
 }
 
-/// One barrier of the phase-lockstep distributed solve, in the order
-/// [`GravitySolver::solve_distributed`] runs them.  Returned by
-/// [`DistPlan::phase_schedule`] so verifiers (and future transports) can
-/// walk the frozen communication schedule without re-deriving the solver's
-/// control flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Phase {
+/// One exchange barrier of the phase-lockstep distributed solve, in the
+/// order `GravitySolver::solve_sharded` runs them: `up[deepest]` …
+/// `up[1]`, the M2L halo, `down[1]` … `down[deepest]`, the P2P halo.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Phase {
     /// After computing tree level `.0`: child multipoles up to the parent
     /// slot's owner (`up[level]`).
     Up(usize),
@@ -128,6 +128,28 @@ pub enum Phase {
     /// Near-field source leaves' point masses to the owners of their
     /// neighbours (`p2p_halo`).
     P2pHalo,
+}
+
+impl Phase {
+    /// The parcel class this phase's exchanges are metered under.
+    fn class(self) -> ParcelClass {
+        match self {
+            Phase::Up(_) => ParcelClass::MultipoleUp,
+            Phase::M2lHalo => ParcelClass::M2l,
+            Phase::Down(_) => ParcelClass::MultipoleDown,
+            Phase::P2pHalo => ParcelClass::P2p,
+        }
+    }
+
+    /// What one entry of the table this phase moves is, for reports.
+    #[cfg(debug_assertions)]
+    pub(super) fn entry(self) -> &'static str {
+        match self {
+            Phase::Up(_) | Phase::M2lHalo => "multipole slot",
+            Phase::Down(_) => "local-expansion slot",
+            Phase::P2pHalo => "leaf",
+        }
+    }
 }
 
 impl std::fmt::Display for Phase {
@@ -307,26 +329,6 @@ impl DistPlan {
             && self.num_localities == num_localities
     }
 
-    /// The frozen communication schedule, in the exact barrier order
-    /// [`GravitySolver::solve_distributed`] runs: `up[deepest]` … `up[1]`,
-    /// the M2L halo, `down[1]` … `down[deepest]`, the P2P halo.  `up[0]`
-    /// and `down[0]` (the root level) never exchange and are not part of
-    /// the schedule — [`super::verify::verify_dist_plan`] checks they are
-    /// empty.
-    pub fn phase_schedule(&self) -> Vec<(Phase, &[Exchange])> {
-        let nlev = self.up.len();
-        let mut schedule: Vec<(Phase, &[Exchange])> = Vec::with_capacity(2 * nlev);
-        for level in (1..nlev).rev() {
-            schedule.push((Phase::Up(level), &self.up[level]));
-        }
-        schedule.push((Phase::M2lHalo, &self.m2l_halo));
-        for level in 1..nlev {
-            schedule.push((Phase::Down(level), &self.down[level]));
-        }
-        schedule.push((Phase::P2pHalo, &self.p2p_halo));
-        schedule
-    }
-
     /// Total parcels one solve moves (every exchange is one parcel).
     pub(crate) fn parcels_per_solve(&self) -> usize {
         self.up.iter().map(Vec::len).sum::<usize>()
@@ -393,21 +395,24 @@ where
 /// Ship one phase's exchange list, one parcel per `(from, to)` exchange:
 /// encode on the sender's side into a recycled payload of exactly the
 /// exchange's word count (so its arena bucket is stable from solve to
-/// solve), meter it by class, decode it into the receiver's table in the
-/// same frozen order.  The class names the cargo: multipoles on the way
-/// up and for the M2L halo, local expansions on the way down, and the
-/// listed leaves' `points` for the P2P halo.  Phases are joined before
-/// any exchange runs, and no exchange of a phase reads what another
-/// writes (senders own what they ship, nothing is received twice —
-/// `verify_dist_plan`), so parcels are delivered in list order.  Returns
-/// the `(parcels, bytes)` shipped.
+/// solve), meter it by the phase's class, decode it into the receiver's
+/// table in the same frozen order.  The class names the cargo: multipoles
+/// on the way up and for the M2L halo, local expansions on the way down,
+/// and the listed leaves' `points` for the P2P halo.  Phases are joined
+/// before any exchange runs, and no exchange of a phase reads what
+/// another writes (senders hold what they ship, nothing is received twice
+/// in a phase), so parcels are delivered in list order.  Debug builds
+/// check both entry by entry against the localities' `Held` marks: a
+/// foreign send or a double receive panics naming the phase, the link and
+/// the slot.  Returns the `(parcels, bytes)` shipped.
 fn exchange(
     arena: &ScratchArena,
     points: &[&PointMasses],
     bufs: &mut [LocBufs],
     exchanges: &[Exchange],
-    class: ParcelClass,
+    phase: Phase,
 ) -> (usize, usize) {
+    let class = phase.class();
     let words = |i: usize| match class {
         ParcelClass::P2p => points_flat_len(points[i]),
         ParcelClass::MultipoleDown => LocalExpansion::FLAT_LEN,
@@ -415,10 +420,19 @@ fn exchange(
     };
     let mut shipped = 0usize;
     for ex in exchanges {
-        debug_assert_ne!(ex.from, ex.to, "local traffic must not become parcels");
         let mut payload = arena.checkout_empty(ex.slots.iter().map(|&i| words(i)).sum());
         let sender = &bufs[ex.from];
         for &i in &ex.slots {
+            #[cfg(debug_assertions)]
+            assert!(
+                sender.held.get(phase, i) != Hold::Missing,
+                "foreign send: phase {phase}: link {}→{}: locality {} ships {} {i}, which it \
+                 neither computed nor received",
+                ex.from,
+                ex.to,
+                ex.from,
+                phase.entry()
+            );
             match class {
                 ParcelClass::P2p => write_points_flat(points[i], &mut payload),
                 ParcelClass::MultipoleDown => sender.locals[i].write_flat(&mut payload),
@@ -431,6 +445,20 @@ fn exchange(
         let receiver = &mut bufs[ex.to];
         let mut off = 0usize;
         for &i in &ex.slots {
+            #[cfg(debug_assertions)]
+            {
+                let held = &mut receiver.held.table(phase)[i];
+                assert!(
+                    *held != Hold::Own && *held != Hold::Received(phase),
+                    "double receive: phase {phase}: link {}→{}: locality {} already holds {} {i} \
+                     ({held:?})",
+                    ex.from,
+                    ex.to,
+                    ex.to,
+                    phase.entry()
+                );
+                *held = Hold::Received(phase);
+            }
             let buf = &payload[off..off + words(i)];
             match class {
                 ParcelClass::P2p => read_points_flat(buf, &mut receiver.halo_points[i]),
@@ -502,13 +530,19 @@ impl GravitySolver {
         let mut bufs = self.take_buffers(nloc);
         for b in &mut bufs {
             b.reset_tables(plan);
+            // A locality holds its own leaves' points from the start.
+            #[cfg(debug_assertions)]
+            for &li in &dist.owned_leaves[b.loc] {
+                b.held.table(Phase::P2pHalo)[li] = Hold::Own;
+            }
         }
         let points: Vec<&PointMasses> = plan.leaves.iter().map(|l| &sources[l].points).collect();
         let mut shipped = Shipped::default();
-        let mut ship = |bufs: &mut [LocBufs], exchanges: &[Exchange], class: ParcelClass| {
-            let (parcels, bytes) = exchange(&self.scratch, &points, bufs, exchanges, class);
-            shipped[class as usize].0 += parcels;
-            shipped[class as usize].1 += bytes;
+        let mut ship = |bufs: &mut [LocBufs], phase: Phase, exchanges: &[Exchange]| {
+            let (parcels, bytes) = exchange(&self.scratch, &points, bufs, exchanges, phase);
+            let class = phase.class() as usize;
+            shipped[class].0 += parcels;
+            shipped[class].1 += bytes;
         };
 
         // ---- Phase 1: bottom-up, level-lockstep. -----------------------
@@ -518,11 +552,10 @@ impl GravitySolver {
         let nlev = plan.level_ranges.len();
         for level in (0..nlev).rev() {
             run_phase(spaces, &mut bufs, &|loc, b: &mut LocBufs| {
-                let owned = &dist.owned_by_level[loc][level];
-                self.upward_level(plan, owned, sources, b, &spaces[loc]);
+                self.upward_level(plan, dist, level, sources, b, &spaces[loc]);
             });
             if level > 0 {
-                ship(&mut bufs, &dist.up[level], ParcelClass::MultipoleUp);
+                ship(&mut bufs, Phase::Up(level), &dist.up[level]);
             }
         }
 
@@ -530,27 +563,26 @@ impl GravitySolver {
         // multipole kernel. ----------------------------------------------
         // The slot table is transposed into component-major lanes once
         // per solve; every M2L chunk then gathers from dense arrays.
-        ship(&mut bufs, &dist.m2l_halo, ParcelClass::M2l);
+        ship(&mut bufs, Phase::M2lHalo, &dist.m2l_halo);
         run_phase(spaces, &mut bufs, &|loc, b: &mut LocBufs| {
             b.soa.fill(&b.multipoles);
-            self.m2l_kernel(plan, &dist.owned_m2l_slots[loc], b, &spaces[loc]);
+            self.m2l_kernel(plan, dist, b, &spaces[loc]);
         });
 
         // ---- Phase 3a: top-down, level-lockstep. -----------------------
         // Parent locals at level L are final once level L was written, so
         // ship the cross-locality ones, then the children gather + shift.
         for level in 1..nlev {
-            ship(&mut bufs, &dist.down[level], ParcelClass::MultipoleDown);
+            ship(&mut bufs, Phase::Down(level), &dist.down[level]);
             run_phase(spaces, &mut bufs, &|loc, b: &mut LocBufs| {
-                let owned = &dist.owned_by_level[loc][level];
-                self.downward_level(plan, owned, b, &spaces[loc]);
+                self.downward_level(plan, dist, level, b, &spaces[loc]);
             });
         }
 
         // ---- Phase 3b: P2P halo, then tiles and per-leaf evaluation. ----
-        ship(&mut bufs, &dist.p2p_halo, ParcelClass::P2p);
+        ship(&mut bufs, Phase::P2pHalo, &dist.p2p_halo);
         run_phase(spaces, &mut bufs, &|loc, b: &mut LocBufs| {
-            self.evaluate_leaves(plan, dist, loc, &points, b, &spaces[loc]);
+            self.evaluate_leaves(plan, dist, &points, b, &spaces[loc]);
         });
 
         // ---- Assemble the global field map from the owned shards. ------
@@ -847,5 +879,256 @@ mod tests {
         read_points_flat(&wire[used..], &mut back2);
         assert_eq!(back2.ys, p.ys);
         assert_eq!(back2.zs, p.zs);
+    }
+
+    /// The text of a caught panic.
+    #[cfg(debug_assertions)]
+    fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
+        match payload.downcast::<String>() {
+            Ok(text) => *text,
+            Err(payload) => payload.downcast_ref::<&str>().unwrap_or(&"?").to_string(),
+        }
+    }
+
+    /// Solve `plan` over `dist` on serial spaces (so a panic reaches the
+    /// caller with its message) and return the panic's text.
+    #[cfg(debug_assertions)]
+    fn solve_panics(
+        plan: &GravityPlan,
+        dist: &DistPlan,
+        sources: &HashMap<NodeId, super::LeafSources>,
+    ) -> Result<(), String> {
+        let spaces = vec![ExecSpace::Serial; dist.num_localities];
+        let solver = GravitySolver::default();
+        let solve = || drop(solver.solve_sharded(plan, dist, sources, &spaces));
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(solve)).map_err(panic_text)
+    }
+
+    /// The faults a halo plan can carry, each planted into one exchange.
+    #[cfg(debug_assertions)]
+    #[derive(Debug, Clone, Copy)]
+    enum Fault {
+        /// The exchange is gone: its receiver starves.
+        DroppedExchange,
+        /// One slot is gone from it: one read starves.
+        DroppedSlot,
+        /// A second sender ships one of its slots to the same receiver.
+        DoubleReceive,
+        /// A second locality claims one of its slots and ships it too.
+        OwnershipOverlap,
+        /// It is re-aimed at its own sender.
+        SelfLink,
+    }
+
+    /// Plant `fault` into a copy of `dist` at the first exchange of
+    /// `phase` that carries a slot its receiver gets nowhere else (an M2L
+    /// halo slot may repeat one the up pass delivered).  Returns the copy
+    /// and the `phase …: link a→b:` and `slot s` parts the report must
+    /// name, the slot only where the first failing check is known.
+    #[cfg(debug_assertions)]
+    fn plant(
+        plan: &GravityPlan,
+        dist: &DistPlan,
+        phase: Phase,
+        fault: Fault,
+    ) -> Option<(DistPlan, String, Option<String>)> {
+        let mut planted = dist.clone();
+        let lists = (planted.up.iter_mut().enumerate())
+            .map(|(l, list)| (Phase::Up(l), list))
+            .chain([(Phase::M2lHalo, &mut planted.m2l_halo)])
+            .chain((planted.down.iter_mut().enumerate()).map(|(l, list)| (Phase::Down(l), list)))
+            .chain([(Phase::P2pHalo, &mut planted.p2p_halo)]);
+        let list = lists.into_iter().find(|(p, _)| *p == phase)?.1;
+        let only_here = |to: usize, s: usize| {
+            phase != Phase::M2lHalo
+                || !dist
+                    .up
+                    .iter()
+                    .flatten()
+                    .any(|e| e.to == to && e.slots.contains(&s))
+        };
+        let (idx, slot) = (list.iter().enumerate()).find_map(|(i, ex)| {
+            let slot = ex.slots.iter().find(|&&s| only_here(ex.to, s))?;
+            Some((i, *slot))
+        })?;
+        let Exchange { from, to, .. } = list[idx];
+        let link = |a: usize, b: usize| format!("phase {phase}: link {a}→{b}:");
+        let entry = |s: usize| Some(format!("{} {s}", phase.entry()));
+        let (link, entry) = match fault {
+            Fault::DroppedExchange => {
+                list.remove(idx);
+                (link(from, to), None)
+            }
+            Fault::DroppedSlot => {
+                list[idx].slots.retain(|&s| s != slot);
+                (link(from, to), entry(slot))
+            }
+            Fault::DoubleReceive => {
+                let forged = (0..dist.num_localities).find(|&l| l != from && l != to);
+                let forged = forged.unwrap_or(from);
+                list.push(Exchange {
+                    from: forged,
+                    to,
+                    slots: vec![slot],
+                });
+                (link(forged, to), entry(slot))
+            }
+            Fault::OwnershipOverlap => {
+                let claimer = (0..dist.num_localities).find(|&l| l != from).unwrap();
+                if claimer != to {
+                    list.push(Exchange {
+                        from: claimer,
+                        to,
+                        slots: vec![slot],
+                    });
+                }
+                let owned = match phase {
+                    Phase::P2pHalo => &mut planted.owned_leaves[claimer],
+                    _ => &mut planted.owned_by_level[claimer][plan.nodes[slot].level() as usize],
+                };
+                owned.insert(owned.partition_point(|&s| s < slot), slot);
+                // The claimer's own launch may starve first, at any phase.
+                ("link ".to_string(), None)
+            }
+            Fault::SelfLink => {
+                list[idx].to = from;
+                (link(from, from), entry(list[idx].slots[0]))
+            }
+        };
+        Some((planted, link, entry))
+    }
+
+    /// Whether `report` names `entry` (`slot 6`, not as part of `slot 66`).
+    #[cfg(debug_assertions)]
+    fn names(report: &str, entry: &str) -> bool {
+        report
+            .match_indices(entry)
+            .any(|(at, _)| !report[at + entry.len()..].starts_with(|c: char| c.is_ascii_digit()))
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn planted_halo_faults_panic_naming_phase_link_and_slot() {
+        let mut refined = Tree::new_uniform(1);
+        refined.refine_balanced(refined.leaves()[0]);
+        for tree in [Tree::new_uniform(2), refined] {
+            let plan = plan_for(&tree);
+            let sources = make_sources(&tree, 2);
+            let nlev = plan.level_ranges.len();
+            let phases = ((1..nlev).map(Phase::Up))
+                .chain([Phase::M2lHalo])
+                .chain((1..nlev).map(Phase::Down))
+                .chain([Phase::P2pHalo]);
+            let phases: Vec<Phase> = phases.collect();
+            for nloc in [2, 4, 7] {
+                let dist = DistPlan::build(&plan, &partition_morton(&tree, nloc), nloc);
+                assert_eq!(solve_panics(&plan, &dist, &sources), Ok(()));
+                let mut planted = 0;
+                for &phase in &phases {
+                    for fault in [
+                        Fault::DroppedExchange,
+                        Fault::DroppedSlot,
+                        Fault::DoubleReceive,
+                        Fault::OwnershipOverlap,
+                        Fault::SelfLink,
+                    ] {
+                        let Some((bad, link, entry)) = plant(&plan, &dist, phase, fault) else {
+                            continue;
+                        };
+                        planted += 1;
+                        let case = format!("{fault:?} in {phase}, N={nloc}");
+                        let report = solve_panics(&plan, &bad, &sources)
+                            .expect_err(&format!("{case}: not caught"));
+                        let names_slot = ["slot ", "leaf "].iter().any(|w| report.contains(w));
+                        assert!(report.contains(&link) && names_slot, "{case}: {report}");
+                        if let Some(entry) = entry {
+                            assert!(names(&report, &entry), "{case}: {report}");
+                        }
+                    }
+                }
+                assert!(planted >= 5 * 3, "N={nloc}: only {planted} faults planted");
+            }
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn planted_plan_faults_panic_naming_the_slot_where_it_is_used() {
+        let mut tree = Tree::new_uniform(2);
+        tree.refine_balanced(tree.leaves()[0]);
+        let plan = plan_for(&tree);
+        let sources = make_sources(&tree, 2);
+        let mut faults: Vec<(&str, GravityPlan, usize)> = Vec::new();
+        // An M2L target that reads its own slot.
+        let (mut bad, t) = (plan.clone(), plan.m2l_targets[0]);
+        bad.m2l_sources.insert(plan.m2l_offsets[t], t);
+        bad.m2l_offsets[t + 1..].iter_mut().for_each(|o| *o += 1);
+        faults.push(("M2L self alias", bad, t));
+        // A parent link that points at the child itself.
+        let (mut bad, s) = (plan.clone(), plan.level_ranges[1].0);
+        bad.parent_slot[s] = s;
+        faults.push(("broken parent link", bad, s));
+        // A level range that lost its first slot, for every level.
+        for (level, &(begin, _)) in plan.level_ranges.iter().enumerate() {
+            let mut bad = plan.clone();
+            bad.level_ranges[level].0 += 1;
+            faults.push(("shifted level range", bad, begin));
+        }
+        for (what, bad, slot) in &faults {
+            for nloc in [1, 4] {
+                let dist = DistPlan::build(bad, &partition_morton(&tree, nloc), nloc);
+                let report = solve_panics(bad, &dist, &sources)
+                    .expect_err(&format!("{what} at slot {slot}, N={nloc}: not caught"));
+                assert!(
+                    names(&report, &format!("slot {slot}")),
+                    "{what} at slot {slot}, N={nloc}: {report}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn planted_asymmetric_p2p_shows_as_net_self_force() {
+        // A P2P pair listed in one direction only breaks no protocol: the
+        // witness is Newton's third law.  On this cloud every leaf carries
+        // mass, so each of the 3 280 one-direction removals of the uniform
+        // level-2 plan moves |Σ m g| / Σ m |g| from 3.3e-8 (the M2L
+        // expansions' own asymmetry) to 3.0e-6 or more; every 41st is
+        // checked here.  `tests/gravity_accuracy.rs` bounds the same ratio
+        // on the DWD and V1309 scenarios, where leaves at the density
+        // floor carry too little mass to show.
+        let tree = Tree::new_uniform(2);
+        let sources = make_sources(&tree, 2);
+        let net_self_force = |plan: &GravityPlan| {
+            let solver = GravitySolver::default();
+            let (fields, _) = solver.solve_with_plan(plan, &sources, &ExecSpace::Serial);
+            let (mut net, mut scale) = ([0.0f64; 3], 0.0);
+            for leaf in tree.leaves() {
+                let (f, m) = (&fields[&leaf], &sources[&leaf].points.ms);
+                for c in 0..m.len() {
+                    let g = [f.gx[c], f.gy[c], f.gz[c]];
+                    (0..3).for_each(|a| net[a] += m[c] * g[a]);
+                    scale += m[c] * g.iter().map(|v| v * v).sum::<f64>().sqrt();
+                }
+            }
+            net.iter().map(|v| v * v).sum::<f64>().sqrt() / scale
+        };
+        let plan = plan_for(&tree);
+        assert!(net_self_force(&plan) < 1e-7);
+        let pairs = (0..plan.leaves.len()).flat_map(|li| {
+            let (b, e) = (plan.p2p_offsets[li], plan.p2p_offsets[li + 1]);
+            (b..e).map(move |k| (li, k))
+        });
+        let pairs = pairs.filter(|&(li, k)| plan.p2p_sources[k] != li);
+        for (li, k) in pairs.step_by(41) {
+            let mut bad = plan.clone();
+            let src = bad.p2p_sources.remove(k);
+            bad.p2p_offsets[li + 1..].iter_mut().for_each(|o| *o -= 1);
+            let ratio = net_self_force(&bad);
+            assert!(
+                ratio > 1e-6,
+                "P2P direction {li} ← {src} removed: {ratio:e}"
+            );
+        }
     }
 }

@@ -32,12 +32,10 @@ pub mod multipole;
 pub(crate) mod plan;
 pub(crate) mod solver;
 pub(crate) mod tiles;
-pub(crate) mod verify;
 
-pub use dist::{DistPlan, Exchange, Phase};
+pub use dist::DistPlan;
 pub use m2l_simd::MultipoleSoA;
 pub use multipole::{LocalExpansion, Multipole};
 pub use plan::GravityPlan;
 pub use solver::{GravityOptions, GravitySolver, LeafField, LeafSources};
 pub use tiles::{near_field_counts, NearFieldCounts};
-pub use verify::{verify_dist_plan, verify_gravity_plan, PlanViolation, ProtocolViolation};

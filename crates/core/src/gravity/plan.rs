@@ -81,7 +81,7 @@ pub(crate) fn well_separated(ca: [f64; 3], ra: f64, cb: [f64; 3], rb: f64, theta
 
 /// What a slot of the plan's node table is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SlotKind {
+pub(crate) enum SlotKind {
     /// A leaf; payload is the index into [`GravityPlan::leaves`].
     Leaf(usize),
     /// An interior node; payload is its eight child slots (octant order).
@@ -96,41 +96,41 @@ pub enum SlotKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct GravityPlan {
     /// [`Tree::topology_version`] of the tree this plan encodes.
-    pub topology_version: u64,
+    pub(crate) topology_version: u64,
     /// Acceptance parameter the traversal used.
-    pub theta: f64,
+    pub(crate) theta: f64,
     /// Node count of the encoded tree (second staleness guard).
     pub num_nodes: usize,
     /// All tree nodes: deepest level first, SFC-sorted within a level.
-    pub nodes: Vec<NodeId>,
+    pub(crate) nodes: Vec<NodeId>,
     /// Per-slot cube centers (physical coordinates).
-    pub centers: Vec<[f64; 3]>,
+    pub(crate) centers: Vec<[f64; 3]>,
     /// Per-slot kind (leaf index or child slots).
-    pub kinds: Vec<SlotKind>,
+    pub(crate) kinds: Vec<SlotKind>,
     /// Per-slot parent slot (`usize::MAX` for the root).  Parents live at
     /// strictly *larger* slot indices.
-    pub parent_slot: Vec<usize>,
+    pub(crate) parent_slot: Vec<usize>,
     /// `level_ranges[level]` = the contiguous `(begin, end)` slot range of
     /// that level.  Deeper level ⇒ earlier range.
-    pub level_ranges: Vec<(usize, usize)>,
+    pub(crate) level_ranges: Vec<(usize, usize)>,
     /// SFC-sorted leaves (the solver's input/output key order).
     pub leaves: Vec<NodeId>,
     /// Slot of each leaf, aligned with [`GravityPlan::leaves`].
-    pub leaf_slots: Vec<usize>,
+    pub(crate) leaf_slots: Vec<usize>,
     /// M2L CSR over slots: slot `s`'s far-field sources are
     /// `m2l_sources[m2l_offsets[s]..m2l_offsets[s + 1]]` (slot indices,
     /// ascending — a *canonical* order, so per-target summation order is
     /// deterministic and independent of kernel task splitting).
-    pub m2l_offsets: Vec<usize>,
-    pub m2l_sources: Vec<usize>,
+    pub(crate) m2l_offsets: Vec<usize>,
+    pub(crate) m2l_sources: Vec<usize>,
     /// Slots with a non-empty M2L list — the multipole kernel's launch
     /// index set.
     pub m2l_targets: Vec<usize>,
     /// P2P CSR over *leaf indices*: leaf `l`'s near-field source leaves are
     /// `p2p_sources[p2p_offsets[l]..p2p_offsets[l + 1]]` (including the
     /// self pair, ascending — canonical, like the M2L lists).
-    pub p2p_offsets: Vec<usize>,
-    pub p2p_sources: Vec<usize>,
+    pub(crate) p2p_offsets: Vec<usize>,
+    pub(crate) p2p_sources: Vec<usize>,
     /// Interaction statistics — a pure function of the plan, precomputed
     /// so cached solves return them for free.
     pub stats: SolveStats,

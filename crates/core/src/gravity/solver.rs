@@ -51,6 +51,8 @@
 
 use super::direct::{p2p_at_ref, PointMasses, PointsRef};
 use super::dist::DistPlan;
+#[cfg(debug_assertions)]
+use super::dist::Phase;
 use super::m2l_simd::{m2l_accumulate, MultipoleSoA};
 use super::m2p_simd::m2p_accumulate;
 use super::multipole::{LocalExpansion, Multipole};
@@ -171,20 +173,6 @@ pub struct GravitySolver {
     cache: Arc<PlanCache>,
 }
 
-/// Debug-assert that a plan verifier found nothing, listing what it found.
-#[cfg(debug_assertions)]
-fn debug_assert_verified<V: std::fmt::Display>(what: &str, check: &str, violations: &[V]) {
-    debug_assert!(
-        violations.is_empty(),
-        "{what} failed {check}:\n{}",
-        violations
-            .iter()
-            .map(|v| format!("  {v}"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-}
-
 impl GravitySolver {
     /// New solver with the given options and a private scratch arena.
     pub fn new(opts: GravityOptions) -> GravitySolver {
@@ -223,14 +211,6 @@ impl GravitySolver {
             }
         }
         let plan = Arc::new(GravityPlan::build(tree, self.opts.theta));
-        // Every rebuild is statically verified in debug builds, so the
-        // whole test suite exercises the plan verifier for free.
-        #[cfg(debug_assertions)]
-        debug_assert_verified(
-            "rebuilt gravity plan",
-            "static verification",
-            &super::verify::verify_gravity_plan(&plan),
-        );
         self.cache.rebuilds.fetch_add(1, Ordering::Relaxed);
         self.cache.last_hit.store(false, Ordering::Relaxed);
         *guard = Some(plan.clone());
@@ -282,15 +262,6 @@ impl GravitySolver {
             }
         }
         let dist = Arc::new(DistPlan::build(plan, owner, num_localities));
-        // Every rebuilt halo plan is protocol-verified in debug builds —
-        // the equivalence harness (`tests/harness/mod.rs`) runs this on
-        // all its N/tree/stepper combinations without any extra test code.
-        #[cfg(debug_assertions)]
-        debug_assert_verified(
-            "rebuilt halo plan",
-            "protocol verification",
-            &super::verify::verify_dist_plan(plan, &dist),
-        );
         self.cache.dist_rebuilds.fetch_add(1, Ordering::Relaxed);
         *guard = Some(dist.clone());
         dist
@@ -354,6 +325,9 @@ impl GravitySolver {
     pub(super) fn take_buffers(&self, num_localities: usize) -> Vec<LocBufs> {
         let mut bufs = self.cache.buffers.lock().take().unwrap_or_default();
         bufs.resize_with(num_localities, LocBufs::default);
+        for (loc, b) in bufs.iter_mut().enumerate() {
+            b.loc = loc;
+        }
         bufs
     }
 
@@ -374,11 +348,11 @@ impl GravitySolver {
         let dist = self.single_locality_plan(plan);
         let (serial, mut bufs) = (ExecSpace::Serial, LocBufs::default());
         bufs.reset_tables(plan);
-        for owned in dist.owned_by_level[0].iter().rev() {
-            self.upward_level(plan, owned, sources, &mut bufs, &serial);
+        for level in (0..plan.level_ranges.len()).rev() {
+            self.upward_level(plan, &dist, level, sources, &mut bufs, &serial);
         }
         bufs.soa.fill(&bufs.multipoles);
-        M2lBench { bufs }
+        M2lBench { bufs, dist }
     }
 
     /// Run exactly one M2L kernel launch over frozen inputs, split per the
@@ -386,26 +360,33 @@ impl GravitySolver {
     /// Buffers persist inside `bench`, so repeated calls measure the
     /// kernel, not allocation.
     pub fn m2l_bench_run(&self, plan: &GravityPlan, bench: &mut M2lBench, space: &ExecSpace) {
-        self.m2l_kernel(plan, &plan.m2l_targets, &mut bench.bufs, space);
+        self.m2l_kernel(plan, &bench.dist, &mut bench.bufs, space);
     }
 }
 
 /// Frozen M2L-phase inputs and reusable output buffers for the
 /// closed-loop granularity bench (see [`GravitySolver::m2l_bench_inputs`]).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct M2lBench {
     bufs: LocBufs,
+    /// The one-locality plan whose launch lists the bench runs.
+    dist: Arc<DistPlan>,
 }
 
-/// One locality's working set of a solve: full-length slot tables (slots
-/// neither computed nor received here keep their zero fill and are never
-/// read — only plan-listed sources are), the dense launch outputs, the
-/// received P2P halo and the owned output fields.  Recycled across solves
-/// through the plan cache (CPPuddle-style, like the `ScratchArena` the
-/// `LeafField` outputs recycle through), so steady-state solves allocate
-/// nothing.
+/// One locality's working set of a solve: full-length slot tables, the
+/// dense launch outputs, the received P2P halo and the owned output
+/// fields.  An entry of a table is readable only once this locality has
+/// computed it (its owned slots) or received it in this solve; the rest
+/// hold zeros or, in the halo, a previous solve's points — after a regrid
+/// possibly another leaf's.  Debug builds record which entries are
+/// readable in [`Held`] and check it at every read and every exchange.
+/// Recycled across solves through the plan cache (CPPuddle-style, like
+/// the `ScratchArena` the `LeafField` outputs recycle through), so
+/// steady-state solves allocate nothing.
 #[derive(Debug, Default)]
 pub(super) struct LocBufs {
+    /// The locality this working set belongs to.
+    pub(super) loc: usize,
     /// Per-slot multipole moments (the upward pass's output).
     pub(super) multipoles: Vec<Multipole>,
     /// Per-slot local expansions (M2L targets + downward accumulation).
@@ -416,13 +397,93 @@ pub(super) struct LocBufs {
     /// Component-major multipole lanes for the SIMD M2L kernel's gathers.
     pub(super) soa: MultipoleSoA,
     /// Point masses of the near-field leaves owned elsewhere, by leaf
-    /// index (entries of leaves never received stay empty and unread).
+    /// index; readable only where received in this solve's P2P halo.
     pub(super) halo_points: Vec<PointMasses>,
     /// The visible leaves as tiles ([`GravitySolver::evaluate_leaves`]
     /// rebuilds them every solve).
     tiles: TileSet,
     /// Evaluation slots of the owned leaves, aligned with the owned list.
     pub(super) evals: Vec<LeafEval>,
+    /// Which table entries are readable in this solve.
+    #[cfg(debug_assertions)]
+    pub(super) held: Held,
+}
+
+/// Debug builds: which entries of its tables one locality holds in the
+/// current solve, and how.  The launches mark their owned indices
+/// [`Hold::Own`], `dist::exchange` checks that a sender holds what it ships
+/// and that a receiver neither owns it nor got it in the same phase
+/// already, and every read checks that the entry is held.  So a halo plan
+/// that drops, duplicates or misroutes a transfer panics naming the
+/// phase, the link and the slot instead of computing different bits.
+#[cfg(debug_assertions)]
+#[derive(Debug, Default)]
+pub(super) struct Held {
+    /// By slot: the multipole.
+    multipoles: Vec<Hold>,
+    /// By slot: the local expansion.
+    locals: Vec<Hold>,
+    /// By leaf index: the point masses.
+    points: Vec<Hold>,
+}
+
+/// How a locality holds one table entry in the current solve.
+#[cfg(debug_assertions)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Hold {
+    /// Neither computed nor received: not readable.
+    Missing,
+    /// Its own: computed by its launch, or its own leaf's points.
+    Own,
+    /// Received in this phase's parcel.  A multipole the up pass delivered
+    /// can arrive again, the same value, in the M2L halo.
+    Received(Phase),
+}
+
+#[cfg(debug_assertions)]
+impl Held {
+    /// The entries of the table `phase` moves: multipoles up and in the
+    /// M2L halo, local expansions down, point masses in the P2P halo.
+    pub(super) fn table(&mut self, phase: Phase) -> &mut [Hold] {
+        match phase {
+            Phase::Up(_) | Phase::M2lHalo => &mut self.multipoles,
+            Phase::Down(_) => &mut self.locals,
+            Phase::P2pHalo => &mut self.points,
+        }
+    }
+
+    /// Entry `i` of the table `phase` moves.
+    pub(super) fn get(&self, phase: Phase, i: usize) -> Hold {
+        match phase {
+            Phase::Up(_) | Phase::M2lHalo => self.multipoles[i],
+            Phase::Down(_) => self.locals[i],
+            Phase::P2pHalo => self.points[i],
+        }
+    }
+}
+
+/// Debug builds: panic unless locality `reader` holds entry `i` of `held`,
+/// which `owner` computes and `phase` ships to the localities reading it.
+#[cfg(debug_assertions)]
+fn assert_held(
+    held: &[Hold],
+    plan: &GravityPlan,
+    phase: Phase,
+    owner: usize,
+    reader: usize,
+    i: usize,
+) {
+    if held[i] == Hold::Missing {
+        let level = match phase {
+            Phase::P2pHalo => plan.leaves[i].level(),
+            _ => plan.nodes[i].level(),
+        };
+        panic!(
+            "starved receive: phase {phase}: link {owner}→{reader}: locality {reader} reads \
+             {} {i} (level {level}), which it neither computed nor received",
+            phase.entry()
+        );
+    }
 }
 
 /// One owned leaf's slot of the evaluation launch: the output field (moved
@@ -440,12 +501,22 @@ pub(super) struct LeafEval {
 impl LocBufs {
     /// Size the slot tables for `plan` and zero the multipoles; the locals
     /// are zeroed by [`GravitySolver::m2l_kernel`], which opens their phase.
+    /// Nothing is held yet.
     pub(super) fn reset_tables(&mut self, plan: &GravityPlan) {
         self.multipoles.clear();
         self.multipoles
             .resize(plan.num_nodes, Multipole::zero([0.0; 3]));
         self.halo_points
             .resize_with(plan.leaves.len(), PointMasses::default);
+        #[cfg(debug_assertions)]
+        for (table, len) in [
+            (&mut self.held.multipoles, plan.num_nodes),
+            (&mut self.held.locals, plan.num_nodes),
+            (&mut self.held.points, plan.leaves.len()),
+        ] {
+            table.clear();
+            table.resize(len, Hold::Missing);
+        }
     }
 }
 
@@ -483,18 +554,23 @@ fn slot_policy(len: usize) -> RangePolicy {
 }
 
 impl GravitySolver {
-    /// Phase 1, one tree level: P2M at the owned leaves (straight from
-    /// their SoA points, [`Multipole::from_soa`] — no per-leaf AoS copy),
-    /// M2M at the owned interiors, whose children sit at deeper, already
-    /// finalized (or received) slots.
+    /// Phase 1, tree level `level` of locality `bufs.loc`: P2M at its
+    /// owned leaves (straight from their SoA points,
+    /// [`Multipole::from_soa`] — no per-leaf AoS copy), M2M at its owned
+    /// interiors, whose children sit at deeper, already finalized (or
+    /// received) slots.
     pub(super) fn upward_level(
         &self,
         plan: &GravityPlan,
-        owned: &[usize],
+        dist: &DistPlan,
+        level: usize,
         sources: &HashMap<NodeId, LeafSources>,
         bufs: &mut LocBufs,
         space: &ExecSpace,
     ) {
+        let owned = &dist.owned_by_level[bufs.loc][level];
+        #[cfg(debug_assertions)]
+        let (held, loc) = (&bufs.held.multipoles, bufs.loc);
         launch_slots(
             space,
             slot_policy(owned.len()),
@@ -508,6 +584,11 @@ impl GravitySolver {
                         Multipole::from_soa(sources[&plan.leaves[li]].points.view())
                     }
                     SlotKind::Interior(kids) => {
+                        #[cfg(debug_assertions)]
+                        for &c in &kids {
+                            let owner = dist.slot_owner[c];
+                            assert_held(held, plan, Phase::Up(level + 1), owner, loc, c);
+                        }
                         // Fixed-size gather: no per-slot heap allocation
                         // inside the kernel body (the zero-alloc steady
                         // state `tests/kernel_allocations.rs` checks).
@@ -522,9 +603,13 @@ impl GravitySolver {
                 }
             },
         );
+        #[cfg(debug_assertions)]
+        for &s in owned {
+            bufs.held.multipoles[s] = Hold::Own;
+        }
     }
 
-    /// Phase 2: M2L for the owned `targets`, split into
+    /// Phase 2: M2L for the targets locality `bufs.loc` owns, split into
     /// `tasks_per_multipole_kernel` HPX tasks (Figure 9), reading the
     /// source multipoles from `bufs.soa` (the caller transposes the slot
     /// table once per solve).  Per-target source order comes from the
@@ -535,12 +620,21 @@ impl GravitySolver {
     pub(super) fn m2l_kernel(
         &self,
         plan: &GravityPlan,
-        targets: &[usize],
+        dist: &DistPlan,
         bufs: &mut LocBufs,
         space: &ExecSpace,
     ) {
+        let targets = &dist.owned_m2l_slots[bufs.loc];
         bufs.locals.clear();
         bufs.locals.resize(plan.num_nodes, LocalExpansion::zero());
+        // Every owned slot's local expansion starts here: its M2L sum, or
+        // zero.
+        #[cfg(debug_assertions)]
+        for &s in dist.owned_by_level[bufs.loc].iter().flatten() {
+            bufs.held.locals[s] = Hold::Own;
+        }
+        #[cfg(debug_assertions)]
+        let (held, loc) = (&bufs.held.multipoles, bufs.loc);
         let soa = &bufs.soa;
         launch_slots(
             space,
@@ -553,6 +647,17 @@ impl GravitySolver {
             |target, _| {
                 let mut sum = LocalExpansion::zero();
                 let srcs = plan.m2l_sources_of(target);
+                #[cfg(debug_assertions)]
+                for &src in srcs {
+                    assert!(
+                        src != target,
+                        "phase {}: M2L target slot {target} (level {}) lists itself as a source",
+                        Phase::M2lHalo,
+                        plan.nodes[target].level()
+                    );
+                    let owner = dist.slot_owner[src];
+                    assert_held(held, plan, Phase::M2lHalo, owner, loc, src);
+                }
                 let center = plan.centers[target];
                 m2l_accumulate(
                     soa,
@@ -567,16 +672,21 @@ impl GravitySolver {
         );
     }
 
-    /// Phase 3a, one tree level: L2L in *gather* form — every owned slot
-    /// adds its parent's shifted expansion; the parent sits at a
-    /// shallower, already finalized (or received) slot.
+    /// Phase 3a, tree level `level` of locality `bufs.loc`: L2L in
+    /// *gather* form — every owned slot adds its parent's shifted
+    /// expansion; the parent sits at a shallower, already finalized (or
+    /// received) slot.
     pub(super) fn downward_level(
         &self,
         plan: &GravityPlan,
-        owned: &[usize],
+        dist: &DistPlan,
+        level: usize,
         bufs: &mut LocBufs,
         space: &ExecSpace,
     ) {
+        let owned = &dist.owned_by_level[bufs.loc][level];
+        #[cfg(debug_assertions)]
+        let (held, loc) = (&bufs.held.locals, bufs.loc);
         launch_slots(
             space,
             slot_policy(owned.len()),
@@ -586,6 +696,16 @@ impl GravitySolver {
             LocalExpansion::zero(),
             |s, locals| {
                 let p = plan.parent_slot[s];
+                #[cfg(debug_assertions)]
+                {
+                    assert!(
+                        p > s,
+                        "phase {}: slot {s} (level {level}) reads parent slot {p}, which is not \
+                         above it in the slot table",
+                        Phase::Down(level)
+                    );
+                    assert_held(held, plan, Phase::Down(level), dist.slot_owner[p], loc, p);
+                }
                 let (pc, cc) = (plan.centers[p], plan.centers[s]);
                 let mut local = locals[s].clone();
                 local.add_assign(&locals[p].shifted([cc[0] - pc[0], cc[1] - pc[1], cc[2] - pc[2]]));
@@ -594,7 +714,7 @@ impl GravitySolver {
         );
     }
 
-    /// Phase 3b on locality `loc`: its owned leaves' fields — far field
+    /// Phase 3b on locality `bufs.loc`: its owned leaves' fields — far field
     /// from the local expansions, near field tile by tile — one disjoint
     /// output slot per leaf, no locks.  `points[li]` is leaf `li`'s input
     /// point set; the locality reads its own leaves there and every other
@@ -615,18 +735,21 @@ impl GravitySolver {
         &self,
         plan: &GravityPlan,
         dist: &DistPlan,
-        loc: usize,
         points: &[&PointMasses],
         bufs: &mut LocBufs,
         space: &ExecSpace,
     ) {
         let LocBufs {
+            loc,
             halo_points,
             tiles,
             locals,
             evals,
+            #[cfg(debug_assertions)]
+            held,
             ..
         } = bufs;
+        let loc = *loc;
         let owned = &dist.owned_leaves[loc][..];
         let near: Vec<&PointMasses> = (0..points.len())
             .map(|li| match dist.leaf_owner[li] == loc {
@@ -635,6 +758,12 @@ impl GravitySolver {
             })
             .collect();
         let near = &near[..];
+        // Every near-field leaf the tile build and the evaluation read.
+        #[cfg(debug_assertions)]
+        for &sl in owned.iter().flat_map(|&li| plan.p2p_sources_of(li)) {
+            let owner = dist.leaf_owner[sl];
+            assert_held(&held.points, plan, Phase::P2pHalo, owner, loc, sl);
+        }
         let mode = self.opts.vector_mode;
         tiles.rebuild(plan, owned, near, space);
         let tiles = &*tiles;

@@ -29,7 +29,7 @@
 //!
 //! All three run in ascending (leaf, tile) order.  The outcome is
 //! recomputed every solve, one target tile at a time: it is not part of the
-//! plan, the halo plan or `verify`.  [`near_field_counts`] counts it.
+//! plan or the halo plan.  [`near_field_counts`] counts it.
 //!
 //! Two single-tile leaves are never re-tested, at either level
 //! (`NearTier::Points`): the plan already rejected that very pair, so

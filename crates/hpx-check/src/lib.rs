@@ -16,24 +16,21 @@
 //!   the deterministic pool, bit-compared against `step_barrier`: every
 //!   step's Δt, the run's `mass_outflow` and the final leaf state, so a
 //!   float fold in task-completion order shows wherever it lands.
-//! * **Static plan verifier** (`verify`) — drives
-//!   `core::gravity::verify`'s provers over real and seeded-mutated
-//!   frozen plans: deadlock-freedom, exact send/receive matching and halo
-//!   completeness of every `DistPlan`, structural invariants of every
-//!   `GravityPlan`, with planted-bug regressions.
 //!
-//! The two kernel-body rules — a kernel neither blocks nor, once its
-//! buffers are recycled, allocates — are not checked here but where
-//! kernels run: every `kokkos-rs` chunk is an [`hpx_rt::kernel_body`],
-//! inside which a debug build's `Future::wait` panics and the root
-//! `kernel_allocations` test counts allocations.
+//! Two other kinds of rule are not checked here but where the code runs.
+//! The kernel-body rules — a kernel neither blocks nor, once its buffers
+//! are recycled, allocates: every `kokkos-rs` chunk is an
+//! [`hpx_rt::kernel_body`], inside which a debug build's `Future::wait`
+//! panics and the root `kernel_allocations` test counts allocations.  The
+//! gravity halo protocol — every slot a locality reads was computed there
+//! or received exactly once from a sender that held it: a debug build's
+//! solve keeps a "held" bit per slot-table entry and checks it at every
+//! exchange and every read.
 //!
-//! Run everything from the CLI: `cargo run -p hpx-check -- all`.
+//! Run it from the CLI: `cargo run -p hpx-check -- model`.
 
 mod model;
 mod step;
-mod verify;
 
 pub use model::ModelChecker;
 pub use step::{RealStep, RunRecord};
-pub use verify::{mutate_plan, mutation_sweep, verify_real_plans, PlanMutationKind};

@@ -1,9 +1,8 @@
 //! The acceptance runs: the real pipelined step under the model checker,
 //! bit-identical to `step_barrier` on every explored schedule, plus full
-//! pipelined and distributed runs and the static plan verifier over the
-//! real plans.
+//! pipelined and distributed runs.
 
-use hpx_check::{verify_real_plans, ModelChecker, RealStep};
+use hpx_check::{ModelChecker, RealStep};
 use hpx_rt::{parcel_counters, SimCluster};
 use octotiger::{Scenario, ScenarioKind, SimOptions, Simulation};
 
@@ -81,20 +80,4 @@ fn distributed_run_passes_the_dist_analyzers() {
         "the distributed gravity path must move parcels"
     );
     cluster.shutdown();
-}
-
-#[test]
-fn real_plans_pass_the_static_verifier() {
-    // Every real plan (uniform + refined trees, N ∈ {1, 2, 4, 7}) must
-    // verify silently.
-    let findings = verify_real_plans(2);
-    assert!(
-        findings.is_empty(),
-        "real plans must verify clean:\n{}",
-        findings
-            .iter()
-            .map(|f| format!("  {f}"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
 }

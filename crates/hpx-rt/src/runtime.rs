@@ -361,7 +361,9 @@ impl Runtime {
     }
 
     /// Run `f` with a `Scope` that can spawn tasks borrowing from the
-    /// caller's stack; returns only after every scoped task finished.
+    /// caller's stack; returns only after every scoped task finished —
+    /// also when `f` itself panics: its panic resumes after the join, so
+    /// no task outlives the borrows it holds.
     ///
     /// The waiting thread executes other tasks meanwhile, so `scope` may be
     /// nested arbitrarily (kernels inside kernels), as the Kokkos HPX
@@ -375,12 +377,15 @@ impl Runtime {
             panicked: &panicked,
             _env: PhantomData,
         };
-        let out = f(&scope);
+        let out = catch_unwind(AssertUnwindSafe(|| f(&scope)));
         self.help_while(|| pending.load(Ordering::Acquire) > 0);
-        if panicked.load(Ordering::Acquire) {
-            panic!("a task spawned in hpx_rt::Runtime::scope panicked");
+        match out {
+            Err(payload) => std::panic::resume_unwind(payload),
+            Ok(_) if panicked.load(Ordering::Acquire) => {
+                panic!("a task spawned in hpx_rt::Runtime::scope panicked")
+            }
+            Ok(out) => out,
         }
-        out
     }
 
     /// Execute other tasks while `cond` holds.  Usable from worker threads
@@ -755,6 +760,25 @@ mod tests {
         rt.scope(|s| {
             s.spawn(|| panic!("boom"));
         });
+    }
+
+    #[test]
+    fn scope_body_panic_resumes_after_its_tasks_finish() {
+        // The spawned task borrows `done`; the body's panic must not leave
+        // the scope (and free what the task borrows) before it finished.
+        let rt = Runtime::new(2);
+        let done = AtomicBool::new(false);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            rt.scope(|s| {
+                s.spawn(|| {
+                    std::thread::sleep(Duration::from_millis(20));
+                    done.store(true, Ordering::Release);
+                });
+                panic!("body");
+            })
+        }));
+        assert_eq!(panic_message(&*outcome.unwrap_err()), "body");
+        assert!(done.load(Ordering::Acquire));
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //!   with the communication-optimization fast path; owns the per-topology
 //!   ghost plan (links, per-locality leaf lists, boundary faces).
 //! * `partition` — Morton-order space-filling-curve partitioning of
-//!   leaves over localities, and its static verifier.
+//!   leaves over localities.
 
 mod ghost;
 mod index;
@@ -32,6 +32,6 @@ mod tree;
 
 pub use ghost::{DistGrid, GhostConfig};
 pub use index::{Dir, NodeId, Octant, MAX_LEVEL};
-pub use partition::{partition_morton, verify_partition};
+pub use partition::partition_morton;
 pub use subgrid::SubGrid;
 pub use tree::{Neighbor, Tree};

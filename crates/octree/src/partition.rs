@@ -41,50 +41,6 @@ pub fn partition_morton(tree: &Tree, num_localities: usize) -> HashMap<NodeId, L
     out
 }
 
-/// Statically verify that `owner` is a sound leaf partition of `tree`
-/// over `num_localities`: every leaf is assigned exactly once, every
-/// assignment names an in-range locality, and the map contains no stale
-/// keys (nodes that are not leaves of this tree — the residue a regrid
-/// leaves behind if a partition outlives the topology it was built for).
-///
-/// Returns one human-readable violation per problem; an empty vector
-/// means the partition is total and well-formed.  Used by `hpx-check`'s
-/// plan verifier before it shards gravity plans, and cheap enough to run
-/// in tests on every regrid.
-pub fn verify_partition(
-    tree: &Tree,
-    owner: &HashMap<NodeId, LocalityId>,
-    num_localities: usize,
-) -> Vec<String> {
-    let mut out = Vec::new();
-    if num_localities == 0 {
-        out.push("partition over zero localities".to_string());
-        return out;
-    }
-    let leaves = tree.leaves();
-    for leaf in &leaves {
-        match owner.get(leaf) {
-            None => out.push(format!("leaf {leaf:?} has no owner")),
-            Some(loc) if loc.0 >= num_localities => out.push(format!(
-                "leaf {leaf:?} owned by out-of-range locality {} (cluster has {num_localities})",
-                loc.0
-            )),
-            Some(_) => {}
-        }
-    }
-    if owner.len() != leaves.len() {
-        let leaf_set: std::collections::HashSet<NodeId> = leaves.iter().copied().collect();
-        for key in owner.keys() {
-            if !leaf_set.contains(key) {
-                out.push(format!(
-                    "owner map contains {key:?}, which is not a leaf of this tree"
-                ));
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,33 +89,5 @@ mod tests {
             assert!(l >= prev, "SFC contiguity violated");
             prev = l;
         }
-    }
-
-    #[test]
-    fn verify_partition_accepts_real_partitions_and_rejects_broken_ones() {
-        let mut tree = Tree::new_uniform(1);
-        tree.refine_balanced(NodeId::from_coords(1, [0, 0, 0]));
-        for parts in [1usize, 2, 4, 7] {
-            let owner = partition_morton(&tree, parts);
-            assert_eq!(verify_partition(&tree, &owner, parts), Vec::<String>::new());
-        }
-        // A missing leaf, an out-of-range owner, and a stale key are each
-        // reported.
-        let mut owner = partition_morton(&tree, 2);
-        let victim = tree.leaves()[0];
-        owner.remove(&victim);
-        assert!(verify_partition(&tree, &owner, 2)
-            .iter()
-            .any(|v| v.contains("no owner")));
-        let mut owner = partition_morton(&tree, 2);
-        owner.insert(tree.leaves()[1], LocalityId(9));
-        assert!(verify_partition(&tree, &owner, 2)
-            .iter()
-            .any(|v| v.contains("out-of-range")));
-        let mut owner = partition_morton(&tree, 2);
-        owner.insert(NodeId::ROOT, LocalityId(0));
-        assert!(verify_partition(&tree, &owner, 2)
-            .iter()
-            .any(|v| v.contains("not a leaf")));
     }
 }

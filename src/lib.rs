@@ -14,7 +14,7 @@
 //! * [`octotiger`] — the application: hydro + FMM gravity + SCF.
 //! * [`cluster`] — machine models and the discrete-event scaling simulator.
 //! * [`check`] — concurrency analyses: a model checker over the real
-//!   pipelined step, the static plan verifier.
+//!   pipelined step.
 //!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
 //! paper-vs-measured record of every reproduced table and figure.
