@@ -735,11 +735,11 @@ impl Simulation {
     /// The futurized scheduler: one dependency graph for the whole step.
     ///
     /// Per RK stage, [`DistGrid::exchange_ghosts_pipelined`] turns every
-    /// (leaf, direction) ghost link into a future chain gated on the leaves
-    /// it reads, and each leaf's stage kernel becomes a continuation on
-    /// - all 26 of its incoming ghost futures (its stencil inputs),
-    /// - its outgoing pack futures (its interior may not be overwritten
-    ///   while a neighbour is still packing from it), and
+    /// leaf's ghost fill into a continuation gated on the leaves its 26
+    /// links read, and each leaf's stage kernel becomes a continuation on
+    /// - its ghost fill (its stencil inputs),
+    /// - the fills of the leaves reading it (its interior may not be
+    ///   overwritten while a neighbour is still packing from it), and
     /// - at stage 0, the global Δt reduction and the gravity solve, both of
     ///   which run as futures overlapping the first stage's ghost fill.
     ///

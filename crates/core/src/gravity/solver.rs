@@ -412,10 +412,10 @@ pub(super) struct LocBufs {
 /// Debug builds: which entries of its tables one locality holds in the
 /// current solve, and how.  The launches mark their owned indices
 /// [`Hold::Own`], `dist::exchange` checks that a sender holds what it ships
-/// and that a receiver neither owns it nor got it in the same phase
-/// already, and every read checks that the entry is held.  So a halo plan
-/// that drops, duplicates or misroutes a transfer panics naming the
-/// phase, the link and the slot instead of computing different bits.
+/// and that a receiver neither owns it nor received it already, and every
+/// read checks that the entry is held.  So a halo plan that drops,
+/// duplicates or misroutes a transfer panics naming the phase, the link
+/// and the slot instead of computing different bits.
 #[cfg(debug_assertions)]
 #[derive(Debug, Default)]
 pub(super) struct Held {
@@ -435,9 +435,8 @@ pub(super) enum Hold {
     Missing,
     /// Its own: computed by its launch, or its own leaf's points.
     Own,
-    /// Received in this phase's parcel.  A multipole the up pass delivered
-    /// can arrive again, the same value, in the M2L halo.
-    Received(Phase),
+    /// Received in a parcel of this solve, once.
+    Received,
 }
 
 #[cfg(debug_assertions)]

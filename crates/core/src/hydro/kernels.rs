@@ -197,8 +197,7 @@ fn recon_field<const W: usize>(
 }
 
 /// Compute `L(u)` (flux divergence + sources) into `rhs` using the pooled
-/// `scratch` buffers; returns the leaf's maximum wave speed and its
-/// boundary mass-outflow rate.
+/// `scratch` buffers; returns the leaf's boundary mass-outflow rate.
 #[inline(always)]
 pub(crate) fn compute_rhs_w<const W: usize>(
     u: &SubGrid,
@@ -231,11 +230,6 @@ pub(crate) fn compute_rhs_w<const W: usize>(
     // previous launch's values — `reused_scratch_is_bit_identical_to_fresh`
     // locks this invariant down.
     let flux = &mut scratch.flux[..];
-    // Vector max accumulator for the signal speed: `f64::max` is
-    // order-insensitive (speeds are strictly positive, no ±0 ties), so the
-    // per-lane maxima can stay in a register and fold once at the end
-    // without breaking cross-width bit-equality of dt.
-    let mut vmax = Simd::<f64, W>::splat(0.0);
 
     for axis in 0..3 {
         let stride = strides[axis];
@@ -281,16 +275,7 @@ pub(crate) fn compute_rhs_w<const W: usize>(
                         f1: f1_r,
                         f2: f2_r,
                     };
-                    let (f, speed) = hll_flux(axis, &left, &right);
-                    // Only valid lanes join the max: padded tail lanes hold
-                    // floor-state speeds that W = 1 never sees, so mask
-                    // them to 0.0 (below every real signal speed).
-                    let sp = if lanes == W {
-                        speed
-                    } else {
-                        Simd::select(Mask::first_n(lanes), speed, Simd::splat(0.0))
-                    };
-                    vmax = vmax.simd_max(sp);
+                    let (f, _) = hll_flux(axis, &left, &right);
                     for (fi, fv) in f.into_iter().enumerate() {
                         let dst = &mut flux[(axis * NF + fi) * ext3..];
                         store_lanes::<W>(fv, dst, base, lanes);
@@ -355,7 +340,6 @@ pub(crate) fn compute_rhs_w<const W: usize>(
     }
 
     super::RhsInfo {
-        max_signal_speed: vmax.reduce_max(),
         boundary_mass_outflow_rate: outflow,
     }
 }
@@ -448,8 +432,7 @@ mod tests {
             boundary_faces: [false; 6],
         };
         let mut scratch = KernelScratch::ephemeral(n, 2);
-        let info = compute_rhs_w::<8>(&u, &mut rhs, &src, &mut scratch);
-        assert!(info.max_signal_speed > 0.5);
+        compute_rhs_w::<8>(&u, &mut rhs, &src, &mut scratch);
         // d(total mass)/dt = -(flux out - flux in); with a linear density
         // gradient and constant v, the interior RHS sum must equal
         // (rho_in - rho_out) * v * area / h summed appropriately — here we
@@ -530,7 +513,6 @@ mod tests {
         let info_nan = compute_rhs_w::<8>(&u, &mut rhs_nan, &src, &mut poisoned);
 
         assert_eq!(rhs_zero, rhs_nan);
-        assert_eq!(info_zero.max_signal_speed, info_nan.max_signal_speed);
         assert_eq!(
             info_zero.boundary_mass_outflow_rate,
             info_nan.boundary_mass_outflow_rate
@@ -583,7 +565,6 @@ mod tests {
         let info_reused = compute_rhs_w::<8>(&u, &mut rhs_reused, &src, &mut reused);
 
         assert_eq!(rhs_fresh, rhs_reused);
-        assert_eq!(info_fresh.max_signal_speed, info_reused.max_signal_speed);
         assert_eq!(
             info_fresh.boundary_mass_outflow_rate,
             info_reused.boundary_mass_outflow_rate

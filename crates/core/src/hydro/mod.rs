@@ -65,8 +65,6 @@ pub struct SourceInput<'a> {
 /// Output of one RHS evaluation.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RhsInfo {
-    /// Leaf-local maximum signal speed (for the global CFL reduction).
-    pub max_signal_speed: f64,
     /// Net mass leaving the domain through this leaf's boundary faces,
     /// per unit time (flux × face area, summed).
     pub boundary_mass_outflow_rate: f64,
@@ -173,7 +171,6 @@ mod tests {
                 cfl: 0.4,
             };
             let info = compute_rhs(&u, &mut rhs, &src, &opts, &mut scratch);
-            assert!(info.max_signal_speed > 0.0);
             assert_eq!(info.boundary_mass_outflow_rate, 0.0);
             for f in 0..NF {
                 for i in 0..4 {

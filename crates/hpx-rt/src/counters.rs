@@ -118,7 +118,9 @@ counter_block! {
         /// unwinds, so post-mortem counter dumps show how often the
         /// deadlock detector tripped.
         watchdog_fires => "/threads/count/watchdog-fires",
-        /// Futures created.
+        /// Futures created through a runtime (`async_call`, `then`,
+        /// `when_all`, `when_all_of`) or, on a locality's block, as the
+        /// reply of a parcel it sent.
         futures_created => "/lcos/count/futures",
         /// Continuations attached via `Future::then`.
         continuations_attached => "/lcos/count/continuations",

@@ -272,6 +272,7 @@ impl<T: Send + 'static> Future<T> {
         F: FnOnce(T) -> U + Send + 'static,
     {
         Counters::bump(&rt.counters().continuations_attached);
+        Counters::bump(&rt.counters().futures_created);
         let (promise, out) = Promise::new_pair();
         let rt2 = rt.clone();
         self.on_settled(move |s: Settled<'_, T>| match s {
@@ -291,28 +292,6 @@ impl<T: Send + 'static> Future<T> {
         out
     }
 
-    /// Low-level continuation hook: run `f` with a reference to the value as
-    /// soon as it is available (inline if already ready).  If the producing
-    /// side abandons the promise after attachment, `f` is silently dropped —
-    /// combinators that must *react* to abandonment use `Future::on_settled`.
-    ///
-    /// # Panics
-    /// Panics if the future is already abandoned when `f` is attached.
-    pub fn on_ready(&self, f: impl FnOnce(&T) + Send + 'static) {
-        let mut guard = self.shared.state.lock();
-        match *guard {
-            State::Pending(ref mut conts) => conts.push(Box::new(move |s: Settled<'_, T>| {
-                if let Settled::Ready(v) = s {
-                    f(v);
-                }
-            })),
-            State::Ready(ref v) => f(v),
-            State::Abandoned(ref reason) => {
-                panic!("hpx-rt: continuation on abandoned future: {reason}")
-            }
-        }
-    }
-
     /// Continuation hook that observes *either* outcome: the ready value or
     /// the abandonment reason.  Never panics at attach time — this is what
     /// [`when_all`]/[`when_all_of`]/[`Future::then`] build on so a single
@@ -324,23 +303,6 @@ impl<T: Send + 'static> Future<T> {
             State::Pending(ref mut conts) => conts.push(Box::new(f)),
             State::Ready(ref v) => f(Settled::Ready(v)),
             State::Abandoned(ref reason) => f(Settled::Abandoned(reason)),
-        }
-    }
-
-    /// Borrow the ready value without cloning it.
-    ///
-    /// # Panics
-    /// Panics if the future is not ready or was abandoned.  `f` runs under
-    /// the future's state lock, so it must not wait on or attach
-    /// continuations to *this* future.
-    pub fn with_value<R>(&self, f: impl FnOnce(&T) -> R) -> R {
-        let guard = self.shared.state.lock();
-        match *guard {
-            State::Ready(ref v) => f(v),
-            State::Pending(_) => panic!("hpx-rt: with_value on a pending future"),
-            State::Abandoned(ref reason) => {
-                panic!("hpx-rt: with_value on abandoned future: {reason}")
-            }
         }
     }
 
@@ -412,6 +374,7 @@ pub fn when_all<T: Clone + Send + 'static>(
     futures: Vec<Future<T>>,
 ) -> Future<Vec<T>> {
     let n = futures.len();
+    Counters::bump(&rt.counters().futures_created);
     let (promise, out) = Promise::new_pair();
     if n == 0 {
         promise.set(Vec::new());
@@ -469,6 +432,7 @@ pub fn when_all<T: Clone + Send + 'static>(
 /// not recurse on the completing thread's stack.
 pub fn when_all_of<T: Send + 'static>(rt: &Runtime, futures: &[Future<T>]) -> Future<()> {
     let n = futures.len();
+    Counters::bump(&rt.counters().futures_created);
     let (promise, out) = Promise::new_pair();
     if n == 0 {
         promise.set(());
@@ -546,7 +510,7 @@ mod tests {
         let g = f.clone();
         p.set(1);
         let (p2, _f2) = Promise::new_pair();
-        // Simulate a second set on the same shared state via on_ready misuse:
+        // Simulate a second set on the same shared state:
         // easiest honest check is a fresh promise pair pointing to the same
         // shared state, which the public API forbids; so instead fulfil and
         // then assert the guard in `set` by constructing the race manually.
@@ -634,12 +598,12 @@ mod tests {
     fn ticket_works_on_non_clone_payloads() {
         // The payload type is deliberately not Clone: this compiles only
         // because the ticket never clones the value.
-        struct Big(Vec<f64>);
+        struct NotClone;
         let rt = Runtime::new(2);
-        let f: Future<Big> = rt.async_call(|| Big(vec![0.5; 64]));
+        let f: Future<NotClone> = rt.async_call(|| NotClone);
         let ticket = f.ticket();
         ticket.wait();
-        assert_eq!(f.with_value(|b| b.0.len()), 64);
+        assert!(f.is_ready());
         rt.shutdown();
     }
 

@@ -25,7 +25,7 @@
 //!   distributed AGAS and parcelport layer (see DESIGN.md substitution
 //!   table).  The Section VII-B "local HPX promise/future pairs to notify
 //!   neighbors" are plain [`future::Promise`] pairs: the ghost exchange's
-//!   per-link futures.
+//!   per-leaf fills.
 //! * `pjm` — a model of the Fugaku Parallel Job Manager resource
 //!   specification the paper added HPX support for (HPX PR #5870).
 //! * `apex` — APEX-style autonomic performance instrumentation, the

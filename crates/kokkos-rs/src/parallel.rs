@@ -301,6 +301,7 @@ mod tests {
     }
 
     /// A callee the kernel reaches, not the kernel's own text, waits.
+    #[cfg(debug_assertions)]
     fn callee_that_waits(ready: &hpx_rt::Future<u32>) -> u32 {
         ready.get()
     }

@@ -16,11 +16,15 @@
 //!   counted in `local_direct_accesses`.  The exchange's phase structure
 //!   (all interiors are final before any ghost is read) plays the role of
 //!   the paper's promise/future readiness notifications; the pipelined
-//!   exchange makes them literal, one future chain per link.
+//!   exchange makes them literal, one gate per destination leaf over the
+//!   leaves its 26 links read.
 //!
 //! Which leaf feeds which shell from which locality is derived once per
 //! `topology_version` into a `GhostPlan` that also carries the per-link
-//! work; the two exchanges are schedulers over its links.
+//! work.  A leaf's ghost fill is written once, as two plan routines —
+//! `start` (outflow and direct links, parcel requests) and `finish` (parcel
+//! replies) — and the two exchanges only schedule them: in SFC order on the
+//! calling thread, or as one small future graph per leaf.
 //!
 //! Level jumps are handled as in Octo-Tiger: data from a coarser neighbour
 //! is prolonged (piecewise-constant), data from finer neighbours is
@@ -60,10 +64,6 @@ impl Default for GhostConfig {
 /// One (leaf, direction) ghost link, classified: which source leaves the
 /// link reads (several for a fine-from-coarse jump), or none at the domain
 /// boundary (outflow reads the leaf's own interior).
-///
-/// This is the *single* classification both runtime exchanges
-/// ([`DistGrid::exchange_ghosts`], [`DistGrid::exchange_ghosts_pipelined`])
-/// consume, so the two schedulers serve the same link set.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LinkSpec {
     /// The destination leaf whose ghost shell the link fills.
@@ -142,37 +142,13 @@ impl PlanLink {
     }
 }
 
-/// A packed payload as the unpacking side holds it.
-enum Packed {
-    /// Checked out by the direct route.
-    Local(Recycled<f64>),
-    /// The reply of a `ghost_pack` parcel.
-    Reply(ArcPayload),
-}
-
-impl Packed {
-    fn data(&self) -> &[f64] {
-        match self {
-            Packed::Local(data) => data,
-            Packed::Reply(reply) => downcast_payload::<Recycled<f64>>(reply)
-                .expect("ghost_pack returns a recycled buffer"),
-        }
-    }
-}
-
-/// Request payload of the `ghost_pack` action: the plan and link to serve.
-/// Carrying the plan keeps the cluster-global handler stateless, so any
+/// The `ghost_pack` action: pack link `i` of `plan`.  The request carries
+/// the plan, which keeps the cluster-global handler stateless, so any
 /// number of grids can share one cluster.
-struct GhostRequest {
-    plan: Arc<GhostPlan>,
-    link: usize,
-}
-
 fn serve_ghost_pack(arg: Payload, _loc: &Locality) -> Payload {
-    let req = arg
-        .downcast::<GhostRequest>()
-        .expect("GhostRequest payload");
-    Box::new(req.plan.pack(req.link))
+    let request = arg.downcast::<(Arc<GhostPlan>, usize)>();
+    let (plan, i) = *request.expect("ghost_pack request: (plan, link)");
+    Box::new(plan.pack(i))
 }
 
 /// The ghost topology of one `topology_version`: built once after a regrid
@@ -189,6 +165,13 @@ struct GhostPlan {
     boundary_faces: Arc<HashMap<NodeId, [bool; 6]>>,
     /// 26 per leaf, in `leaves × Dir::all26()` order.
     links: Vec<PlanLink>,
+    /// Per leaf (by index into `leaves`), ascending: the leaves its fill
+    /// reads — the sources of its links, and itself (outflow reads its
+    /// interior, and its previous-stage combine rewrites its ghost shells
+    /// too) — which its pipelined fill gates on.
+    reads: Vec<Vec<usize>>,
+    /// The inverse: per leaf, the leaves whose fills read it.
+    readers: Vec<Vec<usize>>,
     /// Payload bucket (`PlanLink::elems`) → non-boundary links using it.
     demand: BTreeMap<usize, usize>,
     /// The grid's payload arena.
@@ -230,6 +213,20 @@ impl GhostPlan {
                     spec,
                 }
             })
+            .collect::<Vec<PlanLink>>();
+        let index: HashMap<NodeId, usize> = (leaves.iter().enumerate())
+            .map(|(k, &leaf)| (leaf, k))
+            .collect();
+        let mut readers = vec![Vec::new(); leaves.len()];
+        let reads = (links.chunks(26).enumerate())
+            .map(|(k, own)| {
+                let sources = own.iter().flat_map(|l| &l.spec.sources);
+                let mut read: Vec<usize> = sources.map(|s| index[s]).chain([k]).collect();
+                read.sort_unstable();
+                read.dedup();
+                read.iter().for_each(|&s| readers[s].push(k));
+                read
+            })
             .collect();
         GhostPlan {
             version: tree.topology_version(),
@@ -237,18 +234,17 @@ impl GhostPlan {
             leaves_of,
             boundary_faces: Arc::new(boundary_faces),
             links,
+            reads,
+            readers,
             demand,
             pool: inner.pool.clone(),
         }
     }
 
-    /// Top up the payload arena to the exact per-bucket link demand before
-    /// an exchange fans out.  Payloads are checked out by the exchanging
-    /// thread (direct links) and by the destination localities' workers
-    /// (parcel links, whose handlers run as tasks there), so the population
-    /// a warm-up exchange reaches depends on how those threads interleave;
-    /// prewarming the peak demand makes the steady state allocation-free
-    /// deterministically (afterwards the top-up is a no-op).
+    /// Top up the payload arena to the per-bucket link demand before an
+    /// exchange fans out.  Which threads pack concurrently depends on how
+    /// they interleave, so prewarming the peak demand makes the steady
+    /// state allocation-free deterministically (then the top-up is a no-op).
     fn prewarm(&self) {
         for (&bucket, &count) in &self.demand {
             self.pool.prewarm(bucket, count);
@@ -263,25 +259,68 @@ impl GhostPlan {
         let link = &self.links[i];
         let LinkSpec { leaf, dir, sources } = &link.spec;
         let mut out = self.pool.checkout_empty(link.elems);
-        let first = || link.sources[0].read();
         match sources[0].level().cmp(&leaf.level()) {
-            LevelOrder::Equal => first().pack_send_into(dir.opposite(), &mut out),
-            LevelOrder::Less => pack_prolonged(&first(), sources[0], *leaf, *dir, &mut out),
+            LevelOrder::Equal => (link.sources[0].read()).pack_send_into(dir.opposite(), &mut out),
+            LevelOrder::Less => pack_prolonged(link, &mut out),
             LevelOrder::Greater => pack_restricted(link, &mut out),
         }
         out
     }
 
     /// Write a packed payload into link `i`'s ghost shell.
-    fn unpack(&self, i: usize, packed: &Packed) {
+    fn unpack(&self, i: usize, packed: &[f64]) {
         let link = &self.links[i];
-        link.grid.write().unpack_recv(link.spec.dir, packed.data());
+        link.grid.write().unpack_recv(link.spec.dir, packed);
     }
 
-    /// Fill boundary link `i`'s ghost shell from the leaf's own interior.
-    fn outflow(&self, i: usize) {
-        let link = &self.links[i];
-        apply_outflow(&mut link.grid.write(), link.spec.dir);
+    /// Owner of leaf `k` (by index into `leaves`).
+    fn owner(&self, k: usize) -> LocalityId {
+        self.links[26 * k].owner
+    }
+
+    /// Links on the direct route under `config`.
+    fn direct_links(&self, config: GhostConfig) -> usize {
+        let direct = |l: &&PlanLink| matches!(l.route(config), Route::Direct);
+        self.links.iter().filter(direct).count()
+    }
+
+    /// The first half of leaf `k`'s ghost fill, run by `me`, the leaf's
+    /// owner: fill its outflow shells from its own interior, pack and
+    /// unpack its direct links, and send one `ghost_pack` request per
+    /// parcel link.  Returns the replies, in link order, for
+    /// [`GhostPlan::finish`].  Reads the sources' interiors and writes only
+    /// the leaf's ghost shells.
+    fn start(
+        self: &Arc<Self>,
+        k: usize,
+        me: &Locality,
+        config: GhostConfig,
+    ) -> Vec<hpx_rt::Future<ArcPayload>> {
+        let mut replies = Vec::new();
+        for i in 26 * k..26 * (k + 1) {
+            let link = &self.links[i];
+            match link.route(config) {
+                Route::Outflow => apply_outflow(&mut link.grid.write(), link.spec.dir),
+                Route::Direct => {
+                    me.note_local_direct_access();
+                    self.unpack(i, &self.pack(i));
+                }
+                Route::Parcel => replies.push(self.request(i, me)),
+            }
+        }
+        replies
+    }
+
+    /// The second half: unpack the replies [`GhostPlan::start`] returned
+    /// for leaf `k` (waiting for any still in flight).
+    fn finish(&self, k: usize, config: GhostConfig, replies: &[hpx_rt::Future<ArcPayload>]) {
+        let parcel_links = (26 * k..26 * (k + 1))
+            .filter(|&i| matches!(self.links[i].route(config), Route::Parcel));
+        for (i, reply) in parcel_links.zip(replies) {
+            let reply = reply.get();
+            let packed = downcast_payload::<Recycled<f64>>(&reply);
+            self.unpack(i, packed.expect("ghost_pack returns a recycled buffer"));
+        }
     }
 
     /// The parcel route: ask the first source's owner to pack link `i`.
@@ -293,10 +332,7 @@ impl GhostPlan {
         me.apply_async(
             link.source_owner,
             "ghost_pack",
-            Box::new(GhostRequest {
-                plan: self.clone(),
-                link: i,
-            }),
+            Box::new((self.clone(), i)),
             bytes,
         )
     }
@@ -475,68 +511,37 @@ impl DistGrid {
             return false;
         }
         *plan = None;
-        self.collapse_payload(&[id]);
-        true
-    }
-
-    /// Restrict the eight children's payloads of each collapsed interior
-    /// into a fresh parent grid and swap the leaf table over.
-    fn collapse_payload(&self, collapsed: &[NodeId]) {
         let mut leaves = self.inner.leaves.write();
-        for &c in collapsed {
-            let mut parent = SubGrid::new(self.inner.n, self.inner.ghost, self.inner.nfields);
-            let mut parent_owner = None;
-            for oct in Octant::all() {
-                let (owner, child) = (leaves.remove(&c.child(oct))).expect("child had a grid");
-                parent.restrict_from_child(oct, &child.read());
-                parent_owner.get_or_insert(owner);
-            }
-            let owner = parent_owner.expect("octet has eight children");
-            leaves.insert(c, (owner, Arc::new(RwLock::new(parent))));
+        let mut parent = SubGrid::new(self.inner.n, self.inner.ghost, self.inner.nfields);
+        let mut parent_owner = None;
+        for oct in Octant::all() {
+            let (owner, child) = (leaves.remove(&id.child(oct))).expect("child had a grid");
+            parent.restrict_from_child(oct, &child.read());
+            parent_owner.get_or_insert(owner);
         }
+        let owner = parent_owner.expect("octet has eight children");
+        leaves.insert(id, (owner, Arc::new(RwLock::new(parent))));
+        true
     }
 
     /// Fill every leaf's ghost shells: interior data from neighbours
     /// (with prolongation/restriction across level jumps) and outflow
-    /// extrapolation at the domain boundary.
+    /// extrapolation at the domain boundary.  Every leaf's fill is started
+    /// in SFC order on the calling thread before the first is finished, so
+    /// every parcel request is in flight before any reply is awaited.
     ///
     /// Returns the number of (leaf, direction) links that used the direct
     /// local path.
     pub fn exchange_ghosts(&self, cluster: &SimCluster, config: GhostConfig) -> usize {
         let plan = self.plan();
         plan.prewarm();
-        let mut direct_links = 0usize;
-
-        // Phase 1: gather payloads (reads only — interiors are stable).
-        enum Pending {
-            Outflow,
-            Packed(Packed),
-            Reply(hpx_rt::Future<ArcPayload>),
-        }
-        let pending: Vec<Pending> = (plan.links.iter().enumerate())
-            .map(|(i, link)| {
-                let me = cluster.locality(link.owner.0);
-                match link.route(config) {
-                    Route::Outflow => Pending::Outflow,
-                    Route::Direct => {
-                        me.note_local_direct_access();
-                        direct_links += 1;
-                        Pending::Packed(Packed::Local(plan.pack(i)))
-                    }
-                    Route::Parcel => Pending::Reply(plan.request(i, me)),
-                }
-            })
+        let replies: Vec<_> = (0..plan.leaves.len())
+            .map(|k| plan.start(k, cluster.locality(plan.owner(k).0), config))
             .collect();
-
-        // Phase 2: unpack into ghost shells (writes).
-        for (i, p) in pending.into_iter().enumerate() {
-            match p {
-                Pending::Outflow => plan.outflow(i),
-                Pending::Packed(packed) => plan.unpack(i, &packed),
-                Pending::Reply(reply) => plan.unpack(i, &Packed::Reply(reply.get())),
-            }
+        for (k, replies) in replies.iter().enumerate() {
+            plan.finish(k, config, replies);
         }
-        direct_links
+        plan.direct_links(config)
     }
 
     /// Total (leaf, direction) ghost links of the current tree: every leaf
@@ -555,23 +560,22 @@ impl DistGrid {
             .unwrap_or_else(|| self.with_tree(ghost_link_specs))
     }
 
-    /// Futurized ghost exchange: instead of a phase barrier, every
-    /// (leaf, direction) link becomes its own future chain gated on the
-    /// `ready` futures of exactly the source leaves it reads.
+    /// Futurized ghost exchange: instead of a phase barrier, every leaf's
+    /// ghost fill is gated on the `ready` futures of exactly the leaf and
+    /// the source leaves its 26 links read.
     ///
     /// `ready[l]` must complete when leaf `l`'s interior holds the data this
     /// exchange should see (for RK stage *s*, its stage-(s−1) update).  The
     /// returned handle carries, per leaf, a `ghosts_filled` future (all 26 of
     /// its ghost regions written — the gate for the leaf's next RHS kernel)
-    /// and an `outgoing_packed` future (every link *reading* the leaf has
-    /// packed its payload — the gate for overwriting the leaf's interior).
+    /// and an `outgoing_packed` future (every fill *reading* the leaf is
+    /// done — the gate for overwriting the leaf's interior).
     /// Together they let interior leaves of the next stage run while slower
-    /// neighbours are still exchanging: the paper's promise/future readiness
-    /// notification made literal, with no copy of any packed buffer
-    /// (`with_value` consumes payloads in place).
+    /// neighbours are still exchanging.
     ///
-    /// The per-link futures *are* the readiness notification.  This method
-    /// only builds the graph; it never blocks.
+    /// Per leaf the graph is one `when_all_of` gate running `start` and,
+    /// for a leaf with parcel links, one continuation on the replies
+    /// running `finish`.  Nothing in it blocks, nor does this method.
     pub fn exchange_ghosts_pipelined(
         &self,
         cluster: &SimCluster,
@@ -581,90 +585,50 @@ impl DistGrid {
         let plan = self.plan();
         plan.prewarm();
         let links_resolved = Arc::new(AtomicUsize::new(0));
-        let mut direct_links = 0usize;
-        let mut ghosts_filled = HashMap::with_capacity(plan.leaves.len());
-        let mut filled: Vec<hpx_rt::Future<()>> = Vec::with_capacity(26);
-        let mut outgoing: HashMap<NodeId, Vec<hpx_rt::Future<()>>> =
-            plan.leaves.iter().map(|&l| (l, Vec::new())).collect();
-        let mut gate_parts: Vec<hpx_rt::Future<()>> = Vec::new();
-
-        for (i, link) in plan.links.iter().enumerate() {
-            let LinkSpec { leaf, sources, .. } = &link.spec;
-            let me = cluster.locality(link.owner.0);
-            let rt_leaf = me.runtime();
-            let route = link.route(config);
-            let (p, resolved) = (plan.clone(), links_resolved.clone());
-            let unpacked = if let Route::Outflow = route {
-                // Outflow reads the leaf's own interior: gate on the leaf
-                // itself.
-                ready[leaf].then(rt_leaf, move |()| {
-                    p.outflow(i);
-                    resolved.fetch_add(1, Ordering::Relaxed);
-                })
-            } else {
-                let src_rt = cluster.locality(link.source_owner.0).runtime();
-                let gate = if let [only] = sources.as_slice() {
-                    ready[only].clone()
-                } else {
-                    gate_parts.clear();
-                    gate_parts.extend(sources.iter().map(|s| ready[s].clone()));
-                    hpx_rt::when_all_of(src_rt, &gate_parts)
+        let runtime = |k: usize| cluster.locality(plan.owner(k).0).runtime();
+        let mut parts: Vec<hpx_rt::Future<()>> = Vec::new();
+        let fills: Vec<hpx_rt::Future<()>> = (0..plan.leaves.len())
+            .map(|k| {
+                let me = cluster.locality(plan.owner(k).0).clone();
+                parts.clear();
+                parts.extend(
+                    plan.reads[k]
+                        .iter()
+                        .map(|&s| ready[&plan.leaves[s]].clone()),
+                );
+                let (fill, filled) = hpx_rt::Promise::new_pair();
+                let (p, resolved) = (plan.clone(), links_resolved.clone());
+                let done = move || {
+                    resolved.fetch_add(26, Ordering::Relaxed);
+                    fill.set(());
                 };
-                // The link's payload future: packed as soon as all of its
-                // *sources* are ready, on either route.
-                let payload = if let Route::Direct = route {
-                    direct_links += 1;
-                    let (p, me) = (plan.clone(), me.clone());
-                    gate.then(src_rt, move |()| {
-                        me.note_local_direct_access();
-                        Packed::Local(p.pack(i))
-                    })
-                } else {
-                    // The parcel is only *sent* once the gate resolves, so
-                    // the remote pack handler observes stage-consistent
-                    // sources; its reply is re-exposed as a plain future.
-                    let (reply_p, reply_f) = hpx_rt::Promise::new_pair();
-                    let (p, me) = (plan.clone(), me.clone());
-                    gate.on_ready(move |_| {
-                        p.request(i, &me)
-                            .on_ready(move |reply| reply_p.set(Packed::Reply(reply.clone())));
+                let rt = runtime(k);
+                hpx_rt::when_all_of(rt, &parts).then(rt, move |()| {
+                    let replies = p.start(k, &me, config);
+                    if replies.is_empty() {
+                        return done();
+                    }
+                    let rt = me.runtime();
+                    hpx_rt::when_all_of(rt, &replies).then(rt, move |()| {
+                        p.finish(k, config, &replies);
+                        done();
                     });
-                    reply_f
-                };
-                for s in sources {
-                    let packed = outgoing.get_mut(s).expect("source is a leaf");
-                    packed.push(payload.ticket());
-                }
-                // The unpack additionally gates on the destination leaf's
-                // own readiness — its previous-stage combine rewrites the
-                // whole array (ghost shells included), so a ghost write
-                // landing before it would be clobbered.
-                let parts = [payload.ticket(), ready[leaf].clone()];
-                hpx_rt::when_all_of(rt_leaf, &parts).then(rt_leaf, move |()| {
-                    payload.with_value(|packed| p.unpack(i, packed));
-                    resolved.fetch_add(1, Ordering::Relaxed);
-                })
-            };
-            // A leaf's 26 links are contiguous: join them once all are wired.
-            filled.push(unpacked);
-            if filled.len() == 26 {
-                ghosts_filled.insert(*leaf, hpx_rt::when_all_of(rt_leaf, &filled));
-                filled.clear();
-            }
-        }
-
-        let outgoing_packed = (plan.leaves_of.iter().enumerate())
-            .flat_map(|(loc, leaves)| {
-                let rt = cluster.locality(loc).runtime();
-                let outgoing = &outgoing;
-                (leaves.iter()).map(move |l| (*l, hpx_rt::when_all_of(rt, &outgoing[l])))
+                });
+                filled
+            })
+            .collect();
+        let outgoing_packed = (plan.leaves.iter().enumerate())
+            .map(|(s, &leaf)| {
+                parts.clear();
+                parts.extend(plan.readers[s].iter().map(|&k| fills[k].clone()));
+                (leaf, hpx_rt::when_all_of(runtime(s), &parts))
             })
             .collect();
         PipelinedExchange {
-            ghosts_filled,
+            ghosts_filled: plan.leaves.iter().copied().zip(fills).collect(),
             outgoing_packed,
             total_links: plan.links.len(),
-            direct_links,
+            direct_links: plan.direct_links(config),
             links_resolved,
         }
     }
@@ -674,8 +638,8 @@ impl DistGrid {
 pub struct PipelinedExchange {
     /// Per leaf: completes once all 26 of its ghost regions are written.
     pub ghosts_filled: HashMap<NodeId, hpx_rt::Future<()>>,
-    /// Per leaf: completes once every link reading this leaf's interior has
-    /// packed its payload — the leaf's interior may be overwritten after.
+    /// Per leaf: completes once every fill reading this leaf's interior is
+    /// done — the leaf's interior may be overwritten after.
     pub outgoing_packed: HashMap<NodeId, hpx_rt::Future<()>>,
     /// Number of (leaf, direction) links in the graph (= 26 × leaves).
     pub total_links: usize,
@@ -709,17 +673,13 @@ fn apply_outflow(grid: &mut SubGrid, dir: Dir) {
 /// Payload for a fine leaf whose neighbour in `dir` is one level coarser:
 /// piecewise-constant prolongation of the coarse interior onto the fine
 /// ghost region, pushed into `out` (cleared first).
-fn pack_prolonged(
-    coarse: &SubGrid,
-    coarse_id: NodeId,
-    fine_id: NodeId,
-    dir: Dir,
-    out: &mut Vec<f64>,
-) {
-    let fine_coords = fine_id.coords();
-    let coarse_coords = coarse_id.coords();
+fn pack_prolonged(link: &PlanLink, out: &mut Vec<f64>) {
+    let LinkSpec { leaf, dir, sources } = &link.spec;
+    let coarse = link.sources[0].read();
+    let fine_coords = leaf.coords();
+    let coarse_coords = sources[0].coords();
     // Shape of the fine ghost region (same as recv_box of the fine grid).
-    let b = coarse.recv_box(dir);
+    let b = coarse.recv_box(*dir);
     out.clear();
     let ni = coarse.n() as i64;
     let gi = coarse.ghost() as i64;
@@ -1030,6 +990,40 @@ mod tests {
         // exactly on the link total, never above it.
         assert_eq!(ex.links_resolved.load(Ordering::SeqCst), ex.total_links);
         check_same_level_ghosts(&dg);
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn pipelined_exchange_builds_a_few_futures_per_leaf_not_per_link() {
+        let cluster = SimCluster::new(2, 2);
+        let dg = DistGrid::new(one_refined_octant(), 4, 2, 1, &cluster);
+        fill_linear(&dg);
+        let ready = all_ready(&dg);
+        let created = || -> u64 {
+            (cluster.localities().iter())
+                .map(|loc| loc.runtime().counters().snapshot().futures_created)
+                .sum()
+        };
+        let before = created();
+        let ex = dg.exchange_ghosts_pipelined(&cluster, GhostConfig::default(), &ready);
+        for f in ex.ghosts_filled.values().chain(ex.outgoing_packed.values()) {
+            f.wait();
+        }
+        let futures = created() - before;
+        // Per leaf: the gate, the fill's first half, the outgoing join,
+        // and for a leaf with parcel links the reply join and the second
+        // half.  None per link.
+        let plan = dg.plan();
+        let leaves = plan.leaves.len() as u64;
+        let with_parcels = (plan.links.chunks(26))
+            .filter(|own| own.iter().any(|l| !l.spec.is_boundary() && !l.all_local))
+            .count() as u64;
+        assert!(with_parcels > 0 && with_parcels < leaves);
+        assert_eq!(futures, 3 * leaves + 2 * with_parcels);
+        assert!(
+            futures <= 8 * leaves,
+            "{futures} futures for {leaves} leaves"
+        );
         cluster.shutdown();
     }
 
