@@ -6,6 +6,16 @@
 //! `k` index of the sub-grid; reconstruction stencils along `x`/`y` load
 //! the same contiguous lanes at strided base offsets, exactly as the SVE
 //! kernels do on A64FX.
+//!
+//! The stage kernel, `compute_rhs_w`, streams a leaf plane by plane along
+//! `x`.  It recovers primitives into a ring of four `i`-planes and computes
+//! every interface's HLL flux once, into a window: the `x`-interface plane
+//! carried from one cell plane to the next, and the cell plane's `y`- and
+//! `z`-interface planes.  The divergence, the sources and the boundary
+//! outflow are taken from that window while it is in cache, so the kernel's
+//! scratch is O(ext²) per leaf: no ghosted primitive or flux array exists.
+//! One sweep loop over the three axes computes every flux, so the inlined
+//! reconstruct-and-HLL body exists once per width.
 
 use super::flux::{hll_flux, PrimLanes};
 use super::recon::reconstruct_interface;
@@ -20,10 +30,21 @@ use sve_simd::{ChunkedLanes, Mask, Simd};
 /// Number of primitive-variable arrays the kernels recover.
 const NPRIM: usize = 8;
 
-/// Pooled scratch for one leaf's RHS evaluation: the primitive arrays
-/// (`NPRIM` fields over the ghosted block) and the flux arrays (`3 × NF`
-/// interface fields), each one flat recycled buffer instead of the nested
-/// per-field `Vec`s this kernel used to allocate per call.
+/// Primitive planes the stage kernel holds at once: cell plane `i`'s upper
+/// `x`-interface reads planes `i − 1 … i + 2`, and its lower one was
+/// computed (and carried over) with plane `i − 1`.
+const RING: usize = 4;
+
+/// Pooled scratch for one leaf's RHS evaluation: the stage kernel's
+/// O(ext²) window, in two flat recycled buffers.
+///
+/// * `prim`: a ring of four primitive planes (ghosted plane `p` in slot
+///   `p % 4`), each eight blocks of `ext²` (ρ, vx, vy, vz, p, τ, f1, f2),
+///   `j`-major and `k` fastest.
+/// * `flux`: the two `x`-interface flux planes (`NF` blocks of `n²` each),
+///   then one cell plane's `y`-interface fluxes (`NF` blocks of `n + 1`
+///   rows of `n`) and its `z`-interface fluxes (`NF` blocks of `n` pencils
+///   of `n + 1`).
 ///
 /// Owned by the leaf's workspace in the stepper; checked out of the
 /// simulation's [`ScratchArena`] once and reused every stage of every step.
@@ -34,84 +55,64 @@ pub struct KernelScratch {
 }
 
 impl KernelScratch {
+    /// Words of `[prim, flux]` for an `n`-cell leaf with `ghost` ghost
+    /// width.
+    fn words(n: usize, ghost: usize) -> [usize; 2] {
+        let ext = n + 2 * ghost;
+        [RING * NPRIM * ext * ext, NF * 2 * n * (2 * n + 1)]
+    }
+
     /// Scratch for an `n`-cell leaf with `ghost` ghost width, checked out
     /// of `pool` (returned to it on drop).
     pub(crate) fn new(n: usize, ghost: usize, pool: &ScratchArena) -> KernelScratch {
-        let ext3 = (n + 2 * ghost).pow(3);
+        let [prim, flux] = Self::words(n, ghost);
         KernelScratch {
-            prim: pool.checkout(NPRIM * ext3),
-            flux: pool.checkout(3 * NF * ext3),
+            prim: pool.checkout(prim),
+            flux: pool.checkout(flux),
         }
     }
 
     /// Unpooled scratch that frees on drop — for tests, benches, and other
     /// one-off RHS evaluations outside a stepper workspace.
     pub fn ephemeral(n: usize, ghost: usize) -> KernelScratch {
-        let ext3 = (n + 2 * ghost).pow(3);
+        let [prim, flux] = Self::words(n, ghost);
         KernelScratch {
-            prim: Recycled::detached(vec![0.0; NPRIM * ext3]),
-            flux: Recycled::detached(vec![0.0; 3 * NF * ext3]),
+            prim: Recycled::detached(vec![0.0; prim]),
+            flux: Recycled::detached(vec![0.0; flux]),
         }
     }
 
     /// `true` if this scratch is sized for an `n`/`ghost` leaf.
     pub(crate) fn fits(&self, n: usize, ghost: usize) -> bool {
-        let ext3 = (n + 2 * ghost).pow(3);
-        self.prim.len() == NPRIM * ext3 && self.flux.len() == 3 * NF * ext3
+        [self.prim.len(), self.flux.len()] == Self::words(n, ghost)
     }
 }
 
-/// Immutable per-variable slices into the flat primitive scratch.
-struct PrimSlices<'a> {
-    rho: &'a [f64],
-    vx: &'a [f64],
-    vy: &'a [f64],
-    vz: &'a [f64],
-    p: &'a [f64],
-    tau: &'a [f64],
-    f1: &'a [f64],
-    f2: &'a [f64],
-}
-
-fn prim_slices(prim: &[f64], len: usize) -> PrimSlices<'_> {
-    debug_assert_eq!(prim.len(), NPRIM * len);
-    let mut it = prim.chunks_exact(len);
-    PrimSlices {
-        rho: it.next().expect("prim slice"),
-        vx: it.next().expect("prim slice"),
-        vy: it.next().expect("prim slice"),
-        vz: it.next().expect("prim slice"),
-        p: it.next().expect("prim slice"),
-        tau: it.next().expect("prim slice"),
-        f1: it.next().expect("prim slice"),
-        f2: it.next().expect("prim slice"),
-    }
-}
-
-/// Recover primitives over the whole ghosted block into the flat `prim`
-/// scratch (vectorized; the dual-energy `τ^γ` branch is a per-lane `powf`).
-/// Layout: `NPRIM` consecutive blocks of `ext³` in [`prim_slices`] order.
+/// Recover the primitives of ghosted `x`-plane `p` of `u` into `plane`
+/// (`NPRIM` blocks of `ext²` in [`PrimLanes`] field order), vectorized over
+/// the flat plane; the dual-energy `τ^γ` branch is a per-lane `powf`.
 #[inline(always)]
-fn primitives_w<const W: usize>(u: &SubGrid, prim: &mut [f64]) {
-    let len = u.ext().pow(3);
-    debug_assert_eq!(prim.len(), NPRIM * len);
-    let mut it = prim.chunks_exact_mut(len);
-    let out_rho = it.next().expect("prim slice");
-    let out_vx = it.next().expect("prim slice");
-    let out_vy = it.next().expect("prim slice");
-    let out_vz = it.next().expect("prim slice");
-    let out_p = it.next().expect("prim slice");
-    let out_tau = it.next().expect("prim slice");
-    let out_f1 = it.next().expect("prim slice");
-    let out_f2 = it.next().expect("prim slice");
-    let rho_c = u.field(field::RHO);
-    let sx = u.field(field::SX);
-    let sy = u.field(field::SY);
-    let sz = u.field(field::SZ);
-    let egas = u.field(field::EGAS);
-    let tau_c = u.field(field::TAU);
-    let f1_c = u.field(field::FRAC1);
-    let f2_c = u.field(field::FRAC2);
+fn primitives_w<const W: usize>(u: &SubGrid, p: usize, plane: &mut [f64]) {
+    let len = u.ext().pow(2);
+    let at = p * len;
+    debug_assert_eq!(plane.len(), NPRIM * len);
+    let mut it = plane.chunks_exact_mut(len);
+    let out_rho = it.next().expect("prim block");
+    let out_vx = it.next().expect("prim block");
+    let out_vy = it.next().expect("prim block");
+    let out_vz = it.next().expect("prim block");
+    let out_p = it.next().expect("prim block");
+    let out_tau = it.next().expect("prim block");
+    let out_f1 = it.next().expect("prim block");
+    let out_f2 = it.next().expect("prim block");
+    let rho_c = &u.field(field::RHO)[at..];
+    let sx = &u.field(field::SX)[at..];
+    let sy = &u.field(field::SY)[at..];
+    let sz = &u.field(field::SZ)[at..];
+    let egas = &u.field(field::EGAS)[at..];
+    let tau_c = &u.field(field::TAU)[at..];
+    let f1_c = &u.field(field::FRAC1)[at..];
+    let f2_c = &u.field(field::FRAC2)[at..];
 
     let gamma_m1 = Simd::<f64, W>::splat(GAMMA - 1.0);
     let half = Simd::<f64, W>::splat(0.5);
@@ -180,24 +181,96 @@ fn store_lanes<const W: usize>(v: Simd<f64, W>, dst: &mut [f64], base: usize, la
     }
 }
 
-/// Reconstruct the (left, right) interface states for one field along
-/// `stride` using four strided loads.
+/// The ring slot holding ghosted primitive plane `p`.
 #[inline(always)]
-fn recon_field<const W: usize>(
-    src: &[f64],
-    base: usize,
-    stride: usize,
-    lanes: usize,
-) -> (Simd<f64, W>, Simd<f64, W>) {
-    let qm2 = load_lanes::<W>(src, base - 2 * stride, lanes);
-    let qm1 = load_lanes::<W>(src, base - stride, lanes);
-    let q0 = load_lanes::<W>(src, base, lanes);
-    let qp1 = load_lanes::<W>(src, base + stride, lanes);
-    reconstruct_interface(qm2, qm1, q0, qp1)
+fn slot(ring: &[f64], p: usize) -> &[f64] {
+    let len = ring.len() / RING;
+    &ring[(p % RING) * len..][..len]
 }
 
-/// Compute `L(u)` (flux divergence + sources) into `rhs` using the pooled
-/// `scratch` buffers; returns the leaf's boundary mass-outflow rate.
+/// Reconstruct the (left, right) interface states of the primitive in
+/// block `block` of the four stencil planes: point `s` at `at[s]` of `q[s]`.
+#[inline(always)]
+fn recon_prim<const W: usize>(
+    q: &[&[f64]; 4],
+    at: &[usize; 4],
+    block: usize,
+    lanes: usize,
+) -> (Simd<f64, W>, Simd<f64, W>) {
+    let len = q[0].len() / NPRIM;
+    let b = block * len;
+    reconstruct_interface(
+        load_lanes::<W>(q[0], b + at[0], lanes),
+        load_lanes::<W>(q[1], b + at[1], lanes),
+        load_lanes::<W>(q[2], b + at[2], lanes),
+        load_lanes::<W>(q[3], b + at[3], lanes),
+    )
+}
+
+/// HLL fluxes through `len` consecutive interfaces along `axis` (`k`
+/// fastest, in chunks of `W`), stored at `to + koff` of `dst`'s `NF`
+/// blocks.  Interface `koff` reconstructs from the stencil point `s` at
+/// `c0 + koff + (s − 2)·stride` of primitive plane `q[s]`.
+#[inline(always)]
+fn interfaces<const W: usize>(
+    axis: usize,
+    q: [&[f64]; 4],
+    c0: usize,
+    stride: usize,
+    len: usize,
+    dst: &mut [f64],
+    to: usize,
+) {
+    let floor_rho = Simd::splat(RHO_FLOOR);
+    let floor_p = Simd::splat(P_FLOOR);
+    let block = dst.len() / NF;
+    for (koff, lanes) in ChunkedLanes::<W>::new(len) {
+        let c = c0 + koff;
+        let at = [c - 2 * stride, c - stride, c, c + stride];
+        let (rho_l, rho_r) = recon_prim::<W>(&q, &at, 0, lanes);
+        let (vx_l, vx_r) = recon_prim::<W>(&q, &at, 1, lanes);
+        let (vy_l, vy_r) = recon_prim::<W>(&q, &at, 2, lanes);
+        let (vz_l, vz_r) = recon_prim::<W>(&q, &at, 3, lanes);
+        let (p_l, p_r) = recon_prim::<W>(&q, &at, 4, lanes);
+        let (tau_l, tau_r) = recon_prim::<W>(&q, &at, 5, lanes);
+        let (f1_l, f1_r) = recon_prim::<W>(&q, &at, 6, lanes);
+        let (f2_l, f2_r) = recon_prim::<W>(&q, &at, 7, lanes);
+        let left = PrimLanes {
+            rho: rho_l.simd_max(floor_rho),
+            vx: vx_l,
+            vy: vy_l,
+            vz: vz_l,
+            p: p_l.simd_max(floor_p),
+            tau: tau_l,
+            f1: f1_l,
+            f2: f2_l,
+        };
+        let right = PrimLanes {
+            rho: rho_r.simd_max(floor_rho),
+            vx: vx_r,
+            vy: vy_r,
+            vz: vz_r,
+            p: p_r.simd_max(floor_p),
+            tau: tau_r,
+            f1: f1_r,
+            f2: f2_r,
+        };
+        let (f, _) = hll_flux(axis, &left, &right);
+        for (fi, fv) in f.into_iter().enumerate() {
+            store_lanes::<W>(fv, &mut dst[fi * block..], to + koff, lanes);
+        }
+    }
+}
+
+/// Compute `L(u)` (flux divergence + sources) into `rhs`, streaming the
+/// leaf plane by plane through the window in `scratch` (module docs);
+/// returns the leaf's boundary mass-outflow rate.
+///
+/// Each interface flux is computed once, on the `k`-chunks of its row
+/// (`n` interfaces along `x` and `y`, `n + 1` along `z`), and every
+/// divergence, source and face sum adds its terms in the order the
+/// whole-block kernel this replaced did, so the result is bit for bit the
+/// same (`rhs_bits_are_pinned_at_both_widths`).
 #[inline(always)]
 pub(crate) fn compute_rhs_w<const W: usize>(
     u: &SubGrid,
@@ -215,128 +288,115 @@ pub(crate) fn compute_rhs_w<const W: usize>(
         scratch.fits(n, g),
         "kernel scratch sized for a different leaf"
     );
-    let ext2 = ext * ext;
-    let ext3 = ext * ext2;
-    primitives_w::<W>(u, &mut scratch.prim);
-    let prim = prim_slices(&scratch.prim, ext3);
-    let strides = [ext2, ext, 1usize];
+    let (n2, ny) = (n * n, (n + 1) * n);
+    let plane = NPRIM * ext * ext;
     let h = src.h;
-
-    // Flux arrays, one flat recycled buffer: block `axis*NF + field` holds
-    // flux[cell m] = flux through interface m−1/2 along that axis.  Not
-    // zeroed: every position the divergence and outflow loops read (axis
-    // coordinate in [g, g+n], transverse coordinates interior) is written
-    // by the interface sweep below, so recycled storage cannot leak a
-    // previous launch's values — `reused_scratch_is_bit_identical_to_fresh`
-    // locks this invariant down.
-    let flux = &mut scratch.flux[..];
-
-    for axis in 0..3 {
-        let stride = strides[axis];
-        // Interface coordinate runs [g, g+n]; transverse coords [g, g+n).
-        let ranges: [(usize, usize); 3] = {
-            let mut r = [(g, g + n); 3];
-            r[axis] = (g, g + n + 1);
-            r
-        };
-        for i in ranges[0].0..ranges[0].1 {
-            for j in ranges[1].0..ranges[1].1 {
-                let (k_lo, k_hi) = ranges[2];
-                for (koff, lanes) in ChunkedLanes::<W>::new(k_hi - k_lo) {
-                    let k = k_lo + koff;
-                    let base = (i * ext + j) * ext + k;
-                    let (rho_l, rho_r) = recon_field::<W>(prim.rho, base, stride, lanes);
-                    let (vx_l, vx_r) = recon_field::<W>(prim.vx, base, stride, lanes);
-                    let (vy_l, vy_r) = recon_field::<W>(prim.vy, base, stride, lanes);
-                    let (vz_l, vz_r) = recon_field::<W>(prim.vz, base, stride, lanes);
-                    let (p_l, p_r) = recon_field::<W>(prim.p, base, stride, lanes);
-                    let (tau_l, tau_r) = recon_field::<W>(prim.tau, base, stride, lanes);
-                    let (f1_l, f1_r) = recon_field::<W>(prim.f1, base, stride, lanes);
-                    let (f2_l, f2_r) = recon_field::<W>(prim.f2, base, stride, lanes);
-                    let floor_rho = Simd::splat(RHO_FLOOR);
-                    let floor_p = Simd::splat(P_FLOOR);
-                    let left = PrimLanes {
-                        rho: rho_l.simd_max(floor_rho),
-                        vx: vx_l,
-                        vy: vy_l,
-                        vz: vz_l,
-                        p: p_l.simd_max(floor_p),
-                        tau: tau_l,
-                        f1: f1_l,
-                        f2: f2_l,
-                    };
-                    let right = PrimLanes {
-                        rho: rho_r.simd_max(floor_rho),
-                        vx: vx_r,
-                        vy: vy_r,
-                        vz: vz_r,
-                        p: p_r.simd_max(floor_p),
-                        tau: tau_r,
-                        f1: f1_r,
-                        f2: f2_r,
-                    };
-                    let (f, _) = hll_flux(axis, &left, &right);
-                    for (fi, fv) in f.into_iter().enumerate() {
-                        let dst = &mut flux[(axis * NF + fi) * ext3..];
-                        store_lanes::<W>(fv, dst, base, lanes);
-                    }
-                }
-            }
-        }
-    }
-
-    // Flux divergence into the RHS interior, vectorized along k.  The ops
-    // are purely elementwise in the same per-element order at every width,
-    // so W = 1 and W = 8 stay bit-identical by construction.
     let vinv_h = Simd::<f64, W>::splat(1.0 / h);
-    for f in 0..NF {
-        let dst = rhs.field_mut(f);
-        for i in g..g + n {
-            for j in g..g + n {
-                let row = (i * ext + j) * ext;
-                for (koff, lanes) in ChunkedLanes::<W>::new(n) {
-                    let c = row + g + koff;
-                    let mut div = Simd::<f64, W>::splat(0.0);
-                    for axis in 0..3 {
-                        let fl = &flux[(axis * NF + f) * ext3..];
-                        div += load_lanes::<W>(fl, c + strides[axis], lanes)
-                            - load_lanes::<W>(fl, c, lanes);
-                    }
-                    store_lanes::<W>(-(div * vinv_h), dst, c, lanes);
+    let faces = src.boundary_faces;
+
+    // The window, not zeroed: every position the divergence and the face
+    // sums read is written by an interface sweep first, so recycled
+    // storage cannot leak a previous launch's values —
+    // `poisoned_scratch_is_bit_identical_to_zeroed` locks this down.
+    let ring = &mut scratch.prim[..];
+    let (x_pair, yz) = scratch.flux.split_at_mut(2 * NF * n2);
+    let (mut x_lo, mut x_hi) = x_pair.split_at_mut(NF * n2);
+    let (y, z) = yz.split_at_mut(NF * ny);
+    // Per face, its interfaces' mass flux summed over the face's two
+    // transverse coordinates (a, b), a-major.
+    let mut face_flux = [0.0; 6];
+
+    for p in g - 2..=g {
+        primitives_w::<W>(u, p, &mut ring[(p % RING) * plane..][..plane]);
+    }
+    // Step m sweeps x-interface plane m (reading primitive planes m − 2 …
+    // m + 1), then the y- and z-interfaces of cell plane i = m − 1, which
+    // lies between x-interface planes m − 1 and m.
+    for m in g..=g + n {
+        let next = m + 1;
+        primitives_w::<W>(u, next, &mut ring[(next % RING) * plane..][..plane]);
+        let i = m - 1;
+        let axes = if m == g { 1 } else { 3 };
+        for axis in 0..axes {
+            // Row r of a sweep starts at (j, k) = (g + r, g) of its planes:
+            // the x-interfaces of row j, y-interface row j, or z-pencil j.
+            let (q, stride, rows, len, dst) = match axis {
+                0 => {
+                    let q = [m - 2, m - 1, m, m + 1].map(|p| slot(ring, p));
+                    (q, 0, n, n, &mut *x_hi)
+                }
+                1 => ([slot(ring, i); 4], ext, n + 1, n, &mut *y),
+                _ => ([slot(ring, i); 4], 1, n, n + 1, &mut *z),
+            };
+            for r in 0..rows {
+                interfaces::<W>(axis, q, (g + r) * ext + g, stride, len, dst, r * len);
+            }
+        }
+        if m == g {
+            if faces[0] {
+                for &v in &x_hi[field::RHO * n2..][..n2] {
+                    face_flux[0] += v;
+                }
+            }
+            std::mem::swap(&mut x_lo, &mut x_hi);
+            continue;
+        }
+        for (face, row) in [(2, 0), (3, n)] {
+            if faces[face] {
+                for &v in &y[field::RHO * ny + row * n..][..n] {
+                    face_flux[face] += v;
                 }
             }
         }
+        for j in g..g + n {
+            let zo = (j - g) * (n + 1);
+            for (face, k) in [(4, 0), (5, n)] {
+                if faces[face] {
+                    face_flux[face] += z[field::RHO * ny + zo + k];
+                }
+            }
+            // Flux divergence into the RHS pencil, vectorized along k: the
+            // ops are elementwise in the same per-element order at every
+            // width, so W = 1 and W = 8 stay bit-identical by construction.
+            let row = (i * ext + j) * ext + g;
+            for f in 0..NF {
+                let dst = rhs.field_mut(f);
+                let xo = f * n2 + (j - g) * n;
+                let (yo, zo) = (f * ny + (j - g) * n, f * ny + zo);
+                for (koff, lanes) in ChunkedLanes::<W>::new(n) {
+                    let mut div = Simd::<f64, W>::splat(0.0);
+                    div += load_lanes::<W>(x_hi, xo + koff, lanes)
+                        - load_lanes::<W>(x_lo, xo + koff, lanes);
+                    div += load_lanes::<W>(y, yo + n + koff, lanes)
+                        - load_lanes::<W>(y, yo + koff, lanes);
+                    div += load_lanes::<W>(z, zo + koff + 1, lanes)
+                        - load_lanes::<W>(z, zo + koff, lanes);
+                    store_lanes::<W>(-(div * vinv_h), dst, row + koff, lanes);
+                }
+            }
+        }
+        // Sources: gravity and rotating frame (cheap relative to fluxes;
+        // scalar).
+        rotating::apply_sources(u, rhs, src, i - g);
+        std::mem::swap(&mut x_lo, &mut x_hi);
     }
-
-    // Sources: gravity and rotating frame (cheap relative to fluxes; scalar).
-    rotating::apply_sources(u, rhs, src);
+    if faces[1] {
+        for &v in &x_lo[field::RHO * n2..][..n2] {
+            face_flux[1] += v;
+        }
+    }
 
     // Boundary outflow accounting: net mass leaving the domain through this
     // leaf's boundary faces (positive = outflow).
     let area = h * h;
     let mut outflow = 0.0;
-    for (face, &is_boundary) in src.boundary_faces.iter().enumerate() {
-        if !is_boundary {
+    for (face, &sum) in face_flux.iter().enumerate() {
+        if !faces[face] {
             continue;
         }
-        let axis = face / 2;
-        let positive_side = face % 2 == 1;
-        let m = if positive_side { g + n } else { g };
-        let fl = &flux[(axis * NF + field::RHO) * ext3..];
-        let mut face_flux = 0.0;
-        // Sum over the transverse interior plane at interface coord `m`.
-        for a in g..g + n {
-            for b in g..g + n {
-                let c = match axis {
-                    0 => (m * ext + a) * ext + b,
-                    1 => (a * ext + m) * ext + b,
-                    _ => (a * ext + b) * ext + m,
-                };
-                face_flux += fl[c];
-            }
-        }
         // Flux is along +axis; on the negative face, inflow is +flux.
-        outflow += if positive_side { face_flux } else { -face_flux } * area;
+        let positive_side = face % 2 == 1;
+        outflow += if positive_side { sum } else { -sum } * area;
     }
 
     super::RhsInfo {
@@ -466,11 +526,29 @@ mod tests {
         compute_rhs_w::<1>(&u, &mut rhs, &src, &mut scratch);
     }
 
+    /// The window a leaf checks out: a ring of four primitive planes and
+    /// four flux planes, O(ext²) words; no buffer holds an
+    /// `ext³` block per field, as the whole-block kernel's did.
+    #[test]
+    fn scratch_is_an_ext_squared_window() {
+        for (n, words) in [(4, [2048, 576]), (8, [4608, 2176])] {
+            let pool = ScratchArena::new();
+            let scratch = KernelScratch::new(n, 2, &pool);
+            assert_eq!([scratch.prim.len(), scratch.flux.len()], words, "N = {n}");
+            let s = pool.stats();
+            assert_eq!(s.misses, 2);
+            assert_eq!(s.bytes_in_use, 8 * (words[0] + words[1]) as u64);
+            let ext3 = (n + 4).pow(3);
+            assert!(scratch.prim.len() / NPRIM < ext3 && scratch.flux.len() / NF < ext3);
+        }
+    }
+
     /// NaN-poisoned scratch must give bit-identical results to zeroed
-    /// scratch: every flux/prim position the kernel reads is written by it
-    /// first (the invariant that lets `compute_rhs_w` skip zeroing the
-    /// recycled flux buffer).  NaN poisons are the strongest canary — any
-    /// uncovered read contaminates everything downstream.
+    /// scratch: every window position the kernel reads (primitive ring and
+    /// flux planes) is written by it first, the invariant
+    /// that lets `compute_rhs_w` skip zeroing recycled scratch.  NaN
+    /// poisons are the strongest canary — any uncovered read contaminates
+    /// everything downstream.
     #[test]
     fn poisoned_scratch_is_bit_identical_to_zeroed() {
         let n = 4;
@@ -569,5 +647,99 @@ mod tests {
             info_fresh.boundary_mass_outflow_rate,
             info_reused.boundary_mass_outflow_rate
         );
+    }
+
+    /// SplitMix64 stream for the seeded test states.
+    fn splitmix(state: &mut u64) -> f64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// A seeded non-uniform ghosted state; about one cell in six carries
+    /// `E − K` below the dual-energy switch, so primitive recovery takes
+    /// the entropy (`powf`) branch there.  Returns the state and the
+    /// number of such cells.
+    fn seeded_state(n: usize, seed: u64) -> (SubGrid, usize) {
+        let mut u = SubGrid::new(n, 2, NF);
+        let mut s = seed;
+        let mut on_powf = 0;
+        let ext = u.ext();
+        for i in 0..ext {
+            for j in 0..ext {
+                for k in 0..ext {
+                    let p0 = Primitive {
+                        rho: 0.5 + splitmix(&mut s),
+                        vx: 1.2 * splitmix(&mut s) - 0.6,
+                        vy: 1.2 * splitmix(&mut s) - 0.6,
+                        vz: 1.2 * splitmix(&mut s) - 0.6,
+                        p: 0.2 + splitmix(&mut s),
+                    };
+                    let (c, tau) = from_primitive(&p0);
+                    let kinetic = 0.5 * (c.sx * c.sx + c.sy * c.sy + c.sz * c.sz) / c.rho;
+                    let egas = if splitmix(&mut s) < 1.0 / 6.0 {
+                        on_powf += 1;
+                        kinetic / (1.0 - 0.5 * DUAL_ENERGY_SWITCH)
+                    } else {
+                        c.egas
+                    };
+                    let frac1 = c.rho * splitmix(&mut s);
+                    u.set(field::RHO, i, j, k, c.rho);
+                    u.set(field::SX, i, j, k, c.sx);
+                    u.set(field::SY, i, j, k, c.sy);
+                    u.set(field::SZ, i, j, k, c.sz);
+                    u.set(field::EGAS, i, j, k, egas);
+                    u.set(field::TAU, i, j, k, tau);
+                    u.set(field::FRAC1, i, j, k, frac1);
+                    u.set(field::FRAC2, i, j, k, c.rho - frac1);
+                }
+            }
+        }
+        (u, on_powf)
+    }
+
+    /// The stage kernel's output bits, pinned: an FNV-1a hash over every
+    /// word of `rhs` and the outflow rate, at both widths, for N = 4 and
+    /// N = 8, on a seeded state with gravity, a rotating frame, six
+    /// boundary faces and cells on the dual-energy `powf` branch.  The
+    /// hashes were recorded from the whole-block kernel (ghosted
+    /// primitive and flux arrays, separate divergence pass) before it was
+    /// streamed plane by plane; the streamed kernel must reproduce them.
+    #[test]
+    fn rhs_bits_are_pinned_at_both_widths() {
+        use crate::hydro::{compute_rhs, HydroOptions};
+        use sve_simd::VectorMode;
+        for (n, pinned) in [(4, 0x688e_9daa_f919_3387u64), (8, 0x9069_e366_aeda_a135)] {
+            let (u, on_powf) = seeded_state(n, 0x5eed_0000 + n as u64);
+            assert!(on_powf > 0, "no cell on the powf branch");
+            let mut s = 0xface_0000 + n as u64;
+            let gravity: Vec<Vec<f64>> = (0..3)
+                .map(|_| (0..n * n * n).map(|_| splitmix(&mut s) - 0.5).collect())
+                .collect();
+            let src = SourceInput {
+                gravity: Some([&gravity[0], &gravity[1], &gravity[2]]),
+                omega: 0.3,
+                origin: [-0.4, 0.1, 0.25],
+                h: 0.1,
+                boundary_faces: [true; 6],
+            };
+            let mut scratch = KernelScratch::ephemeral(n, 2);
+            for vector_mode in [VectorMode::Scalar, VectorMode::Sve512] {
+                let opts = HydroOptions {
+                    vector_mode,
+                    cfl: 0.4,
+                };
+                let mut rhs = SubGrid::new(n, 2, NF);
+                let info = compute_rhs(&u, &mut rhs, &src, &opts, &mut scratch);
+                let mut h = 0xcbf2_9ce4_8422_2325u64;
+                let words = (0..NF).flat_map(|f| rhs.field(f).iter().copied());
+                for v in words.chain([info.boundary_mass_outflow_rate]) {
+                    h = (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+                assert_eq!(h, pinned, "N = {n}, {vector_mode:?}");
+            }
+        }
     }
 }

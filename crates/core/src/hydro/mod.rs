@@ -1,13 +1,15 @@
 //! The hydrodynamics module: semi-discrete finite-volume scheme on the
 //! sub-grids, as described in paper Section IV-C.
 //!
-//! Pipeline per leaf and Runge-Kutta stage (ghosts already exchanged):
+//! Pipeline per leaf and Runge-Kutta stage (ghosts already exchanged),
+//! streamed plane by plane along `x` by one kernel ([`kernels`]):
 //!
-//! 1. primitive recovery over the full ghosted block ([`kernels`]),
+//! 1. primitive recovery, one ghosted plane at a time,
 //! 2. piecewise-linear reconstruction with the minmod limiter ([`recon`]),
-//! 3. HLL fluxes on all cell interfaces of each axis (`flux`),
+//! 3. HLL fluxes on the cell interfaces of each axis (`flux`),
 //! 4. flux divergence + gravity and rotating-frame sources into the RHS,
-//! 5. SSP-RK3 stage combination ([`rk3`]).
+//!
+//! then the SSP-RK3 stage combination ([`rk3`]).
 //!
 //! All inner loops are written once over `Simd<f64, W>` and monomorphised
 //! at `W = 1` (scalar build) and `W = 8` (SVE build), dispatched on
@@ -71,8 +73,9 @@ pub struct RhsInfo {
 }
 
 /// Compute the full right-hand side `L(u)` for one leaf into `rhs`
-/// (interior cells only; `rhs` must have the same shape as `u`), using the
-/// caller's pooled [`kernels::KernelScratch`].
+/// (interior cells only; `rhs` must have the same shape as `u`), streaming
+/// the leaf through the O(ext²) primitive and flux window of the caller's
+/// pooled [`kernels::KernelScratch`].
 pub fn compute_rhs(
     u: &SubGrid,
     rhs: &mut SubGrid,

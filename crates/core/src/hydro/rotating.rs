@@ -14,8 +14,10 @@ use crate::state::{field, NF};
 use crate::units::RHO_FLOOR;
 use octree::SubGrid;
 
-/// Add gravity + rotating-frame sources to the interior cells of `rhs`.
-pub(crate) fn apply_sources(u: &SubGrid, rhs: &mut SubGrid, src: &SourceInput<'_>) {
+/// Add gravity + rotating-frame sources to the cells of interior `x`-plane
+/// `i` (`0..n`) of `rhs`; the stage kernel calls it once per plane, after
+/// the plane's flux divergence.
+pub(crate) fn apply_sources(u: &SubGrid, rhs: &mut SubGrid, src: &SourceInput<'_>, i: usize) {
     let n = u.n();
     debug_assert_eq!(rhs.nfields(), NF);
     let omega = src.omega;
@@ -24,48 +26,46 @@ pub(crate) fn apply_sources(u: &SubGrid, rhs: &mut SubGrid, src: &SourceInput<'_
     if !have_frame && !have_gravity {
         return;
     }
-    for i in 0..n {
-        for j in 0..n {
-            for k in 0..n {
-                let rho = u.get_interior(field::RHO, i, j, k).max(RHO_FLOOR);
-                let sx = u.get_interior(field::SX, i, j, k);
-                let sy = u.get_interior(field::SY, i, j, k);
-                let sz = u.get_interior(field::SZ, i, j, k);
-                let mut dsx = 0.0;
-                let mut dsy = 0.0;
-                let mut dsz = 0.0;
-                let mut de = 0.0;
-                if let Some([gx, gy, gz]) = src.gravity {
-                    let c = (i * n + j) * n + k;
-                    dsx += rho * gx[c];
-                    dsy += rho * gy[c];
-                    dsz += rho * gz[c];
-                    // Energy-conserving coupling: dE/dt = s·g.
-                    de += sx * gx[c] + sy * gy[c] + sz * gz[c];
-                }
-                if have_frame {
-                    let x = src.origin[0] + i as f64 * src.h;
-                    let y = src.origin[1] + j as f64 * src.h;
-                    // Coriolis: −2 Ω ẑ × s = (2Ω s_y, −2Ω s_x, 0).
-                    dsx += 2.0 * omega * sy;
-                    dsy -= 2.0 * omega * sx;
-                    // Centrifugal: ρ Ω² (x, y, 0).
-                    let cfx = rho * omega * omega * x;
-                    let cfy = rho * omega * omega * y;
-                    dsx += cfx;
-                    dsy += cfy;
-                    // Work done by the centrifugal force: v·F_cf.
-                    de += (sx * cfx + sy * cfy) / rho;
-                }
-                let cur_sx = rhs.get_interior(field::SX, i, j, k);
-                let cur_sy = rhs.get_interior(field::SY, i, j, k);
-                let cur_sz = rhs.get_interior(field::SZ, i, j, k);
-                let cur_e = rhs.get_interior(field::EGAS, i, j, k);
-                rhs.set_interior(field::SX, i, j, k, cur_sx + dsx);
-                rhs.set_interior(field::SY, i, j, k, cur_sy + dsy);
-                rhs.set_interior(field::SZ, i, j, k, cur_sz + dsz);
-                rhs.set_interior(field::EGAS, i, j, k, cur_e + de);
+    for j in 0..n {
+        for k in 0..n {
+            let rho = u.get_interior(field::RHO, i, j, k).max(RHO_FLOOR);
+            let sx = u.get_interior(field::SX, i, j, k);
+            let sy = u.get_interior(field::SY, i, j, k);
+            let sz = u.get_interior(field::SZ, i, j, k);
+            let mut dsx = 0.0;
+            let mut dsy = 0.0;
+            let mut dsz = 0.0;
+            let mut de = 0.0;
+            if let Some([gx, gy, gz]) = src.gravity {
+                let c = (i * n + j) * n + k;
+                dsx += rho * gx[c];
+                dsy += rho * gy[c];
+                dsz += rho * gz[c];
+                // Energy-conserving coupling: dE/dt = s·g.
+                de += sx * gx[c] + sy * gy[c] + sz * gz[c];
             }
+            if have_frame {
+                let x = src.origin[0] + i as f64 * src.h;
+                let y = src.origin[1] + j as f64 * src.h;
+                // Coriolis: −2 Ω ẑ × s = (2Ω s_y, −2Ω s_x, 0).
+                dsx += 2.0 * omega * sy;
+                dsy -= 2.0 * omega * sx;
+                // Centrifugal: ρ Ω² (x, y, 0).
+                let cfx = rho * omega * omega * x;
+                let cfy = rho * omega * omega * y;
+                dsx += cfx;
+                dsy += cfy;
+                // Work done by the centrifugal force: v·F_cf.
+                de += (sx * cfx + sy * cfy) / rho;
+            }
+            let cur_sx = rhs.get_interior(field::SX, i, j, k);
+            let cur_sy = rhs.get_interior(field::SY, i, j, k);
+            let cur_sz = rhs.get_interior(field::SZ, i, j, k);
+            let cur_e = rhs.get_interior(field::EGAS, i, j, k);
+            rhs.set_interior(field::SX, i, j, k, cur_sx + dsx);
+            rhs.set_interior(field::SY, i, j, k, cur_sy + dsy);
+            rhs.set_interior(field::SZ, i, j, k, cur_sz + dsz);
+            rhs.set_interior(field::EGAS, i, j, k, cur_e + de);
         }
     }
 }
@@ -73,6 +73,12 @@ pub(crate) fn apply_sources(u: &SubGrid, rhs: &mut SubGrid, src: &SourceInput<'_
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn apply_all(u: &SubGrid, rhs: &mut SubGrid, src: &SourceInput<'_>) {
+        for i in 0..u.n() {
+            apply_sources(u, rhs, src, i);
+        }
+    }
 
     fn state_grid(n: usize, rho: f64, v: [f64; 3]) -> SubGrid {
         let mut u = SubGrid::new(n, 2, NF);
@@ -94,7 +100,7 @@ mod tests {
         let u = state_grid(2, 1.0, [0.1, 0.2, 0.3]);
         let mut rhs = SubGrid::new(2, 2, NF);
         rhs.fill(7.0);
-        apply_sources(
+        apply_all(
             &u,
             &mut rhs,
             &SourceInput {
@@ -114,7 +120,7 @@ mod tests {
         // the energy source must vanish.
         let u = state_grid(2, 1.0, [0.4, -0.3, 0.0]);
         let mut rhs = SubGrid::new(2, 2, NF);
-        apply_sources(
+        apply_all(
             &u,
             &mut rhs,
             &SourceInput {
@@ -137,7 +143,7 @@ mod tests {
         let u = state_grid(2, 2.0, [0.0, 0.0, 0.0]);
         let mut rhs = SubGrid::new(2, 2, NF);
         let omega = 2.0;
-        apply_sources(
+        apply_all(
             &u,
             &mut rhs,
             &SourceInput {
@@ -162,7 +168,7 @@ mod tests {
         let gy = vec![0.0; n3];
         let gz = vec![0.4; n3];
         let mut rhs = SubGrid::new(2, 2, NF);
-        apply_sources(
+        apply_all(
             &u,
             &mut rhs,
             &SourceInput {

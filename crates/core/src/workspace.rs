@@ -31,7 +31,7 @@ pub struct LeafWorkspace {
     pub u_cur: SubGrid,
     /// RHS accumulator `L(u)`.
     pub rhs: SubGrid,
-    /// Pooled primitive/flux scratch for the hydro kernels.
+    /// Pooled primitive/flux window of the hydro stage kernel.
     pub scratch: KernelScratch,
     /// Flat-index `(start, len)` runs covering one field's ghost cells,
     /// computed once — [`zero_ghost_runs`] reuses it every stage instead of
@@ -97,7 +97,9 @@ mod tests {
         let pool = ScratchArena::new();
         {
             let _ws = LeafWorkspace::new(4, 2, &pool);
-            assert_eq!(pool.stats().misses, 2); // prim + flux
+            // The kernel's window: primitive ring + flux planes.
+            let s = pool.stats();
+            assert_eq!((s.misses, s.bytes_in_use), (2, 8 * (2048 + 576)));
         }
         // Dropped workspace returns its scratch; a new one recycles it.
         let _ws2 = LeafWorkspace::new(4, 2, &pool);

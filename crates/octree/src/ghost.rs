@@ -172,8 +172,9 @@ struct GhostPlan {
     reads: Vec<Vec<usize>>,
     /// The inverse: per leaf, the leaves whose fills read it.
     readers: Vec<Vec<usize>>,
-    /// Payload bucket (`PlanLink::elems`) → non-boundary links using it.
-    demand: BTreeMap<usize, usize>,
+    /// Payload bucket (`PlanLink::elems`) → its non-boundary links, as
+    /// `[all sources local, a source remote]`.
+    demand: BTreeMap<usize, [usize; 2]>,
     /// The grid's payload arena.
     pool: BufferPool<f64>,
 }
@@ -197,9 +198,10 @@ impl GhostPlan {
                 let (me, grid) = table[&spec.leaf].clone();
                 let recv = SubGrid::recv_box_of(inner.n, inner.ghost, spec.dir);
                 let elems = inner.nfields * SubGrid::box_cells(&recv);
+                let all_local = spec.sources.iter().all(|s| owner(s) == me);
                 let faces = boundary_faces.entry(spec.leaf).or_default();
                 if !spec.is_boundary() {
-                    *demand.entry(elems).or_default() += 1;
+                    demand.entry(elems).or_insert([0; 2])[usize::from(!all_local)] += 1;
                 } else if let Some(face) = Dir::faces().position(|f| f == spec.dir) {
                     faces[face] = true;
                 }
@@ -208,7 +210,7 @@ impl GhostPlan {
                     sources: spec.sources.iter().map(|s| table[s].1.clone()).collect(),
                     owner: me,
                     source_owner: spec.sources.first().map_or(me, owner),
-                    all_local: spec.sources.iter().all(|s| owner(s) == me),
+                    all_local,
                     elems,
                     spec,
                 }
@@ -241,12 +243,36 @@ impl GhostPlan {
         }
     }
 
-    /// Top up the payload arena to the per-bucket link demand before an
+    /// Per payload bucket, the most payloads an exchange under `config`
+    /// holds at once when at most `fills` leaf fills run concurrently on
+    /// the cluster's `workers`: every parcel link's (all are requested
+    /// before a reply is unpacked), one more parcel payload per worker (a
+    /// `ghost_pack` task drops its reply promise, which may hold the
+    /// payload's last reference, just after the requester unpacked it),
+    /// and one direct payload per running fill (`start` unpacks each direct
+    /// payload right after packing it).
+    fn payloads(
+        &self,
+        config: GhostConfig,
+        fills: usize,
+        workers: usize,
+    ) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.demand.iter().map(move |(&bucket, &[local, remote])| {
+            let (direct, parcel) = if config.direct_local_access {
+                (local, remote)
+            } else {
+                (0, local + remote)
+            };
+            (bucket, parcel + parcel.min(workers) + direct.min(fills))
+        })
+    }
+
+    /// Top up the payload arena to [`GhostPlan::payloads`] before an
     /// exchange fans out.  Which threads pack concurrently depends on how
     /// they interleave, so prewarming the peak demand makes the steady
     /// state allocation-free deterministically (then the top-up is a no-op).
-    fn prewarm(&self) {
-        for (&bucket, &count) in &self.demand {
+    fn prewarm(&self, config: GhostConfig, fills: usize, workers: usize) {
+        for (bucket, count) in self.payloads(config, fills, workers) {
             self.pool.prewarm(bucket, count);
         }
     }
@@ -534,7 +560,8 @@ impl DistGrid {
     /// local path.
     pub fn exchange_ghosts(&self, cluster: &SimCluster, config: GhostConfig) -> usize {
         let plan = self.plan();
-        plan.prewarm();
+        // One fill at a time: every `start` runs on the calling thread.
+        plan.prewarm(config, 1, workers(cluster));
         let replies: Vec<_> = (0..plan.leaves.len())
             .map(|k| plan.start(k, cluster.locality(plan.owner(k).0), config))
             .collect();
@@ -583,7 +610,10 @@ impl DistGrid {
         ready: &HashMap<NodeId, hpx_rt::Future<()>>,
     ) -> PipelinedExchange {
         let plan = self.plan();
-        plan.prewarm();
+        // A fill runs as a task, at most one per worker at a time (`start`
+        // never waits, so no worker helps a second one in the middle).
+        let workers = workers(cluster);
+        plan.prewarm(config, workers, workers);
         let links_resolved = Arc::new(AtomicUsize::new(0));
         let runtime = |k: usize| cluster.locality(plan.owner(k).0).runtime();
         let mut parts: Vec<hpx_rt::Future<()>> = Vec::new();
@@ -632,6 +662,13 @@ impl DistGrid {
             links_resolved,
         }
     }
+}
+
+/// Task workers over every locality of `cluster`.
+fn workers(cluster: &SimCluster) -> usize {
+    (cluster.localities().iter())
+        .map(|l| l.runtime().num_workers())
+        .sum()
 }
 
 /// Handle to one in-flight [`DistGrid::exchange_ghosts_pipelined`] stage.
@@ -1070,6 +1107,45 @@ mod tests {
     }
 
     #[test]
+    fn prewarm_holds_one_direct_payload_per_running_fill() {
+        // Uniform level 2, N = 4, one field, one locality: every payload
+        // link is direct, in three buckets (faces 32, edges 16, corners 8
+        // words).  The bulk exchange runs one fill at a time, the pipelined
+        // one at most one per worker; the pool holds that many payloads per
+        // bucket, not one per link, and a warm exchange misses 0 times.
+        let config = GhostConfig::default();
+        for (workers, pipelined, fills, words) in
+            [(1, false, 1, 56), (2, false, 1, 56), (2, true, 2, 112)]
+        {
+            let cluster = SimCluster::new(1, workers);
+            let dg = DistGrid::new(Tree::new_uniform(2), 4, 2, 1, &cluster);
+            fill_linear(&dg);
+            let exchange = || {
+                if pipelined {
+                    let ex = dg.exchange_ghosts_pipelined(&cluster, config, &all_ready(&dg));
+                    ex.ghosts_filled.values().for_each(hpx_rt::Future::wait);
+                } else {
+                    dg.exchange_ghosts(&cluster, config);
+                }
+            };
+            exchange();
+            let plan = dg.plan();
+            let payloads: Vec<(usize, usize)> = plan.payloads(config, fills, workers).collect();
+            assert_eq!(payloads, [(8, fills), (16, fills), (32, fills)]);
+            let prewarmed: usize = payloads.iter().map(|(bucket, count)| bucket * count).sum();
+            assert_eq!(prewarmed, words);
+            let warm = dg.scratch().stats();
+            assert_eq!(warm.misses, 3 * fills as u64, "only the prewarm allocates");
+            exchange();
+            let again = dg.scratch().stats();
+            assert_eq!(again.misses, warm.misses, "a warm exchange misses 0 times");
+            assert!(again.hits > warm.hits);
+            check_same_level_ghosts(&dg);
+            cluster.shutdown();
+        }
+    }
+
+    #[test]
     fn repeated_exchange_recycles_every_payload() {
         let cluster = SimCluster::new(2, 2);
         let dg = DistGrid::new(Tree::new_uniform(2), 4, 2, 1, &cluster);
@@ -1260,7 +1336,11 @@ mod tests {
         let mut demand = BTreeMap::new();
         for spec in specs.iter().filter(|s| !s.is_boundary()) {
             let cells = SubGrid::box_cells(&SubGrid::recv_box_of(4, 2, spec.dir));
-            *demand.entry(3 * cells).or_insert(0usize) += 1;
+            let remote = spec
+                .sources
+                .iter()
+                .any(|&s| dg.owner(s) != dg.owner(spec.leaf));
+            demand.entry(3 * cells).or_insert([0usize; 2])[usize::from(remote)] += 1;
         }
         assert_eq!(plan.demand, demand);
         // The new plan serves the new tree: coarse-fine links included.
