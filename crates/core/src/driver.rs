@@ -1033,6 +1033,22 @@ mod tests {
     }
 
     #[test]
+    fn pipelined_warm_steps_miss_the_pools_zero_times() {
+        // The pipelined step builds its three stage graphs before stage 0
+        // finishes; once warm, neither the arena nor the ghost-payload
+        // pool allocates.
+        let cluster = SimCluster::new(2, 2);
+        let mut sim = small_sim(&cluster, true);
+        sim.opts.pipeline = true;
+        let warm = sim.step(&cluster);
+        for _ in 0..5 {
+            let stats = sim.step(&cluster);
+            assert_eq!(stats.scratch_misses, warm.scratch_misses);
+        }
+        cluster.shutdown();
+    }
+
+    #[test]
     fn gravity_step_runs_and_reports_stats() {
         let cluster = SimCluster::new(1, 2);
         // Level 2: deep enough for the dual-tree traversal to produce

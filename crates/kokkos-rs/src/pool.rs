@@ -45,17 +45,34 @@ struct PoolStats {
     high_water: AtomicU64,
 }
 
+/// One size bucket: its free list and how many buffers it owns in all,
+/// free or checked out.
+#[derive(Debug)]
+struct Bucket<T> {
+    free: Vec<Vec<T>>,
+    owned: usize,
+}
+
+impl<T> Default for Bucket<T> {
+    fn default() -> Self {
+        Bucket {
+            free: Vec::new(),
+            owned: 0,
+        }
+    }
+}
+
 #[derive(Debug)]
 struct PoolInner<T> {
-    /// Free lists, keyed by the bucket (requested element count).
-    free: Mutex<HashMap<usize, Vec<Vec<T>>>>,
+    /// The buckets, keyed by the requested element count.
+    buckets: Mutex<HashMap<usize, Bucket<T>>>,
     stats: PoolStats,
 }
 
 impl<T> Default for PoolInner<T> {
     fn default() -> Self {
         PoolInner {
-            free: Mutex::new(HashMap::new()),
+            buckets: Mutex::new(HashMap::new()),
             stats: PoolStats::default(),
         }
     }
@@ -95,7 +112,8 @@ impl<T> BufferPool<T> {
     /// Number of buffers currently sitting in free lists.
     #[cfg(test)]
     fn free_buffers(&self) -> usize {
-        self.inner.free.lock().values().map(Vec::len).sum()
+        let buckets = self.inner.buckets.lock();
+        buckets.values().map(|b| b.free.len()).sum()
     }
 
     /// This pool's statistics (hits/misses are cumulative; the byte gauges
@@ -118,31 +136,39 @@ impl<T> BufferPool<T> {
         s.high_water.fetch_max(now, Ordering::Relaxed);
     }
 
-    fn pop_bucket(&self, bucket: usize) -> Option<Vec<T>> {
-        self.inner.free.lock().get_mut(&bucket)?.pop()
+    /// Pop a free buffer of `bucket`, or count the one the caller is about
+    /// to allocate as the bucket's.
+    fn take(&self, bucket: usize) -> Option<Vec<T>> {
+        let mut buckets = self.inner.buckets.lock();
+        let b = buckets.entry(bucket).or_default();
+        let data = b.free.pop();
+        b.owned += usize::from(data.is_none());
+        data
     }
 
-    /// Top up the `bucket` free list so at least `count` buffers are ready
-    /// to check out, allocating (and counting as misses) only the
-    /// shortfall.
+    /// Top up `bucket` so it owns at least `count` buffers, free or checked
+    /// out, allocating (and counting as misses) only the shortfall.
     ///
     /// A caller that knows its peak concurrent demand — e.g. the ghost
-    /// exchange, which checks out exactly one payload per link — can
-    /// prewarm before fanning work out to concurrent tasks, making the
-    /// steady state allocation-free *by construction*: once the pool holds
-    /// `count` buffers the call is a no-op and every checkout hits,
+    /// exchange, one payload per parcel link plus one per running fill —
+    /// can prewarm before fanning work out to concurrent tasks, making the
+    /// steady state allocation-free *by construction*: once the bucket
+    /// owns `count` buffers the call is a no-op and every checkout hits,
     /// regardless of how checkouts and returns interleave across threads.
-    /// Without it, the population the warm-up round happens to reach
-    /// depends on scheduling, and a later round with more overlap still
-    /// allocates.
+    /// Buffers still checked out count, so a prewarm issued while an
+    /// earlier round holds some (the next pipelined stage's, say) does not
+    /// allocate again.  Without it, the population the warm-up round
+    /// happens to reach depends on scheduling, and a later round with more
+    /// overlap still allocates.
     pub fn prewarm(&self, bucket: usize, count: usize) {
         let shortfall = {
-            let mut free = self.inner.free.lock();
-            let list = free.entry(bucket).or_default();
-            let shortfall = count.saturating_sub(list.len());
+            let mut buckets = self.inner.buckets.lock();
+            let b = buckets.entry(bucket).or_default();
+            let shortfall = count.saturating_sub(b.owned);
             for _ in 0..shortfall {
-                list.push(Vec::with_capacity(bucket));
+                b.free.push(Vec::with_capacity(bucket));
             }
+            b.owned += shortfall;
             shortfall
         };
         if shortfall > 0 {
@@ -161,7 +187,7 @@ impl<T: Clone + Default> BufferPool<T> {
     /// otherwise (a *miss*).
     pub fn checkout(&self, len: usize) -> Recycled<T> {
         let bytes = (len * std::mem::size_of::<T>()) as u64;
-        match self.pop_bucket(len) {
+        match self.take(len) {
             Some(mut data) => {
                 data.clear();
                 data.resize(len, T::default());
@@ -183,7 +209,7 @@ impl<T> BufferPool<T> {
     /// recycling and never re-grow the vector.
     pub fn checkout_empty(&self, cap: usize) -> Recycled<T> {
         let bytes = (cap * std::mem::size_of::<T>()) as u64;
-        match self.pop_bucket(cap) {
+        match self.take(cap) {
             Some(mut data) => {
                 data.clear();
                 self.note_checkout(true, bytes);
@@ -269,7 +295,8 @@ impl<T> Drop for Recycled<T> {
         let bytes = (self.bucket * std::mem::size_of::<T>()) as u64;
         pool.stats.bytes_in_use.fetch_sub(bytes, Ordering::Relaxed);
         let data = std::mem::take(&mut self.data);
-        pool.free.lock().entry(self.bucket).or_default().push(data);
+        let mut buckets = pool.buckets.lock();
+        buckets.entry(self.bucket).or_default().free.push(data);
     }
 }
 
@@ -373,6 +400,20 @@ mod tests {
         let s = pool.stats();
         assert_eq!((s.hits, s.misses), (3, 3));
         drop((a, b, c));
+    }
+
+    #[test]
+    fn prewarm_counts_checked_out_buffers() {
+        let pool = BufferPool::<f64>::new();
+        let held = (pool.checkout(16), pool.checkout_empty(16));
+        // The bucket owns two buffers, both out: one more reaches three.
+        pool.prewarm(16, 3);
+        assert_eq!(pool.free_buffers(), 1);
+        assert_eq!(pool.stats().misses, 2 + 1);
+        drop(held);
+        pool.prewarm(16, 3);
+        assert_eq!(pool.free_buffers(), 3);
+        assert_eq!(pool.stats().misses, 3);
     }
 
     #[test]

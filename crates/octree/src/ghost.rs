@@ -243,19 +243,16 @@ impl GhostPlan {
         }
     }
 
-    /// Per payload bucket, the most payloads an exchange under `config`
-    /// holds at once when at most `fills` leaf fills run concurrently on
-    /// the cluster's `workers`: every parcel link's (all are requested
-    /// before a reply is unpacked), one more parcel payload per worker (a
-    /// `ghost_pack` task drops its reply promise, which may hold the
-    /// payload's last reference, just after the requester unpacked it),
-    /// and one direct payload per running fill (`start` unpacks each direct
-    /// payload right after packing it).
+    /// Per payload bucket, the most payloads exchanges under `config` hold
+    /// at once when at most `fills` leaf fills run concurrently: every
+    /// parcel link's (all are requested before a reply is unpacked; a
+    /// leaf's next fill waits for its last one, so pipelined stages never
+    /// hold two payloads of one link) and one direct payload per running
+    /// fill (`start` unpacks each direct payload right after packing it).
     fn payloads(
         &self,
         config: GhostConfig,
         fills: usize,
-        workers: usize,
     ) -> impl Iterator<Item = (usize, usize)> + '_ {
         self.demand.iter().map(move |(&bucket, &[local, remote])| {
             let (direct, parcel) = if config.direct_local_access {
@@ -263,16 +260,18 @@ impl GhostPlan {
             } else {
                 (0, local + remote)
             };
-            (bucket, parcel + parcel.min(workers) + direct.min(fills))
+            (bucket, parcel + direct.min(fills))
         })
     }
 
     /// Top up the payload arena to [`GhostPlan::payloads`] before an
     /// exchange fans out.  Which threads pack concurrently depends on how
     /// they interleave, so prewarming the peak demand makes the steady
-    /// state allocation-free deterministically (then the top-up is a no-op).
-    fn prewarm(&self, config: GhostConfig, fills: usize, workers: usize) {
-        for (bucket, count) in self.payloads(config, fills, workers) {
+    /// state allocation-free deterministically (then the top-up is a no-op,
+    /// also while an earlier pipelined stage still holds payloads: the
+    /// arena counts checked-out buffers).
+    fn prewarm(&self, config: GhostConfig, fills: usize) {
+        for (bucket, count) in self.payloads(config, fills) {
             self.pool.prewarm(bucket, count);
         }
     }
@@ -561,7 +560,7 @@ impl DistGrid {
     pub fn exchange_ghosts(&self, cluster: &SimCluster, config: GhostConfig) -> usize {
         let plan = self.plan();
         // One fill at a time: every `start` runs on the calling thread.
-        plan.prewarm(config, 1, workers(cluster));
+        plan.prewarm(config, 1);
         let replies: Vec<_> = (0..plan.leaves.len())
             .map(|k| plan.start(k, cluster.locality(plan.owner(k).0), config))
             .collect();
@@ -612,8 +611,8 @@ impl DistGrid {
         let plan = self.plan();
         // A fill runs as a task, at most one per worker at a time (`start`
         // never waits, so no worker helps a second one in the middle).
-        let workers = workers(cluster);
-        plan.prewarm(config, workers, workers);
+        let workers = (cluster.localities().iter()).map(|l| l.runtime().num_workers());
+        plan.prewarm(config, workers.sum());
         let links_resolved = Arc::new(AtomicUsize::new(0));
         let runtime = |k: usize| cluster.locality(plan.owner(k).0).runtime();
         let mut parts: Vec<hpx_rt::Future<()>> = Vec::new();
@@ -662,13 +661,6 @@ impl DistGrid {
             links_resolved,
         }
     }
-}
-
-/// Task workers over every locality of `cluster`.
-fn workers(cluster: &SimCluster) -> usize {
-    (cluster.localities().iter())
-        .map(|l| l.runtime().num_workers())
-        .sum()
 }
 
 /// Handle to one in-flight [`DistGrid::exchange_ghosts_pipelined`] stage.
@@ -1130,7 +1122,7 @@ mod tests {
             };
             exchange();
             let plan = dg.plan();
-            let payloads: Vec<(usize, usize)> = plan.payloads(config, fills, workers).collect();
+            let payloads: Vec<(usize, usize)> = plan.payloads(config, fills).collect();
             assert_eq!(payloads, [(8, fills), (16, fills), (32, fills)]);
             let prewarmed: usize = payloads.iter().map(|(bucket, count)| bucket * count).sum();
             assert_eq!(prewarmed, words);
@@ -1143,6 +1135,42 @@ mod tests {
             check_same_level_ghosts(&dg);
             cluster.shutdown();
         }
+    }
+
+    #[test]
+    fn chained_pipelined_stages_miss_zero_times_when_warm() {
+        // Three stages per round, all built before the first finishes (as
+        // the pipelined stepper does): stage s + 1's prewarm runs while
+        // stage s's fills hold payloads.  After one round, none misses.
+        let cluster = SimCluster::new(2, 2);
+        let dg = DistGrid::new(Tree::new_uniform(2), 4, 2, 1, &cluster);
+        fill_linear(&dg);
+        let config = GhostConfig::default();
+        let round = || {
+            let mut ready = all_ready(&dg);
+            for _ in 0..3 {
+                let ex = dg.exchange_ghosts_pipelined(&cluster, config, &ready);
+                for (leaf, next) in &mut ready {
+                    let owner = cluster.locality(dg.owner(*leaf).0).runtime();
+                    let parts = [
+                        ex.ghosts_filled[leaf].clone(),
+                        ex.outgoing_packed[leaf].clone(),
+                    ];
+                    *next = hpx_rt::when_all_of(owner, &parts);
+                }
+            }
+            ready.values().for_each(hpx_rt::Future::wait);
+        };
+        round();
+        let warm = dg.scratch().stats();
+        for _ in 0..5 {
+            round();
+        }
+        let after = dg.scratch().stats();
+        assert_eq!(after.misses, warm.misses, "a warm round allocated payloads");
+        assert!(after.hits > warm.hits);
+        check_same_level_ghosts(&dg);
+        cluster.shutdown();
     }
 
     #[test]
