@@ -25,13 +25,13 @@ use crate::diag::ConservationLedger;
 use crate::gravity::direct::PointMasses;
 use crate::gravity::{GravityOptions, GravitySolver, LeafField, LeafSources};
 use crate::hydro::{self, HydroOptions, SourceInput};
-use crate::state::field;
+use crate::state::{field, NF};
 use crate::units::BOX_SIZE;
-use crate::workspace::{self, LeafWorkspace};
+use crate::workspace::{self, StagePool, StageWorkspace};
 use hpx_rt::{Future, SimCluster};
 use kokkos_rs::pool::ScratchArena;
 use kokkos_rs::ExecSpace;
-use octree::{DistGrid, GhostConfig, NodeId};
+use octree::{DistGrid, GhostConfig, NodeId, SubGrid};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -71,8 +71,8 @@ pub struct SimOptions {
     /// the density criterion pass ([`Simulation::regrid`]) before the
     /// step proper.  A pass that changes the tree bumps its
     /// `topology_version`; the step that follows rebuilds the gravity
-    /// plans and the ghost plan at the new version and provisions
-    /// workspaces for the new leaves only.  `None` — the default — never
+    /// plans and the ghost plan at the new version and provisions u⁰
+    /// buffers for the new leaves only.  `None` — the default — never
     /// regrids mid-run.
     pub regrid_cadence: Option<usize>,
     /// Maximum refinement level the cadence-driven criterion pass may
@@ -234,7 +234,10 @@ struct StepShared {
     opts: SimOptions,
     /// The step's leaves, in the fixed order the outflow ledger folds in.
     leaves: Vec<NodeId>,
-    workspaces: HashMap<NodeId, Arc<parking_lot::Mutex<LeafWorkspace>>>,
+    /// Each leaf's step-start state u⁰, saved by `Simulation::begin_step`.
+    u0: HashMap<NodeId, Arc<parking_lot::Mutex<SubGrid>>>,
+    /// The free list every stage task takes its buffers from.
+    stage_workspaces: Arc<StagePool>,
     /// Each leaf's domain-boundary face mask, one flag per face in
     /// `Dir::faces` order: [-x, +x, -y, +y, -z, +z].
     boundary_masks: Arc<HashMap<NodeId, [bool; 6]>>,
@@ -251,7 +254,11 @@ impl StepShared {
     /// current state (with the gravity and rotating-frame sources), then
     /// apply stage `stage`'s SSP-RK3 combination in place.  The scheduler
     /// guarantees the leaf's ghost shells are filled and that no other
-    /// task touches the leaf's workspace meanwhile.
+    /// task touches the leaf's grid or u⁰ meanwhile.  The task's `u_cur`,
+    /// `rhs` and kernel scratch are a [`StageWorkspace`] taken off the
+    /// simulation's free list when it starts and given back when it ends,
+    /// both outside the kernel body; the pooled `rhs` keeps zero ghost
+    /// words, which is what the stage combinations read there.
     fn run_stage(
         &self,
         leaf: NodeId,
@@ -269,13 +276,18 @@ impl StepShared {
             vector_mode: opts.vector_mode,
             cfl: opts.cfl,
         };
-        let mut guard = self.workspaces[&leaf]
+        let u0 = self.u0[&leaf]
             .try_lock()
-            .expect("leaf workspace aliased by a concurrent task");
-        let ws = &mut *guard;
+            .expect("leaf u⁰ aliased by a concurrent task");
+        let mut ws = self.stage_workspaces.take(nn, self.grid.ghost_width());
         // Compute the RHS from the current state (reads), then apply the
         // stage combination (writes).
-        ws.u_cur.copy_from(&handle.read());
+        let StageWorkspace {
+            u_cur,
+            rhs,
+            scratch,
+        } = &mut ws;
+        u_cur.copy_from(&handle.read());
         let src = SourceInput {
             gravity: gravity
                 .map(|m| &m[&leaf])
@@ -285,21 +297,18 @@ impl StepShared {
             h,
             boundary_faces: self.boundary_masks[&leaf],
         };
-        let info = hydro::compute_rhs(&ws.u_cur, &mut ws.rhs, &src, &hopts, &mut ws.scratch);
+        let info = hydro::compute_rhs(u_cur, rhs, &src, &hopts, scratch);
         self.outflow_rates[stage]
             .lock()
             .insert(leaf, info.boundary_mass_outflow_rate);
-        // Zero RHS in ghost zones so stage combines don't touch them with
-        // stale flux data (they are refreshed by the next exchange anyway,
-        // but keep them clean for diagnostics).
-        workspace::zero_ghost_runs(&mut ws.rhs, &ws.ghost_runs);
         let mut g = handle.write();
         let mode = opts.vector_mode;
         match stage {
-            0 => hydro::rk3::stage_euler(&ws.u_cur, &ws.rhs, dt, &mut g, mode),
-            1 => hydro::rk3::stage_two(&ws.u0, &ws.u_cur, &ws.rhs, dt, &mut g, mode),
-            _ => hydro::rk3::stage_three(&ws.u0, &ws.u_cur, &ws.rhs, dt, &mut g, mode),
+            0 => hydro::rk3::stage_euler(u_cur, rhs, dt, &mut g, mode),
+            1 => hydro::rk3::stage_two(&u0, u_cur, rhs, dt, &mut g, mode),
+            _ => hydro::rk3::stage_three(&u0, u_cur, rhs, dt, &mut g, mode),
         }
+        self.stage_workspaces.give(ws);
     }
 
     /// Mass that left through the domain boundary this step: the stages'
@@ -337,8 +346,12 @@ pub struct Simulation {
     /// The simulation's scratch arena: kernel scratch and gravity fields
     /// check their buffers out of this pool.
     scratch: ScratchArena,
-    /// One recycled workspace per leaf, rebuilt lazily after regrids.
-    workspaces: HashMap<NodeId, Arc<parking_lot::Mutex<LeafWorkspace>>>,
+    /// Each leaf's step-start state u⁰, the one buffer a leaf keeps besides
+    /// its grid; entries follow the leaf set (`ensure_workspaces`).
+    u0: HashMap<NodeId, Arc<parking_lot::Mutex<SubGrid>>>,
+    /// The stage tasks' free list of [`StageWorkspace`]s, about one per
+    /// worker (`ensure_workspaces`).
+    stage_workspaces: Arc<StagePool>,
     /// The persistent FMM solver: its cached interaction plan (and pooled
     /// expansion buffers) survive across steps, so a solve on an unchanged
     /// tree skips the dual-tree traversal entirely.
@@ -369,8 +382,9 @@ impl Simulation {
             step_count: 0,
             mass_outflow: 0.0,
             apex: hpx_rt::Apex::new(false),
+            stage_workspaces: Arc::new(StagePool::new(scratch.clone())),
             scratch,
-            workspaces: HashMap::new(),
+            u0: HashMap::new(),
             gravity_solver,
             tuner,
             regrid_totals: RegridOutcome::default(),
@@ -386,8 +400,9 @@ impl Simulation {
     /// Every named counter of this run, HPX-style, read from the object
     /// that counts it: the `/octotiger/{scratch,gravity,regrid,tuner}/...`
     /// names from this simulation's own pools, solver, regrid passes and
-    /// tuner (zeros without [`SimOptions::autotune`]), then the
-    /// process-wide `/octotiger/parcels/...` block and `cluster`'s
+    /// tuner (zeros without [`SimOptions::autotune`]), the
+    /// `/octotiger/memory/...` bytes of its u⁰ store and stage free list,
+    /// then the process-wide `/octotiger/parcels/...` block and `cluster`'s
     /// per-locality `/threads|/lcos|/parcels{locality#i}/...` names.
     /// Narrow the listing with [`hpx_rt::counters::select`]
     /// (`"/octotiger/gravity/*"`).
@@ -426,6 +441,15 @@ impl Simulation {
                 "/octotiger/tuner/regressions-rejected",
                 tuner.regressions_rejected,
             ),
+            (
+                "/octotiger/memory/step-start-bytes",
+                self.u0.len() as u64
+                    * workspace::grid_bytes(self.grid.n(), self.grid.ghost_width()),
+            ),
+            (
+                "/octotiger/memory/stage-workspace-bytes",
+                self.stage_workspaces.bytes(),
+            ),
         ];
         own.into_iter()
             .chain(hpx_rt::parcel_counters().snapshot().entries())
@@ -434,24 +458,25 @@ impl Simulation {
             .collect()
     }
 
-    /// Create workspaces for new leaves and drop the ones whose leaves a
-    /// regrid consumed.  Dropped workspaces return their kernel scratch to
-    /// the arena, so the new leaves' checkouts can recycle it.
-    fn ensure_workspaces(&mut self) {
+    /// Make the u⁰ store follow the leaf set — drop the entries of leaves
+    /// a regrid consumed, create the new leaves', keep every survivor's
+    /// `Arc` — and top the stage free list up to one workspace per worker
+    /// of `cluster`.  Stage tasks never block, so a worker runs one at a
+    /// time and a warm step never finds the list empty (the sizing
+    /// `GhostPlan::prewarm` uses for concurrently running fills).
+    fn ensure_workspaces(&mut self, cluster: &SimCluster) {
         let n = self.grid.n();
         let gw = self.grid.ghost_width();
         let leaves = self.grid.leaves();
         let live: std::collections::HashSet<NodeId> = leaves.iter().copied().collect();
-        self.workspaces.retain(|id, _| live.contains(id));
+        self.u0.retain(|id, _| live.contains(id));
         for leaf in leaves {
-            self.workspaces.entry(leaf).or_insert_with(|| {
-                Arc::new(parking_lot::Mutex::new(LeafWorkspace::new(
-                    n,
-                    gw,
-                    &self.scratch,
-                )))
-            });
+            self.u0
+                .entry(leaf)
+                .or_insert_with(|| Arc::new(parking_lot::Mutex::new(SubGrid::new(n, gw, NF))));
         }
+        let workers = (cluster.localities().iter()).map(|l| l.runtime().num_workers());
+        self.stage_workspaces.prewarm(workers.sum(), n, gw);
     }
 
     /// Combined pool telemetry: the simulation arena plus the grid's
@@ -552,7 +577,7 @@ impl Simulation {
             ..self.opts.gravity_opts
         };
         // ---- Mid-run adaptive regrid (every `regrid_cadence` steps). ----
-        // Runs before workspaces are ensured, so both steppers see the new
+        // Runs before the u⁰ store is ensured, so both steppers see the new
         // topology; its version bump is what the step's plan lookups miss on.
         let regrid = match self.opts.regrid_cadence {
             Some(k) if self.step_count > 0 && self.step_count.is_multiple_of(k as u64) => {
@@ -575,7 +600,7 @@ impl Simulation {
             t.note_topology(ver);
             self.gravity_solver.opts.tasks_per_multipole_kernel = t.current();
         }
-        self.ensure_workspaces();
+        self.ensure_workspaces(cluster);
         let mut stats = if self.opts.pipeline {
             self.step_pipelined(cluster)
         } else {
@@ -617,24 +642,24 @@ impl Simulation {
             .collect()
     }
 
-    /// The step's shared prologue: save u⁰ into the recycled workspaces and
-    /// bundle what the stage kernels read.  No stage task is in flight yet
-    /// (the previous step fully joined), so the workspace `try_lock` never
-    /// contends.
+    /// The step's shared prologue: save every leaf's u⁰ into its entry of
+    /// the u⁰ store and bundle what the stage kernels read, the stage free
+    /// list included.  No stage task is in flight yet (the previous step
+    /// fully joined), so the u⁰ `try_lock` never contends.
     fn begin_step(&self) -> Arc<StepShared> {
         let leaves = self.grid.leaves();
         for &l in &leaves {
-            self.workspaces[&l]
+            self.u0[&l]
                 .try_lock()
-                .expect("leaf workspace aliased outside a step")
-                .u0
+                .expect("leaf u⁰ aliased outside a step")
                 .copy_from(&self.grid.grid(l).read());
         }
         Arc::new(StepShared {
             grid: self.grid.clone(),
             opts: self.opts,
             leaves,
-            workspaces: self.workspaces.clone(),
+            u0: self.u0.clone(),
+            stage_workspaces: self.stage_workspaces.clone(),
             boundary_masks: self.grid.boundary_faces(),
             outflow_rates: Default::default(),
         })
@@ -722,7 +747,7 @@ impl Simulation {
             let shared = shared.clone();
             let fields = gravity.as_ref().map(|g| g.0.clone());
             // Each exchange drains before any stage task runs, so exactly
-            // one task touches a leaf's workspace at a time.
+            // one task touches a leaf's grid and u⁰ at a time.
             self.for_each_leaf(cluster, move |leaf| {
                 shared.run_stage(leaf, stage, dt, fields.as_deref());
             });
@@ -851,7 +876,7 @@ impl Simulation {
                 let overlapped = overlapped.clone();
                 // The per-leaf future chain (`ready` → exchange gates →
                 // this update) serializes every task touching this leaf's
-                // workspace.
+                // grid and u⁰.
                 let update = gate.then(&rt, move |()| {
                     if resolved.load(Ordering::Relaxed) < total {
                         overlapped.fetch_add(1, Ordering::Relaxed);
@@ -934,8 +959,8 @@ impl Simulation {
     /// 2:1 balance is maintained throughout.  The pass tells no cache what
     /// it did: every change bumps the tree's `topology_version`, and the
     /// next step's plan lookups (gravity, halo, ghost) rebuild at the new
-    /// version while `ensure_workspaces` drops the consumed leaves'
-    /// workspaces and keeps every surviving leaf's.
+    /// version while `ensure_workspaces` drops the consumed leaves' u⁰
+    /// buffers and keeps every surviving leaf's.
     pub fn regrid(&mut self, max_level: u8, threshold: f64) -> RegridOutcome {
         let coarsen = self.opts.regrid_coarsen_threshold;
         let mut outcome = RegridOutcome::default();
@@ -1189,11 +1214,11 @@ mod tests {
     }
 
     #[test]
-    fn regrid_keeps_every_surviving_leafs_workspace() {
+    fn regrid_keeps_every_surviving_leafs_u0() {
         let cluster = SimCluster::new(1, 2);
         let mut sim = small_sim(&cluster, false);
         sim.step(&cluster);
-        let before = sim.workspaces.clone();
+        let before = sim.u0.clone();
         // Make one leaf the densest, so the criterion pass refines exactly
         // it (a level-1 tree is balanced whichever leaf splits, so nothing
         // is dragged along).
@@ -1205,28 +1230,56 @@ mod tests {
         let out = sim.regrid(2, 1.5 * peak);
         assert_eq!((out.refined, out.derefined), (1, 0));
         sim.step(&cluster);
-        assert_eq!(sim.workspaces.len(), before.len() + 7);
-        for (leaf, ws) in &before {
-            match sim.workspaces.get(leaf) {
-                Some(kept) => assert!(Arc::ptr_eq(kept, ws), "{leaf} lost its workspace"),
+        assert_eq!(sim.u0.len(), before.len() + 7);
+        for (leaf, u0) in &before {
+            match sim.u0.get(leaf) {
+                Some(kept) => assert!(Arc::ptr_eq(kept, u0), "{leaf} lost its u⁰"),
                 None => assert_eq!(*leaf, target, "only the refined leaf's goes"),
             }
         }
-        assert!(!sim.workspaces.contains_key(&target));
+        assert!(!sim.u0.contains_key(&target));
         for oct in octree::Octant::all() {
             assert!(!before.contains_key(&target.child(oct)));
-            assert!(sim.workspaces.contains_key(&target.child(oct)));
+            assert!(sim.u0.contains_key(&target.child(oct)));
         }
-        // Every leaf owns its workspace: two leaves sharing one would only
-        // trip `run_stage`'s `try_lock` when their tasks happen to overlap.
-        let mut distinct: Vec<_> = sim.workspaces.values().map(Arc::as_ptr).collect();
+        // Every leaf owns its u⁰: two leaves sharing one would only trip
+        // `run_stage`'s `try_lock` when their tasks happen to overlap, and
+        // otherwise overwrite each other's step-start state.
+        let mut distinct: Vec<_> = sim.u0.values().map(Arc::as_ptr).collect();
         distinct.sort_unstable();
         distinct.dedup();
-        assert_eq!(
-            distinct.len(),
-            sim.workspaces.len(),
-            "two leaves share a workspace"
-        );
+        assert_eq!(distinct.len(), sim.u0.len(), "two leaves share a u⁰");
         cluster.shutdown();
+    }
+
+    #[test]
+    fn stage_workspaces_are_per_running_task_not_per_leaf() {
+        // u_cur + rhs, each a ghosted NF-field grid, and the N = 4 kernel
+        // window (`workspace_scratch_comes_from_the_pool`).
+        let grid = (NF * 8 * 8 * 8 * 8) as u64;
+        let workspace = 2 * grid + 8 * (2048 + 576);
+        for (localities, workers, pipeline) in [(1, 2, false), (2, 1, true)] {
+            let cluster = SimCluster::new(localities, workers);
+            let mut sim = small_sim(&cluster, true);
+            sim.opts.pipeline = pipeline;
+            let list_bytes = (localities * workers) as u64 * workspace;
+            // Prewarmed to one per worker before the first stage task runs,
+            // and never grown: no warm-up step may supply a missing one.
+            sim.ensure_workspaces(&cluster);
+            assert_eq!(sim.stage_workspaces.bytes(), list_bytes);
+            for _ in 0..3 {
+                sim.step(&cluster);
+            }
+            let leaves = sim.grid.leaves().len();
+            assert!(leaves > localities * workers, "more leaves than workers");
+            assert_eq!(sim.u0.len(), leaves);
+            let memory = hpx_rt::counters::select(&sim.counters(&cluster), "/octotiger/memory/*");
+            let expect = [
+                ("/octotiger/memory/step-start-bytes", leaves as u64 * grid),
+                ("/octotiger/memory/stage-workspace-bytes", list_bytes),
+            ];
+            assert_eq!(memory, expect.map(|(n, v)| (n.to_owned(), v)));
+            cluster.shutdown();
+        }
     }
 }

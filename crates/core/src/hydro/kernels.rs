@@ -46,8 +46,9 @@ const RING: usize = 4;
 ///   rows of `n`) and its `z`-interface fluxes (`NF` blocks of `n` pencils
 ///   of `n + 1`).
 ///
-/// Owned by the leaf's workspace in the stepper; checked out of the
-/// simulation's [`ScratchArena`] once and reused every stage of every step.
+/// Owned by a stage workspace in the stepper, which a running stage task
+/// holds: checked out of the simulation's [`ScratchArena`] once and reused
+/// by every stage task of every step.
 #[derive(Debug)]
 pub struct KernelScratch {
     prim: Recycled<f64>,
@@ -80,6 +81,11 @@ impl KernelScratch {
             prim: Recycled::detached(vec![0.0; prim]),
             flux: Recycled::detached(vec![0.0; flux]),
         }
+    }
+
+    /// Bytes of the window.
+    pub(crate) fn bytes(&self) -> u64 {
+        ((self.prim.len() + self.flux.len()) * std::mem::size_of::<f64>()) as u64
     }
 
     /// `true` if this scratch is sized for an `n`/`ghost` leaf.
@@ -739,6 +745,53 @@ mod tests {
                     h = (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3);
                 }
                 assert_eq!(h, pinned, "N = {n}, {vector_mode:?}");
+            }
+        }
+    }
+
+    /// The stage kernel writes only interior `rhs` words, sources included:
+    /// a pooled `rhs` that starts zeroed keeps zero ghost words, so the
+    /// stepper needs no per-stage ghost sweep before the RK combinations.
+    #[test]
+    fn rhs_leaves_every_ghost_word_untouched() {
+        use crate::hydro::{compute_rhs, HydroOptions};
+        use sve_simd::VectorMode;
+        let sentinel = f64::from_bits(0x7ff8_dead_beef_0001);
+        for n in [4, 8] {
+            let (u, _) = seeded_state(n, 0x5eed_0000 + n as u64);
+            let gravity: Vec<f64> = (0..n * n * n).map(|c| 0.01 * (c % 5) as f64).collect();
+            let src = SourceInput {
+                gravity: Some([&gravity, &gravity, &gravity]),
+                omega: 0.3,
+                origin: [-0.4, 0.1, 0.25],
+                h: 0.1,
+                boundary_faces: [true; 6],
+            };
+            let mut scratch = KernelScratch::ephemeral(n, 2);
+            for vector_mode in [VectorMode::Scalar, VectorMode::Sve512] {
+                let opts = HydroOptions {
+                    vector_mode,
+                    cfl: 0.4,
+                };
+                let mut rhs = SubGrid::new(n, 2, NF);
+                rhs.fill(sentinel);
+                compute_rhs(&u, &mut rhs, &src, &opts, &mut scratch);
+                let ext = rhs.ext();
+                let inside = |c: usize| (2..2 + n).contains(&c);
+                for f in 0..NF {
+                    for i in 0..ext {
+                        for j in 0..ext {
+                            for k in 0..ext {
+                                let interior = inside(i) && inside(j) && inside(k);
+                                let kept = rhs.get(f, i, j, k).to_bits() == sentinel.to_bits();
+                                assert_eq!(
+                                    kept, !interior,
+                                    "N = {n}, {vector_mode:?}, f{f} ({i},{j},{k})"
+                                );
+                            }
+                        }
+                    }
+                }
             }
         }
     }

@@ -1,28 +1,105 @@
-//! Per-leaf recycled workspaces: the stepper-side face of the CPPuddle-style
-//! memory subsystem.
+//! Recycled stage buffers, CPPuddle-style: per running kernel, not per
+//! sub-grid (arXiv 2210.06439, 2412.15518).
 //!
-//! Every leaf owns one [`LeafWorkspace`] holding the buffers an RK stage
-//! needs — the step-start state `u0`, the stage input copy `u_cur`, the RHS
-//! accumulator, the kernel scratch checked out of the simulation's
-//! [`ScratchArena`], and the precomputed ghost-cell run list.  The workspace
-//! is created once (first step after construction or regrid) and reused by
-//! every stage of every step, so a steady-state timestep performs no
-//! transient allocations in the stepper.
+//! A leaf keeps only its grid and its step-start state u⁰.  A stage task's
+//! `u_cur`, `rhs` and kernel window (checked out of the simulation's
+//! [`ScratchArena`]) are a `StageWorkspace` it takes off a `StagePool` when
+//! it starts and gives back when it ends, both outside the kernel body.
+//! The driver prewarms the pool to the worker count; stage tasks never
+//! block, so no more run at once.  A pooled `rhs` starts zeroed and the
+//! stage kernel writes only interior words, so its ghost words stay zero.
 //!
-//! Concurrency: both steppers guard each workspace behind a `Mutex` and
-//! acquire it with `try_lock`.  The per-leaf future chain orders every task
-//! touching a leaf, so the lock is never contended — a failed `try_lock` is
-//! a dependency-graph bug, and it panics loudly there.  `hpx-check model`
-//! runs the real pipelined step over seeded schedules, where such a panic
-//! (or a missing gate that only corrupts the state) is reported with its
-//! seed.
+//! [`LeafWorkspace`] and [`zero_ghost_runs`], the earlier per-leaf bundle
+//! and its per-stage ghost sweep, are kept only for the benchmark's layer
+//! replay; they go with the `benchmark`-only change that moves it to
+//! per-task buffers.
 
 use crate::hydro::kernels::KernelScratch;
 use crate::state::NF;
 use kokkos_rs::pool::ScratchArena;
 use octree::SubGrid;
 
-/// Recycled per-leaf buffers for the stepper (see module docs).
+/// Bytes of one ghosted `NF`-field grid of an `n`-cell leaf with `ghost`
+/// ghost width (a leaf's grid, its u⁰, a workspace's `u_cur` or `rhs`).
+pub(crate) fn grid_bytes(n: usize, ghost: usize) -> u64 {
+    (NF * (n + 2 * ghost).pow(3) * std::mem::size_of::<f64>()) as u64
+}
+
+/// The buffers one running stage task needs besides the leaf's grid and
+/// u⁰ (see module docs).
+#[derive(Debug)]
+pub(crate) struct StageWorkspace {
+    /// Stage input copy of the leaf's grid (ghosts included).
+    pub(crate) u_cur: SubGrid,
+    /// RHS accumulator `L(u)`; its ghost words stay zero.
+    pub(crate) rhs: SubGrid,
+    /// Pooled primitive/flux window of the hydro stage kernel.
+    pub(crate) scratch: KernelScratch,
+}
+
+impl StageWorkspace {
+    /// Workspace for an `n`-cell leaf with `ghost` ghost width, with kernel
+    /// scratch checked out of `arena`.
+    fn new(n: usize, ghost: usize, arena: &ScratchArena) -> StageWorkspace {
+        StageWorkspace {
+            u_cur: SubGrid::new(n, ghost, NF),
+            rhs: SubGrid::new(n, ghost, NF),
+            scratch: KernelScratch::new(n, ghost, arena),
+        }
+    }
+
+    /// Bytes this workspace holds.
+    fn bytes(&self) -> u64 {
+        2 * grid_bytes(self.u_cur.n(), self.u_cur.ghost()) + self.scratch.bytes()
+    }
+}
+
+/// The free list of [`StageWorkspace`]s a simulation's stage tasks share.
+#[derive(Debug)]
+pub(crate) struct StagePool {
+    arena: ScratchArena,
+    free: parking_lot::Mutex<Vec<StageWorkspace>>,
+}
+
+impl StagePool {
+    /// An empty pool whose workspaces check their kernel scratch out of
+    /// `arena`.
+    pub(crate) fn new(arena: ScratchArena) -> StagePool {
+        StagePool {
+            arena,
+            free: parking_lot::Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Top the free list up to `count` workspaces for `n`/`ghost` leaves.
+    /// Call it between steps, when no task holds one.
+    pub(crate) fn prewarm(&self, count: usize, n: usize, ghost: usize) {
+        let mut free = self.free.lock();
+        while free.len() < count {
+            free.push(StageWorkspace::new(n, ghost, &self.arena));
+        }
+    }
+
+    /// A workspace for an `n`/`ghost` leaf: a free one, or a new one when
+    /// the list is empty.
+    pub(crate) fn take(&self, n: usize, ghost: usize) -> StageWorkspace {
+        let free = self.free.lock().pop();
+        free.unwrap_or_else(|| StageWorkspace::new(n, ghost, &self.arena))
+    }
+
+    /// Return a workspace [`StagePool::take`] handed out.
+    pub(crate) fn give(&self, ws: StageWorkspace) {
+        self.free.lock().push(ws);
+    }
+
+    /// Bytes the free list holds.
+    pub(crate) fn bytes(&self) -> u64 {
+        self.free.lock().iter().map(StageWorkspace::bytes).sum()
+    }
+}
+
+/// The earlier per-leaf buffers of a stage, kept for the benchmark's layer
+/// replay (see module docs).
 #[derive(Debug)]
 pub struct LeafWorkspace {
     /// State at step start (`u⁰`), copied once per step.
@@ -105,5 +182,25 @@ mod tests {
         let _ws2 = LeafWorkspace::new(4, 2, &pool);
         let s = pool.stats();
         assert_eq!((s.hits, s.misses), (2, 2));
+    }
+
+    #[test]
+    fn stage_pool_recycles_and_allocates_only_when_empty() {
+        let arena = ScratchArena::new();
+        let pool = StagePool::new(arena.clone());
+        // u_cur + rhs, each NF fields of 8³ words, and the kernel window.
+        let each = 2 * 8 * 512 * 8 + 8 * (2048 + 576);
+        pool.prewarm(2, 4, 2);
+        pool.prewarm(2, 4, 2);
+        assert_eq!((pool.bytes(), arena.stats().misses), (2 * each, 4));
+        let (a, b) = (pool.take(4, 2), pool.take(4, 2));
+        assert_eq!((pool.bytes(), arena.stats().misses), (0, 4));
+        // An empty list allocates, and the arena counts the scratch misses.
+        let c = pool.take(4, 2);
+        assert_eq!(arena.stats().misses, 6);
+        for ws in [a, b, c] {
+            pool.give(ws);
+        }
+        assert_eq!(pool.bytes(), 3 * each);
     }
 }

@@ -138,7 +138,7 @@ fn barrier_steady_state_is_allocation_free_after_warmup() {
         assert!(s.scratch_hits > warm.scratch_hits, "pools must be serving");
     }
     // Everything checked out during the step was returned by its end
-    // except the persistent per-leaf workspaces' kernel scratch.
+    // except the kernel scratch of the stage workspaces on the free list.
     let last = stats.last().unwrap();
     assert!(last.scratch_high_water >= last.scratch_bytes_in_use);
     cluster.shutdown();

@@ -46,7 +46,7 @@ fn pipelined_run_passes_all_analyzers() {
 fn pipelined_step_after_a_coarsening_regrid_matches_barrier_on_every_seed() {
     // The same check across a topology change: the third step runs on the
     // tree the cadence-2 regrid collapsed to one leaf, with every plan,
-    // ghost link and workspace rebuilt or dropped.
+    // ghost link and u⁰ buffer rebuilt or dropped.
     real_step_is_clean_on_sixteen_seeds(RealStep::coarsen_then_step(1), 1);
 }
 

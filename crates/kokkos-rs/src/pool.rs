@@ -82,7 +82,7 @@ impl<T> Default for PoolInner<T> {
 ///
 /// Cloning a pool clones a *handle*: all clones share the same free lists,
 /// so a pool can be handed to the gravity solver, the ghost exchange, and
-/// every leaf workspace while remaining one arena.  Checked-out buffers keep
+/// every stage workspace while remaining one arena.  Checked-out buffers keep
 /// the arena alive, so dropping the last pool handle while launches are in
 /// flight is safe.
 #[derive(Debug, Default)]

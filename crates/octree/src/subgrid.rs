@@ -255,8 +255,8 @@ impl SubGrid {
     /// Flat-index runs `(start, len)` covering exactly the ghost cells of
     /// *one* field, in storage order.  Rows fully outside the interior are
     /// one run; interior rows contribute their two ghost caps.  Computed
-    /// once per leaf workspace and reused to zero ghost fields each stage
-    /// without re-walking the geometry.
+    /// once and reused to zero ghost fields without re-walking the
+    /// geometry.
     pub fn ghost_runs(&self) -> Vec<(usize, usize)> {
         let (g, n, ext) = (self.ghost, self.n, self.ext());
         let mut runs = Vec::new();
