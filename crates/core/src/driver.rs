@@ -234,7 +234,8 @@ struct StepShared {
     opts: SimOptions,
     /// The step's leaves, in the fixed order the outflow ledger folds in.
     leaves: Vec<NodeId>,
-    /// Each leaf's step-start state u⁰, saved by `Simulation::begin_step`.
+    /// Each leaf's step-start state u⁰ (interior only), saved by
+    /// `Simulation::begin_step`.
     u0: HashMap<NodeId, Arc<parking_lot::Mutex<SubGrid>>>,
     /// The free list every stage task takes its buffers from.
     stage_workspaces: Arc<StagePool>,
@@ -252,13 +253,13 @@ struct StepShared {
 impl StepShared {
     /// The per-leaf RK-stage kernel: compute the hydro RHS of the leaf's
     /// current state (with the gravity and rotating-frame sources), then
-    /// apply stage `stage`'s SSP-RK3 combination in place.  The scheduler
-    /// guarantees the leaf's ghost shells are filled and that no other
-    /// task touches the leaf's grid or u⁰ meanwhile.  The task's `u_cur`,
-    /// `rhs` and kernel scratch are a [`StageWorkspace`] taken off the
-    /// simulation's free list when it starts and given back when it ends,
-    /// both outside the kernel body; the pooled `rhs` keeps zero ghost
-    /// words, which is what the stage combinations read there.
+    /// apply stage `stage`'s SSP-RK3 combination in place to the leaf's
+    /// interior (its ghost words keep the fill's values until the next
+    /// fill).  The scheduler guarantees the leaf's ghost shells are filled
+    /// and that no other task touches the leaf's grid or u⁰ meanwhile.  The
+    /// task's `u_cur`, `rhs` and kernel scratch are a [`StageWorkspace`]
+    /// taken off the simulation's free list when it starts and given back
+    /// when it ends, both outside the kernel body.
     fn run_stage(
         &self,
         leaf: NodeId,
@@ -346,8 +347,9 @@ pub struct Simulation {
     /// The simulation's scratch arena: kernel scratch and gravity fields
     /// check their buffers out of this pool.
     scratch: ScratchArena,
-    /// Each leaf's step-start state u⁰, the one buffer a leaf keeps besides
-    /// its grid; entries follow the leaf set (`ensure_workspaces`).
+    /// Each leaf's step-start state u⁰, interior only (the RK combines
+    /// read no ghost word of it), the one buffer a leaf keeps besides its
+    /// grid; entries follow the leaf set (`ensure_workspaces`).
     u0: HashMap<NodeId, Arc<parking_lot::Mutex<SubGrid>>>,
     /// The stage tasks' free list of [`StageWorkspace`]s, about one per
     /// worker (`ensure_workspaces`).
@@ -443,8 +445,7 @@ impl Simulation {
             ),
             (
                 "/octotiger/memory/step-start-bytes",
-                self.u0.len() as u64
-                    * workspace::grid_bytes(self.grid.n(), self.grid.ghost_width()),
+                self.u0.len() as u64 * workspace::grid_bytes(self.grid.n(), 0),
             ),
             (
                 "/octotiger/memory/stage-workspace-bytes",
@@ -473,7 +474,7 @@ impl Simulation {
         for leaf in leaves {
             self.u0
                 .entry(leaf)
-                .or_insert_with(|| Arc::new(parking_lot::Mutex::new(SubGrid::new(n, gw, NF))));
+                .or_insert_with(|| Arc::new(parking_lot::Mutex::new(SubGrid::new(n, 0, NF))));
         }
         let workers = (cluster.localities().iter()).map(|l| l.runtime().num_workers());
         self.stage_workspaces.prewarm(workers.sum(), n, gw);
@@ -642,17 +643,17 @@ impl Simulation {
             .collect()
     }
 
-    /// The step's shared prologue: save every leaf's u⁰ into its entry of
-    /// the u⁰ store and bundle what the stage kernels read, the stage free
-    /// list included.  No stage task is in flight yet (the previous step
-    /// fully joined), so the u⁰ `try_lock` never contends.
+    /// The step's shared prologue: copy every leaf's interior into its
+    /// entry of the u⁰ store and bundle what the stage kernels read, the
+    /// stage free list included.  No stage task is in flight yet (the
+    /// previous step fully joined), so the u⁰ `try_lock` never contends.
     fn begin_step(&self) -> Arc<StepShared> {
         let leaves = self.grid.leaves();
         for &l in &leaves {
             self.u0[&l]
                 .try_lock()
                 .expect("leaf u⁰ aliased outside a step")
-                .copy_from(&self.grid.grid(l).read());
+                .copy_interior_from(&self.grid.grid(l).read());
         }
         Arc::new(StepShared {
             grid: self.grid.clone(),
@@ -1255,8 +1256,10 @@ mod tests {
     #[test]
     fn stage_workspaces_are_per_running_task_not_per_leaf() {
         // u_cur + rhs, each a ghosted NF-field grid, and the N = 4 kernel
-        // window (`workspace_scratch_comes_from_the_pool`).
+        // window (`workspace_scratch_comes_from_the_pool`); u⁰ is the
+        // interior alone.
         let grid = (NF * 8 * 8 * 8 * 8) as u64;
+        let interior = (NF * 4 * 4 * 4 * 8) as u64;
         let workspace = 2 * grid + 8 * (2048 + 576);
         for (localities, workers, pipeline) in [(1, 2, false), (2, 1, true)] {
             let cluster = SimCluster::new(localities, workers);
@@ -1275,7 +1278,10 @@ mod tests {
             assert_eq!(sim.u0.len(), leaves);
             let memory = hpx_rt::counters::select(&sim.counters(&cluster), "/octotiger/memory/*");
             let expect = [
-                ("/octotiger/memory/step-start-bytes", leaves as u64 * grid),
+                (
+                    "/octotiger/memory/step-start-bytes",
+                    leaves as u64 * interior,
+                ),
                 ("/octotiger/memory/stage-workspace-bytes", list_bytes),
             ];
             assert_eq!(memory, expect.map(|(n, v)| (n.to_owned(), v)));

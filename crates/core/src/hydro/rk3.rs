@@ -9,14 +9,17 @@
 //! uⁿ⁺¹   = ⅓ uⁿ + ⅔ (u² + Δt L(u²))
 //! ```
 //!
-//! The combinations are plain axpy-style array operations over whole leaf
-//! blocks; they are vectorized with `sve_simd` like every other kernel.
+//! The combinations are plain axpy-style array operations over the
+//! interior rows of a leaf; they are vectorized with `sve_simd` like every
+//! other kernel.  They write interior cells only: the next exchange
+//! overwrites every ghost word before anything reads it.  Each argument is
+//! indexed through its own ghost width, so the step-start state u⁰ needs no
+//! ghosts.
 
 use octree::SubGrid;
 use sve_simd::{Simd, VectorMode};
 
-/// `u_new = u + dt * rhs` over all fields (stage 1), ghosts included
-/// (ghost values are refreshed by the next exchange anyway).
+/// `u_new = u + dt * rhs` over all fields (stage 1), interior only.
 pub fn stage_euler(u: &SubGrid, rhs: &SubGrid, dt: f64, out: &mut SubGrid, mode: VectorMode) {
     match mode {
         VectorMode::Scalar => stage_euler_w::<1>(u, rhs, dt, out),
@@ -35,19 +38,24 @@ fn stage_euler_w<const W: usize>(u: &SubGrid, rhs: &SubGrid, dt: f64, out: &mut 
     // Explicit chunk loop rather than `zip_map_simd` + closure: the closure
     // cannot be `inline(always)` and would stay out-of-line inside the
     // `#[target_feature]` wide entry point, de-vectorizing the axpy.
-    let len = u.ext().pow(3);
+    let n = out.n();
+    assert!(u.n() == n && rhs.n() == n, "stage_euler shape mismatch");
     let vdt = Simd::<f64, W>::splat(dt);
-    for f in 0..u.nfields() {
-        let uu = u.field(f);
-        let rr = rhs.field(f);
-        let dst = out.field_mut(f);
-        for (off, lanes) in sve_simd::ChunkedLanes::<W>::new(len) {
-            let v = Simd::<f64, W>::load_chunk(rr, off, lanes, 0.0)
-                .mul_add(vdt, Simd::<f64, W>::load_chunk(uu, off, lanes, 0.0));
-            if lanes == W {
-                v.write_to_slice(&mut dst[off..]);
-            } else {
-                v.write_to_slice_partial(&mut dst[off..off + lanes]);
+    for f in 0..out.nfields() {
+        for i in 0..n {
+            for j in 0..n {
+                let uu = u.interior_row(f, i, j);
+                let rr = rhs.interior_row(f, i, j);
+                let dst = out.interior_row_mut(f, i, j);
+                for (off, lanes) in sve_simd::ChunkedLanes::<W>::new(n) {
+                    let v = Simd::<f64, W>::load_chunk(rr, off, lanes, 0.0)
+                        .mul_add(vdt, Simd::<f64, W>::load_chunk(uu, off, lanes, 0.0));
+                    if lanes == W {
+                        v.write_to_slice(&mut dst[off..]);
+                    } else {
+                        v.write_to_slice_partial(&mut dst[off..off + lanes]);
+                    }
+                }
             }
         }
     }
@@ -106,25 +114,33 @@ fn stage_combine_w<const W: usize>(
     a: f64,
     b: f64,
 ) {
-    let len = u0.ext().pow(3);
-    for f in 0..u0.nfields() {
-        let f0 = u0.field(f);
-        let fs = us.field(f);
-        let fr = rhs.field(f);
-        let dst = out.field_mut(f);
-        let va = Simd::<f64, W>::splat(a);
-        let vb = Simd::<f64, W>::splat(b);
-        let vdt = Simd::<f64, W>::splat(dt);
-        for (off, lanes) in sve_simd::ChunkedLanes::<W>::new(len) {
-            let v = va * Simd::<f64, W>::load_chunk(f0, off, lanes, 0.0)
-                + vb * Simd::<f64, W>::load_chunk(fs, off, lanes, 0.0).mul_add(
-                    Simd::splat(1.0),
-                    vdt * Simd::<f64, W>::load_chunk(fr, off, lanes, 0.0),
-                );
-            if lanes == W {
-                v.write_to_slice(&mut dst[off..]);
-            } else {
-                v.write_to_slice_partial(&mut dst[off..off + lanes]);
+    let n = out.n();
+    assert!(
+        u0.n() == n && us.n() == n && rhs.n() == n,
+        "stage combination shape mismatch"
+    );
+    let va = Simd::<f64, W>::splat(a);
+    let vb = Simd::<f64, W>::splat(b);
+    let vdt = Simd::<f64, W>::splat(dt);
+    for f in 0..out.nfields() {
+        for i in 0..n {
+            for j in 0..n {
+                let f0 = u0.interior_row(f, i, j);
+                let fs = us.interior_row(f, i, j);
+                let fr = rhs.interior_row(f, i, j);
+                let dst = out.interior_row_mut(f, i, j);
+                for (off, lanes) in sve_simd::ChunkedLanes::<W>::new(n) {
+                    let v = va * Simd::<f64, W>::load_chunk(f0, off, lanes, 0.0)
+                        + vb * Simd::<f64, W>::load_chunk(fs, off, lanes, 0.0).mul_add(
+                            Simd::splat(1.0),
+                            vdt * Simd::<f64, W>::load_chunk(fr, off, lanes, 0.0),
+                        );
+                    if lanes == W {
+                        v.write_to_slice(&mut dst[off..]);
+                    } else {
+                        v.write_to_slice_partial(&mut dst[off..off + lanes]);
+                    }
+                }
             }
         }
     }
@@ -146,7 +162,7 @@ mod tests {
         let rhs = grid_of(2.0);
         let mut out = grid_of(0.0);
         stage_euler(&u, &rhs, 0.5, &mut out, VectorMode::Sve512);
-        assert_eq!(out.get(0, 0, 0, 0), 2.0);
+        assert_eq!(out.get(0, 2, 2, 2), 2.0);
         assert_eq!(out.get(1, 5, 5, 5), 2.0);
     }
 
@@ -158,7 +174,7 @@ mod tests {
         let mut out = grid_of(0.0);
         stage_two(&u0, &u1, &rhs, 0.25, &mut out, VectorMode::Sve512);
         // 0.75*1 + 0.25*(3 + 0.25*4) = 0.75 + 1.0 = 1.75
-        assert!((out.get(0, 1, 1, 1) - 1.75).abs() < 1e-14);
+        assert!((out.get(0, 2, 3, 4) - 1.75).abs() < 1e-14);
         stage_three(&u0, &u1, &rhs, 0.25, &mut out, VectorMode::Sve512);
         // 1/3*1 + 2/3*(3+1) = 1/3 + 8/3 = 3
         assert!((out.get(0, 2, 2, 2) - 3.0).abs() < 1e-13);
@@ -192,5 +208,90 @@ mod tests {
         stage_two(&u0, &u1, &rhs, dt, &mut u2, VectorMode::Sve512);
         stage_three(&u0, &u2, &rhs, dt, &mut u3, VectorMode::Sve512);
         assert!((u3.get(0, 3, 3, 3) - (1.0 + c * dt)).abs() < 1e-14);
+    }
+
+    #[test]
+    fn stages_write_the_old_whole_block_bits_and_no_ghost_word() {
+        // NaN in every input ghost word: a ghost read would reach an
+        // interior word.  `out` keeps a distinct sentinel in its ghosts.
+        let poison = f64::from_bits(0x7ff8_dead_beef_0002);
+        let sentinel = f64::from_bits(0x7ff8_dead_beef_0003);
+        let seeded = |n: usize, g: usize, seed: u64| {
+            let mut grid = SubGrid::new(n, g, 3);
+            grid.fill(poison);
+            let mut s = seed;
+            for f in 0..3 {
+                for i in 0..n {
+                    for j in 0..n {
+                        for k in 0..n {
+                            s = s
+                                .wrapping_mul(6364136223846793005)
+                                .wrapping_add(1442695040888963407);
+                            grid.set_interior(
+                                f,
+                                i,
+                                j,
+                                k,
+                                (s >> 11) as f64 / (1u64 << 53) as f64 - 0.5,
+                            );
+                        }
+                    }
+                }
+            }
+            grid
+        };
+        let dt = 0.37;
+        for n in [4, 8] {
+            for u0_ghost in [0, 2] {
+                let u0 = seeded(n, u0_ghost, 1);
+                let us = seeded(n, 2, 2);
+                let rhs = seeded(n, 2, 3);
+                for mode in [VectorMode::Scalar, VectorMode::Sve512] {
+                    for stage in 0..3 {
+                        let mut out = SubGrid::new(n, 2, 3);
+                        out.fill(sentinel);
+                        match stage {
+                            0 => stage_euler(&u0, &rhs, dt, &mut out, mode),
+                            1 => stage_two(&u0, &us, &rhs, dt, &mut out, mode),
+                            _ => stage_three(&u0, &us, &rhs, dt, &mut out, mode),
+                        }
+                        // The whole-block sweep's per-word expressions.
+                        let want = |f, i, j, k| {
+                            let (a, s, r) = (
+                                u0.get_interior(f, i, j, k),
+                                us.get_interior(f, i, j, k),
+                                rhs.get_interior(f, i, j, k),
+                            );
+                            match stage {
+                                0 => r * dt + a,
+                                1 => 0.75 * a + 0.25 * (s * 1.0 + dt * r),
+                                _ => 1.0 / 3.0 * a + 2.0 / 3.0 * (s * 1.0 + dt * r),
+                            }
+                        };
+                        let inside = |c: usize| (2..2 + n).contains(&c);
+                        let ext = out.ext();
+                        for f in 0..3 {
+                            for i in 0..ext {
+                                for j in 0..ext {
+                                    for k in 0..ext {
+                                        let expect = if inside(i) && inside(j) && inside(k) {
+                                            want(f, i - 2, j - 2, k - 2)
+                                        } else {
+                                            sentinel
+                                        };
+                                        assert_eq!(
+                                            out.get(f, i, j, k).to_bits(),
+                                            expect.to_bits(),
+                                            "stage {stage}, N = {n}, u0 ghost {u0_ghost}, \
+                                             {mode:?}, f{f} ({i},{j},{k})"
+                                        );
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }

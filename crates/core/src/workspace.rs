@@ -1,13 +1,13 @@
 //! Recycled stage buffers, CPPuddle-style: per running kernel, not per
 //! sub-grid (arXiv 2210.06439, 2412.15518).
 //!
-//! A leaf keeps only its grid and its step-start state u⁰.  A stage task's
-//! `u_cur`, `rhs` and kernel window (checked out of the simulation's
-//! [`ScratchArena`]) are a `StageWorkspace` it takes off a `StagePool` when
-//! it starts and gives back when it ends, both outside the kernel body.
-//! The driver prewarms the pool to the worker count; stage tasks never
-//! block, so no more run at once.  A pooled `rhs` starts zeroed and the
-//! stage kernel writes only interior words, so its ghost words stay zero.
+//! A leaf keeps only its grid and its step-start state u⁰, the latter
+//! without ghosts (the RK combines read and write interior cells only).  A
+//! stage task's `u_cur`, `rhs` and kernel window (checked out of the
+//! simulation's [`ScratchArena`]) are a `StageWorkspace` it takes off a
+//! `StagePool` when it starts and gives back when it ends, both outside the
+//! kernel body.  The driver prewarms the pool to the worker count; stage
+//! tasks never block, so no more run at once.
 //!
 //! [`LeafWorkspace`] and [`zero_ghost_runs`], the earlier per-leaf bundle
 //! and its per-stage ghost sweep, are kept only for the benchmark's layer
@@ -19,8 +19,8 @@ use crate::state::NF;
 use kokkos_rs::pool::ScratchArena;
 use octree::SubGrid;
 
-/// Bytes of one ghosted `NF`-field grid of an `n`-cell leaf with `ghost`
-/// ghost width (a leaf's grid, its u⁰, a workspace's `u_cur` or `rhs`).
+/// Bytes of one `NF`-field grid of an `n`-cell leaf with `ghost` ghost
+/// width (a leaf's grid, a workspace's `u_cur` or `rhs`; a u⁰ has width 0).
 pub(crate) fn grid_bytes(n: usize, ghost: usize) -> u64 {
     (NF * (n + 2 * ghost).pow(3) * std::mem::size_of::<f64>()) as u64
 }
@@ -31,7 +31,8 @@ pub(crate) fn grid_bytes(n: usize, ghost: usize) -> u64 {
 pub(crate) struct StageWorkspace {
     /// Stage input copy of the leaf's grid (ghosts included).
     pub(crate) u_cur: SubGrid,
-    /// RHS accumulator `L(u)`; its ghost words stay zero.
+    /// RHS accumulator `L(u)`: the stage kernel writes its interior, and
+    /// nothing reads its ghost words.
     pub(crate) rhs: SubGrid,
     /// Pooled primitive/flux window of the hydro stage kernel.
     pub(crate) scratch: KernelScratch,

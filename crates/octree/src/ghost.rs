@@ -725,9 +725,11 @@ fn pack_prolonged(link: &PlanLink, out: &mut Vec<f64>) {
                         let gc = gf.div_euclid(2);
                         // Local storage index within the coarse grid.
                         let l = gc - i64::from(coarse_coords[a]) * ni + gi;
+                        // Interior only: a coarse ghost word holds the
+                        // previous fill's value, not the current state.
                         debug_assert!(
-                            (0..(ni + 2 * gi)).contains(&l),
-                            "prolongation index out of range"
+                            (gi..gi + ni).contains(&l),
+                            "prolongation reads outside the coarse interior"
                         );
                         lc[a] = l as usize;
                     }

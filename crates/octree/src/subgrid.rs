@@ -102,6 +102,21 @@ impl SubGrid {
         self.set(f, i + self.ghost, j + self.ghost, k + self.ghost, v);
     }
 
+    /// The `n` contiguous words of interior cells `(i, j, 0..n)` of field
+    /// `f` (`i, j ∈ [0, n)`).
+    #[inline(always)]
+    pub fn interior_row(&self, f: usize, i: usize, j: usize) -> &[f64] {
+        let o = self.offset(f, i + self.ghost, j + self.ghost, self.ghost);
+        &self.data[o..o + self.n]
+    }
+
+    /// Mutable [`SubGrid::interior_row`].
+    #[inline(always)]
+    pub fn interior_row_mut(&mut self, f: usize, i: usize, j: usize) -> &mut [f64] {
+        let o = self.offset(f, i + self.ghost, j + self.ghost, self.ghost);
+        &mut self.data[o..o + self.n]
+    }
+
     /// Whole field as a flat slice in storage order.
     pub fn field(&self, f: usize) -> &[f64] {
         let ext3 = self.ext().pow(3);
@@ -250,6 +265,28 @@ impl SubGrid {
             "copy_from shape mismatch"
         );
         self.data.copy_from_slice(&src.data);
+    }
+
+    /// Copy the interior of every field from `src` row by row, leaving this
+    /// grid's ghost words as they are; the two grids may differ in ghost
+    /// width.
+    ///
+    /// # Panics
+    /// Panics if the grids disagree in `n` or field count.
+    pub fn copy_interior_from(&mut self, src: &SubGrid) {
+        assert_eq!(
+            (self.n, self.nfields),
+            (src.n, src.nfields),
+            "copy_interior_from shape mismatch"
+        );
+        for f in 0..self.nfields {
+            for i in 0..self.n {
+                for j in 0..self.n {
+                    self.interior_row_mut(f, i, j)
+                        .copy_from_slice(src.interior_row(f, i, j));
+                }
+            }
+        }
     }
 
     /// Flat-index runs `(start, len)` covering exactly the ghost cells of
@@ -567,6 +604,32 @@ mod tests {
         dst.copy_from(&src);
         assert_eq!(dst, src);
         assert_eq!(dst.data.as_ptr(), ptr, "copy_from must not reallocate");
+    }
+
+    #[test]
+    fn copy_interior_from_crosses_ghost_widths_and_keeps_ghosts() {
+        for (from, to) in [(2, 0), (0, 2), (2, 1)] {
+            let src = filled(4, from, 3);
+            let mut dst = SubGrid::new(4, to, 3);
+            dst.fill(-1.0);
+            dst.copy_interior_from(&src);
+            let ext = dst.ext();
+            let inside = |c: usize| (to..to + 4).contains(&c);
+            for f in 0..3 {
+                for i in 0..ext {
+                    for j in 0..ext {
+                        for k in 0..ext {
+                            let want = if inside(i) && inside(j) && inside(k) {
+                                src.get_interior(f, i - to, j - to, k - to)
+                            } else {
+                                -1.0
+                            };
+                            assert_eq!(dst.get(f, i, j, k), want, "g{from}->g{to} ({i},{j},{k})");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
