@@ -10,11 +10,13 @@
 //!
 //! The step's physics is spelled once and scheduled twice.  The pieces —
 //! the gravity dispatch (`solve_gravity`: one sharded solve, of which one
-//! locality is the local case), the prologue (`Simulation::begin_step`:
-//! u⁰ save and boundary-face masks), the per-leaf RK-stage kernel
-//! (`StepShared::run_stage`), the fixed-order outflow fold and the
-//! [`StepStats`] assembly (`Simulation::finish_step`) — are shared by two
-//! short schedulers: `Simulation::step_barrier` joins after every piece,
+//! locality is the local case), the Δt reduction (`dt_term`), the
+//! prologue (`Simulation::begin_step`: u⁰ save and boundary-face masks),
+//! the gated per-leaf ghost fill (`DistGrid::exchange_ghosts_pipelined`),
+//! the per-leaf RK-stage kernel (`StepShared::run_stage`, in place on the
+//! leaf's grid), the fixed-order outflow fold and the [`StepStats`]
+//! assembly (`Simulation::finish_step`) — are shared by two short
+//! schedulers: `Simulation::step_barrier` joins after every piece,
 //! `Simulation::step_pipelined` chains the same pieces as one future graph
 //! (DESIGN.md §4 records the measurements that keep both).
 //!
@@ -228,6 +230,33 @@ struct StepTally {
     overlapped_tasks: u64,
 }
 
+/// The hydro options of `opts` (its vector width and CFL number).
+fn hydro_options(opts: &SimOptions) -> HydroOptions {
+    HydroOptions {
+        vector_mode: opts.vector_mode,
+        cfl: opts.cfl,
+    }
+}
+
+/// The Δt reduction of both steppers: per leaf `dt_term`, (cell width,
+/// fastest signal speed), folded by `dt_join` from this identity, then
+/// `dt_of`.  min and max associate and commute: every fold order gives
+/// the same bits.
+const DT_IDENTITY: (f64, f64) = (f64::INFINITY, 1e-30);
+
+fn dt_term(opts: &SimOptions, n: usize, leaf: NodeId, u: &SubGrid) -> (f64, f64) {
+    let h = leaf.cube().1 * BOX_SIZE / n as f64;
+    (h, hydro::max_signal_speed(u, &hydro_options(opts)))
+}
+
+fn dt_join(a: (f64, f64), b: (f64, f64)) -> (f64, f64) {
+    (a.0.min(b.0), a.1.max(b.1))
+}
+
+fn dt_of(opts: &SimOptions, (h_min, max_speed): (f64, f64)) -> f64 {
+    opts.cfl * h_min / max_speed
+}
+
 /// What every stage kernel of one step reads, shared by all stage tasks.
 struct StepShared {
     grid: DistGrid,
@@ -251,15 +280,17 @@ struct StepShared {
 }
 
 impl StepShared {
-    /// The per-leaf RK-stage kernel: compute the hydro RHS of the leaf's
-    /// current state (with the gravity and rotating-frame sources), then
-    /// apply stage `stage`'s SSP-RK3 combination in place to the leaf's
-    /// interior (its ghost words keep the fill's values until the next
-    /// fill).  The scheduler guarantees the leaf's ghost shells are filled
-    /// and that no other task touches the leaf's grid or u⁰ meanwhile.  The
-    /// task's `u_cur`, `rhs` and kernel scratch are a [`StageWorkspace`]
-    /// taken off the simulation's free list when it starts and given back
-    /// when it ends, both outside the kernel body.
+    /// The per-leaf RK-stage kernel: compute the hydro RHS (with the
+    /// gravity and rotating-frame sources) from the leaf's grid, then apply
+    /// stage `stage`'s SSP-RK3 combination to the grid's interior in place
+    /// (its ghost words keep the fill's values until the next fill).  The
+    /// scheduler guarantees the leaf's ghost shells are filled and that no
+    /// other task touches the leaf's grid or u⁰ meanwhile: no fill reads
+    /// the interior (the barrier's join, or `outgoing_packed` in the stage
+    /// gate), and the next fill waits for the update.  The task's `rhs` and
+    /// kernel scratch are a [`StageWorkspace`] taken off the simulation's
+    /// free list when it starts and given back when it ends, both outside
+    /// the kernel body.
     fn run_stage(
         &self,
         leaf: NodeId,
@@ -273,22 +304,11 @@ impl StepShared {
         let nn = self.grid.n();
         let h = size * BOX_SIZE / nn as f64;
         let origin = corner.map(|c| (c + 0.5 * size / nn as f64 - 0.5) * BOX_SIZE);
-        let hopts = HydroOptions {
-            vector_mode: opts.vector_mode,
-            cfl: opts.cfl,
-        };
         let u0 = self.u0[&leaf]
             .try_lock()
             .expect("leaf u⁰ aliased by a concurrent task");
         let mut ws = self.stage_workspaces.take(nn, self.grid.ghost_width());
-        // Compute the RHS from the current state (reads), then apply the
-        // stage combination (writes).
-        let StageWorkspace {
-            u_cur,
-            rhs,
-            scratch,
-        } = &mut ws;
-        u_cur.copy_from(&handle.read());
+        let StageWorkspace { rhs, scratch } = &mut ws;
         let src = SourceInput {
             gravity: gravity
                 .map(|m| &m[&leaf])
@@ -298,17 +318,13 @@ impl StepShared {
             h,
             boundary_faces: self.boundary_masks[&leaf],
         };
-        let info = hydro::compute_rhs(u_cur, rhs, &src, &hopts, scratch);
+        let info = hydro::compute_rhs(&handle.read(), rhs, &src, &hydro_options(opts), scratch);
         self.outflow_rates[stage]
             .lock()
             .insert(leaf, info.boundary_mass_outflow_rate);
-        let mut g = handle.write();
         let mode = opts.vector_mode;
-        match stage {
-            0 => hydro::rk3::stage_euler(u_cur, rhs, dt, &mut g, mode),
-            1 => hydro::rk3::stage_two(&u0, u_cur, rhs, dt, &mut g, mode),
-            _ => hydro::rk3::stage_three(&u0, u_cur, rhs, dt, &mut g, mode),
-        }
+        // `None`: the stage input is the grid itself, combined in place.
+        hydro::rk3::stage(stage, &u0, None, rhs, dt, &mut handle.write(), mode);
         self.stage_workspaces.give(ws);
     }
 
@@ -550,22 +566,10 @@ impl Simulation {
 
     /// Global CFL time step (fixed across the whole grid, per the paper).
     pub fn compute_dt(&self) -> f64 {
-        let hopts = HydroOptions {
-            vector_mode: self.opts.vector_mode,
-            cfl: self.opts.cfl,
-        };
-        let mut max_speed: f64 = 1e-30;
-        let mut h_min = f64::INFINITY;
-        let n = self.grid.n();
-        for leaf in self.grid.leaves() {
-            let (_, size) = leaf.cube();
-            let h = size * BOX_SIZE / n as f64;
-            h_min = h_min.min(h);
-            let handle = self.grid.grid(leaf);
-            let speed = hydro::max_signal_speed(&handle.read(), &hopts);
-            max_speed = max_speed.max(speed);
-        }
-        self.opts.cfl * h_min / max_speed
+        let (opts, n) = (&self.opts, self.grid.n());
+        let terms = (self.grid.leaves().into_iter())
+            .map(|leaf| dt_term(opts, n, leaf, &self.grid.grid(leaf).read()));
+        dt_of(opts, terms.fold(DT_IDENTITY, dt_join))
     }
 
     /// Advance one full RK3 step; returns the step telemetry.
@@ -813,35 +817,20 @@ impl Simulation {
         let leaves = &shared.leaves;
 
         // ---- Global Δt as an asynchronous Kokkos reduction. -------------
-        // min/max are associative and commutative, so the chunked reduction
-        // gives bit-identical Δt to the sequential fold in `compute_dt`.
+        // `compute_dt`'s terms, chunked: the same Δt bits in any order.
         let dt_fut: Future<f64> = {
-            let hopts = HydroOptions {
-                vector_mode: self.opts.vector_mode,
-                cfl: self.opts.cfl,
-            };
-            let cfl = self.opts.cfl;
-            let n = self.grid.n();
-            let handles: Vec<_> = leaves
-                .iter()
-                .map(|&l| {
-                    let (_, size) = l.cube();
-                    (size * BOX_SIZE / n as f64, self.grid.grid(l))
-                })
-                .collect();
+            let (opts, n) = (self.opts, self.grid.n());
+            let handles: Vec<_> = leaves.iter().map(|&l| (l, self.grid.grid(l))).collect();
             let space = ExecSpace::hpx(rt0.clone());
             kokkos_rs::launch_reduce_async(
                 &rt0,
                 space,
                 kokkos_rs::RangePolicy::new(0, handles.len()),
-                (f64::INFINITY, 1e-30f64),
-                move |i| {
-                    let (h, handle) = &handles[i];
-                    (*h, hydro::max_signal_speed(&handle.read(), &hopts))
-                },
-                |a, b| (a.0.min(b.0), a.1.max(b.1)),
+                DT_IDENTITY,
+                move |i| dt_term(&opts, n, handles[i].0, &handles[i].1.read()),
+                dt_join,
             )
-            .then(&rt0, move |(h_min, max_speed)| cfl * h_min / max_speed)
+            .then(&rt0, move |folded| dt_of(&opts, folded))
         };
         let dt_gate = dt_fut.ticket();
         let gravity_gate: Option<Future<()>> = gravity_fut.as_ref().map(|f| f.ticket());
@@ -1255,12 +1244,13 @@ mod tests {
 
     #[test]
     fn stage_workspaces_are_per_running_task_not_per_leaf() {
-        // u_cur + rhs, each a ghosted NF-field grid, and the N = 4 kernel
-        // window (`workspace_scratch_comes_from_the_pool`); u⁰ is the
-        // interior alone.
+        // One ghosted NF-field grid, the rhs (the stage reads and updates
+        // the leaf's grid in place), and the N = 4 kernel window
+        // (`workspace_scratch_comes_from_the_pool`); u⁰ is the interior
+        // alone.
         let grid = (NF * 8 * 8 * 8 * 8) as u64;
         let interior = (NF * 4 * 4 * 4 * 8) as u64;
-        let workspace = 2 * grid + 8 * (2048 + 576);
+        let workspace = grid + 8 * (2048 + 576);
         for (localities, workers, pipeline) in [(1, 2, false), (2, 1, true)] {
             let cluster = SimCluster::new(localities, workers);
             let mut sim = small_sim(&cluster, true);

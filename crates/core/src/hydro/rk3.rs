@@ -10,55 +10,19 @@
 //! ```
 //!
 //! The combinations are plain axpy-style array operations over the
-//! interior rows of a leaf; they are vectorized with `sve_simd` like every
-//! other kernel.  They write interior cells only: the next exchange
-//! overwrites every ghost word before anything reads it.  Each argument is
-//! indexed through its own ghost width, so the step-start state u⁰ needs no
-//! ghosts.
+//! interior rows of a leaf, one kernel per width vectorized with
+//! `sve_simd` like every other kernel.  It may write over its own input:
+//! the driver's stage task updates its leaf's grid in place.  It writes
+//! interior cells only: the next exchange overwrites every ghost word
+//! before anything reads it.  Each argument is indexed through its own
+//! ghost width, so the step-start state u⁰ needs no ghosts.
 
 use octree::SubGrid;
 use sve_simd::{Simd, VectorMode};
 
 /// `u_new = u + dt * rhs` over all fields (stage 1), interior only.
 pub fn stage_euler(u: &SubGrid, rhs: &SubGrid, dt: f64, out: &mut SubGrid, mode: VectorMode) {
-    match mode {
-        VectorMode::Scalar => stage_euler_w::<1>(u, rhs, dt, out),
-        VectorMode::Sve512 => stage_euler_wide(u, rhs, dt, out),
-    }
-}
-
-sve_simd::wide_dispatch! {
-    /// [`stage_euler_w::<8>`] under the host's widest vector ISA.
-    fn stage_euler_wide(u: &SubGrid, rhs: &SubGrid, dt: f64, out: &mut SubGrid)
-        = stage_euler_w::<8>
-}
-
-#[inline(always)]
-fn stage_euler_w<const W: usize>(u: &SubGrid, rhs: &SubGrid, dt: f64, out: &mut SubGrid) {
-    // Explicit chunk loop rather than `zip_map_simd` + closure: the closure
-    // cannot be `inline(always)` and would stay out-of-line inside the
-    // `#[target_feature]` wide entry point, de-vectorizing the axpy.
-    let n = out.n();
-    assert!(u.n() == n && rhs.n() == n, "stage_euler shape mismatch");
-    let vdt = Simd::<f64, W>::splat(dt);
-    for f in 0..out.nfields() {
-        for i in 0..n {
-            for j in 0..n {
-                let uu = u.interior_row(f, i, j);
-                let rr = rhs.interior_row(f, i, j);
-                let dst = out.interior_row_mut(f, i, j);
-                for (off, lanes) in sve_simd::ChunkedLanes::<W>::new(n) {
-                    let v = Simd::<f64, W>::load_chunk(rr, off, lanes, 0.0)
-                        .mul_add(vdt, Simd::<f64, W>::load_chunk(uu, off, lanes, 0.0));
-                    if lanes == W {
-                        v.write_to_slice(&mut dst[off..]);
-                    } else {
-                        v.write_to_slice_partial(&mut dst[off..off + lanes]);
-                    }
-                }
-            }
-        }
-    }
+    stage(0, u, Some(u), rhs, dt, out, mode);
 }
 
 /// `u2 = 3/4 u0 + 1/4 (u1 + dt rhs1)` (stage 2).
@@ -70,23 +34,7 @@ pub fn stage_two(
     out: &mut SubGrid,
     mode: VectorMode,
 ) {
-    match mode {
-        VectorMode::Scalar => stage_combine_w::<1>(u0, u1, rhs1, dt, out, 0.75, 0.25),
-        VectorMode::Sve512 => stage_combine_wide(u0, u1, rhs1, dt, out, 0.75, 0.25),
-    }
-}
-
-sve_simd::wide_dispatch! {
-    /// [`stage_combine_w::<8>`] under the host's widest vector ISA.
-    fn stage_combine_wide(
-        u0: &SubGrid,
-        us: &SubGrid,
-        rhs: &SubGrid,
-        dt: f64,
-        out: &mut SubGrid,
-        a: f64,
-        b: f64
-    ) = stage_combine_w::<8>
+    stage(1, u0, Some(u1), rhs1, dt, out, mode);
 }
 
 /// `u_new = 1/3 u0 + 2/3 (u2 + dt rhs2)` (stage 3).
@@ -98,43 +46,80 @@ pub fn stage_three(
     out: &mut SubGrid,
     mode: VectorMode,
 ) {
-    match mode {
-        VectorMode::Scalar => stage_combine_w::<1>(u0, u2, rhs2, dt, out, 1.0 / 3.0, 2.0 / 3.0),
-        VectorMode::Sve512 => stage_combine_wide(u0, u2, rhs2, dt, out, 1.0 / 3.0, 2.0 / 3.0),
-    }
+    stage(2, u0, Some(u2), rhs2, dt, out, mode);
 }
 
-#[inline(always)]
-fn stage_combine_w<const W: usize>(
+/// Stage `stage` (0, 1 or 2) into `out`'s interior from u⁰ (not read at
+/// stage 0), `rhs` and the stage input `us` — `None` is `out` itself, in
+/// place.
+pub(crate) fn stage(
+    stage: usize,
     u0: &SubGrid,
-    us: &SubGrid,
+    us: Option<&SubGrid>,
     rhs: &SubGrid,
     dt: f64,
     out: &mut SubGrid,
-    a: f64,
-    b: f64,
+    mode: VectorMode,
 ) {
+    match mode {
+        VectorMode::Scalar => stage_w::<1>(stage, u0, us, rhs, dt, out),
+        VectorMode::Sve512 => stage_wide(stage, u0, us, rhs, dt, out),
+    }
+}
+
+sve_simd::wide_dispatch! {
+    /// [`stage_w::<8>`] under the host's widest vector ISA.
+    fn stage_wide(
+        stage: usize,
+        u0: &SubGrid,
+        us: Option<&SubGrid>,
+        rhs: &SubGrid,
+        dt: f64,
+        out: &mut SubGrid
+    ) = stage_w::<8>
+}
+
+#[inline(always)]
+fn stage_w<const W: usize>(
+    stage: usize,
+    u0: &SubGrid,
+    us: Option<&SubGrid>,
+    rhs: &SubGrid,
+    dt: f64,
+    out: &mut SubGrid,
+) {
+    // Explicit chunk loop rather than `zip_map_simd` + closure: the closure
+    // cannot be `inline(always)` and would stay out-of-line inside the
+    // `#[target_feature]` wide entry point, de-vectorizing the axpy.
     let n = out.n();
     assert!(
-        u0.n() == n && us.n() == n && rhs.n() == n,
+        u0.n() == n && rhs.n() == n && us.is_none_or(|u| u.n() == n),
         "stage combination shape mismatch"
     );
-    let va = Simd::<f64, W>::splat(a);
-    let vb = Simd::<f64, W>::splat(b);
-    let vdt = Simd::<f64, W>::splat(dt);
+    // Stages 2 and 3: the weights of u⁰ and of `us + dt rhs`.
+    let (a, b) = if stage == 1 {
+        (0.75, 0.25)
+    } else {
+        (1.0 / 3.0, 2.0 / 3.0)
+    };
+    let (va, vb, vdt) = (Simd::<f64, W>::splat(a), Simd::splat(b), Simd::splat(dt));
     for f in 0..out.nfields() {
         for i in 0..n {
             for j in 0..n {
-                let f0 = u0.interior_row(f, i, j);
-                let fs = us.interior_row(f, i, j);
-                let fr = rhs.interior_row(f, i, j);
+                let (f0, fr) = (u0.interior_row(f, i, j), rhs.interior_row(f, i, j));
                 let dst = out.interior_row_mut(f, i, j);
+                if let Some(us) = us {
+                    dst.copy_from_slice(us.interior_row(f, i, j));
+                }
                 for (off, lanes) in sve_simd::ChunkedLanes::<W>::new(n) {
-                    let v = va * Simd::<f64, W>::load_chunk(f0, off, lanes, 0.0)
-                        + vb * Simd::<f64, W>::load_chunk(fs, off, lanes, 0.0).mul_add(
-                            Simd::splat(1.0),
-                            vdt * Simd::<f64, W>::load_chunk(fr, off, lanes, 0.0),
-                        );
+                    let s = Simd::<f64, W>::load_chunk(dst, off, lanes, 0.0);
+                    let r = Simd::<f64, W>::load_chunk(fr, off, lanes, 0.0);
+                    let v = if stage == 0 {
+                        r.mul_add(vdt, s)
+                    } else {
+                        va * Simd::<f64, W>::load_chunk(f0, off, lanes, 0.0)
+                            + vb * s.mul_add(Simd::splat(1.0), vdt * r)
+                    };
                     if lanes == W {
                         v.write_to_slice(&mut dst[off..]);
                     } else {
@@ -246,24 +231,34 @@ mod tests {
                 let u0 = seeded(n, u0_ghost, 1);
                 let us = seeded(n, 2, 2);
                 let rhs = seeded(n, 2, 3);
-                for mode in [VectorMode::Scalar, VectorMode::Sve512] {
+                for (mode, in_place) in [VectorMode::Scalar, VectorMode::Sve512]
+                    .into_iter()
+                    .flat_map(|mode| [(mode, false), (mode, true)])
+                {
                     for stage in 0..3 {
                         let mut out = SubGrid::new(n, 2, 3);
                         out.fill(sentinel);
-                        match stage {
-                            0 => stage_euler(&u0, &rhs, dt, &mut out, mode),
-                            1 => stage_two(&u0, &us, &rhs, dt, &mut out, mode),
-                            _ => stage_three(&u0, &us, &rhs, dt, &mut out, mode),
+                        // Stage 1's input is u⁰ out of place, `us` in place.
+                        let input = if stage == 0 && !in_place { &u0 } else { &us };
+                        if in_place {
+                            out.copy_interior_from(&us);
+                            super::stage(stage, &u0, None, &rhs, dt, &mut out, mode);
+                        } else {
+                            match stage {
+                                0 => stage_euler(&u0, &rhs, dt, &mut out, mode),
+                                1 => stage_two(&u0, &us, &rhs, dt, &mut out, mode),
+                                _ => stage_three(&u0, &us, &rhs, dt, &mut out, mode),
+                            }
                         }
                         // The whole-block sweep's per-word expressions.
                         let want = |f, i, j, k| {
                             let (a, s, r) = (
                                 u0.get_interior(f, i, j, k),
-                                us.get_interior(f, i, j, k),
+                                input.get_interior(f, i, j, k),
                                 rhs.get_interior(f, i, j, k),
                             );
                             match stage {
-                                0 => r * dt + a,
+                                0 => r * dt + s,
                                 1 => 0.75 * a + 0.25 * (s * 1.0 + dt * r),
                                 _ => 1.0 / 3.0 * a + 2.0 / 3.0 * (s * 1.0 + dt * r),
                             }
@@ -283,7 +278,7 @@ mod tests {
                                             out.get(f, i, j, k).to_bits(),
                                             expect.to_bits(),
                                             "stage {stage}, N = {n}, u0 ghost {u0_ghost}, \
-                                             {mode:?}, f{f} ({i},{j},{k})"
+                                             {mode:?}, in place {in_place}, f{f} ({i},{j},{k})"
                                         );
                                     }
                                 }

@@ -1,10 +1,12 @@
 //! Recycled stage buffers, CPPuddle-style: per running kernel, not per
-//! sub-grid (arXiv 2210.06439, 2412.15518).
+//! sub-grid, and sized to what the kernel reads (arXiv 2210.06439,
+//! 2412.15518).
 //!
 //! A leaf keeps only its grid and its step-start state u⁰, the latter
 //! without ghosts (the RK combines read and write interior cells only).  A
-//! stage task's `u_cur`, `rhs` and kernel window (checked out of the
-//! simulation's [`ScratchArena`]) are a `StageWorkspace` it takes off a
+//! stage task reads the leaf's grid in place and combines into it in place,
+//! so all it needs besides are an `rhs` and the kernel window (checked out
+//! of the simulation's [`ScratchArena`]): a `StageWorkspace` it takes off a
 //! `StagePool` when it starts and gives back when it ends, both outside the
 //! kernel body.  The driver prewarms the pool to the worker count; stage
 //! tasks never block, so no more run at once.
@@ -20,7 +22,7 @@ use kokkos_rs::pool::ScratchArena;
 use octree::SubGrid;
 
 /// Bytes of one `NF`-field grid of an `n`-cell leaf with `ghost` ghost
-/// width (a leaf's grid, a workspace's `u_cur` or `rhs`; a u⁰ has width 0).
+/// width (a leaf's grid or a workspace's `rhs`; a u⁰ has width 0).
 pub(crate) fn grid_bytes(n: usize, ghost: usize) -> u64 {
     (NF * (n + 2 * ghost).pow(3) * std::mem::size_of::<f64>()) as u64
 }
@@ -29,8 +31,6 @@ pub(crate) fn grid_bytes(n: usize, ghost: usize) -> u64 {
 /// u⁰ (see module docs).
 #[derive(Debug)]
 pub(crate) struct StageWorkspace {
-    /// Stage input copy of the leaf's grid (ghosts included).
-    pub(crate) u_cur: SubGrid,
     /// RHS accumulator `L(u)`: the stage kernel writes its interior, and
     /// nothing reads its ghost words.
     pub(crate) rhs: SubGrid,
@@ -43,7 +43,6 @@ impl StageWorkspace {
     /// scratch checked out of `arena`.
     fn new(n: usize, ghost: usize, arena: &ScratchArena) -> StageWorkspace {
         StageWorkspace {
-            u_cur: SubGrid::new(n, ghost, NF),
             rhs: SubGrid::new(n, ghost, NF),
             scratch: KernelScratch::new(n, ghost, arena),
         }
@@ -51,7 +50,7 @@ impl StageWorkspace {
 
     /// Bytes this workspace holds.
     fn bytes(&self) -> u64 {
-        2 * grid_bytes(self.u_cur.n(), self.u_cur.ghost()) + self.scratch.bytes()
+        grid_bytes(self.rhs.n(), self.rhs.ghost()) + self.scratch.bytes()
     }
 }
 
@@ -189,8 +188,8 @@ mod tests {
     fn stage_pool_recycles_and_allocates_only_when_empty() {
         let arena = ScratchArena::new();
         let pool = StagePool::new(arena.clone());
-        // u_cur + rhs, each NF fields of 8³ words, and the kernel window.
-        let each = 2 * 8 * 512 * 8 + 8 * (2048 + 576);
+        // The rhs, NF fields of 8³ words, and the kernel window.
+        let each = 8 * 512 * 8 + 8 * (2048 + 576);
         pool.prewarm(2, 4, 2);
         pool.prewarm(2, 4, 2);
         assert_eq!((pool.bytes(), arena.stats().misses), (2 * each, 4));

@@ -13,18 +13,18 @@
 //!   parcelport (always used across localities, and also used locally when
 //!   the optimization is off), metered in the locality counters;
 //! * **direct route** — a read through the shared-memory grid handle,
-//!   counted in `local_direct_accesses`.  The exchange's phase structure
-//!   (all interiors are final before any ghost is read) plays the role of
-//!   the paper's promise/future readiness notifications; the pipelined
-//!   exchange makes them literal, one gate per destination leaf over the
-//!   leaves its 26 links read.
+//!   counted in `local_direct_accesses`.  The paper's promise/future
+//!   readiness notifications are literal here: one gate per destination
+//!   leaf over the leaves its 26 links read.
 //!
 //! Which leaf feeds which shell from which locality is derived once per
 //! `topology_version` into a `GhostPlan` that also carries the per-link
 //! work.  A leaf's ghost fill is written once, as two plan routines —
 //! `start` (outflow and direct links, parcel requests) and `finish` (parcel
-//! replies) — and the two exchanges only schedule them: in SFC order on the
-//! calling thread, or as one small future graph per leaf.
+//! replies) — and scheduled once, as one small future graph per leaf run
+//! on the owner's workers ([`DistGrid::exchange_ghosts_pipelined`]).  The
+//! bulk [`DistGrid::exchange_ghosts`] is that graph over ready gates,
+//! joined.
 //!
 //! Level jumps are handled as in Octo-Tiger: data from a coarser neighbour
 //! is prolonged (piecewise-constant), data from finer neighbours is
@@ -243,17 +243,22 @@ impl GhostPlan {
         }
     }
 
-    /// Per payload bucket, the most payloads exchanges under `config` hold
-    /// at once when at most `fills` leaf fills run concurrently: every
-    /// parcel link's (all are requested before a reply is unpacked; a
-    /// leaf's next fill waits for its last one, so pipelined stages never
-    /// hold two payloads of one link) and one direct payload per running
-    /// fill (`start` unpacks each direct payload right after packing it).
+    /// Per payload bucket, the most payloads exchanges under `config` on
+    /// `cluster` hold at once: every parcel link's (all are requested
+    /// before a reply is unpacked; a leaf's next fill waits for its last
+    /// one, so pipelined stages never hold two payloads of one link) and
+    /// one direct payload per running fill (`start` unpacks each direct
+    /// payload right after packing it).  A fill runs as a task that never
+    /// waits, so no worker helps a second one in its middle: at most one
+    /// runs per worker of the cluster.
     fn payloads(
         &self,
         config: GhostConfig,
-        fills: usize,
+        cluster: &SimCluster,
     ) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let fills: usize = (cluster.localities().iter())
+            .map(|l| l.runtime().num_workers())
+            .sum();
         self.demand.iter().map(move |(&bucket, &[local, remote])| {
             let (direct, parcel) = if config.direct_local_access {
                 (local, remote)
@@ -270,8 +275,8 @@ impl GhostPlan {
     /// state allocation-free deterministically (then the top-up is a no-op,
     /// also while an earlier pipelined stage still holds payloads: the
     /// arena counts checked-out buffers).
-    fn prewarm(&self, config: GhostConfig, fills: usize) {
-        for (bucket, count) in self.payloads(config, fills) {
+    fn prewarm(&self, config: GhostConfig, cluster: &SimCluster) {
+        for (bucket, count) in self.payloads(config, cluster) {
             self.pool.prewarm(bucket, count);
         }
     }
@@ -551,23 +556,21 @@ impl DistGrid {
 
     /// Fill every leaf's ghost shells: interior data from neighbours
     /// (with prolongation/restriction across level jumps) and outflow
-    /// extrapolation at the domain boundary.  Every leaf's fill is started
-    /// in SFC order on the calling thread before the first is finished, so
-    /// every parcel request is in flight before any reply is awaited.
+    /// extrapolation at the domain boundary.  This is
+    /// [`DistGrid::exchange_ghosts_pipelined`] with every leaf ready, joined
+    /// on `ghosts_filled`: each leaf's fill runs as a task on its owner's
+    /// workers, and the caller blocks until every fill is done.  No leaf's
+    /// interior may be written meanwhile.
     ///
     /// Returns the number of (leaf, direction) links that used the direct
     /// local path.
     pub fn exchange_ghosts(&self, cluster: &SimCluster, config: GhostConfig) -> usize {
-        let plan = self.plan();
-        // One fill at a time: every `start` runs on the calling thread.
-        plan.prewarm(config, 1);
-        let replies: Vec<_> = (0..plan.leaves.len())
-            .map(|k| plan.start(k, cluster.locality(plan.owner(k).0), config))
+        let ready = (self.leaves().into_iter())
+            .map(|l| (l, hpx_rt::make_ready_future(())))
             .collect();
-        for (k, replies) in replies.iter().enumerate() {
-            plan.finish(k, config, replies);
-        }
-        plan.direct_links(config)
+        let ex = self.exchange_ghosts_pipelined(cluster, config, &ready);
+        ex.ghosts_filled.values().for_each(hpx_rt::Future::wait);
+        ex.direct_links
     }
 
     /// Total (leaf, direction) ghost links of the current tree: every leaf
@@ -609,10 +612,7 @@ impl DistGrid {
         ready: &HashMap<NodeId, hpx_rt::Future<()>>,
     ) -> PipelinedExchange {
         let plan = self.plan();
-        // A fill runs as a task, at most one per worker at a time (`start`
-        // never waits, so no worker helps a second one in the middle).
-        let workers = (cluster.localities().iter()).map(|l| l.runtime().num_workers());
-        plan.prewarm(config, workers.sum());
+        plan.prewarm(config, cluster);
         let links_resolved = Arc::new(AtomicUsize::new(0));
         let runtime = |k: usize| cluster.locality(plan.owner(k).0).runtime();
         let mut parts: Vec<hpx_rt::Future<()>> = Vec::new();
@@ -1104,12 +1104,12 @@ mod tests {
     fn prewarm_holds_one_direct_payload_per_running_fill() {
         // Uniform level 2, N = 4, one field, one locality: every payload
         // link is direct, in three buckets (faces 32, edges 16, corners 8
-        // words).  The bulk exchange runs one fill at a time, the pipelined
-        // one at most one per worker; the pool holds that many payloads per
-        // bucket, not one per link, and a warm exchange misses 0 times.
+        // words).  Both exchanges run each fill as a task, at most one per
+        // worker; the pool holds that many payloads per bucket, not one per
+        // link, and a warm exchange misses 0 times.
         let config = GhostConfig::default();
         for (workers, pipelined, fills, words) in
-            [(1, false, 1, 56), (2, false, 1, 56), (2, true, 2, 112)]
+            [(1, false, 1, 56), (2, false, 2, 112), (2, true, 2, 112)]
         {
             let cluster = SimCluster::new(1, workers);
             let dg = DistGrid::new(Tree::new_uniform(2), 4, 2, 1, &cluster);
@@ -1124,7 +1124,7 @@ mod tests {
             };
             exchange();
             let plan = dg.plan();
-            let payloads: Vec<(usize, usize)> = plan.payloads(config, fills).collect();
+            let payloads: Vec<(usize, usize)> = plan.payloads(config, &cluster).collect();
             assert_eq!(payloads, [(8, fills), (16, fills), (32, fills)]);
             let prewarmed: usize = payloads.iter().map(|(bucket, count)| bucket * count).sum();
             assert_eq!(prewarmed, words);

@@ -2,7 +2,7 @@
 //!
 //! `tests/kernel_allocations.rs` counts allocations inside kernel bodies
 //! only, and the pool-miss tests count only pooled buffers, so a stage
-//! task that built its own `u_cur`/`rhs`, or a u⁰ store re-created every
+//! task that built its own `rhs` or grid copy, or a u⁰ store re-created every
 //! step, passes both.  Here a counting global allocator counts *every*
 //! heap allocation, on any thread, at least as large as the smallest
 //! per-leaf grid the stepper keeps (a u⁰: `NF` fields of `N³` interior
