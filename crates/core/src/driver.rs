@@ -11,10 +11,11 @@
 //! The step's physics is spelled once and scheduled twice.  The pieces —
 //! the gravity dispatch (`solve_gravity`: one sharded solve, of which one
 //! locality is the local case), the Δt reduction (`dt_term`), the
-//! prologue (`Simulation::begin_step`: u⁰ save and boundary-face masks),
-//! the gated per-leaf ghost fill (`DistGrid::exchange_ghosts_pipelined`),
-//! the per-leaf RK-stage kernel (`StepShared::run_stage`, in place on the
-//! leaf's grid), the fixed-order outflow fold and the [`StepStats`]
+//! prologue (`Simulation::begin_step`: the u⁰ store and boundary-face
+//! masks), the gated per-leaf face-slab ghost fill
+//! (`DistGrid::exchange_ghosts_pipelined`), the per-leaf RK-stage kernel
+//! (`StepShared::run_stage`, in place on the leaf's grid; stage 0 saves
+//! u⁰ first), the fixed-order outflow fold and the [`StepStats`]
 //! assembly (`Simulation::finish_step`) — are shared by two short
 //! schedulers: `Simulation::step_barrier` joins after every piece,
 //! `Simulation::step_pipelined` chains the same pieces as one future graph
@@ -263,8 +264,8 @@ struct StepShared {
     opts: SimOptions,
     /// The step's leaves, in the fixed order the outflow ledger folds in.
     leaves: Vec<NodeId>,
-    /// Each leaf's step-start state u⁰ (interior only), saved by
-    /// `Simulation::begin_step`.
+    /// Each leaf's step-start state u⁰ (interior only), saved by the leaf's
+    /// stage-0 task (`run_stage`).
     u0: HashMap<NodeId, Arc<parking_lot::Mutex<SubGrid>>>,
     /// The free list every stage task takes its buffers from.
     stage_workspaces: Arc<StagePool>,
@@ -280,14 +281,18 @@ struct StepShared {
 }
 
 impl StepShared {
-    /// The per-leaf RK-stage kernel: compute the hydro RHS (with the
-    /// gravity and rotating-frame sources) from the leaf's grid, then apply
-    /// stage `stage`'s SSP-RK3 combination to the grid's interior in place
-    /// (its ghost words keep the fill's values until the next fill).  The
-    /// scheduler guarantees the leaf's ghost shells are filled and that no
-    /// other task touches the leaf's grid or u⁰ meanwhile: no fill reads
+    /// The per-leaf RK-stage kernel: at stage 0 save the leaf's interior
+    /// into its u⁰ entry, then compute the hydro RHS (with the gravity and
+    /// rotating-frame sources) from the leaf's grid and apply stage
+    /// `stage`'s SSP-RK3 combination to the grid's interior in place (its
+    /// ghost words keep the fill's values until the next fill).  The
+    /// scheduler guarantees the leaf's face ghost slabs are filled and that
+    /// no other task touches the leaf's grid or u⁰ meanwhile: no fill reads
     /// the interior (the barrier's join, or `outgoing_packed` in the stage
-    /// gate), and the next fill waits for the update.  The task's `rhs` and
+    /// gate), and the next fill waits for the update.  Only the leaf's own
+    /// stage tasks write its interior, so at stage 0 it still holds uⁿ:
+    /// the u⁰ copy runs on the owner's worker, under the `try_lock` the
+    /// combine takes anyway, not serially before the step.  The task's `rhs` and
     /// kernel scratch are a [`StageWorkspace`] taken off the simulation's
     /// free list when it starts and given back when it ends, both outside
     /// the kernel body.
@@ -304,9 +309,12 @@ impl StepShared {
         let nn = self.grid.n();
         let h = size * BOX_SIZE / nn as f64;
         let origin = corner.map(|c| (c + 0.5 * size / nn as f64 - 0.5) * BOX_SIZE);
-        let u0 = self.u0[&leaf]
+        let mut u0 = self.u0[&leaf]
             .try_lock()
             .expect("leaf u⁰ aliased by a concurrent task");
+        if stage == 0 {
+            u0.copy_interior_from(&handle.read());
+        }
         let mut ws = self.stage_workspaces.take(nn, self.grid.ghost_width());
         let StageWorkspace { rhs, scratch } = &mut ws;
         let src = SourceInput {
@@ -647,18 +655,11 @@ impl Simulation {
             .collect()
     }
 
-    /// The step's shared prologue: copy every leaf's interior into its
-    /// entry of the u⁰ store and bundle what the stage kernels read, the
-    /// stage free list included.  No stage task is in flight yet (the
-    /// previous step fully joined), so the u⁰ `try_lock` never contends.
+    /// The step's shared prologue: bundle what the stage kernels read, the
+    /// u⁰ store (each leaf's stage-0 task fills its entry) and the stage
+    /// free list included.
     fn begin_step(&self) -> Arc<StepShared> {
         let leaves = self.grid.leaves();
-        for &l in &leaves {
-            self.u0[&l]
-                .try_lock()
-                .expect("leaf u⁰ aliased outside a step")
-                .copy_interior_from(&self.grid.grid(l).read());
-        }
         Arc::new(StepShared {
             grid: self.grid.clone(),
             opts: self.opts,
@@ -765,8 +766,8 @@ impl Simulation {
     /// The futurized scheduler: one dependency graph for the whole step.
     ///
     /// Per RK stage, [`DistGrid::exchange_ghosts_pipelined`] turns every
-    /// leaf's ghost fill into a continuation gated on the leaves its 26
-    /// links read, and each leaf's stage kernel becomes a continuation on
+    /// leaf's ghost fill into a continuation gated on the leaves its six
+    /// face links read, and each leaf's stage kernel becomes a continuation on
     /// - its ghost fill (its stencil inputs),
     /// - the fills of the leaves reading it (its interior may not be
     ///   overwritten while a neighbour is still packing from it), and
@@ -777,8 +778,8 @@ impl Simulation {
     /// point is the final join on the stage-2 update futures.  Physics is
     /// bit-identical to [`Simulation::step_barrier`]: both schedule the same
     /// pieces, packs read exactly the interiors the barrier path reads
-    /// (stage-consistent via the gates), unpack regions of the 26
-    /// directions are disjoint, and the Δt reduction is
+    /// (stage-consistent via the gates), the six face slabs a fill unpacks
+    /// are disjoint, and the Δt reduction is
     /// associative-commutative (min/max), so no result depends on
     /// completion order.
     fn step_pipelined(&mut self, cluster: &SimCluster) -> StepStats {

@@ -16,6 +16,11 @@
 //! scratch is O(ext²) per leaf: no ghosted primitive or flux array exists.
 //! One sweep loop over the three axes computes every flux, so the inlined
 //! reconstruct-and-HLL body exists once per width.
+//!
+//! The kernel is dimension-split: each reconstruction stencil varies one
+//! axis, so it reads the interior and the six face ghost slabs of `u` and
+//! no edge or corner ghost word.  Primitive recovery covers exactly those
+//! words (`primitives_w`), and the ghost fill writes only the face slabs.
 
 use super::flux::{hll_flux, PrimLanes};
 use super::recon::reconstruct_interface;
@@ -95,38 +100,69 @@ impl KernelScratch {
 }
 
 /// Recover the primitives of ghosted `x`-plane `p` of `u` into `plane`
-/// (`NPRIM` blocks of `ext²` in [`PrimLanes`] field order), vectorized over
-/// the flat plane; the dual-energy `τ^γ` branch is a per-lane `powf`.
+/// (`NPRIM` blocks of `ext²` in [`PrimLanes`] field order), only where the
+/// sweeps read them, which is only in the six face ghost slabs and the
+/// interior (the stencils vary one axis each):
+///
+/// * on an `x`-ghost plane, the `n` interior words of the `n` interior rows
+///   (the `x`-sweep's reach);
+/// * on an interior plane, the contiguous rows `j ∈ [g, g + n)` (the
+///   interior and the `z`-face ghosts the `z`-sweep reads) and the `n`
+///   interior words of the two `y`-ghost rows each side (the `y`-sweep's).
+///
+/// The other words of `plane` keep what they held.  No edge or corner
+/// ghost word of `u` is read, so the ghost fill need not write one.
 #[inline(always)]
 fn primitives_w<const W: usize>(u: &SubGrid, p: usize, plane: &mut [f64]) {
-    let len = u.ext().pow(2);
-    let at = p * len;
+    let (n, g, ext) = (u.n(), u.ghost(), u.ext());
+    let len = ext * ext;
     debug_assert_eq!(plane.len(), NPRIM * len);
-    let mut it = plane.chunks_exact_mut(len);
-    let out_rho = it.next().expect("prim block");
-    let out_vx = it.next().expect("prim block");
-    let out_vy = it.next().expect("prim block");
-    let out_vz = it.next().expect("prim block");
-    let out_p = it.next().expect("prim block");
-    let out_tau = it.next().expect("prim block");
-    let out_f1 = it.next().expect("prim block");
-    let out_f2 = it.next().expect("prim block");
-    let rho_c = &u.field(field::RHO)[at..];
-    let sx = &u.field(field::SX)[at..];
-    let sy = &u.field(field::SY)[at..];
-    let sz = &u.field(field::SZ)[at..];
-    let egas = &u.field(field::EGAS)[at..];
-    let tau_c = &u.field(field::TAU)[at..];
-    let f1_c = &u.field(field::FRAC1)[at..];
-    let f2_c = &u.field(field::FRAC2)[at..];
+    let cons = [
+        field::RHO,
+        field::SX,
+        field::SY,
+        field::SZ,
+        field::EGAS,
+        field::TAU,
+        field::FRAC1,
+        field::FRAC2,
+    ]
+    .map(|f| &u.field(f)[p * len..][..len]);
+    let mut blocks = plane.chunks_exact_mut(len);
+    let mut prim: [&mut [f64]; NPRIM] = std::array::from_fn(|_| blocks.next().expect("prim block"));
+    if (g..g + n).contains(&p) {
+        recover_w::<W>(&cons, &mut prim, g * ext, n * ext);
+        for j in (g - 2..g).chain(g + n..g + n + 2) {
+            recover_w::<W>(&cons, &mut prim, j * ext + g, n);
+        }
+    } else {
+        for j in g..g + n {
+            recover_w::<W>(&cons, &mut prim, j * ext + g, n);
+        }
+    }
+}
 
+/// Recover the primitives of the `len` words at `start` of one plane:
+/// conserved blocks `cons` (ρ, sx, sy, sz, E, τ, f1, f2) to primitive
+/// blocks `prim`, vectorized along the run; the dual-energy `τ^γ` branch is
+/// a per-lane `powf`.
+#[inline(always)]
+fn recover_w<const W: usize>(
+    cons: &[&[f64]; NPRIM],
+    prim: &mut [&mut [f64]; NPRIM],
+    start: usize,
+    len: usize,
+) {
+    let [rho_c, sx, sy, sz, egas, tau_c, f1_c, f2_c] = *cons;
+    let [out_rho, out_vx, out_vy, out_vz, out_p, out_tau, out_f1, out_f2] = prim;
     let gamma_m1 = Simd::<f64, W>::splat(GAMMA - 1.0);
     let half = Simd::<f64, W>::splat(0.5);
     let floor_rho = Simd::<f64, W>::splat(RHO_FLOOR);
     let floor_p = Simd::<f64, W>::splat(P_FLOOR);
     let switch = Simd::<f64, W>::splat(DUAL_ENERGY_SWITCH);
 
-    for (off, lanes) in ChunkedLanes::<W>::new(len) {
+    for (koff, lanes) in ChunkedLanes::<W>::new(len) {
+        let off = start + koff;
         // Direct `load_lanes`/`store_lanes` calls, not closures: a closure
         // cannot be `inline(always)` and stays out-of-line inside the
         // `#[target_feature]` wide entry points, scalarizing the chunk.
@@ -142,10 +178,16 @@ fn primitives_w<const W: usize>(u: &SubGrid, p: usize, plane: &mut [f64]) {
         // Dual-energy switch: trust E−K unless it is a tiny fraction of E.
         let use_direct = e_direct.simd_gt(switch * e_tot.abs());
         // The entropy fallback is a per-lane libm `powf` — by far the most
-        // expensive op in this kernel.  Skip it when every lane trusts E−K
-        // (the common case); the select picks `e_direct` on those lanes
-        // anyway, so the guard cannot change any stored bit at any width.
-        let e = if use_direct.all() {
+        // expensive op in this kernel.  Skip it when every valid lane
+        // trusts E−K (the common case; a tail chunk's padded lanes are
+        // never stored); the select picks `e_direct` on those lanes anyway,
+        // so the guard cannot change any stored bit at any width.
+        let trusted = if lanes == W {
+            use_direct
+        } else {
+            use_direct | !Mask::first_n(lanes)
+        };
+        let e = if trusted.all() {
             e_direct
         } else {
             let e_entropy = tau.simd_max(Simd::splat(0.0)).map(|t| t.powf(GAMMA));
@@ -745,6 +787,73 @@ mod tests {
                     h = (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3);
                 }
                 assert_eq!(h, pinned, "N = {n}, {vector_mode:?}");
+            }
+        }
+    }
+
+    /// The stage kernel reads no edge or corner ghost word of `u`: NaN in
+    /// every ghost word that lies outside the interior on two or more axes
+    /// gives the rhs bits of the same grid with those words filled, at both
+    /// widths, N = 4 and 8, with gravity and a rotating frame, with all six
+    /// boundary faces set and with none.  So the ghost fill needs only the
+    /// six face slabs.
+    #[test]
+    fn rhs_reads_no_edge_or_corner_ghost_word() {
+        use crate::hydro::{compute_rhs, HydroOptions};
+        use sve_simd::VectorMode;
+        for n in [4, 8] {
+            let (filled, on_powf) = seeded_state(n, 0x5eed_0100 + n as u64);
+            assert!(on_powf > 0, "no cell on the powf branch");
+            let mut poisoned = filled.clone();
+            let ext = filled.ext();
+            let outside = |c: &usize| !(2..2 + n).contains(c);
+            let mut nans = 0;
+            for i in 0..ext {
+                for j in 0..ext {
+                    for k in 0..ext {
+                        if [i, j, k].iter().filter(|c| outside(c)).count() >= 2 {
+                            (0..NF).for_each(|f| poisoned.set(f, i, j, k, f64::NAN));
+                            nans += 1;
+                        }
+                    }
+                }
+            }
+            assert_eq!(nans, ext.pow(3) - n.pow(3) - 6 * 2 * n * n);
+            let mut s = 0xface_0100 + n as u64;
+            let gravity: Vec<Vec<f64>> = (0..3)
+                .map(|_| (0..n * n * n).map(|_| splitmix(&mut s) - 0.5).collect())
+                .collect();
+            let mut scratch = KernelScratch::ephemeral(n, 2);
+            for boundary_faces in [[true; 6], [false; 6]] {
+                let src = SourceInput {
+                    gravity: Some([&gravity[0], &gravity[1], &gravity[2]]),
+                    omega: 0.3,
+                    origin: [-0.4, 0.1, 0.25],
+                    h: 0.1,
+                    boundary_faces,
+                };
+                for vector_mode in [VectorMode::Scalar, VectorMode::Sve512] {
+                    let opts = HydroOptions {
+                        vector_mode,
+                        cfl: 0.4,
+                    };
+                    let bits = |u: &SubGrid, scratch: &mut KernelScratch| {
+                        let mut rhs = SubGrid::new(n, 2, NF);
+                        let info = compute_rhs(u, &mut rhs, &src, &opts, scratch);
+                        let words = (0..NF).flat_map(|f| rhs.field(f).to_vec());
+                        words
+                            .chain([info.boundary_mass_outflow_rate])
+                            .map(f64::to_bits)
+                            .collect::<Vec<u64>>()
+                    };
+                    let want = bits(&filled, &mut scratch);
+                    assert!(want.iter().all(|&w| !f64::from_bits(w).is_nan()));
+                    assert_eq!(
+                        bits(&poisoned, &mut scratch),
+                        want,
+                        "N = {n}, {vector_mode:?}, faces {boundary_faces:?}"
+                    );
+                }
             }
         }
     }

@@ -1,9 +1,13 @@
 //! Distributed ghost-layer exchange with the Section VII-B communication
 //! optimization.
 //!
-//! Before each solver stage every leaf fills its ghost shells from its 26
-//! neighbours.  In HPX Octo-Tiger this is an action per (leaf, direction)
-//! pair; the paper's optimization short-circuits pairs whose source lives
+//! Before each solver stage every leaf fills its six face ghost slabs from
+//! its face neighbours.  In HPX Octo-Tiger this is an action per (leaf,
+//! direction) pair over every face, edge and corner direction, because its
+//! kernels read the edge and corner shells too; this repo's stage kernel
+//! is dimension-split (every reconstruction stencil varies one axis), so it
+//! reads the face slabs only, and no route writes an edge or corner ghost
+//! word.  The paper's optimization short-circuits pairs whose source lives
 //! on the **same locality** to direct memory access, "avoiding HPX actions
 //! and temporary communication buffers where possible", with promise/future
 //! pairs guaranteeing the source is up to date.  Our exchange has the same
@@ -15,7 +19,7 @@
 //! * **direct route** — a read through the shared-memory grid handle,
 //!   counted in `local_direct_accesses`.  The paper's promise/future
 //!   readiness notifications are literal here: one gate per destination
-//!   leaf over the leaves its 26 links read.
+//!   leaf over the leaves its six links read.
 //!
 //! Which leaf feeds which shell from which locality is derived once per
 //! `topology_version` into a `GhostPlan` that also carries the per-link
@@ -61,9 +65,9 @@ impl Default for GhostConfig {
     }
 }
 
-/// One (leaf, direction) ghost link, classified: which source leaves the
-/// link reads (several for a fine-from-coarse jump), or none at the domain
-/// boundary (outflow reads the leaf's own interior).
+/// One (leaf, face) ghost link, classified: which source leaves the link
+/// reads (the four adjacent children of a refined neighbour, else one), or
+/// none at the domain boundary (outflow reads the leaf's own interior).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LinkSpec {
     /// The destination leaf whose ghost shell the link fills.
@@ -82,12 +86,15 @@ impl LinkSpec {
     }
 }
 
-/// Classify every (leaf, direction) ghost link of `tree`: 26 per leaf, in
-/// `leaves() × Dir::all26()` order.
+/// Ghost links per leaf: one per face, the slabs the stage kernel reads.
+const LINKS_PER_LEAF: usize = 6;
+
+/// Classify every (leaf, face) ghost link of `tree`: six per leaf, in
+/// `leaves() × Dir::faces()` order.
 pub(crate) fn ghost_link_specs(tree: &Tree) -> Vec<LinkSpec> {
     tree.leaves()
         .into_iter()
-        .flat_map(|leaf| Dir::all26().map(move |dir| (leaf, dir)))
+        .flat_map(|leaf| Dir::faces().map(move |dir| (leaf, dir)))
         .map(|(leaf, dir)| {
             let sources = match tree.neighbor_of(leaf, dir) {
                 Neighbor::SameLevel(nb) => vec![nb],
@@ -163,7 +170,7 @@ struct GhostPlan {
     /// Per leaf, one flag per face in `Dir::faces` order: at the domain
     /// boundary?
     boundary_faces: Arc<HashMap<NodeId, [bool; 6]>>,
-    /// 26 per leaf, in `leaves × Dir::all26()` order.
+    /// [`LINKS_PER_LEAF`] per leaf, in `leaves × Dir::faces()` order.
     links: Vec<PlanLink>,
     /// Per leaf (by index into `leaves`), ascending: the leaves its fill
     /// reads — the sources of its links, and itself (outflow reads its
@@ -200,10 +207,10 @@ impl GhostPlan {
                 let elems = inner.nfields * SubGrid::box_cells(&recv);
                 let all_local = spec.sources.iter().all(|s| owner(s) == me);
                 let faces = boundary_faces.entry(spec.leaf).or_default();
-                if !spec.is_boundary() {
+                if spec.is_boundary() {
+                    faces[Dir::faces().position(|f| f == spec.dir).expect("a face")] = true;
+                } else {
                     demand.entry(elems).or_insert([0; 2])[usize::from(!all_local)] += 1;
-                } else if let Some(face) = Dir::faces().position(|f| f == spec.dir) {
-                    faces[face] = true;
                 }
                 PlanLink {
                     grid,
@@ -220,7 +227,7 @@ impl GhostPlan {
             .map(|(k, &leaf)| (leaf, k))
             .collect();
         let mut readers = vec![Vec::new(); leaves.len()];
-        let reads = (links.chunks(26).enumerate())
+        let reads = (links.chunks(LINKS_PER_LEAF).enumerate())
             .map(|(k, own)| {
                 let sources = own.iter().flat_map(|l| &l.spec.sources);
                 let mut read: Vec<usize> = sources.map(|s| index[s]).chain([k]).collect();
@@ -305,7 +312,12 @@ impl GhostPlan {
 
     /// Owner of leaf `k` (by index into `leaves`).
     fn owner(&self, k: usize) -> LocalityId {
-        self.links[26 * k].owner
+        self.links[Self::links_of(k).start].owner
+    }
+
+    /// The index range of leaf `k`'s links in `links`.
+    fn links_of(k: usize) -> std::ops::Range<usize> {
+        LINKS_PER_LEAF * k..LINKS_PER_LEAF * (k + 1)
     }
 
     /// Links on the direct route under `config`.
@@ -319,7 +331,7 @@ impl GhostPlan {
     /// unpack its direct links, and send one `ghost_pack` request per
     /// parcel link.  Returns the replies, in link order, for
     /// [`GhostPlan::finish`].  Reads the sources' interiors and writes only
-    /// the leaf's ghost shells.
+    /// the leaf's face ghost slabs.
     fn start(
         self: &Arc<Self>,
         k: usize,
@@ -327,7 +339,7 @@ impl GhostPlan {
         config: GhostConfig,
     ) -> Vec<hpx_rt::Future<ArcPayload>> {
         let mut replies = Vec::new();
-        for i in 26 * k..26 * (k + 1) {
+        for i in Self::links_of(k) {
             let link = &self.links[i];
             match link.route(config) {
                 Route::Outflow => apply_outflow(&mut link.grid.write(), link.spec.dir),
@@ -344,8 +356,8 @@ impl GhostPlan {
     /// The second half: unpack the replies [`GhostPlan::start`] returned
     /// for leaf `k` (waiting for any still in flight).
     fn finish(&self, k: usize, config: GhostConfig, replies: &[hpx_rt::Future<ArcPayload>]) {
-        let parcel_links = (26 * k..26 * (k + 1))
-            .filter(|&i| matches!(self.links[i].route(config), Route::Parcel));
+        let parcel_links =
+            Self::links_of(k).filter(|&i| matches!(self.links[i].route(config), Route::Parcel));
         for (i, reply) in parcel_links.zip(replies) {
             let reply = reply.get();
             let packed = downcast_payload::<Recycled<f64>>(&reply);
@@ -554,7 +566,7 @@ impl DistGrid {
         true
     }
 
-    /// Fill every leaf's ghost shells: interior data from neighbours
+    /// Fill every leaf's face ghost slabs: interior data from neighbours
     /// (with prolongation/restriction across level jumps) and outflow
     /// extrapolation at the domain boundary.  This is
     /// [`DistGrid::exchange_ghosts_pipelined`] with every leaf ready, joined
@@ -562,8 +574,8 @@ impl DistGrid {
     /// workers, and the caller blocks until every fill is done.  No leaf's
     /// interior may be written meanwhile.
     ///
-    /// Returns the number of (leaf, direction) links that used the direct
-    /// local path.
+    /// Returns the number of (leaf, face) links that used the direct local
+    /// path.
     pub fn exchange_ghosts(&self, cluster: &SimCluster, config: GhostConfig) -> usize {
         let ready = (self.leaves().into_iter())
             .map(|l| (l, hpx_rt::make_ready_future(())))
@@ -573,17 +585,19 @@ impl DistGrid {
         ex.direct_links
     }
 
-    /// Total (leaf, direction) ghost links of the current tree: every leaf
-    /// has exactly 26 links (a link with several finer sources still counts
-    /// once, and domain-boundary directions count as outflow links).
+    /// Total (leaf, face) ghost links of the current tree: every leaf has
+    /// exactly six links, one per face (a link with four finer sources
+    /// still counts once, and domain-boundary faces count as outflow
+    /// links).  Edge and corner ghost shells have no link: nothing reads
+    /// them.
     pub fn total_ghost_links(&self) -> usize {
         self.cached(|plan| plan.links.len())
-            .unwrap_or_else(|| 26 * self.inner.tree.read().num_leaves())
+            .unwrap_or_else(|| LINKS_PER_LEAF * self.inner.tree.read().num_leaves())
     }
 
-    /// Every ghost link of the current tree, classified (see
-    /// `LinkSpec`), 26 per leaf in `leaves() × Dir::all26()` order: the
-    /// exact link set both exchanges serve.
+    /// Every ghost link of the current tree, classified (see `LinkSpec`),
+    /// six per leaf in `leaves() × Dir::faces()` order (-x, +x, -y, +y,
+    /// -z, +z): the exact link set the exchange serves.
     pub fn link_specs(&self) -> Vec<LinkSpec> {
         self.cached(|plan| plan.links.iter().map(|l| l.spec.clone()).collect())
             .unwrap_or_else(|| self.with_tree(ghost_link_specs))
@@ -591,14 +605,15 @@ impl DistGrid {
 
     /// Futurized ghost exchange: instead of a phase barrier, every leaf's
     /// ghost fill is gated on the `ready` futures of exactly the leaf and
-    /// the source leaves its 26 links read.
+    /// the source leaves its six face links read.
     ///
     /// `ready[l]` must complete when leaf `l`'s interior holds the data this
     /// exchange should see (for RK stage *s*, its stage-(s−1) update).  The
-    /// returned handle carries, per leaf, a `ghosts_filled` future (all 26 of
-    /// its ghost regions written — the gate for the leaf's next RHS kernel)
-    /// and an `outgoing_packed` future (every fill *reading* the leaf is
-    /// done — the gate for overwriting the leaf's interior).
+    /// returned handle carries, per leaf, a `ghosts_filled` future (all six
+    /// of its face slabs written — the gate for the leaf's next RHS kernel)
+    /// and an `outgoing_packed` future (the fills of its face neighbours,
+    /// the ones *reading* the leaf, are done — the gate for overwriting the
+    /// leaf's interior).
     /// Together they let interior leaves of the next stage run while slower
     /// neighbours are still exchanging.
     ///
@@ -628,7 +643,7 @@ impl DistGrid {
                 let (fill, filled) = hpx_rt::Promise::new_pair();
                 let (p, resolved) = (plan.clone(), links_resolved.clone());
                 let done = move || {
-                    resolved.fetch_add(26, Ordering::Relaxed);
+                    resolved.fetch_add(LINKS_PER_LEAF, Ordering::Relaxed);
                     fill.set(());
                 };
                 let rt = runtime(k);
@@ -665,12 +680,12 @@ impl DistGrid {
 
 /// Handle to one in-flight [`DistGrid::exchange_ghosts_pipelined`] stage.
 pub struct PipelinedExchange {
-    /// Per leaf: completes once all 26 of its ghost regions are written.
+    /// Per leaf: completes once all six of its face ghost slabs are written.
     pub ghosts_filled: HashMap<NodeId, hpx_rt::Future<()>>,
     /// Per leaf: completes once every fill reading this leaf's interior is
     /// done — the leaf's interior may be overwritten after.
     pub outgoing_packed: HashMap<NodeId, hpx_rt::Future<()>>,
-    /// Number of (leaf, direction) links in the graph (= 26 × leaves).
+    /// Number of (leaf, face) links in the graph (= 6 × leaves).
     pub total_links: usize,
     /// Links eligible for the Section VII-B direct local path.
     pub direct_links: usize,
@@ -680,7 +695,7 @@ pub struct PipelinedExchange {
     pub links_resolved: Arc<AtomicUsize>,
 }
 
-/// Fill the ghost region toward `dir` by copying the nearest interior layer
+/// Fill the face ghost slab toward `dir` by copying the nearest interior layer
 /// (zero-gradient outflow, Octo-Tiger's outer boundary condition).
 fn apply_outflow(grid: &mut SubGrid, dir: Dir) {
     let b = grid.recv_box(dir);
@@ -740,16 +755,16 @@ fn pack_prolonged(link: &PlanLink, out: &mut Vec<f64>) {
     }
 }
 
-/// Payload for a coarse leaf whose same-level neighbour in `dir` is refined:
-/// conservative 8-cell average of the fine children's interiors onto the
-/// coarse ghost region, pushed into `out` (cleared first).
+/// Payload for a coarse leaf whose same-level neighbour across face `dir` is
+/// refined: conservative 8-cell average of the four adjacent children's
+/// interiors onto the coarse ghost slab, pushed into `out` (cleared first).
 fn pack_restricted(link: &PlanLink, out: &mut Vec<f64>) {
     let LinkSpec { leaf, dir, sources } = &link.spec;
     let coarse_coords = leaf.coords();
     let fine_level = leaf.level() + 1;
-    // Lock each child once (a link has 1, 2 or 4 finer sources).
-    let kids: [_; 4] = std::array::from_fn(|s| link.sources.get(s).map(|g| g.read()));
-    let first = kids[0].as_ref().expect("finer link has a source");
+    // Lock each of the face's four children once.
+    let kids: [_; 4] = std::array::from_fn(|s| link.sources[s].read());
+    let first = &kids[0];
     let b = first.recv_box(*dir);
     out.clear();
     let ni = first.n() as i64;
@@ -776,7 +791,7 @@ fn pack_restricted(link: &PlanLink, out: &mut Vec<f64>) {
                                 let grid = sources
                                     .iter()
                                     .position(|&s| s == fid)
-                                    .and_then(|s| kids[s].as_ref())
+                                    .map(|s| &kids[s])
                                     .unwrap_or_else(|| panic!("restriction source {fid} missing"));
                                 let [li, lj, lk] =
                                     [0, 1, 2].map(|a| (gf[a] - lc[a] * ni + gi) as usize);
@@ -820,20 +835,31 @@ mod tests {
         }
     }
 
+    /// How many of the storage coordinates `c` lie outside the interior
+    /// `[g, g + n)`: 0 interior, 1 a face ghost word, 2 or 3 an edge or
+    /// corner ghost word.
+    fn outside_axes(c: [usize; 3], n: usize, g: usize) -> usize {
+        c.iter().filter(|&&x| !(g..g + n).contains(&x)).count()
+    }
+
+    /// The linear field of `fill_linear`'s field 0 at storage cell `c` of
+    /// `leaf` (ghost cells included).
+    fn linear_at(leaf: NodeId, c: [usize; 3], n: usize, g: usize) -> f64 {
+        let (corner, size) = leaf.cube();
+        let h = size / n as f64;
+        let [x, y, z] = [0, 1, 2].map(|a| corner[a] + (c[a] as f64 - g as f64 + 0.5) * h);
+        x + 10.0 * y + 100.0 * z
+    }
+
     fn check_same_level_ghosts(dg: &DistGrid) {
-        // After exchange, for same-level interior-adjacent leaves the ghost
-        // cells must equal the linear field evaluated at the ghost cell
-        // centers.
+        // After exchange, for leaves whose six face neighbours are all
+        // same-level leaves, the face ghost words must equal the linear
+        // field evaluated at the ghost cell centers.
         for leaf in dg.leaves() {
-            let (corner, size) = leaf.cube();
             let n = dg.n();
             let gw = dg.ghost_width();
-            let h = size / n as f64;
             let tree_ok = dg.with_tree(|t| {
-                Dir::all26().all(|d| {
-                    !matches!(t.neighbor_of(leaf, d), Neighbor::DomainBoundary)
-                        && matches!(t.neighbor_of(leaf, d), Neighbor::SameLevel(_))
-                })
+                Dir::faces().all(|d| matches!(t.neighbor_of(leaf, d), Neighbor::SameLevel(_)))
             });
             if !tree_ok {
                 continue; // only interior same-level leaves in this check
@@ -844,10 +870,10 @@ mod tests {
             for i in 0..ext {
                 for j in 0..ext {
                     for k in 0..ext {
-                        let x = corner[0] + (i as f64 - gw as f64 + 0.5) * h;
-                        let y = corner[1] + (j as f64 - gw as f64 + 0.5) * h;
-                        let z = corner[2] + (k as f64 - gw as f64 + 0.5) * h;
-                        let expect = x + 10.0 * y + 100.0 * z;
+                        if outside_axes([i, j, k], n, gw) != 1 {
+                            continue; // face words only
+                        }
+                        let expect = linear_at(leaf, [i, j, k], n, gw);
                         let got = g.get(0, i, j, k);
                         assert!(
                             (got - expect).abs() < 1e-12,
@@ -1046,7 +1072,7 @@ mod tests {
         // half.  None per link.
         let plan = dg.plan();
         let leaves = plan.leaves.len() as u64;
-        let with_parcels = (plan.links.chunks(26))
+        let with_parcels = (plan.links.chunks(LINKS_PER_LEAF))
             .filter(|own| own.iter().any(|l| !l.spec.is_boundary() && !l.all_local))
             .count() as u64;
         assert!(with_parcels > 0 && with_parcels < leaves);
@@ -1064,9 +1090,17 @@ mod tests {
         let dg = DistGrid::new(Tree::new_uniform(1), 4, 1, 1, &cluster);
         fill_linear(&dg);
         let leaves = dg.leaves();
-        // Hold back one leaf: at level 1 all eight leaves touch at the
-        // domain center, so every other leaf reads it.
+        // Hold back one leaf: at level 1 it shares a face with three of the
+        // other seven leaves, so exactly those three and the leaf itself
+        // read it; the four others (its edge and corner neighbours) fill.
         let held = leaves[0];
+        let blocked: Vec<NodeId> = (leaves.iter().copied())
+            .filter(|&l| {
+                let d = (0..3).map(|a| l.coords()[a].abs_diff(held.coords()[a]));
+                d.sum::<u32>() <= 1
+            })
+            .collect();
+        assert_eq!(blocked.len(), 4);
         let (hold_p, hold_f) = hpx_rt::Promise::new_pair();
         let ready: HashMap<NodeId, hpx_rt::Future<()>> = leaves
             .iter()
@@ -1080,10 +1114,14 @@ mod tests {
             })
             .collect();
         let ex = dg.exchange_ghosts_pipelined(&cluster, GhostConfig::default(), &ready);
+        for l in leaves.iter().filter(|l| !blocked.contains(l)) {
+            // Waits only on ready sources: these fills run while one is held.
+            ex.ghosts_filled[l].wait();
+        }
         std::thread::sleep(std::time::Duration::from_millis(30));
-        for &l in &leaves {
+        for l in &blocked {
             assert!(
-                !ex.ghosts_filled[&l].is_ready(),
+                !ex.ghosts_filled[l].is_ready(),
                 "leaf {l} filled its ghosts before its source was ready"
             );
         }
@@ -1103,13 +1141,13 @@ mod tests {
     #[test]
     fn prewarm_holds_one_direct_payload_per_running_fill() {
         // Uniform level 2, N = 4, one field, one locality: every payload
-        // link is direct, in three buckets (faces 32, edges 16, corners 8
-        // words).  Both exchanges run each fill as a task, at most one per
-        // worker; the pool holds that many payloads per bucket, not one per
-        // link, and a warm exchange misses 0 times.
+        // link is direct, in one bucket (a face slab, 32 words).  Both
+        // exchanges run each fill as a task, at most one per worker; the
+        // pool holds that many payloads, not one per link, and a warm
+        // exchange misses 0 times.
         let config = GhostConfig::default();
         for (workers, pipelined, fills, words) in
-            [(1, false, 1, 56), (2, false, 2, 112), (2, true, 2, 112)]
+            [(1, false, 1, 32), (2, false, 2, 64), (2, true, 2, 64)]
         {
             let cluster = SimCluster::new(1, workers);
             let dg = DistGrid::new(Tree::new_uniform(2), 4, 2, 1, &cluster);
@@ -1125,11 +1163,11 @@ mod tests {
             exchange();
             let plan = dg.plan();
             let payloads: Vec<(usize, usize)> = plan.payloads(config, &cluster).collect();
-            assert_eq!(payloads, [(8, fills), (16, fills), (32, fills)]);
+            assert_eq!(payloads, [(32, fills)]);
             let prewarmed: usize = payloads.iter().map(|(bucket, count)| bucket * count).sum();
             assert_eq!(prewarmed, words);
             let warm = dg.scratch().stats();
-            assert_eq!(warm.misses, 3 * fills as u64, "only the prewarm allocates");
+            assert_eq!(warm.misses, fills as u64, "only the prewarm allocates");
             exchange();
             let again = dg.scratch().stats();
             assert_eq!(again.misses, warm.misses, "a warm exchange misses 0 times");
@@ -1292,7 +1330,7 @@ mod tests {
                     let pipelined = exchanged(tree(), localities, direct, true);
                     let case = format!(
                         "{} leaves, {localities} localities, direct {direct}",
-                        links.len() / 26
+                        links.len() / LINKS_PER_LEAF
                     );
                     assert!(bulk.cells == reference.cells, "bulk ghosts differ: {case}");
                     // Same cells and the same route accounting from both
@@ -1315,6 +1353,75 @@ mod tests {
                             assert!(bulk.direct_links > 0 && bulk.parcels_sent > 0, "{case}")
                         }
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn exchange_writes_every_face_word_and_no_edge_or_corner_word() {
+        // A sentinel in every ghost word, then one exchange: every face word
+        // is written (a same-level one with the linear field), every edge
+        // and corner word keeps its sentinel, on every route and scheduler.
+        let sentinel = f64::from_bits(0x7ff8_dead_beef_0002);
+        let (n, gw) = (4, 2);
+        for localities in [1, 2] {
+            for direct in [true, false] {
+                for pipelined in [false, true] {
+                    let case =
+                        format!("{localities} localities, direct {direct}, pipelined {pipelined}");
+                    let cluster = SimCluster::new(localities, 2);
+                    let dg = DistGrid::new(one_refined_octant(), n, gw, 1, &cluster);
+                    fill_linear(&dg);
+                    for leaf in dg.leaves() {
+                        let grid = dg.grid(leaf);
+                        let mut g = grid.write();
+                        for (start, len) in g.ghost_runs() {
+                            g.field_mut(0)[start..start + len].fill(sentinel);
+                        }
+                    }
+                    let config = GhostConfig {
+                        direct_local_access: direct,
+                    };
+                    if pipelined {
+                        let ex = dg.exchange_ghosts_pipelined(&cluster, config, &all_ready(&dg));
+                        ex.ghosts_filled.values().for_each(hpx_rt::Future::wait);
+                    } else {
+                        dg.exchange_ghosts(&cluster, config);
+                    }
+                    for leaf in dg.leaves() {
+                        let grid = dg.grid(leaf);
+                        let g = grid.read();
+                        let ext = g.ext();
+                        for c in (0..ext).flat_map(|i| {
+                            (0..ext).flat_map(move |j| (0..ext).map(move |k| [i, j, k]))
+                        }) {
+                            let v = g.get(0, c[0], c[1], c[2]);
+                            let kept = v.to_bits() == sentinel.to_bits();
+                            match outside_axes(c, n, gw) {
+                                0 => assert!(!kept, "{case}: {leaf} interior {c:?}"),
+                                1 => {
+                                    assert!(!kept, "{case}: {leaf} face word {c:?} unwritten");
+                                    let a = (0..3).position(|a| !(gw..gw + n).contains(&c[a]));
+                                    let a = a.expect("one axis outside");
+                                    let side = usize::from(c[a] >= gw + n);
+                                    let dir = Dir::faces().nth(2 * a + side).expect("a face");
+                                    let same = dg.with_tree(|t| {
+                                        matches!(t.neighbor_of(leaf, dir), Neighbor::SameLevel(_))
+                                    });
+                                    if same {
+                                        let expect = linear_at(leaf, c, n, gw);
+                                        assert!(
+                                            (v - expect).abs() < 1e-12,
+                                            "{case}: {leaf} {c:?}: {v} != {expect}"
+                                        );
+                                    }
+                                }
+                                _ => assert!(kept, "{case}: {leaf} edge/corner word {c:?} written"),
+                            }
+                        }
+                    }
+                    cluster.shutdown();
                 }
             }
         }

@@ -1,8 +1,10 @@
 //! The `N × N × N` sub-grid each octree leaf carries, with ghost shells.
 //!
 //! Octo-Tiger associates each leaf with a sub-grid of evolved state
-//! variables (N typically 8) surrounded by ghost layers filled from the 26
-//! neighbours before each solver stage.  This module owns the raw storage
+//! variables (N typically 8) surrounded by ghost layers filled from its
+//! neighbours before each solver stage (Octo-Tiger fills all 26 shells;
+//! this repo's exchange fills the six face slabs, the only ghost words its
+//! stage kernel reads).  This module owns the raw storage
 //! (`nfields` fields of `(N+2G)³` cells), the ghost-region geometry, the
 //! pack/unpack routines used by the exchange, and the inter-level transfer
 //! operators (piecewise-constant prolongation, conservative averaging

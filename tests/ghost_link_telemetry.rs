@@ -1,6 +1,6 @@
 //! StepStats ghost-link telemetry contract: the pipelined stepper's
 //! counters must account for exactly the link set the tree implies —
-//! `26 links × leaves × 3 RK stages` — and every link must be drained
+//! `6 face links × leaves × 3 RK stages` — and every link must be drained
 //! (`resolved == total`), on uniform *and* refined trees.  The stepper's
 //! undrained-link `debug_assert` rests on these counters, so they must not
 //! drift.
@@ -20,8 +20,8 @@ fn pipelined_sim(cluster: &SimCluster, level: u8) -> Simulation {
 fn assert_link_accounting(stats: &StepStats, leaves: usize) {
     assert_eq!(
         stats.ghost_links_total,
-        26 * leaves as u64 * 3,
-        "total must be 26 links × {leaves} leaves × 3 stages"
+        6 * leaves as u64 * 3,
+        "total must be 6 links × {leaves} leaves × 3 stages"
     );
     assert_eq!(
         stats.ghost_links_resolved, stats.ghost_links_total,
@@ -53,7 +53,7 @@ fn refined_tree_accounts_for_every_ghost_link() {
     assert_link_accounting(&stats, leaves);
 
     // The counters agree with the link classification the analyzers use.
-    assert_eq!(sim.grid.link_specs().len(), 26 * leaves);
+    assert_eq!(sim.grid.link_specs().len(), 6 * leaves);
     cluster.shutdown();
 }
 
