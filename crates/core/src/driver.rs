@@ -56,10 +56,11 @@ pub struct SimOptions {
     /// CFL number.
     pub cfl: f64,
     /// Futurized per-leaf stepper: instead of a barrier between ghost
-    /// exchange and RK stage, every leaf's stage kernel chains on the
-    /// per-neighbor ghost futures it actually reads, so interior leaves of
-    /// stage N+1 run while boundary exchanges of stage N are in flight and
-    /// the gravity FMM overlaps the first stage's ghost fill.  Bit-identical
+    /// exchange and RK stage, every leaf's stage kernel chains on one gate
+    /// over its own ghost fill and the fills reading it (its face
+    /// neighbours'), so interior leaves of stage N+1 run while boundary
+    /// exchanges of stage N are in flight and the gravity FMM overlaps the
+    /// first stage's ghost fill.  Bit-identical
     /// physics to the barrier path (see `tests/switch_equivalence.rs`).
     pub pipeline: bool,
     /// Simulated localities to shard the gravity octree over (clamped to

@@ -70,7 +70,7 @@ fn parse_args(args: &[String]) -> Result<(String, Options), String> {
 }
 
 /// The model checker over the real pipelined step: per configuration (a
-/// step count and a locality count, [`RealStep::ALL`]), the `step_barrier`
+/// step count, a tree and a locality count, [`RealStep::ALL`]), the `step_barrier`
 /// reference once, then `--schedules` seeds from `--seed` (or just the
 /// `--replay` seed), each bit-compared against it.
 fn run_model(opts: &Options) -> bool {

@@ -36,6 +36,10 @@ pub struct RealStep {
     /// Regrid at cadence 2 with every octet collapsible, so the third step
     /// runs on the coarsened tree (8 leaves -> 1).
     coarsen: bool,
+    /// Refine the octant at the origin before the first step (15 leaves):
+    /// the fills then prolong onto its fine leaves' outer faces and
+    /// restrict onto their coarse neighbours' faces.
+    refined: bool,
     /// Localities the leaves are sharded over (`SimOptions::localities`).
     localities: usize,
 }
@@ -61,7 +65,16 @@ impl RealStep {
         RealStep {
             steps: 2,
             coarsen: false,
+            refined: false,
             localities,
+        }
+    }
+    /// Two pipelined steps on a tree with coarse-fine faces (one octant
+    /// refined), on `localities`.
+    pub const fn two_steps_refined(localities: usize) -> RealStep {
+        RealStep {
+            refined: true,
+            ..Self::two_steps(localities)
         }
     }
     /// Two steps, a coarsening regrid, then a third step, on `localities`.
@@ -69,22 +82,44 @@ impl RealStep {
         RealStep {
             steps: 3,
             coarsen: true,
+            refined: false,
             localities,
         }
     }
     /// Every configuration, as `hpx-check model` runs them.
-    pub const ALL: [RealStep; 5] = [
+    pub const ALL: [RealStep; 7] = [
         Self::two_steps(1),
         Self::two_steps(2),
         Self::two_steps(4),
         Self::coarsen_then_step(1),
         Self::coarsen_then_step(2),
+        Self::two_steps_refined(1),
+        Self::two_steps_refined(2),
     ];
 
     /// Build the scenario on `cluster`, take the steps with the chosen
-    /// stepper, and record the run.
+    /// stepper, and record the run.  A refined configuration whose tree
+    /// has no prolonged and no restricted ghost link panics: it would have
+    /// checked a uniform tree again.
     fn simulate(&self, cluster: &SimCluster, pipeline: bool) -> RunRecord {
         let scenario = Scenario::build(ScenarioKind::RotatingStar, cluster, 1, 0, 4);
+        if self.refined {
+            scenario
+                .grid
+                .refine_balanced(NodeId::from_coords(1, [0, 0, 0]));
+            let links = scenario.grid.link_specs();
+            let jumps = |finer: bool| {
+                (links.iter().filter(|l| !l.is_boundary()))
+                    .filter(|l| l.sources[0].level() != l.leaf.level())
+                    .filter(|l| (l.sources[0].level() > l.leaf.level()) == finer)
+                    .count()
+            };
+            let (prolonged, restricted) = (jumps(false), jumps(true));
+            assert!(
+                prolonged > 0 && restricted > 0,
+                "{self:?}: {prolonged} prolonged and {restricted} restricted ghost links"
+            );
+        }
         let mut opts = SimOptions::default();
         opts.omega = scenario.omega;
         opts.gravity = true;

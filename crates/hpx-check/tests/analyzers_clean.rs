@@ -59,6 +59,14 @@ fn pipelined_step_on_two_and_four_localities_matches_barrier_on_every_seed() {
 }
 
 #[test]
+fn pipelined_step_on_a_tree_with_coarse_fine_faces_matches_barrier_on_every_seed() {
+    // One octant refined: prolonged and restricted ghost links (four fine
+    // sources a link) gate and fill under every seeded schedule.
+    real_step_is_clean_on_sixteen_seeds(RealStep::two_steps_refined(1), 15);
+    real_step_is_clean_on_sixteen_seeds(RealStep::two_steps_refined(2), 15);
+}
+
+#[test]
 fn distributed_run_passes_the_dist_analyzers() {
     // A four-locality sharded run must both step and communicate.
     let cluster = SimCluster::new(4, 2);

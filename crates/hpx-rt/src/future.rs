@@ -5,7 +5,8 @@
 //! task may asynchronously launch Kokkos kernels and define what should be
 //! done with the results by adding HPX continuations"* (Section IV-B).  The
 //! types here provide exactly that: a write-once [`Promise`], a cloneable
-//! [`Future`] with [`Future::then`] continuations, and [`when_all`] joins.
+//! [`Future`] with [`Future::then`] continuations, and the [`when_all_of`]
+//! join.
 //!
 //! Blocking [`Future::get`]/[`Future::wait`] calls *help*: when invoked on a
 //! worker thread they execute other queued tasks while waiting, so a tree
@@ -328,106 +329,14 @@ pub fn make_ready_future<T: Send + 'static>(value: T) -> Future<T> {
     f
 }
 
-/// Complete when the *first* of `futures` completes, with its index and
-/// value (HPX `when_any`).
-///
-/// # Panics
-/// Panics (when waited on) if `futures` is empty.
-pub fn when_any<T: Clone + Send + 'static>(futures: Vec<Future<T>>) -> Future<(usize, T)> {
-    let (promise, out) = Promise::new_pair();
-    if futures.is_empty() {
-        promise.abandon("when_any of an empty set".to_owned());
-        return out;
-    }
-    let n = futures.len();
-    let promise = Arc::new(Mutex::new(Some(promise)));
-    let abandoned = Arc::new(AtomicUsize::new(0));
-    for (i, fut) in futures.into_iter().enumerate() {
-        let promise = promise.clone();
-        let abandoned = abandoned.clone();
-        fut.on_settled(move |s: Settled<'_, T>| match s {
-            Settled::Ready(v) => {
-                if let Some(p) = promise.lock().take() {
-                    p.set((i, v.clone()));
-                }
-            }
-            Settled::Abandoned(reason) => {
-                // Individual losses are survivable; only when *every* input
-                // is gone can no winner ever emerge.
-                if abandoned.fetch_add(1, Ordering::AcqRel) + 1 == n {
-                    if let Some(p) = promise.lock().take() {
-                        p.abandon(format!(
-                            "hpx-rt: when_any: all {n} inputs abandoned (last: {reason})"
-                        ));
-                    }
-                }
-            }
-        });
-    }
-    out
-}
-
-/// Join a set of futures into one future of all their values, in order
-/// (HPX `when_all` + unwrap).
-pub fn when_all<T: Clone + Send + 'static>(
-    rt: &Runtime,
-    futures: Vec<Future<T>>,
-) -> Future<Vec<T>> {
-    let n = futures.len();
-    Counters::bump(&rt.counters().futures_created);
-    let (promise, out) = Promise::new_pair();
-    if n == 0 {
-        promise.set(Vec::new());
-        return out;
-    }
-    let slots: Arc<Mutex<Vec<Option<T>>>> = Arc::new(Mutex::new(vec![None; n]));
-    let remaining = Arc::new(AtomicUsize::new(n));
-    let promise = Arc::new(Mutex::new(Some(promise)));
-    for (i, fut) in futures.into_iter().enumerate() {
-        let slots = slots.clone();
-        let remaining = remaining.clone();
-        let promise = promise.clone();
-        let rt = rt.clone();
-        fut.on_settled(move |s: Settled<'_, T>| match s {
-            Settled::Ready(v) => {
-                slots.lock()[i] = Some(v.clone());
-                if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    // The promise is gone only if an abandoned input already
-                    // failed the join; the late completion is then harmless.
-                    let Some(p) = promise.lock().take() else {
-                        return;
-                    };
-                    let values: Option<Vec<T>> =
-                        slots.lock().iter_mut().map(|s| s.take()).collect();
-                    match values {
-                        // Complete on a task so long continuation chains do
-                        // not recurse on the completing thread's stack.
-                        Some(values) => rt.spawn(move || p.set(values)),
-                        None => p.abandon(
-                            "hpx-rt: when_all: remaining-count hit zero with an unfilled \
-                             slot (an input completed twice?)"
-                                .to_owned(),
-                        ),
-                    }
-                }
-            }
-            Settled::Abandoned(reason) => {
-                if let Some(p) = promise.lock().take() {
-                    p.abandon(format!("hpx-rt: when_all: input #{i} abandoned: {reason}"));
-                }
-            }
-        });
-    }
-    out
-}
-
 /// Join futures into a single `Future<()>` that completes once *all* of them
 /// are ready, without cloning any payload (HPX `when_all` on shared futures,
-/// used purely as a dependency gate).
+/// used purely as a dependency gate) — the runtime's one join.
 ///
-/// This is the backbone of the pipelined stepper: a leaf's stage-N update
-/// gates on the per-neighbor ghost futures it actually reads, and the gate
-/// must not copy the (potentially large) packed buffers those futures carry.
+/// This is the backbone of the pipelined stepper: a leaf's ghost fill gates
+/// on the leaves it reads, its stage kernel on its fill, its readers' fills
+/// and (at stage 0) the Δt and gravity futures, and no gate may copy the
+/// (potentially large) payloads those futures carry.
 /// Completion is delivered through `rt.spawn` so long dependency chains do
 /// not recurse on the completing thread's stack.
 pub fn when_all_of<T: Send + 'static>(rt: &Runtime, futures: &[Future<T>]) -> Future<()> {
@@ -545,56 +454,6 @@ mod tests {
     }
 
     #[test]
-    fn when_all_collects_in_order() {
-        let rt = Runtime::new(4);
-        let futures: Vec<Future<usize>> = (0..16).map(|i| rt.async_call(move || i * i)).collect();
-        let all = when_all(&rt, futures);
-        let values = all.get();
-        assert_eq!(values.len(), 16);
-        for (i, v) in values.iter().enumerate() {
-            assert_eq!(*v, i * i);
-        }
-        rt.shutdown();
-    }
-
-    #[test]
-    fn when_all_of_nothing_is_ready() {
-        let rt = Runtime::new(1);
-        let all = when_all::<i32>(&rt, Vec::new());
-        assert_eq!(all.get(), Vec::<i32>::new());
-        rt.shutdown();
-    }
-
-    #[test]
-    fn when_any_yields_first_completion() {
-        let rt = Runtime::new(2);
-        let (slow_p, slow_f) = Promise::new_pair();
-        let fast = make_ready_future(7);
-        let any = when_any(vec![slow_f, fast]);
-        let (idx, v) = any.get();
-        assert_eq!((idx, v), (1, 7));
-        slow_p.set(9); // the loser still completes harmlessly
-        rt.shutdown();
-    }
-
-    #[test]
-    fn when_any_is_first_wins_under_racing() {
-        let rt = Runtime::new(4);
-        let futures: Vec<Future<usize>> = (0..8).map(|i| rt.async_call(move || i)).collect();
-        let (idx, v) = when_any(futures).get();
-        assert_eq!(idx, v);
-        assert!(idx < 8);
-        rt.shutdown();
-    }
-
-    #[test]
-    #[should_panic(expected = "empty set")]
-    fn when_any_of_nothing_abandons() {
-        let f = when_any::<i32>(Vec::new());
-        f.wait();
-    }
-
-    #[test]
     fn ticket_works_on_non_clone_payloads() {
         // The payload type is deliberately not Clone: this compiles only
         // because the ticket never clones the value.
@@ -674,20 +533,6 @@ mod tests {
     }
 
     #[test]
-    fn when_all_abandons_with_input_index() {
-        let rt = Runtime::new(2);
-        let (p0, f0) = Promise::<i32>::new_pair();
-        let (p1, f1) = Promise::<i32>::new_pair();
-        let all = when_all(&rt, vec![f0, f1]);
-        p0.set(1);
-        drop(p1); // input #1 is lost
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| all.get()));
-        let msg = crate::runtime::panic_message(&*outcome.unwrap_err());
-        assert!(msg.contains("when_all: input #1 abandoned"), "got: {msg}");
-        rt.shutdown();
-    }
-
-    #[test]
     fn when_all_of_abandons_instead_of_hanging() {
         let rt = Runtime::new(2);
         let (p0, f0) = Promise::<()>::new_pair();
@@ -702,28 +547,6 @@ mod tests {
             "got: {msg}"
         );
         rt.shutdown();
-    }
-
-    #[test]
-    fn when_any_survives_partial_abandonment() {
-        let (p0, f0) = Promise::<i32>::new_pair();
-        let (p1, f1) = Promise::<i32>::new_pair();
-        let any = when_any(vec![f0, f1]);
-        drop(p0);
-        p1.set(11);
-        assert_eq!(any.get(), (1, 11));
-    }
-
-    #[test]
-    fn when_any_abandons_only_when_every_input_is_lost() {
-        let (p0, f0) = Promise::<i32>::new_pair();
-        let (p1, f1) = Promise::<i32>::new_pair();
-        let any = when_any(vec![f0, f1]);
-        drop(p0);
-        drop(p1);
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| any.get()));
-        let msg = crate::runtime::panic_message(&*outcome.unwrap_err());
-        assert!(msg.contains("all 2 inputs abandoned"), "got: {msg}");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   blocked waits *help* by stealing work, so nested task graphs (the FMM
 //!   tree traversals of the paper) cannot deadlock the pool.
 //! * [`future::Promise`] / [`future::Future`] — shared futures with
-//!   `then`-continuations and `when_all`, the paper's mechanism for chaining
+//!   `then`-continuations and the `when_all_of` join, the paper's mechanism for chaining
 //!   Kokkos kernel launches into HPX's asynchronous execution graph.
 //! * [`locality`] — N logical localities in one process, with an action
 //!   registry and the one in-process parcel transport
@@ -44,7 +44,7 @@ pub mod tuner;
 
 pub use apex::Apex;
 pub use counters::{parcel_counters, ParcelClass, ParcelSnapshot};
-pub use future::{make_ready_future, when_all, when_all_of, when_any, Future, Promise};
+pub use future::{make_ready_future, when_all_of, Future, Promise};
 pub use locality::{Locality, LocalityId, SimCluster};
 pub use pjm::JobSpec;
 pub use runtime::{in_kernel_body, kernel_body, Runtime};

@@ -7,7 +7,7 @@
 //! define what should be done with the results by adding HPX
 //! continuations"*.  [`launch_reduce_async`] is that layer: it returns an
 //! `hpx_rt::Future` that completes when the kernel does, composable with
-//! `then` / `when_all` into the stepper's dependency graph.  (A launch that
+//! `then` / `when_all_of` into the stepper's dependency graph.  (A launch that
 //! carries no value is a task whose body is `parallel_for`; gating a launch
 //! on a dependency is `Future::then`.)
 
@@ -76,9 +76,9 @@ mod tests {
     }
 
     #[test]
-    fn when_all_over_kernel_launches() {
+    fn when_all_of_over_kernel_launches() {
         // Octo-Tiger launches >10 kernels per sub-grid per step and joins
-        // them; emulate a burst of launches joined by when_all.
+        // them; emulate a burst of launches joined by when_all_of.
         let rt = Runtime::new(4);
         let futures: Vec<Future<u64>> = (0..12)
             .map(|k| {
@@ -92,11 +92,11 @@ mod tests {
                 )
             })
             .collect();
-        let all = hpx_rt::when_all(&rt, futures);
-        let sums = all.get();
+        hpx_rt::when_all_of(&rt, &futures).get();
         let base: u64 = (0..128).sum();
-        for (k, s) in sums.iter().enumerate() {
-            assert_eq!(*s, base * (k as u64 + 1));
+        for (k, f) in futures.iter().enumerate() {
+            assert!(f.is_ready());
+            assert_eq!(f.get(), base * (k as u64 + 1));
         }
         rt.shutdown();
     }

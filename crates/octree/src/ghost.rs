@@ -30,19 +30,21 @@
 //! bulk [`DistGrid::exchange_ghosts`] is that graph over ready gates,
 //! joined.
 //!
-//! Level jumps are handled as in Octo-Tiger: data from a coarser neighbour
-//! is prolonged (piecewise-constant), data from finer neighbours is
-//! restricted (conservative 8-cell average).
+//! Level jumps are handled as in Octo-Tiger, by the operator pair refine
+//! and derefine use too (`subgrid::LevelMap`, its per-axis tables built
+//! with the plan): a coarser neighbour's data is prolonged
+//! (piecewise-constant), four finer neighbours' data restricted
+//! (conservative 8-cell average).
 
 use crate::index::{Dir, NodeId, Octant};
 use crate::partition::partition_morton;
-use crate::subgrid::SubGrid;
+use crate::subgrid::{LevelMap, SubGrid};
 use crate::tree::{Neighbor, Tree};
 use hpx_rt::locality::{downcast_payload, ArcPayload, Payload};
 use hpx_rt::{Locality, LocalityId, SimCluster};
 use kokkos_rs::pool::{BufferPool, Recycled};
 use parking_lot::{Mutex, RwLock};
-use std::cmp::Ordering as LevelOrder;
+use std::cmp::Ordering::{Equal, Greater, Less};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -107,6 +109,42 @@ pub(crate) fn ghost_link_specs(tree: &Tree) -> Vec<LinkSpec> {
         .collect()
 }
 
+/// How a link's payload is assembled from its sources.
+enum Transfer {
+    /// The same-level source's send slab (an outflow link's placeholder).
+    Copy,
+    /// The coarser source prolonged onto the receive box.
+    Prolong(LevelMap),
+    /// The four finer sources restricted onto the receive box.
+    Restrict(LevelMap),
+}
+
+impl Transfer {
+    /// The transfer of `spec` on grids of extent `n` and ghost width `g`:
+    /// across a level jump, its receive box in global cells of the leaf's
+    /// level (inside the domain, like every source) mapped onto the coarser
+    /// source or onto the octet of the finer ones.
+    fn of(spec: &LinkSpec, n: usize, g: usize) -> Transfer {
+        let Some(&source) = spec.sources.first() else {
+            return Transfer::Copy;
+        };
+        let origin = |id: NodeId, scale| id.coords().map(|c| c as usize * n * scale);
+        let leaf = origin(spec.leaf, 1);
+        let mut recv = SubGrid::recv_box_of(n, g, spec.dir);
+        for (a, (lo, hi)) in recv.iter_mut().enumerate() {
+            (*lo, *hi) = (leaf[a] + *lo - g, leaf[a] + *hi - g);
+        }
+        match source.level().cmp(&spec.leaf.level()) {
+            Equal => Transfer::Copy,
+            Less => Transfer::Prolong(LevelMap::prolongation(n, g, origin(source, 1), recv)),
+            Greater => {
+                let refined = source.parent().expect("a finer source has a parent");
+                Transfer::Restrict(LevelMap::restriction(n, g, origin(refined, 2), recv))
+            }
+        }
+    }
+}
+
 /// Which way a link's data travels in one exchange.
 enum Route {
     Outflow,
@@ -134,6 +172,8 @@ struct PlanLink {
     /// Payload length in elements (`nfields ×` the receive box's cells):
     /// the pool bucket it is checked out of and, × 8, its parcel size.
     elems: usize,
+    /// How the payload is assembled.
+    transfer: Transfer,
 }
 
 impl PlanLink {
@@ -219,6 +259,7 @@ impl GhostPlan {
                     source_owner: spec.sources.first().map_or(me, owner),
                     all_local,
                     elems,
+                    transfer: Transfer::of(&spec, inner.n, inner.ghost),
                     spec,
                 }
             })
@@ -294,12 +335,22 @@ impl GhostPlan {
     /// coarser source prolonged, or the finer sources restricted.
     fn pack(&self, i: usize) -> Recycled<f64> {
         let link = &self.links[i];
-        let LinkSpec { leaf, dir, sources } = &link.spec;
         let mut out = self.pool.checkout_empty(link.elems);
-        match sources[0].level().cmp(&leaf.level()) {
-            LevelOrder::Equal => (link.sources[0].read()).pack_send_into(dir.opposite(), &mut out),
-            LevelOrder::Less => pack_prolonged(link, &mut out),
-            LevelOrder::Greater => pack_restricted(link, &mut out),
+        match &link.transfer {
+            Transfer::Copy => {
+                let send = link.spec.dir.opposite();
+                link.sources[0].read().pack_send_into(send, &mut out);
+            }
+            Transfer::Prolong(map) => map.prolong(&link.sources[0].read(), |v| out.push(v)),
+            Transfer::Restrict(map) => {
+                // Lock each of the face's four children once.
+                let kids: [_; 4] = std::array::from_fn(|s| link.sources[s].read());
+                let mut octet = [None; 8];
+                for (id, kid) in link.spec.sources.iter().zip(&kids) {
+                    octet[usize::from(id.octant().0)] = Some(&**kid);
+                }
+                map.restrict(&octet, |v| out.push(v));
+            }
         }
         out
     }
@@ -714,98 +765,6 @@ fn apply_outflow(grid: &mut SubGrid, dir: Dir) {
     }
 }
 
-/// Payload for a fine leaf whose neighbour in `dir` is one level coarser:
-/// piecewise-constant prolongation of the coarse interior onto the fine
-/// ghost region, pushed into `out` (cleared first).
-fn pack_prolonged(link: &PlanLink, out: &mut Vec<f64>) {
-    let LinkSpec { leaf, dir, sources } = &link.spec;
-    let coarse = link.sources[0].read();
-    let fine_coords = leaf.coords();
-    let coarse_coords = sources[0].coords();
-    // Shape of the fine ghost region (same as recv_box of the fine grid).
-    let b = coarse.recv_box(*dir);
-    out.clear();
-    let ni = coarse.n() as i64;
-    let gi = coarse.ghost() as i64;
-    for f in 0..coarse.nfields() {
-        for i in b[0].0..b[0].1 {
-            for j in b[1].0..b[1].1 {
-                for k in b[2].0..b[2].1 {
-                    let s = [i as i64, j as i64, k as i64];
-                    let mut lc = [0usize; 3];
-                    for a in 0..3 {
-                        // Global fine index of this ghost cell.
-                        let gf = i64::from(fine_coords[a]) * ni + s[a] - gi;
-                        // Enclosing global coarse cell.
-                        let gc = gf.div_euclid(2);
-                        // Local storage index within the coarse grid.
-                        let l = gc - i64::from(coarse_coords[a]) * ni + gi;
-                        // Interior only: a coarse ghost word holds the
-                        // previous fill's value, not the current state.
-                        debug_assert!(
-                            (gi..gi + ni).contains(&l),
-                            "prolongation reads outside the coarse interior"
-                        );
-                        lc[a] = l as usize;
-                    }
-                    out.push(coarse.get(f, lc[0], lc[1], lc[2]));
-                }
-            }
-        }
-    }
-}
-
-/// Payload for a coarse leaf whose same-level neighbour across face `dir` is
-/// refined: conservative 8-cell average of the four adjacent children's
-/// interiors onto the coarse ghost slab, pushed into `out` (cleared first).
-fn pack_restricted(link: &PlanLink, out: &mut Vec<f64>) {
-    let LinkSpec { leaf, dir, sources } = &link.spec;
-    let coarse_coords = leaf.coords();
-    let fine_level = leaf.level() + 1;
-    // Lock each of the face's four children once.
-    let kids: [_; 4] = std::array::from_fn(|s| link.sources[s].read());
-    let first = &kids[0];
-    let b = first.recv_box(*dir);
-    out.clear();
-    let ni = first.n() as i64;
-    let gi = first.ghost() as i64;
-    for f in 0..first.nfields() {
-        for i in b[0].0..b[0].1 {
-            for j in b[1].0..b[1].1 {
-                for k in b[2].0..b[2].1 {
-                    let s = [i as i64, j as i64, k as i64];
-                    // Global coarse cell of this ghost cell.
-                    let mut gc = [0i64; 3];
-                    for a in 0..3 {
-                        gc[a] = i64::from(coarse_coords[a]) * ni + s[a] - gi;
-                    }
-                    // Average the 2×2×2 fine cells it covers.
-                    let mut acc = 0.0;
-                    for di in 0..2i64 {
-                        for dj in 0..2i64 {
-                            for dk in 0..2i64 {
-                                let gf = [2 * gc[0] + di, 2 * gc[1] + dj, 2 * gc[2] + dk];
-                                // Which fine leaf holds this cell?
-                                let lc = gf.map(|g| g.div_euclid(ni));
-                                let fid = NodeId::from_coords(fine_level, lc.map(|c| c as u32));
-                                let grid = sources
-                                    .iter()
-                                    .position(|&s| s == fid)
-                                    .map(|s| &kids[s])
-                                    .unwrap_or_else(|| panic!("restriction source {fid} missing"));
-                                let [li, lj, lk] =
-                                    [0, 1, 2].map(|a| (gf[a] - lc[a] * ni + gi) as usize);
-                                acc += grid.get(f, li, lj, lk);
-                            }
-                        }
-                    }
-                    out.push(acc / 8.0);
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -974,7 +933,96 @@ mod tests {
                 }
             }
         }
+        drop(cg);
         cluster.shutdown();
+
+        // A random field, checked exactly against values computed here from
+        // global cell coordinates, on every coarse-fine face word.
+        for n in [4, 8] {
+            let cluster = SimCluster::new(2, 2);
+            let dg = DistGrid::new(one_refined_octant(), n, 2, 2, &cluster);
+            fill_random(&dg, 0xface + n as u64);
+            dg.exchange_ghosts(&cluster, GhostConfig::default());
+            let mut checked = [0usize; 2];
+            for leaf in dg.leaves() {
+                let grid = dg.grid(leaf);
+                let g = grid.read();
+                let ext = g.ext();
+                for c in (0..ext)
+                    .flat_map(|i| (0..ext).flat_map(move |j| (0..ext).map(move |k| [i, j, k])))
+                {
+                    if outside_axes(c, n, 2) != 1 {
+                        continue;
+                    }
+                    let a = (0..3)
+                        .position(|a| !(2..2 + n).contains(&c[a]))
+                        .expect("one axis outside");
+                    let dir = Dir::faces()
+                        .nth(2 * a + usize::from(c[a] >= 2 + n))
+                        .expect("a face");
+                    for f in 0..2 {
+                        let Some((finer, want)) = coarse_fine_oracle(&dg, leaf, dir, f, c) else {
+                            continue;
+                        };
+                        checked[usize::from(finer)] += 1;
+                        let got = g.get(f, c[0], c[1], c[2]);
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "N={n} {leaf} f{f} {c:?}: {got} != {want}"
+                        );
+                    }
+                }
+            }
+            assert!(
+                checked[0] > 0 && checked[1] > 0,
+                "N={n}: {checked:?} prolonged/restricted words"
+            );
+            cluster.shutdown();
+        }
+    }
+
+    /// What face ghost word `c` (field `f`) of `leaf` must hold when its
+    /// neighbour across `dir` is a level coarser — the coarse interior cell
+    /// containing it — or finer — the mean of its eight fine cells, summed
+    /// in `di, dj, dk` order from 0.0 — with whether it is the finer case;
+    /// `None` for a same-level or boundary face.  Computed from global cell
+    /// coordinates, without the transfer operators.
+    fn coarse_fine_oracle(
+        dg: &DistGrid,
+        leaf: NodeId,
+        dir: Dir,
+        f: usize,
+        c: [usize; 3],
+    ) -> Option<(bool, f64)> {
+        let (n, g) = (dg.n() as i64, dg.ghost_width() as i64);
+        let x: [i64; 3] =
+            std::array::from_fn(|a| i64::from(leaf.coords()[a]) * n + c[a] as i64 - g);
+        let cell = |level: u8, x: [i64; 3]| {
+            let id = NodeId::from_coords(level, x.map(|v| v.div_euclid(n) as u32));
+            let [i, j, k] = x.map(|v| v.rem_euclid(n) as usize);
+            dg.grid(id).read().get_interior(f, i, j, k)
+        };
+        match dg.with_tree(|t| t.neighbor_of(leaf, dir)) {
+            Neighbor::Coarser(_) => {
+                Some((false, cell(leaf.level() - 1, x.map(|v| v.div_euclid(2)))))
+            }
+            Neighbor::Finer(_) => {
+                let mut acc = 0.0;
+                for di in 0..2 {
+                    for dj in 0..2 {
+                        for dk in 0..2 {
+                            acc += cell(
+                                leaf.level() + 1,
+                                [2 * x[0] + di, 2 * x[1] + dj, 2 * x[2] + dk],
+                            );
+                        }
+                    }
+                }
+                Some((true, acc / 8.0))
+            }
+            Neighbor::SameLevel(_) | Neighbor::DomainBoundary => None,
+        }
     }
 
     #[test]
@@ -1421,6 +1469,102 @@ mod tests {
                             }
                         }
                     }
+                    cluster.shutdown();
+                }
+            }
+        }
+    }
+
+    /// SplitMix64 stream mapped to `[-1, 1)`.
+    fn splitmix(state: &mut u64) -> f64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^= z >> 31;
+        (z >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+    }
+
+    /// Every interior word of every field of every leaf (SFC order) from
+    /// one seeded stream.
+    fn fill_random(dg: &DistGrid, seed: u64) {
+        let mut s = seed;
+        let n = dg.n();
+        for leaf in dg.leaves() {
+            let grid = dg.grid(leaf);
+            let mut g = grid.write();
+            for f in 0..dg.nfields() {
+                for i in 0..n {
+                    for j in 0..n {
+                        for k in 0..n {
+                            g.set_interior(f, i, j, k, splitmix(&mut s));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// FNV-1a over the bits of `words`, continuing from `hash`.
+    fn fnv(hash: u64, words: impl IntoIterator<Item = f64>) -> u64 {
+        words.into_iter().fold(hash, |h, w| {
+            w.to_bits()
+                .to_le_bytes()
+                .iter()
+                .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+        })
+    }
+
+    #[test]
+    fn coarse_fine_transfers_keep_their_recorded_bits() {
+        // One exchange (every face ghost word of every leaf), a refine of a
+        // coarse leaf next to the refined octant (its eight children) and a
+        // derefine of that octant (the parent), on a seeded random field.
+        // The hashes were recorded before prolongation and restriction were
+        // each written once; every route and locality count must give them.
+        let (gw, nf) = (2, 3);
+        for (n, pin) in [(4, 0x6f19_7b69_331e_f3f7), (8, 0x8694_1885_d72f_db4b)] {
+            for localities in [1, 2] {
+                for direct in [true, false] {
+                    let case = format!("N={n}, {localities} localities, direct {direct}");
+                    let cluster = SimCluster::new(localities, 2);
+                    let dg = DistGrid::new(one_refined_octant(), n, gw, nf, &cluster);
+                    fill_random(&dg, 0x5eed_0000 + n as u64);
+                    let config = GhostConfig {
+                        direct_local_access: direct,
+                    };
+                    dg.exchange_ghosts(&cluster, config);
+                    let mut hash = 0xcbf2_9ce4_8422_2325;
+                    for leaf in dg.leaves() {
+                        let grid = dg.grid(leaf);
+                        let g = grid.read();
+                        let ext = g.ext();
+                        for f in 0..nf {
+                            for i in 0..ext {
+                                for j in 0..ext {
+                                    for k in 0..ext {
+                                        if outside_axes([i, j, k], n, gw) == 1 {
+                                            hash = fnv(hash, [g.get(f, i, j, k)]);
+                                        }
+                                    }
+                                }
+                            }
+                        }
+                    }
+                    let coarse = NodeId::from_coords(1, [1, 0, 0]);
+                    dg.refine_balanced(coarse);
+                    for oct in Octant::all() {
+                        let grid = dg.grid(coarse.child(oct));
+                        let g = grid.read();
+                        hash = (0..nf).fold(hash, |h, f| fnv(h, g.field(f).iter().copied()));
+                    }
+                    let refined = NodeId::from_coords(1, [0, 0, 0]);
+                    assert!(dg.derefine(refined), "{case}: derefine refused");
+                    let grid = dg.grid(refined);
+                    let g = grid.read();
+                    hash = (0..nf).fold(hash, |h, f| fnv(h, g.field(f).iter().copied()));
+                    assert_eq!(hash, pin, "{case}: {hash:#018x}");
+                    drop(g);
                     cluster.shutdown();
                 }
             }

@@ -56,41 +56,18 @@ impl Dir {
             .map(|(dx, dy, dz)| Dir { dx, dy, dz })
     }
 
-    /// The 6 face directions only.
+    /// The 6 face directions only: -x, +x, -y, +y, -z, +z.
     pub(crate) fn faces() -> impl Iterator<Item = Dir> {
         [
-            Dir {
-                dx: -1,
-                dy: 0,
-                dz: 0,
-            },
-            Dir {
-                dx: 1,
-                dy: 0,
-                dz: 0,
-            },
-            Dir {
-                dx: 0,
-                dy: -1,
-                dz: 0,
-            },
-            Dir {
-                dx: 0,
-                dy: 1,
-                dz: 0,
-            },
-            Dir {
-                dx: 0,
-                dy: 0,
-                dz: -1,
-            },
-            Dir {
-                dx: 0,
-                dy: 0,
-                dz: 1,
-            },
+            (-1, 0, 0),
+            (1, 0, 0),
+            (0, -1, 0),
+            (0, 1, 0),
+            (0, 0, -1),
+            (0, 0, 1),
         ]
         .into_iter()
+        .map(|(dx, dy, dz)| Dir { dx, dy, dz })
     }
 
     /// The opposite direction.
@@ -154,6 +131,11 @@ impl NodeId {
                 path: self.path >> 3,
             })
         }
+    }
+
+    /// This node's octant within its parent (`Octant(0)` for the root).
+    pub(crate) fn octant(self) -> Octant {
+        Octant((self.path & 0b111) as u8)
     }
 
     /// Integer coordinates of this node within its level:

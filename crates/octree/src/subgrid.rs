@@ -6,11 +6,12 @@
 //! this repo's exchange fills the six face slabs, the only ghost words its
 //! stage kernel reads).  This module owns the raw storage
 //! (`nfields` fields of `(N+2G)³` cells), the ghost-region geometry, the
-//! pack/unpack routines used by the exchange, and the inter-level transfer
-//! operators (piecewise-constant prolongation, conservative averaging
-//! restriction) used across AMR level jumps and on refine/derefine.
+//! pack/unpack routines used by the exchange, and the one pair of
+//! inter-level operators (`LevelMap`: piecewise-constant prolongation,
+//! conservative 2×2×2 restriction) that coarse-fine ghost links, refine and
+//! derefine share.
 
-use crate::index::Dir;
+use crate::index::{Dir, Octant};
 
 /// A dense block of `nfields` scalar fields over `(n + 2*ghost)³` cells.
 ///
@@ -24,8 +25,9 @@ pub struct SubGrid {
     data: Vec<f64>,
 }
 
-/// Half-open per-dimension index ranges describing a box in storage
-/// coordinates.
+/// Half-open per-dimension index ranges describing a box of cells, in
+/// storage coordinates (a [`LevelMap`] target: a level's global cell
+/// coordinates).
 pub(crate) type Box3 = [(usize, usize); 3];
 
 impl SubGrid {
@@ -154,23 +156,15 @@ impl SubGrid {
     // ---------------------------------------------------------------
 
     /// Source box (in storage coords) of the interior data this grid must
-    /// *send* toward direction `dir`.
+    /// *send* toward direction `dir`: the box its neighbour there receives
+    /// from `-dir`, shifted by `n` along `dir` into this grid's coordinates.
     pub(crate) fn send_box(&self, dir: Dir) -> Box3 {
-        Self::send_box_of(self.n, self.ghost, dir)
-    }
-
-    /// [`SubGrid::send_box`] from geometry alone, without a grid in hand.
-    pub(crate) fn send_box_of(n: usize, ghost: usize, dir: Dir) -> Box3 {
-        let mut out = [(0usize, 0usize); 3];
-        for (axis, d) in dir.as_array().into_iter().enumerate() {
-            out[axis] = match d {
-                -1 => (ghost, 2 * ghost),
-                0 => (ghost, ghost + n),
-                1 => (n, n + ghost),
-                _ => unreachable!(),
-            };
+        let mut b = Self::recv_box_of(self.n, self.ghost, dir.opposite());
+        for ((lo, hi), d) in b.iter_mut().zip(dir.as_array()) {
+            let shift = isize::from(d) * self.n as isize;
+            (*lo, *hi) = (lo.wrapping_add_signed(shift), hi.wrapping_add_signed(shift));
         }
-        out
+        b
     }
 
     /// Destination box (in storage coords) of the ghost cells this grid
@@ -334,69 +328,130 @@ impl SubGrid {
     ///
     /// # Panics
     /// Panics if `n` is odd.
-    pub fn prolong_child(&self, octant: crate::index::Octant) -> SubGrid {
-        assert!(self.n.is_multiple_of(2), "prolongation requires even N");
-        let half = self.n / 2;
-        let [ox, oy, oz] = octant.xyz();
-        let mut child = SubGrid::new(self.n, self.ghost, self.nfields);
-        for f in 0..self.nfields {
-            for i in 0..self.n {
-                for j in 0..self.n {
-                    for k in 0..self.n {
-                        let pi = usize::from(ox) * half + i / 2;
-                        let pj = usize::from(oy) * half + j / 2;
-                        let pk = usize::from(oz) * half + k / 2;
-                        child.set_interior(f, i, j, k, self.get_interior(f, pi, pj, pk));
-                    }
-                }
-            }
-        }
+    pub fn prolong_child(&self, octant: Octant) -> SubGrid {
+        let (n, g) = (self.n, self.ghost);
+        let lo = octant.xyz().map(|o| usize::from(o) * n);
+        let target = lo.map(|lo| (lo, lo + n));
+        let mut words = Vec::with_capacity(self.nfields * n.pow(3));
+        LevelMap::prolongation(n, g, [0; 3], target).prolong(self, |v| words.push(v));
+        let mut child = SubGrid::new(n, g, self.nfields);
+        child.unpack_box(&[(g, g + n); 3], &words);
         child
     }
 
-    /// Accumulate `child`'s interior into the `octant` region of this grid
-    /// by conservative 2×2×2 averaging (used on derefine and in the FMM's
-    /// upward pass restriction of densities).
+    /// Write the conservative 2×2×2 average of `child`'s interior into the
+    /// `octant` region of this grid's interior (used on derefine).
     ///
     /// # Panics
-    /// Panics if `n` is odd or the grids disagree in shape.
-    pub fn restrict_from_child(&mut self, octant: crate::index::Octant, child: &SubGrid) {
-        assert!(self.n.is_multiple_of(2), "restriction requires even N");
+    /// Panics if `n` is odd or the grids disagree in `n` or field count.
+    pub fn restrict_from_child(&mut self, octant: Octant, child: &SubGrid) {
         assert_eq!(self.n, child.n, "parent/child N mismatch");
         assert_eq!(self.nfields, child.nfields, "parent/child field mismatch");
-        let half = self.n / 2;
-        let [ox, oy, oz] = octant.xyz();
-        for f in 0..self.nfields {
-            for i in 0..half {
-                for j in 0..half {
-                    for k in 0..half {
-                        let mut acc = 0.0;
-                        for di in 0..2 {
-                            for dj in 0..2 {
-                                for dk in 0..2 {
-                                    acc +=
-                                        child.get_interior(f, 2 * i + di, 2 * j + dj, 2 * k + dk);
-                                }
-                            }
-                        }
-                        self.set_interior(
-                            f,
-                            usize::from(ox) * half + i,
-                            usize::from(oy) * half + j,
-                            usize::from(oz) * half + k,
-                            acc / 8.0,
-                        );
+        let (h, g) = (self.n / 2, self.ghost);
+        let lo = octant.xyz().map(|o| usize::from(o) * h);
+        let target = lo.map(|lo| (lo, lo + h));
+        let mut octet = [None; 8];
+        octet[usize::from(octant.0)] = Some(child);
+        let mut words = Vec::with_capacity(self.nfields * h.pow(3));
+        LevelMap::restriction(self.n, child.ghost, [0; 3], target)
+            .restrict(&octet, |v| words.push(v));
+        self.unpack_box(&target.map(|(lo, hi)| (lo + g, hi + g)), &words);
+    }
+}
+
+/// The per-axis index tables of one inter-level transfer onto a target box
+/// in global cells of its level (the leaf at coordinates `c` holds cells
+/// `c·n .. c·n + n` per axis).  Entry `t` of axis `a` places the box's
+/// `t`-th cell along `a` in the source: the source grid's half of its octet
+/// (0 for prolongation's one coarse grid) and the storage index of the
+/// coarse cell containing it or of the first of the two fine cells it
+/// averages.
+pub(crate) struct LevelMap([Vec<(usize, usize)>; 3]);
+
+impl LevelMap {
+    /// Piecewise-constant prolongation onto `t` (fine-level cells) from a
+    /// coarse grid of extent `n`, ghost width `g`, interior starting at
+    /// global coarse cell `origin`.  Reads only the coarse interior: a
+    /// coarse ghost word holds the previous fill's value, not the state.
+    pub(crate) fn prolongation(n: usize, g: usize, origin: [usize; 3], t: Box3) -> LevelMap {
+        Self::tables(n, g, t, n, |a, x| (x / 2).checked_sub(origin[a]))
+    }
+
+    /// Conservative restriction onto `t` (coarse-level cells) from an octet
+    /// of fine grids of extent `n`, ghost width `g`, the octant-0 grid's
+    /// interior starting at global fine cell `origin`.
+    pub(crate) fn restriction(n: usize, g: usize, origin: [usize; 3], t: Box3) -> LevelMap {
+        Self::tables(n, g, t, 2 * n, |a, x| (2 * x).checked_sub(origin[a]))
+    }
+
+    /// Per axis, entry `(r / n, g + r % n)` of every target cell `x`, with
+    /// `r = at(axis, x)` counted from the first source grid's first
+    /// interior cell.  Panics if `n` is odd or an `r` falls outside
+    /// `[0, span)`, the source interior.
+    fn tables(
+        n: usize,
+        ghost: usize,
+        target: Box3,
+        span: usize,
+        at: impl Fn(usize, usize) -> Option<usize>,
+    ) -> LevelMap {
+        assert!(n.is_multiple_of(2), "inter-level transfer requires even N");
+        LevelMap(std::array::from_fn(|a| {
+            let entry = |x| {
+                let r = at(a, x).filter(|&r| r < span);
+                let r = r.expect("inter-level transfer reads outside the source interior");
+                (r / n, ghost + r % n)
+            };
+            (target[a].0..target[a].1).map(entry).collect()
+        }))
+    }
+
+    /// Visit the target box field-major with each cell's table entries.
+    fn cells(&self, nfields: usize, mut visit: impl FnMut(usize, [(usize, usize); 3])) {
+        let [xs, ys, zs] = &self.0;
+        for f in 0..nfields {
+            for &x in xs {
+                for &y in ys {
+                    for &z in zs {
+                        visit(f, [x, y, z]);
                     }
                 }
             }
         }
+    }
+
+    /// Prolongation: push, per target cell (field-major, `(f, i, j, k)`),
+    /// the coarse cell containing it.
+    pub(crate) fn prolong(&self, c: &SubGrid, mut sink: impl FnMut(f64)) {
+        self.cells(c.nfields, |f, [(_, i), (_, j), (_, k)]| {
+            sink(c.get(f, i, j, k))
+        });
+    }
+
+    /// Restriction: push, per target cell (field-major), the mean of the
+    /// 2×2×2 fine cells it covers, summed in `di, dj, dk` order.  `octet[o]` is the fine
+    /// grid in octant `o` (bit 0 the x half, as [`Octant`]); only the ones
+    /// the box covers need be present.
+    pub(crate) fn restrict(&self, octet: &[Option<&SubGrid>; 8], mut sink: impl FnMut(f64)) {
+        let nfields = octet.iter().flatten().next().map_or(0, |g| g.nfields);
+        self.cells(nfields, |f, [(hi, i), (hj, j), (hk, k)]| {
+            let fine = octet[hi | hj << 1 | hk << 2].expect("restriction source missing");
+            let mut acc = 0.0;
+            for di in 0..2 {
+                for dj in 0..2 {
+                    for dk in 0..2 {
+                        acc += fine.get(f, i + di, j + dj, k + dk);
+                    }
+                }
+            }
+            sink(acc / 8.0);
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::Octant;
 
     fn filled(n: usize, g: usize, nf: usize) -> SubGrid {
         let mut sg = SubGrid::new(n, g, nf);

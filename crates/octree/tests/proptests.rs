@@ -79,26 +79,33 @@ proptest! {
     }
 
     #[test]
-    fn prolong_restrict_roundtrip_random_fields(values in prop::collection::vec(-10.0f64..10.0, 64)) {
-        let mut parent = SubGrid::new(4, 1, 1);
-        let mut it = values.iter();
-        for i in 0..4 {
-            for j in 0..4 {
-                for k in 0..4 {
-                    parent.set_interior(0, i, j, k, *it.next().expect("64 values"));
+    fn prolong_restrict_roundtrip_random_fields(values in prop::collection::vec(-10.0f64..10.0, 512),
+                                                large in any::<bool>(),
+                                                ghost in 1usize..3) {
+        let n = if large { 8 } else { 4 };
+        let mut parent = SubGrid::new(n, ghost, 2);
+        let mut it = values.iter().cycle();
+        for f in 0..2 {
+            for i in 0..n {
+                for j in 0..n {
+                    for k in 0..n {
+                        parent.set_interior(f, i, j, k, *it.next().expect("cycled"));
+                    }
                 }
             }
         }
-        let mut rebuilt = SubGrid::new(4, 1, 1);
+        let mut rebuilt = SubGrid::new(n, ghost, 2);
         for oct in Octant::all() {
             let child = parent.prolong_child(oct);
             rebuilt.restrict_from_child(oct, &child);
         }
-        for i in 0..4 {
-            for j in 0..4 {
-                for k in 0..4 {
-                    prop_assert!((rebuilt.get_interior(0, i, j, k)
-                        - parent.get_interior(0, i, j, k)).abs() < 1e-12);
+        for f in 0..2 {
+            for i in 0..n {
+                for j in 0..n {
+                    for k in 0..n {
+                        prop_assert!((rebuilt.get_interior(f, i, j, k)
+                            - parent.get_interior(f, i, j, k)).abs() < 1e-12);
+                    }
                 }
             }
         }

@@ -174,43 +174,6 @@ proptest! {
     }
 
     #[test]
-    fn when_all_is_complete_and_ordered(values in prop::collection::vec(0u64..1000, 1..24)) {
-        let rt = octo_repro::hpx::Runtime::new(3);
-        let futures: Vec<_> = values
-            .iter()
-            .map(|&v| rt.async_call(move || v * 2))
-            .collect();
-        let all = octo_repro::hpx::when_all(&rt, futures).get();
-        prop_assert_eq!(all.len(), values.len());
-        for (i, v) in all.iter().enumerate() {
-            prop_assert_eq!(*v, values[i] * 2);
-        }
-        rt.shutdown();
-    }
-
-    #[test]
-    fn when_any_yields_the_first_completed_future(n in 1usize..16, pick in 0usize..16) {
-        // Only `winner` is fulfilled before the wait; when_any must report
-        // exactly it, no matter how many pending competitors surround it.
-        let winner = pick % n;
-        let mut promises = Vec::new();
-        let mut futures = Vec::new();
-        for _ in 0..n {
-            let (p, f) = octo_repro::hpx::Promise::<usize>::new_pair();
-            promises.push(Some(p));
-            futures.push(f);
-        }
-        let any = octo_repro::hpx::when_any(futures);
-        promises[winner].take().unwrap().set(winner);
-        let (idx, val) = any.get();
-        prop_assert_eq!(idx, winner);
-        prop_assert_eq!(val, winner);
-        for p in promises.into_iter().flatten() {
-            p.set(usize::MAX); // losers complete harmlessly
-        }
-    }
-
-    #[test]
     fn random_future_dags_never_deadlock_on_one_worker(
         edges in prop::collection::vec((0usize..64, 0usize..64), 1..40),
     ) {
